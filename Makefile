@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak bench-json tenancy-bench engine-bench staticcheck lint check clean
+.PHONY: all build test analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak bench-json tenancy-bench engine-bench ledger-check staticcheck lint check clean
 
 all: build
 
@@ -86,6 +86,23 @@ tenancy-bench:
 # portable number; events/sec is machine context.
 engine-bench:
 	dune exec bench/main.exe -- micro
+
+# Ledger fingerprint gate: one measured pass of each of the five ledger
+# workloads at seed 42.  A seed-42 cell fails unless its fingerprint
+# (the hash of its rendered simulated result) equals the reference in
+# ledger/BENCH_ledger.json, so this proves a change left every simulated
+# result bit-identical.  Exits nonzero unless every workload reports
+# "failed": 0.  Writes only under .bench_build/.
+LEDGER_WORKLOADS = shared-kernel partitioned-sweep fleet-churn observed-shared tail-serving
+
+ledger-check:
+	@for w in $(LEDGER_WORKLOADS); do \
+	  line=$$(sh ledger/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
+	  case "$$line" in \
+	    *'"failed": 0,'*) echo "ledger-check $$w: ok" ;; \
+	    *) echo "ledger-check $$w: FAILED: $$line"; exit 1 ;; \
+	  esac; \
+	done
 
 # Static analysis gate (kstat): certify the stock table cycle-free,
 # print the interference matrix, and verify the fs workload's

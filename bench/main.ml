@@ -462,11 +462,18 @@ let micro_tests () =
   ]
 
 (* Engine throughput: one sizeable mixed workload (timers + a contended
-   lock) with a counting probe attached, timed on the monotonic clock
-   with [Gc.minor_words] read on either side.  Events/sec is
-   machine-dependent context; allocations/event is the portable number —
-   it moves when someone adds a box to the hot path, whatever the
-   machine.
+   lock), timed on the monotonic clock with [Gc.minor_words] read on
+   either side.  Events/sec is machine-dependent context;
+   allocations/event is the portable number — it moves when someone adds
+   a box to the hot path, whatever the machine.
+
+   The headline divides by events the engine *executed*, on an
+   unobserved engine — the denominator every other allocation figure in
+   the repo (the ledger's [sim.engine.words_per_event], the multi-domain
+   rows below) uses.  A second run with a counting probe attached is
+   reported under its own names ([probe_events],
+   [minor_words_per_probe_event]): a probe sees several events per
+   executed one, so the two rates are not comparable.
 
    The multi-domain section replays the same workload, unobserved, on
    1/2/4/8 concurrent domains (one independent engine per domain — the
@@ -475,18 +482,16 @@ let micro_tests () =
    identical workload, so aggregate events/sec should grow toward
    min(domains, cores)x and — the regression this section exists to
    catch — must never *fall* as domains are added, which is what the
-   stop-the-world minor-GC rendezvous did before ISSUE 10 (per-domain
-   allocation makes each domain's arena fill independently, and every
-   fill stops all domains). *)
+   stop-the-world minor-GC rendezvous did before the pool sized
+   per-domain minor arenas (per-domain allocation makes each domain's
+   arena fill independently, and every fill stops all domains). *)
 let bench_procs = 16
 let bench_steps = 2000
 
 (* One engine's worth of work, run on the calling domain.  [probe]
-   attaches the counting probe (the historical headline number counts
-   probe events); the multi-domain rows run unobserved — the sweep hot
-   path — and count executed events instead.  [Gc.minor_words] is
-   per-domain in OCaml 5, so the caller reads the delta on its own
-   domain. *)
+   attaches a counting probe and counts the events it sees; otherwise
+   the count is of executed events.  [Gc.minor_words] is per-domain in
+   OCaml 5, so the caller reads the delta on its own domain. *)
 let engine_workload ~probe () =
   let probe_events = ref 0 in
   let engine = Ksurf.Engine.create ~seed:7 () in
@@ -508,20 +513,23 @@ let engine_workload ~probe () =
   (events, minor_words)
 
 let run_engine_bench () =
+  let per_event words n = if n > 0 then words /. float_of_int n else 0.0 in
   Gc.compact ();
   let t0 = Ksurf.Clock.now_s () in
-  let n, minor_words = engine_workload ~probe:true () in
+  let n, minor_words = engine_workload ~probe:false () in
   let seconds = Ksurf.Clock.elapsed_s ~since:t0 in
   let events_per_sec =
     if seconds > 0.0 then float_of_int n /. seconds else 0.0
   in
-  let words_per_event =
-    if n > 0 then minor_words /. float_of_int n else 0.0
-  in
+  let words_per_event = per_event minor_words n in
+  let probe_n, probe_words = engine_workload ~probe:true () in
+  let words_per_probe_event = per_event probe_words probe_n in
   Format.printf
-    "@.Engine throughput (%d procs x %d steps):@.  %d events in %.3fs \
-     (%.0f events/s), %.1f minor words/event@."
-    bench_procs bench_steps n seconds events_per_sec words_per_event;
+    "@.Engine throughput (%d procs x %d steps, unobserved):@.  %d executed \
+     events in %.3fs (%.0f events/s), %.1f minor words/executed event@.  \
+     with a counting probe: %d probe events, %.1f minor words/probe event@."
+    bench_procs bench_steps n seconds events_per_sec words_per_event probe_n
+    words_per_probe_event;
   (* Multi-domain rows: one independent engine per domain, unobserved,
      under the pool's GC regime. *)
   Ksurf.Pool.tune_minor_heap ();
@@ -585,11 +593,14 @@ let run_engine_bench () =
       \  \"events_per_sec\": %.1f,\n\
       \  \"minor_words\": %.0f,\n\
       \  \"minor_words_per_event\": %.3f,\n\
+      \  \"probe_events\": %d,\n\
+      \  \"minor_words_per_probe_event\": %.3f,\n\
       \  \"multi_domain\": [\n%s\n  ]\n\
        }\n"
       bench_procs bench_steps
       (Domain.recommended_domain_count ())
-      n seconds events_per_sec minor_words words_per_event
+      n seconds events_per_sec minor_words words_per_event probe_n
+      words_per_probe_event
       (String.concat ",\n" (List.map md_json md_rows))
   in
   Ksurf.Fileio.write_atomic ~path:"BENCH_engine.json" (fun oc ->

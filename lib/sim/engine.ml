@@ -30,10 +30,30 @@ type t = {
      stretch the critical section with [delay].  None (the default)
      costs one load on the acquire path. *)
   mutable acquire_hook : (acquire_site -> string -> unit) option;
-  (* Liveness accounting (krecov): every parked suspension is tracked so
-     a watchdog abort can name the processes that will never run again.
-     Maintained unconditionally — one hashtable op per suspend/wake. *)
-  parked : (int, int * float) Hashtbl.t;  (* token -> (pid, since) *)
+  (* Closure-free effects.  [delay] writes its duration into
+     [delay_arg] (a float array, so the store does not box) and
+     performs the engine's one preallocated [delay_eff]; [suspend]
+     parks its register function in [register] and performs
+     [suspend_eff].  The handler record and the [Some] closures the
+     effect handler returns are built once per engine, so neither
+     effect nor a spawn allocates handler machinery. *)
+  delay_arg : float array;
+  delay_eff : unit Effect.t;
+  suspend_eff : unit Effect.t;
+  mutable register : (unit -> unit) -> unit;
+  on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  handler : (unit, unit) Effect.Deep.handler;
+  (* Liveness accounting (krecov): every parked suspension holds a slot
+     in a growable table, so a watchdog abort can name the processes
+     that will never run again.  Slot [i] is free when [park_token.(i)]
+     is 0; freed slots go on the [park_free] stack.  Maintained
+     unconditionally, at a few array stores per suspend and wake. *)
+  mutable park_token : int array;
+  mutable park_pid : int array;
+  mutable park_since : float array;
+  mutable park_free : int array;
+  mutable park_nfree : int;
 }
 
 and acquire_site = Lock_site | Resource_site
@@ -84,13 +104,12 @@ and sync_op =
 exception Process_error of string * exn
 exception Hung of string
 
-type _ Effect.t +=
-  | Delay : t * float -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
+(* The payload names the engine, so nested engines (e.g. per-node
+   cluster simulations driven from a parent program) never handle each
+   other's effects.  Each engine preallocates one value of each. *)
+type _ Effect.t += Delay : t -> unit Effect.t | Suspend : t -> unit Effect.t
 
-(* The engine whose handler is currently executing a process.  Effects
-   carry the engine explicitly so nested engines (e.g. per-node cluster
-   simulations driven from a parent program) never interfere; the
+(* The engine whose handler is currently executing a process.  The
    ambient reference only serves the argumentless [delay]/[suspend]
    public API.  Domain-local, not global: independent engines running
    concurrently on worker domains (Ksurf_par sweep cells) must not
@@ -98,21 +117,6 @@ type _ Effect.t +=
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let get_current () = Domain.DLS.get current_key
 let set_current v = Domain.DLS.set current_key v
-
-let create ?(seed = 0) () =
-  {
-    now = 0.0;
-    seq = 0;
-    heap = Heap.create ();
-    root_rng = Ksurf_util.Prng.create seed;
-    executed = 0;
-    probes = [];
-    cur_pid = 0;
-    next_pid = 0;
-    next_token = 0;
-    acquire_hook = None;
-    parked = Hashtbl.create 16;
-  }
 
 let now t = t.now
 let rng t = t.root_rng
@@ -131,6 +135,10 @@ let schedule_job t ~pid ~at job =
   (* Emit before validating so a sanitizer records the violation even
      though the engine still refuses it. *)
   if observed t then emit t (Scheduled { now = t.now; at; pid });
+  (* A NaN time passes the [< now] test below and would silently break
+     the heap order, so non-finite times are refused first. *)
+  if not (Float.is_finite at) then
+    invalid_arg (Printf.sprintf "Engine.schedule: time %g is not finite" at);
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now %g" at t.now);
@@ -153,43 +161,108 @@ let exec_job t ~pid job =
       t.cur_pid <- saved;
       raise exn
 
-let handle t f =
-  let open Effect.Deep in
-  match_with f ()
+(* --- the parking slot table ------------------------------------------ *)
+
+(* Grow every column, pushing the new slots on the free stack. *)
+let grow_park t =
+  let cap = Array.length t.park_token in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let widen a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.park_token <- widen t.park_token 0;
+  t.park_pid <- widen t.park_pid 0;
+  t.park_since <- widen t.park_since 0.0;
+  t.park_free <- widen t.park_free 0;
+  for slot = ncap - 1 downto cap do
+    t.park_free.(t.park_nfree) <- slot;
+    t.park_nfree <- t.park_nfree + 1
+  done
+
+let take_slot t ~token ~pid =
+  if t.park_nfree = 0 then grow_park t;
+  t.park_nfree <- t.park_nfree - 1;
+  let slot = t.park_free.(t.park_nfree) in
+  t.park_token.(slot) <- token;
+  t.park_pid.(slot) <- pid;
+  t.park_since.(slot) <- t.now;
+  slot
+
+let free_slot t slot =
+  t.park_token.(slot) <- 0;
+  t.park_free.(t.park_nfree) <- slot;
+  t.park_nfree <- t.park_nfree + 1
+
+(* Park the running process under a fresh token and hand its register
+   function the wake.  A token is never reused while its slot may be,
+   so a second wake finds a different token (or 0) in the slot. *)
+let park t k =
+  let pid = t.cur_pid in
+  let register = t.register in
+  t.register <- ignore;
+  t.next_token <- t.next_token + 1;
+  let token = t.next_token in
+  let slot = take_slot t ~token ~pid in
+  if observed t then emit t (Suspended { now = t.now; pid; token });
+  let wake () =
+    if observed t then emit t (Woken { now = t.now; pid; token });
+    if t.park_token.(slot) <> token then failwith "Engine: process woken twice";
+    free_slot t slot;
+    (* The continuation resumes under the suspended process's pid, not
+       the waker's. *)
+    schedule_job t ~pid ~at:t.now (Cont k)
+  in
+  register wake
+
+let create ?(seed = 0) () =
+  let heap = Heap.create () and root_rng = Ksurf_util.Prng.create seed in
+  let delay_arg = [| 0.0 |] in
+  let rec t =
     {
-      retc = (fun () -> ());
-      exnc =
-        (fun exn ->
-          raise (Process_error (Printf.sprintf "at t=%g" t.now, exn)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay (eng, d) when eng == t ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule_job t ~pid:t.cur_pid ~at:(t.now +. d) (Cont k))
-          | Suspend (eng, register) when eng == t ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let pid = t.cur_pid in
-                  t.next_token <- t.next_token + 1;
-                  let token = t.next_token in
-                  Hashtbl.replace t.parked token (pid, t.now);
-                  if observed t then
-                    emit t (Suspended { now = t.now; pid; token });
-                  let woken = ref false in
-                  let wake () =
-                    if observed t then emit t (Woken { now = t.now; pid; token });
-                    if !woken then failwith "Engine: process woken twice";
-                    woken := true;
-                    Hashtbl.remove t.parked token;
-                    (* The continuation resumes under the suspended
-                       process's pid, not the waker's. *)
-                    schedule_job t ~pid ~at:t.now (Cont k)
-                  in
-                  register wake)
-          | _ -> None);
+      now = 0.0;
+      seq = 0;
+      heap;
+      root_rng;
+      executed = 0;
+      probes = [];
+      cur_pid = 0;
+      next_pid = 0;
+      next_token = 0;
+      acquire_hook = None;
+      delay_arg;
+      delay_eff = Delay t;
+      suspend_eff = Suspend t;
+      register = ignore;
+      on_delay =
+        Some
+          (fun k ->
+            schedule_job t ~pid:t.cur_pid ~at:(t.now +. t.delay_arg.(0)) (Cont k));
+      on_suspend = Some (fun k -> park t k);
+      handler =
+        {
+          retc = (fun () -> ());
+          exnc =
+            (fun exn -> raise (Process_error (Printf.sprintf "at t=%g" t.now, exn)));
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, unit) Effect.Deep.continuation -> unit) option ->
+              match eff with
+              | Delay eng when eng == t -> t.on_delay
+              | Suspend eng when eng == t -> t.on_suspend
+              | _ -> None);
+        };
+      park_token = [||];
+      park_pid = [||];
+      park_since = [||];
+      park_free = [||];
+      park_nfree = 0;
     }
+  in
+  t
+
+let handle t f = Effect.Deep.match_with f () t.handler
 
 let spawn ?at t f =
   let at = match at with Some a -> a | None -> t.now in
@@ -204,19 +277,26 @@ let engine_of_process name =
 
 let delay d =
   if d < 0.0 then invalid_arg "Engine.delay: negative";
+  if not (Float.is_finite d) then invalid_arg "Engine.delay: not finite";
   if d = 0.0 then ()
   else begin
     let t = engine_of_process "Engine.delay" in
-    Effect.perform (Delay (t, d))
+    t.delay_arg.(0) <- d;
+    Effect.perform t.delay_eff
   end
 
 let suspend register =
   let t = engine_of_process "Engine.suspend" in
-  Effect.perform (Suspend (t, register))
+  t.register <- register;
+  Effect.perform t.suspend_eff
 
 let blocked t =
-  Hashtbl.fold (fun token (pid, since) acc -> (pid, token, since) :: acc) t.parked []
-  |> List.sort compare
+  let acc = ref [] in
+  for slot = 0 to Array.length t.park_token - 1 do
+    let token = t.park_token.(slot) in
+    if token <> 0 then acc := (t.park_pid.(slot), token, t.park_since.(slot)) :: !acc
+  done;
+  List.sort compare !acc
 
 let hung_diagnostic t ~reason =
   let parked = blocked t in

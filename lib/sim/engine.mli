@@ -114,12 +114,13 @@ val rng : t -> Ksurf_util.Prng.t
 (** The engine's root random stream; components should [Prng.split] it. *)
 
 val spawn : ?at:float -> t -> (unit -> unit) -> unit
-(** Schedule a new process.  [at] defaults to the current time and must
-    not be in the past. *)
+(** Schedule a new process.  [at] defaults to the current time; it must
+    be finite and not in the past, or [Invalid_argument] is raised. *)
 
 val delay : float -> unit
-(** Advance the calling process's virtual time.  Negative delays raise.
-    Must be called from inside a process. *)
+(** Advance the calling process's virtual time.  A negative, NaN or
+    infinite delay raises [Invalid_argument].  Must be called from
+    inside a process. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and hands [register] a

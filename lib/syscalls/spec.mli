@@ -19,7 +19,14 @@ val make :
   (Arg.t -> Ksurf_kernel.Ops.op list) ->
   t
 (** [arg_model] defaults to {!Arg.no_args}.  Raises [Invalid_argument]
-    on an empty category list or empty name. *)
+    on an empty category list or empty name.
+
+    The builder must be a pure function of its argument: the resulting
+    [ops] memoises it per in-model argument (a size from [sizes], an
+    object below [max_obj], flags below [max_flags]), so a repeat call
+    returns the physically same program and allocates nothing.  The
+    memo is safe to share across domains.  An argument outside the
+    model is passed to the builder on every call. *)
 
 val in_category : t -> Ksurf_kernel.Category.t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,4 +1,9 @@
-type t = { mutable state : int64; seed : int }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: a field store boxes every new state (3 words per
+   draw), while [Bytes.get/set_int64_ne] read and write it raw.  With
+   [mix64] and [bits64] inlined, [int], [chance] and [bool] advance the
+   stream without allocating at all. *)
+type t = { state : Bytes.t; seed : int }
 
 (* SplitMix64 (Steele, Lea, Flood 2014).  Chosen for speed, full 64-bit
    state, and cheap stream derivation: mixing the seed with a label hash
@@ -6,16 +11,22 @@ type t = { mutable state : int64; seed : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline always] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed); seed }
+let of_state state seed =
+  let buf = Bytes.create 8 in
+  Bytes.set_int64_ne buf 0 state;
+  { state = buf; seed }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed)) seed
+
+let[@inline always] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
 (* FNV-1a over the label, folded into the parent's seed. *)
 let label_hash label =
@@ -33,10 +44,10 @@ let split t label =
   in
   create child_seed
 
-let copy t = { state = t.state; seed = t.seed }
+let copy t = { state = Bytes.copy t.state; seed = t.seed }
 let seed_of t = t.seed
-let save t = (t.state, t.seed)
-let restore ~state ~seed = { state; seed }
+let save t = (Bytes.get_int64_ne t.state 0, t.seed)
+let restore ~state ~seed = of_state state seed
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -46,7 +57,7 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod n
 
-let uniform t =
+let[@inline always] uniform t =
   (* 53 random bits into [0,1). *)
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   v *. (1.0 /. 9007199254740992.0)

@@ -223,6 +223,79 @@ let test_suspend_double_wake_probe () =
   Alcotest.(check (list int)) "both wakes observed, same token" [ 1; 1 ]
     !wakes
 
+let test_non_finite_delay_raises () =
+  (* NaN passes both the negative-delay and the before-now guards, so
+     it needs its own check; an infinite delay is refused alike. *)
+  List.iter
+    (fun d ->
+      let engine = Engine.create () in
+      Engine.spawn engine (fun () -> Engine.delay d);
+      Alcotest.(check bool) (Printf.sprintf "delay %g" d) true
+        (try
+           Engine.run engine;
+           false
+         with Engine.Process_error (_, Invalid_argument _) -> true);
+      Alcotest.(check int) (Printf.sprintf "delay %g left no event" d) 0
+        (Engine.pending engine))
+    [ nan; infinity ]
+
+let test_non_finite_schedule_raises () =
+  List.iter
+    (fun at ->
+      let engine = Engine.create () in
+      Alcotest.(check bool) (Printf.sprintf "spawn at %g" at) true
+        (try
+           Engine.spawn ~at engine ignore;
+           false
+         with Invalid_argument _ -> true);
+      Alcotest.(check int) (Printf.sprintf "spawn at %g queued nothing" at) 0
+        (Engine.pending engine))
+    [ nan; infinity ]
+
+let test_parking_slot_reuse () =
+  (* Process 1 parks and is woken, freeing its slot; process 2 parks in
+     the recycled slot.  The stale wake of process 1 must be refused as
+     a second wake, not resume process 2. *)
+  let engine = Engine.create () in
+  let first = ref (fun () -> ()) and second = ref (fun () -> ()) in
+  let resumed = ref [] in
+  Engine.spawn engine (fun () ->
+      Engine.suspend (fun wake -> first := wake);
+      resumed := 1 :: !resumed);
+  Engine.spawn engine (fun () ->
+      Engine.delay 1.0;
+      !first ();
+      Engine.delay 1.0;
+      Engine.suspend (fun wake -> second := wake);
+      resumed := 2 :: !resumed);
+  Engine.run engine;
+  Alcotest.(check (list (triple int int (float 0.0)))) "second parked in recycled slot"
+    [ (2, 2, 2.0) ] (Engine.blocked engine);
+  Alcotest.(check bool) "stale wake refused" true
+    (try
+       !first ();
+       false
+     with Failure _ -> true);
+  Alcotest.(check (list int)) "only process 1 resumed" [ 1 ] !resumed;
+  !second ();
+  Engine.run engine;
+  Alcotest.(check (list int)) "process 2 resumed by its own wake" [ 2; 1 ] !resumed;
+  Alcotest.(check (list (triple int int (float 0.0)))) "nothing parked" []
+    (Engine.blocked engine)
+
+let test_blocked_lists_every_parked () =
+  let engine = Engine.create () in
+  for i = 1 to 40 do
+    Engine.spawn ~at:(float_of_int i) engine (fun () -> Engine.suspend ignore)
+  done;
+  Engine.run engine;
+  let parked = Engine.blocked engine in
+  Alcotest.(check int) "all parked" 40 (List.length parked);
+  Alcotest.(check (triple int int (float 0.0))) "sorted by pid" (1, 1, 1.0)
+    (List.hd parked);
+  Alcotest.(check (triple int int (float 0.0))) "last" (40, 40, 40.0)
+    (List.nth parked 39)
+
 let qcheck_delays_sum =
   QCheck.Test.make ~name:"sequential delays accumulate" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 20) (float_bound_exclusive 1000.0))
@@ -257,5 +330,10 @@ let suite =
     Alcotest.test_case "probe event sequence" `Quick test_probe_event_sequence;
     Alcotest.test_case "double wake reaches probes" `Quick
       test_suspend_double_wake_probe;
+    Alcotest.test_case "non-finite delay" `Quick test_non_finite_delay_raises;
+    Alcotest.test_case "non-finite schedule" `Quick test_non_finite_schedule_raises;
+    Alcotest.test_case "parking slot reuse" `Quick test_parking_slot_reuse;
+    Alcotest.test_case "blocked lists every parked" `Quick
+      test_blocked_lists_every_parked;
     QCheck_alcotest.to_alcotest qcheck_delays_sum;
   ]

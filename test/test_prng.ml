@@ -78,6 +78,66 @@ let test_seed_of () =
   ignore (Prng.bits64 rng);
   Alcotest.(check int) "seed preserved" 37 (Prng.seed_of rng)
 
+(* Golden values: the first draws of fixed streams, recorded from the
+   boxed-[int64] implementation this one replaced.  Any change to the
+   state layout or the mixer that moves a single bit fails here before
+   it can move a simulated result. *)
+let first_8 rng = List.init 8 (fun _ -> Prng.bits64 rng)
+
+let test_golden_create () =
+  Alcotest.(check (list int64)) "create 42"
+    [
+      0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+    ]
+    (first_8 (Prng.create 42))
+
+let test_golden_split () =
+  Alcotest.(check (list int64)) "split kernel-0"
+    [
+      0x64b164d732fe00b9L; 0xe38f76a37a4acce7L; 0x6c94d4c0f7204d68L;
+      0x0b07afcbb1e74cd0L; 0x6651027248d50448L; 0x9cbbd98aea221a93L;
+      0xd37e84ac2f090e07L; 0xf7d958a0910939b0L;
+    ]
+    (first_8 (Prng.split (Prng.create 42) "kernel-0"))
+
+let test_golden_save_restore () =
+  let rng = Prng.create 42 in
+  for _ = 1 to 5 do
+    ignore (Prng.bits64 rng)
+  done;
+  let state, seed = Prng.save rng in
+  Alcotest.(check int64) "saved state" 0xbe6f4ac750e6e28bL state;
+  Alcotest.(check int) "saved seed" 42 seed;
+  let expected =
+    [
+      0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+      0xc2bc249e28760ccdL; 0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L;
+      0xe2df09f8ccf26f14L; 0xe664fb166d3dc14cL;
+    ]
+  in
+  Alcotest.(check (list int64)) "restored" expected (first_8 (Prng.restore ~state ~seed));
+  Alcotest.(check (list int64)) "original continues alike" expected (first_8 rng)
+
+let test_golden_derived () =
+  let rng = Prng.create 7 in
+  Alcotest.(check (list int)) "int 1000" [ 963; 181; 52; 718; 629; 526; 849; 468 ]
+    (List.init 8 (fun _ -> Prng.int rng 1000));
+  Alcotest.(check (list int64)) "uniform bits"
+    [ 0x3fe9f6fe141e86bcL; 0x3fb6650ef5667a58L; 0x3fed327c95c6cb00L; 0x3fc5c87d83edafc8L ]
+    (List.init 4 (fun _ -> Int64.bits_of_float (Prng.uniform rng)))
+
+let test_copy_is_independent () =
+  let a = Prng.create 9 in
+  let b = Prng.copy a in
+  ignore (Prng.bits64 a);
+  ignore (Prng.bits64 a);
+  let c = Prng.copy a in
+  Alcotest.(check int64) "copy does not share state" (Prng.bits64 c) (Prng.bits64 a);
+  Alcotest.(check int64) "earlier copy unaffected" (first_8 (Prng.create 9) |> List.hd)
+    (Prng.bits64 b)
+
 let qcheck_int_in_bounds =
   QCheck.Test.make ~name:"prng int always in [0,n)" ~count:500
     QCheck.(pair small_int (int_bound 1000))
@@ -119,6 +179,11 @@ let suite =
     Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
     Alcotest.test_case "pick empty" `Quick test_pick_empty;
     Alcotest.test_case "seed_of" `Quick test_seed_of;
+    Alcotest.test_case "golden create" `Quick test_golden_create;
+    Alcotest.test_case "golden split" `Quick test_golden_split;
+    Alcotest.test_case "golden save/restore" `Quick test_golden_save_restore;
+    Alcotest.test_case "golden int/uniform" `Quick test_golden_derived;
+    Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
     QCheck_alcotest.to_alcotest qcheck_shuffle_is_permutation;
     QCheck_alcotest.to_alcotest qcheck_float_bound;

@@ -155,6 +155,91 @@ let test_duplicate_number_index () =
   Alcotest.(check int) "numbers unique" (List.length numbers)
     (List.length (List.sort_uniq Int.compare numbers))
 
+(* --- the op-program memo ------------------------------------------ *)
+
+(* A spec whose program spells out its argument, with a counter on the
+   builder, so a test can tell a memo hit from a build. *)
+let counting_spec () =
+  let builds = ref 0 in
+  let spec =
+    Spec.make ~name:"zz_memo" ~number:9980 ~categories:[ Category.Ipc ] ~doc:"memo probe"
+      ~arg_model:{ Arg.sizes = [| 64; 4096 |]; max_obj = 16; max_flags = 4 }
+      (fun arg ->
+        incr builds;
+        [
+          Ops.Cpu (float_of_int arg.Arg.size);
+          Ops.Page_alloc arg.Arg.obj;
+          Ops.Block_io { bytes = arg.Arg.flags; write = false };
+        ])
+  in
+  (spec, builds)
+
+let spells (arg : Arg.t) =
+  [
+    Ops.Cpu (float_of_int arg.Arg.size);
+    Ops.Page_alloc arg.Arg.obj;
+    Ops.Block_io { bytes = arg.Arg.flags; write = false };
+  ]
+
+let test_memo_hit_is_shared () =
+  let spec, builds = counting_spec () in
+  let arg = { Arg.size = 4096; obj = 15; flags = 3 } in
+  let first = spec.Spec.ops arg in
+  Alcotest.(check bool) "program matches argument" true (first = spells arg);
+  Alcotest.(check bool) "repeat is physically equal" true (spec.Spec.ops arg == first);
+  Alcotest.(check int) "built once" 1 !builds;
+  Alcotest.(check bool) "neighbour gets its own program" true
+    (spec.Spec.ops { arg with Arg.obj = 14 } = spells { arg with Arg.obj = 14 });
+  Alcotest.(check int) "built twice" 2 !builds;
+  (* Every call in the table memoises every argument its model draws. *)
+  let rng = Prng.create 5 in
+  Array.iter
+    (fun (s : Spec.t) ->
+      let arg = Arg.generate s.Spec.arg_model rng in
+      if not (s.Spec.ops arg == s.Spec.ops arg) then
+        Alcotest.failf "%s: in-model program rebuilt" s.Spec.name)
+    Syscalls.all
+
+let test_memo_out_of_model () =
+  let spec, builds = counting_spec () in
+  List.iter
+    (fun arg ->
+      let before = !builds in
+      Alcotest.(check bool) (Arg.to_string arg ^ " is the builder's program") true
+        (spec.Spec.ops arg = spells arg);
+      ignore (spec.Spec.ops arg);
+      Alcotest.(check int) (Arg.to_string arg ^ " built on every call") (before + 2) !builds)
+    [
+      { Arg.size = 512; obj = 0; flags = 0 } (* tailbench request size *);
+      { Arg.size = 64; obj = 63; flags = 0 } (* object past max_obj *);
+      { Arg.size = 64; obj = 0; flags = 4 };
+      { Arg.size = 64; obj = -1; flags = 0 };
+    ];
+  (* The table's own calls: read of 512 bytes is not in [Arg.io]. *)
+  let read = Option.get (Syscalls.by_name "read") in
+  Alcotest.(check bool) "read 512 copies 512 bytes" true
+    (List.mem (Ops.Cpu (40.0 +. (0.062 *. 512.0)))
+       (read.Spec.ops { Arg.size = 512; obj = 0; flags = 0 }))
+
+let test_memo_across_domains () =
+  (* Two domains race to fill a fresh memo; both must see programs
+     structurally equal to what the builder spells out. *)
+  let spec, _ = counting_spec () in
+  let args =
+    List.concat_map
+      (fun size ->
+        List.concat_map
+          (fun obj -> List.init 4 (fun flags -> { Arg.size; obj; flags }))
+          (List.init 16 Fun.id))
+      [ 64; 4096 ]
+  in
+  let sweep () = List.map (fun arg -> spec.Spec.ops arg) args in
+  let other = Domain.spawn sweep in
+  let mine = sweep () in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "domains agree" true (mine = theirs);
+  Alcotest.(check bool) "programs match arguments" true (mine = List.map spells args)
+
 let suite =
   [
     Alcotest.test_case "table size" `Quick test_table_size;
@@ -173,6 +258,9 @@ let suite =
     Alcotest.test_case "mm calls shoot down" `Quick test_mm_calls_shootdown;
     Alcotest.test_case "malformed arg strings" `Quick test_arg_of_string_malformed;
     Alcotest.test_case "size bucket monotone" `Quick test_size_bucket_monotone;
+    Alcotest.test_case "memo hit is shared" `Quick test_memo_hit_is_shared;
+    Alcotest.test_case "memo out of model" `Quick test_memo_out_of_model;
+    Alcotest.test_case "memo across domains" `Quick test_memo_across_domains;
     QCheck_alcotest.to_alcotest qcheck_arg_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_generate_within_model;
   ]

@@ -69,12 +69,37 @@ let test_merge_with_empty () =
   Alcotest.(check (float 1e-9)) "left mean" 2.0 (Welford.mean m1);
   Alcotest.(check (float 1e-9)) "right mean" 2.0 (Welford.mean m2)
 
+(* Golden values, compared bit for bit: recorded from the mixed-record
+   implementation (integer count) that the all-float one replaced. *)
+let check_bits name expected actual =
+  Alcotest.(check int64) name expected (Int64.bits_of_float actual)
+
+let golden_a = [ 3.25; 1e-3; 17.5; 2.0; 1e6; 0.1; 42.0; 7.75; 0.3 ]
+let golden_b = [ 5.5; 0.2; 9e3; 1.25 ]
+
+let test_golden_bits () =
+  let a = fill golden_a in
+  check_bits "mean" 0x40fb20f3612a8d8aL (Welford.mean a);
+  check_bits "variance" 0x4239de9e1c45a456L (Welford.variance a);
+  check_bits "total" 0x412e8511cd4fdf3cL (Welford.total a)
+
+let test_golden_merge_bits () =
+  let m = Welford.merge (fill golden_a) (fill golden_b) in
+  Alcotest.(check int) "count" 13 (Welford.count m);
+  check_bits "mean" 0x40f2f3586e978d50L (Welford.mean m);
+  check_bits "variance" 0x4231e267b0a11b33L (Welford.variance m);
+  check_bits "min" 0x3f50624dd2f1a9fcL (Welford.min_value m);
+  check_bits "max" 0x412e848000000000L (Welford.max_value m);
+  check_bits "total" 0x412ecb6fb3b645a2L (Welford.total m)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "single" `Quick test_single;
     Alcotest.test_case "known values" `Quick test_known_values;
     Alcotest.test_case "merge with empty" `Quick test_merge_with_empty;
+    Alcotest.test_case "golden bits" `Quick test_golden_bits;
+    Alcotest.test_case "golden merge bits" `Quick test_golden_merge_bits;
     QCheck_alcotest.to_alcotest qcheck_matches_direct;
     QCheck_alcotest.to_alcotest qcheck_merge_equivalent;
   ]
