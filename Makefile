@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak bench-json tenancy-bench engine-bench ledger-check staticcheck lint check clean
+.PHONY: all build test analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak bench-json tenancy-bench engine-bench ledger-check exports-check staticcheck lint check clean
 
 all: build
 
@@ -102,6 +102,19 @@ ledger-check:
 	    *'"failed": 0,'*) echo "ledger-check $$w: ok" ;; \
 	    *) echo "ledger-check $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
+	done
+
+# Export bit-identity gate: regenerate the committed full-scale study
+# exports into a temporary directory and byte-compare each against
+# exports/.  Exits nonzero on the first study whose CSV differs.
+EXPORT_STUDIES = tenancy drift torture
+
+exports-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for s in $(EXPORT_STUDIES); do \
+	  dune exec bin/ksurf_cli.exe -- $$s --scale full --export "$$tmp" >/dev/null || exit 1; \
+	  cmp "$$tmp/$$s.csv" exports/$$s.csv || exit 1; \
+	  echo "exports-check $$s: identical"; \
 	done
 
 # Static analysis gate (kstat): certify the stock table cycle-free,

@@ -3,7 +3,7 @@
    Bechamel.
 
      dune exec bench/main.exe            # everything
-     dune exec bench/main.exe table2     # one experiment
+     dune exec bench/main.exe table2     # one Experiments.tables entry
      dune exec bench/main.exe micro      # microbenchmarks only
      dune exec bench/main.exe sweep quick  # kpar throughput scan
 
@@ -21,63 +21,6 @@ let timed name f =
   let r = f () in
   Format.printf "@.[%s took %.1fs]@.@." name (Ksurf.Clock.elapsed_s ~since:t0);
   r
-
-(* ------------------------------------------------------------------ *)
-(* Experiment harnesses: one per table/figure.                         *)
-
-let table1 ~seed:_ ~scale:_ ~corpus:_ ~pool:_ =
-  Format.printf "%a@." E.Table1.pp (E.Table1.run ())
-
-let table2 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Table2.pp (E.Table2.run ~seed ~scale ~corpus ~pool ())
-
-let fig2 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~corpus ~pool ())
-
-let table3 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Table3.pp (E.Table3.run ~seed ~scale ~corpus ~pool ())
-
-let fig3 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~corpus ~pool ())
-
-let fig4 ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~corpus ~pool ())
-
-let ablate ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Ablate.pp (E.Ablate.run ~seed ~scale ~corpus ~pool ())
-
-let locks ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Locks.pp (E.Locks.run ~seed ~scale ~corpus ~pool ())
-
-let lwvm ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~corpus ~pool ())
-
-let ablate_virt ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Ablate_virt.pp
-    (E.Ablate_virt.run ~seed ~scale ~corpus ~pool ())
-
-let dose ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Dose.pp (E.Dose.run ~seed ~scale ~corpus ~pool ())
-
-let specialize ~seed ~scale ~corpus ~pool =
-  Format.printf "%a@." E.Specialize.pp
-    (E.Specialize.run ~seed ~scale ~corpus ~pool ())
-
-let experiments =
-  [
-    ("table1", table1);
-    ("table2", table2);
-    ("fig2", fig2);
-    ("table3", table3);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("ablate", ablate);
-    ("ablate-virt", ablate_virt);
-    ("lwvm", lwvm);
-    ("locks", locks);
-    ("dose", dose);
-    ("specialize", specialize);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* kpar throughput scan: the dose sweep at increasing worker counts.   *)
@@ -636,58 +579,69 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Selectors: every Experiments.tables name, plus the benches above and
+   "all" (every table); "quick"/"full" pick the scale.  Anything else —
+   a typo, a malformed number — exits 2 with the usage line. *)
+let selectors =
+  List.map (fun (t : E.table) -> t.E.name) E.tables
+  @ [ "micro"; "sweep"; "tenancy"; "all" ]
+
+(* One line on stderr, then exit 2. *)
+let die fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf
+        "bench: %s (usage: main.exe [SELECTOR...] [quick|full] [--jobs N] \
+         [--gate-speedup X]; selectors: %s)\n"
+        m
+        (String.concat " " selectors);
+      exit 2)
+    fmt
+
+let number flag parse s =
+  match parse s with Some v -> v | None -> die "%s expects a number, got %S" flag s
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let scale =
-    if List.mem "quick" args then E.Quick
-    else if List.mem "full" args then E.Full
-    else E.Full
-  in
-  (* "--jobs N": worker domains for the experiment sweeps. *)
-  let rec parse_jobs = function
-    | [] -> (None, [])
+  let jobs = ref None and gate_speedup = ref None in
+  let quick = ref false and selected = ref [] in
+  let rec parse = function
+    | [] -> ()
     | ("--jobs" | "-j") :: n :: rest ->
-        let _, kept = parse_jobs rest in
-        (Some (max 1 (int_of_string n)), kept)
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-        let _, kept = parse_jobs rest in
-        let n = String.sub a 7 (String.length a - 7) in
-        (Some (max 1 (int_of_string n)), kept)
-    | a :: rest ->
-        let jobs, kept = parse_jobs rest in
-        (jobs, a :: kept)
-  in
-  let jobs, args = parse_jobs args in
-  (* "--gate-speedup X": fail the sweep if jobs=4 scales below X. *)
-  let rec parse_gate = function
-    | [] -> (None, [])
+        jobs := Some (max 1 (number "--jobs" int_of_string_opt n));
+        parse rest
+    | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
+        parse ("--jobs" :: String.sub a 7 (String.length a - 7) :: rest)
     | "--gate-speedup" :: x :: rest ->
-        let _, kept = parse_gate rest in
-        (Some (float_of_string x), kept)
-    | a :: rest ->
-        let gate, kept = parse_gate rest in
-        (gate, a :: kept)
+        gate_speedup := Some (number "--gate-speedup" float_of_string_opt x);
+        parse rest
+    | ("quick" | "full") as s :: rest ->
+        if s = "quick" then quick := true;
+        parse rest
+    | a :: rest when List.mem a selectors ->
+        selected := a :: !selected;
+        parse rest
+    | a :: _ -> die "unknown argument %S" a
   in
-  let gate_speedup, args = parse_gate args in
-  let selected = List.filter (fun a -> a <> "quick" && a <> "full") args in
+  parse (List.tl (Array.to_list Sys.argv));
+  let scale = if !quick then E.Quick else E.Full in
+  let selected = !selected in
   let seed = 42 in
   let wants name = selected = [] || List.mem name selected in
-  let wants_exp name = wants name || List.mem "all" selected in
-  let any_experiment =
-    List.exists (fun (name, _) -> wants_exp name) experiments
-  in
-  if any_experiment then
-    Ksurf.Pool.with_pool ~jobs:(Ksurf.Pool.resolve_jobs ?cli:jobs ()) (fun pool ->
+  let wants_table (t : E.table) = wants t.E.name || List.mem "all" selected in
+  if List.exists wants_table E.tables then
+    Ksurf.Pool.with_pool ~jobs:(Ksurf.Pool.resolve_jobs ?cli:!jobs ()) (fun pool ->
         let corpus =
-          timed "corpus generation" (fun () -> E.default_corpus ~seed scale)
+          Lazy.from_val
+            (timed "corpus generation" (fun () -> E.default_corpus ~seed scale))
         in
         List.iter
-          (fun (name, run) ->
-            if wants_exp name then
-              timed name (fun () -> run ~seed ~scale ~corpus ~pool))
-          experiments);
+          (fun (t : E.table) ->
+            if wants_table t then
+              timed t.E.name (fun () ->
+                  t.E.render ~seed ~scale ~corpus ~pool Format.std_formatter))
+          E.tables);
   if List.mem "sweep" selected then
-    timed "sweep" (fun () -> run_sweep ~seed ~scale ~gate_speedup);
+    timed "sweep" (fun () -> run_sweep ~seed ~scale ~gate_speedup:!gate_speedup);
   if List.mem "tenancy" selected then
     timed "tenancy" (fun () -> run_tenancy ~seed ~scale);
   if wants "micro" then timed "micro" run_micro

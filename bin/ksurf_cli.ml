@@ -105,6 +105,64 @@ let finish_journal = function
         exit 3
       end
 
+(* Every journalled study has one shape: open the journal, sweep the
+   cells on the pool, print the table, optionally export it, then stamp
+   the journal's durability.  Returns the result for any study-specific
+   verdict. *)
+let run_study name ~jobs ~journal_path ~resume ?export ?export_dir ~pp run =
+  let journal = journal_of journal_path resume in
+  let t =
+    with_pool jobs (fun pool -> timed name (fun () -> run ~journal ~pool))
+  in
+  Format.printf "%a@." pp t;
+  (match (export, export_dir) with
+  | Some export, Some dir ->
+      List.iter (Format.printf "wrote %s@.") (export ~dir t)
+  | _ -> ());
+  finish_journal journal;
+  t
+
+let export_arg file =
+  let doc = Printf.sprintf "Write %s into $(docv) (study mode only)." file in
+  Arg.(value & opt (some string) None & info [ "export" ] ~docv:"DIR" ~doc)
+
+(* A comma-separated list flag over a closed set of names; an unknown
+   name is a parse error (exit 2).  Empty means "the study's default". *)
+let names_arg name ~docv ~doc values =
+  Arg.(value & opt (list (enum values)) [] & info [ name ] ~docv ~doc)
+
+let list_opt = function [] -> None | l -> Some l
+
+(* --- gates ------------------------------------------------------------- *)
+
+module A = Ksurf.Analysis
+
+(* A gate's workload, run twice under the sanitizers: lockdep and
+   invariants on the first run, the determinism probe on both. *)
+let sanitized name run = timed name (fun () -> A.Sanitizer.double_run ~run ())
+
+(* [fail_if cond fmt ...] is [Some message] when [cond] holds: one
+   accounting check of a gate. *)
+let fail_if cond fmt =
+  Format.kasprintf (fun m -> if cond then Some m else None) fmt
+
+(* The ending every gate shares: the replay line, then FAIL lines and
+   findings (exit 1 on either), else the [ok] line. *)
+let finish_gate ~replay ?(failures = []) ~ok findings =
+  Format.printf "  %a@." A.Determinism.pp_replay replay;
+  List.iter (Format.printf "  FAIL: %s@.") failures;
+  List.iter (Format.printf "  %a@." A.Finding.pp) findings;
+  if failures <> [] || findings <> [] then exit 1;
+  Format.printf "  no findings: %s@." ok
+
+(* The smoke gates' workload: a tiny seeded corpus. *)
+let smoke_corpus ~seed target_programs =
+  (Ksurf.Generator.run
+     ~params:
+       { Ksurf.Generator.default_params with Ksurf.Generator.seed; target_programs }
+     ())
+    .Ksurf.Generator.corpus
+
 (* --- corpus ---------------------------------------------------------- *)
 
 let gen_corpus seed scale calls output () =
@@ -149,53 +207,59 @@ let gen_corpus_cmd =
     (Cmd.info "gen-corpus" ~doc:"Generate a coverage-guided syscall corpus")
     Term.(const gen_corpus $ seed_arg $ scale_arg $ calls $ output $ logs_term)
 
-let kind_of_name = function
-  | "native" -> Some Ksurf.Env.Native
-  | "multikernel" -> Some Ksurf.Env.Multikernel
-  | "kvm" -> Some (Ksurf.Env.Kvm Ksurf.Virt_config.default)
-  | "firecracker" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.firecracker)
-  | "kata" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.kata)
-  | "nabla" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.nabla)
-  | "gvisor" -> Some (Ksurf.Env.Kvm Ksurf.Lightweight.gvisor)
-  | "docker" -> Some Ksurf.Env.Docker
-  | _ -> None
+let envs =
+  [
+    ("native", Ksurf.Env.Native);
+    ("multikernel", Ksurf.Env.Multikernel);
+    ("kvm", Ksurf.Env.Kvm Ksurf.Virt_config.default);
+    ("firecracker", Ksurf.Env.Kvm Ksurf.Lightweight.firecracker);
+    ("kata", Ksurf.Env.Kvm Ksurf.Lightweight.kata);
+    ("nabla", Ksurf.Env.Kvm Ksurf.Lightweight.nabla);
+    ("gvisor", Ksurf.Env.Kvm Ksurf.Lightweight.gvisor);
+    ("docker", Ksurf.Env.Docker);
+  ]
+
+(* --env NAME: the deployment, kept with its name for reports.  An
+   unknown name is a parse error (exit 2). *)
+let env_arg =
+  let names = String.concat " | " (List.map fst envs) in
+  let parse s =
+    match List.assoc_opt s envs with
+    | Some kind -> Ok (s, kind)
+    | None -> Error (`Msg (Printf.sprintf "unknown environment %S (%s)" s names))
+  in
+  let env_conv = Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s) in
+  Arg.(
+    value
+    & opt env_conv ("native", Ksurf.Env.Native)
+    & info [ "env" ] ~docv:"ENV" ~doc:names)
 
 (* Replay an arbitrary corpus on an arbitrary deployment. *)
-let run_corpus seed file env_name units iterations () =
+let run_corpus seed file (env_name, kind) units iterations () =
   match Ksurf.Corpus.load file with
   | Error e ->
       Format.eprintf "cannot load %s: %s@." file e;
       exit 1
-  | Ok corpus -> (
-      match kind_of_name env_name with
-      | None ->
-          Format.eprintf
-            "unknown environment %S \
-             (native|multikernel|kvm|firecracker|kata|nabla|gvisor|docker)@."
-            env_name;
-          exit 1
-      | Some kind ->
-          let engine = Ksurf.Engine.create ~seed () in
-          let env =
-            Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
-          in
-          let params =
-            { Ksurf.Harness.iterations; warmup_iterations = max 1 (iterations / 10) }
-          in
-          let result = Ksurf.Harness.run ~env ~corpus ~params () in
-          let stats = Ksurf.Study.site_stats result in
-          Format.printf
-            "corpus %s on %s x%d: %d sites, %d invocations, %s of virtual time@.@."
-            file env_name units (Array.length stats)
-            (Ksurf.Harness.total_invocations result)
-            (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
-          Format.printf "stat   %s@." Ksurf.Buckets.header;
-          List.iter
-            (fun (name, stat) ->
-              Format.printf "%-6s %a@." name Ksurf.Buckets.pp
-                (Ksurf.Study.bucket_row stat stats))
-            [ ("median", Ksurf.Study.Median); ("p99", Ksurf.Study.P99);
-              ("max", Ksurf.Study.Max) ])
+  | Ok corpus ->
+      let engine = Ksurf.Engine.create ~seed () in
+      let env = Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units) in
+      let params =
+        { Ksurf.Harness.iterations; warmup_iterations = max 1 (iterations / 10) }
+      in
+      let result = Ksurf.Harness.run ~env ~corpus ~params () in
+      let stats = Ksurf.Study.site_stats result in
+      Format.printf
+        "corpus %s on %s x%d: %d sites, %d invocations, %s of virtual time@.@."
+        file env_name units (Array.length stats)
+        (Ksurf.Harness.total_invocations result)
+        (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
+      Format.printf "stat   %s@." Ksurf.Buckets.header;
+      List.iter
+        (fun (name, stat) ->
+          Format.printf "%-6s %a@." name Ksurf.Buckets.pp
+            (Ksurf.Study.bucket_row stat stats))
+        [ ("median", Ksurf.Study.Median); ("p99", Ksurf.Study.P99);
+          ("max", Ksurf.Study.Max) ]
 
 let run_corpus_cmd =
   let file =
@@ -203,14 +267,6 @@ let run_corpus_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"CORPUS" ~doc:"Corpus file from gen-corpus.")
-  in
-  let env_name =
-    Arg.(
-      value & opt string "native"
-      & info [ "env" ] ~docv:"ENV"
-          ~doc:
-            "native | multikernel | kvm | firecracker | kata | nabla | gvisor \
-             | docker")
   in
   let units =
     Arg.(
@@ -228,7 +284,7 @@ let run_corpus_cmd =
        ~doc:"Replay a corpus file on a chosen deployment and print its \
              latency breakdown")
     Term.(
-      const run_corpus $ seed_arg $ file $ env_name $ units $ iterations
+      const run_corpus $ seed_arg $ file $ env_arg $ units $ iterations
       $ logs_term)
 
 (* --- analyze ---------------------------------------------------------- *)
@@ -237,7 +293,6 @@ let run_corpus_cmd =
    and engine invariant checks over a stock scenario.  Exits 1 on any
    finding so it can gate CI. *)
 let analyze seed scenario checks csv () =
-  let module A = Ksurf.Analysis in
   match A.Scenarios.of_string scenario with
   | None ->
       Format.eprintf "unknown scenario %S (%s)@." scenario
@@ -307,12 +362,10 @@ let analyze_cmd =
 (* --- inject ----------------------------------------------------------- *)
 
 (* Fault-injection driver: arm a kfault plan over a varbench deployment,
-   run it twice under the determinism checker (with lockdep + invariants
-   attached to the first run), and report the injection counters and the
-   replay hashes.  Exits 1 on any finding or hash divergence — the
-   [--smoke] form is the `make check` gate. *)
-let inject seed plan_name env_name units intensity smoke () =
-  let module A = Ksurf.Analysis in
+   run it twice under the sanitizers, and report the injection counters
+   and the replay hashes.  Exits 1 on any finding or hash divergence —
+   the [--smoke] form is the `make check` gate. *)
+let inject seed plan_name (env_name, kind) units intensity smoke () =
   let plan =
     match Ksurf.Fault_plan.preset plan_name with
     | Some p -> p
@@ -325,98 +378,44 @@ let inject seed plan_name env_name units intensity smoke () =
               (String.concat ", " (List.map fst Ksurf.Fault_plan.presets));
             exit 2)
   in
-  match kind_of_name env_name with
-  | None ->
-      Format.eprintf
-        "unknown environment %S \
-             (native|multikernel|kvm|firecracker|kata|nabla|gvisor|docker)@."
-        env_name;
-      exit 1
-  | Some kind ->
-      let plan =
-        if intensity = 1.0 then plan else Ksurf.Fault_plan.scale intensity plan
-      in
-      let corpus =
-        if smoke then
-          (Ksurf.Generator.run
-             ~params:
-               {
-                 Ksurf.Generator.default_params with
-                 Ksurf.Generator.seed;
-                 target_programs = 4;
-               }
-             ())
-            .Ksurf.Generator.corpus
-        else E.default_corpus ~seed E.Quick
-      in
-      let params =
-        if smoke then { Ksurf.Harness.iterations = 2; warmup_iterations = 1 }
-        else { Ksurf.Harness.iterations = 6; warmup_iterations = 1 }
-      in
-      let last = ref None in
-      let findings = ref [] in
-      let static_done = ref false in
-      let run_once ~probe =
-        let static = ref None in
+  let plan =
+    if intensity = 1.0 then plan else Ksurf.Fault_plan.scale intensity plan
+  in
+  let corpus =
+    if smoke then smoke_corpus ~seed 4 else E.default_corpus ~seed E.Quick
+  in
+  let params =
+    { Ksurf.Harness.iterations = (if smoke then 2 else 6); warmup_iterations = 1 }
+  in
+  let (result, stats, injections), replay, findings =
+    sanitized "inject" (fun ~on_engine ->
         let engine = Ksurf.Engine.create ~seed () in
-        Ksurf.Engine.add_probe engine probe;
-        if not !static_done then begin
-          let lockdep = A.Lockdep.create () in
-          let invariants = A.Invariants.create () in
-          Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-          Ksurf.Engine.add_probe engine (A.Invariants.on_event invariants);
-          static := Some (lockdep, invariants)
-        end;
-        let env =
-          Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
-        in
+        on_engine engine;
+        let env = Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units) in
         let kf = Ksurf.Kfault.arm ~env ~plan ~seed () in
         let result =
           Ksurf.Harness.run ~env ~corpus ~params ~straggler_timeout_ns:5e9 ()
         in
         Ksurf.Kfault.disarm kf;
-        last := Some (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf);
-        match !static with
-        | None -> ()
-        | Some (lockdep, invariants) ->
-            static_done := true;
-            let drained = Ksurf.Engine.pending engine = 0 in
-            findings :=
-              !findings
-              @ A.Lockdep.finish ~drained lockdep
-              @ A.Invariants.finish ~drained invariants
-      in
-      let det =
-        timed "inject" (fun () ->
-            A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-      in
-      findings := !findings @ A.Determinism.to_findings det;
-      let result, stats, injections =
-        match !last with Some x -> x | None -> assert false
-      in
-      Format.printf "inject plan=%s dose=%.2f env=%s units=%d seed=%d@."
-        plan.Ksurf.Fault_plan.name intensity env_name units seed;
-      Format.printf
-        "  %d sites, %d invocations, %s of virtual time, %d injections@."
-        (Array.length result.Ksurf.Harness.sites)
-        (Ksurf.Harness.total_invocations result)
-        (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
-        injections;
-      Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
-      Format.printf "  harness: %d retries, %d abandoned, %s@."
-        result.Ksurf.Harness.transient_retries
-        result.Ksurf.Harness.abandoned_calls
-        (if result.Ksurf.Harness.degraded then
-           Printf.sprintf "DEGRADED (%d/%d ranks survived)"
-             result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
-         else "all ranks survived");
-      Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-        det.A.Determinism.events_first det.A.Determinism.events_second
-        det.A.Determinism.hash_first det.A.Determinism.hash_second
-        (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-      List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-      if !findings <> [] then exit 1;
-      Format.printf "  no findings: faulted run is deterministic and clean@."
+        (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf))
+  in
+  Format.printf "inject plan=%s dose=%.2f env=%s units=%d seed=%d@."
+    plan.Ksurf.Fault_plan.name intensity env_name units seed;
+  Format.printf
+    "  %d sites, %d invocations, %s of virtual time, %d injections@."
+    (Array.length result.Ksurf.Harness.sites)
+    (Ksurf.Harness.total_invocations result)
+    (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
+    injections;
+  Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
+  Format.printf "  harness: %d retries, %d abandoned, %s@."
+    result.Ksurf.Harness.transient_retries
+    result.Ksurf.Harness.abandoned_calls
+    (if result.Ksurf.Harness.degraded then
+       Printf.sprintf "DEGRADED (%d/%d ranks survived)"
+         result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
+     else "all ranks survived");
+  finish_gate ~replay ~ok:"faulted run is deterministic and clean" findings
 
 let inject_cmd =
   let plan =
@@ -426,14 +425,6 @@ let inject_cmd =
           ~doc:
             "Fault plan: a preset name ($(b,syscalls), $(b,storms), \
              $(b,preempt), $(b,mixed), $(b,crashy)) or a plan file path.")
-  in
-  let env_name =
-    Arg.(
-      value & opt string "native"
-      & info [ "env" ] ~docv:"ENV"
-          ~doc:
-            "native | multikernel | kvm | firecracker | kata | nabla | gvisor \
-             | docker")
   in
   let units =
     Arg.(
@@ -460,7 +451,7 @@ let inject_cmd =
           injections replay bit-identically and pass lockdep/invariants; \
           exit nonzero on any finding")
     Term.(
-      const inject $ seed_arg $ plan $ env_name $ units $ intensity $ smoke
+      const inject $ seed_arg $ plan $ env_arg $ units $ intensity $ smoke
       $ logs_term)
 
 (* --- specialize -------------------------------------------------------- *)
@@ -468,25 +459,13 @@ let inject_cmd =
 (* kspec driver.  Default form runs the specialization study (stock
    shared native vs per-tenant specialized kernels vs kvm-64 on the same
    fs-restricted workload).  [--smoke] is the `make check` gate: run
-   the specialized deployment twice under the determinism checker with
-   lockdep + invariants attached to the first run; a policy denial (the
-   allowlist matches the corpus, so any denial is a wiring bug), a
-   replay divergence or any sanitizer finding exits nonzero. *)
+   the specialized deployment twice under the sanitizers; a policy
+   denial (the allowlist matches the corpus, so any denial is a wiring
+   bug), a replay divergence or any sanitizer finding exits nonzero. *)
 let specialize seed scale smoke export_dir journal_path resume jobs () =
-  let module A = Ksurf.Analysis in
   if smoke then begin
     let corpus =
-      let full =
-        (Ksurf.Generator.run
-           ~params:
-             {
-               Ksurf.Generator.default_params with
-               Ksurf.Generator.seed;
-               target_programs = 8;
-             }
-           ())
-          .Ksurf.Generator.corpus
-      in
+      let full = smoke_corpus ~seed 8 in
       match Ksurf.Profile.restrict full ~keep:E.Specialize.retained with
       | Some c -> c
       | None -> full
@@ -496,51 +475,24 @@ let specialize seed scale smoke export_dir journal_path resume jobs () =
         (Ksurf.Profile.of_corpus ~name:"specialize-smoke" corpus)
     in
     let params = { Ksurf.Harness.iterations = 2; warmup_iterations = 1 } in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
-    let run_once ~probe =
-      let static = ref None in
-      let engine = Ksurf.Engine.create ~seed () in
-      Ksurf.Engine.add_probe engine probe;
-      if not !static_done then begin
-        let lockdep = A.Lockdep.create () in
-        let invariants = A.Invariants.create () in
-        Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-        Ksurf.Engine.add_probe engine (A.Invariants.on_event invariants);
-        static := Some (lockdep, invariants)
-      end;
-      let env =
-        Ksurf.Env.deploy ~engine
-          ~kernel_config:(Ksurf.Specializer.kernel_config spec)
-          Ksurf.Env.Multikernel
-          (Ksurf.Partition.equal_split ~units:2 ~total_cores:8
-             ~total_mem_mb:8192)
-      in
-      Ksurf.Specializer.install_all env spec;
-      let result = Ksurf.Harness.run ~env ~corpus ~params () in
-      let denials = ref 0 in
-      for rank = 0 to Ksurf.Env.rank_count env - 1 do
-        denials := !denials + Ksurf.Specializer.denials env ~rank
-      done;
-      last := Some (result, !denials);
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained = Ksurf.Engine.pending engine = 0 in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
-    in
-    let det =
-      timed "specialize" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    let result, denials =
-      match !last with Some x -> x | None -> assert false
+    let (result, denials), replay, findings =
+      sanitized "specialize" (fun ~on_engine ->
+          let engine = Ksurf.Engine.create ~seed () in
+          on_engine engine;
+          let env =
+            Ksurf.Env.deploy ~engine
+              ~kernel_config:(Ksurf.Specializer.kernel_config spec)
+              Ksurf.Env.Multikernel
+              (Ksurf.Partition.equal_split ~units:2 ~total_cores:8
+                 ~total_mem_mb:8192)
+          in
+          Ksurf.Specializer.install_all env spec;
+          let result = Ksurf.Harness.run ~env ~corpus ~params () in
+          let denials =
+            List.init (Ksurf.Env.rank_count env) (fun rank ->
+                Ksurf.Specializer.denials env ~rank)
+          in
+          (result, List.fold_left ( + ) 0 denials))
     in
     Format.printf "specialize smoke seed=%d@." seed;
     Format.printf "  %a@." Ksurf.Kspec.pp spec;
@@ -548,38 +500,20 @@ let specialize seed scale smoke export_dir journal_path resume jobs () =
       (Array.length result.Ksurf.Harness.sites)
       (Ksurf.Harness.total_invocations result)
       (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    if denials > 0 then begin
-      Format.printf
-        "  FAIL: %d policy denials (%d dropped by the harness) — the \
-         allowlist must cover its own profile@."
-        denials result.Ksurf.Harness.denied_calls;
-      exit 1
-    end;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: specialized run is deterministic, clean, zero denials@."
+    finish_gate ~replay
+      ~failures:
+        (Option.to_list
+           (fail_if (denials > 0)
+              "%d policy denials (%d dropped by the harness) — the \
+               allowlist must cover its own profile"
+              denials result.Ksurf.Harness.denied_calls))
+      ~ok:"specialized run is deterministic, clean, zero denials" findings
   end
-  else begin
-    let journal = journal_of journal_path resume in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "specialize" (fun () ->
-              E.Specialize.run ~seed ~scale ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Specialize.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.specialize ~dir t));
-    finish_journal journal
-  end
+  else
+    ignore
+      (run_study "specialize" ~jobs ~journal_path ~resume
+         ~export:Ksurf.Export.specialize ?export_dir ~pp:E.Specialize.pp
+         (fun ~journal ~pool -> E.Specialize.run ~seed ~scale ?journal ~pool ()))
 
 let specialize_cmd =
   let smoke =
@@ -590,21 +524,15 @@ let specialize_cmd =
             "Gate mode: double-run a specialized deployment under the \
              sanitizers; exit nonzero on denials, divergence or findings.")
   in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write specialize.csv into $(docv) (study mode only).")
-  in
   Cmd.v
     (Cmd.info "specialize"
        ~doc:
          "kspec study: per-tenant specialized kernels (multikernel) vs shared native vs kvm-64 \
           on the same fs-restricted workload")
     Term.(
-      const specialize $ seed_arg $ scale_arg $ smoke $ export_dir
-      $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
+      const specialize $ seed_arg $ scale_arg $ smoke
+      $ export_arg "specialize.csv" $ journal_arg $ resume_arg $ jobs_arg
+      $ logs_term)
 
 (* --- staticcheck ------------------------------------------------------ *)
 
@@ -723,65 +651,29 @@ let experiment_cmd name ~doc run =
   Cmd.v (Cmd.info name ~doc)
     Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ logs_term)
 
-let table1_cmd =
-  let go () () = Format.printf "%a@." E.Table1.pp (E.Table1.run ()) in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Print the VM configuration sweep (Table 1)")
-    Term.(const go $ const () $ logs_term)
+(* One subcommand per Experiments.tables entry that has no study
+   command of its own. *)
+let table_cmd (t : E.table) =
+  experiment_cmd t.E.name ~doc:t.E.doc (fun ~seed ~scale ~pool ->
+      t.E.render ~seed ~scale
+        ~corpus:(lazy (E.default_corpus ~seed scale))
+        ~pool Format.std_formatter)
 
-let table2_cmd =
-  experiment_cmd "table2" ~doc:"Syscall latency breakdown (Table 2)"
+let all_cmd =
+  experiment_cmd "all" ~doc:"Run every experiment in sequence"
     (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Table2.pp (E.Table2.run ~seed ~scale ~pool ()))
-
-let fig2_cmd =
-  experiment_cmd "fig2" ~doc:"Per-subsystem p99 vs VM count (Figure 2)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~pool ()))
-
-let table3_cmd =
-  experiment_cmd "table3" ~doc:"Container worst-case breakdown (Table 3)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Table3.pp (E.Table3.run ~seed ~scale ~pool ()))
-
-let fig3_cmd =
-  experiment_cmd "fig3" ~doc:"Single-node tail latency (Figure 3)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~pool ()))
-
-let fig4_cmd =
-  experiment_cmd "fig4" ~doc:"64-node BSP runtimes (Figure 4)"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~pool ()))
-
-let ablate_cmd =
-  experiment_cmd "ablate" ~doc:"E7: variability-mechanism knockouts"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Ablate.pp (E.Ablate.run ~seed ~scale ~pool ()))
-
-let ablate_virt_cmd =
-  experiment_cmd "ablate-virt" ~doc:"E8: exit-cost sensitivity sweep"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Ablate_virt.pp (E.Ablate_virt.run ~seed ~scale ~pool ()))
-
-let lwvm_cmd =
-  experiment_cmd "lwvm" ~doc:"E9: lightweight-VM technology comparison"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~pool ()))
-
-let locks_cmd =
-  experiment_cmd "locks" ~doc:"E10: per-lock contention attribution"
-    (fun ~seed ~scale ~pool ->
-      Format.printf "%a@." E.Locks.pp (E.Locks.run ~seed ~scale ~pool ()))
+      let corpus = lazy (E.default_corpus ~seed scale) in
+      List.iteri
+        (fun i (t : E.table) ->
+          if i > 0 then Format.printf "@.";
+          t.E.render ~seed ~scale ~corpus ~pool Format.std_formatter)
+        E.tables)
 
 let dose_cmd =
   let go seed scale journal_path resume jobs () =
-    let journal = journal_of journal_path resume in
-    with_pool jobs (fun pool ->
-        timed "dose" (fun () ->
-            Format.printf "%a@." E.Dose.pp
-              (E.Dose.run ~seed ~scale ?journal ~pool ())));
-    finish_journal journal
+    ignore
+      (run_study "dose" ~jobs ~journal_path ~resume ~pp:E.Dose.pp
+         (fun ~journal ~pool -> E.Dose.run ~seed ~scale ?journal ~pool ()))
   in
   Cmd.v
     (Cmd.info "dose" ~doc:"Dose-response: fault-intensity sensitivity sweep")
@@ -799,17 +691,7 @@ let dose_cmd =
 let recover seed scale soak export_dir journal_path resume jobs () =
   let module S = Ksurf.Supervisor in
   if soak then begin
-    let corpus =
-      (Ksurf.Generator.run
-         ~params:
-           {
-             Ksurf.Generator.default_params with
-             Ksurf.Generator.seed;
-             target_programs = 4;
-           }
-         ())
-        .Ksurf.Generator.corpus
-    in
+    let corpus = smoke_corpus ~seed 4 in
     let cconfig =
       {
         Ksurf.Cluster.default_config with
@@ -900,22 +782,11 @@ let recover seed scale soak export_dir journal_path resume jobs () =
     if !failed then exit 1;
     Format.printf "  soak clean: every policy completed, resume is exact@."
   end
-  else begin
-    let journal = journal_of journal_path resume in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "recover" (fun () ->
-              E.Recover.run ~seed ~scale ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Recover.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.recover ~dir t));
-    finish_journal journal
-  end
+  else
+    ignore
+      (run_study "recover" ~jobs ~journal_path ~resume
+         ~export:Ksurf.Export.recover ?export_dir ~pp:E.Recover.pp
+         (fun ~journal ~pool -> E.Recover.run ~seed ~scale ?journal ~pool ()))
 
 let recover_cmd =
   let soak =
@@ -928,34 +799,25 @@ let recover_cmd =
              checkpoint bit-identically; exit nonzero on any wedge or \
              divergence.")
   in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write recover.csv into $(docv) (study mode only).")
-  in
   Cmd.v
     (Cmd.info "recover"
        ~doc:
          "krecov study: crash rate x recovery policy on the supervised \
           64-node BSP synthesis")
     Term.(
-      const recover $ seed_arg $ scale_arg $ soak $ export_dir $ journal_arg
-      $ resume_arg $ jobs_arg $ logs_term)
+      const recover $ seed_arg $ scale_arg $ soak $ export_arg "recover.csv"
+      $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
 
 (* --- tenancy ----------------------------------------------------------- *)
 
 (* ktenant driver.  Default form sweeps (policy x tenants x churn)
    fleet cells and prints the per-cell table plus the SLO frontier.
    [--smoke] is the `make check` gate: double-run a small churny
-   adaptive fleet under the determinism checker with lockdep +
-   invariants attached to the first run, then sanity-check the SLO
+   adaptive fleet under the sanitizers, then sanity-check the SLO
    accounting; any replay divergence, sanitizer finding or accounting
    inconsistency exits nonzero. *)
 let tenancy seed scale smoke tenants churns policies export_dir journal_path
     resume jobs () =
-  let module A = Ksurf.Analysis in
   let module F = Ksurf.Fleet in
   let module P = Ksurf.Tenant_policy in
   if smoke then begin
@@ -973,49 +835,10 @@ let tenancy seed scale smoke tenants churns policies export_dir journal_path
         epoch_ns = 5e7;
       }
     in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
-    let run_once ~probe =
-      let static = ref None in
-      let engine_ref = ref None in
-      let result =
-        timed "tenancy fleet" (fun () ->
-            F.run
-              ~on_engine:(fun engine ->
-                engine_ref := Some engine;
-                Ksurf.Engine.add_probe engine probe;
-                if not !static_done then begin
-                  let lockdep = A.Lockdep.create () in
-                  let invariants = A.Invariants.create () in
-                  Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-                  Ksurf.Engine.add_probe engine
-                    (A.Invariants.on_event invariants);
-                  static := Some (lockdep, invariants)
-                end)
-              cfg)
-      in
-      last := Some result;
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained =
-            match !engine_ref with
-            | Some e -> Ksurf.Engine.pending e = 0
-            | None -> false
-          in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
+    let r, replay, findings =
+      sanitized "tenancy" (fun ~on_engine ->
+          timed "tenancy fleet" (fun () -> F.run ~on_engine cfg))
     in
-    let det =
-      timed "tenancy" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    let r = match !last with Some r -> r | None -> assert false in
     Format.printf "tenancy smoke seed=%d: %d tenants, churn %.0f/day, %s@."
       seed cfg.F.tenants cfg.F.churn_per_day (P.name cfg.F.policy);
     Format.printf
@@ -1024,81 +847,45 @@ let tenancy seed scale smoke tenants churns policies export_dir journal_path
       r.F.completed r.F.arrivals r.F.departures
       (r.F.cgroup_creates + r.F.cgroup_destroys)
       r.F.cgroup_creates r.F.cgroup_destroys r.F.peak_cgroups r.F.migrations;
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
     (* SLO accounting must be internally consistent whatever the
        latencies came out to. *)
-    let bad fmt = Format.kasprintf (fun m -> Some m) fmt in
-    let accounting =
+    let failures =
       List.filter_map Fun.id
         [
-          (if r.F.completed <= 0 then bad "no requests completed" else None);
-          (if r.F.attainment < 0.0 || r.F.attainment > 1.0 then
-             bad "attainment %.3f outside [0,1]" r.F.attainment
-           else None);
-          (if r.F.slo_met > r.F.measured then
-             bad "slo_met %d > measured %d" r.F.slo_met r.F.measured
-           else None);
-          (if r.F.measured > cfg.F.tenants + r.F.arrivals then
-             bad "measured %d exceeds tenants ever admitted" r.F.measured
-           else None);
-          (if r.F.cgroup_destroys > r.F.cgroup_creates then
-             bad "cgroup destroys %d > creates %d" r.F.cgroup_destroys
-               r.F.cgroup_creates
-           else None);
-          (if r.F.replica_imbalance <> 0 then
-             bad "replica imbalance %d: live replicas diverged from \
-                  autoscaler targets"
-               r.F.replica_imbalance
-           else None);
-          (if r.F.departures > r.F.arrivals + cfg.F.tenants then
-             bad "departures %d exceed population" r.F.departures
-           else None);
+          fail_if (r.F.completed <= 0) "no requests completed";
+          fail_if
+            (r.F.attainment < 0.0 || r.F.attainment > 1.0)
+            "attainment %.3f outside [0,1]" r.F.attainment;
+          fail_if (r.F.slo_met > r.F.measured) "slo_met %d > measured %d"
+            r.F.slo_met r.F.measured;
+          fail_if
+            (r.F.measured > cfg.F.tenants + r.F.arrivals)
+            "measured %d exceeds tenants ever admitted" r.F.measured;
+          fail_if
+            (r.F.cgroup_destroys > r.F.cgroup_creates)
+            "cgroup destroys %d > creates %d" r.F.cgroup_destroys
+            r.F.cgroup_creates;
+          fail_if (r.F.replica_imbalance <> 0)
+            "replica imbalance %d: live replicas diverged from autoscaler \
+             targets"
+            r.F.replica_imbalance;
+          fail_if
+            (r.F.departures > r.F.arrivals + cfg.F.tenants)
+            "departures %d exceed population" r.F.departures;
         ]
     in
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) accounting;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if accounting <> [] || !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: churny fleet is deterministic, clean, accounting \
-       consistent@."
+    finish_gate ~replay ~failures
+      ~ok:"churny fleet is deterministic, clean, accounting consistent"
+      findings
   end
-  else begin
-    let journal = journal_of journal_path resume in
-    let tenants = match tenants with [] -> None | l -> Some l in
-    let churns = match churns with [] -> None | l -> Some l in
-    let policies =
-      match policies with
-      | [] -> None
-      | l ->
-          Some
-            (List.map
-               (fun s ->
-                 match Ksurf.Tenant_policy.of_string s with
-                 | Some p -> p
-                 | None ->
-                     Format.eprintf "unknown policy %S (%s)@." s
-                       (String.concat "|" Ksurf.Tenant_policy.names);
-                     exit 2)
-               l)
-    in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "tenancy" (fun () ->
-              E.Tenancy.run ~seed ~scale ?tenants ?churns ?policies ?journal
-                ~pool ()))
-    in
-    Format.printf "%a@." E.Tenancy.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.tenancy ~dir t));
-    finish_journal journal
-  end
+  else
+    ignore
+      (run_study "tenancy" ~jobs ~journal_path ~resume
+         ~export:Ksurf.Export.tenancy ?export_dir ~pp:E.Tenancy.pp
+         (fun ~journal ~pool ->
+           E.Tenancy.run ~seed ~scale ?tenants:(list_opt tenants)
+             ?churns:(list_opt churns) ?policies:(list_opt policies) ?journal
+             ~pool ()))
 
 let tenancy_cmd =
   let smoke =
@@ -1127,20 +914,11 @@ let tenancy_cmd =
              tenant per virtual day (default depends on --scale).")
   in
   let policies =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "policy" ] ~docv:"P,..."
-          ~doc:
-            "Placement policies to sweep: $(b,native-shared), $(b,docker), \
-             $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all).")
-  in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write tenancy.csv into $(docv) (study mode only).")
+    names_arg "policy" ~docv:"P,..."
+      ~doc:
+        "Placement policies to sweep: $(b,native-shared), $(b,docker), \
+         $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all)."
+      (List.map (fun p -> (Ksurf.Tenant_policy.name p, p)) Ksurf.Tenant_policy.all)
   in
   Cmd.v
     (Cmd.info "tenancy"
@@ -1150,23 +928,21 @@ let tenancy_cmd =
           with per-tenant p99 SLO autoscaling")
     Term.(
       const tenancy $ seed_arg $ scale_arg $ smoke $ tenants $ churns
-      $ policies $ export_dir $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
+      $ policies $ export_arg "tenancy.csv" $ journal_arg $ resume_arg
+      $ jobs_arg $ logs_term)
 
 (* --- drift ------------------------------------------------------------- *)
 
 (* kadapt driver.  Default form sweeps (policy x dose) driftbench cells
    and prints the dose-response table (false-positive ENOSYS vs retained
    surface area vs time-to-reconverge).  [--smoke] is the `make check`
-   gate: double-run a small adaptive cell under the determinism checker
-   with lockdep + invariants attached to the first run, count every
-   policy hot-swap transition off the probe stream, cross-check the
-   controller accounting, and run the same cell under the static policy
-   to assert the headline dominance; any divergence, sanitizer finding
-   or accounting inconsistency exits nonzero. *)
+   gate: double-run a small adaptive cell under the sanitizers, count
+   every policy hot-swap transition off the probe stream, cross-check
+   the controller accounting, and run the same cell under the static
+   policy to assert the headline dominance; any divergence, sanitizer
+   finding or accounting inconsistency exits nonzero. *)
 let drift seed scale smoke doses policies export_dir journal_path resume jobs
     () =
-  let module A = Ksurf.Analysis in
   let module D = Ksurf.Driftbench in
   if smoke then begin
     let cfg policy =
@@ -1181,55 +957,23 @@ let drift seed scale smoke doses policies export_dir journal_path resume jobs
         seed;
       }
     in
-    let last = ref None in
-    let findings = ref [] in
-    let static_done = ref false in
     let policy_transitions = ref 0 in
-    let run_once ~probe =
-      let static = ref None in
-      let engine_ref = ref None in
-      let result =
-        timed "drift cell" (fun () ->
-            D.run
-              ~on_engine:(fun engine ->
-                engine_ref := Some engine;
-                Ksurf.Engine.add_probe engine probe;
-                if not !static_done then begin
-                  let lockdep = A.Lockdep.create () in
-                  let invariants = A.Invariants.create () in
-                  Ksurf.Engine.add_probe engine (A.Lockdep.on_event lockdep);
-                  Ksurf.Engine.add_probe engine
-                    (A.Invariants.on_event invariants);
-                  Ksurf.Engine.add_probe engine (function
-                    | Ksurf.Engine.Rank_transition { to_state; _ }
-                      when to_state = "audit" || to_state = "enforce" ->
-                        incr policy_transitions
-                    | _ -> ());
-                  static := Some (lockdep, invariants)
-                end)
-              (cfg D.Adaptive))
-      in
-      last := Some result;
-      match !static with
-      | None -> ()
-      | Some (lockdep, invariants) ->
-          static_done := true;
-          let drained =
-            match !engine_ref with
-            | Some e -> Ksurf.Engine.pending e = 0
-            | None -> false
-          in
-          findings :=
-            !findings
-            @ A.Lockdep.finish ~drained lockdep
-            @ A.Invariants.finish ~drained invariants
+    let count_transitions = function
+      | Ksurf.Engine.Rank_transition { to_state; _ }
+        when to_state = "audit" || to_state = "enforce" ->
+          incr policy_transitions
+      | _ -> ()
     in
-    let det =
-      timed "drift" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
+    let r, replay, findings =
+      sanitized "drift" (fun ~on_engine ->
+          policy_transitions := 0;
+          timed "drift cell" (fun () ->
+              D.run
+                ~on_engine:(fun engine ->
+                  on_engine engine;
+                  Ksurf.Engine.add_probe engine count_transitions)
+                (cfg D.Adaptive)))
     in
-    findings := !findings @ A.Determinism.to_findings det;
-    let r = match !last with Some r -> r | None -> assert false in
     let s = timed "static cell" (fun () -> D.run (cfg D.Static)) in
     Format.printf "drift smoke seed=%d: %d ranks, dose %.1f, adaptive@." seed
       r.D.ranks r.D.dose;
@@ -1241,104 +985,66 @@ let drift seed scale smoke doses policies export_dir journal_path resume jobs
       (match r.D.reconverge_ns with
       | None -> "n/a"
       | Some ns -> Printf.sprintf "%.0f ns" ns);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
     (* The controller choreography must be internally consistent, every
        hot-swap probe-visible, and the headline claim must hold even at
        smoke scale: adaptive strictly beats static on post-drift false
        positives while retaining most of its surface reduction. *)
-    let bad fmt = Format.kasprintf (fun m -> Some m) fmt in
-    let accounting =
+    let failures =
       List.filter_map Fun.id
         [
-          (if r.D.calls <= 0 then bad "no calls issued" else None);
-          (if r.D.drifts <> 1 then
-             bad "expected exactly 1 workload drift, saw %d" r.D.drifts
-           else None);
-          (if r.D.drift_at_ns = None then
-             bad "drift never fired (sink not called)"
-           else None);
-          (if r.D.fp_rate < 0.0 || r.D.fp_rate > 1.0 then
-             bad "fp rate %.4f outside [0,1]" r.D.fp_rate
-           else None);
-          (if r.D.denied_post_drift > r.D.denied then
-             bad "post-drift denials %d exceed total %d" r.D.denied_post_drift
-               r.D.denied
-           else None);
-          (if r.D.calls_post_drift > r.D.calls then
-             bad "post-drift calls %d exceed total %d" r.D.calls_post_drift
-               r.D.calls
-           else None);
-          (if r.D.swaps <> r.D.ranks + r.D.promotions + r.D.demotions then
-             bad "swap count %d inconsistent: %d ranks + %d promotions + %d \
-                  demotions"
-               r.D.swaps r.D.ranks r.D.promotions r.D.demotions
-           else None);
-          (if !policy_transitions <> r.D.swaps then
-             bad "probe saw %d policy transitions, env counted %d swaps"
-               !policy_transitions r.D.swaps
-           else None);
-          (if r.D.promotions < r.D.ranks then
-             bad "only %d promotions across %d ranks: some rank never left \
-                  audit"
-               r.D.promotions r.D.ranks
-           else None);
-          (if r.D.demotions < 1 then
-             bad "dose %.1f drift triggered no demotion" r.D.dose
-           else None);
-          (if s.D.denied = 0 then
-             bad "static policy denied nothing under drift" else None);
-          (if r.D.fp_rate >= s.D.fp_rate then
-             bad "adaptive fp %.4f does not beat static %.4f" r.D.fp_rate
-               s.D.fp_rate
-           else None);
-          (if s.D.reduction > 0.0 && r.D.reduction < 0.4 *. s.D.reduction then
-             bad "adaptive retains only %.0f%% of static's surface reduction"
-               (100.0 *. r.D.reduction /. s.D.reduction)
-           else None);
+          fail_if (r.D.calls <= 0) "no calls issued";
+          fail_if (r.D.drifts <> 1) "expected exactly 1 workload drift, saw %d"
+            r.D.drifts;
+          fail_if (r.D.drift_at_ns = None) "drift never fired (sink not called)";
+          fail_if
+            (r.D.fp_rate < 0.0 || r.D.fp_rate > 1.0)
+            "fp rate %.4f outside [0,1]" r.D.fp_rate;
+          fail_if
+            (r.D.denied_post_drift > r.D.denied)
+            "post-drift denials %d exceed total %d" r.D.denied_post_drift
+            r.D.denied;
+          fail_if
+            (r.D.calls_post_drift > r.D.calls)
+            "post-drift calls %d exceed total %d" r.D.calls_post_drift
+            r.D.calls;
+          fail_if
+            (r.D.swaps <> r.D.ranks + r.D.promotions + r.D.demotions)
+            "swap count %d inconsistent: %d ranks + %d promotions + %d \
+             demotions"
+            r.D.swaps r.D.ranks r.D.promotions r.D.demotions;
+          fail_if
+            (!policy_transitions <> r.D.swaps)
+            "probe saw %d policy transitions, env counted %d swaps"
+            !policy_transitions r.D.swaps;
+          fail_if
+            (r.D.promotions < r.D.ranks)
+            "only %d promotions across %d ranks: some rank never left audit"
+            r.D.promotions r.D.ranks;
+          fail_if (r.D.demotions < 1) "dose %.1f drift triggered no demotion"
+            r.D.dose;
+          fail_if (s.D.denied = 0) "static policy denied nothing under drift";
+          fail_if
+            (r.D.fp_rate >= s.D.fp_rate)
+            "adaptive fp %.4f does not beat static %.4f" r.D.fp_rate
+            s.D.fp_rate;
+          fail_if
+            (s.D.reduction > 0.0 && r.D.reduction < 0.4 *. s.D.reduction)
+            "adaptive retains only %.0f%% of static's surface reduction"
+            (100.0 *. r.D.reduction /. s.D.reduction);
         ]
     in
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) accounting;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if accounting <> [] || !findings <> [] then exit 1;
-    Format.printf
-      "  no findings: adaptive cell is deterministic, clean, accounting \
-       consistent, dominates static@."
+    finish_gate ~replay ~failures
+      ~ok:
+        "adaptive cell is deterministic, clean, accounting consistent, \
+         dominates static"
+      findings
   end
-  else begin
-    let journal = journal_of journal_path resume in
-    let doses = match doses with [] -> None | l -> Some l in
-    let policies =
-      match policies with
-      | [] -> None
-      | l ->
-          Some
-            (List.map
-               (fun p ->
-                 match D.policy_of_string p with
-                 | Some p -> p
-                 | None ->
-                     Format.eprintf
-                       "unknown policy %S (static|audit|adaptive)@." p;
-                     exit 2)
-               l)
-    in
-    let t =
-      with_pool jobs (fun pool ->
-          timed "drift" (fun () ->
-              E.Drift.run ~seed ~scale ?doses ?policies ?journal ~pool ()))
-    in
-    Format.printf "%a@." E.Drift.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.drift ~dir t));
-    finish_journal journal
-  end
+  else
+    ignore
+      (run_study "drift" ~jobs ~journal_path ~resume ~export:Ksurf.Export.drift
+         ?export_dir ~pp:E.Drift.pp (fun ~journal ~pool ->
+           E.Drift.run ~seed ~scale ?doses:(list_opt doses)
+             ?policies:(list_opt policies) ?journal ~pool ()))
 
 let drift_cmd =
   let smoke =
@@ -1361,20 +1067,14 @@ let drift_cmd =
              (default: 0,1,2,3).")
   in
   let policies =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "policy" ] ~docv:"P,..."
-          ~doc:
-            "Policies to sweep: $(b,static), $(b,audit) or $(b,adaptive) \
-             (default: all).")
-  in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write drift.csv into $(docv) (study mode only).")
+    names_arg "policy" ~docv:"P,..."
+      ~doc:
+        "Policies to sweep: $(b,static), $(b,audit) or $(b,adaptive) \
+         (default: all)."
+      (("audit-only", Ksurf.Driftbench.Audit_only)
+      :: List.map
+           (fun p -> (Ksurf.Driftbench.policy_name p, p))
+           Ksurf.Driftbench.all_policies)
   in
   Cmd.v
     (Cmd.info "drift"
@@ -1384,7 +1084,8 @@ let drift_cmd =
           surface area vs time-to-reconverge")
     Term.(
       const drift $ seed_arg $ scale_arg $ smoke $ doses $ policies
-      $ export_dir $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
+      $ export_arg "drift.csv" $ journal_arg $ resume_arg $ jobs_arg
+      $ logs_term)
 
 (* --- torture ------------------------------------------------------------ *)
 
@@ -1415,28 +1116,11 @@ let read_file path =
    byte-compared exports and zero tolerated violations, then the same
    durability machinery wired into a live engine workload — scenario
    cells journalled under an armed fault plan (transients, an ENOSPC
-   window, a scheduled crash) with the full sanitizer stack (lockdep +
-   determinism + invariants) watching every engine. *)
-let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
+   window, a scheduled crash), double-run under the sanitizers. *)
+let torture seed scale smoke doses kinds export_dir journal_path resume jobs ()
     =
-  let module A = Ksurf.Analysis in
   let module T = Ksurf.Torture in
-  let kinds =
-    match paths with
-    | [] -> None
-    | l ->
-        Some
-          (List.map
-             (fun p ->
-               match T.kind_of_name p with
-               | Some k -> k
-               | None ->
-                   Format.eprintf
-                     "unknown writer path %S (journal|checkpoint|export)@." p;
-                   exit 2)
-             l)
-  in
-  let doses = match doses with [] -> None | l -> Some l in
+  let kinds = list_opt kinds in
   if smoke then begin
     let root = fresh_temp_dir "ksurf-torture-smoke" in
     Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
@@ -1453,7 +1137,8 @@ let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
             (Printf.sprintf "torture grid (%d worker%s)" n
                (if n = 1 then "" else "s"))
             (fun () ->
-              E.Torture.run ~seed ~scale:E.Quick ?doses:(Some (Option.value ~default:[ 0.0; 1.0 ] doses))
+              E.Torture.run ~seed ~scale:E.Quick
+                ~doses:(match doses with [] -> [ 0.0; 1.0 ] | l -> l)
                 ?kinds
                 ~scratch:(Filename.concat root sub)
                 ~pool ()))
@@ -1489,8 +1174,7 @@ let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
        completion recorded through a Recov_journal whose host I/O runs
        under an armed fault plan — recover from every injected death,
        drain every deferred persist, and replay the whole thing twice
-       under the determinism checker with lockdep + invariants on the
-       first pass. *)
+       under the sanitizers. *)
     let plan =
       {
         Ksurf.Durplan.name = "smoke";
@@ -1503,29 +1187,15 @@ let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
       }
     in
     let cells = [ "varbench:0"; "varbench:1"; "varbench:2" ] in
-    let findings = ref [] in
-    let static_done = ref false in
-    let replay = ref 0 in
+    let pass = ref 0 in
     let litter_swept = ref 0 in
-    let last_stats = ref None in
-    let run_once ~probe =
-      incr replay;
-      let dir = Filename.concat root (Printf.sprintf "live-%d" !replay) in
+    let live ~on_engine =
+      incr pass;
+      let dir = Filename.concat root (Printf.sprintf "live-%d" !pass) in
       Ksurf.Fileio.ensure_dir dir;
       let jpath = Filename.concat dir "cells.journal" in
       let inj = Ksurf.Faultio.make ~root:dir ~seed plan in
-      let sanitizers = ref [] in
       let executed = ref [] in
-      let on_engine e =
-        Ksurf.Engine.add_probe e probe;
-        if not !static_done then begin
-          let lockdep = A.Lockdep.create () in
-          let invariants = A.Invariants.create () in
-          Ksurf.Engine.add_probe e (A.Lockdep.on_event lockdep);
-          Ksurf.Engine.add_probe e (A.Invariants.on_event invariants);
-          sanitizers := (e, lockdep, invariants) :: !sanitizers
-        end
-      in
       let attempts = ref 0 in
       let completed = ref false in
       while (not !completed) && !attempts < 50 do
@@ -1555,82 +1225,49 @@ let torture seed scale smoke doses paths export_dir journal_path resume jobs ()
         | true -> () (* ENOSPC deferral: space clears as ops advance *)
         | exception Ksurf.Iohook.Crashed _ -> () (* next attempt recovers *)
       done;
-      if not !completed then bad "replay %d: journal never converged" !replay;
+      if not !completed then bad "replay %d: journal never converged" !pass;
       if List.length !executed <> List.length cells then
-        bad "replay %d: %d cells executed, expected %d" !replay
+        bad "replay %d: %d cells executed, expected %d" !pass
           (List.length !executed) (List.length cells);
       let j = Ksurf.Recov_journal.load ~path:jpath () in
       List.iter
         (fun cell ->
           if not (Ksurf.Recov_journal.mem j cell) then
-            bad "replay %d: cell %s lost" !replay cell)
+            bad "replay %d: cell %s lost" !pass cell)
         cells;
       if Ksurf.Fileio.sweep_tmp ~dir <> 0 then
-        bad "replay %d: temp litter survived recovery" !replay;
-      last_stats := Some (Ksurf.Faultio.stats inj);
-      if !sanitizers <> [] then begin
-        static_done := true;
-        List.iter
-          (fun (e, lockdep, invariants) ->
-            let drained = Ksurf.Engine.pending e = 0 in
-            findings :=
-              !findings
-              @ A.Lockdep.finish ~drained lockdep
-              @ A.Invariants.finish ~drained invariants)
-          !sanitizers
-      end
+        bad "replay %d: temp litter survived recovery" !pass;
+      Ksurf.Faultio.stats inj
     in
-    let det =
-      timed "torture live" (fun () ->
-          A.Determinism.check ~run:(fun ~probe -> run_once ~probe) ())
-    in
-    findings := !findings @ A.Determinism.to_findings det;
-    (match !last_stats with
-    | None -> bad "live phase never ran"
-    | Some (s : Ksurf.Faultio.stats) ->
-        if s.Ksurf.Faultio.crashes < 1 then
-          bad "scheduled crash never fired";
-        if s.Ksurf.Faultio.enospc < 1 then bad "ENOSPC window never hit";
-        if s.Ksurf.Faultio.transients < 1 then
-          bad "no transient faults injected";
-        Format.printf
-          "  live: %d ops, %d transients, %d enospc, %d crashes, %d temp \
-           file(s) swept during recovery@."
-          s.Ksurf.Faultio.ops s.Ksurf.Faultio.transients s.Ksurf.Faultio.enospc
-          s.Ksurf.Faultio.crashes !litter_swept);
-    Format.printf "  replay: %d vs %d events, hash %08x vs %08x — %s@."
-      det.A.Determinism.events_first det.A.Determinism.events_second
-      det.A.Determinism.hash_first det.A.Determinism.hash_second
-      (if A.Determinism.deterministic det then "identical" else "DIVERGENT");
-    List.iter (fun m -> Format.printf "  FAIL: %s@." m) !failures;
-    List.iter (fun f -> Format.printf "  %a@." A.Finding.pp f) !findings;
-    if !failures <> [] || !findings <> [] then exit 1;
+    let s, replay, findings = sanitized "torture live" live in
+    if s.Ksurf.Faultio.crashes < 1 then bad "scheduled crash never fired";
+    if s.Ksurf.Faultio.enospc < 1 then bad "ENOSPC window never hit";
+    if s.Ksurf.Faultio.transients < 1 then bad "no transient faults injected";
     Format.printf
-      "  no findings: every crash state recovers, sweeps are worker-count \
-       invariant, faulted journalling is deterministic and clean@."
+      "  live: %d ops, %d transients, %d enospc, %d crashes, %d temp file(s) \
+       swept during recovery@."
+      s.Ksurf.Faultio.ops s.Ksurf.Faultio.transients s.Ksurf.Faultio.enospc
+      s.Ksurf.Faultio.crashes !litter_swept;
+    finish_gate ~replay ~failures:!failures
+      ~ok:
+        "every crash state recovers, sweeps are worker-count invariant, \
+         faulted journalling is deterministic and clean"
+      findings
   end
   else begin
-    let journal = journal_of journal_path resume in
     let scratch =
       E.Torture.default_scratch ^ "." ^ string_of_int (Unix.getpid ())
     in
     let t =
-      Fun.protect
-        ~finally:(fun () -> rm_rf scratch)
-        (fun () ->
-          with_pool jobs (fun pool ->
-              timed "torture" (fun () ->
-                  E.Torture.run ~seed ~scale ?doses ?kinds ~scratch ?journal
-                    ~pool ())))
+      run_study "torture" ~jobs ~journal_path ~resume
+        ~export:Ksurf.Export.torture ?export_dir ~pp:E.Torture.pp
+        (fun ~journal ~pool ->
+          Fun.protect
+            ~finally:(fun () -> rm_rf scratch)
+            (fun () ->
+              E.Torture.run ~seed ~scale ?doses:(list_opt doses) ?kinds
+                ~scratch ?journal ~pool ()))
     in
-    Format.printf "%a@." E.Torture.pp t;
-    (match export_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun p -> Format.printf "wrote %s@." p)
-          (Ksurf.Export.torture ~dir t));
-    finish_journal journal;
     if E.Torture.violations t <> 0 then exit 1
   end
 
@@ -1656,21 +1293,12 @@ let torture_cmd =
              and ENOSPC window, 0 is the fault-free control (default: \
              0,1,2,3).")
   in
-  let paths =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "path" ] ~docv:"P,..."
-          ~doc:
-            "Durable writer paths to torture: $(b,journal), \
-             $(b,checkpoint), $(b,export) (default: all).")
-  in
-  let export_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "export" ] ~docv:"DIR"
-          ~doc:"Write torture.csv into $(docv) (study mode only).")
+  let kinds =
+    names_arg "path" ~docv:"P,..."
+      ~doc:
+        "Durable writer paths to torture: $(b,journal), $(b,checkpoint), \
+         $(b,export) (default: all)."
+      (List.map (fun k -> (Ksurf.Torture.kind_name k, k)) Ksurf.Torture.all_kinds)
   in
   Cmd.v
     (Cmd.info "torture"
@@ -1679,67 +1307,41 @@ let torture_cmd =
           torture — writer path x dose, enumerating every crash state and \
           recovering every live faulted run")
     Term.(
-      const torture $ seed_arg $ scale_arg $ smoke $ doses $ paths
-      $ export_dir $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
-
-let all_cmd =
-  experiment_cmd "all" ~doc:"Run every experiment in sequence"
-    (fun ~seed ~scale ~pool ->
-      let corpus = E.default_corpus ~seed scale in
-      Format.printf "%a@.@." E.Table1.pp (E.Table1.run ());
-      Format.printf "%a@.@." E.Table2.pp
-        (E.Table2.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig2.pp (E.Fig2.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Table3.pp
-        (E.Table3.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig3.pp (E.Fig3.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Fig4.pp (E.Fig4.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Ablate.pp
-        (E.Ablate.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@.@." E.Ablate_virt.pp
-        (E.Ablate_virt.run ~seed ~scale ~corpus ~pool ());
-      Format.printf "%a@." E.Lwvm.pp (E.Lwvm.run ~seed ~scale ~corpus ~pool ()))
+      const torture $ seed_arg $ scale_arg $ smoke $ doses $ kinds
+      $ export_arg "torture.csv" $ journal_arg $ resume_arg $ jobs_arg
+      $ logs_term)
 
 let main_cmd =
   let doc =
     "reproduce 'Reducing Kernel Surface Areas for Isolation and \
      Scalability' (ICPP'19) on a simulated multicore machine"
   in
+  let studies =
+    [ dose_cmd; specialize_cmd; recover_cmd; tenancy_cmd; drift_cmd; torture_cmd ]
+  in
+  let tables =
+    List.filter
+      (fun (t : E.table) ->
+        not (List.exists (fun c -> Cmd.name c = t.E.name) studies))
+      E.tables
+  in
   Cmd.group (Cmd.info "ksurf" ~version:"1.0.0" ~doc)
-    [
-      gen_corpus_cmd;
-      run_corpus_cmd;
-      analyze_cmd;
-      inject_cmd;
-      specialize_cmd;
-      staticcheck_cmd;
-      dose_cmd;
-      recover_cmd;
-      tenancy_cmd;
-      drift_cmd;
-      torture_cmd;
-      table1_cmd;
-      table2_cmd;
-      fig2_cmd;
-      table3_cmd;
-      fig3_cmd;
-      fig4_cmd;
-      ablate_cmd;
-      ablate_virt_cmd;
-      lwvm_cmd;
-      locks_cmd;
-      all_cmd;
-    ]
+    ([ gen_corpus_cmd; run_corpus_cmd; analyze_cmd; inject_cmd; staticcheck_cmd ]
+    @ studies
+    @ List.map table_cmd tables
+    @ [ all_cmd ])
 
-(* I/O failures (full disk, bad permissions, unwritable directory) get
-   their own exit code so scripts can tell "the experiment found
-   something" (1) and "you asked for something impossible" (2) apart
-   from "the machine failed underneath us" (3). *)
+(* Exit codes: 0 success, 1 the experiment found something (findings,
+   divergence, a hung engine), 2 you asked for something impossible
+   (bad arguments, cmdliner parse errors included), 3 the machine failed
+   underneath us (full disk, bad permissions, unwritable directory). *)
 let () =
-  try exit (Cmd.eval ~catch:false main_cmd) with
-  | Ksurf.Fileio.Io_error msg ->
+  match Cmd.eval_value ~catch:false main_cmd with
+  | Ok (`Ok () | `Version | `Help) -> exit 0
+  | Error _ -> exit 2
+  | exception Ksurf.Fileio.Io_error msg ->
       Format.eprintf "ksurf: I/O failure: %s@." msg;
       exit 3
-  | Ksurf.Engine.Hung diag ->
+  | exception Ksurf.Engine.Hung diag ->
       Format.eprintf "ksurf: %s@." diag;
       exit 1

@@ -143,6 +143,11 @@ let check ~(run : probe:(Engine.event_info -> unit) -> unit) () =
     divergence = !divergence;
   }
 
+let pp_replay ppf r =
+  Format.fprintf ppf "replay: %d vs %d events, hash %08x vs %08x — %s"
+    r.events_first r.events_second r.hash_first r.hash_second
+    (if deterministic r then "identical" else "DIVERGENT")
+
 let to_findings r =
   if deterministic r then []
   else

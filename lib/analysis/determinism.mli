@@ -34,6 +34,10 @@ val check :
     every engine event to [probe] (attach it via [Engine.add_probe] on
     every engine the scenario creates).  It is called exactly twice. *)
 
+val pp_replay : Format.formatter -> result -> unit
+(** ["replay: N vs M events, hash H1 vs H2 — identical"] (or
+    [DIVERGENT]): the replay line every sanitized gate prints. *)
+
 val to_findings : result -> Finding.t list
 (** Empty when deterministic; otherwise a single [divergent-replay]
     error with the first divergent event as witness. *)

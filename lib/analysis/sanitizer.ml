@@ -1,8 +1,7 @@
-(* Orchestrates the analyzers over a scenario: one instrumented run for
-   the static checks (lockdep + invariants, one analyzer state per
-   engine the scenario creates), plus a double run for the determinism
-   checker.  Engine crashes during an instrumented run are converted
-   into findings rather than aborting the analysis. *)
+(* Orchestrates the analyzers: [run] over a stock scenario (one
+   instrumented run for the static checks plus a determinism double
+   run), and [double_run], the combinator every CLI gate sanitizes
+   through. *)
 
 module Engine = Ksurf_sim.Engine
 
@@ -61,46 +60,71 @@ let crash_finding exn =
         ~message:(Printf.sprintf "scenario raised: %s" (Printexc.to_string exn))
         ()
 
+(* Lockdep and/or invariants attached to one engine; [finish_static]
+   turns every attachment into findings, in engine-creation order. *)
+type static = {
+  engine : Engine.t;
+  lockdep : Lockdep.t option;
+  invariants : Invariants.t option;
+}
+
+let attach_static ~lockdep ~invariants engine =
+  let lockdep = if lockdep then Some (Lockdep.create ()) else None in
+  let invariants = if invariants then Some (Invariants.create ()) else None in
+  Option.iter (fun s -> Engine.add_probe engine (Lockdep.on_event s)) lockdep;
+  Option.iter
+    (fun s -> Engine.add_probe engine (Invariants.on_event s))
+    invariants;
+  { engine; lockdep; invariants }
+
+let finish_static attached =
+  List.concat_map
+    (fun { engine; lockdep; invariants } ->
+      (* Leak/stuck checks only apply when the engine genuinely ran out
+         of events; runs stopped by a predicate (with background daemons
+         still pending) legitimately leave state in flight. *)
+      let drained = Engine.pending engine = 0 in
+      Option.fold ~none:[] ~some:(Lockdep.finish ~drained) lockdep
+      @ Option.fold ~none:[] ~some:(Invariants.finish ~drained) invariants)
+    (List.rev attached)
+
+let double_run ~run () =
+  let first = ref true in
+  let attached = ref [] in
+  let last = ref None in
+  let replay =
+    Determinism.check
+      ~run:(fun ~probe ->
+        let on_engine engine =
+          Engine.add_probe engine probe;
+          if !first then
+            attached :=
+              attach_static ~lockdep:true ~invariants:true engine :: !attached
+        in
+        last := Some (run ~on_engine);
+        first := false)
+      ()
+  in
+  let value = match !last with Some v -> v | None -> assert false in
+  (value, replay, finish_static !attached @ Determinism.to_findings replay)
+
 let run ~scenario ~seed ~checks () =
   let findings = ref [] in
   let events = ref 0 in
   let runs = ref 0 in
   let add fs = findings := !findings @ fs in
-  let static_checks =
-    List.filter (fun c -> c = Lockdep || c = Invariants) checks
-  in
-  if static_checks <> [] then begin
+  let lockdep = List.mem Lockdep checks in
+  let invariants = List.mem Invariants checks in
+  if lockdep || invariants then begin
     incr runs;
     let attached = ref [] in
     let on_engine engine =
-      let lockdep =
-        if List.mem Lockdep static_checks then Some (Lockdep.create ())
-        else None
-      in
-      let invariants =
-        if List.mem Invariants static_checks then Some (Invariants.create ())
-        else None
-      in
-      Option.iter
-        (fun state -> Engine.add_probe engine (Lockdep.on_event state))
-        lockdep;
-      Option.iter
-        (fun state -> Engine.add_probe engine (Invariants.on_event state))
-        invariants;
-      Engine.add_probe engine (fun _ -> incr events);
-      attached := (engine, lockdep, invariants) :: !attached
+      attached := attach_static ~lockdep ~invariants engine :: !attached;
+      Engine.add_probe engine (fun _ -> incr events)
     in
     (try Scenarios.run scenario ~seed ~on_engine
      with exn -> add [ crash_finding exn ]);
-    List.iter
-      (fun (engine, lockdep, invariants) ->
-        (* Leak/stuck checks only apply when the engine genuinely ran
-           out of events; runs stopped by a predicate (with background
-           daemons still pending) legitimately leave state in flight. *)
-        let drained = Engine.pending engine = 0 in
-        Option.iter (fun s -> add (Lockdep.finish ~drained s)) lockdep;
-        Option.iter (fun s -> add (Invariants.finish ~drained s)) invariants)
-      (List.rev !attached)
+    add (finish_static !attached)
   end;
   if List.mem Determinism checks then begin
     let result =

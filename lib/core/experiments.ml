@@ -1542,3 +1542,64 @@ module Torture = struct
        held at every crash point)@."
       (violations t) (List.length t.cells)
 end
+
+type table = {
+  name : string;
+  doc : string;
+  render :
+    seed:int ->
+    scale:scale ->
+    corpus:Corpus.t Lazy.t ->
+    pool:Pool.t ->
+    Format.formatter ->
+    unit;
+}
+
+let tables =
+  let table name doc pp run =
+    let render ~seed ~scale ~corpus ~pool ppf =
+      Format.fprintf ppf "%a@." pp (run ~seed ~scale ~corpus ~pool)
+    in
+    { name; doc; render }
+  in
+  let ( !! ) = Lazy.force in
+  [
+    table "table1" "Print the VM configuration sweep (Table 1)" Table1.pp
+      (fun ~seed:_ ~scale:_ ~corpus:_ ~pool:_ -> Table1.run ());
+    table "table2" "Syscall latency breakdown (Table 2)" Table2.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Table2.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "fig2" "Per-subsystem p99 vs VM count (Figure 2)" Fig2.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Fig2.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "table3" "Container worst-case breakdown (Table 3)" Table3.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Table3.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Fig3.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Fig4.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "ablate" "E7: variability-mechanism knockouts" Ablate.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Ablate.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "ablate-virt" "E8: exit-cost sensitivity sweep" Ablate_virt.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Ablate_virt.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "lwvm" "E9: lightweight-VM technology comparison" Lwvm.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Lwvm.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "locks" "E10: per-lock contention attribution" Locks.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Locks.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "dose" "Dose-response: fault-intensity sensitivity sweep" Dose.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Dose.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    table "specialize"
+      "kspec study: per-tenant specialized kernels (multikernel) vs shared \
+       native vs kvm-64 on the same fs-restricted workload"
+      Specialize.pp
+      (fun ~seed ~scale ~corpus ~pool ->
+        Specialize.run ~seed ~scale ~corpus:!!corpus ~pool ());
+  ]

@@ -475,3 +475,24 @@ module Torture : sig
 
   val pp : Format.formatter -> t -> unit
 end
+
+(** One regenerable table or figure.  [render] runs the driver and
+    prints its rendering followed by a newline; [corpus] is forced only
+    by drivers that replay it, so callers share one lazily generated
+    {!default_corpus} across entries. *)
+type table = {
+  name : string;  (** the [ksurf_cli] subcommand and bench selector *)
+  doc : string;
+  render :
+    seed:int ->
+    scale:scale ->
+    corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
+    pool:Ksurf_par.Pool.t ->
+    Format.formatter ->
+    unit;
+}
+
+val tables : table list
+(** Every table, in regeneration order: table1, table2, fig2, table3,
+    fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize.
+    [ksurf_cli all] and [bench/main.exe] iterate this list. *)

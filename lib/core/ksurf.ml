@@ -38,7 +38,6 @@ module Stable_hash = Ksurf_util.Stable_hash
 
 module Quantile = Ksurf_stats.Quantile
 module Buckets = Ksurf_stats.Buckets
-module Histogram = Ksurf_stats.Histogram
 module Kde = Ksurf_stats.Kde
 module Violin = Ksurf_stats.Violin
 module P2_quantile = Ksurf_stats.P2_quantile
@@ -50,7 +49,6 @@ module Rwlock = Ksurf_sim.Rwlock
 module Resource = Ksurf_sim.Resource
 module Barrier = Ksurf_sim.Barrier
 module Mailbox = Ksurf_sim.Mailbox
-module Trace = Ksurf_sim.Trace
 
 module Category = Ksurf_kernel.Category
 module Kernel_config = Ksurf_kernel.Config

@@ -155,6 +155,57 @@ let test_inversion_scenario_flagged () =
   Alcotest.(check bool) "errors present" true
     (Finding.errors outcome.Sanitizer.findings <> [])
 
+(* --- double_run: the gates' sanitized double run ------------------------ *)
+
+let test_double_run_calls_twice () =
+  let calls = ref 0 in
+  let value, replay, findings =
+    Sanitizer.double_run
+      ~run:(fun ~on_engine ->
+        incr calls;
+        let engine = Engine.create ~seed:1 () in
+        on_engine engine;
+        Engine.spawn engine (fun () -> Engine.delay 5.0);
+        Engine.run engine;
+        !calls)
+      ()
+  in
+  Alcotest.(check int) "run called exactly twice" 2 !calls;
+  Alcotest.(check int) "second run's value returned" 2 value;
+  Alcotest.(check bool) "replay identical" true
+    (Determinism.deterministic replay);
+  Alcotest.(check (list string)) "clean" [] (codes findings)
+
+let test_double_run_static_once () =
+  (* Lockdep attaches to the first run only, so the inversion's cycle is
+     reported once although the scenario runs twice. *)
+  let (), replay, findings =
+    Sanitizer.double_run
+      ~run:(fun ~on_engine ->
+        Scenarios.run Scenarios.Inversion ~seed:42 ~on_engine)
+      ()
+  in
+  Alcotest.(check int) "exactly one cycle" 1
+    (List.length (List.filter (( = ) "lock-order-cycle") (codes findings)));
+  Alcotest.(check bool) "replay identical" true
+    (Determinism.deterministic replay)
+
+let test_double_run_divergence () =
+  let calls = ref 0 in
+  let (), replay, findings =
+    Sanitizer.double_run
+      ~run:(fun ~on_engine ->
+        incr calls;
+        let engine = Engine.create ~seed:1 () in
+        on_engine engine;
+        Engine.spawn engine (fun () -> Engine.delay (float_of_int !calls));
+        Engine.run engine)
+      ()
+  in
+  Alcotest.(check bool) "divergent" false (Determinism.deterministic replay);
+  Alcotest.(check (list string)) "finding" [ "divergent-replay" ]
+    (codes findings)
+
 let test_finding_sort_and_csv () =
   let w = Finding.make ~severity:Finding.Warning ~check:"b" ~code:"w"
       ~message:"later" ()
@@ -207,4 +258,10 @@ let suite =
     Alcotest.test_case "inversion flagged" `Quick
       test_inversion_scenario_flagged;
     Alcotest.test_case "finding sort and csv" `Quick test_finding_sort_and_csv;
+    Alcotest.test_case "double_run: calls run twice" `Quick
+      test_double_run_calls_twice;
+    Alcotest.test_case "double_run: static checks once" `Quick
+      test_double_run_static_once;
+    Alcotest.test_case "double_run: divergence" `Quick
+      test_double_run_divergence;
   ]
