@@ -92,14 +92,17 @@ engine-bench:
 # (the hash of its rendered simulated result) equals the reference in
 # ledger/BENCH_ledger.json, so this proves a change left every simulated
 # result bit-identical.  Exits nonzero unless every workload reports
-# "failed": 0.  Writes only under .bench_build/.
+# "failed": 0.  Each ok line also shows the pass's minor_mwords (the
+# deterministic allocation count).  Writes only under .bench_build/.
 LEDGER_WORKLOADS = shared-kernel partitioned-sweep fleet-churn observed-shared tail-serving
 
 ledger-check:
 	@for w in $(LEDGER_WORKLOADS); do \
 	  line=$$(sh ledger/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
 	  case "$$line" in \
-	    *'"failed": 0,'*) echo "ledger-check $$w: ok" ;; \
+	    *'"failed": 0,'*) \
+	      mw=$$(echo "$$line" | sed -n 's/.*"minor_mwords": {"value": \([0-9.]*\).*/\1/p'); \
+	      printf 'ledger-check %s: ok (minor_mwords %.1f)\n' $$w "$$mw" ;; \
 	    *) echo "ledger-check $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
 	done

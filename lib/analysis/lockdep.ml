@@ -20,28 +20,9 @@ type mode = Mutex | Read | Write
 
 let mode_label = function Mutex -> "" | Read -> " (read)" | Write -> " (write)"
 
-(* "k3.inode[7]" -> class "inode": strip the kernel-instance prefix and
-   the stripe index so striping and multi-instance deployments do not
-   multiply classes. *)
-let class_of_instance name =
-  let after_prefix =
-    match String.index_opt name '.' with
-    | Some dot when dot >= 2 && name.[0] = 'k' ->
-        let digits = ref true in
-        String.iteri
-          (fun i c ->
-            if i > 0 && i < dot && not ('0' <= c && c <= '9') then digits := false)
-          name;
-        if !digits then String.sub name (dot + 1) (String.length name - dot - 1)
-        else name
-    | _ -> name
-  in
-  match String.index_opt after_prefix '[' with
-  | Some bracket
-    when String.length after_prefix > 0
-         && after_prefix.[String.length after_prefix - 1] = ']' ->
-      String.sub after_prefix 0 bracket
-  | _ -> after_prefix
+(* The class rule lives with the lock, so the fault injector shares it;
+   this name stays for existing callers. *)
+let class_of_instance = Ksurf_sim.Lock.class_of_name
 
 type held_entry = { instance : string; cls : string; mode : mode }
 
@@ -78,7 +59,7 @@ let held_stack t pid = Option.value ~default:[] (Hashtbl.find_opt t.held pid)
 let stack_names stack = List.map (fun e -> e.instance) stack
 
 let on_acquire t ~pid ~time ~name ~mode =
-  let cls = class_of_instance name in
+  let cls = Ksurf_sim.Lock.class_of_name name in
   let stack = held_stack t pid in
   if List.exists (fun e -> e.instance = name) stack then
     t.immediate <-

@@ -18,8 +18,8 @@ type t
 val create : unit -> t
 
 val class_of_instance : string -> string
-(** ["k3.inode[7]"] is class ["inode"]: the kernel-instance prefix
-    ([k<digits>.]) and the stripe suffix ([[<i>]]) are stripped. *)
+(** {!Ksurf_sim.Lock.class_of_name}: ["k3.inode[7]"] is class
+    ["inode"]. *)
 
 val on_event : t -> Ksurf_sim.Engine.event_info -> unit
 (** Probe entry point; ignores non-[Sync] events. *)

@@ -37,29 +37,6 @@ type t = {
   mutable drift_sink : (shift:float -> unit) option;
 }
 
-(* Same class rule as ksan's lockdep ("k3.inode[7]" -> "inode"), kept
-   local because the dependency points the other way: analysis depends
-   on fault, not vice versa. *)
-let class_of_lock name =
-  let after_prefix =
-    match String.index_opt name '.' with
-    | Some dot when dot >= 2 && name.[0] = 'k' ->
-        let digits = ref true in
-        String.iteri
-          (fun i c ->
-            if i > 0 && i < dot && not ('0' <= c && c <= '9') then digits := false)
-          name;
-        if !digits then String.sub name (dot + 1) (String.length name - dot - 1)
-        else name
-    | _ -> name
-  in
-  match String.index_opt after_prefix '[' with
-  | Some bracket
-    when String.length after_prefix > 0
-         && after_prefix.[String.length after_prefix - 1] = ']' ->
-      String.sub after_prefix 0 bracket
-  | _ -> after_prefix
-
 let inject engine fault magnitude =
   if Engine.observed engine then
     Engine.emit engine
@@ -212,7 +189,7 @@ let arm ~env ~plan ~seed () =
            if t.active then
              match site with
              | Engine.Lock_site ->
-                 let cls = class_of_lock name in
+                 let cls = Ksurf_sim.Lock.class_of_name name in
                  List.iter
                    (fun (p : Plan.lock_preemption) ->
                      if

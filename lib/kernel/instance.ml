@@ -7,6 +7,13 @@ module Prng = Ksurf_util.Prng
 
 type ctx = { core : int; tenant : int; key : int; cgroup : int option }
 
+(* A striped lock group.  A stripe is created, and named
+   [prefix ^ "[i]"], the first time a context resolves to it; later
+   lookups return that same object.  A churned guest touches a handful
+   of its stripes, so boot costs what the guest uses rather than what
+   the stripe counts allow. *)
+type 'a stripes = { prefix : string; slots : 'a option array }
+
 type t = {
   engine : Engine.t;
   config : Config.t;
@@ -23,14 +30,14 @@ type t = {
   cred : Lock.t;
   audit : Lock.t;
   cgroup_css : Lock.t;
-  (* Striped locks. *)
-  runqueues : Lock.t array; (* one per core *)
-  page_cache_tree : Lock.t array;
-  inode : Lock.t array;
-  pipe : Lock.t array;
-  futex : Lock.t array;
+  (* Striped locks, each stripe created on first touch. *)
+  runqueues : Lock.t stripes; (* one per core *)
+  page_cache_tree : Lock.t stripes;
+  inode : Lock.t stripes;
+  pipe : Lock.t stripes;
+  futex : Lock.t stripes;
   (* Reader-writer semaphores. *)
-  mmap_sem : Rwlock.t array; (* striped by tenant: per-address-space *)
+  mmap_sem : Rwlock.t stripes; (* striped by tenant: per-address-space *)
   sb_umount : Rwlock.t;
   (* Software caches. *)
   dcache : Caches.t;
@@ -84,21 +91,30 @@ let class_index = function
   | Sched_activity -> 2
   | Charge_activity -> 3
 
-let make_stripes engine name n =
-  Array.init n (fun i ->
-      Lock.create ~engine ~name:(Printf.sprintf "%s[%d]" name i))
+let stripes prefix n = { prefix; slots = Array.make n None }
+
+let stripe engine (create : engine:Engine.t -> name:string -> 'a) s i =
+  let i = i mod Array.length s.slots in
+  match s.slots.(i) with
+  | Some l -> l
+  | None ->
+      let l =
+        create ~engine ~name:(String.concat "" [ s.prefix; "["; string_of_int i; "]" ])
+      in
+      s.slots.(i) <- Some l;
+      l
 
 let boot ~engine ~config ~id ~cores ~mem_mb ?block_dev () =
   if cores < 1 then invalid_arg "Instance.boot: cores must be >= 1";
   if mem_mb < 1 then invalid_arg "Instance.boot: mem_mb must be >= 1";
-  let rng = Prng.split (Engine.rng engine) (Printf.sprintf "kernel-%d" id) in
-  let lock name = Lock.create ~engine ~name:(Printf.sprintf "k%d.%s" id name) in
+  let rng = Prng.split (Engine.rng engine) ("kernel-" ^ string_of_int id) in
+  let prefix = "k" ^ string_of_int id ^ "." in
+  let lock name = Lock.create ~engine ~name:(prefix ^ name) in
   let block_dev =
     match block_dev with
     | Some dev -> dev
     | None ->
-        Resource.create ~engine
-          ~name:(Printf.sprintf "k%d.blkdev" id)
+        Resource.create ~engine ~name:(prefix ^ "blkdev")
           ~capacity:config.Config.block_queue_depth
   in
   {
@@ -116,15 +132,13 @@ let boot ~engine ~config ~id ~cores ~mem_mb ?block_dev () =
     cred = lock "cred";
     audit = lock "audit";
     cgroup_css = lock "cgroup_css";
-    runqueues = make_stripes engine (Printf.sprintf "k%d.runqueue" id) cores;
-    page_cache_tree = make_stripes engine (Printf.sprintf "k%d.pct" id) 8;
-    inode = make_stripes engine (Printf.sprintf "k%d.inode" id) 16;
-    pipe = make_stripes engine (Printf.sprintf "k%d.pipe" id) 32;
-    futex = make_stripes engine (Printf.sprintf "k%d.futex" id) 64;
-    mmap_sem =
-      Array.init 64 (fun i ->
-          Rwlock.create ~engine ~name:(Printf.sprintf "k%d.mmap_sem[%d]" id i));
-    sb_umount = Rwlock.create ~engine ~name:(Printf.sprintf "k%d.sb_umount" id);
+    runqueues = stripes (prefix ^ "runqueue") cores;
+    page_cache_tree = stripes (prefix ^ "pct") 8;
+    inode = stripes (prefix ^ "inode") 16;
+    pipe = stripes (prefix ^ "pipe") 32;
+    futex = stripes (prefix ^ "futex") 64;
+    mmap_sem = stripes (prefix ^ "mmap_sem") 64;
+    sb_umount = Rwlock.create ~engine ~name:(prefix ^ "sb_umount");
     dcache =
       Caches.create ~name:"dcache" ~base_hit_rate:0.97
         ~pressure_per_sharer:config.Config.cache_pressure_per_sharer;
@@ -249,28 +263,30 @@ let take_activity t cls =
   t.activity.(i) <- 0;
   v
 
+let lock_stripe t s i = stripe t.engine Lock.create s i
+
 let lock t ctx (ref : Ops.lock_ref) =
   match ref with
-  | Ops.Runqueue -> t.runqueues.(ctx.core mod t.cores)
+  | Ops.Runqueue -> lock_stripe t t.runqueues ctx.core
   | Ops.Tasklist -> t.tasklist
   | Ops.Zone -> t.zone
   | Ops.Page_cache_tree ->
       (* Striped by (tenant, object): tenants mostly touch private files,
          but stripes are few enough that co-tenants do collide. *)
-      t.page_cache_tree.((ctx.tenant + ctx.key) mod Array.length t.page_cache_tree)
+      lock_stripe t t.page_cache_tree (ctx.tenant + ctx.key)
   | Ops.Dcache -> t.dcache_lock
-  | Ops.Inode -> t.inode.((ctx.tenant * 7 + ctx.key) mod Array.length t.inode)
+  | Ops.Inode -> lock_stripe t t.inode ((ctx.tenant * 7) + ctx.key)
   | Ops.Journal -> t.journal
-  | Ops.Pipe -> t.pipe.((ctx.tenant * 13 + ctx.key) mod Array.length t.pipe)
+  | Ops.Pipe -> lock_stripe t t.pipe ((ctx.tenant * 13) + ctx.key)
   | Ops.Msgq_registry -> t.msgq_registry
-  | Ops.Futex_bucket -> t.futex.((ctx.tenant * 31 + ctx.key) mod Array.length t.futex)
+  | Ops.Futex_bucket -> lock_stripe t t.futex ((ctx.tenant * 31) + ctx.key)
   | Ops.Cred -> t.cred
   | Ops.Audit -> t.audit
   | Ops.Cgroup_css -> t.cgroup_css
 
 let rwlock t ctx (ref : Ops.rw_ref) =
   match ref with
-  | Ops.Mmap_sem -> t.mmap_sem.(ctx.tenant mod Array.length t.mmap_sem)
+  | Ops.Mmap_sem -> stripe t.engine Rwlock.create t.mmap_sem ctx.tenant
   | Ops.Sb_umount -> t.sb_umount
 
 (* In-kernel CPU time plus probabilistic timer-tick interference: a
@@ -494,6 +510,11 @@ type lock_report = {
   max_wait_ns : float;
 }
 
+(* An untouched stripe would only contribute an empty [Welford], the
+   merge identity, so folding over the created stripes reads exactly
+   as folding over all of them. *)
+let created s = List.filter_map Fun.id (Array.to_list s.slots)
+
 let lock_contention_report t =
   let of_group name locks =
     let stats =
@@ -520,9 +541,9 @@ let lock_contention_report t =
     of_group "cred" [ t.cred ];
     of_group "audit" [ t.audit ];
     of_group "cgroup_css" [ t.cgroup_css ];
-    of_group "runqueue" (Array.to_list t.runqueues);
-    of_group "page_cache_tree" (Array.to_list t.page_cache_tree);
-    of_group "inode" (Array.to_list t.inode);
-    of_group "pipe" (Array.to_list t.pipe);
-    of_group "futex" (Array.to_list t.futex);
+    of_group "runqueue" (created t.runqueues);
+    of_group "page_cache_tree" (created t.page_cache_tree);
+    of_group "inode" (created t.inode);
+    of_group "pipe" (created t.pipe);
+    of_group "futex" (created t.futex);
   ]

@@ -93,7 +93,9 @@ val exec_program : t -> ctx -> Ops.op list -> unit
 
 val lock : t -> ctx -> Ops.lock_ref -> Ksurf_sim.Lock.t
 (** Resolve a lock reference for a context (striping applied) — exposed
-    for {!Background} and for white-box tests. *)
+    for {!Background} and for white-box tests.  A stripe is created, as
+    [k<id>.<group>[<i>]], the first time it is resolved; every later
+    call returns that same lock and allocates nothing. *)
 
 val rwlock : t -> ctx -> Ops.rw_ref -> Ksurf_sim.Rwlock.t
 val block_dev : t -> Ksurf_sim.Resource.t
@@ -108,8 +110,9 @@ type lock_report = {
 }
 
 val lock_contention_report : t -> lock_report list
-(** Per-lock contention accounting (striped locks aggregated), for the
-    lock-attribution experiment and white-box tests. *)
+(** Per-lock contention accounting (striped locks aggregated over the
+    stripes created so far), for the lock-attribution experiment and
+    white-box tests. *)
 
 type activity_class =
   | Fs_activity  (** journalled metadata, dentry traffic *)

@@ -92,3 +92,26 @@ let with_lock t f =
   | exception exn ->
       release t;
       raise exn
+
+(* "k3.inode[7]" -> class "inode": strip the kernel-instance prefix and
+   the stripe index so striping and multi-instance deployments do not
+   multiply classes. *)
+let class_of_name name =
+  let after_prefix =
+    match String.index_opt name '.' with
+    | Some dot when dot >= 2 && name.[0] = 'k' ->
+        let digits = ref true in
+        String.iteri
+          (fun i c ->
+            if i > 0 && i < dot && not ('0' <= c && c <= '9') then digits := false)
+          name;
+        if !digits then String.sub name (dot + 1) (String.length name - dot - 1)
+        else name
+    | _ -> name
+  in
+  match String.index_opt after_prefix '[' with
+  | Some bracket
+    when String.length after_prefix > 0
+         && after_prefix.[String.length after_prefix - 1] = ']' ->
+      String.sub after_prefix 0 bracket
+  | _ -> after_prefix

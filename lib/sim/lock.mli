@@ -37,3 +37,10 @@ val wait_stats : t -> Ksurf_util.Welford.t
 
 val hold_stats : t -> Ksurf_util.Welford.t
 (** Hold durations as observed between acquire and release. *)
+
+val class_of_name : string -> string
+(** The lock class of an instance name: ["k3.inode[7]"] is class
+    ["inode"].  The kernel-instance prefix ([k<digits>.]) and the stripe
+    suffix ([[<i>]]) are stripped, so striping and multi-instance
+    deployments do not multiply classes.  Shared by lockdep and the
+    fault injector's lock-preemption matching. *)

@@ -28,7 +28,7 @@ type t = {
 
 val class_of_lock_ref : Ksurf_kernel.Ops.lock_ref -> string
 (** The lock-class name the simulator's lock instances carry (after
-    {!Ksurf_analysis.Lockdep.class_of_instance} normalisation):
+    {!Ksurf_sim.Lock.class_of_name} normalisation):
     [Page_cache_tree] is class ["pct"], [Futex_bucket] is ["futex"],
     everything else matches {!Ksurf_kernel.Ops.lock_ref_name}. *)
 

@@ -405,20 +405,20 @@ let depart t (tn : tenant) =
   else begin
     tn.alive <- false;
     release t tn;
-  (* Wake every replica blocked on the mailbox so the serving fibers
-     exit instead of suspending forever (the timestamp is never read
-     once [alive] is false).  Surplus wakeups — replicas that already
-     retired on scale-down — just sit in the queue and are collected
-     with it. *)
-  for _ = 1 to tn.next_replica do
-    Mailbox.send tn.mailbox (Engine.now t.engine)
-  done;
-  (* Fold the lifetime SLO verdict now and drop the record. *)
-  if Streamstat.count tn.stats >= t.cfg.min_tenant_samples then begin
-    t.departed_measured <- t.departed_measured + 1;
-    if Streamstat.p99 tn.stats <= t.cfg.slo_ns then
-      t.departed_slo_met <- t.departed_slo_met + 1
-  end;
+    (* Wake every replica blocked on the mailbox so the serving fibers
+       exit instead of suspending forever (the timestamp is never read
+       once [alive] is false).  Surplus wakeups — replicas that already
+       retired on scale-down — just sit in the queue and are collected
+       with it. *)
+    for _ = 1 to tn.next_replica do
+      Mailbox.send tn.mailbox (Engine.now t.engine)
+    done;
+    (* Fold the lifetime SLO verdict now and drop the record. *)
+    if Streamstat.count tn.stats >= t.cfg.min_tenant_samples then begin
+      t.departed_measured <- t.departed_measured + 1;
+      if Streamstat.p99 tn.stats <= t.cfg.slo_ns then
+        t.departed_slo_met <- t.departed_slo_met + 1
+    end;
     t.live <- List.filter (fun other -> other != tn) t.live;
     t.departures <- t.departures + 1;
     true

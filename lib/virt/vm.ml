@@ -20,7 +20,7 @@ let boot ~engine ?host_block ?(kernel_config = Ksurf_kernel.Config.default)
     Ksurf_kernel.Kernel.boot ~engine ~config:guest_config ~id:(1000 + id)
       ~cores:shape.vcpus ~mem_mb:shape.mem_mb ?block_dev:host_block ()
   in
-  let rng = Prng.split (Engine.rng engine) (Printf.sprintf "vm-%d" id) in
+  let rng = Prng.split (Engine.rng engine) ("vm-" ^ string_of_int id) in
   { id; shape; virt; guest; rng }
 
 let id t = t.id

@@ -80,6 +80,34 @@ let test_memo_hit () =
   check_ceiling "spec.ops (memo hit)" ~ceiling:zero
     (words_per_op ~n:100_000 (fun () -> ignore (spec.Spec.ops arg)))
 
+(* Boots allocate per striped lock touched, not per stripe counted: a
+   4-vCPU guest measures about 1,160 words and a 64-core host 714.  A
+   boot that creates every stripe up front costs over 17,000. *)
+let test_vm_boot () =
+  let engine = Engine.create ~seed:1 () in
+  let id = ref 0 in
+  check_ceiling "Vm.boot (4 vCPUs)" ~ceiling:2_500.0
+    (words_per_op ~n:200 (fun () ->
+         incr id;
+         ignore (Vm.boot ~engine ~id:!id { Vm.vcpus = 4; mem_mb = 512 })))
+
+let test_instance_boot () =
+  let engine = Engine.create ~seed:1 () in
+  check_ceiling "Instance.boot (64 cores)" ~ceiling:1_000.0
+    (words_per_op ~n:200 (fun () ->
+         ignore
+           (Instance.boot ~engine ~config:Kernel_config.default ~id:0 ~cores:64
+              ~mem_mb:65536 ())))
+
+let test_stripe_hit () =
+  let engine = Engine.create ~seed:1 () in
+  let inst =
+    Instance.boot ~engine ~config:Kernel_config.default ~id:0 ~cores:64 ~mem_mb:65536 ()
+  in
+  let ctx = { Instance.core = 5; tenant = 3; key = 11; cgroup = None } in
+  check_ceiling "Instance.lock (existing stripe)" ~ceiling:zero
+    (words_per_op ~n:100_000 (fun () -> ignore (Instance.lock inst ctx Ops.Inode)))
+
 let suite =
   [
     Alcotest.test_case "delay <= 10 words" `Quick test_delay;
@@ -87,4 +115,7 @@ let suite =
     Alcotest.test_case "Prng.int/chance allocate nothing" `Quick test_prng;
     Alcotest.test_case "lock pair <= 12 words" `Quick test_lock_pair;
     Alcotest.test_case "memo hit allocates nothing" `Quick test_memo_hit;
+    Alcotest.test_case "Vm.boot <= 2500 words" `Quick test_vm_boot;
+    Alcotest.test_case "Instance.boot ceiling" `Quick test_instance_boot;
+    Alcotest.test_case "stripe hit allocates nothing" `Quick test_stripe_hit;
   ]

@@ -95,6 +95,67 @@ let test_lock_striping () =
   let m1 = Instance.rwlock inst (ctx ~tenant:1 ()) Ops.Mmap_sem in
   Alcotest.(check bool) "distinct address spaces" true (m0 != m1)
 
+(* Striped locks are created on first touch; these pin that laziness
+   changes nothing a caller can see. *)
+let test_stripe_identity () =
+  let engine = Engine.create () in
+  let inst = quiet_instance engine in
+  let c = ctx ~tenant:2 ~key:5 () in
+  let a = Instance.lock inst c Ops.Inode in
+  Alcotest.(check bool) "same ctx, same lock" true (a == Instance.lock inst c Ops.Inode);
+  (* 2 * 7 + 5 = 0 * 7 + 19: another context on the same stripe. *)
+  Alcotest.(check bool) "same stripe, same lock" true
+    (a == Instance.lock inst (ctx ~tenant:0 ~key:19 ()) Ops.Inode);
+  let m = Instance.rwlock inst (ctx ~tenant:9 ()) Ops.Mmap_sem in
+  Alcotest.(check bool) "mmap_sem stripe reused" true
+    (m == Instance.rwlock inst (ctx ~tenant:73 ()) Ops.Mmap_sem)
+
+let test_stripes_distinct () =
+  let engine = Engine.create () in
+  let inst = quiet_instance engine in
+  let futexes =
+    List.init 64 (fun key -> Instance.lock inst (ctx ~key ()) Ops.Futex_bucket)
+  in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b -> if i < j && a == b then Alcotest.failf "futex %d == futex %d" i j)
+        futexes)
+    futexes;
+  Alcotest.(check bool) "pipe stripes differ" true
+    (Instance.lock inst (ctx ~key:0 ()) Ops.Pipe
+    != Instance.lock inst (ctx ~key:1 ()) Ops.Pipe)
+
+let test_stripe_names () =
+  let engine = Engine.create () in
+  let inst =
+    Instance.boot ~engine ~config:Kernel_config.quiet ~id:1003 ~cores:4 ~mem_mb:512 ()
+  in
+  let check label expected l = Alcotest.(check string) label expected (Lock.name l) in
+  check "inode" "k1003.inode[7]" (Instance.lock inst (ctx ~key:7 ()) Ops.Inode);
+  check "runqueue" "k1003.runqueue[3]" (Instance.lock inst (ctx ~core:7 ()) Ops.Runqueue);
+  check "page cache tree" "k1003.pct[2]"
+    (Instance.lock inst (ctx ~tenant:1 ~key:1 ()) Ops.Page_cache_tree);
+  check "pipe" "k1003.pipe[13]" (Instance.lock inst (ctx ~tenant:1 ()) Ops.Pipe);
+  check "futex" "k1003.futex[31]" (Instance.lock inst (ctx ~tenant:1 ()) Ops.Futex_bucket);
+  check "global" "k1003.journal" (Instance.lock inst (ctx ()) Ops.Journal)
+
+let test_fresh_report () =
+  let engine = Engine.create () in
+  let inst = quiet_instance engine in
+  let report = Instance.lock_contention_report inst in
+  Alcotest.(check (list string)) "all 13 groups"
+    [ "tasklist"; "zone"; "dcache"; "journal"; "msgq_registry"; "cred"; "audit";
+      "cgroup_css"; "runqueue"; "page_cache_tree"; "inode"; "pipe"; "futex" ]
+    (List.map (fun r -> r.Instance.lock_name) report);
+  List.iter
+    (fun r ->
+      Alcotest.(check int) r.Instance.lock_name 0 r.Instance.acquisitions;
+      Alcotest.(check int) r.Instance.lock_name 0 r.Instance.contended;
+      Alcotest.(check (float 0.0)) r.Instance.lock_name 0.0 r.Instance.mean_wait_ns;
+      Alcotest.(check (float 0.0)) r.Instance.lock_name 0.0 r.Instance.max_wait_ns)
+    report
+
 let test_exec_advances_time () =
   let engine = Engine.create () in
   let inst = quiet_instance engine in
@@ -270,6 +331,10 @@ let suite =
     Alcotest.test_case "boot validation" `Quick test_boot_validation;
     Alcotest.test_case "surface area" `Quick test_surface_area;
     Alcotest.test_case "lock striping" `Quick test_lock_striping;
+    Alcotest.test_case "stripe identity" `Quick test_stripe_identity;
+    Alcotest.test_case "stripes distinct" `Quick test_stripes_distinct;
+    Alcotest.test_case "stripe names" `Quick test_stripe_names;
+    Alcotest.test_case "fresh contention report" `Quick test_fresh_report;
     Alcotest.test_case "exec advances time" `Quick test_exec_advances_time;
     Alcotest.test_case "uniprocessor shootdown" `Quick
       test_uniprocessor_shootdown_is_local;

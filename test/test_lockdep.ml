@@ -13,9 +13,9 @@ let release ?pid ?time name = sync ?pid ?time name Engine.Release
 
 let codes findings = List.map (fun (f : Finding.t) -> f.Finding.code) findings
 
-let test_class_of_instance () =
+let test_class_of_name () =
   let check input expected =
-    Alcotest.(check string) input expected (Lockdep.class_of_instance input)
+    Alcotest.(check string) input expected (Lock.class_of_name input)
   in
   (* Kernel-instance prefix and stripe suffix both stripped. *)
   check "k0.inode[3]" "inode";
@@ -139,7 +139,7 @@ let test_read_write_modes_tracked () =
 
 let suite =
   [
-    Alcotest.test_case "class of instance" `Quick test_class_of_instance;
+    Alcotest.test_case "class of instance" `Quick test_class_of_name;
     Alcotest.test_case "inversion: exactly one cycle" `Quick
       test_inversion_reports_one_cycle;
     Alcotest.test_case "consistent order clean" `Quick

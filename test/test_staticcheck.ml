@@ -68,7 +68,7 @@ let test_agreement_locks () =
                   | Engine.Write_acquire _ );
                 _;
               } ->
-              let cls = Lockdep.class_of_instance name in
+              let cls = Lock.class_of_name name in
               if not (List.mem cls !observed) then observed := cls :: !observed
           | _ -> ());
       let inst =
