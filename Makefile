@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak bench-json tenancy-bench engine-bench ledger-check exports-check staticcheck lint check clean
+.PHONY: all build test gates bench-json tenancy-bench engine-bench ledger-check exports-check staticcheck lint check clean
 
 all: build
 
@@ -10,57 +10,13 @@ build:
 test:
 	dune runtest
 
-# Sanitizer smoke run: lockdep + determinism + invariants over the
-# small varbench scenario at a fixed seed.  Exits nonzero on any
-# finding, so it doubles as a CI gate.
-analyze-smoke:
-	dune exec bin/ksurf_cli.exe -- analyze --scenario varbench --seed 42
-
-# Fault-injection smoke run: a tiny "crashy" plan over a 2-unit native
-# deployment, executed twice; exits nonzero if the injections fail to
-# replay bit-identically or trip lockdep/invariants.
-inject-smoke:
-	dune exec bin/ksurf_cli.exe -- inject --plan crashy --seed 42 --smoke
-
-# Specialization smoke run: compile a spec from a tiny fs-restricted
-# corpus, deploy per-tenant pruned kernels (multikernel), replay twice
-# under lockdep + determinism + invariants; exits nonzero on any
-# finding or on an unexpected policy denial.
-specialize-smoke:
-	dune exec bin/ksurf_cli.exe -- specialize --seed 42 --smoke
-
-# Tenancy smoke run (ktenant): a churny adaptive fleet executed twice
-# under lockdep + determinism + invariants, then the SLO accounting
-# cross-checked (attainment bounds, creates >= destroys, ...); exits
-# nonzero on any divergence, finding or inconsistency.
-tenancy-smoke:
-	dune exec bin/ksurf_cli.exe -- tenancy --seed 42 --smoke
-
-# Drift smoke run (kadapt): a small adaptive driftbench cell executed
-# twice under lockdep + determinism + invariants, the controller
-# accounting cross-checked against the probe stream (every policy
-# hot-swap visible, swap count = ranks + promotions + demotions), and
-# the same cell run under the static policy to assert adaptive strictly
-# beats it on post-drift false positives; exits nonzero on any
-# divergence, finding or inconsistency.
-drift-smoke:
-	dune exec bin/ksurf_cli.exe -- drift --seed 42 --smoke
-
-# Torture smoke run (kdur): the quick crash-consistency grid (writer
-# path x dose) at 1 and 4 workers with byte-compared exports and zero
-# tolerated violations, then live scenario cells journalled under an
-# armed host-I/O fault plan (transients, an ENOSPC window, a scheduled
-# crash) with lockdep + determinism + invariants watching; exits
-# nonzero on any violation, divergence or finding.
-torture-smoke:
-	dune exec bin/ksurf_cli.exe -- torture --seed 42 --smoke
-
-# Chaos soak: supervised BSP under the "crashy" plan plus random
-# crashes with each recovery policy (all supersteps must complete),
-# then a kill-and-resume round trip from a mid-run checkpoint that
-# must replay bit-identically; exits nonzero on any divergence.
-soak:
-	dune exec bin/ksurf_cli.exe -- recover --seed 42 --soak
+# Every stock gate (Ksurf.Gates.stock) in one run: each workload twice
+# under lockdep + determinism + invariants, then its own accounting
+# checks (recovery policies complete, tenancy SLO accounting, drift
+# controller choreography, torture crash consistency, ...).  Exits
+# nonzero on any finding or FAIL line.
+gates:
+	dune exec bin/ksurf_cli.exe -- analyze --seed 42
 
 # kpar throughput scan: the quick-scale dose sweep at jobs 1/2/4/8,
 # cells/sec per worker count plus a stable hash of each rendered
@@ -134,7 +90,7 @@ staticcheck:
 lint:
 	dune exec bin/klint.exe -- lib
 
-check: build test lint staticcheck analyze-smoke inject-smoke specialize-smoke tenancy-smoke drift-smoke torture-smoke soak
+check: build test lint staticcheck gates
 
 clean:
 	dune clean

@@ -1,13 +1,9 @@
-(* Orchestrates the analyzers: [run] over a stock scenario (one
-   instrumented run for the static checks plus a determinism double
-   run), and [double_run], the combinator every CLI gate sanitizes
-   through. *)
+(* Orchestrates the analyzers: [double_run], the combinator every gate
+   sanitizes through, and [crash_finding] for a run that raised. *)
 
 module Engine = Ksurf_sim.Engine
 
 type check = Lockdep | Invariants | Determinism
-
-let all_checks = [ Lockdep; Invariants; Determinism ]
 
 let check_name = function
   | Lockdep -> "lockdep"
@@ -38,15 +34,6 @@ let checks_of_string s =
           | None -> Error name))
     (Ok []) names
 
-type outcome = {
-  scenario : Scenarios.t;
-  seed : int;
-  checks : check list;
-  findings : Finding.t list;
-  events : int;  (** probe events observed across all runs *)
-  runs : int;  (** scenario executions performed *)
-}
-
 let crash_finding exn =
   match exn with
   | Engine.Process_error (ctx, inner) ->
@@ -60,21 +47,19 @@ let crash_finding exn =
         ~message:(Printf.sprintf "scenario raised: %s" (Printexc.to_string exn))
         ()
 
-(* Lockdep and/or invariants attached to one engine; [finish_static]
+(* Lockdep and invariants attached to one engine; [finish_static]
    turns every attachment into findings, in engine-creation order. *)
 type static = {
   engine : Engine.t;
-  lockdep : Lockdep.t option;
-  invariants : Invariants.t option;
+  lockdep : Lockdep.t;
+  invariants : Invariants.t;
 }
 
-let attach_static ~lockdep ~invariants engine =
-  let lockdep = if lockdep then Some (Lockdep.create ()) else None in
-  let invariants = if invariants then Some (Invariants.create ()) else None in
-  Option.iter (fun s -> Engine.add_probe engine (Lockdep.on_event s)) lockdep;
-  Option.iter
-    (fun s -> Engine.add_probe engine (Invariants.on_event s))
-    invariants;
+let attach_static engine =
+  let lockdep = Lockdep.create () in
+  let invariants = Invariants.create () in
+  Engine.add_probe engine (Lockdep.on_event lockdep);
+  Engine.add_probe engine (Invariants.on_event invariants);
   { engine; lockdep; invariants }
 
 let finish_static attached =
@@ -84,8 +69,7 @@ let finish_static attached =
          of events; runs stopped by a predicate (with background daemons
          still pending) legitimately leave state in flight. *)
       let drained = Engine.pending engine = 0 in
-      Option.fold ~none:[] ~some:(Lockdep.finish ~drained) lockdep
-      @ Option.fold ~none:[] ~some:(Invariants.finish ~drained) invariants)
+      Lockdep.finish ~drained lockdep @ Invariants.finish ~drained invariants)
     (List.rev attached)
 
 let double_run ~run () =
@@ -97,9 +81,7 @@ let double_run ~run () =
       ~run:(fun ~probe ->
         let on_engine engine =
           Engine.add_probe engine probe;
-          if !first then
-            attached :=
-              attach_static ~lockdep:true ~invariants:true engine :: !attached
+          if !first then attached := attach_static engine :: !attached
         in
         last := Some (run ~on_engine);
         first := false)
@@ -107,52 +89,3 @@ let double_run ~run () =
   in
   let value = match !last with Some v -> v | None -> assert false in
   (value, replay, finish_static !attached @ Determinism.to_findings replay)
-
-let run ~scenario ~seed ~checks () =
-  let findings = ref [] in
-  let events = ref 0 in
-  let runs = ref 0 in
-  let add fs = findings := !findings @ fs in
-  let lockdep = List.mem Lockdep checks in
-  let invariants = List.mem Invariants checks in
-  if lockdep || invariants then begin
-    incr runs;
-    let attached = ref [] in
-    let on_engine engine =
-      attached := attach_static ~lockdep ~invariants engine :: !attached;
-      Engine.add_probe engine (fun _ -> incr events)
-    in
-    (try Scenarios.run scenario ~seed ~on_engine
-     with exn -> add [ crash_finding exn ]);
-    add (finish_static !attached)
-  end;
-  if List.mem Determinism checks then begin
-    let result =
-      Determinism.check
-        ~run:(fun ~probe ->
-          incr runs;
-          Scenarios.run scenario ~seed ~on_engine:(fun engine ->
-              Engine.add_probe engine (fun info ->
-                  incr events;
-                  probe info)))
-        ()
-    in
-    add (Determinism.to_findings result)
-  end;
-  {
-    scenario;
-    seed;
-    checks;
-    findings = Finding.sort !findings;
-    events = !events;
-    runs = !runs;
-  }
-
-let pp_outcome ppf o =
-  Format.fprintf ppf "analyze %s seed=%d checks=%s: %d finding(s), %d events, %d run(s)"
-    (Scenarios.to_string o.scenario)
-    o.seed
-    (String.concat "," (List.map check_name o.checks))
-    (List.length o.findings) o.events o.runs;
-  List.iter (fun f -> Format.fprintf ppf "@.  %a" Finding.pp f) o.findings;
-  if o.findings = [] then Format.fprintf ppf "@.  no findings: all checks clean"

@@ -18,7 +18,9 @@
     - {!Profile}, {!Kspec}, {!Specializer} — profile-guided kernel
       specialization (see [ksurf_cli specialize])
     - {!Analysis} — opt-in sanitizers: lockdep, determinism checker,
-      engine invariants (see [ksurf_cli analyze])
+      engine invariants
+    - {!Gates} — the gate list every sanitized check runs through (see
+      [ksurf_cli analyze])
     - {!Fault_plan}, {!Kfault} — deterministic fault injection (see
       [ksurf_cli inject])
     - {!Detector}, {!Supervisor}, {!Checkpoint}, {!Recov_journal} —
@@ -127,4 +129,5 @@ module Lockgraph = Ksurf_static.Lockgraph
 module Interference = Ksurf_static.Interference
 module Staticcheck = Ksurf_static.Staticcheck
 module Experiments = Experiments
+module Gates = Gates
 module Export = Export

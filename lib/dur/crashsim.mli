@@ -51,3 +51,7 @@ val materialize : dir:string -> state -> unit
 (** Reset [dir] to exactly [state]: existing contents are removed,
     files (and implied subdirectories) written raw.  [dir] itself is
     created if missing. *)
+
+val rm_tree : string -> unit
+(** Remove a file or a whole directory tree; a missing path is a
+    no-op. *)

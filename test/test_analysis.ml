@@ -2,7 +2,6 @@ open Ksurf
 module Finding = Ksurf_analysis.Finding
 module Invariants = Ksurf_analysis.Invariants
 module Determinism = Ksurf_analysis.Determinism
-module Scenarios = Ksurf_analysis.Scenarios
 module Sanitizer = Ksurf_analysis.Sanitizer
 
 let codes findings = List.map (fun (f : Finding.t) -> f.Finding.code) findings
@@ -58,7 +57,7 @@ let test_invariants_stuck_suspension () =
 let test_invariants_clean_on_real_run () =
   (* A full simulated engine run satisfies every invariant. *)
   let state = Invariants.create () in
-  Scenarios.run Scenarios.Inversion ~seed:3 ~on_engine:(fun engine ->
+  Gates.Inversion.run ~seed:3 ~on_engine:(fun engine ->
       Engine.add_probe engine (Invariants.on_event state));
   Alcotest.(check bool) "events flowed" true (Invariants.events state > 0);
   Alcotest.(check (list string)) "clean" []
@@ -120,40 +119,85 @@ let test_checks_of_string () =
   | Error "bogus" -> ()
   | _ -> Alcotest.fail "unknown check should be reported by name"
 
+let failures_and_findings (r : Gates.report) =
+  r.Gates.failures
+  @ List.map (Format.asprintf "%a" Finding.pp) r.Gates.findings
+
 let test_stock_scenarios_clean () =
-  (* Acceptance: every stock scenario, all three checks, two seeds. *)
+  (* Acceptance: every stock gate, all three sanitizers and its own
+     checks, two seeds. *)
   List.iter
-    (fun scenario ->
+    (fun gate ->
       List.iter
         (fun seed ->
-          let outcome =
-            Sanitizer.run ~scenario ~seed ~checks:Sanitizer.all_checks ()
-          in
+          let r = Gates.run gate ~seed in
           Alcotest.(check (list string))
-            (Printf.sprintf "%s seed=%d clean"
-               (Scenarios.to_string scenario)
-               seed)
-            []
-            (codes outcome.Sanitizer.findings);
-          Alcotest.(check bool) "probes saw traffic" true
-            (outcome.Sanitizer.events > 0);
-          Alcotest.(check int) "static run + determinism double-run" 3
-            outcome.Sanitizer.runs)
+            (Printf.sprintf "%s seed=%d clean" (Gates.name gate) seed)
+            [] (failures_and_findings r);
+          match r.Gates.replay with
+          | Some replay ->
+              Alcotest.(check bool) "probes saw traffic" true
+                (replay.Determinism.events_first > 0)
+          | None -> Alcotest.fail "gate crashed")
         [ 42; 7 ])
-    Scenarios.stock
+    Gates.stock
 
 let test_inversion_scenario_flagged () =
-  let outcome =
-    Sanitizer.run ~scenario:Scenarios.Inversion ~seed:42
-      ~checks:Sanitizer.all_checks ()
-  in
+  let r = Gates.run (module Gates.Inversion) ~seed:42 in
   let cycle_codes =
-    List.filter (fun c -> c = "lock-order-cycle")
-      (codes outcome.Sanitizer.findings)
+    List.filter (fun c -> c = "lock-order-cycle") (codes r.Gates.findings)
   in
   Alcotest.(check int) "exactly one cycle" 1 (List.length cycle_codes);
   Alcotest.(check bool) "errors present" true
-    (Finding.errors outcome.Sanitizer.findings <> [])
+    (Finding.errors r.Gates.findings <> [])
+
+(* --- gate checks: a tampered result must FAIL ------------------------- *)
+
+let test_drift_gate_fires () =
+  (* Seed 7's run is short: a fixed trigger time never fired there. *)
+  let r = Gates.Adaptive_drift.run ~seed:7 ~on_engine:ignore in
+  Alcotest.(check int) "drifts" 1 r.Gates.Adaptive_drift.adaptive.Driftbench.drifts;
+  Alcotest.(check (list string)) "all 13 checks pass" []
+    (Gates.Adaptive_drift.check r)
+
+let fails name failures =
+  Alcotest.(check bool) (name ^ " yields a FAIL") true (failures <> [])
+
+let test_tampered_tenancy () =
+  let t = Gates.Tenancy.run ~seed:42 ~on_engine:ignore in
+  Alcotest.(check (list string)) "untampered" [] (Gates.Tenancy.check t);
+  fails "slo_met > measured"
+    (Gates.Tenancy.check { t with Fleet.slo_met = t.Fleet.measured + 1 })
+
+let test_tampered_drift () =
+  let d = Gates.Adaptive_drift.run ~seed:42 ~on_engine:ignore in
+  let a = d.Gates.Adaptive_drift.adaptive in
+  fails "swap count off by one"
+    (Gates.Adaptive_drift.check
+       {
+         d with
+         Gates.Adaptive_drift.adaptive =
+           { a with Driftbench.swaps = a.Driftbench.swaps + 1 };
+       })
+
+let test_tampered_recovery () =
+  let b = Gates.Recovered_bsp.run ~seed:42 ~on_engine:ignore in
+  Alcotest.(check (list string)) "untampered" [] (Gates.Recovered_bsp.check b);
+  let wedged =
+    match b.Gates.Recovered_bsp.policies with
+    | o :: rest -> { o with Supervisor.supersteps = 3 } :: rest
+    | [] -> Alcotest.fail "no policies ran"
+  in
+  fails "one policy wedged"
+    (Gates.Recovered_bsp.check { b with Gates.Recovered_bsp.policies = wedged })
+
+let test_tampered_specialize () =
+  let s = Gates.Specialized_varbench.run ~seed:42 ~on_engine:ignore in
+  Alcotest.(check (list string)) "untampered" []
+    (Gates.Specialized_varbench.check s);
+  fails "denials > 0"
+    (Gates.Specialized_varbench.check
+       { s with Gates.Specialized_varbench.denials = 1 })
 
 (* --- double_run: the gates' sanitized double run ------------------------ *)
 
@@ -182,7 +226,7 @@ let test_double_run_static_once () =
   let (), replay, findings =
     Sanitizer.double_run
       ~run:(fun ~on_engine ->
-        Scenarios.run Scenarios.Inversion ~seed:42 ~on_engine)
+        Gates.Inversion.run ~seed:42 ~on_engine)
       ()
   in
   Alcotest.(check int) "exactly one cycle" 1
@@ -255,6 +299,13 @@ let suite =
       test_determinism_catches_divergence;
     Alcotest.test_case "checks parsing" `Quick test_checks_of_string;
     Alcotest.test_case "stock scenarios clean" `Slow test_stock_scenarios_clean;
+    Alcotest.test_case "drift gate fires at seed 7" `Quick
+      test_drift_gate_fires;
+    Alcotest.test_case "tampered tenancy fails" `Quick test_tampered_tenancy;
+    Alcotest.test_case "tampered drift fails" `Quick test_tampered_drift;
+    Alcotest.test_case "tampered recovery fails" `Quick test_tampered_recovery;
+    Alcotest.test_case "tampered specialize fails" `Quick
+      test_tampered_specialize;
     Alcotest.test_case "inversion flagged" `Quick
       test_inversion_scenario_flagged;
     Alcotest.test_case "finding sort and csv" `Quick test_finding_sort_and_csv;

@@ -46,10 +46,16 @@ let test_bad_args_exit_2 () =
       ("tenancy bad policy", "tenancy --policy bogus");
       ("inject bad env", "inject --env bogus");
       ("unknown flag", "table1 --bogus");
+      ("removed tenancy --smoke", "tenancy --smoke");
+      ("removed recover --soak", "recover --soak");
       ("unknown subcommand", "tabel2");
       ("bad scale", "table2 --scale bogus");
       ("bad jobs", "table2 --jobs x");
     ]
+
+(* The negative-control gate: one lock-order-cycle finding. *)
+let test_findings_exit_1 () =
+  check_exit "analyze inversion" 1 "analyze --scenario inversion"
 
 let test_success_exits_0 () =
   check_exit "torture control cell" 0 "torture --dose 0 --path export";
@@ -83,6 +89,7 @@ let suite =
   [
     Alcotest.test_case "io failures exit 3" `Quick test_io_failure_exits_3;
     Alcotest.test_case "bad arguments exit 2" `Quick test_bad_args_exit_2;
+    Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
     Alcotest.test_case "tables are subcommands" `Quick
       test_tables_are_subcommands;

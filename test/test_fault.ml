@@ -2,7 +2,6 @@ open Ksurf
 module Plan = Fault_plan
 module Determinism = Ksurf_analysis.Determinism
 module Sanitizer = Ksurf_analysis.Sanitizer
-module Scenarios = Ksurf_analysis.Scenarios
 
 let tiny_corpus =
   lazy
@@ -238,17 +237,18 @@ let test_different_seed_differs () =
 
 let test_faulted_scenarios_clean () =
   List.iter
-    (fun scenario ->
-      let outcome =
-        Sanitizer.run ~scenario ~seed:13 ~checks:Sanitizer.all_checks ()
-      in
+    (fun gate ->
+      let r = Gates.run gate ~seed:13 in
       Alcotest.(check (list string))
-        (Scenarios.to_string scenario ^ " clean")
+        (Gates.name gate ^ " clean")
         []
-        (List.map
-           (fun f -> Format.asprintf "%a" Ksurf_analysis.Finding.pp f)
-           outcome.Sanitizer.findings))
-    [ Scenarios.Faulted_varbench; Scenarios.Faulted_tailbench ]
+        (r.Gates.failures
+        @ List.map
+            (fun f -> Format.asprintf "%a" Ksurf_analysis.Finding.pp f)
+            r.Gates.findings))
+    (List.filter
+       (fun g -> List.mem (Gates.name g) [ "faulted-varbench"; "faulted-tailbench" ])
+       Gates.stock)
 
 (* --- dose-response ----------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
 open Ksurf
 module Lockdep = Ksurf_analysis.Lockdep
 module Finding = Ksurf_analysis.Finding
-module Scenarios = Ksurf_analysis.Scenarios
 
 let sync ?(pid = 1) ?(time = 0.0) name op =
   Engine.Sync { now = time; pid; name; op }
@@ -30,11 +29,11 @@ let test_class_of_name () =
   check "k.x" "k.x"
 
 let test_inversion_reports_one_cycle () =
-  (* The stock Inversion scenario: AB in one process, BA in another, at
+  (* The Inversion gate: AB in one process, BA in another, at
      disjoint times so the run completes.  Exactly one cycle naming
      both lock classes. *)
   let state = Lockdep.create () in
-  Scenarios.run Scenarios.Inversion ~seed:42 ~on_engine:(fun engine ->
+  Gates.Inversion.run ~seed:42 ~on_engine:(fun engine ->
       Engine.add_probe engine (Lockdep.on_event state));
   let findings = Lockdep.finish state in
   let cycles =

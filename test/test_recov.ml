@@ -585,14 +585,9 @@ let test_recover_study_and_journal () =
   cleanup p
 
 let test_recovered_bsp_scenario_clean () =
-  let module A = Ksurf_analysis in
-  let outcome =
-    A.Sanitizer.run ~scenario:A.Scenarios.Recovered_bsp ~seed:42
-      ~checks:[ A.Sanitizer.Lockdep; A.Sanitizer.Determinism; A.Sanitizer.Invariants ]
-      ()
-  in
-  Alcotest.(check int) "no findings" 0
-    (List.length outcome.A.Sanitizer.findings)
+  let r = Gates.run (module Gates.Recovered_bsp) ~seed:42 in
+  Alcotest.(check int) "no findings" 0 (List.length r.Gates.findings);
+  Alcotest.(check (list string)) "no failures" [] r.Gates.failures
 
 let suite =
   [
