@@ -43,22 +43,36 @@ tenancy-bench:
 engine-bench:
 	dune exec bench/main.exe -- micro
 
-# Ledger fingerprint gate: one measured pass of each of the five ledger
-# workloads at seed 42.  A seed-42 cell fails unless its fingerprint
-# (the hash of its rendered simulated result) equals the reference in
+# Ledger gate: one measured pass of each of the five ledger workloads at
+# seed 42.  A seed-42 cell fails unless its fingerprint (the hash of its
+# rendered simulated result) equals the reference in
 # ledger/BENCH_ledger.json, so this proves a change left every simulated
-# result bit-identical.  Exits nonzero unless every workload reports
-# "failed": 0.  Each ok line also shows the pass's minor_mwords (the
-# deterministic allocation count).  Writes only under .bench_build/.
+# result bit-identical.  The pass's minor_mwords (the deterministic
+# allocation count) must also stay within BENCHMARK.json's minor_mwords
+# bound (1%) of that workload's median in the committed
+# BENCH_ledger_snapshot.json: an allocation regression fails here, not
+# only in the benchmark.  Exits nonzero on either.  Writes only under
+# .bench_build/.
 LEDGER_WORKLOADS = shared-kernel partitioned-sweep fleet-churn observed-shared tail-serving
+LEDGER_SNAPSHOT = BENCH_ledger_snapshot.json
 
 ledger-check:
-	@for w in $(LEDGER_WORKLOADS); do \
+	@bound=$$(awk '/"name": "minor_mwords"/ { m = 1 } m && /"bound":/ { gsub(/[^0-9.]/, "", $$2); print $$2; exit }' BENCHMARK.json); \
+	[ -n "$$bound" ] || { echo "ledger-check: no minor_mwords bound in BENCHMARK.json"; exit 1; }; \
+	pct=$$(awk -v b="$$bound" 'BEGIN { print b * 100 }'); \
+	for w in $(LEDGER_WORKLOADS); do \
+	  ref=$$(awk -v w="$$w" '$$0 ~ "^    \"" w "\": [{]" { in_w = 1 } in_w && /"minor_mwords": [{]/ { in_m = 1 } in_m && /"median":/ { gsub(/[^0-9.eE+-]/, "", $$2); print $$2; exit }' $(LEDGER_SNAPSHOT)); \
+	  [ -n "$$ref" ] || { echo "ledger-check $$w: no minor_mwords median in $(LEDGER_SNAPSHOT)"; exit 1; }; \
 	  line=$$(sh ledger/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
 	  case "$$line" in \
 	    *'"failed": 0,'*) \
 	      mw=$$(echo "$$line" | sed -n 's/.*"minor_mwords": {"value": \([0-9.]*\).*/\1/p'); \
-	      printf 'ledger-check %s: ok (minor_mwords %.1f)\n' $$w "$$mw" ;; \
+	      [ -n "$$mw" ] || { echo "ledger-check $$w: FAILED: no minor_mwords in $$line"; exit 1; }; \
+	      if awk -v mw="$$mw" -v ref="$$ref" -v b="$$bound" 'BEGIN { exit !(mw > ref * (1 + b)) }'; then \
+	        printf 'ledger-check %s: FAILED: minor_mwords %.1f is more than %s%% over the snapshot median %.1f\n' $$w "$$mw" "$$pct" "$$ref"; \
+	        exit 1; \
+	      fi; \
+	      printf 'ledger-check %s: ok (minor_mwords %.1f, snapshot %.1f)\n' $$w "$$mw" "$$ref" ;; \
 	    *) echo "ledger-check $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
 	done

@@ -221,7 +221,6 @@ let exec_syscall t ~rank spec (arg : Arg.t) =
       exec_ops t ~rank ~key:arg.Arg.obj []
 
 let set_fault_ctl t ctl = t.fault <- ctl
-let fault_ctl t = t.fault
 
 let crash_time_of_rank t ~rank =
   match t.fault with None -> None | Some ctl -> ctl.crash_at ~rank
@@ -237,18 +236,22 @@ let try_syscall t ~rank:i spec (arg : Arg.t) =
       let latency_ns = exec_ops t ~rank:i ~key:arg.Arg.obj [] in
       Denied { latency_ns }
   | `Allowed -> (
-      let exec_allowed () = exec_ops t ~rank:i ~key:arg.Arg.obj (spec.Spec.ops arg) in
-      match t.fault with
-      | None -> Completed (exec_allowed ())
-      | Some ctl -> (
-          match ctl.syscall_errno ~rank:i spec with
-          | None -> Completed (exec_allowed ())
-          | Some errno ->
-              (* The aborted call still pays the entry path (trap, argument
-                 copy, early bail-out) — an empty op program wrapped the
-                 same way as a real one. *)
-              let latency_ns = exec_ops t ~rank:i ~key:arg.Arg.obj [] in
-              Faulted { errno; latency_ns }))
+      (* The errno draw, when a fault plan is installed, precedes the
+         call; without one the call runs directly, so the common path
+         builds no closure. *)
+      let errno =
+        match t.fault with
+        | None -> None
+        | Some ctl -> ctl.syscall_errno ~rank:i spec
+      in
+      match errno with
+      | None -> Completed (exec_ops t ~rank:i ~key:arg.Arg.obj (spec.Spec.ops arg))
+      | Some errno ->
+          (* The aborted call still pays the entry path (trap, argument
+             copy, early bail-out) — an empty op program wrapped the
+             same way as a real one. *)
+          let latency_ns = exec_ops t ~rank:i ~key:arg.Arg.obj [] in
+          Faulted { errno; latency_ns })
 
 let instances t = t.instances
 

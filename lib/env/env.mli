@@ -51,10 +51,6 @@ val exec_syscall :
     an [Enforce]-mode rejection pays only the entry path; use
     {!try_syscall} to distinguish denial from completion. *)
 
-val exec_ops : t -> rank:int -> key:int -> Ksurf_kernel.Ops.op list -> float
-(** Lower-level entry point for application models that synthesise their
-    own op programs (tailbench): same wrapping, explicit object key. *)
-
 (** {2 Fault injection}
 
     kfault ([lib/fault]) installs a {!fault_ctl}; harnesses that opt in
@@ -86,7 +82,6 @@ type fault_ctl = {
 }
 
 val set_fault_ctl : t -> fault_ctl option -> unit
-val fault_ctl : t -> fault_ctl option
 
 val crash_time_of_rank : t -> rank:int -> float option
 val restart_delay_of_rank : t -> rank:int -> float option

@@ -71,7 +71,6 @@ type t = {
      is).  Installs are rare; the array grows to the largest tenant id
      seen. *)
   mutable policies : syscall_policy option array;
-  mutable policy_count : int;
 }
 
 and policy_mode = Audit | Enforce
@@ -156,7 +155,6 @@ let boot ~engine ~config ~id ~cores ~mem_mb ?block_dev () =
     daemon_hold_mult = None;
     halted = false;
     policies = [||];
-    policy_count = 0;
   }
 
 let engine t = t.engine
@@ -220,19 +218,11 @@ let set_syscall_policy t ~tenant policy =
         Array.blit t.policies 0 np 0 (Array.length t.policies);
         t.policies <- np
   end;
-  if tenant < Array.length t.policies then begin
-    (match (t.policies.(tenant), policy) with
-    | None, Some _ -> t.policy_count <- t.policy_count + 1
-    | Some _, None -> t.policy_count <- t.policy_count - 1
-    | None, None | Some _, Some _ -> ());
-    t.policies.(tenant) <- policy
-  end
+  if tenant < Array.length t.policies then t.policies.(tenant) <- policy
 
 let syscall_policy t ~tenant =
   if tenant >= 0 && tenant < Array.length t.policies then t.policies.(tenant)
   else None
-
-let policy_count t = t.policy_count
 
 (* A core driving the kernel flat out executes roughly one op per 12 µs (lock convoys and sleeps included);
    [busy] is the instance's smoothed per-core rate relative to that. *)
@@ -289,21 +279,34 @@ let rwlock t ctx (ref : Ops.rw_ref) =
   | Ops.Mmap_sem -> stripe t.engine Rwlock.create t.mmap_sem ctx.tenant
   | Ops.Sb_umount -> t.sb_umount
 
+(* [Prng.chance rng p], drawn here from [Prng.bits53] so a freshly
+   computed [p] is never boxed into a call: same comparisons, same
+   draw, same value. *)
+let[@inline always] chance rng p =
+  if p <= 0.0 then false
+  else if p >= 1.0 then true
+  else float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0) < p
+
 (* In-kernel CPU time plus probabilistic timer-tick interference: a
    burst of duration [d] overlaps a tick with probability d/period, in
-   which case the tick handler's work is added to the caller's time. *)
-let burn t d =
+   which case the tick handler's work is added to the caller's time.
+   Runs once per executed op, so it allocates nothing itself: the
+   duration goes to the engine through its delay cell, not as a boxed
+   argument to [Engine.delay].  Inlined, so the ops that compute their
+   burn (page allocation, shootdowns, grace periods) do not box it
+   either. *)
+let[@inline] burn t d =
   let d = d *. t.config.Config.cpu_cost_factor *. t.burn_mult in
   let d =
     if not t.config.Config.enable_timer_noise then d
-    else begin
-      let p = Float.min 1.0 (d /. t.config.Config.tick_period) in
-      if Prng.chance t.rng p then
-        d +. Dist.sample t.config.Config.tick_service_cost t.rng
-      else d
-    end
+    else if chance t.rng (Float.min 1.0 (d /. t.config.Config.tick_period)) then
+      d +. Dist.sample t.config.Config.tick_service_cost t.rng
+    else d
   in
-  if d > 0.0 then Engine.delay d
+  if d > 0.0 then begin
+    (Engine.delay_cell t.engine).(0) <- d;
+    Engine.delay_from_cell t.engine
+  end
 
 let sample t dist = Dist.sample dist t.rng
 
@@ -328,7 +331,7 @@ let tlb_shootdown t =
     let slow_prob = cfg.Config.tlb_ack_slow_prob *. load in
     let slowest = ref 0.0 in
     for _ = 1 to span do
-      if Prng.chance t.rng slow_prob then begin
+      if chance t.rng slow_prob then begin
         let cost = sample t cfg.Config.tlb_ack_slow_cost *. Float.max 0.1 t.busy in
         if cost > !slowest then slowest := cost
       end
@@ -378,7 +381,7 @@ let cgroup_charge t ctx =
         cfg.Config.cgroup_charge_slow_prob
         *. (1.0 +. (float_of_int t.cgroups /. 24.0))
       in
-      if Prng.chance t.rng slow_prob then begin
+      if chance t.rng slow_prob then begin
         Lock.acquire t.cgroup_css;
         burn t (sample t cfg.Config.cgroup_charge_slow_hold);
         Lock.release t.cgroup_css
@@ -420,7 +423,7 @@ let rec exec_op t ctx (op : Ops.op) =
       let l = lock t ctx ref in
       Lock.acquire l;
       burn t (sample t hold);
-      List.iter (exec_op t ctx) body;
+      exec_list t ctx body;
       Lock.release l
   | Ops.Read_lock (ref, hold) ->
       let l = rwlock t ctx ref in
@@ -455,11 +458,18 @@ let rec exec_op t ctx (op : Ops.op) =
   | Ops.Cgroup_charge -> cgroup_charge t ctx
   | Ops.Sleep dist -> Engine.delay (sample t dist)
 
-let exec_program t ctx ops = List.iter (exec_op t ctx) ops
+(* A direct recursion, not [List.iter (exec_op t ctx)]: the partial
+   application would build a closure on every syscall and every
+   [With_lock] body. *)
+and exec_list t ctx = function
+  | [] -> ()
+  | op :: rest ->
+      exec_op t ctx op;
+      exec_list t ctx rest
+
+let exec_program = exec_list
 
 (* --- cgroup lifecycle (ktenant churn storms) ------------------------- *)
-
-let unregister_cgroup t = t.cgroups <- max 0 (t.cgroups - 1)
 
 let cgroup_create t ctx =
   let id = register_cgroup t in
@@ -500,7 +510,8 @@ let cgroup_destroy t ctx ~cgroup =
            );
          Ops.Rcu_sync;
        ]);
-  unregister_cgroup t
+  (* Leave the accounting population (floor 0). *)
+  t.cgroups <- max 0 (t.cgroups - 1)
 
 type lock_report = {
   lock_name : string;

@@ -58,10 +58,6 @@ val register_cgroup : t -> int
 
 val cgroup_count : t -> int
 
-val unregister_cgroup : t -> unit
-(** Drop one cgroup from the accounting population (floor 0).  Plain
-    bookkeeping — {!cgroup_destroy} is the simulated teardown path. *)
-
 val halt : t -> unit
 (** Decommission the instance: background daemons observe {!halted} and
     exit at their next wakeup instead of looping forever, so the
@@ -184,5 +180,3 @@ val set_syscall_policy : t -> tenant:int -> syscall_policy option -> unit
     [Invalid_argument] if [reachable] is outside (0, 1]. *)
 
 val syscall_policy : t -> tenant:int -> syscall_policy option
-val policy_count : t -> int
-(** Number of tenants with an installed policy. *)

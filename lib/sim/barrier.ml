@@ -5,11 +5,21 @@ type t = {
   mutable arrived : int;
   mutable generation : int;
   waiters : (unit -> unit) Queue.t;
+  enqueue : (unit -> unit) -> unit;  (* built once, as in Lock *)
 }
 
 let create ~engine ~name ~parties =
   if parties < 1 then invalid_arg "Barrier.create: parties must be >= 1";
-  { engine; name; parties; arrived = 0; generation = 0; waiters = Queue.create () }
+  let waiters = Queue.create () in
+  {
+    engine;
+    name;
+    parties;
+    arrived = 0;
+    generation = 0;
+    waiters;
+    enqueue = (fun wake -> Queue.push wake waiters);
+  }
 
 let generation t = t.generation
 let waiting t = t.arrived
@@ -31,7 +41,7 @@ let arrive t =
     emit t
       (Engine.Barrier_arrive
          { generation = t.generation; arrived = t.arrived; parties = t.parties });
-  if t.arrived < t.parties then Engine.suspend (fun wake -> Queue.push wake t.waiters)
+  if t.arrived < t.parties then Engine.suspend t.enqueue
   else begin
     (* Last arrival: release everyone, start a new generation. *)
     t.arrived <- 0;
@@ -68,4 +78,5 @@ let arrive_with_cost t ~per_party_cost =
   if per_party_cost > 0.0 then
     (* Dissemination-style barrier: log2(parties) network rounds. *)
     let rounds = Float.log (float_of_int t.parties) /. Float.log 2.0 in
-    Engine.delay (per_party_cost *. Float.max 1.0 (Float.ceil rounds))
+    (Engine.delay_cell t.engine).(0) <- per_party_cost *. Float.max 1.0 (Float.ceil rounds);
+    Engine.delay_from_cell t.engine

@@ -275,7 +275,9 @@ let engine_of_process name =
   | Some t -> t
   | None -> failwith (name ^ ": called outside of a simulation process")
 
-let delay d =
+(* Inlined into [delay_from_cell], so a duration read from a cell
+   stays unboxed through the validation and the store. *)
+let[@inline] delay d =
   if d < 0.0 then invalid_arg "Engine.delay: negative";
   if not (Float.is_finite d) then invalid_arg "Engine.delay: not finite";
   if d = 0.0 then ()
@@ -284,6 +286,9 @@ let delay d =
     t.delay_arg.(0) <- d;
     Effect.perform t.delay_eff
   end
+
+let delay_cell t = t.delay_arg
+let delay_from_cell t = delay t.delay_arg.(0)
 
 let suspend register =
   let t = engine_of_process "Engine.suspend" in

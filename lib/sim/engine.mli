@@ -122,6 +122,17 @@ val delay : float -> unit
     infinite delay raises [Invalid_argument].  Must be called from
     inside a process. *)
 
+val delay_cell : t -> float array
+(** The engine's one-slot duration cell.  Writing a duration into a
+    float array does not box it, so a caller that computes its delay
+    writes it here and calls {!delay_from_cell} instead of passing a
+    fresh float to {!delay}. *)
+
+val delay_from_cell : t -> unit
+(** [delay_from_cell t] is [delay (delay_cell t).(0)]: the same
+    validation and the same ambient-engine lookup, so a process of a
+    nested engine delays exactly as {!delay} would. *)
+
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and hands [register] a
     wake function.  Calling the wake function reschedules the process at

@@ -4,6 +4,9 @@ type t = {
   mutable held : bool;
   mutable acquired_at : float;
   waiters : (unit -> unit) Queue.t;
+  (* [Queue.push wake waiters], built once here so a contended acquire
+     does not allocate a fresh closure for [Engine.suspend]. *)
+  enqueue : (unit -> unit) -> unit;
   wait_stats : Ksurf_util.Welford.t;
   hold_stats : Ksurf_util.Welford.t;
   mutable acquisitions : int;
@@ -11,12 +14,14 @@ type t = {
 }
 
 let create ~engine ~name =
+  let waiters = Queue.create () in
   {
     engine;
     name;
     held = false;
     acquired_at = 0.0;
-    waiters = Queue.create ();
+    waiters;
+    enqueue = (fun wake -> Queue.push wake waiters);
     wait_stats = Ksurf_util.Welford.create ();
     hold_stats = Ksurf_util.Welford.create ();
     acquisitions = 0;
@@ -51,13 +56,13 @@ let acquire t =
   if not t.held then t.held <- true
   else begin
     t.contended <- t.contended + 1;
-    Engine.suspend (fun wake -> Queue.push wake t.waiters)
+    Engine.suspend t.enqueue
     (* On resume the releaser has transferred ownership to us:
        [t.held] is still true and we are the owner. *)
   end;
   t.acquisitions <- t.acquisitions + 1;
   t.acquired_at <- Engine.now t.engine;
-  Ksurf_util.Welford.add t.wait_stats (Engine.now t.engine -. start);
+  Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine);
   (* Fault-injection point: the hook runs while we own the lock, so any
      [Engine.delay] it performs stretches the critical section
      (lock-holder preemption).  [acquired_at] is already set, keeping
@@ -70,7 +75,8 @@ let release t =
   if Engine.observed t.engine then emit t Engine.Release;
   if not t.held then
     invalid_arg (Printf.sprintf "Lock.release: %s is not held" t.name);
-  Ksurf_util.Welford.add t.hold_stats (Engine.now t.engine -. t.acquired_at);
+  Ksurf_util.Welford.add_span t.hold_stats ~since:t.acquired_at
+    ~until:(Engine.now t.engine);
   match Queue.take_opt t.waiters with
   | Some wake ->
       (* Ownership transfer: the lock stays held for the waiter. *)

@@ -6,16 +6,22 @@ type t = {
   mutable readers : int;
   mutable writer : bool;
   queue : waiter Queue.t;
+  (* The two waiter-enqueue functions, built once (see Lock). *)
+  enqueue_read : (unit -> unit) -> unit;
+  enqueue_write : (unit -> unit) -> unit;
   wait_stats : Ksurf_util.Welford.t;
 }
 
 let create ~engine ~name =
+  let queue = Queue.create () in
   {
     engine;
     name;
     readers = 0;
     writer = false;
-    queue = Queue.create ();
+    queue;
+    enqueue_read = (fun wake -> Queue.push (Read wake) queue);
+    enqueue_write = (fun wake -> Queue.push (Write wake) queue);
     wait_stats = Ksurf_util.Welford.create ();
   }
 
@@ -24,7 +30,7 @@ let writer_held t = t.writer
 let wait_stats t = t.wait_stats
 
 let record_wait t start =
-  Ksurf_util.Welford.add t.wait_stats (Engine.now t.engine -. start)
+  Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine)
 
 (* Like Lock, probe events fire at intent time, before blocking. *)
 let emit t op =
@@ -49,7 +55,7 @@ let acquire_read t =
   if Engine.observed t.engine then
     emit t (Engine.Read_acquire { contended = not granted });
   if granted then t.readers <- t.readers + 1
-  else Engine.suspend (fun wake -> Queue.push (Read wake) t.queue);
+  else Engine.suspend t.enqueue_read;
   record_wait t start
 
 let acquire_write t =
@@ -58,7 +64,7 @@ let acquire_write t =
   if Engine.observed t.engine then
     emit t (Engine.Write_acquire { contended = not granted });
   if granted then t.writer <- true
-  else Engine.suspend (fun wake -> Queue.push (Write wake) t.queue);
+  else Engine.suspend t.enqueue_write;
   record_wait t start
 
 (* Grant the lock to as many queued waiters as compatible: either the

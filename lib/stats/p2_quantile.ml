@@ -25,7 +25,11 @@ let create q =
 let quantile t = t.q
 let count t = t.n
 
-let parabolic t i d =
+(* [add] runs once per observation on every streaming statistic and
+   allocates nothing: both predictions are inlined, so their float
+   results are never boxed, and the cell search is a loop rather than a
+   closure over [x]. *)
+let[@inline] parabolic t i d =
   let qi = t.heights.(i) in
   let ni = t.positions.(i) in
   let np = t.positions.(i + 1) and nm = t.positions.(i - 1) in
@@ -35,7 +39,7 @@ let parabolic t i d =
      *. (((ni -. nm +. d) *. (qp -. qi) /. (np -. ni))
         +. ((np -. ni -. d) *. (qi -. qm) /. (ni -. nm)))
 
-let linear t i d =
+let[@inline] linear t i d =
   let j = i + int_of_float d in
   t.heights.(i)
   +. (d *. (t.heights.(j) -. t.heights.(i)) /. (t.positions.(j) -. t.positions.(i)))
@@ -62,8 +66,11 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < t.heights.(i + 1) then i else find (i + 1) in
-        find 0
+        let i = ref 0 in
+        while not (x < t.heights.(!i + 1)) do
+          incr i
+        done;
+        !i
       end
     in
     for i = k + 1 to 4 do
@@ -100,5 +107,7 @@ let value t =
     Quantile.of_sorted sorted t.q
   end
   else t.heights.(2)
+
+let markers t = (Array.copy t.heights, Array.copy t.positions)
 
 let quantile_opt t = if t.n = 0 then None else Some (value t)

@@ -26,5 +26,9 @@ val quantile_opt : t -> float option
     legitimately observe nothing (an idle tenant, a zero-length audit
     window). *)
 
+val markers : t -> float array * float array
+(** Copies of the five marker heights and their positions.  Exposed so
+    tests can pin the marker update bit for bit. *)
+
 val quantile : t -> float
 (** The target quantile this estimator tracks. *)

@@ -67,46 +67,56 @@ let mixture parts =
   cumulative.(n - 1) <- 1.0;
   Mixture { cumulative; components }
 
+(* [Prng.uniform], drawn here so the value stays an unboxed local: a
+   call to [Prng.uniform] returns a boxed float.  Same bits, same
+   value (see [Prng.bits53]). *)
+let[@inline always] unit_draw rng =
+  float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0)
+
+(* The only allocation is the result's box.  Every draw is a local
+   [unit_draw] and the mixture's component search is a loop, not a
+   closure over the draw. *)
 let rec sample d rng =
   let v =
     match d with
     | Constant v -> v
-    | Uniform { lo; hi } -> lo +. Prng.float rng (hi -. lo)
+    | Uniform { lo; hi } -> lo +. (unit_draw rng *. (hi -. lo))
     | Exponential { mean } ->
-        let u = 1.0 -. Prng.uniform rng in
+        let u = 1.0 -. unit_draw rng in
         -.mean *. Float.log u
     | Erlang { k; mean } ->
         let stage_mean = mean /. float_of_int k in
         let acc = ref 0.0 in
         for _ = 1 to k do
-          let u = 1.0 -. Prng.uniform rng in
+          let u = 1.0 -. unit_draw rng in
           acc := !acc -. (stage_mean *. Float.log u)
         done;
         !acc
     | Lognormal { mu; sigma } ->
         (* Box–Muller; one draw per sample keeps the stream usage simple
            and deterministic. *)
-        let u1 = 1.0 -. Prng.uniform rng and u2 = Prng.uniform rng in
+        let u1 = 1.0 -. unit_draw rng and u2 = unit_draw rng in
         let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
         Float.exp (mu +. (sigma *. z))
     | Pareto { scale; shape } ->
-        let u = 1.0 -. Prng.uniform rng in
+        let u = 1.0 -. unit_draw rng in
         scale /. Float.pow u (1.0 /. shape)
     | Bounded_pareto { lo; hi; shape } ->
         (* Inverse CDF of the truncated Pareto. *)
-        let u = Prng.uniform rng in
+        let u = unit_draw rng in
         let la = Float.pow lo shape and ha = Float.pow hi shape in
         let x = -.((u *. ha) -. u *. la -. ha) /. (ha *. la) in
         Float.pow (1.0 /. x) (1.0 /. shape)
     | Shifted (c, d) -> c +. sample d rng
     | Scaled (f, d) -> f *. sample d rng
     | Mixture { cumulative; components } ->
-        let u = Prng.uniform rng in
-        let rec find i =
-          if i >= Array.length cumulative - 1 || u < cumulative.(i) then i
-          else find (i + 1)
-        in
-        sample components.(find 0) rng
+        let u = unit_draw rng in
+        let last = Array.length cumulative - 1 in
+        let i = ref 0 in
+        while not (!i >= last || u < cumulative.(!i)) do
+          incr i
+        done;
+        sample components.(!i) rng
   in
   if v < 0.0 then 0.0 else v
 

@@ -57,6 +57,11 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod n
 
+(* An immediate int crosses a module boundary unboxed.  [Int64.to_float]
+   and [float_of_int] agree below 2^53, so scaling this by 2^-53 gives
+   exactly [uniform]'s value. *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
 let[@inline always] uniform t =
   (* 53 random bits into [0,1). *)
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

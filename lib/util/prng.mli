@@ -24,6 +24,12 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next 64 raw bits. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next draw, in \[0, 2^53).  [uniform] is this
+    scaled by 2^-53, exactly: a hot path that needs a unit draw as an
+    unboxed local computes [float_of_int (bits53 t) *. 0x1p-53] itself
+    and gets [uniform]'s value without its boxed result. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in \[0, n).  Raises [Invalid_argument] if [n <= 0]. *)
 

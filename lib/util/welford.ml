@@ -15,7 +15,7 @@ type t = {
 let create () =
   { n = 0.0; mean = 0.0; m2 = 0.0; min_v = infinity; max_v = neg_infinity; total = 0.0 }
 
-let add t x =
+let[@inline] add t x =
   t.n <- t.n +. 1.0;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. t.n);
@@ -23,6 +23,11 @@ let add t x =
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x;
   t.total <- t.total +. x
+
+(* [add] inlined, so the difference is never boxed: callers pass two
+   times they already hold (a lock's acquire stamp and [Engine.now])
+   instead of a freshly computed span. *)
+let add_span t ~since ~until = add t (until -. since)
 
 let count t = int_of_float t.n
 let mean t = if t.n = 0.0 then 0.0 else t.mean

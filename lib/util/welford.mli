@@ -7,6 +7,12 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
+
+val add_span : t -> since:float -> until:float -> unit
+(** [add_span t ~since ~until] is [add t (until -. since)], without
+    boxing the difference: recording a wait or a hold from two stored
+    times allocates nothing. *)
+
 val count : t -> int
 val mean : t -> float
 (** 0 if empty. *)

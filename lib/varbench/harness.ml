@@ -109,29 +109,28 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
       if Barrier.parties barrier > 1 then Barrier.depart barrier
     end
   in
-  let call_with_retry rank (c : Program.call) =
-    let rec go attempt =
-      match Env.try_syscall env ~rank c.Program.spec c.Program.arg with
-      | Env.Completed _ -> true
-      | Env.Denied _ ->
-          (* ENOSYS from a specialization policy: permanent, so no retry
-             and no sample — the call never did its work. *)
-          incr denied;
+  (* One attempt per recursion, with the attempt count as an argument:
+     a local [go] over [rank] and [c] would be a closure per call. *)
+  let rec call_with_retry rank (c : Program.call) attempt =
+    match Env.try_syscall env ~rank c.Program.spec c.Program.arg with
+    | Env.Completed _ -> true
+    | Env.Denied _ ->
+        (* ENOSYS from a specialization policy: permanent, so no retry
+           and no sample — the call never did its work. *)
+        incr denied;
+        false
+    | Env.Faulted _ ->
+        incr retries;
+        if attempt >= max_retries then begin
+          incr abandoned;
           false
-      | Env.Faulted _ ->
-          incr retries;
-          if attempt >= max_retries then begin
-            incr abandoned;
-            false
-          end
-          else begin
-            Engine.delay
-              (Float.min backoff_cap_ns
-                 (backoff_base_ns *. Float.pow 2.0 (float_of_int attempt)));
-            go (attempt + 1)
-          end
-    in
-    go 0
+        end
+        else begin
+          Engine.delay
+            (Float.min backoff_cap_ns
+               (backoff_base_ns *. Float.pow 2.0 (float_of_int attempt)));
+          call_with_retry rank c (attempt + 1)
+        end
   in
   for rank = 0 to ranks - 1 do
     Engine.spawn engine (fun () ->
@@ -140,6 +139,24 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
           match crash_at with
           | Some at -> Engine.now engine >= at
           | None -> false
+        in
+        (* A program's calls in order, defined once per rank: a
+           [List.iteri] closure here would be built on every program
+           run. *)
+        let rec run_calls ~measuring site = function
+          | [] -> ()
+          | (c : Program.call) :: rest ->
+              let t0 = Engine.now engine in
+              let ok = call_with_retry rank c 0 in
+              progress.(rank) <- Engine.now engine;
+              (* Latency includes retries and backoff — the cost
+                 the caller actually paid to get the call through. *)
+              if ok && measuring then begin
+                let latency = Engine.now engine -. t0 in
+                Streamstat.add sites.(site).stats latency;
+                Streamstat.add overall latency
+              end;
+              run_calls ~measuring (site + 1) rest
         in
         try
           for iter = 0 to total_iters - 1 do
@@ -162,19 +179,7 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
                 if not alive.(rank) then raise Rank_stopped;
                 if measuring && Float.is_nan !measure_start then
                   measure_start := Engine.now engine;
-                List.iteri
-                  (fun ci (c : Program.call) ->
-                    let t0 = Engine.now engine in
-                    let ok = call_with_retry rank c in
-                    progress.(rank) <- Engine.now engine;
-                    (* Latency includes retries and backoff — the cost
-                       the caller actually paid to get the call through. *)
-                    if ok && measuring then begin
-                      let latency = Engine.now engine -. t0 in
-                      Streamstat.add sites.(offsets.(pi) + ci).stats latency;
-                      Streamstat.add overall latency
-                    end)
-                  p.Program.calls)
+                run_calls ~measuring offsets.(pi) p.Program.calls)
               programs
           done;
           completed.(rank) <- true;

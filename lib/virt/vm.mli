@@ -35,13 +35,10 @@ val shutdown : t -> unit
     background daemons exit at their next wakeup, so a decommissioned
     VM stops generating events. *)
 
-val syscall_overhead : t -> float
-(** Sample this call's bounded virtualisation overhead (involuntary
-    exits).  Deterministic stream per VM. *)
-
 val exec_syscall :
   t -> core:int -> tenant:int -> key:int ->
   Ksurf_kernel.Ops.op list -> unit
 (** Run an op program on the guest kernel from a vCPU, paying guest
-    entry cost and virtualisation overhead.  [core] is the vCPU index
+    entry cost and virtualisation overhead (involuntary exits, drawn
+    from the VM's own deterministic stream).  [core] is the vCPU index
     (must be < vcpus). *)
