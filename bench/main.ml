@@ -333,7 +333,8 @@ let micro_tests () =
              Ksurf_sim.Heap.push h ~time:(float_of_int (i * 37 mod 64)) ~seq:i ~pid:0 i
            done;
            while not (Ksurf_sim.Heap.is_empty h) do
-             ignore (Ksurf_sim.Heap.pop h)
+             ignore (Ksurf_sim.Heap.top h);
+             Ksurf_sim.Heap.drop h
            done))
   in
   let engine_test =

@@ -1,19 +1,15 @@
-(* A queued event is either a plain thunk (spawns, explicit schedules)
-   or a suspended-process continuation (delay expiries, suspension
-   wakes).  Storing the continuation directly — rather than a
-   [fun () -> continue k ()] wrapper — keeps the delay/wake hot path
-   from allocating a closure per event; together with the
-   parallel-array heap this makes scheduling itself allocation-free.
-   The executing pid travels in the heap's int channel, so there is no
-   per-event record tying (pid, job) together either. *)
-type job =
-  | Thunk of (unit -> unit)
-  | Cont of (unit, unit) Effect.Deep.continuation
-
 type t = {
   mutable now : float;
   mutable seq : int;
-  heap : job Heap.t;
+  (* The event queue, split by payload so that no event needs a job
+     wrapper: delay expiries and wakes queue the suspended continuation
+     itself, spawns queue their thunk.  Both heaps draw [seq] from the
+     one counter above, and the run loop takes whichever top comes
+     first by (time, seq), so events fire in exactly the order one
+     heap would give them.  The executing pid travels in the heaps'
+     int channel, so no per-event record ties (pid, payload) either. *)
+  conts : (unit, unit) Effect.Deep.continuation Heap.t;
+  thunks : (unit -> unit) Heap.t;
   root_rng : Ksurf_util.Prng.t;
   mutable executed : int;
   (* Observer layer: analyzers (lockdep, determinism, invariants)
@@ -120,18 +116,29 @@ let set_current v = Domain.DLS.set current_key v
 
 let now t = t.now
 let rng t = t.root_rng
-let pending t = Heap.size t.heap
+let pending t = Heap.size t.conts + Heap.size t.thunks
 let events_executed t = t.executed
 
 let add_probe t probe = t.probes <- t.probes @ [ probe ]
 let clear_probes t = t.probes <- []
 let observed t = t.probes <> []
-let emit t info = List.iter (fun probe -> probe info) t.probes
+(* A recursive walk, not [List.iter] over a closure capturing [info]:
+   emitting builds nothing beyond the event itself. *)
+let rec emit_to info = function
+  | [] -> ()
+  | probe :: rest ->
+      probe info;
+      emit_to info rest
+
+let emit t info = emit_to info t.probes
 let current_pid t = t.cur_pid
 let set_acquire_hook t hook = t.acquire_hook <- hook
 let acquire_hook t = t.acquire_hook
 
-let schedule_job t ~pid ~at job =
+(* Admit an event at [at] and take its sequence number; the caller
+   pushes it under [t.seq].  Inlined, so a time computed into the delay
+   cell is checked without being boxed. *)
+let[@inline] admit t ~pid at =
   (* Emit before validating so a sanitizer records the violation even
      though the engine still refuses it. *)
   if observed t then emit t (Scheduled { now = t.now; at; pid });
@@ -142,24 +149,21 @@ let schedule_job t ~pid ~at job =
   if at < t.now then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now %g" at t.now);
-  t.seq <- t.seq + 1;
-  Heap.push t.heap ~time:at ~seq:t.seq ~pid job
+  t.seq <- t.seq + 1
 
-let schedule_pid t ~pid ~at thunk = schedule_job t ~pid ~at (Thunk thunk)
-
-(* Execute one dequeued event under its pid.  The pid save/restore and
-   the [Executed] probe used to live in a per-event wrapper closure;
-   doing them here in the dispatch loop costs the same work without the
-   per-event allocation. *)
-let exec_job t ~pid job =
+(* Execute one dequeued event, [run x], under its pid: [exec t ~pid f ()]
+   starts a spawned thunk, [exec t ~pid resume k] resumes a continuation. *)
+let exec t ~pid run x =
   let saved = t.cur_pid in
   t.cur_pid <- pid;
   if observed t then emit t (Executed { now = t.now; pid });
-  match (match job with Thunk f -> f () | Cont k -> Effect.Deep.continue k ()) with
+  match run x with
   | () -> t.cur_pid <- saved
   | exception exn ->
       t.cur_pid <- saved;
       raise exn
+
+let resume k = Effect.Deep.continue k ()
 
 (* --- the parking slot table ------------------------------------------ *)
 
@@ -212,18 +216,20 @@ let park t k =
     free_slot t slot;
     (* The continuation resumes under the suspended process's pid, not
        the waker's. *)
-    schedule_job t ~pid ~at:t.now (Cont k)
+    admit t ~pid t.now;
+    Heap.push t.conts ~time:t.now ~seq:t.seq ~pid k
   in
   register wake
 
 let create ?(seed = 0) () =
-  let heap = Heap.create () and root_rng = Ksurf_util.Prng.create seed in
+  let root_rng = Ksurf_util.Prng.create seed in
   let delay_arg = [| 0.0 |] in
   let rec t =
     {
       now = 0.0;
       seq = 0;
-      heap;
+      conts = Heap.create ();
+      thunks = Heap.create ();
       root_rng;
       executed = 0;
       probes = [];
@@ -235,10 +241,15 @@ let create ?(seed = 0) () =
       delay_eff = Delay t;
       suspend_eff = Suspend t;
       register = ignore;
+      (* The expiry is computed into the delay cell and pushed from
+         there, so a delay allocates no time box of its own. *)
       on_delay =
         Some
           (fun k ->
-            schedule_job t ~pid:t.cur_pid ~at:(t.now +. t.delay_arg.(0)) (Cont k));
+            let pid = t.cur_pid in
+            delay_arg.(0) <- t.now +. delay_arg.(0);
+            admit t ~pid delay_arg.(0);
+            Heap.push_cell t.conts delay_arg ~seq:t.seq ~pid k);
       on_suspend = Some (fun k -> park t k);
       handler =
         {
@@ -268,7 +279,8 @@ let spawn ?at t f =
   let at = match at with Some a -> a | None -> t.now in
   t.next_pid <- t.next_pid + 1;
   let pid = t.next_pid in
-  schedule_pid t ~pid ~at (fun () -> handle t f)
+  admit t ~pid at;
+  Heap.push t.thunks ~time:at ~seq:t.seq ~pid (fun () -> handle t f)
 
 let engine_of_process name =
   match get_current () with
@@ -323,7 +335,7 @@ let hung_diagnostic t ~reason =
   in
   Printf.sprintf
     "Engine hung at t=%g (%s): %d runnable event(s) pending, %s" t.now reason
-    (Heap.size t.heap) parked_desc
+    (pending t) parked_desc
 
 let run ?until ?stop ?deadline ?stall_limit t =
   let saved = get_current () in
@@ -334,21 +346,48 @@ let run ?until ?stop ?deadline ?stall_limit t =
      out, and the abort names the parked processes. *)
   let stall_at = ref t.now in
   let stalled = ref 0 in
+  (* Move the clock to a dequeued event's time and count it.  [time] is
+     [Heap.top_time]'s box, which [t.now] keeps. *)
+  let advance time =
+    t.now <- time;
+    t.executed <- t.executed + 1;
+    match stall_limit with
+    | None -> ()
+    | Some limit ->
+        if time > !stall_at then begin
+          stall_at := time;
+          stalled := 0
+        end
+        else begin
+          incr stalled;
+          if !stalled > limit then
+            raise
+              (Hung
+                 (hung_diagnostic t
+                    ~reason:
+                      (Printf.sprintf "no progress: %d consecutive events at t=%g"
+                         !stalled time)))
+        end
+  in
   Fun.protect
     ~finally:(fun () -> set_current saved)
     (fun () ->
-      (* The loop reads the heap through the non-allocating accessors
-         ([top_time]/[top_pid]/[top]/[drop]): with [Heap.push] also
-         allocation-free, a probe-less engine executes timer events
-         without a single minor-heap word from the dispatch machinery
-         itself — what keeps multi-domain sweeps from serialising on
+      (* The loop reads the heaps through the non-allocating accessors
+         ([top_before]/[top_pid]/[top]/[drop]); only [top_time] boxes,
+         and that box becomes [t.now].  With [Heap.push] also
+         allocation-free, a probe-less engine executes a timer event
+         for the continuation the runtime built and the clock box alone
+         — what keeps multi-domain sweeps from serialising on
          stop-the-world minor collections (DESIGN §6). *)
       let continue = ref true in
       while !continue do
         if (match stop with Some f -> f () | None -> false) then continue := false
-        else if Heap.is_empty t.heap then continue := false
+        else if pending t = 0 then continue := false
         else begin
-          let time = Heap.top_time t.heap in
+          let cont_first = Heap.top_before t.conts t.thunks in
+          let time =
+            if cont_first then Heap.top_time t.conts else Heap.top_time t.thunks
+          in
           if match until with Some u -> time > u | None -> false then
             continue := false
           else if match deadline with Some d -> time > d | None -> false then begin
@@ -361,34 +400,20 @@ let run ?until ?stop ?deadline ?stall_limit t =
                          "virtual-time deadline %g exceeded by next event at %g"
                          (Option.get deadline) time)))
           end
+          else if cont_first then begin
+            let pid = Heap.top_pid t.conts and k = Heap.top t.conts in
+            Heap.drop t.conts;
+            advance time;
+            exec t ~pid resume k
+          end
           else begin
-            let pid = Heap.top_pid t.heap in
-            let job = Heap.top t.heap in
-            Heap.drop t.heap;
-            t.now <- time;
-            t.executed <- t.executed + 1;
-            (match stall_limit with
-            | None -> ()
-            | Some limit ->
-                if time > !stall_at then begin
-                  stall_at := time;
-                  stalled := 0
-                end
-                else begin
-                  incr stalled;
-                  if !stalled > limit then
-                    raise
-                      (Hung
-                         (hung_diagnostic t
-                            ~reason:
-                              (Printf.sprintf
-                                 "no progress: %d consecutive events at t=%g"
-                                 !stalled time)))
-                end);
-            exec_job t ~pid job
+            let pid = Heap.top_pid t.thunks and f = Heap.top t.thunks in
+            Heap.drop t.thunks;
+            advance time;
+            exec t ~pid f ()
           end
         end
       done;
       match until with
-      | Some u when u > t.now && Heap.is_empty t.heap -> t.now <- u
+      | Some u when u > t.now && pending t = 0 -> t.now <- u
       | _ -> ())

@@ -4,8 +4,8 @@
    (the old boxed { time; seq; payload } entry was ~6 words per event,
    the single largest allocation on the engine hot path), and the
    accessor API ([top_time]/[top_pid]/[top]/[drop]) lets the engine run
-   loop inspect and consume the minimum without materialising the
-   [Some (time, payload)] tuple that [pop] builds for compatibility. *)
+   loop inspect and consume the minimum without materialising a
+   [Some (time, payload)] tuple. *)
 
 type 'a t = {
   mutable times : float array;  (* unboxed float array *)
@@ -61,7 +61,9 @@ let grow t payload =
     t.data <- ndata
   end
 
-let push t ~time ~seq ~pid payload =
+(* Store the new entry at the end and sift it up.  Inlined into both
+   pushes, so the time read from a cell stays unboxed. *)
+let[@inline] insert t time ~seq ~pid payload =
   grow t payload;
   let i = ref t.len in
   t.times.(!i) <- time;
@@ -80,6 +82,9 @@ let push t ~time ~seq ~pid payload =
     swap t !i parent;
     i := parent
   done
+
+let push t ~time ~seq ~pid payload = insert t time ~seq ~pid payload
+let push_cell t cell ~seq ~pid payload = insert t cell.(0) ~seq ~pid payload
 
 let top_time t = t.times.(0)
 let top_pid t = t.pids.(0)
@@ -111,12 +116,11 @@ let drop t =
      their execution (the engine holds the returned payload itself). *)
   if t.len < Array.length t.data then t.data.(t.len) <- t.data.(0)
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = top_time t and payload = top t in
-    drop t;
-    Some (time, payload)
-  end
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
+(* Whether [a]'s earliest event fires before [b]'s, by (time, seq); an
+   empty heap never fires first.  A bool, so comparing two heaps boxes
+   neither top time. *)
+let top_before a b =
+  a.len > 0
+  && (b.len = 0
+     || a.times.(0) < b.times.(0)
+     || (a.times.(0) = b.times.(0) && a.seqs.(0) < b.seqs.(0)))

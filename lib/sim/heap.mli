@@ -6,10 +6,10 @@
 
     The layout is allocation-free on the hot path: times, sequence
     numbers, pids and payloads live in parallel arrays (the float array
-    is unboxed), so a [push]/[drop] pair allocates nothing.  The engine
-    consumes events through the [top_*]/[drop] accessors; [pop] and
-    [peek_time] remain as boxing conveniences for tests and
-    microbenchmarks. *)
+    is unboxed), so a [push]/[drop] pair allocates nothing.  Events are
+    consumed through the [top_*]/[drop] accessors, none of which
+    allocates except {!top_time}, whose result crosses the module
+    boundary boxed. *)
 
 type 'a t
 
@@ -21,6 +21,10 @@ val push : 'a t -> time:float -> seq:int -> pid:int -> 'a -> unit
 (** [pid] rides alongside the payload so the engine can attribute the
     event to a logical process without wrapping the payload in a
     closure; callers that don't track processes pass [~pid:0]. *)
+
+val push_cell : 'a t -> float array -> seq:int -> pid:int -> 'a -> unit
+(** [push_cell t cell] is [push t ~time:cell.(0)]: a time computed into
+    a float array reaches the heap without being boxed. *)
 
 val top_time : 'a t -> float
 (** Time of the earliest event.  Undefined on an empty heap — check
@@ -36,8 +40,8 @@ val top : 'a t -> 'a
 val drop : 'a t -> unit
 (** Remove the earliest event.  Must not be called on an empty heap. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event.  Allocates; the engine uses
-    {!top_time}/{!top_pid}/{!top}/{!drop} instead. *)
-
-val peek_time : 'a t -> float option
+val top_before : 'a t -> 'b t -> bool
+(** [top_before a b] is [true] iff [a] is non-empty and its earliest
+    event precedes [b]'s by (time, seq), or [b] is empty.  Lets a caller
+    that keeps two heaps on one sequence counter merge them without
+    boxing either top time. *)

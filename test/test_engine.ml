@@ -157,6 +157,35 @@ let test_pending () =
   Engine.run engine;
   Alcotest.(check int) "drained" 0 (Engine.pending engine)
 
+(* An unstarted spawn and a process parked on a delay are both pending,
+   though the engine queues them separately. *)
+let test_pending_counts_both_queues () =
+  let engine = Engine.create () in
+  Engine.spawn engine (fun () -> Engine.delay 10.0);
+  Engine.spawn ~at:100.0 engine (fun () -> ());
+  Engine.run ~until:5.0 engine;
+  Alcotest.(check int) "parked delay and unstarted spawn" 2 (Engine.pending engine);
+  Engine.run ~until:50.0 engine;
+  Alcotest.(check int) "unstarted spawn" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+
+(* [run ~until] moves an idle clock to the horizon only when neither a
+   spawn nor a continuation is left beyond it. *)
+let test_until_clock_waits_for_both_queues () =
+  let clock_after setup =
+    let engine = Engine.create () in
+    setup engine;
+    Engine.run ~until:50.0 engine;
+    Engine.now engine
+  in
+  Alcotest.(check (float 0.0)) "unstarted spawn beyond the horizon" 0.0
+    (clock_after (fun e -> Engine.spawn ~at:100.0 e (fun () -> ())));
+  Alcotest.(check (float 0.0)) "delay beyond the horizon" 0.0
+    (clock_after (fun e -> Engine.spawn e (fun () -> Engine.delay 100.0)));
+  Alcotest.(check (float 0.0)) "both queues empty" 50.0
+    (clock_after (fun e -> Engine.spawn e (fun () -> Engine.delay 20.0)))
+
 let test_probe_event_sequence () =
   let engine = Engine.create () in
   Alcotest.(check bool) "unobserved by default" false (Engine.observed engine);
@@ -308,6 +337,106 @@ let qcheck_delays_sum =
       Engine.run engine;
       Float.abs (!finish -. List.fold_left ( +. ) 0.0 delays) < 1e-6)
 
+(* A random script on a coarse integer time grid, so ties are common:
+   root processes spawned at chosen times, each running delays, nested
+   spawns, suspensions and wakes.  [Wake] resumes the longest-parked
+   process, if any. *)
+type step = Delay of int | Spawn of int * step list | Suspend | Wake
+
+let rec prog_gen depth =
+  QCheck.Gen.(list_size (int_bound 5) (step_gen depth))
+
+and step_gen depth =
+  let open QCheck.Gen in
+  let leaves = [ map (fun d -> Delay d) (int_range 1 3); return Suspend; return Wake ] in
+  if depth = 0 then oneof leaves
+  else oneof (map2 (fun at p -> Spawn (at, p)) (int_bound 3) (prog_gen (depth - 1)) :: leaves)
+
+let rec show_prog p = "[" ^ String.concat ";" (List.map show_step p) ^ "]"
+
+and show_step = function
+  | Delay d -> Printf.sprintf "D%d" d
+  | Spawn (at, p) -> Printf.sprintf "S%d%s" at (show_prog p)
+  | Suspend -> "Z"
+  | Wake -> "W"
+
+let script_arb =
+  QCheck.make
+    ~print:(fun roots ->
+      String.concat " " (List.map (fun (at, p) -> Printf.sprintf "@%d%s" at (show_prog p)) roots))
+    QCheck.Gen.(list_size (int_range 1 5) (pair (int_bound 3) (prog_gen 2)))
+
+(* The (time, pid) of every event the engine executes. *)
+let engine_trace roots =
+  let engine = Engine.create () in
+  let wakes = Queue.create () and trace = ref [] in
+  Engine.add_probe engine (function
+    | Engine.Executed { now; pid } -> trace := (int_of_float now, pid) :: !trace
+    | _ -> ());
+  let rec run_prog prog =
+    List.iter
+      (function
+        | Delay d -> Engine.delay (float_of_int d)
+        | Spawn (at, p) ->
+            Engine.spawn ~at:(Engine.now engine +. float_of_int at) engine (fun () -> run_prog p)
+        | Suspend -> Engine.suspend (fun wake -> Queue.push wake wakes)
+        | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt wakes))
+      prog
+  in
+  List.iter (fun (at, p) -> Engine.spawn ~at:(float_of_int at) engine (fun () -> run_prog p)) roots;
+  Engine.run engine;
+  List.rev !trace
+
+(* The same script on a list scheduler: one queue of (time, seq, process)
+   entries, every spawn, delay and wake taking the next seq, and the
+   earliest (time, seq) firing next. *)
+type proc = { pid : int; mutable rest : step list }
+
+let reference_trace roots =
+  let queue = ref [] and seq = ref 0 and next_pid = ref 0 in
+  let parked = Queue.create () and trace = ref [] in
+  let schedule time p =
+    incr seq;
+    queue := (time, !seq, p) :: !queue
+  in
+  let spawn time prog =
+    incr next_pid;
+    schedule time { pid = !next_pid; rest = prog }
+  in
+  let rec resume now p =
+    match p.rest with
+    | [] -> ()
+    | step :: rest -> (
+        p.rest <- rest;
+        match step with
+        | Delay d -> schedule (now + d) p
+        | Suspend -> Queue.push p parked
+        | Spawn (at, prog) ->
+            spawn (now + at) prog;
+            resume now p
+        | Wake ->
+            Option.iter (schedule now) (Queue.take_opt parked);
+            resume now p)
+  in
+  List.iter (fun (at, prog) -> spawn at prog) roots;
+  let rec loop () =
+    match !queue with
+    | [] -> ()
+    | first :: others ->
+        let earlier ((t, s, _) as a) ((t', s', _) as b) = if (t', s') < (t, s) then b else a in
+        let time, s, p = List.fold_left earlier first others in
+        queue := List.filter (fun (_, s', _) -> s' <> s) !queue;
+        trace := (time, p.pid) :: !trace;
+        resume time p;
+        loop ()
+  in
+  loop ();
+  List.rev !trace
+
+let qcheck_order_matches_reference =
+  QCheck.Test.make ~name:"execution order is (time, creation seq)" ~count:300 script_arb
+    (fun roots -> engine_trace roots = reference_trace roots)
+
 let suite =
   [
     Alcotest.test_case "delay advances time" `Quick test_delay_advances_time;
@@ -327,6 +456,10 @@ let suite =
     Alcotest.test_case "delay outside process" `Quick
       test_delay_outside_process_fails;
     Alcotest.test_case "pending" `Quick test_pending;
+    Alcotest.test_case "pending counts both queues" `Quick
+      test_pending_counts_both_queues;
+    Alcotest.test_case "until clock waits for both queues" `Quick
+      test_until_clock_waits_for_both_queues;
     Alcotest.test_case "probe event sequence" `Quick test_probe_event_sequence;
     Alcotest.test_case "double wake reaches probes" `Quick
       test_suspend_double_wake_probe;
@@ -336,4 +469,5 @@ let suite =
     Alcotest.test_case "blocked lists every parked" `Quick
       test_blocked_lists_every_parked;
     QCheck_alcotest.to_alcotest qcheck_delays_sum;
+    QCheck_alcotest.to_alcotest qcheck_order_matches_reference;
   ]

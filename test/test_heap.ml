@@ -1,18 +1,23 @@
 module Heap = Ksurf_sim.Heap
 
+(* Remove and return the earliest (time, payload). *)
+let take h =
+  let time = Heap.top_time h and payload = Heap.top h in
+  Heap.drop h;
+  (time, payload)
+
 let test_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   Alcotest.(check int) "size" 0 (Heap.size h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek_time h = None)
+  Alcotest.(check bool) "empty never first" false (Heap.top_before h h)
 
 let test_ordering () =
   let h = Heap.create () in
   Heap.push h ~time:3.0 ~seq:0 ~pid:0 "c";
   Heap.push h ~time:1.0 ~seq:1 ~pid:0 "a";
   Heap.push h ~time:2.0 ~seq:2 ~pid:0 "b";
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 3 (fun _ -> snd (take h)) in
   Alcotest.(check (list string)) "sorted by time" [ "a"; "b"; "c" ] order
 
 let test_fifo_tie_break () =
@@ -20,16 +25,17 @@ let test_fifo_tie_break () =
   for i = 0 to 9 do
     Heap.push h ~time:5.0 ~seq:i ~pid:0 i
   done;
-  let order = List.init 10 (fun _ -> snd (Option.get (Heap.pop h))) in
+  let order = List.init 10 (fun _ -> snd (take h)) in
   Alcotest.(check (list int)) "ties in insertion order"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] order
 
 let test_peek () =
   let h = Heap.create () in
-  Heap.push h ~time:7.0 ~seq:0 ~pid:0 ();
-  Heap.push h ~time:2.0 ~seq:1 ~pid:0 ();
-  Alcotest.(check (option (float 1e-9))) "peek min" (Some 2.0) (Heap.peek_time h);
-  Alcotest.(check int) "size unchanged by peek" 2 (Heap.size h)
+  Heap.push h ~time:7.0 ~seq:0 ~pid:3 ();
+  Heap.push h ~time:2.0 ~seq:1 ~pid:4 ();
+  Alcotest.(check (float 1e-9)) "top time" 2.0 (Heap.top_time h);
+  Alcotest.(check int) "top pid" 4 (Heap.top_pid h);
+  Alcotest.(check int) "size unchanged by top" 2 (Heap.size h)
 
 let test_growth () =
   let h = Heap.create () in
@@ -37,8 +43,39 @@ let test_growth () =
     Heap.push h ~time:(float_of_int (999 - i)) ~seq:i ~pid:0 i
   done;
   Alcotest.(check int) "size" 1000 (Heap.size h);
-  let first = Option.get (Heap.pop h) in
-  Alcotest.(check (float 1e-9)) "min time" 0.0 (fst first)
+  Alcotest.(check (float 1e-9)) "min time" 0.0 (fst (take h))
+
+let test_push_cell () =
+  let h = Heap.create () and cell = [| 4.0 |] in
+  Heap.push_cell h cell ~seq:0 ~pid:0 "cell";
+  cell.(0) <- 9.0;
+  Heap.push h ~time:6.0 ~seq:1 ~pid:0 "plain";
+  Alcotest.(check (pair (float 1e-9) string)) "time read at push" (4.0, "cell") (take h);
+  Alcotest.(check (pair (float 1e-9) string)) "then the plain push" (6.0, "plain")
+    (take h)
+
+(* Two heaps on one sequence counter, merged through [top_before], drain
+   in the order one heap holding every entry would. *)
+let qcheck_top_before_merges =
+  QCheck.Test.make ~name:"top_before merges two heaps as one" ~count:200
+    QCheck.(list (pair bool (int_bound 5)))
+    (fun entries ->
+      let a = Heap.create () and b = Heap.create () and one = Heap.create () in
+      List.iteri
+        (fun seq (left, t) ->
+          let time = float_of_int t in
+          Heap.push (if left then a else b) ~time ~seq ~pid:0 seq;
+          Heap.push one ~time ~seq ~pid:0 seq)
+        entries;
+      let rec drain () =
+        if Heap.is_empty one then Heap.is_empty a && Heap.is_empty b
+        else begin
+          let src = if Heap.top_before a b then a else b in
+          let expected = snd (take one) in
+          (not (Heap.is_empty src)) && snd (take src) = expected && drain ()
+        end
+      in
+      drain ())
 
 let qcheck_pop_sorted =
   QCheck.Test.make ~name:"pops come out time-sorted" ~count:200
@@ -47,9 +84,10 @@ let qcheck_pop_sorted =
       let h = Heap.create () in
       List.iteri (fun i t -> Heap.push h ~time:t ~seq:i ~pid:0 i) times;
       let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (t, _) -> if t < prev then false else drain t
+        if Heap.is_empty h then true
+        else
+          let t, _ = take h in
+          if t < prev then false else drain t
       in
       drain neg_infinity)
 
@@ -62,7 +100,7 @@ let qcheck_size_tracks =
       let n = List.length times in
       let ok = ref (Heap.size h = n) in
       for expected = n - 1 downto 0 do
-        ignore (Heap.pop h);
+        Heap.drop h;
         if Heap.size h <> expected then ok := false
       done;
       !ok)
@@ -74,6 +112,8 @@ let suite =
     Alcotest.test_case "fifo tie break" `Quick test_fifo_tie_break;
     Alcotest.test_case "peek" `Quick test_peek;
     Alcotest.test_case "growth" `Quick test_growth;
+    Alcotest.test_case "push_cell reads the cell at push" `Quick test_push_cell;
     QCheck_alcotest.to_alcotest qcheck_pop_sorted;
     QCheck_alcotest.to_alcotest qcheck_size_tracks;
+    QCheck_alcotest.to_alcotest qcheck_top_before_merges;
   ]
