@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test gates bench-json tenancy-bench engine-bench ledger-check exports-check staticcheck lint check clean
+.PHONY: all build test gates bench-json tenancy-bench ledger-check exports-check staticcheck lint check clean
 
 all: build
 
@@ -36,13 +36,6 @@ bench-json:
 tenancy-bench:
 	dune exec bench/main.exe -- tenancy full
 
-# Simulator-core throughput: Bechamel microbenchmarks plus one mixed
-# timer/lock workload timed end to end, events/sec and GC minor
-# words/event written to BENCH_engine.json.  The allocation rate is the
-# portable number; events/sec is machine context.
-engine-bench:
-	dune exec bench/main.exe -- micro
-
 # Ledger gate: one measured pass of each of the five ledger workloads at
 # seed 42.  A seed-42 cell fails unless its fingerprint (the hash of its
 # rendered simulated result) equals the reference in
@@ -77,17 +70,18 @@ ledger-check:
 	  esac; \
 	done
 
-# Export bit-identity gate: regenerate the committed full-scale study
-# exports into a temporary directory and byte-compare each against
-# exports/.  Exits nonzero on the first study whose CSV differs.
-EXPORT_STUDIES = tenancy drift torture
-
+# Export bit-identity gate: one `ksurf_cli all --scale full` run writes
+# every study's CSV into a temporary directory, then each committed
+# baseline in exports/ is byte-compared against it.  Exits nonzero if
+# the run fails, or if a baseline is missing from the run or differs.
+# The baselines were written at --jobs 1 and this runs at the default
+# --jobs, so it also proves every study is jobs-agnostic.
 exports-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	for s in $(EXPORT_STUDIES); do \
-	  dune exec bin/ksurf_cli.exe -- $$s --scale full --export "$$tmp" >/dev/null || exit 1; \
-	  cmp "$$tmp/$$s.csv" exports/$$s.csv || exit 1; \
-	  echo "exports-check $$s: identical"; \
+	dune exec bin/ksurf_cli.exe -- all --scale full --export "$$tmp" >/dev/null || exit 1; \
+	for f in exports/*.csv; do \
+	  cmp "$$f" "$$tmp/$${f#exports/}" || exit 1; \
+	  echo "exports-check $${f#exports/}: identical"; \
 	done
 
 # Static analysis gate (kstat): certify the stock table cycle-free,

@@ -1,16 +1,12 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper (at Full scale) and micro-benchmarks the simulator core with
-   Bechamel.
+(* Two gates measured on the host, too slow or machine-dependent for
+   the test suite: kpar's cross-jobs determinism with its scaling floor,
+   and ktenant's peak-RSS flatness.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe table2     # one Experiments.tables entry
-     dune exec bench/main.exe micro      # microbenchmarks only
-     dune exec bench/main.exe sweep quick  # kpar throughput scan
+     dune exec bench/main.exe -- sweep quick --gate-speedup 2.0
+     dune exec bench/main.exe -- tenancy full
 
-   A second argument "quick" switches the experiments to the fast
-   smoke-scale used by tests; "--jobs N" sets the sweep worker count
-   (default: KSURF_JOBS or the machine's recommended domain count
-   minus one). *)
+   "quick" or "full" (the default) picks the scale; no selector runs
+   both.  The tables and studies regenerate with [ksurf_cli all]. *)
 
 module E = Ksurf.Experiments
 
@@ -314,335 +310,40 @@ let run_tenancy ~seed ~scale =
   if rss_ratio > 2.0 then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the simulator core.                     *)
 
-let micro_tests () =
-  let open Bechamel in
-  let open Ksurf in
-  let prng_test =
-    Test.make ~name:"prng-uniform"
-      (Staged.stage
-         (let rng = Prng.create 1 in
-          fun () -> ignore (Prng.uniform rng)))
-  in
-  let heap_test =
-    Test.make ~name:"heap-push-pop-64"
-      (Staged.stage (fun () ->
-           let h = Ksurf_sim.Heap.create () in
-           for i = 0 to 63 do
-             Ksurf_sim.Heap.push h ~time:(float_of_int (i * 37 mod 64)) ~seq:i ~pid:0 i
-           done;
-           while not (Ksurf_sim.Heap.is_empty h) do
-             ignore (Ksurf_sim.Heap.top h);
-             Ksurf_sim.Heap.drop h
-           done))
-  in
-  let engine_test =
-    Test.make ~name:"engine-spawn-run-100-events"
-      (Staged.stage (fun () ->
-           let engine = Engine.create ~seed:1 () in
-           Engine.spawn engine (fun () ->
-               for _ = 1 to 100 do
-                 Engine.delay 10.0
-               done);
-           Engine.run engine))
-  in
-  let lock_test =
-    Test.make ~name:"contended-lock-8-procs"
-      (Staged.stage (fun () ->
-           let engine = Engine.create ~seed:1 () in
-           let lock = Lock.create ~engine ~name:"bench" in
-           for _ = 1 to 8 do
-             Engine.spawn engine (fun () ->
-                 for _ = 1 to 16 do
-                   Lock.with_hold lock 5.0
-                 done)
-           done;
-           Engine.run engine))
-  in
-  let syscall_test =
-    let spec = Option.get (Syscalls.by_name "open") in
-    let rng = Prng.create 2 in
-    Test.make ~name:"syscall-exec-open"
-      (Staged.stage (fun () ->
-           let engine = Engine.create ~seed:1 () in
-           let kernel =
-             Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4
-               ~mem_mb:1024 ()
-           in
-           let arg = Arg.generate spec.Spec.arg_model rng in
-           let ctx = { Instance.core = 0; tenant = 0; key = 0; cgroup = None } in
-           Engine.spawn engine (fun () ->
-               Instance.exec_program kernel ctx (spec.Spec.ops arg));
-           Engine.run engine))
-  in
-  let kde_test =
-    let rng = Prng.create 3 in
-    let samples = Array.init 256 (fun _ -> Prng.float rng 1000.0) in
-    Test.make ~name:"kde-curve-256"
-      (Staged.stage (fun () -> ignore (Kde.curve ~points:32 samples)))
-  in
-  let coverage_test =
-    let rng = Prng.create 4 in
-    let prog = Program.random rng ~id:0 ~min_len:8 ~max_len:8 in
-    Test.make ~name:"coverage-of-program-8"
-      (Staged.stage (fun () -> ignore (Coverage.of_program prog)))
-  in
-  let quantile_test =
-    let rng = Prng.create 5 in
-    let samples = Array.init 4096 (fun _ -> Prng.float rng 1e6) in
-    Test.make ~name:"quantile-p99-4096"
-      (Staged.stage (fun () -> ignore (Quantile.p99 samples)))
-  in
-  [
-    prng_test;
-    heap_test;
-    engine_test;
-    lock_test;
-    syscall_test;
-    kde_test;
-    coverage_test;
-    quantile_test;
-  ]
-
-(* Engine throughput: one sizeable mixed workload (timers + a contended
-   lock), timed on the monotonic clock with [Gc.minor_words] read on
-   either side.  Events/sec is machine-dependent context;
-   allocations/event is the portable number — it moves when someone adds
-   a box to the hot path, whatever the machine.
-
-   The headline divides by events the engine *executed*, on an
-   unobserved engine — the denominator every other allocation figure in
-   the repo (the ledger's [sim.engine.words_per_event], the multi-domain
-   rows below) uses.  A second run with a counting probe attached is
-   reported under its own names ([probe_events],
-   [minor_words_per_probe_event]): a probe sees several events per
-   executed one, so the two rates are not comparable.
-
-   The multi-domain section replays the same workload, unobserved, on
-   1/2/4/8 concurrent domains (one independent engine per domain — the
-   kpar sweep shape), under the same per-domain minor-heap sizing
-   Pool.create applies.  It is weak scaling: each domain runs the
-   identical workload, so aggregate events/sec should grow toward
-   min(domains, cores)x and — the regression this section exists to
-   catch — must never *fall* as domains are added, which is what the
-   stop-the-world minor-GC rendezvous did before the pool sized
-   per-domain minor arenas (per-domain allocation makes each domain's
-   arena fill independently, and every fill stops all domains). *)
-let bench_procs = 16
-let bench_steps = 2000
-
-(* One engine's worth of work, run on the calling domain.  [probe]
-   attaches a counting probe and counts the events it sees; otherwise
-   the count is of executed events.  [Gc.minor_words] is per-domain in
-   OCaml 5, so the caller reads the delta on its own domain. *)
-let engine_workload ~probe () =
-  let probe_events = ref 0 in
-  let engine = Ksurf.Engine.create ~seed:7 () in
-  if probe then Ksurf.Engine.add_probe engine (fun _ -> incr probe_events);
-  let lock = Ksurf.Lock.create ~engine ~name:"bench.engine" in
-  for _ = 1 to bench_procs do
-    Ksurf.Engine.spawn engine (fun () ->
-        for i = 1 to bench_steps do
-          if i mod 8 = 0 then Ksurf.Lock.with_hold lock 5.0
-          else Ksurf.Engine.delay 10.0
-        done)
-  done;
-  let w0 = Gc.minor_words () in
-  Ksurf.Engine.run engine;
-  let minor_words = Gc.minor_words () -. w0 in
-  let events =
-    if probe then !probe_events else Ksurf.Engine.events_executed engine
-  in
-  (events, minor_words)
-
-let run_engine_bench () =
-  let per_event words n = if n > 0 then words /. float_of_int n else 0.0 in
-  Gc.compact ();
-  let t0 = Ksurf.Clock.now_s () in
-  let n, minor_words = engine_workload ~probe:false () in
-  let seconds = Ksurf.Clock.elapsed_s ~since:t0 in
-  let events_per_sec =
-    if seconds > 0.0 then float_of_int n /. seconds else 0.0
-  in
-  let words_per_event = per_event minor_words n in
-  let probe_n, probe_words = engine_workload ~probe:true () in
-  let words_per_probe_event = per_event probe_words probe_n in
-  Format.printf
-    "@.Engine throughput (%d procs x %d steps, unobserved):@.  %d executed \
-     events in %.3fs (%.0f events/s), %.1f minor words/executed event@.  \
-     with a counting probe: %d probe events, %.1f minor words/probe event@."
-    bench_procs bench_steps n seconds events_per_sec words_per_event probe_n
-    words_per_probe_event;
-  (* Multi-domain rows: one independent engine per domain, unobserved,
-     under the pool's GC regime. *)
-  Ksurf.Pool.tune_minor_heap ();
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  (* Several engine-runs per domain: one run is ~10ms, and Domain.spawn
-     is a stop-the-world event of its own — without the repetition the
-     rows would measure spawn latency, not engine throughput. *)
-  let iters = 12 in
-  let repeated () =
-    let events = ref 0 and words = ref 0.0 in
-    for _ = 1 to iters do
-      let e, w = engine_workload ~probe:false () in
-      events := !events + e;
-      words := !words +. w
-    done;
-    (!events, !words)
-  in
-  Format.printf "Multi-domain engine throughput (weak scaling, unobserved):@.";
-  let md_rows =
-    List.map
-      (fun domains ->
-        Gc.compact ();
-        let t0 = Ksurf.Clock.now_s () in
-        let others =
-          List.init (domains - 1) (fun _ ->
-              Domain.spawn (fun () ->
-                  Ksurf.Pool.tune_minor_heap ();
-                  repeated ()))
-        in
-        let first = repeated () in
-        let results = first :: List.map Domain.join others in
-        let seconds = Ksurf.Clock.elapsed_s ~since:t0 in
-        let events = List.fold_left (fun a (e, _) -> a + e) 0 results in
-        let words = List.fold_left (fun a (_, w) -> a +. w) 0.0 results in
-        let eps =
-          if seconds > 0.0 then float_of_int events /. seconds else 0.0
-        in
-        let wpe = if events > 0 then words /. float_of_int events else 0.0 in
-        Format.printf
-          "  domains=%d  %8d events in %.3fs  (%.0f events/s aggregate, %.1f \
-           minor words/event)@."
-          domains events seconds eps wpe;
-        (domains, events, seconds, eps, wpe))
-      domain_counts
-  in
-  let json =
-    let md_json (domains, events, seconds, eps, wpe) =
-      Printf.sprintf
-        "    { \"domains\": %d, \"events\": %d, \"seconds\": %.6f, \
-         \"events_per_sec\": %.1f, \"minor_words_per_event\": %.3f }"
-        domains events seconds eps wpe
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"engine-core\",\n\
-      \  \"procs\": %d,\n\
-      \  \"steps_per_proc\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"events\": %d,\n\
-      \  \"seconds\": %.6f,\n\
-      \  \"events_per_sec\": %.1f,\n\
-      \  \"minor_words\": %.0f,\n\
-      \  \"minor_words_per_event\": %.3f,\n\
-      \  \"probe_events\": %d,\n\
-      \  \"minor_words_per_probe_event\": %.3f,\n\
-      \  \"multi_domain\": [\n%s\n  ]\n\
-       }\n"
-      bench_procs bench_steps
-      (Domain.recommended_domain_count ())
-      n seconds events_per_sec minor_words words_per_event probe_n
-      words_per_probe_event
-      (String.concat ",\n" (List.map md_json md_rows))
-  in
-  Ksurf.Fileio.write_atomic ~path:"BENCH_engine.json" (fun oc ->
-      output_string oc json);
-  Format.printf "  wrote BENCH_engine.json@."
-
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Format.printf "Microbenchmarks (Bechamel, OLS ns/run):@.@.";
-  let test = Test.make_grouped ~name:"ksurf" (micro_tests ()) in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some (estimate :: _) -> rows := (name, estimate) :: !rows
-      | Some [] | None -> rows := (name, nan) :: !rows)
-    results;
-  List.iter
-    (fun (name, estimate) ->
-      Format.printf "  %-40s %12.1f ns/run@." name estimate)
-    (List.sort compare !rows);
-  run_engine_bench ()
-
-(* ------------------------------------------------------------------ *)
-
-(* Selectors: every Experiments.tables name, plus the benches above and
-   "all" (every table); "quick"/"full" pick the scale.  Anything else —
-   a typo, a malformed number — exits 2 with the usage line. *)
-let selectors =
-  List.map (fun (t : E.table) -> t.E.name) E.tables
-  @ [ "micro"; "sweep"; "tenancy"; "all" ]
-
-(* One line on stderr, then exit 2. *)
+(* Anything but a selector, a scale or --gate-speedup — a typo, a
+   malformed number — prints one usage line on stderr and exits 2. *)
 let die fmt =
   Printf.ksprintf
     (fun m ->
       Printf.eprintf
-        "bench: %s (usage: main.exe [SELECTOR...] [quick|full] [--jobs N] \
-         [--gate-speedup X]; selectors: %s)\n"
-        m
-        (String.concat " " selectors);
+        "bench: %s (usage: main.exe [sweep|tenancy...] [quick|full] \
+         [--gate-speedup X])\n"
+        m;
       exit 2)
     fmt
 
-let number flag parse s =
-  match parse s with Some v -> v | None -> die "%s expects a number, got %S" flag s
-
 let () =
-  let jobs = ref None and gate_speedup = ref None in
-  let quick = ref false and selected = ref [] in
+  let gate_speedup = ref None and quick = ref false and selected = ref [] in
   let rec parse = function
     | [] -> ()
-    | ("--jobs" | "-j") :: n :: rest ->
-        jobs := Some (max 1 (number "--jobs" int_of_string_opt n));
-        parse rest
-    | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
-        parse ("--jobs" :: String.sub a 7 (String.length a - 7) :: rest)
     | "--gate-speedup" :: x :: rest ->
-        gate_speedup := Some (number "--gate-speedup" float_of_string_opt x);
+        (match float_of_string_opt x with
+        | Some v -> gate_speedup := Some v
+        | None -> die "--gate-speedup expects a number, got %S" x);
         parse rest
     | ("quick" | "full") as s :: rest ->
         if s = "quick" then quick := true;
         parse rest
-    | a :: rest when List.mem a selectors ->
+    | ("sweep" | "tenancy") as a :: rest ->
         selected := a :: !selected;
         parse rest
     | a :: _ -> die "unknown argument %S" a
   in
   parse (List.tl (Array.to_list Sys.argv));
   let scale = if !quick then E.Quick else E.Full in
-  let selected = !selected in
+  let wants name = !selected = [] || List.mem name !selected in
   let seed = 42 in
-  let wants name = selected = [] || List.mem name selected in
-  let wants_table (t : E.table) = wants t.E.name || List.mem "all" selected in
-  if List.exists wants_table E.tables then
-    Ksurf.Pool.with_pool ~jobs:(Ksurf.Pool.resolve_jobs ?cli:!jobs ()) (fun pool ->
-        let corpus =
-          Lazy.from_val
-            (timed "corpus generation" (fun () -> E.default_corpus ~seed scale))
-        in
-        List.iter
-          (fun (t : E.table) ->
-            if wants_table t then
-              timed t.E.name (fun () ->
-                  t.E.render ~seed ~scale ~corpus ~pool Format.std_formatter))
-          E.tables);
-  if List.mem "sweep" selected then
+  if wants "sweep" then
     timed "sweep" (fun () -> run_sweep ~seed ~scale ~gate_speedup:!gate_speedup);
-  if List.mem "tenancy" selected then
-    timed "tenancy" (fun () -> run_tenancy ~seed ~scale);
-  if wants "micro" then timed "micro" run_micro
+  if wants "tenancy" then timed "tenancy" (fun () -> run_tenancy ~seed ~scale)

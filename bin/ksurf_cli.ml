@@ -107,25 +107,8 @@ let finish_journal = function
         exit 3
       end
 
-(* Every journalled study has one shape: open the journal, sweep the
-   cells on the pool, print the table, optionally export it, then stamp
-   the journal's durability.  Returns the result for any study-specific
-   verdict. *)
-let run_study name ~jobs ~journal_path ~resume ?export ?export_dir ~pp run =
-  let journal = journal_of journal_path resume in
-  let t =
-    with_pool jobs (fun pool -> timed name (fun () -> run ~journal ~pool))
-  in
-  Format.printf "%a@." pp t;
-  (match (export, export_dir) with
-  | Some export, Some dir ->
-      List.iter (Format.printf "wrote %s@.") (export ~dir t)
-  | _ -> ());
-  finish_journal journal;
-  t
-
-let export_arg file =
-  let doc = Printf.sprintf "Write %s into $(docv) (study mode only)." file in
+let export_arg =
+  let doc = "Write the CSV export into $(docv) (created if missing)." in
   Arg.(value & opt (some string) None & info [ "export" ] ~docv:"DIR" ~doc)
 
 (* A comma-separated list flag over a closed set of names; an unknown
@@ -420,27 +403,6 @@ let inject_cmd =
     Term.(
       const inject $ seed_arg $ plan $ env_arg $ units $ intensity $ logs_term)
 
-(* --- specialize -------------------------------------------------------- *)
-
-(* kspec driver: the specialization study (stock shared native vs
-   per-tenant specialized kernels vs kvm-64 on the same fs-restricted
-   workload). *)
-let specialize seed scale export_dir journal_path resume jobs () =
-  ignore
-    (run_study "specialize" ~jobs ~journal_path ~resume
-       ~export:Ksurf.Export.specialize ?export_dir ~pp:E.Specialize.pp
-       (fun ~journal ~pool -> E.Specialize.run ~seed ~scale ?journal ~pool ()))
-
-let specialize_cmd =
-  Cmd.v
-    (Cmd.info "specialize"
-       ~doc:
-         "kspec study: per-tenant specialized kernels (multikernel) vs shared native vs kvm-64 \
-          on the same fs-restricted workload")
-    Term.(
-      const specialize $ seed_arg $ scale_arg $ export_arg "specialize.csv" $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
-
 (* --- staticcheck ------------------------------------------------------ *)
 
 (* kstat driver.  Everything is derived from the syscall table without
@@ -549,80 +511,70 @@ let staticcheck_cmd =
       const staticcheck $ seed_arg $ scale_arg $ table $ locks $ interference
       $ spec_workload $ csv_dir $ logs_term)
 
-(* --- experiments ------------------------------------------------------ *)
+(* --- studies ----------------------------------------------------------- *)
 
-let experiment_cmd name ~doc run =
-  let go seed scale jobs () =
-    with_pool jobs (fun pool -> timed name (fun () -> run ~seed ~scale ~pool))
+(* The one study runner, behind every entry's subcommand and [all].  The
+   export directory and the journal are set up before any cell runs, so
+   a bad path exits 3 with nothing rendered.  Then each entry runs in
+   order on one corpus and one pool, prints its rendering and writes
+   its CSV.  Exits 1 if any entry reports a failure. *)
+let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
+  Option.iter Ksurf.Fileio.ensure_dir export;
+  let journal = journal_of path resume in
+  let corpus = lazy (E.default_corpus ~seed scale) in
+  let failures =
+    with_pool jobs (fun pool ->
+        List.mapi
+          (fun i (s : E.study) ->
+            if i > 0 then Format.printf "@.";
+            let o =
+              timed s.E.name (fun () ->
+                  s.E.run ~seed ~scale ~corpus ~journal ~pool)
+            in
+            Format.printf "%t@." o.E.render;
+            (match (export, o.E.csv) with
+            | Some dir, Some csv ->
+                List.iter (Format.printf "wrote %s@.") (csv ~dir)
+            | _ -> ());
+            o.E.failures)
+          studies)
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ logs_term)
+  finish_journal journal;
+  if List.exists (fun n -> n > 0) failures then exit 1
 
-(* One subcommand per Experiments.tables entry that has no study
-   command of its own. *)
-let table_cmd (t : E.table) =
-  experiment_cmd t.E.name ~doc:t.E.doc (fun ~seed ~scale ~pool ->
-      t.E.render ~seed ~scale
-        ~corpus:(lazy (E.default_corpus ~seed scale))
-        ~pool Format.std_formatter)
-
-let all_cmd =
-  experiment_cmd "all" ~doc:"Run every experiment in sequence"
-    (fun ~seed ~scale ~pool ->
-      let corpus = lazy (E.default_corpus ~seed scale) in
-      List.iteri
-        (fun i (t : E.table) ->
-          if i > 0 then Format.printf "@.";
-          t.E.render ~seed ~scale ~corpus ~pool Format.std_formatter)
-        E.tables)
-
-let dose_cmd =
-  let go seed scale journal_path resume jobs () =
-    ignore
-      (run_study "dose" ~jobs ~journal_path ~resume ~pp:E.Dose.pp
-         (fun ~journal ~pool -> E.Dose.run ~seed ~scale ?journal ~pool ()))
+(* One subcommand per entry: --seed/--scale/--jobs, plus --export when
+   it writes a CSV and --journal/--resume when it journals.  [grid]
+   rebuilds the entry from its own flags. *)
+let study_cmd ?grid (s : E.study) =
+  let study = Option.value grid ~default:(Term.const s) in
+  let export = if s.E.exports then export_arg else Term.const None in
+  let journal =
+    if s.E.journals then Term.(const (fun p r -> (p, r)) $ journal_arg $ resume_arg)
+    else Term.const (None, false)
   in
-  Cmd.v
-    (Cmd.info "dose" ~doc:"Dose-response: fault-intensity sensitivity sweep")
+  let go s seed scale jobs export journal () =
+    run_studies [ s ] ~seed ~scale ~jobs ~export ~journal
+  in
+  Cmd.v (Cmd.info s.E.name ~doc:s.E.doc)
     Term.(
-      const go $ seed_arg $ scale_arg $ journal_arg $ resume_arg $ jobs_arg
+      const go $ study $ seed_arg $ scale_arg $ jobs_arg $ export $ journal
       $ logs_term)
 
-(* --- recover ----------------------------------------------------------- *)
-
-(* krecov driver: the recovery study (crash rate x policy on the
-   supervised 64-node BSP synthesis). *)
-let recover seed scale export_dir journal_path resume jobs () =
-  ignore
-    (run_study "recover" ~jobs ~journal_path ~resume
-       ~export:Ksurf.Export.recover ?export_dir ~pp:E.Recover.pp
-       (fun ~journal ~pool -> E.Recover.run ~seed ~scale ?journal ~pool ()))
-
-let recover_cmd =
+let all_cmd =
+  let go seed scale jobs export () =
+    run_studies E.studies ~seed ~scale ~jobs ~export ~journal:(None, false)
+  in
   Cmd.v
-    (Cmd.info "recover"
+    (Cmd.info "all"
        ~doc:
-         "krecov study: crash rate x recovery policy on the supervised \
-          64-node BSP synthesis")
-    Term.(
-      const recover $ seed_arg $ scale_arg $ export_arg "recover.csv"
-      $ journal_arg $ resume_arg $ jobs_arg $ logs_term)
+         "Run every table and study in order, writing every CSV under \
+          $(b,--export); exit nonzero if any reports a failure")
+    Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ export_arg $ logs_term)
 
-(* --- tenancy ----------------------------------------------------------- *)
-
-(* ktenant driver: sweep (policy x tenants x churn) fleet cells and
-   print the per-cell table plus the SLO frontier. *)
-let tenancy seed scale tenants churns policies export_dir journal_path resume
-    jobs () =
-  ignore
-    (run_study "tenancy" ~jobs ~journal_path ~resume
-       ~export:Ksurf.Export.tenancy ?export_dir ~pp:E.Tenancy.pp
-       (fun ~journal ~pool ->
-         E.Tenancy.run ~seed ~scale ?tenants:(list_opt tenants)
-           ?churns:(list_opt churns) ?policies:(list_opt policies) ?journal
-           ~pool ()))
-
-let tenancy_cmd =
+(* The grid flags of tenancy, drift and torture: each builds its entry
+   through the module's own constructor.  An unknown name is a parse
+   error (exit 2); an empty list means the entry's default. *)
+let tenancy_grid =
   let tenants =
     Arg.(
       value
@@ -646,30 +598,13 @@ let tenancy_cmd =
          $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all)."
       (List.map (fun p -> (Ksurf.Tenant_policy.name p, p)) Ksurf.Tenant_policy.all)
   in
-  Cmd.v
-    (Cmd.info "tenancy"
-       ~doc:
-         "ktenant study: fleet-scale multi-tenant serving under churn and \
-          diurnal load — placement policy x tenant count x churn rate, \
-          with per-tenant p99 SLO autoscaling")
-    Term.(
-      const tenancy $ seed_arg $ scale_arg $ tenants $ churns
-      $ policies $ export_arg "tenancy.csv" $ journal_arg $ resume_arg
-      $ jobs_arg $ logs_term)
+  Term.(
+    const (fun tenants churns policies ->
+        E.Tenancy.study ?tenants:(list_opt tenants) ?churns:(list_opt churns)
+          ?policies:(list_opt policies) ())
+    $ tenants $ churns $ policies)
 
-(* --- drift ------------------------------------------------------------- *)
-
-(* kadapt driver: sweep (policy x dose) driftbench cells and print the
-   dose-response table (false-positive ENOSYS vs retained surface area
-   vs time-to-reconverge). *)
-let drift seed scale doses policies export_dir journal_path resume jobs () =
-  ignore
-    (run_study "drift" ~jobs ~journal_path ~resume ~export:Ksurf.Export.drift
-       ?export_dir ~pp:E.Drift.pp (fun ~journal ~pool ->
-         E.Drift.run ~seed ~scale ?doses:(list_opt doses)
-           ?policies:(list_opt policies) ?journal ~pool ()))
-
-let drift_cmd =
+let drift_grid =
   let doses =
     Arg.(
       value
@@ -689,39 +624,12 @@ let drift_cmd =
            (fun p -> (Ksurf.Driftbench.policy_name p, p))
            Ksurf.Driftbench.all_policies)
   in
-  Cmd.v
-    (Cmd.info "drift"
-       ~doc:
-         "kadapt study: online adaptive specialization under workload drift \
-          — policy x dose, tabling false-positive ENOSYS rate vs retained \
-          surface area vs time-to-reconverge")
-    Term.(
-      const drift $ seed_arg $ scale_arg $ doses $ policies
-      $ export_arg "drift.csv" $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
+  Term.(
+    const (fun doses policies ->
+        E.Drift.study ?doses:(list_opt doses) ?policies:(list_opt policies) ())
+    $ doses $ policies)
 
-(* --- torture ------------------------------------------------------------ *)
-
-(* kdur driver: sweep (writer path x dose) torture cells — ALICE-style
-   crash-state enumeration plus live faulted runs with recovery — and
-   print the consistency table.  Exits 1 on any violation. *)
-let torture seed scale doses kinds export_dir journal_path resume jobs () =
-  let scratch =
-    E.Torture.default_scratch ^ "." ^ string_of_int (Unix.getpid ())
-  in
-  let t =
-    run_study "torture" ~jobs ~journal_path ~resume
-      ~export:Ksurf.Export.torture ?export_dir ~pp:E.Torture.pp
-      (fun ~journal ~pool ->
-        Fun.protect
-          ~finally:(fun () -> Ksurf.Crashsim.rm_tree scratch)
-          (fun () ->
-            E.Torture.run ~seed ~scale ?doses:(list_opt doses)
-              ?kinds:(list_opt kinds) ~scratch ?journal ~pool ()))
-  in
-  if E.Torture.violations t <> 0 then exit 1
-
-let torture_cmd =
+let torture_grid =
   let doses =
     Arg.(
       value
@@ -739,35 +647,24 @@ let torture_cmd =
          $(b,export) (default: all)."
       (List.map (fun k -> (Ksurf.Torture.kind_name k, k)) Ksurf.Torture.all_kinds)
   in
-  Cmd.v
-    (Cmd.info "torture"
-       ~doc:
-         "kdur study: host-I/O fault injection and crash-consistency \
-          torture — writer path x dose, enumerating every crash state and \
-          recovering every live faulted run")
-    Term.(
-      const torture $ seed_arg $ scale_arg $ doses $ kinds
-      $ export_arg "torture.csv" $ journal_arg $ resume_arg $ jobs_arg
-      $ logs_term)
+  Term.(
+    const (fun doses kinds ->
+        E.Torture.study ?doses:(list_opt doses) ?kinds:(list_opt kinds) ())
+    $ doses $ kinds)
 
 let main_cmd =
   let doc =
     "reproduce 'Reducing Kernel Surface Areas for Isolation and \
      Scalability' (ICPP'19) on a simulated multicore machine"
   in
-  let studies =
-    [ dose_cmd; specialize_cmd; recover_cmd; tenancy_cmd; drift_cmd; torture_cmd ]
-  in
-  let tables =
-    List.filter
-      (fun (t : E.table) ->
-        not (List.exists (fun c -> Cmd.name c = t.E.name) studies))
-      E.tables
+  let grids =
+    [ ("tenancy", tenancy_grid); ("drift", drift_grid); ("torture", torture_grid) ]
   in
   Cmd.group (Cmd.info "ksurf" ~version:"1.0.0" ~doc)
     ([ gen_corpus_cmd; run_corpus_cmd; analyze_cmd; inject_cmd; staticcheck_cmd ]
-    @ studies
-    @ List.map table_cmd tables
+    @ List.map
+        (fun (s : E.study) -> study_cmd ?grid:(List.assoc_opt s.E.name grids) s)
+        E.studies
     @ [ all_cmd ])
 
 (* Exit codes: 0 success, 1 the experiment found something (findings,

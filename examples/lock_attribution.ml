@@ -44,5 +44,5 @@ let () =
   (* Export the Table-2 comparison for external plotting. *)
   let table2 = E.Table2.run ~scale:E.Quick ~corpus () in
   let dir = Filename.get_temp_dir_name () in
-  let files = Export.table2 ~dir table2 in
+  let files = Experiments.Table2.csv ~dir table2 in
   Format.printf "@.CSV written: %s@." (String.concat ", " files)

@@ -12,6 +12,7 @@ module Apps = Ksurf_tailbench.Apps
 module Runner = Ksurf_tailbench.Runner
 module Cluster = Ksurf_cluster.Cluster
 module Report = Ksurf_report.Report
+module Csv = Ksurf_report.Csv
 
 type scale = Quick | Full
 
@@ -96,6 +97,70 @@ let run_varbench ?kernel_config ~seed ~scale ~corpus kind partition =
   let env = Env.deploy ~engine ?kernel_config kind partition in
   Harness.run ~env ~corpus ~params:(harness_params scale) ()
 
+(* --- CSV export: each driver's [csv ~dir t] writes its files into
+   [dir] under stable names ([table2.csv], [fig2.csv], ...) and returns
+   the paths written. *)
+
+let bucket_header = [ "le_1us"; "le_10us"; "le_100us"; "le_1ms"; "le_10ms"; "gt_10ms" ]
+
+let bucket_cells (r : Buckets.row) =
+  List.map (Printf.sprintf "%.4f")
+    [ r.Buckets.le_1us; r.Buckets.le_10us; r.Buckets.le_100us;
+      r.Buckets.le_1ms; r.Buckets.le_10ms; r.Buckets.gt_10ms ]
+
+(* Every export creates (and fsyncs) its target directory on first
+   use, so `--export fresh/dir` just works and the new entry survives
+   a crash. *)
+let path dir name =
+  Ksurf_util.Fileio.ensure_dir dir;
+  Filename.concat dir name
+
+let bucket_table ~dir ~file ~label_name rows =
+  let p = path dir file in
+  Csv.write ~path:p
+    ~header:([ label_name; "statistic" ] @ bucket_header)
+    ~rows:
+      (List.concat_map
+         (fun (label, stats) ->
+           List.map (fun (stat, row) -> [ label; stat ] @ bucket_cells row) stats)
+         rows);
+  [ p ]
+
+(* --- Studies: one entry per regenerable table, figure or study. *)
+
+type outcome = {
+  render : Format.formatter -> unit;
+  csv : (dir:string -> string list) option;
+  failures : int;
+}
+
+type study = {
+  name : string;
+  doc : string;
+  journals : bool;
+  exports : bool;
+  run :
+    seed:int ->
+    scale:scale ->
+    corpus:Corpus.t Lazy.t ->
+    journal:Ksurf_recov.Journal.t option ->
+    pool:Pool.t ->
+    outcome;
+}
+
+(* The one way to build an entry, so [exports] always says whether
+   [run]'s outcome carries a writer. *)
+let study ?(journals = false) ?csv ?(failures = fun _ -> 0) name doc pp run =
+  let run ~seed ~scale ~corpus ~journal ~pool =
+    let t = run ~seed ~scale ~corpus ~journal ~pool in
+    {
+      render = (fun ppf -> pp ppf t);
+      csv = Option.map (fun csv ~dir -> csv ~dir t) csv;
+      failures = failures t;
+    }
+  in
+  { name; doc; journals; exports = Option.is_some csv; run }
+
 (* ------------------------------------------------------------------ *)
 
 module Table1 = struct
@@ -178,6 +243,13 @@ module Table2 = struct
         t.rows
     in
     Report.table ~header:[ "environment"; "stat"; Buckets.header ] ~rows ppf
+
+  let csv ~dir t =
+    bucket_table ~dir ~file:"table2.csv" ~label_name:"environment"
+      (List.map
+         (fun (r : row) ->
+           (r.env, [ ("median", r.median); ("p99", r.p99); ("max", r.max) ]))
+         t.rows)
 end
 
 module Fig2 = struct
@@ -251,6 +323,34 @@ module Fig2 = struct
             (Violin.render_ascii (List.map snd violins))
         end)
       Category.all
+
+  let csv ~dir t =
+    let p = path dir "fig2.csv" in
+    let header =
+      [ "vms"; "category"; "sites"; "min"; "lo95"; "q1"; "median"; "q3"; "hi95"; "max" ]
+    in
+    let rows =
+      List.filter_map
+        (fun (c : cell) ->
+          Option.map
+            (fun (v : Violin.t) ->
+              [
+                string_of_int c.vms;
+                Category.to_string c.category;
+                string_of_int v.Violin.count;
+                Printf.sprintf "%.1f" v.Violin.min;
+                Printf.sprintf "%.1f" v.Violin.lo95;
+                Printf.sprintf "%.1f" v.Violin.q1;
+                Printf.sprintf "%.1f" v.Violin.median;
+                Printf.sprintf "%.1f" v.Violin.q3;
+                Printf.sprintf "%.1f" v.Violin.hi95;
+                Printf.sprintf "%.1f" v.Violin.max;
+              ])
+            c.violin)
+        t.cells
+    in
+    Csv.write ~path:p ~header ~rows;
+    [ p ]
 end
 
 module Table3 = struct
@@ -285,6 +385,12 @@ module Table3 = struct
         t.rows
     in
     Report.table ~header:[ "# ctnrs"; Buckets.header ] ~rows ppf
+
+  let csv ~dir t =
+    bucket_table ~dir ~file:"table3.csv" ~label_name:"containers"
+      (List.map
+         (fun (r : row) -> (string_of_int r.containers, [ ("max", r.max) ]))
+         t.rows)
 end
 
 module Fig3 = struct
@@ -355,6 +461,29 @@ module Fig3 = struct
       ~series:[ "kvm"; "docker" ]
       (List.map (fun a -> (a, [ increase a "kvm"; increase a "docker" ])) apps)
       ppf
+
+  let csv ~dir t =
+    let p = path dir "fig3.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "app"; "kind"; "contended"; "mean_ns"; "p95_ns"; "p99_ns"; "max_ns";
+          "degraded"; "survivors" ]
+      ~rows:
+        (List.map
+           (fun (r : Runner.result) ->
+             [
+               r.Runner.app_name;
+               r.Runner.kind;
+               string_of_bool r.Runner.contended;
+               Printf.sprintf "%.0f" r.Runner.mean;
+               Printf.sprintf "%.0f" r.Runner.p95;
+               Printf.sprintf "%.0f" r.Runner.p99;
+               Printf.sprintf "%.0f" r.Runner.max;
+               string_of_bool r.Runner.degraded;
+               string_of_int r.Runner.survivors;
+             ])
+           t.cells);
+    [ p ]
 end
 
 module Fig4 = struct
@@ -443,6 +572,27 @@ module Fig4 = struct
       ~series:[ "kvm"; "docker" ]
       (List.map (fun a -> (a, [ loss a "kvm"; loss a "docker" ])) apps)
       ppf
+
+  let csv ~dir t =
+    let p = path dir "fig4.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "app"; "kind"; "contended"; "runtime_ns"; "node_mean_iter_ns";
+          "node_p99_iter_ns"; "straggler_factor" ]
+      ~rows:
+        (List.map
+           (fun (r : Cluster.result) ->
+             [
+               r.Cluster.app_name;
+               r.Cluster.kind;
+               string_of_bool r.Cluster.contended;
+               Printf.sprintf "%.0f" r.Cluster.runtime_ns;
+               Printf.sprintf "%.0f" r.Cluster.node_mean_iter_ns;
+               Printf.sprintf "%.0f" r.Cluster.node_p99_iter_ns;
+               Printf.sprintf "%.4f" r.Cluster.straggler_factor;
+             ])
+           t.cells);
+    [ p ]
 end
 
 module Ablate = struct
@@ -494,6 +644,13 @@ module Ablate = struct
         t.rows
     in
     Report.table ~header:[ "variant"; "stat"; Buckets.header ] ~rows ppf
+
+  let csv ~dir t =
+    bucket_table ~dir ~file:"ablate.csv" ~label_name:"variant"
+      (List.map
+         (fun (r : row) ->
+           (r.variant, [ ("p99", r.p99); ("max", r.max) ]))
+         t.rows)
 end
 
 module Lwvm = struct
@@ -548,6 +705,13 @@ module Lwvm = struct
         t.rows
     in
     Report.table ~header:[ "environment"; "stat"; Buckets.header ] ~rows ppf
+
+  let csv ~dir t =
+    bucket_table ~dir ~file:"lwvm.csv" ~label_name:"environment"
+      (List.map
+         (fun (r : row) ->
+           (r.env, [ ("median", r.median); ("p99", r.p99); ("max", r.max) ]))
+         t.rows)
 end
 
 module Locks = struct
@@ -724,6 +888,22 @@ module Ablate_virt = struct
     Report.table
       ~header:[ "app"; "exit scale"; "kvm (s)"; "docker (s)"; "kvm advantage" ]
       ~rows ppf
+
+  let csv ~dir t =
+    let p = path dir "ablate_virt.csv" in
+    Csv.write ~path:p
+      ~header:[ "app"; "exit_scale"; "kvm_runtime_ns"; "docker_runtime_ns" ]
+      ~rows:
+        (List.map
+           (fun (r : row) ->
+             [
+               r.app;
+               Printf.sprintf "%.2f" r.exit_scale;
+               Printf.sprintf "%.0f" r.kvm_runtime_ns;
+               Printf.sprintf "%.0f" r.docker_runtime_ns;
+             ])
+           t.rows);
+    [ p ]
 end
 
 module Dose = struct
@@ -878,6 +1058,28 @@ module Dose = struct
           "injections"; "retries"; "degraded";
         ]
       ~rows ppf
+
+  let csv ~dir t =
+    let p = path dir "dose.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "environment"; "intensity"; "p99_ns"; "cov"; "injections"; "retries";
+          "degraded"; "survivors" ]
+      ~rows:
+        (List.map
+           (fun (c : cell) ->
+             [
+               c.env;
+               Printf.sprintf "%.2f" c.intensity;
+               Printf.sprintf "%.0f" c.p99;
+               Printf.sprintf "%.4f" c.cov;
+               string_of_int c.injections;
+               string_of_int c.retries;
+               string_of_bool c.degraded;
+               string_of_int c.survivors;
+             ])
+           t.cells);
+    [ p ]
 end
 
 module Specialize = struct
@@ -1015,6 +1217,33 @@ module Specialize = struct
           "site p99/p50"; "denials"; "surface";
         ]
       ~rows ppf
+
+  let csv ~dir t =
+    let p = path dir "specialize.csv" in
+    Csv.write ~path:p
+      ~header:
+        ([ "environment"; "p50_ns"; "p99_ns"; "tail_ratio"; "denials";
+           "surface_area"; "statistic" ]
+        @ bucket_header)
+      ~rows:
+        (List.concat_map
+           (fun (r : row) ->
+             let base =
+               [
+                 r.env;
+                 Printf.sprintf "%.0f" r.p50;
+                 Printf.sprintf "%.0f" r.p99;
+                 Printf.sprintf "%.4f" r.tail_ratio;
+                 string_of_int r.denials;
+                 Printf.sprintf "%.4f" r.surface_area;
+               ]
+             in
+             [
+               (base @ [ "p99" ]) @ bucket_cells r.p99_bucket;
+               (base @ [ "max" ]) @ bucket_cells r.max_bucket;
+             ])
+           t.rows);
+    [ p ]
 end
 
 module Recover = struct
@@ -1179,6 +1408,44 @@ module Recover = struct
           "ckpts";
         ]
       ~rows ppf
+
+  let csv ~dir t =
+    let p = path dir "recover.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "policy"; "crash_rate"; "runtime_ns"; "vs_crash_free";
+          "straggler_factor"; "supersteps"; "survivors"; "degraded"; "crashes";
+          "restarts"; "backups"; "deaths"; "transitions"; "checkpoints" ]
+      ~rows:
+        (List.map
+           (fun (c : cell) ->
+             let rel =
+               match
+                 cell t ~policy:c.policy ~crash_rate:0.0
+               with
+               | Some base when base.runtime_ns > 0.0 ->
+                   Printf.sprintf "%.4f"
+                     (c.runtime_ns /. base.runtime_ns)
+               | _ -> ""
+             in
+             [
+               c.policy;
+               Printf.sprintf "%.4f" c.crash_rate;
+               Printf.sprintf "%.0f" c.runtime_ns;
+               rel;
+               Printf.sprintf "%.4f" c.straggler_factor;
+               string_of_int c.supersteps;
+               string_of_int c.survivors;
+               string_of_bool c.degraded;
+               string_of_int c.crashes;
+               string_of_int c.restarts;
+               string_of_int c.backups;
+               string_of_int c.deaths;
+               string_of_int c.transitions;
+               string_of_int c.checkpoints;
+             ])
+           t.cells);
+    [ p ]
 end
 
 module Tenancy = struct
@@ -1335,6 +1602,64 @@ module Tenancy = struct
               (c.Fleet.p99 /. 1e3)
         | None -> Format.fprintf ppf "  %-13s  no cell attains the floor@." p)
       (frontier t)
+
+  let csv ~dir t =
+    let p = path dir "tenancy.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "policy"; "tenants"; "churn_per_day"; "completed"; "mean_ns";
+          "p50_ns"; "p95_ns"; "p99_ns"; "max_ns"; "slo_ns"; "measured";
+          "slo_met"; "attainment"; "epoch_violations"; "arrivals";
+          "departures"; "cgroup_creates"; "cgroup_destroys"; "migrations";
+          "scale_ups"; "scale_downs"; "replica_imbalance"; "peak_cgroups";
+          "final_native";
+          "final_docker"; "final_kvm"; "final_mk" ]
+      ~rows:
+        (List.map
+           (fun (c : cell) ->
+             let module F = Ksurf_tenant.Fleet in
+             [
+               c.F.policy;
+               string_of_int c.F.tenants;
+               Printf.sprintf "%.2f" c.F.churn_per_day;
+               string_of_int c.F.completed;
+               Printf.sprintf "%.0f" c.F.mean;
+               Printf.sprintf "%.0f" c.F.p50;
+               Printf.sprintf "%.0f" c.F.p95;
+               Printf.sprintf "%.0f" c.F.p99;
+               Printf.sprintf "%.0f" c.F.max;
+               Printf.sprintf "%.0f" c.F.slo_ns;
+               string_of_int c.F.measured;
+               string_of_int c.F.slo_met;
+               Printf.sprintf "%.4f" c.F.attainment;
+               string_of_int c.F.epoch_violations;
+               string_of_int c.F.arrivals;
+               string_of_int c.F.departures;
+               string_of_int c.F.cgroup_creates;
+               string_of_int c.F.cgroup_destroys;
+               string_of_int c.F.migrations;
+               string_of_int c.F.scale_ups;
+               string_of_int c.F.scale_downs;
+               string_of_int c.F.replica_imbalance;
+               string_of_int c.F.peak_cgroups;
+               string_of_int c.F.final_native;
+               string_of_int c.F.final_docker;
+               string_of_int c.F.final_kvm;
+               string_of_int c.F.final_mk;
+             ])
+           t.cells);
+    [ p ]
+
+  (* The tenancy entry over a chosen grid; [studies] holds the default
+     one and [ksurf_cli tenancy]'s grid flags build the others. *)
+  let study ?tenants ?churns ?policies () =
+    study ~journals:true ~csv "tenancy"
+      "ktenant study: fleet-scale multi-tenant serving under churn and \
+       diurnal load — placement policy x tenant count x churn rate, with \
+       per-tenant p99 SLO autoscaling"
+      pp
+      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
+        run ~seed ~scale ?tenants ?churns ?policies ?journal ~pool ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1446,6 +1771,59 @@ module Drift = struct
                else 0.0)
         | _ -> ())
       doses
+
+  let csv ~dir t =
+    let p = path dir "drift.csv" in
+    let opt_ns = function
+      | None -> ""
+      | Some ns -> Printf.sprintf "%.0f" ns
+    in
+    Csv.write ~path:p
+      ~header:
+        [ "policy"; "dose"; "ranks"; "epochs"; "calls"; "denied";
+          "calls_post_drift"; "denied_post_drift"; "fp_rate"; "p99_ns";
+          "surface"; "surface_full"; "reduction"; "drift_at_ns";
+          "reconverge_ns"; "promotions"; "demotions"; "respecializations";
+          "swaps"; "drifts"; "mean_denial_rate"; "p95_divergence" ]
+      ~rows:
+        (List.map
+           (fun (c : cell) ->
+             let module D = Ksurf_adapt.Driftbench in
+             [
+               c.D.policy;
+               Printf.sprintf "%.2f" c.D.dose;
+               string_of_int c.D.ranks;
+               string_of_int c.D.epochs;
+               string_of_int c.D.calls;
+               string_of_int c.D.denied;
+               string_of_int c.D.calls_post_drift;
+               string_of_int c.D.denied_post_drift;
+               Printf.sprintf "%.6f" c.D.fp_rate;
+               Printf.sprintf "%.0f" c.D.p99_ns;
+               Printf.sprintf "%.4f" c.D.surface;
+               Printf.sprintf "%.4f" c.D.surface_full;
+               Printf.sprintf "%.4f" c.D.reduction;
+               opt_ns c.D.drift_at_ns;
+               opt_ns c.D.reconverge_ns;
+               string_of_int c.D.promotions;
+               string_of_int c.D.demotions;
+               string_of_int c.D.respecializations;
+               string_of_int c.D.swaps;
+               string_of_int c.D.drifts;
+               Printf.sprintf "%.6f" c.D.mean_denial_rate;
+               Printf.sprintf "%.6f" c.D.p95_divergence;
+             ])
+           t.cells);
+    [ p ]
+
+  let study ?doses ?policies () =
+    study ~journals:true ~csv "drift"
+      "kadapt study: online adaptive specialization under workload drift — \
+       policy x dose, tabling false-positive ENOSYS rate vs retained \
+       surface area vs time-to-reconverge"
+      pp
+      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
+        run ~seed ~scale ?doses ?policies ?journal ~pool ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1494,11 +1872,6 @@ module Torture = struct
     in
     { cells }
 
-  let cell t ~kind ~dose =
-    List.find_opt
-      (fun (c : cell) -> c.T.kind = kind && c.T.dose = dose)
-      t.cells
-
   let violations t =
     List.fold_left (fun acc c -> acc + T.violations c) 0 t.cells
 
@@ -1541,65 +1914,112 @@ module Torture = struct
       "@.%d consistency violations across %d cells (0 = every invariant \
        held at every crash point)@."
       (violations t) (List.length t.cells)
+
+  let csv ~dir t =
+    let p = path dir "torture.csv" in
+    Csv.write ~path:p
+      ~header:
+        [ "path"; "dose"; "trace_ops"; "crash_points"; "crash_states";
+          "enum_violations"; "torn_refused"; "live_runs"; "live_ok";
+          "recovery_ok"; "crashes"; "transients"; "enospc"; "eio";
+          "torn_writes"; "fsync_dropped"; "deferred_persists"; "cells_lost";
+          "double_runs"; "litter"; "litter_after" ]
+      ~rows:
+        (List.map
+           (fun (c : cell) ->
+             let module T = Ksurf_dur.Torture in
+             [
+               c.T.kind;
+               Printf.sprintf "%.2f" c.T.dose;
+               string_of_int c.T.trace_ops;
+               string_of_int c.T.crash_points;
+               string_of_int c.T.crash_states;
+               string_of_int c.T.enum_violations;
+               string_of_int c.T.torn_refused;
+               string_of_int c.T.live_runs;
+               string_of_int c.T.live_ok;
+               Printf.sprintf "%.4f" c.T.recovery_ok;
+               string_of_int c.T.crashes;
+               string_of_int c.T.transients;
+               string_of_int c.T.enospc;
+               string_of_int c.T.eio;
+               string_of_int c.T.torn_writes;
+               string_of_int c.T.fsync_dropped;
+               string_of_int c.T.deferred_persists;
+               string_of_int c.T.cells_lost;
+               string_of_int c.T.double_runs;
+               string_of_int c.T.litter;
+               string_of_int c.T.litter_after;
+             ])
+           t.cells);
+    [ p ]
+
+  (* Each run tortures its writers in a per-pid scratch directory, so
+     concurrent runs never share crash states, and removes it after. *)
+  let study ?doses ?kinds () =
+    study ~journals:true ~csv ~failures:violations "torture"
+      "kdur study: host-I/O fault injection and crash-consistency torture \
+       — writer path x dose, enumerating every crash state and recovering \
+       every live faulted run"
+      pp
+      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
+        let scratch = default_scratch ^ "." ^ string_of_int (Unix.getpid ()) in
+        Fun.protect
+          ~finally:(fun () -> Ksurf_dur.Crashsim.rm_tree scratch)
+          (fun () -> run ~seed ~scale ?doses ?kinds ~scratch ?journal ~pool ()))
 end
 
-type table = {
-  name : string;
-  doc : string;
-  render :
-    seed:int ->
-    scale:scale ->
-    corpus:Corpus.t Lazy.t ->
-    pool:Pool.t ->
-    Format.formatter ->
-    unit;
-}
-
-let tables =
-  let table name doc pp run =
-    let render ~seed ~scale ~corpus ~pool ppf =
-      Format.fprintf ppf "%a@." pp (run ~seed ~scale ~corpus ~pool)
-    in
-    { name; doc; render }
-  in
+let studies =
   let ( !! ) = Lazy.force in
+  (* A table replays the shared corpus and keeps no journal. *)
+  let table ?csv name doc pp run =
+    study ?csv name doc pp (fun ~seed ~scale ~corpus ~journal:_ ~pool ->
+        run ~seed ~scale ~corpus:!!corpus ~pool)
+  in
   [
-    table "table1" "Print the VM configuration sweep (Table 1)" Table1.pp
-      (fun ~seed:_ ~scale:_ ~corpus:_ ~pool:_ -> Table1.run ());
-    table "table2" "Syscall latency breakdown (Table 2)" Table2.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Table2.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "fig2" "Per-subsystem p99 vs VM count (Figure 2)" Fig2.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Fig2.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "table3" "Container worst-case breakdown (Table 3)" Table3.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Table3.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Fig3.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Fig4.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "ablate" "E7: variability-mechanism knockouts" Ablate.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Ablate.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "ablate-virt" "E8: exit-cost sensitivity sweep" Ablate_virt.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Ablate_virt.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "lwvm" "E9: lightweight-VM technology comparison" Lwvm.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Lwvm.run ~seed ~scale ~corpus:!!corpus ~pool ());
+    study "table1" "Print the VM configuration sweep (Table 1)" Table1.pp
+      (fun ~seed:_ ~scale:_ ~corpus:_ ~journal:_ ~pool:_ -> Table1.run ());
+    table ~csv:Table2.csv "table2" "Syscall latency breakdown (Table 2)"
+      Table2.pp (fun ~seed ~scale ~corpus ~pool ->
+        Table2.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Fig2.csv "fig2" "Per-subsystem p99 vs VM count (Figure 2)"
+      Fig2.pp (fun ~seed ~scale ~corpus ~pool ->
+        Fig2.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Table3.csv "table3" "Container worst-case breakdown (Table 3)"
+      Table3.pp (fun ~seed ~scale ~corpus ~pool ->
+        Table3.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Fig3.csv "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
+      (fun ~seed ~scale ~corpus ~pool -> Fig3.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Fig4.csv "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
+      (fun ~seed ~scale ~corpus ~pool -> Fig4.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Ablate.csv "ablate" "E7: variability-mechanism knockouts"
+      Ablate.pp (fun ~seed ~scale ~corpus ~pool ->
+        Ablate.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Ablate_virt.csv "ablate-virt" "E8: exit-cost sensitivity sweep"
+      Ablate_virt.pp (fun ~seed ~scale ~corpus ~pool ->
+        Ablate_virt.run ~seed ~scale ~corpus ~pool ());
+    table ~csv:Lwvm.csv "lwvm" "E9: lightweight-VM technology comparison"
+      Lwvm.pp (fun ~seed ~scale ~corpus ~pool ->
+        Lwvm.run ~seed ~scale ~corpus ~pool ());
     table "locks" "E10: per-lock contention attribution" Locks.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Locks.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "dose" "Dose-response: fault-intensity sensitivity sweep" Dose.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Dose.run ~seed ~scale ~corpus:!!corpus ~pool ());
-    table "specialize"
+      (fun ~seed ~scale ~corpus ~pool -> Locks.run ~seed ~scale ~corpus ~pool ());
+    study ~journals:true ~csv:Dose.csv "dose"
+      "Dose-response: fault-intensity sensitivity sweep" Dose.pp
+      (fun ~seed ~scale ~corpus ~journal ~pool ->
+        Dose.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+    study ~journals:true ~csv:Specialize.csv "specialize"
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
       Specialize.pp
-      (fun ~seed ~scale ~corpus ~pool ->
-        Specialize.run ~seed ~scale ~corpus:!!corpus ~pool ());
+      (fun ~seed ~scale ~corpus ~journal ~pool ->
+        Specialize.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+    study ~journals:true ~csv:Recover.csv "recover"
+      "krecov study: crash rate x recovery policy on the supervised 64-node \
+       BSP synthesis"
+      Recover.pp
+      (fun ~seed ~scale ~corpus ~journal ~pool ->
+        Recover.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+    Tenancy.study ();
+    Drift.study ();
+    Torture.study ();
   ]

@@ -19,6 +19,34 @@ val scale_of_string : string -> scale option
 val default_corpus : ?seed:int -> scale -> Ksurf_syzgen.Corpus.t
 (** The syzgen corpus used by every experiment at this scale. *)
 
+(** What one run of a study hands back. *)
+type outcome = {
+  render : Format.formatter -> unit;  (** the paper-style rendering *)
+  csv : (dir:string -> string list) option;
+      (** writes the result's CSV files into [dir] (created if missing)
+          and returns their paths; [None] for table1 and locks *)
+  failures : int;  (** FAIL count: torture's violations, 0 elsewhere *)
+}
+
+(** One regenerable table, figure or study: a [ksurf_cli] subcommand
+    and an entry of [ksurf_cli all]. *)
+type study = {
+  name : string;  (** the subcommand *)
+  doc : string;
+  journals : bool;  (** [run] skips and records journalled cells *)
+  exports : bool;  (** [run]'s outcome carries a CSV writer *)
+  run :
+    seed:int ->
+    scale:scale ->
+    corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
+    journal:Ksurf_recov.Journal.t option ->
+    pool:Ksurf_par.Pool.t ->
+    outcome;
+      (** [corpus] is forced only by entries that replay it, so callers
+          share one lazily generated {!default_corpus}; [journal] is
+          ignored unless [journals]. *)
+}
+
 (** Table 1: the VM configurations of the surface-area study. *)
 module Table1 : sig
   type t = (int * Ksurf_env.Partition.t) list
@@ -47,6 +75,9 @@ module Table2 : sig
     ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
 
   val pp : Format.formatter -> t -> unit
+
+  val csv : dir:string -> t -> string list
+  (** [table2.csv]: one row per (environment, statistic). *)
 end
 
 (** Figure 2: per-category p99 violins across the Table 1 VM sweep. *)
@@ -100,6 +131,9 @@ module Fig3 : sig
 
   val pp : Format.formatter -> t -> unit
   (** Renders (a) isolated p99s, (b) contended p99s, (c) %% increase. *)
+
+  val csv : dir:string -> t -> string list
+  (** [fig3.csv]: one row per (app, kind, contended) cell. *)
 end
 
 (** Figure 4: 64-node BSP runtimes. *)
@@ -221,15 +255,14 @@ module Dose : sig
 
   type t = { plan_name : string; cells : cell list }
 
-  val default_intensities : float list
-  (** [0; 0.5; 1; 2] — zero dose is the per-environment baseline. *)
-
   val run :
     ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
     ?plan:Ksurf_fault.Plan.t -> ?intensities:float list ->
     ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-  (** One varbench run per (environment x intensity) cell; [plan]
-      defaults to the ["mixed"] preset (every mechanism, no crashes).
+  (** One varbench run per (environment x intensity) cell, at
+      intensities 0, 0.5, 1 and 2 by default (zero dose is each
+      environment's baseline); [plan] defaults to the ["mixed"] preset
+      (every mechanism, no crashes).
       With [journal], cells already recorded (keys
       [dose:<env>:<intensity>]) are skipped and omitted from the result;
       each completed cell is journalled as it completes (persisted in
@@ -241,6 +274,10 @@ module Dose : sig
   (** [(intensity, p99 / baseline p99)] pairs for one environment. *)
 
   val pp : Format.formatter -> t -> unit
+
+  val csv : dir:string -> t -> string list
+  (** [dose.csv]: one row per (environment, intensity) cell, stamped
+      with the degraded flag and survivor count. *)
 end
 
 (** Specialization study (kspec): can a profile-derived kernel recover
@@ -329,27 +366,22 @@ module Recover : sig
     cells : cell list;
   }
 
-  val default_rates : float list
-  (** [0; 0.005; 0.01; 0.02] — zero is each policy's baseline. *)
-
-  val policies : Ksurf_recov.Supervisor.policy list
-  (** Survivors, Readmit, Speculative ([Disabled] wedges by design and
-      is exercised by the watchdog tests instead). *)
-
   val run :
     ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
     ?app:Ksurf_tailbench.Apps.t -> ?rates:float list ->
     ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-  (** [app] defaults to silo on isolated kvm-64.  With [journal], cells
-      already recorded (keys [recover:<policy>:<rate>]) are skipped and
-      omitted from the result. *)
+  (** Sweeps the Survivors, Readmit and Speculative policies ([Disabled]
+      wedges by design; the watchdog tests cover it) across crash rates
+      0, 0.005, 0.01 and 0.02 by default (zero is each policy's
+      baseline); [app] defaults to silo on isolated kvm-64.  With
+      [journal], cells already recorded (keys
+      [recover:<policy>:<rate>]) are skipped and omitted from the
+      result. *)
 
   val cell : t -> policy:string -> crash_rate:float -> cell option
 
   val overhead : t -> policy:string -> (float * float) list
   (** [(crash_rate, runtime / crash-free runtime)] for one policy. *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Fleet tenancy study (ktenant): hundreds of churning tenants on
@@ -362,24 +394,14 @@ module Tenancy : sig
 
   type t = { slo_ns : float; cells : cell list }
 
-  val default_policies : Ksurf_tenant.Policy.t list
-  (** All five: native-shared, docker, kvm, multikernel, adaptive. *)
-
-  val default_tenants : scale -> int list
-  val default_churns : scale -> float list
-
-  val fleet_config :
-    seed:int -> scale:scale -> policy:Ksurf_tenant.Policy.t ->
-    tenants:int -> churn:float -> Ksurf_tenant.Fleet.config
-  (** The per-cell fleet shape: [scale] only sets the virtual day
-      length (cheap quick days, full-length full days). *)
-
   val run :
     ?seed:int -> ?scale:scale -> ?tenants:int list -> ?churns:float list ->
     ?policies:Ksurf_tenant.Policy.t list -> ?journal:Ksurf_recov.Journal.t ->
     ?pool:Ksurf_par.Pool.t -> unit -> t
   (** One fleet simulation per (policy x tenants x churn) cell through
-      the kpar sweep.  With [journal], cells already recorded (keys
+      the kpar sweep; [scale] sets the default tenant counts and churn
+      rates and each cell's virtual day length, and [policies] default
+      to all five.  With [journal], cells already recorded (keys
       [tenancy:<policy>:<tenants>:<churn>]) are skipped and omitted
       from the result. *)
 
@@ -397,7 +419,15 @@ module Tenancy : sig
       verdict and are excluded — their reported attainment of 0 is
       no-data, not a failing policy. *)
 
-  val pp : Format.formatter -> t -> unit
+  val csv : dir:string -> t -> string list
+  (** [tenancy.csv]: one row per (policy, tenants, churn) fleet cell:
+      latency summary, SLO attainment, churn-storm and autoscaling
+      counters, and the final placement-class census. *)
+
+  val study :
+    ?tenants:int list -> ?churns:float list ->
+    ?policies:Ksurf_tenant.Policy.t list -> unit -> study
+  (** The [tenancy] entry over this grid (defaults as in {!run}). *)
 end
 
 module Drift : sig
@@ -405,25 +435,14 @@ module Drift : sig
 
   type t = { cells : cell list }
 
-  val default_doses : float list
-  (** [0; 1; 2; 3] — dose 0 is the no-drift control. *)
-
-  val default_policies : Ksurf_adapt.Driftbench.policy list
-  (** static-enforce, audit-only, adaptive. *)
-
-  val cell_config :
-    seed:int -> scale:scale -> policy:Ksurf_adapt.Driftbench.policy ->
-    dose:float -> Ksurf_adapt.Driftbench.config
-  (** The per-cell harness shape: [scale] sets epochs and programs per
-      epoch (the question — fp ENOSYS vs retained surface vs
-      reconvergence — is the same at both). *)
-
   val run :
     ?seed:int -> ?scale:scale -> ?doses:float list ->
     ?policies:Ksurf_adapt.Driftbench.policy list ->
     ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
   (** One {!Ksurf_adapt.Driftbench} run per (policy x dose) cell through
-      the kpar sweep.  With [journal], cells already recorded (keys
+      the kpar sweep: doses default to 0 (the no-drift control), 1, 2
+      and 3, policies to all three, and [scale] sets epochs and programs
+      per epoch.  With [journal], cells already recorded (keys
       [drift:<policy>:<dose>]) are skipped and omitted from the
       result. *)
 
@@ -432,7 +451,15 @@ module Drift : sig
 
   val cell : t -> policy:string -> dose:float -> cell option
 
-  val pp : Format.formatter -> t -> unit
+  val csv : dir:string -> t -> string list
+  (** [drift.csv]: one row per (policy, dose) cell: false-positive
+      ENOSYS rate, retained surface area, reconvergence time, and the
+      promotion / demotion / swap / drift counters. *)
+
+  val study :
+    ?doses:float list -> ?policies:Ksurf_adapt.Driftbench.policy list ->
+    unit -> study
+  (** The [drift] entry over this grid (defaults as in {!run}). *)
 end
 
 module Torture : sig
@@ -440,59 +467,37 @@ module Torture : sig
 
   type t = { cells : cell list }
 
-  val default_doses : float list
-  (** [0; 1; 2; 3] — dose 0 is the fault-free control. *)
-
-  val default_kinds : Ksurf_dur.Torture.kind list
-  (** journal, checkpoint, export — every durable writer path. *)
-
-  val default_scratch : string
-  (** [$TMPDIR/ksurf-torture]; pass a private [scratch] when several
-      torture processes may run concurrently. *)
-
-  val cell_config :
-    seed:int -> scale:scale -> scratch:string ->
-    kind:Ksurf_dur.Torture.kind -> dose:float -> Ksurf_dur.Torture.config
-  (** The per-cell harness shape: [scale] sets the live-run budget
-      (enumeration covers every crash point at either scale). *)
-
   val run :
     ?seed:int -> ?scale:scale -> ?doses:float list ->
     ?kinds:Ksurf_dur.Torture.kind list -> ?scratch:string ->
     ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
   (** One {!Ksurf_dur.Torture} cell per (kind x dose) through the kpar
-      sweep.  With [journal], cells already recorded (keys
-      [torture:<kind>:<dose>]) are skipped and omitted from the
-      result. *)
-
-  val cell_key : Ksurf_dur.Torture.kind * float -> string
-  (** Journal key for one sweep cell: [torture:<kind>:<dose>]. *)
-
-  val cell : t -> kind:string -> dose:float -> cell option
+      sweep: doses default to 0 (the fault-free control), 1, 2 and 3,
+      kinds to every durable writer path, and [scale] sets the live-run
+      budget.  [scratch] defaults to [$TMPDIR/ksurf-torture]; pass a
+      private one when several torture runs may share a host.  With
+      [journal], cells already recorded (keys [torture:<kind>:<dose>])
+      are skipped and omitted from the result. *)
 
   val violations : t -> int
   (** Total consistency violations across all cells; 0 required. *)
 
-  val pp : Format.formatter -> t -> unit
+  val csv : dir:string -> t -> string list
+  (** [torture.csv]: one row per (writer path, dose) cell: crash-state
+      enumeration counts and violations, torn-state refusals, live
+      recovery rate, and the injected-fault / deferred-persist / litter
+      counters. *)
+
+  val study :
+    ?doses:float list -> ?kinds:Ksurf_dur.Torture.kind list -> unit -> study
+  (** The [torture] entry over this grid (defaults as in {!run}).  Each
+      run works in a private per-process scratch directory and removes
+      it afterwards; its FAIL count is {!violations}. *)
 end
 
-(** One regenerable table or figure.  [render] runs the driver and
-    prints its rendering followed by a newline; [corpus] is forced only
-    by drivers that replay it, so callers share one lazily generated
-    {!default_corpus} across entries. *)
-type table = {
-  name : string;  (** the [ksurf_cli] subcommand and bench selector *)
-  doc : string;
-  render :
-    seed:int ->
-    scale:scale ->
-    corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
-    pool:Ksurf_par.Pool.t ->
-    Format.formatter ->
-    unit;
-}
-
-val tables : table list
-(** Every table, in regeneration order: table1, table2, fig2, table3,
-    fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize.
-    [ksurf_cli all] and [bench/main.exe] iterate this list. *)
+val studies : study list
+(** Every entry, in regeneration order: table1, table2, fig2, table3,
+    fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize,
+    recover, tenancy, drift, torture.  The last six journal.  Each is a
+    [ksurf_cli] subcommand, and [ksurf_cli all] runs them in this
+    order. *)

@@ -542,7 +542,7 @@ module Torture = struct
     String.concat "\x00"
       (List.map
          (fun p -> In_channel.with_open_bin p In_channel.input_all)
-         (Export.torture ~dir t))
+         (T.csv ~dir t))
 
   let run ~seed ~on_engine =
     let root = Filename.temp_dir "ksurf-torture-gate" "" in

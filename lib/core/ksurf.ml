@@ -30,7 +30,9 @@
       single-node and 64-node experiments
     - {!Adapt}, {!Driftbench} — online adaptive specialization: audit,
       promote, detect drift, re-specialize live (see [ksurf_cli drift])
-    - {!Experiments} — drivers that regenerate every table and figure
+    - {!Experiments} — drivers that regenerate every table, figure and
+      study, each with its CSV writer, and the [studies] list behind
+      [ksurf_cli all]
     - {!Report} — terminal rendering *)
 
 module Prng = Ksurf_util.Prng
@@ -130,4 +132,3 @@ module Interference = Ksurf_static.Interference
 module Staticcheck = Ksurf_static.Staticcheck
 module Experiments = Experiments
 module Gates = Gates
-module Export = Export

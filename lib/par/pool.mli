@@ -35,9 +35,8 @@ val tune_minor_heap : unit -> unit
     OCaml 5 minor collections are a stop-the-world rendezvous of every
     domain, and the setting does not propagate to spawned domains —
     {!create} calls this for the submitting domain and each worker
-    calls it for itself.  Exposed so benchmark harnesses measuring raw
-    multi-domain engine throughput (outside any pool) run under the
-    same GC regime as a sweep. *)
+    calls it for itself.  Exposed so a benchmark that measures outside
+    any pool runs under the same GC regime as a sweep. *)
 
 val resolve_jobs : ?cli:int -> unit -> int
 (** The worker-count precedence rule shared by [ksurf_cli] and

@@ -337,7 +337,7 @@ let run ?journal ?pool () =
     ?pool ()
 
 let export_bytes t dir =
-  match Ksurf.Export.drift ~dir t with
+  match Ksurf.Experiments.Drift.csv ~dir t with
   | [ p ] -> read_file p
   | ps -> Alcotest.failf "expected one exported file, got %d" (List.length ps)
 

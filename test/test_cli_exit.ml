@@ -9,15 +9,31 @@ let exe dir name = Filename.concat (Filename.concat ".." dir) name
 let cli = exe "bin" "ksurf_cli.exe"
 let bench = exe "bench" "main.exe"
 
-let run ?(prog = cli) args =
-  let null = " >/dev/null 2>/dev/null" in
-  (* Other suites in this process putenv KSURF_JOBS to junk on purpose;
-     children would inherit it and die in cmdliner's env parsing. *)
-  Sys.command
-    ("unset KSURF_JOBS; exec " ^ Filename.quote prog ^ " " ^ args ^ null)
+(* Exit code and stdout of one spawn (stderr is discarded). *)
+let run_out ?(prog = cli) args =
+  let out = Filename.temp_file "ksurf-cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      (* Other suites in this process putenv KSURF_JOBS to junk on
+         purpose; children would inherit it and die in cmdliner's env
+         parsing. *)
+      let code =
+        Sys.command
+          ("unset KSURF_JOBS; exec " ^ Filename.quote prog ^ " " ^ args ^ " >"
+         ^ Filename.quote out ^ " 2>/dev/null")
+      in
+      (code, In_channel.with_open_bin out In_channel.input_all))
 
 let check_exit ?prog name expected args =
-  Alcotest.(check int) name expected (run ?prog args)
+  Alcotest.(check int) name expected (fst (run_out ?prog args))
+
+(* A bad --export path fails before any cell runs: exit 3, nothing
+   rendered. *)
+let check_early_io_failure name args =
+  let code, out = run_out args in
+  Alcotest.(check int) name 3 code;
+  Alcotest.(check string) (name ^ " renders nothing") "" out
 
 let test_io_failure_exits_3 () =
   List.iter
@@ -30,10 +46,16 @@ let test_io_failure_exits_3 () =
       ("recover --journal", "recover --journal /dev/null/x/sweep.journal");
       ("tenancy --journal", "tenancy --journal /dev/null/x/sweep.journal");
       ("drift --journal", "drift --journal /dev/null/x/sweep.journal");
-      ( "torture --export",
-        "torture --dose 0 --path export --export /dev/null/x" );
       ( "specialize --journal",
         "specialize --journal /dev/null/x/sweep.journal" );
+    ];
+  List.iter
+    (fun (name, args) -> check_early_io_failure name args)
+    [
+      ( "torture --export",
+        "torture --dose 0 --path export --export /dev/null/x" );
+      ("fig4 --export", "fig4 --scale full --export /dev/null/x");
+      ("all --export", "all --export /dev/null/x");
     ]
 
 let test_bad_args_exit_2 () =
@@ -62,26 +84,64 @@ let test_success_exits_0 () =
   check_exit "table1 takes the shared flags" 0
     "table1 --seed 7 --scale quick --jobs 1"
 
-(* Every Experiments.tables entry is a subcommand, in the documented
-   order, each name once. *)
-let test_tables_are_subcommands () =
-  let names = List.map (fun (t : Ksurf.Experiments.table) -> t.name) Ksurf.Experiments.tables in
+(* The subcommands other than the Experiments.studies entries. *)
+let tools = [ "all"; "analyze"; "gen-corpus"; "inject"; "run-corpus"; "staticcheck" ]
+
+(* The subcommands listed by --help. *)
+let subcommands () =
+  let _, help = run_out "--help=plain" in
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | name :: opts :: _
+        when String.starts_with ~prefix:"       " line
+             && String.starts_with ~prefix:"[OPTION]" opts ->
+          Some name
+      | _ -> None)
+    (String.split_on_char '\n' help)
+
+(* Every Experiments.studies entry is a subcommand, in the documented
+   order, each name once; --export exists exactly where the entry
+   writes a CSV, and --journal exactly where it journals. *)
+let test_studies_are_subcommands () =
+  let studies = Ksurf.Experiments.studies in
+  let names = List.map (fun (s : Ksurf.Experiments.study) -> s.name) studies in
   Alcotest.(check (list string)) "registry order"
     [
       "table1"; "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate";
-      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize";
+      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize"; "recover";
+      "tenancy"; "drift"; "torture";
     ]
     names;
-  Alcotest.(check int) "unique" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  List.iter (fun n -> check_exit (n ^ " --help") 0 (n ^ " --help=plain")) names
+  Alcotest.(check (list string)) "subcommands"
+    (List.sort compare (tools @ names))
+    (List.sort compare (subcommands ()));
+  List.iter
+    (fun (s : Ksurf.Experiments.study) ->
+      let n = s.name in
+      check_exit (n ^ " --help") 0 (n ^ " --help=plain");
+      check_exit (n ^ " --export") (if s.exports then 3 else 2)
+        (n ^ " --export /dev/null/x");
+      check_exit (n ^ " --journal") (if s.journals then 3 else 2)
+        (n ^ " --journal /dev/null/x/sweep.journal"))
+    studies;
+  Alcotest.(check (list string)) "writers"
+    [
+      "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate"; "ablate-virt";
+      "lwvm"; "dose"; "specialize"; "recover"; "tenancy"; "drift"; "torture";
+    ]
+    (List.filter_map
+       (fun (s : Ksurf.Experiments.study) ->
+         if s.exports then Some s.name else None)
+       studies)
 
 let test_bench_bad_args_exit_2 () =
   List.iter
     (fun (name, args) -> check_exit ~prog:bench name 2 args)
     [
       ("unknown selector", "tabel2");
-      ("bad --jobs", "--jobs x table1");
+      ("removed table selector", "table2");
+      ("bad --jobs", "--jobs x sweep");
       ("bad --gate-speedup", "sweep quick --gate-speedup x");
     ]
 
@@ -92,7 +152,7 @@ let suite =
     Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
     Alcotest.test_case "tables are subcommands" `Quick
-      test_tables_are_subcommands;
+      test_studies_are_subcommands;
     Alcotest.test_case "bench bad arguments exit 2" `Quick
       test_bench_bad_args_exit_2;
   ]

@@ -52,7 +52,7 @@ let test_export_table2 () =
   with_temp_dir (fun dir ->
       let corpus = E.default_corpus E.Quick in
       let t = E.Table2.run ~scale:E.Quick ~corpus () in
-      match Export.table2 ~dir t with
+      match E.Table2.csv ~dir t with
       | [ path ] ->
           (* 3 environments x 3 statistics + header. *)
           Alcotest.(check int) "rows" 10 (line_count path)
@@ -63,7 +63,7 @@ let test_export_fig3 () =
       let corpus = E.default_corpus E.Quick in
       let apps = List.filter_map Apps.by_name [ "silo" ] in
       let t = E.Fig3.run ~scale:E.Quick ~corpus ~apps () in
-      match Export.fig3 ~dir t with
+      match E.Fig3.csv ~dir t with
       | [ path ] -> Alcotest.(check int) "4 cells + header" 5 (line_count path)
       | _ -> Alcotest.fail "expected one file")
 
@@ -87,7 +87,7 @@ let test_export_dose () =
             ];
         }
       in
-      match Export.dose ~dir t with
+      match E.Dose.csv ~dir t with
       | [ path ] ->
           Alcotest.(check int) "1 cell + header" 2 (line_count path);
           (* The degraded stamp and survivor count must reach the CSV. *)

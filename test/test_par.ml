@@ -170,45 +170,28 @@ let test_map_racing_shutdown () =
 
 (* --- Determinism under parallelism --------------------------------- *)
 
-let dose_seq = lazy (E.Dose.run ~seed:11 ~scale:E.Quick ())
-
-let test_dose_deterministic () =
-  let seq = Lazy.force dose_seq in
-  let par =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        E.Dose.run ~seed:11 ~scale:E.Quick ~pool ())
+(* Every journalled entry renders the same text and writes the same
+   CSV bytes on a 1-job pool (no worker domains) and a 4-domain pool. *)
+let test_journalled_jobs_agnostic () =
+  let corpus = lazy (E.default_corpus ~seed:11 E.Quick) in
+  let outcome jobs (s : E.study) =
+    Pool.with_pool ~jobs (fun pool ->
+        s.E.run ~seed:11 ~scale:E.Quick ~corpus ~journal:None ~pool)
   in
-  let render t = Format.asprintf "%a" E.Dose.pp t in
-  Alcotest.(check int)
-    "pretty table hash"
-    (Stable_hash.string (render seq))
-    (Stable_hash.string (render par));
-  with_temp_dir (fun d1 ->
-      with_temp_dir (fun d2 ->
-          match (Export.dose ~dir:d1 seq, Export.dose ~dir:d2 par) with
-          | [ p1 ], [ p2 ] ->
-              Alcotest.(check string)
-                "csv bytes" (read_file p1) (read_file p2)
-          | _ -> Alcotest.fail "expected one file each"))
-
-let test_specialize_deterministic () =
-  let seq = E.Specialize.run ~seed:11 ~scale:E.Quick () in
-  let par =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        E.Specialize.run ~seed:11 ~scale:E.Quick ~pool ())
+  let render (o : E.outcome) = Format.asprintf "%t" o.E.render in
+  let csv (o : E.outcome) =
+    match o.E.csv with
+    | Some write -> with_temp_dir (fun dir -> List.map read_file (write ~dir))
+    | None -> Alcotest.fail "journalled entry without a CSV writer"
   in
-  let render t = Format.asprintf "%a" E.Specialize.pp t in
-  Alcotest.(check int)
-    "pretty table hash"
-    (Stable_hash.string (render seq))
-    (Stable_hash.string (render par));
-  with_temp_dir (fun d1 ->
-      with_temp_dir (fun d2 ->
-          match (Export.specialize ~dir:d1 seq, Export.specialize ~dir:d2 par) with
-          | [ p1 ], [ p2 ] ->
-              Alcotest.(check string)
-                "csv bytes" (read_file p1) (read_file p2)
-          | _ -> Alcotest.fail "expected one file each"))
+  List.iter
+    (fun (s : E.study) ->
+      if s.E.journals then begin
+        let seq = outcome 1 s and par = outcome 4 s in
+        Alcotest.(check string) (s.E.name ^ " rendering") (render seq) (render par);
+        Alcotest.(check (list string)) (s.E.name ^ " csv bytes") (csv seq) (csv par)
+      end)
+    E.studies
 
 (* --- The journal as single writer under parallel cells -------------- *)
 
@@ -267,7 +250,7 @@ let test_dose_resume_equivalence () =
   (* Resuming from a journal that already has some cells recomputes
      exactly the missing cells, with values identical to an
      uninterrupted run. *)
-  let full = Lazy.force dose_seq in
+  let full = E.Dose.run ~seed:11 ~scale:E.Quick () in
   let keys =
     List.map
       (fun (c : E.Dose.cell) -> Printf.sprintf "dose:%s:%.2f" c.env c.intensity)
@@ -360,9 +343,8 @@ let suite =
       test_skewed_runtime_identity;
     Alcotest.test_case "many small batches" `Quick test_many_small_batches;
     Alcotest.test_case "map racing shutdown" `Quick test_map_racing_shutdown;
-    Alcotest.test_case "dose jobs 1 = jobs 4" `Slow test_dose_deterministic;
-    Alcotest.test_case "specialize jobs 1 = jobs 4" `Slow
-      test_specialize_deterministic;
+    Alcotest.test_case "journalled studies jobs 1 = jobs 4" `Slow
+      test_journalled_jobs_agnostic;
     Alcotest.test_case "journal single writer" `Quick
       test_journal_parallel_single_writer;
     Alcotest.test_case "journal kill mid-sweep" `Quick

@@ -31,7 +31,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let export_bytes t dir =
-  match Ksurf.Export.tenancy ~dir t with
+  match Ksurf.Experiments.Tenancy.csv ~dir t with
   | [ p ] -> read_file p
   | ps -> Alcotest.failf "expected one exported file, got %d" (List.length ps)
 
