@@ -35,22 +35,9 @@ let timed name f =
    equality is the unconditional hard claim either way. *)
 let anti_scaling_floor = 0.75
 
-(* The gate branches on the host's core count, which makes the
-   full-floor branch untestable on small machines; KSURF_BENCH_ASSUME_CORES
-   pretends the host has N cores so both branches (and the fail path)
-   can be driven anywhere.  Test hook only — it changes which floor is
-   enforced, never the measured numbers. *)
-let assumed_cores () =
-  match Sys.getenv_opt "KSURF_BENCH_ASSUME_CORES" with
-  | Some s when (match int_of_string_opt (String.trim s) with
-                | Some n -> n > 0
-                | None -> false) ->
-      int_of_string (String.trim s)
-  | Some _ | None -> Domain.recommended_domain_count ()
-
 let run_sweep ~seed ~scale ~gate_speedup =
-  let cores = assumed_cores () in
-  let corpus = E.default_corpus ~seed scale in
+  let cores = Domain.recommended_domain_count () in
+  let corpus = Lazy.from_val (E.default_corpus ~seed scale) in
   let job_counts = [ 1; 2; 4; 8 ] in
   (* Best of two timed runs per job count.  Host interference (another
      process stealing the core mid-run) only ever slows a run down, so
@@ -65,7 +52,7 @@ let run_sweep ~seed ~scale ~gate_speedup =
         Ksurf.Pool.with_pool ~jobs (fun pool ->
             let timed_run () =
               let t0 = Ksurf.Clock.now_s () in
-              let t = E.Dose.run ~seed ~scale ~corpus ~pool () in
+              let t = E.Dose.run (E.context ~seed ~corpus ~pool scale) in
               let seconds = Ksurf.Clock.elapsed_s ~since:t0 in
               let cells = List.length t.E.Dose.cells in
               let hash =

@@ -436,7 +436,7 @@ let staticcheck seed scale table locks interference spec_workload csv_dir () =
         match w with
         | "full" -> ("full", Ksurf.Category.all, E.default_corpus ~seed E.Quick)
         | "fs" ->
-            ("fs", E.Specialize.retained, E.Specialize.workload ~seed ~scale ())
+            ("fs", E.Specialize.retained, E.Specialize.workload (E.context ~seed scale))
         | other ->
             Format.eprintf "unknown workload %S (expected full or fs)@." other;
             exit 2
@@ -521,16 +521,13 @@ let staticcheck_cmd =
 let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
   Option.iter Ksurf.Fileio.ensure_dir export;
   let journal = journal_of path resume in
-  let corpus = lazy (E.default_corpus ~seed scale) in
   let failures =
     with_pool jobs (fun pool ->
+        let ctx = E.context ~seed ?journal ~pool scale in
         List.mapi
           (fun i (s : E.study) ->
             if i > 0 then Format.printf "@.";
-            let o =
-              timed s.E.name (fun () ->
-                  s.E.run ~seed ~scale ~corpus ~journal ~pool)
-            in
+            let o = timed s.E.name (fun () -> s.E.run ctx) in
             Format.printf "%t@." o.E.render;
             (match (export, o.E.csv) with
             | Some dir, Some csv ->

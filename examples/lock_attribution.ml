@@ -12,8 +12,8 @@ open Ksurf
 module E = Experiments
 
 let () =
-  let corpus = E.default_corpus E.Quick in
-  let locks = E.Locks.run ~scale:E.Quick ~corpus () in
+  let ctx = E.context E.Quick in
+  let locks = E.Locks.run ctx in
   Format.printf "%a@." E.Locks.pp locks;
 
   (* The headline comparison: the most contended lock natively, and the
@@ -42,7 +42,7 @@ let () =
   | None -> ());
 
   (* Export the Table-2 comparison for external plotting. *)
-  let table2 = E.Table2.run ~scale:E.Quick ~corpus () in
+  let table2 = E.Breakdown.run E.Breakdown.table2 ctx in
   let dir = Filename.get_temp_dir_name () in
-  let files = Experiments.Table2.csv ~dir table2 in
+  let files = E.Breakdown.csv ~dir table2 in
   Format.printf "@.CSV written: %s@." (String.concat ", " files)

@@ -8,7 +8,6 @@ module Quantile = Ksurf_stats.Quantile
 module Noise = Ksurf_varbench.Noise
 module Apps = Ksurf_tailbench.Apps
 module Service = Ksurf_tailbench.Service
-module Supervisor = Ksurf_recov.Supervisor
 
 type config = {
   nodes_total : int;
@@ -50,12 +49,9 @@ type result = {
   node_p99_iter_ns : float;
   straggler_factor : float;
   iteration_samples : int;
-  policy : string;
   degraded : bool;
-  survivors : int;
   crashes : int;
   restarts : int;
-  backups : int;
   samples_dropped : int;
 }
 
@@ -197,24 +193,6 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
     node_dropped = !dropped;
   }
 
-(* Each node simulation is self-contained (own engine, own PRNG stream
-   derived from [seed + node * 7919]), so the replica pool can fan nodes
-   across domains; [Pool.map] returns results in node order, keeping the
-   pooled durations bit-identical to the sequential run.  Callers that
-   attach non-thread-safe observers ([on_engine]/[on_env], e.g. the
-   sanitizers' probes) must not pass [par]. *)
-let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
-    ~on_env =
-  let cell node =
-    simulate_node ~app ~kind ~contended ~config ~noise_corpus
-      ~node_seed:(config.seed + (node * 7919))
-      ~on_engine ~on_env
-  in
-  let nodes = List.init config.nodes_simulated Fun.id in
-  match par with
-  | Some pool -> Ksurf_par.Pool.map ~pool cell nodes
-  | None -> List.map cell nodes
-
 let default_noise_corpus ~contended noise_corpus =
   match noise_corpus with
   | Some c -> c
@@ -232,6 +210,26 @@ let default_noise_corpus ~contended noise_corpus =
            ())
           .Ksurf_syzgen.Generator.corpus
 
+(* Each node simulation is self-contained (own engine, own PRNG stream
+   derived from [seed + node * 7919]), so the replica pool can fan nodes
+   across domains; [Pool.map] returns results in node order, keeping the
+   pooled durations bit-identical to the sequential run.  Callers that
+   attach non-thread-safe observers ([on_engine]/[on_env], e.g. the
+   sanitizers' probes) must not pass [par]. *)
+let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
+    ~on_env =
+  if config.nodes_simulated < 1 then invalid_arg "Cluster: need >= 1 node";
+  let noise_corpus = default_noise_corpus ~contended noise_corpus in
+  let cell node =
+    simulate_node ~app ~kind ~contended ~config ~noise_corpus
+      ~node_seed:(config.seed + (node * 7919))
+      ~on_engine ~on_env
+  in
+  let nodes = List.init config.nodes_simulated Fun.id in
+  match par with
+  | Some pool -> Ksurf_par.Pool.map ~pool cell nodes
+  | None -> List.map cell nodes
+
 let barrier_cost_for ~kind ~nodes_total =
   let per_party =
     match kind with
@@ -241,31 +239,27 @@ let barrier_cost_for ~kind ~nodes_total =
   per_party
   *. Float.ceil (Float.log (float_of_int nodes_total) /. Float.log 2.0)
 
+let durations nodes = Array.concat (List.map (fun n -> n.durations) nodes)
+
 (* The empirical iteration pool alone — for callers (the recovery study)
    that sweep many supervised syntheses over one set of simulated
    nodes. *)
 let pool ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     ?(on_engine = fun (_ : Engine.t) -> ())
     ?(on_env = fun (_ : Env.t) -> ()) ?par () =
-  if config.nodes_simulated < 1 then invalid_arg "Cluster.pool: need >= 1 node";
-  let noise_corpus = default_noise_corpus ~contended noise_corpus in
+  durations
+    (simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
+       ~on_env)
+
+let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
+    ?(on_engine = fun (_ : Engine.t) -> ())
+    ?(on_env = fun (_ : Env.t) -> ()) ?par () =
   let nodes =
     simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
       ~on_env
   in
-  Array.concat (List.map (fun n -> n.durations) nodes)
-
-let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
-    ?(on_engine = fun (_ : Engine.t) -> ())
-    ?(on_env = fun (_ : Env.t) -> ()) ?recovery ?plan ?resume_from ?par () =
-  if config.nodes_simulated < 1 then invalid_arg "Cluster.run: need >= 1 node";
-  let noise_corpus = default_noise_corpus ~contended noise_corpus in
-  let nodes = simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus
-      ~on_engine ~on_env in
-  let pool = Array.concat (List.map (fun n -> n.durations) nodes) in
+  let pool = durations nodes in
   let sum f = List.fold_left (fun acc n -> acc + f n) 0 nodes in
-  let node_crashes = sum (fun n -> n.node_crashes) in
-  let node_restarts = sum (fun n -> n.node_restarts) in
   let samples_dropped = sum (fun n -> n.node_dropped) in
   if Array.length pool = 0 then failwith "Cluster.run: no iteration samples";
   (* Synthesise the BSP runtime: nodes are independent given the
@@ -287,62 +281,20 @@ let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
       let k = float_of_int (i + 1) in
       expected_max := !expected_max +. (x *. (power (k /. n) -. power ((k -. 1.0) /. n))))
     sorted;
-  let runtime_ns =
-    float_of_int config.iterations *. (!expected_max +. barrier_cost)
-  in
-  match recovery with
-  | None ->
-      {
-        app_name = app.Apps.name;
-        kind = Env.kind_name kind;
-        contended;
-        runtime_ns;
-        node_mean_iter_ns = mean pool;
-        node_p99_iter_ns = Quantile.p99 pool;
-        straggler_factor = !expected_max /. mean pool;
-        iteration_samples = Array.length pool;
-        policy = "none";
-        degraded = samples_dropped > 0;
-        survivors = config.nodes_total;
-        crashes = node_crashes;
-        restarts = node_restarts;
-        backups = 0;
-        samples_dropped;
-      }
-  | Some rconfig ->
-      (* Supervised mode: replace the closed-form order statistic with
-         the superstep-by-superstep supervisor over the same pool.  The
-         cluster geometry wins over whatever the recovery config says
-         about it, so one [config] describes the experiment. *)
-      let rconfig =
-        {
-          rconfig with
-          Supervisor.nodes = config.nodes_total;
-          iterations = config.iterations;
-          barrier_cost_ns = barrier_cost;
-          seed = config.seed;
-        }
-      in
-      let outcome =
-        Supervisor.run ~pool ~config:rconfig ?plan ?resume_from ~on_engine ()
-      in
-      {
-        app_name = app.Apps.name;
-        kind = Env.kind_name kind;
-        contended;
-        runtime_ns = outcome.Supervisor.runtime_ns;
-        node_mean_iter_ns = mean pool;
-        node_p99_iter_ns = Quantile.p99 pool;
-        straggler_factor = outcome.Supervisor.straggler_factor;
-        iteration_samples = Array.length pool;
-        policy = outcome.Supervisor.policy;
-        degraded = outcome.Supervisor.degraded || samples_dropped > 0;
-        survivors = outcome.Supervisor.survivors;
-        crashes = node_crashes + outcome.Supervisor.crashes;
-        restarts = node_restarts + outcome.Supervisor.restarts;
-        backups = outcome.Supervisor.backups;
-        samples_dropped;
-      }
+  {
+    app_name = app.Apps.name;
+    kind = Env.kind_name kind;
+    contended;
+    runtime_ns = float_of_int config.iterations *. (!expected_max +. barrier_cost);
+    node_mean_iter_ns = mean pool;
+    node_p99_iter_ns = Quantile.p99 pool;
+    straggler_factor = !expected_max /. mean pool;
+    iteration_samples = Array.length pool;
+    degraded = samples_dropped > 0;
+    crashes = sum (fun n -> n.node_crashes);
+    restarts = sum (fun n -> n.node_restarts);
+    samples_dropped;
+  }
 
 let relative_loss ~isolated ~contended =
   100.0 *. (contended.runtime_ns -. isolated.runtime_ns) /. isolated.runtime_ns

@@ -46,12 +46,9 @@ type result = {
   straggler_factor : float;
       (** mean(max over nodes) / mean(single node): BSP amplification *)
   iteration_samples : int;
-  policy : string;  (** recovery policy, ["none"] unsupervised *)
-  degraded : bool;  (** membership shrank or samples were dropped *)
-  survivors : int;  (** live ranks at the end of the run *)
-  crashes : int;  (** node-simulation + supervised-run crashes *)
+  degraded : bool;  (** samples were dropped *)
+  crashes : int;  (** worker-rank crashes during the node simulations *)
   restarts : int;
-  backups : int;  (** speculative executions launched *)
   samples_dropped : int;
       (** iteration samples discarded because a permanent rank crash
           left them timed with fewer serving cores *)
@@ -89,9 +86,6 @@ val run :
   ?noise_corpus:Ksurf_syzgen.Corpus.t ->
   ?on_engine:(Ksurf_sim.Engine.t -> unit) ->
   ?on_env:(Ksurf_env.Env.t -> unit) ->
-  ?recovery:Ksurf_recov.Supervisor.config ->
-  ?plan:Ksurf_fault.Plan.t ->
-  ?resume_from:string ->
   ?par:Ksurf_par.Pool.t ->
   unit ->
   result
@@ -100,15 +94,10 @@ val run :
     the hook sanitizers use to attach probes.  [on_env] is called on
     each node deployment so fault plans can be armed; a [Rank_crash]
     with no restart drops the node's post-crash samples (see
-    [samples_dropped]) instead of polluting the pool.
-
-    With [recovery], the closed-form order statistic is replaced by the
-    elastic-membership supervisor ({!Ksurf_recov.Supervisor}): [plan]
-    feeds its rank crashes in, [resume_from] restarts from a checkpoint,
-    and the geometry fields of the recovery config (nodes, iterations,
-    barrier cost, seed) are taken from [config].  Deterministic for a
-    given seed either way; [par] parallelises the node simulations
-    (see {!pool}). *)
+    [samples_dropped]) instead of polluting the pool.  Deterministic
+    for a given seed; [par] parallelises the node simulations (see
+    {!pool}).  Supervised recovery runs {!Ksurf_recov.Supervisor.run}
+    over {!pool} instead. *)
 
 val relative_loss : isolated:result -> contended:result -> float
 (** Figure 4(c): percent runtime increase from isolated to contended. *)

@@ -13,6 +13,8 @@ module Runner = Ksurf_tailbench.Runner
 module Cluster = Ksurf_cluster.Cluster
 module Report = Ksurf_report.Report
 module Csv = Ksurf_report.Csv
+module Journal = Ksurf_recov.Journal
+module Pool = Ksurf_par.Pool
 
 type scale = Quick | Full
 
@@ -35,67 +37,67 @@ let harness_params = function
 
 let kvm_kind = Env.Kvm Ksurf_virt.Virt_config.default
 
-module Pool = Ksurf_par.Pool
+type context = {
+  seed : int;
+  scale : scale;
+  corpus : Corpus.t Lazy.t;
+  journal : Journal.t option;
+  pool : Pool.t option;
+}
 
-(* Resumable sweeps: a cell whose key is already journalled is skipped
-   (omitted from the result); a freshly computed cell is journalled the
-   moment it completes.  The journal batches persists internally, so a
-   crash mid-sweep loses at most a handful of cells — recomputed on
-   resume. *)
-let journal_done journal key =
-  match journal with
-  | Some j -> Ksurf_recov.Journal.mem j key
-  | None -> false
-
-let journal_record journal key =
-  match journal with
-  | Some j -> Ksurf_recov.Journal.record j key
-  | None -> ()
-
-let journal_flush journal =
-  match journal with
-  | Some j -> Ksurf_recov.Journal.flush j
-  | None -> ()
+let context ?(seed = 42) ?corpus ?journal ?pool scale =
+  let corpus =
+    match corpus with Some c -> c | None -> lazy (default_corpus ~seed scale)
+  in
+  { seed; scale; corpus; journal; pool }
 
 (* The shared sweep skeleton every study runs on: a list of
    self-contained cells, one function from cell to result, and an
-   ordered merge.  With [pool], cells fan out across domains;
+   ordered merge.  With a pool, cells fan out across domains;
    [Pool.map] hands results back in canonical input order, so every
    downstream rendering (tables, CSV exports, stable hashes) is
    bit-identical to the sequential run — cells never share mutable
    state (each builds its own engine and PRNG stream from the seed).
+   A driver forces the context's corpus before it fans out: a lazy
+   value must not be forced from two domains at once.
 
-   Journalling composes: already-journalled cells are filtered out
-   before the fan-out, each remaining cell is recorded the moment it
-   completes (the journal is the mutex-guarded single writer, so
-   parallel completions serialise there), and the journal is flushed
-   when the sweep ends. *)
+   [run] adds resumability: a cell whose key is already journalled is
+   skipped (omitted from the result), each remaining cell is recorded
+   the moment it completes (the journal is the mutex-guarded single
+   writer, so parallel completions serialise there), and the journal
+   is flushed when the sweep ends.  The journal batches persists, so a
+   crash mid-sweep loses at most a handful of cells — recomputed on
+   resume. *)
 module Sweep = struct
-  let map ?pool f cells =
-    match pool with
+  let map ctx f cells =
+    match ctx.pool with
     | Some pool -> Pool.map ~pool f cells
     | None -> List.map f cells
 
-  let run ?pool ?journal ~key f cells =
-    let todo = List.filter (fun c -> not (journal_done journal (key c))) cells in
-    let results =
-      Fun.protect
-        ~finally:(fun () -> journal_flush journal)
-        (fun () ->
-          map ?pool
-            (fun c ->
-              let r = f c in
-              journal_record journal (key c);
-              r)
-            todo)
-    in
-    results
+  let run ctx ~key f cells =
+    match ctx.journal with
+    | None -> map ctx f cells
+    | Some j ->
+        Fun.protect
+          ~finally:(fun () -> Journal.flush j)
+          (fun () ->
+            map ctx
+              (fun c ->
+                let r = f c in
+                Journal.record j (key c);
+                r)
+              (List.filter (fun c -> not (Journal.mem j (key c))) cells))
 end
 
-let run_varbench ?kernel_config ~seed ~scale ~corpus kind partition =
-  let engine = Engine.create ~seed () in
-  let env = Env.deploy ~engine ?kernel_config kind partition in
-  Harness.run ~env ~corpus ~params:(harness_params scale) ()
+(* One varbench cell: a fresh engine seeded from the context, a Table 1
+   deployment of [units] isolation units, and the corpus replayed at
+   the context's scale. *)
+let deploy ?kernel_config ctx kind units =
+  let engine = Engine.create ~seed:ctx.seed () in
+  Env.deploy ~engine ?kernel_config kind (Partition.table1 units)
+
+let varbench ctx ~corpus env =
+  Harness.run ~env ~corpus ~params:(harness_params ctx.scale) ()
 
 (* --- CSV export: each driver's [csv ~dir t] writes its files into
    [dir] under stable names ([table2.csv], [fig2.csv], ...) and returns
@@ -111,19 +113,10 @@ let bucket_cells (r : Buckets.row) =
 (* Every export creates (and fsyncs) its target directory on first
    use, so `--export fresh/dir` just works and the new entry survives
    a crash. *)
-let path dir name =
+let write_csv ~dir file ~header ~rows =
   Ksurf_util.Fileio.ensure_dir dir;
-  Filename.concat dir name
-
-let bucket_table ~dir ~file ~label_name rows =
-  let p = path dir file in
-  Csv.write ~path:p
-    ~header:([ label_name; "statistic" ] @ bucket_header)
-    ~rows:
-      (List.concat_map
-         (fun (label, stats) ->
-           List.map (fun (stat, row) -> [ label; stat ] @ bucket_cells row) stats)
-         rows);
+  let p = Filename.concat dir file in
+  Csv.write ~path:p ~header ~rows;
   [ p ]
 
 (* --- Studies: one entry per regenerable table, figure or study. *)
@@ -139,20 +132,14 @@ type study = {
   doc : string;
   journals : bool;
   exports : bool;
-  run :
-    seed:int ->
-    scale:scale ->
-    corpus:Corpus.t Lazy.t ->
-    journal:Ksurf_recov.Journal.t option ->
-    pool:Pool.t ->
-    outcome;
+  run : context -> outcome;
 }
 
 (* The one way to build an entry, so [exports] always says whether
    [run]'s outcome carries a writer. *)
 let study ?(journals = false) ?csv ?(failures = fun _ -> 0) name doc pp run =
-  let run ~seed ~scale ~corpus ~journal ~pool =
-    let t = run ~seed ~scale ~corpus ~journal ~pool in
+  let run ctx =
+    let t = run ctx in
     {
       render = (fun ppf -> pp ppf t);
       csv = Option.map (fun csv ~dir -> csv ~dir t) csv;
@@ -166,7 +153,8 @@ let study ?(journals = false) ?csv ?(failures = fun _ -> 0) name doc pp run =
 module Table1 = struct
   type t = (int * Partition.t) list
 
-  let run () = List.map (fun n -> (n, Partition.table1 n)) Partition.table1_rows
+  let run (_ : context) =
+    List.map (fun n -> (n, Partition.table1 n)) Partition.table1_rows
 
   let pp ppf t =
     let rows =
@@ -185,71 +173,160 @@ module Table1 = struct
     Report.table ~header:[ "# VMs"; "Cores/VM"; "GB RAM/VM" ] ~rows ppf
 end
 
-module Table2 = struct
-  type row = {
-    env : string;
-    median : Buckets.row;
-    p99 : Buckets.row;
-    max : Buckets.row;
+module Breakdown = struct
+  type deployment = {
+    label : string;
+    kind : Env.kind;
+    units : int;
+    kernel_config : Ksurf_kernel.Config.t option;
   }
 
-  type t = { rows : row list; corpus_calls : int; invocations_per_env : int }
+  type table = {
+    file : string;
+    title : t -> string;
+    label_header : string * string;
+    stats : Study.statistic list;
+    deployments : deployment list;
+  }
 
-  let envs = [ ("native", Env.Native, 1); ("kvm-64", kvm_kind, 64); ("docker-64", Env.Docker, 64) ]
+  and t = {
+    table : table;
+    rows : (string * (Study.statistic * Buckets.row) list) list;
+    corpus_calls : int;
+    invocations : int;
+  }
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let cells =
-      Sweep.map ?pool
-        (fun (name, kind, units) ->
-          let result =
-            run_varbench ~seed ~scale ~corpus kind (Partition.table1 units)
-          in
-          let stats = Study.site_stats result in
-          ( {
-              env = name;
-              median = Study.bucket_row Study.Median stats;
-              p99 = Study.bucket_row Study.P99 stats;
-              max = Study.bucket_row Study.Max stats;
-            },
-            Harness.total_invocations result ))
-        envs
-    in
-    let invocations_per_env =
-      match List.rev cells with (_, n) :: _ -> n | [] -> 0
-    in
+  let deployment ?kernel_config label kind units =
+    { label; kind; units; kernel_config }
+
+  let table2 =
     {
-      rows = List.map fst cells;
-      corpus_calls = Corpus.total_calls corpus;
-      invocations_per_env;
+      file = "table2.csv";
+      title =
+        (fun t ->
+          Printf.sprintf
+            "Table 2: cumulative %% of system calls with statistic below \
+             each latency (corpus: %d call sites, %d \
+             invocations/environment)"
+            t.corpus_calls t.invocations);
+      label_header = ("environment", "environment");
+      stats = [ Study.Median; Study.P99; Study.Max ];
+      deployments =
+        [
+          deployment "native" Env.Native 1;
+          deployment "kvm-64" kvm_kind 64;
+          deployment "docker-64" Env.Docker 64;
+        ];
     }
 
+  let table3 =
+    {
+      file = "table3.csv";
+      title =
+        Fun.const "Table 3: worst-case (max) breakdown across container counts";
+      label_header = ("# ctnrs", "containers");
+      stats = [ Study.Max ];
+      deployments =
+        List.map
+          (fun n -> deployment (string_of_int n) Env.Docker n)
+          Partition.table1_rows;
+    }
+
+  let ablate =
+    let module C = Ksurf_kernel.Config in
+    let native label kernel_config =
+      deployment ~kernel_config label Env.Native 1
+    in
+    {
+      file = "ablate.csv";
+      title =
+        Fun.const
+          "E7 ablation: native 64-rank varbench with mechanisms disabled";
+      label_header = ("variant", "variant");
+      stats = [ Study.P99; Study.Max ];
+      deployments =
+        [
+          native "default" C.default;
+          native "no-background" (C.without_background C.default);
+          native "no-tlb-shootdown" (C.without_tlb_shootdown C.default);
+          native "no-timer-noise" (C.without_timer_noise C.default);
+          native "all-off" C.quiet;
+        ];
+    }
+
+  let lwvm =
+    {
+      file = "lwvm.csv";
+      title =
+        Fun.const
+          "E9 extension: Table-2 breakdown across lightweight-VM technologies";
+      label_header = ("environment", "environment");
+      stats = [ Study.Median; Study.P99; Study.Max ];
+      deployments =
+        deployment "native" Env.Native 1
+        :: deployment "docker-64" Env.Docker 64
+        :: List.map
+             (fun (name, virt) -> deployment (name ^ "-64") (Env.Kvm virt) 64)
+             Ksurf_virt.Lightweight.all;
+    }
+
+  let run table ctx =
+    let corpus = Lazy.force ctx.corpus in
+    let cells =
+      Sweep.map ctx
+        (fun d ->
+          let result =
+            varbench ctx ~corpus
+              (deploy ?kernel_config:d.kernel_config ctx d.kind d.units)
+          in
+          let stats = Study.site_stats result in
+          let buckets s = (s, Study.bucket_row s stats) in
+          ( (d.label, List.map buckets table.stats),
+            Harness.total_invocations result ))
+        table.deployments
+    in
+    {
+      table;
+      rows = List.map fst cells;
+      corpus_calls = Corpus.total_calls corpus;
+      invocations = (match List.rev cells with (_, n) :: _ -> n | [] -> 0);
+    }
+
+  (* A stat column only when there is more than one statistic to tell
+     apart; the label is printed on its deployment's first line. *)
   let pp ppf t =
-    Format.fprintf ppf
-      "Table 2: cumulative %% of system calls with statistic below each \
-       latency (corpus: %d call sites, %d invocations/environment)@.@."
-      t.corpus_calls t.invocations_per_env;
-    let cell row = Format.asprintf "%a" Buckets.pp row in
+    Format.fprintf ppf "%s@.@." (t.table.title t);
+    let stat_column = List.compare_length_with t.table.stats 1 > 0 in
     let rows =
       List.concat_map
-        (fun r ->
-          [
-            [ r.env; "median"; cell r.median ];
-            [ ""; "p99"; cell r.p99 ];
-            [ ""; "max"; cell r.max ];
-          ])
+        (fun (label, buckets) ->
+          List.mapi
+            (fun i (stat, row) ->
+              let label = if i = 0 then label else "" in
+              let cell = Format.asprintf "%a" Buckets.pp row in
+              if stat_column then [ label; Study.statistic_name stat; cell ]
+              else [ label; cell ])
+            buckets)
         t.rows
     in
-    Report.table ~header:[ "environment"; "stat"; Buckets.header ] ~rows ppf
+    let header = fst t.table.label_header in
+    Report.table
+      ~header:
+        (if stat_column then [ header; "stat"; Buckets.header ]
+         else [ header; Buckets.header ])
+      ~rows ppf
 
   let csv ~dir t =
-    bucket_table ~dir ~file:"table2.csv" ~label_name:"environment"
-      (List.map
-         (fun (r : row) ->
-           (r.env, [ ("median", r.median); ("p99", r.p99); ("max", r.max) ]))
-         t.rows)
+    write_csv ~dir t.table.file
+      ~header:([ snd t.table.label_header; "statistic" ] @ bucket_header)
+      ~rows:
+        (List.concat_map
+           (fun (label, buckets) ->
+             List.map
+               (fun (stat, row) ->
+                 [ label; Study.statistic_name stat ] @ bucket_cells row)
+               buckets)
+           t.rows)
 end
 
 module Fig2 = struct
@@ -257,22 +334,16 @@ module Fig2 = struct
 
   type t = { cells : cell list; filtered_sites : int; total_sites : int }
 
-  let vm_counts = Partition.table1_rows
-
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?kernel_config ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
+  let run ctx =
+    let corpus = Lazy.force ctx.corpus in
     let stats_of kind units =
-      Study.site_stats
-        (run_varbench ?kernel_config ~seed ~scale ~corpus kind
-           (Partition.table1 units))
+      Study.site_stats (varbench ctx ~corpus (deploy ctx kind units))
     in
     (* The paper filters to call sites whose native median is >= 10 us. *)
     let native = stats_of Env.Native 1 in
     let cells =
       List.concat
-        (Sweep.map ?pool
+        (Sweep.map ctx
            (fun vms ->
              let stats = stats_of kvm_kind vms in
              let filtered =
@@ -288,7 +359,7 @@ module Fig2 = struct
                        category filtered;
                  })
                Category.all)
-           vm_counts)
+           Partition.table1_rows)
     in
     let filtered_sites =
       Array.length
@@ -325,72 +396,73 @@ module Fig2 = struct
       Category.all
 
   let csv ~dir t =
-    let p = path dir "fig2.csv" in
-    let header =
-      [ "vms"; "category"; "sites"; "min"; "lo95"; "q1"; "median"; "q3"; "hi95"; "max" ]
-    in
-    let rows =
-      List.filter_map
-        (fun (c : cell) ->
-          Option.map
-            (fun (v : Violin.t) ->
-              [
-                string_of_int c.vms;
-                Category.to_string c.category;
-                string_of_int v.Violin.count;
-                Printf.sprintf "%.1f" v.Violin.min;
-                Printf.sprintf "%.1f" v.Violin.lo95;
-                Printf.sprintf "%.1f" v.Violin.q1;
-                Printf.sprintf "%.1f" v.Violin.median;
-                Printf.sprintf "%.1f" v.Violin.q3;
-                Printf.sprintf "%.1f" v.Violin.hi95;
-                Printf.sprintf "%.1f" v.Violin.max;
-              ])
-            c.violin)
-        t.cells
-    in
-    Csv.write ~path:p ~header ~rows;
-    [ p ]
+    write_csv ~dir "fig2.csv"
+      ~header:
+        [ "vms"; "category"; "sites"; "min"; "lo95"; "q1"; "median"; "q3";
+          "hi95"; "max" ]
+      ~rows:
+        (List.filter_map
+           (fun (c : cell) ->
+             Option.map
+               (fun (v : Violin.t) ->
+                 string_of_int c.vms :: Category.to_string c.category
+                 :: string_of_int v.Violin.count
+                 :: List.map (Printf.sprintf "%.1f")
+                      Violin.
+                        [ v.min; v.lo95; v.q1; v.median; v.q3; v.hi95; v.max ])
+               c.violin)
+           t.cells)
 end
 
-module Table3 = struct
-  type row = { containers : int; max : Buckets.row }
+(* Fig 3 and Fig 4 sweep one grid, app x {kvm, docker} x {isolated,
+   contended}, and draw it as the same three grouped-bar panels:
+   isolated, contended, and the change between the two.  [key] names a
+   cell by (app, kind, contended). *)
+module App_grid = struct
+  let run ctx apps f =
+    Sweep.map ctx
+      (fun (app, kind, contended) -> f ~app ~kind ~contended)
+      (List.concat_map
+         (fun app ->
+           List.concat_map
+             (fun kind -> [ (app, kind, false); (app, kind, true) ])
+             [ kvm_kind; Env.Docker ])
+         apps)
 
-  type t = { rows : row list }
+  let find key cells ~app ~kind ~contended =
+    List.find_opt (fun c -> key c = (app, kind, contended)) cells
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
+  let pp ~figure ~key ~value ~unit_label ~change ~change_title
+      (isolated, contended, changed) ppf cells =
+    let cell = find key cells in
+    let apps =
+      List.sort_uniq String.compare
+        (List.map (fun c -> match key c with app, _, _ -> app) cells)
     in
-    let rows =
-      Sweep.map ?pool
-        (fun containers ->
-          let stats =
-            Study.site_stats
-              (run_varbench ~seed ~scale ~corpus Env.Docker
-                 (Partition.table1 containers))
-          in
-          { containers; max = Study.bucket_row Study.Max stats })
-        Partition.table1_rows
+    let value contended app kind =
+      match cell ~app ~kind ~contended with Some r -> value r | None -> nan
     in
-    { rows }
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "Table 3: worst-case (max) breakdown across container counts@.@.";
-    let rows =
-      List.map
-        (fun r ->
-          [ string_of_int r.containers; Format.asprintf "%a" Buckets.pp r.max ])
-        t.rows
+    let change app kind =
+      match
+        (cell ~app ~kind ~contended:false, cell ~app ~kind ~contended:true)
+      with
+      | Some isolated, Some contended -> change ~isolated ~contended
+      | _ -> nan
     in
-    Report.table ~header:[ "# ctnrs"; Buckets.header ] ~rows ppf
-
-  let csv ~dir t =
-    bucket_table ~dir ~file:"table3.csv" ~label_name:"containers"
-      (List.map
-         (fun (r : row) -> (string_of_int r.containers, [ ("max", r.max) ]))
-         t.rows)
+    List.iteri
+      (fun i (heading, title, unit_label, f) ->
+        if i > 0 then Format.fprintf ppf "@.";
+        Format.fprintf ppf "Figure %d(%c): %s@." figure
+          (Char.chr (Char.code 'a' + i)) heading;
+        Report.grouped_bars ~title:("  " ^ title) ~unit_label
+          ~series:[ "kvm"; "docker" ]
+          (List.map (fun app -> (app, [ f app "kvm"; f app "docker" ])) apps)
+          ppf)
+      [
+        (isolated, "isolated", unit_label, value false);
+        (contended, "contended", unit_label, value true);
+        (changed, change_title, "%", change);
+      ]
 end
 
 module Fig3 = struct
@@ -400,71 +472,32 @@ module Fig3 = struct
     | Quick -> { Runner.default_config with Runner.requests = 800; seed }
     | Full -> { Runner.default_config with Runner.seed = seed }
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?(apps = Apps.all) ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let config = runner_config ~seed scale in
-    let specs =
-      List.concat_map
-        (fun app ->
-          List.concat_map
-            (fun kind ->
-              List.map (fun contended -> (app, kind, contended)) [ false; true ])
-            [ kvm_kind; Env.Docker ])
-        apps
-    in
-    let cells =
-      Sweep.map ?pool
-        (fun (app, kind, contended) ->
-          Runner.run_single_node ~app ~kind ~contended ~config
-            ~noise_corpus:corpus ())
-        specs
-    in
-    { cells }
+  let run ?(apps = Apps.all) ctx =
+    let noise_corpus = Lazy.force ctx.corpus in
+    let config = runner_config ~seed:ctx.seed ctx.scale in
+    {
+      cells =
+        App_grid.run ctx apps (fun ~app ~kind ~contended ->
+            Runner.run_single_node ~app ~kind ~contended ~config
+              ~noise_corpus ());
+    }
 
-  let cell t ~app ~kind ~contended =
-    List.find_opt
-      (fun (r : Runner.result) ->
-        r.Runner.app_name = app && r.Runner.kind = kind
-        && r.Runner.contended = contended)
-      t.cells
+  let key (r : Runner.result) =
+    (r.Runner.app_name, r.Runner.kind, r.Runner.contended)
 
-  let apps_of t =
-    List.sort_uniq String.compare
-      (List.map (fun (r : Runner.result) -> r.Runner.app_name) t.cells)
+  let cell t = App_grid.find key t.cells
 
   let pp ppf t =
-    let p99 app kind contended =
-      match cell t ~app ~kind ~contended with
-      | Some r -> r.Runner.p99 /. 1e6
-      | None -> nan
-    in
-    let apps = apps_of t in
-    Format.fprintf ppf "Figure 3(a): isolated p99 request latency@.";
-    Report.grouped_bars ~title:"  isolated" ~unit_label:"ms"
-      ~series:[ "kvm"; "docker" ]
-      (List.map (fun a -> (a, [ p99 a "kvm" false; p99 a "docker" false ])) apps)
-      ppf;
-    Format.fprintf ppf "@.Figure 3(b): p99 with varbench competition@.";
-    Report.grouped_bars ~title:"  contended" ~unit_label:"ms"
-      ~series:[ "kvm"; "docker" ]
-      (List.map (fun a -> (a, [ p99 a "kvm" true; p99 a "docker" true ])) apps)
-      ppf;
-    Format.fprintf ppf "@.Figure 3(c): p99 increase, isolated -> contended@.";
-    let increase app kind =
-      match (cell t ~app ~kind ~contended:false, cell t ~app ~kind ~contended:true) with
-      | Some iso, Some cont -> Runner.percent_increase ~isolated:iso ~contended:cont
-      | _ -> nan
-    in
-    Report.grouped_bars ~title:"  degradation" ~unit_label:"%"
-      ~series:[ "kvm"; "docker" ]
-      (List.map (fun a -> (a, [ increase a "kvm"; increase a "docker" ])) apps)
-      ppf
+    App_grid.pp ~figure:3 ~key
+      ~value:(fun r -> r.Runner.p99 /. 1e6)
+      ~unit_label:"ms" ~change:Runner.percent_increase ~change_title:"degradation"
+      ( "isolated p99 request latency",
+        "p99 with varbench competition",
+        "p99 increase, isolated -> contended" )
+      ppf t.cells
 
   let csv ~dir t =
-    let p = path dir "fig3.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "fig3.csv"
       ~header:
         [ "app"; "kind"; "contended"; "mean_ns"; "p95_ns"; "p99_ns"; "max_ns";
           "degraded"; "survivors" ]
@@ -482,8 +515,7 @@ module Fig3 = struct
                string_of_bool r.Runner.degraded;
                string_of_int r.Runner.survivors;
              ])
-           t.cells);
-    [ p ]
+           t.cells)
 end
 
 module Fig4 = struct
@@ -503,79 +535,31 @@ module Fig4 = struct
         }
     | Full -> { Cluster.default_config with Cluster.seed = seed }
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?apps ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let apps =
-      match apps with
-      | Some l -> l
-      | None -> List.filter_map Apps.by_name paper_apps
-    in
-    let config = cluster_config ~seed scale in
-    let specs =
-      List.concat_map
-        (fun app ->
-          List.concat_map
-            (fun kind ->
-              List.map (fun contended -> (app, kind, contended)) [ false; true ])
-            [ kvm_kind; Env.Docker ])
-        apps
-    in
-    let cells =
-      Sweep.map ?pool
-        (fun (app, kind, contended) ->
-          Cluster.run ~app ~kind ~contended ~config ~noise_corpus:corpus ())
-        specs
-    in
-    { cells }
+  let run ?(apps = List.filter_map Apps.by_name paper_apps) ctx =
+    let noise_corpus = Lazy.force ctx.corpus in
+    let config = cluster_config ~seed:ctx.seed ctx.scale in
+    {
+      cells =
+        App_grid.run ctx apps (fun ~app ~kind ~contended ->
+            Cluster.run ~app ~kind ~contended ~config ~noise_corpus ());
+    }
 
-  let cell t ~app ~kind ~contended =
-    List.find_opt
-      (fun (r : Cluster.result) ->
-        r.Cluster.app_name = app && r.Cluster.kind = kind
-        && r.Cluster.contended = contended)
-      t.cells
+  let key (r : Cluster.result) =
+    (r.Cluster.app_name, r.Cluster.kind, r.Cluster.contended)
 
-  let apps_of t =
-    List.sort_uniq String.compare
-      (List.map (fun (r : Cluster.result) -> r.Cluster.app_name) t.cells)
+  let cell t = App_grid.find key t.cells
 
   let pp ppf t =
-    let runtime app kind contended =
-      match cell t ~app ~kind ~contended with
-      | Some r -> r.Cluster.runtime_ns /. 1e9
-      | None -> nan
-    in
-    let apps = apps_of t in
-    Format.fprintf ppf "Figure 4(a): isolated 64-node runtimes@.";
-    Report.grouped_bars ~title:"  isolated" ~unit_label:"s"
-      ~series:[ "kvm"; "docker" ]
-      (List.map
-         (fun a -> (a, [ runtime a "kvm" false; runtime a "docker" false ]))
-         apps)
-      ppf;
-    Format.fprintf ppf "@.Figure 4(b): multi-tenant 64-node runtimes@.";
-    Report.grouped_bars ~title:"  contended" ~unit_label:"s"
-      ~series:[ "kvm"; "docker" ]
-      (List.map
-         (fun a -> (a, [ runtime a "kvm" true; runtime a "docker" true ]))
-         apps)
-      ppf;
-    Format.fprintf ppf "@.Figure 4(c): relative loss, isolated -> multi-tenant@.";
-    let loss app kind =
-      match (cell t ~app ~kind ~contended:false, cell t ~app ~kind ~contended:true) with
-      | Some iso, Some cont -> Cluster.relative_loss ~isolated:iso ~contended:cont
-      | _ -> nan
-    in
-    Report.grouped_bars ~title:"  loss" ~unit_label:"%"
-      ~series:[ "kvm"; "docker" ]
-      (List.map (fun a -> (a, [ loss a "kvm"; loss a "docker" ])) apps)
-      ppf
+    App_grid.pp ~figure:4 ~key
+      ~value:(fun r -> r.Cluster.runtime_ns /. 1e9)
+      ~unit_label:"s" ~change:Cluster.relative_loss ~change_title:"loss"
+      ( "isolated 64-node runtimes",
+        "multi-tenant 64-node runtimes",
+        "relative loss, isolated -> multi-tenant" )
+      ppf t.cells
 
   let csv ~dir t =
-    let p = path dir "fig4.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "fig4.csv"
       ~header:
         [ "app"; "kind"; "contended"; "runtime_ns"; "node_mean_iter_ns";
           "node_p99_iter_ns"; "straggler_factor" ]
@@ -591,127 +575,7 @@ module Fig4 = struct
                Printf.sprintf "%.0f" r.Cluster.node_p99_iter_ns;
                Printf.sprintf "%.4f" r.Cluster.straggler_factor;
              ])
-           t.cells);
-    [ p ]
-end
-
-module Ablate = struct
-  type row = { variant : string; p99 : Buckets.row; max : Buckets.row }
-
-  type t = { rows : row list }
-
-  let variants =
-    let module C = Ksurf_kernel.Config in
-    [
-      ("default", C.default);
-      ("no-background", C.without_background C.default);
-      ("no-tlb-shootdown", C.without_tlb_shootdown C.default);
-      ("no-timer-noise", C.without_timer_noise C.default);
-      ("all-off", C.quiet);
-    ]
-
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let rows =
-      Sweep.map ?pool
-        (fun (variant, kernel_config) ->
-          let stats =
-            Study.site_stats
-              (run_varbench ~kernel_config ~seed ~scale ~corpus Env.Native
-                 (Partition.table1 1))
-          in
-          {
-            variant;
-            p99 = Study.bucket_row Study.P99 stats;
-            max = Study.bucket_row Study.Max stats;
-          })
-        variants
-    in
-    { rows }
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "E7 ablation: native 64-rank varbench with mechanisms disabled@.@.";
-    let rows =
-      List.concat_map
-        (fun r ->
-          [
-            [ r.variant; "p99"; Format.asprintf "%a" Buckets.pp r.p99 ];
-            [ ""; "max"; Format.asprintf "%a" Buckets.pp r.max ];
-          ])
-        t.rows
-    in
-    Report.table ~header:[ "variant"; "stat"; Buckets.header ] ~rows ppf
-
-  let csv ~dir t =
-    bucket_table ~dir ~file:"ablate.csv" ~label_name:"variant"
-      (List.map
-         (fun (r : row) ->
-           (r.variant, [ ("p99", r.p99); ("max", r.max) ]))
-         t.rows)
-end
-
-module Lwvm = struct
-  type row = {
-    env : string;
-    median : Buckets.row;
-    p99 : Buckets.row;
-    max : Buckets.row;
-  }
-
-  type t = { rows : row list }
-
-  let environments =
-    [ ("native", Env.Native, 1); ("docker-64", Env.Docker, 64) ]
-    @ List.map
-        (fun (name, virt) -> (name ^ "-64", Env.Kvm virt, 64))
-        Ksurf_virt.Lightweight.all
-
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let rows =
-      Sweep.map ?pool
-        (fun (env, kind, units) ->
-          let stats =
-            Study.site_stats
-              (run_varbench ~seed ~scale ~corpus kind (Partition.table1 units))
-          in
-          {
-            env;
-            median = Study.bucket_row Study.Median stats;
-            p99 = Study.bucket_row Study.P99 stats;
-            max = Study.bucket_row Study.Max stats;
-          })
-        environments
-    in
-    { rows }
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "E9 extension: Table-2 breakdown across lightweight-VM technologies@.@.";
-    let cell row = Format.asprintf "%a" Buckets.pp row in
-    let rows =
-      List.concat_map
-        (fun r ->
-          [
-            [ r.env; "median"; cell r.median ];
-            [ ""; "p99"; cell r.p99 ];
-            [ ""; "max"; cell r.max ];
-          ])
-        t.rows
-    in
-    Report.table ~header:[ "environment"; "stat"; Buckets.header ] ~rows ppf
-
-  let csv ~dir t =
-    bucket_table ~dir ~file:"lwvm.csv" ~label_name:"environment"
-      (List.map
-         (fun (r : row) ->
-           (r.env, [ ("median", r.median); ("p99", r.p99); ("max", r.max) ]))
-         t.rows)
+           t.cells)
 end
 
 module Locks = struct
@@ -731,16 +595,13 @@ module Locks = struct
   let environments =
     [ ("native", Env.Native, 1); ("kvm-8", kvm_kind, 8); ("kvm-64", kvm_kind, 64) ]
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
+  let run ctx =
+    let corpus = Lazy.force ctx.corpus in
     let rows =
       List.concat
-        (Sweep.map ?pool (fun (env, kind, units) ->
-          let engine = Engine.create ~seed () in
-          let deployed = Env.deploy ~engine kind (Partition.table1 units) in
-          ignore (Harness.run ~env:deployed ~corpus ~params:(harness_params scale) ());
+        (Sweep.map ctx (fun (env, kind, units) ->
+          let deployed = deploy ctx kind units in
+          ignore (varbench ctx ~corpus deployed);
           (* Aggregate each lock over every kernel instance of the
              deployment (one for native, one per guest for KVM). *)
           let merged = Hashtbl.create 16 in
@@ -818,21 +679,14 @@ module Ablate_virt = struct
 
   let scales = [ 1.0; 0.5; 0.25; 0.0 ]
 
-  let run ?(seed = 42) ?(scale = Quick) ?corpus ?apps ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let apps =
-      match apps with
-      | Some l -> l
-      | None -> List.filter_map Apps.by_name [ "silo"; "sphinx" ]
-    in
-    let config = Fig4.cluster_config ~seed scale in
+  let run ?(apps = List.filter_map Apps.by_name [ "silo"; "sphinx" ]) ctx =
+    let corpus = Lazy.force ctx.corpus in
+    let config = Fig4.cluster_config ~seed:ctx.seed ctx.scale in
     (* Two sweeps: one unscaled docker reference per app, then the
        (app x exit-scale) KVM grid — splitting them keeps every cell
        independent so both can fan out. *)
     let dockers =
-      Sweep.map ?pool
+      Sweep.map ctx
         (fun app ->
           Cluster.run ~app ~kind:Env.Docker ~contended:true ~config
             ~noise_corpus:corpus ())
@@ -843,7 +697,7 @@ module Ablate_virt = struct
       List.concat_map (fun app -> List.map (fun s -> (app, s)) scales) apps
     in
     let kvms =
-      Sweep.map ?pool
+      Sweep.map ctx
         (fun (app, exit_scale) ->
           let virt =
             Ksurf_virt.Virt_config.scale exit_scale
@@ -890,8 +744,7 @@ module Ablate_virt = struct
       ~rows ppf
 
   let csv ~dir t =
-    let p = path dir "ablate_virt.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "ablate_virt.csv"
       ~header:[ "app"; "exit_scale"; "kvm_runtime_ns"; "docker_runtime_ns" ]
       ~rows:
         (List.map
@@ -902,8 +755,7 @@ module Ablate_virt = struct
                Printf.sprintf "%.0f" r.kvm_runtime_ns;
                Printf.sprintf "%.0f" r.docker_runtime_ns;
              ])
-           t.rows);
-    [ p ]
+           t.rows)
 end
 
 module Dose = struct
@@ -925,42 +777,29 @@ module Dose = struct
 
   type t = { plan_name : string; cells : cell list }
 
-  let environments =
-    [
-      ("native", Env.Native, 1);
-      ("kvm-64", kvm_kind, 64);
-      ("docker-64", Env.Docker, 64);
-    ]
-
   let default_intensities = [ 0.0; 0.5; 1.0; 2.0 ]
 
-  let default_plan () =
-    match Plan.preset "mixed" with Some p -> p | None -> assert false
+  let cell_key ((d : Breakdown.deployment), intensity) =
+    Printf.sprintf "dose:%s:%.2f" d.label intensity
 
-  let cell_key (env_name, _, _, intensity) =
-    Printf.sprintf "dose:%s:%.2f" env_name intensity
-
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?plan
-      ?(intensities = default_intensities) ?journal ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let plan = match plan with Some p -> p | None -> default_plan () in
+  (* Table 2's three environments under the "mixed" preset: every
+     mechanism, no crashes. *)
+  let run ?(intensities = default_intensities) ctx =
+    let corpus = Lazy.force ctx.corpus in
+    let plan = Option.get (Plan.preset "mixed") in
     let specs =
       List.concat_map
-        (fun (env_name, kind, units) ->
-          List.map (fun i -> (env_name, kind, units, i)) intensities)
-        environments
+        (fun d -> List.map (fun i -> (d, i)) intensities)
+        Breakdown.table2.deployments
     in
     let cells =
-      Sweep.run ?pool ?journal ~key:cell_key
-        (fun (env_name, kind, units, intensity) ->
-          let engine = Engine.create ~seed () in
-          let env = Env.deploy ~engine kind (Partition.table1 units) in
-          let kf = Kfault.arm ~env ~plan:(Plan.scale intensity plan) ~seed () in
-          let result =
-            Harness.run ~env ~corpus ~params:(harness_params scale) ()
+      Sweep.run ctx ~key:cell_key
+        (fun ((d : Breakdown.deployment), intensity) ->
+          let env = deploy ctx d.kind d.units in
+          let kf =
+            Kfault.arm ~env ~plan:(Plan.scale intensity plan) ~seed:ctx.seed ()
           in
+          let result = varbench ctx ~corpus env in
           Kfault.disarm kf;
           (* Exact at seed scale (byte-identical to the historical
              concatenated-array computation); streaming estimates from
@@ -997,7 +836,7 @@ module Dose = struct
                   if mean > 0.0 then sqrt var /. mean else 0.0 )
           in
           {
-            env = env_name;
+            env = d.label;
             intensity;
             p99;
             cov;
@@ -1015,15 +854,20 @@ module Dose = struct
       (fun c -> c.env = env && c.intensity = intensity)
       t.cells
 
-  (* p99 at each dose relative to the same environment's zero-dose
-     baseline: the sensitivity curve the study plots. *)
+  (* p99 relative to the same environment's zero-dose baseline. *)
+  let vs_baseline t c =
+    match cell t ~env:c.env ~intensity:0.0 with
+    | Some base when base.p99 > 0.0 -> Some (c.p99 /. base.p99)
+    | _ -> None
+
+  (* The sensitivity curve the study plots. *)
   let degradation t ~env =
-    let mine = List.filter (fun c -> c.env = env) t.cells in
-    match List.find_opt (fun c -> c.intensity = 0.0) mine with
-    | None -> []
-    | Some base when base.p99 <= 0.0 -> []
-    | Some base ->
-        List.map (fun c -> (c.intensity, c.p99 /. base.p99)) mine
+    List.filter_map
+      (fun c ->
+        if c.env = env then
+          Option.map (fun r -> (c.intensity, r)) (vs_baseline t c)
+        else None)
+      t.cells
 
   let pp ppf t =
     Format.fprintf ppf
@@ -1032,17 +876,12 @@ module Dose = struct
     let rows =
       List.map
         (fun c ->
-          let rel =
-            match cell t ~env:c.env ~intensity:0.0 with
-            | Some base when base.p99 > 0.0 ->
-                Printf.sprintf "%.2fx" (c.p99 /. base.p99)
-            | _ -> "-"
-          in
           [
             c.env;
             Printf.sprintf "%.2f" c.intensity;
             Printf.sprintf "%.1f" (c.p99 /. 1e3);
-            rel;
+            Option.fold ~none:"-" ~some:(Printf.sprintf "%.2fx")
+              (vs_baseline t c);
             Printf.sprintf "%.3f" c.cov;
             string_of_int c.injections;
             string_of_int c.retries;
@@ -1060,8 +899,7 @@ module Dose = struct
       ~rows ppf
 
   let csv ~dir t =
-    let p = path dir "dose.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "dose.csv"
       ~header:
         [ "environment"; "intensity"; "p99_ns"; "cov"; "injections"; "retries";
           "degraded"; "survivors" ]
@@ -1078,8 +916,7 @@ module Dose = struct
                string_of_bool c.degraded;
                string_of_int c.survivors;
              ])
-           t.cells);
-    [ p ]
+           t.cells)
 end
 
 module Specialize = struct
@@ -1107,10 +944,8 @@ module Specialize = struct
 
   let retained = [ Category.File_io; Category.Fs_mgmt ]
 
-  let workload ?(seed = 42) ?(scale = Full) ?corpus () =
-    let full =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
+  let workload ctx =
+    let full = Lazy.force ctx.corpus in
     match Profile.restrict full ~keep:retained with
     | Some c -> c
     | None -> full
@@ -1153,19 +988,18 @@ module Specialize = struct
       surface_area = !surface /. float_of_int ranks;
     }
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?journal ?pool () =
-    let corpus = workload ~seed ~scale ?corpus () in
+  let run ctx =
+    let corpus = workload ctx in
     let spec =
       Specializer.compile (Profile.of_corpus ~name:"varbench-fs" corpus)
     in
     let cell ?kernel_config ?(specialized = false) name kind units =
-      let engine = Engine.create ~seed () in
-      let env = Env.deploy ~engine ?kernel_config kind (Partition.table1 units) in
+      let env = deploy ?kernel_config ctx kind units in
       if specialized then Specializer.install_all env spec;
-      measure ~name ~env (Harness.run ~env ~corpus ~params:(harness_params scale) ())
+      measure ~name ~env (varbench ctx ~corpus env)
     in
     let rows =
-      Sweep.run ?pool ?journal
+      Sweep.run ctx
         ~key:(fun (name, _) -> "specialize:" ^ name)
         (fun (_, make) -> make ())
         [
@@ -1219,8 +1053,7 @@ module Specialize = struct
       ~rows ppf
 
   let csv ~dir t =
-    let p = path dir "specialize.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "specialize.csv"
       ~header:
         ([ "environment"; "p50_ns"; "p99_ns"; "tail_ratio"; "denials";
            "surface_area"; "statistic" ]
@@ -1242,8 +1075,7 @@ module Specialize = struct
                (base @ [ "p99" ]) @ bucket_cells r.p99_bucket;
                (base @ [ "max" ]) @ bucket_cells r.max_bucket;
              ])
-           t.rows);
-    [ p ]
+           t.rows)
 end
 
 module Recover = struct
@@ -1277,29 +1109,19 @@ module Recover = struct
   let policies =
     [ Supervisor.Survivors; Supervisor.Readmit; Supervisor.Speculative ]
 
-  let run ?(seed = 42) ?(scale = Full) ?corpus ?app ?(rates = default_rates)
-      ?journal ?pool () =
-    let corpus =
-      match corpus with Some c -> c | None -> default_corpus ~seed scale
-    in
-    let app =
-      match app with
-      | Some a -> a
-      | None -> (
-          match Apps.by_name "silo" with
-          | Some a -> a
-          | None -> List.hd Apps.all)
-    in
-    let cconfig = Fig4.cluster_config ~seed scale in
+  let run ?(rates = default_rates) ctx =
+    let corpus = Lazy.force ctx.corpus in
+    let app = Option.get (Apps.by_name "silo") in
+    let cconfig = Fig4.cluster_config ~seed:ctx.seed ctx.scale in
     (* One set of node simulations feeds every (policy x rate) cell: the
        sweep varies only the supervision, never the empirical pool.  The
-       node simulations themselves fan out across [pool]. *)
+       node simulations themselves fan out across the context's pool. *)
     let iter_pool =
       Cluster.pool ~app ~kind:kvm_kind ~contended:false ~config:cconfig
-        ~noise_corpus:corpus ?par:pool ()
+        ~noise_corpus:corpus ?par:ctx.pool ()
     in
     let iterations =
-      match scale with Quick -> 12 | Full -> cconfig.Cluster.iterations
+      match ctx.scale with Quick -> 12 | Full -> cconfig.Cluster.iterations
     in
     let barrier =
       Cluster.barrier_cost_for ~kind:kvm_kind
@@ -1311,7 +1133,7 @@ module Recover = struct
         Supervisor.nodes = cconfig.Cluster.nodes_total;
         iterations;
         barrier_cost_ns = barrier;
-        seed;
+        seed = ctx.seed;
       }
     in
     let specs =
@@ -1320,7 +1142,7 @@ module Recover = struct
         policies
     in
     let cells =
-      Sweep.run ?pool ?journal
+      Sweep.run ctx
         ~key:(fun (policy, crash_rate) ->
           Printf.sprintf "recover:%s:%.4f"
             (Supervisor.policy_name policy)
@@ -1360,15 +1182,21 @@ module Recover = struct
       (fun c -> c.policy = policy && c.crash_rate = crash_rate)
       t.cells
 
-  (* Runtime at each crash rate relative to the same policy's crash-free
-     baseline: the recovery-cost curve the study plots. *)
+  (* Runtime relative to the same policy's crash-free baseline. *)
+  let vs_crash_free t c =
+    match cell t ~policy:c.policy ~crash_rate:0.0 with
+    | Some base when base.runtime_ns > 0.0 ->
+        Some (c.runtime_ns /. base.runtime_ns)
+    | _ -> None
+
+  (* The recovery-cost curve the study plots. *)
   let overhead t ~policy =
-    let mine = List.filter (fun c -> c.policy = policy) t.cells in
-    match List.find_opt (fun c -> c.crash_rate = 0.0) mine with
-    | None -> []
-    | Some base when base.runtime_ns <= 0.0 -> []
-    | Some base ->
-        List.map (fun c -> (c.crash_rate, c.runtime_ns /. base.runtime_ns)) mine
+    List.filter_map
+      (fun c ->
+        if c.policy = policy then
+          Option.map (fun r -> (c.crash_rate, r)) (vs_crash_free t c)
+        else None)
+      t.cells
 
   let pp ppf t =
     Format.fprintf ppf
@@ -1378,17 +1206,12 @@ module Recover = struct
     let rows =
       List.map
         (fun c ->
-          let rel =
-            match cell t ~policy:c.policy ~crash_rate:0.0 with
-            | Some base when base.runtime_ns > 0.0 ->
-                Printf.sprintf "%.2fx" (c.runtime_ns /. base.runtime_ns)
-            | _ -> "-"
-          in
           [
             c.policy;
             Printf.sprintf "%.3f" c.crash_rate;
             Printf.sprintf "%.3f" (c.runtime_ns /. 1e9);
-            rel;
+            Option.fold ~none:"-" ~some:(Printf.sprintf "%.2fx")
+              (vs_crash_free t c);
             Printf.sprintf "%.2f" c.straggler_factor;
             string_of_int c.survivors;
             (if c.degraded then "yes" else "no");
@@ -1410,8 +1233,7 @@ module Recover = struct
       ~rows ppf
 
   let csv ~dir t =
-    let p = path dir "recover.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "recover.csv"
       ~header:
         [ "policy"; "crash_rate"; "runtime_ns"; "vs_crash_free";
           "straggler_factor"; "supersteps"; "survivors"; "degraded"; "crashes";
@@ -1419,33 +1241,21 @@ module Recover = struct
       ~rows:
         (List.map
            (fun (c : cell) ->
-             let rel =
-               match
-                 cell t ~policy:c.policy ~crash_rate:0.0
-               with
-               | Some base when base.runtime_ns > 0.0 ->
-                   Printf.sprintf "%.4f"
-                     (c.runtime_ns /. base.runtime_ns)
-               | _ -> ""
-             in
              [
                c.policy;
                Printf.sprintf "%.4f" c.crash_rate;
                Printf.sprintf "%.0f" c.runtime_ns;
-               rel;
+               Option.fold ~none:"" ~some:(Printf.sprintf "%.4f")
+                 (vs_crash_free t c);
                Printf.sprintf "%.4f" c.straggler_factor;
                string_of_int c.supersteps;
                string_of_int c.survivors;
                string_of_bool c.degraded;
-               string_of_int c.crashes;
-               string_of_int c.restarts;
-               string_of_int c.backups;
-               string_of_int c.deaths;
-               string_of_int c.transitions;
-               string_of_int c.checkpoints;
-             ])
-           t.cells);
-    [ p ]
+             ]
+             @ List.map string_of_int
+                 [ c.crashes; c.restarts; c.backups; c.deaths; c.transitions;
+                   c.checkpoints ])
+           t.cells)
 end
 
 module Tenancy = struct
@@ -1486,15 +1296,9 @@ module Tenancy = struct
   let cell_key (policy, tenants, churn) =
     Printf.sprintf "tenancy:%s:%d:%.2f" (Policy.name policy) tenants churn
 
-  let run ?(seed = 42) ?(scale = Full) ?tenants ?churns ?policies ?journal
-      ?pool () =
-    let tenants =
-      match tenants with Some l -> l | None -> default_tenants scale
-    in
-    let churns = match churns with Some l -> l | None -> default_churns scale in
-    let policies =
-      match policies with Some l -> l | None -> default_policies
-    in
+  let run ?tenants ?churns ?(policies = default_policies) ctx =
+    let tenants = Option.value tenants ~default:(default_tenants ctx.scale) in
+    let churns = Option.value churns ~default:(default_churns ctx.scale) in
     let specs =
       List.concat_map
         (fun policy ->
@@ -1504,9 +1308,11 @@ module Tenancy = struct
         policies
     in
     let cells =
-      Sweep.run ?pool ?journal ~key:cell_key
+      Sweep.run ctx ~key:cell_key
         (fun (policy, tenants, churn) ->
-          Fleet.run (fleet_config ~seed ~scale ~policy ~tenants ~churn))
+          Fleet.run
+            (fleet_config ~seed:ctx.seed ~scale:ctx.scale ~policy ~tenants
+               ~churn))
         specs
     in
     { slo_ns = Fleet.default_config.Fleet.slo_ns; cells }
@@ -1604,8 +1410,7 @@ module Tenancy = struct
       (frontier t)
 
   let csv ~dir t =
-    let p = path dir "tenancy.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "tenancy.csv"
       ~header:
         [ "policy"; "tenants"; "churn_per_day"; "completed"; "mean_ns";
           "p50_ns"; "p95_ns"; "p99_ns"; "max_ns"; "slo_ns"; "measured";
@@ -1618,37 +1423,20 @@ module Tenancy = struct
         (List.map
            (fun (c : cell) ->
              let module F = Ksurf_tenant.Fleet in
-             [
-               c.F.policy;
-               string_of_int c.F.tenants;
+             [ c.F.policy; string_of_int c.F.tenants;
                Printf.sprintf "%.2f" c.F.churn_per_day;
-               string_of_int c.F.completed;
-               Printf.sprintf "%.0f" c.F.mean;
-               Printf.sprintf "%.0f" c.F.p50;
-               Printf.sprintf "%.0f" c.F.p95;
-               Printf.sprintf "%.0f" c.F.p99;
-               Printf.sprintf "%.0f" c.F.max;
-               Printf.sprintf "%.0f" c.F.slo_ns;
-               string_of_int c.F.measured;
-               string_of_int c.F.slo_met;
-               Printf.sprintf "%.4f" c.F.attainment;
-               string_of_int c.F.epoch_violations;
-               string_of_int c.F.arrivals;
-               string_of_int c.F.departures;
-               string_of_int c.F.cgroup_creates;
-               string_of_int c.F.cgroup_destroys;
-               string_of_int c.F.migrations;
-               string_of_int c.F.scale_ups;
-               string_of_int c.F.scale_downs;
-               string_of_int c.F.replica_imbalance;
-               string_of_int c.F.peak_cgroups;
-               string_of_int c.F.final_native;
-               string_of_int c.F.final_docker;
-               string_of_int c.F.final_kvm;
-               string_of_int c.F.final_mk;
-             ])
-           t.cells);
-    [ p ]
+               string_of_int c.F.completed ]
+             @ List.map (Printf.sprintf "%.0f")
+                 [ c.F.mean; c.F.p50; c.F.p95; c.F.p99; c.F.max; c.F.slo_ns ]
+             @ [ string_of_int c.F.measured; string_of_int c.F.slo_met;
+                 Printf.sprintf "%.4f" c.F.attainment ]
+             @ List.map string_of_int
+                 [ c.F.epoch_violations; c.F.arrivals; c.F.departures;
+                   c.F.cgroup_creates; c.F.cgroup_destroys; c.F.migrations;
+                   c.F.scale_ups; c.F.scale_downs; c.F.replica_imbalance;
+                   c.F.peak_cgroups; c.F.final_native; c.F.final_docker;
+                   c.F.final_kvm; c.F.final_mk ])
+           t.cells)
 
   (* The tenancy entry over a chosen grid; [studies] holds the default
      one and [ksurf_cli tenancy]'s grid flags build the others. *)
@@ -1658,8 +1446,7 @@ module Tenancy = struct
        diurnal load — placement policy x tenant count x churn rate, with \
        per-tenant p99 SLO autoscaling"
       pp
-      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
-        run ~seed ~scale ?tenants ?churns ?policies ?journal ~pool ())
+      (run ?tenants ?churns ?policies)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1697,17 +1484,17 @@ module Drift = struct
   let cell_key (policy, dose) =
     Printf.sprintf "drift:%s:%.2f" (Driftbench.policy_name policy) dose
 
-  let run ?(seed = 42) ?(scale = Full) ?(doses = default_doses)
-      ?(policies = default_policies) ?journal ?pool () =
+  let run ?(doses = default_doses) ?(policies = default_policies) ctx =
     let specs =
       List.concat_map
         (fun policy -> List.map (fun dose -> (policy, dose)) doses)
         policies
     in
     let cells =
-      Sweep.run ?pool ?journal ~key:cell_key
+      Sweep.run ctx ~key:cell_key
         (fun (policy, dose) ->
-          Driftbench.run (cell_config ~seed ~scale ~policy ~dose))
+          Driftbench.run
+            (cell_config ~seed:ctx.seed ~scale:ctx.scale ~policy ~dose))
         specs
     in
     { cells }
@@ -1773,12 +1560,11 @@ module Drift = struct
       doses
 
   let csv ~dir t =
-    let p = path dir "drift.csv" in
     let opt_ns = function
       | None -> ""
       | Some ns -> Printf.sprintf "%.0f" ns
     in
-    Csv.write ~path:p
+    write_csv ~dir "drift.csv"
       ~header:
         [ "policy"; "dose"; "ranks"; "epochs"; "calls"; "denied";
           "calls_post_drift"; "denied_post_drift"; "fp_rate"; "p99_ns";
@@ -1789,32 +1575,21 @@ module Drift = struct
         (List.map
            (fun (c : cell) ->
              let module D = Ksurf_adapt.Driftbench in
-             [
-               c.D.policy;
-               Printf.sprintf "%.2f" c.D.dose;
-               string_of_int c.D.ranks;
-               string_of_int c.D.epochs;
-               string_of_int c.D.calls;
-               string_of_int c.D.denied;
-               string_of_int c.D.calls_post_drift;
-               string_of_int c.D.denied_post_drift;
-               Printf.sprintf "%.6f" c.D.fp_rate;
-               Printf.sprintf "%.0f" c.D.p99_ns;
-               Printf.sprintf "%.4f" c.D.surface;
-               Printf.sprintf "%.4f" c.D.surface_full;
-               Printf.sprintf "%.4f" c.D.reduction;
-               opt_ns c.D.drift_at_ns;
-               opt_ns c.D.reconverge_ns;
-               string_of_int c.D.promotions;
-               string_of_int c.D.demotions;
-               string_of_int c.D.respecializations;
-               string_of_int c.D.swaps;
-               string_of_int c.D.drifts;
-               Printf.sprintf "%.6f" c.D.mean_denial_rate;
-               Printf.sprintf "%.6f" c.D.p95_divergence;
-             ])
-           t.cells);
-    [ p ]
+             [ c.D.policy; Printf.sprintf "%.2f" c.D.dose ]
+             @ List.map string_of_int
+                 [ c.D.ranks; c.D.epochs; c.D.calls; c.D.denied;
+                   c.D.calls_post_drift; c.D.denied_post_drift ]
+             @ [ Printf.sprintf "%.6f" c.D.fp_rate;
+                 Printf.sprintf "%.0f" c.D.p99_ns ]
+             @ List.map (Printf.sprintf "%.4f")
+                 [ c.D.surface; c.D.surface_full; c.D.reduction ]
+             @ [ opt_ns c.D.drift_at_ns; opt_ns c.D.reconverge_ns ]
+             @ List.map string_of_int
+                 [ c.D.promotions; c.D.demotions; c.D.respecializations;
+                   c.D.swaps; c.D.drifts ]
+             @ List.map (Printf.sprintf "%.6f")
+                 [ c.D.mean_denial_rate; c.D.p95_divergence ])
+           t.cells)
 
   let study ?doses ?policies () =
     study ~journals:true ~csv "drift"
@@ -1822,8 +1597,7 @@ module Drift = struct
        policy x dose, tabling false-positive ENOSYS rate vs retained \
        surface area vs time-to-reconverge"
       pp
-      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
-        run ~seed ~scale ?doses ?policies ?journal ~pool ())
+      (run ?doses ?policies)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1858,16 +1632,18 @@ module Torture = struct
   let cell_key (kind, dose) =
     Printf.sprintf "torture:%s:%.2f" (T.kind_name kind) dose
 
-  let run ?(seed = 42) ?(scale = Full) ?(doses = default_doses)
-      ?(kinds = default_kinds) ?(scratch = default_scratch) ?journal ?pool () =
+  let run ?(doses = default_doses) ?(kinds = default_kinds)
+      ?(scratch = default_scratch) ctx =
     let specs =
       List.concat_map
         (fun kind -> List.map (fun dose -> (kind, dose)) doses)
         kinds
     in
     let cells =
-      Sweep.run ?pool ?journal ~key:cell_key
-        (fun (kind, dose) -> T.run (cell_config ~seed ~scale ~scratch ~kind ~dose))
+      Sweep.run ctx ~key:cell_key
+        (fun (kind, dose) ->
+          T.run
+            (cell_config ~seed:ctx.seed ~scale:ctx.scale ~scratch ~kind ~dose))
         specs
     in
     { cells }
@@ -1916,8 +1692,7 @@ module Torture = struct
       (violations t) (List.length t.cells)
 
   let csv ~dir t =
-    let p = path dir "torture.csv" in
-    Csv.write ~path:p
+    write_csv ~dir "torture.csv"
       ~header:
         [ "path"; "dose"; "trace_ops"; "crash_points"; "crash_states";
           "enum_violations"; "torn_refused"; "live_runs"; "live_ok";
@@ -1928,31 +1703,18 @@ module Torture = struct
         (List.map
            (fun (c : cell) ->
              let module T = Ksurf_dur.Torture in
-             [
-               c.T.kind;
-               Printf.sprintf "%.2f" c.T.dose;
-               string_of_int c.T.trace_ops;
-               string_of_int c.T.crash_points;
-               string_of_int c.T.crash_states;
-               string_of_int c.T.enum_violations;
-               string_of_int c.T.torn_refused;
-               string_of_int c.T.live_runs;
-               string_of_int c.T.live_ok;
-               Printf.sprintf "%.4f" c.T.recovery_ok;
-               string_of_int c.T.crashes;
-               string_of_int c.T.transients;
-               string_of_int c.T.enospc;
-               string_of_int c.T.eio;
-               string_of_int c.T.torn_writes;
-               string_of_int c.T.fsync_dropped;
-               string_of_int c.T.deferred_persists;
-               string_of_int c.T.cells_lost;
-               string_of_int c.T.double_runs;
-               string_of_int c.T.litter;
-               string_of_int c.T.litter_after;
-             ])
-           t.cells);
-    [ p ]
+             [ c.T.kind; Printf.sprintf "%.2f" c.T.dose ]
+             @ List.map string_of_int
+                 [ c.T.trace_ops; c.T.crash_points; c.T.crash_states;
+                   c.T.enum_violations; c.T.torn_refused; c.T.live_runs;
+                   c.T.live_ok ]
+             @ (Printf.sprintf "%.4f" c.T.recovery_ok
+               :: List.map string_of_int
+                    [ c.T.crashes; c.T.transients; c.T.enospc; c.T.eio;
+                      c.T.torn_writes; c.T.fsync_dropped; c.T.deferred_persists;
+                      c.T.cells_lost; c.T.double_runs; c.T.litter;
+                      c.T.litter_after ]))
+           t.cells)
 
   (* Each run tortures its writers in a per-pid scratch directory, so
      concurrent runs never share crash states, and removes it after. *)
@@ -1962,63 +1724,44 @@ module Torture = struct
        — writer path x dose, enumerating every crash state and recovering \
        every live faulted run"
       pp
-      (fun ~seed ~scale ~corpus:_ ~journal ~pool ->
+      (fun ctx ->
         let scratch = default_scratch ^ "." ^ string_of_int (Unix.getpid ()) in
         Fun.protect
           ~finally:(fun () -> Ksurf_dur.Crashsim.rm_tree scratch)
-          (fun () -> run ~seed ~scale ?doses ?kinds ~scratch ?journal ~pool ()))
+          (fun () -> run ?doses ?kinds ~scratch ctx))
 end
 
 let studies =
-  let ( !! ) = Lazy.force in
-  (* A table replays the shared corpus and keeps no journal. *)
-  let table ?csv name doc pp run =
-    study ?csv name doc pp (fun ~seed ~scale ~corpus ~journal:_ ~pool ->
-        run ~seed ~scale ~corpus:!!corpus ~pool)
+  let breakdown name doc table =
+    study ~csv:Breakdown.csv name doc Breakdown.pp (Breakdown.run table)
   in
   [
     study "table1" "Print the VM configuration sweep (Table 1)" Table1.pp
-      (fun ~seed:_ ~scale:_ ~corpus:_ ~journal:_ ~pool:_ -> Table1.run ());
-    table ~csv:Table2.csv "table2" "Syscall latency breakdown (Table 2)"
-      Table2.pp (fun ~seed ~scale ~corpus ~pool ->
-        Table2.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Fig2.csv "fig2" "Per-subsystem p99 vs VM count (Figure 2)"
-      Fig2.pp (fun ~seed ~scale ~corpus ~pool ->
-        Fig2.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Table3.csv "table3" "Container worst-case breakdown (Table 3)"
-      Table3.pp (fun ~seed ~scale ~corpus ~pool ->
-        Table3.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Fig3.csv "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
-      (fun ~seed ~scale ~corpus ~pool -> Fig3.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Fig4.csv "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
-      (fun ~seed ~scale ~corpus ~pool -> Fig4.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Ablate.csv "ablate" "E7: variability-mechanism knockouts"
-      Ablate.pp (fun ~seed ~scale ~corpus ~pool ->
-        Ablate.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Ablate_virt.csv "ablate-virt" "E8: exit-cost sensitivity sweep"
-      Ablate_virt.pp (fun ~seed ~scale ~corpus ~pool ->
-        Ablate_virt.run ~seed ~scale ~corpus ~pool ());
-    table ~csv:Lwvm.csv "lwvm" "E9: lightweight-VM technology comparison"
-      Lwvm.pp (fun ~seed ~scale ~corpus ~pool ->
-        Lwvm.run ~seed ~scale ~corpus ~pool ());
-    table "locks" "E10: per-lock contention attribution" Locks.pp
-      (fun ~seed ~scale ~corpus ~pool -> Locks.run ~seed ~scale ~corpus ~pool ());
+      Table1.run;
+    breakdown "table2" "Syscall latency breakdown (Table 2)" Breakdown.table2;
+    study ~csv:Fig2.csv "fig2" "Per-subsystem p99 vs VM count (Figure 2)"
+      Fig2.pp Fig2.run;
+    breakdown "table3" "Container worst-case breakdown (Table 3)"
+      Breakdown.table3;
+    study ~csv:Fig3.csv "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
+      Fig3.run;
+    study ~csv:Fig4.csv "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
+      Fig4.run;
+    breakdown "ablate" "E7: variability-mechanism knockouts" Breakdown.ablate;
+    study ~csv:Ablate_virt.csv "ablate-virt" "E8: exit-cost sensitivity sweep"
+      Ablate_virt.pp Ablate_virt.run;
+    breakdown "lwvm" "E9: lightweight-VM technology comparison" Breakdown.lwvm;
+    study "locks" "E10: per-lock contention attribution" Locks.pp Locks.run;
     study ~journals:true ~csv:Dose.csv "dose"
-      "Dose-response: fault-intensity sensitivity sweep" Dose.pp
-      (fun ~seed ~scale ~corpus ~journal ~pool ->
-        Dose.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+      "Dose-response: fault-intensity sensitivity sweep" Dose.pp Dose.run;
     study ~journals:true ~csv:Specialize.csv "specialize"
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
-      Specialize.pp
-      (fun ~seed ~scale ~corpus ~journal ~pool ->
-        Specialize.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+      Specialize.pp Specialize.run;
     study ~journals:true ~csv:Recover.csv "recover"
       "krecov study: crash rate x recovery policy on the supervised 64-node \
        BSP synthesis"
-      Recover.pp
-      (fun ~seed ~scale ~corpus ~journal ~pool ->
-        Recover.run ~seed ~scale ~corpus:!!corpus ?journal ~pool ());
+      Recover.pp Recover.run;
     Tenancy.study ();
     Drift.study ();
     Torture.study ();

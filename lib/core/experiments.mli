@@ -1,23 +1,43 @@
 (** Drivers that regenerate every table and figure of the paper.
 
-    Each driver is deterministic given [seed] and returns a structured
-    result plus a paper-style textual rendering.  [Quick] scale keeps
-    everything under a few seconds for tests and smoke runs; [Full]
-    scale is what the benchmark harness uses (minutes, larger corpora
-    and sample counts).
+    Every driver has one shape: [run] takes the grid arguments a caller
+    may narrow (apps, intensities, rates, the tenancy/drift/torture
+    grids), then a {!context}, and returns a structured result that
+    [pp] renders paper-style and [csv] exports.  Each driver is
+    deterministic given the seed.  [Quick] scale keeps everything under
+    a few seconds for tests and smoke runs; [Full] scale is what the
+    committed [exports/] baselines pin.
 
-    Every sweep-shaped driver takes [?pool]: a {!Ksurf_par.Pool.t} fans
-    the sweep's cells across domains.  Cells are self-contained (each
-    builds its own engine and PRNG stream from [seed]) and results
-    merge in canonical input order, so the parallel run's output —
-    tables, CSV exports, stable hashes — is bit-identical to the
-    sequential one. *)
+    With a pool, a driver fans its sweep's cells across domains.  Cells
+    are self-contained (each builds its own engine and PRNG stream from
+    the seed) and results merge in canonical input order, so the
+    parallel run's output — tables, CSV exports, stable hashes — is
+    bit-identical to the sequential one.  Drivers that journal skip the
+    cells already in the context's journal and record each cell as it
+    completes. *)
 
 type scale = Quick | Full
 
 val scale_of_string : string -> scale option
 val default_corpus : ?seed:int -> scale -> Ksurf_syzgen.Corpus.t
 (** The syzgen corpus used by every experiment at this scale. *)
+
+(** What every driver runs under. *)
+type context = {
+  seed : int;
+  scale : scale;
+  corpus : Ksurf_syzgen.Corpus.t Lazy.t;
+      (** forced only by drivers that replay it, before they fan out *)
+  journal : Ksurf_recov.Journal.t option;
+      (** read and written only by drivers that journal *)
+  pool : Ksurf_par.Pool.t option;
+}
+
+val context :
+  ?seed:int -> ?corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
+  ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> scale -> context
+(** [seed] defaults to 42 and [corpus] to {!default_corpus} at that
+    seed and scale, generated on first use. *)
 
 (** What one run of a study hands back. *)
 type outcome = {
@@ -35,49 +55,71 @@ type study = {
   doc : string;
   journals : bool;  (** [run] skips and records journalled cells *)
   exports : bool;  (** [run]'s outcome carries a CSV writer *)
-  run :
-    seed:int ->
-    scale:scale ->
-    corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
-    journal:Ksurf_recov.Journal.t option ->
-    pool:Ksurf_par.Pool.t ->
-    outcome;
-      (** [corpus] is forced only by entries that replay it, so callers
-          share one lazily generated {!default_corpus}; [journal] is
-          ignored unless [journals]. *)
+  run : context -> outcome;
 }
 
 (** Table 1: the VM configurations of the surface-area study. *)
 module Table1 : sig
   type t = (int * Ksurf_env.Partition.t) list
 
-  val run : unit -> t
+  val run : context -> t
   val pp : Format.formatter -> t -> unit
 end
 
-(** Table 2: latency breakdown — native vs 64 1-core VMs vs 64 1-core
-    containers. *)
-module Table2 : sig
-  type row = {
-    env : string;
-    median : Ksurf_stats.Buckets.row;
-    p99 : Ksurf_stats.Buckets.row;
-    max : Ksurf_stats.Buckets.row;
+(** A latency breakdown: varbench over a list of deployments, each call
+    site's statistic (median, p99 or max over ranks and iterations)
+    bucketed by latency, one row per (deployment, statistic). *)
+module Breakdown : sig
+  type deployment = {
+    label : string;
+    kind : Ksurf_env.Env.kind;
+    units : int;  (** isolation units: the {!Ksurf_env.Partition.table1} row *)
+    kernel_config : Ksurf_kernel.Config.t option;
   }
 
-  type t = {
-    rows : row list;
+  type table = {
+    file : string;  (** the CSV file name *)
+    title : t -> string;
+    label_header : string * string;
+        (** the label column's header in the rendering and in the CSV *)
+    stats : Ksurf_varbench.Study.statistic list;
+    deployments : deployment list;
+  }
+
+  and t = {
+    table : table;
+    rows :
+      (string * (Ksurf_varbench.Study.statistic * Ksurf_stats.Buckets.row) list)
+      list;  (** per deployment label, one bucket row per statistic *)
     corpus_calls : int;  (** unique call sites in the corpus *)
-    invocations_per_env : int;
+    invocations : int;  (** invocations per deployment *)
   }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val table2 : table
+  (** Table 2: native vs 64 1-core VMs vs 64 1-core containers, by
+      median, p99 and max. *)
+
+  val table3 : table
+  (** Table 3: the max across Docker container counts. *)
+
+  val ablate : table
+  (** E7: native 64-rank varbench by p99 and max under default, no
+      background daemons, no TLB shootdowns, no timer noise, all off. *)
+
+  val lwvm : table
+  (** E9, the paper's future work (§2): Table 2 repeated for native,
+      Docker and the {!Ksurf_virt.Lightweight} presets (stock KVM,
+      Firecracker, Kata, Nabla, gVisor), all as 64 single-core
+      isolation units. *)
+
+  val run : table -> context -> t
 
   val pp : Format.formatter -> t -> unit
+  (** The stat column appears only when the table has more than one
+      statistic. *)
 
   val csv : dir:string -> t -> string list
-  (** [table2.csv]: one row per (environment, statistic). *)
+  (** [<file>]: one row per (deployment, statistic). *)
 end
 
 (** Figure 2: per-category p99 violins across the Table 1 VM sweep. *)
@@ -94,37 +136,21 @@ module Fig2 : sig
     total_sites : int;
   }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?kernel_config:Ksurf_kernel.Config.t -> ?pool:Ksurf_par.Pool.t ->
-    unit -> t
+  val run : context -> t
 
   val pp : Format.formatter -> t -> unit
   (** Numeric violin table per category plus ASCII violins. *)
-end
-
-(** Table 3: worst-case breakdown across Docker container counts. *)
-module Table3 : sig
-  type row = { containers : int; max : Ksurf_stats.Buckets.row }
-
-  type t = { rows : row list }
-
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Figure 3: single-node tailbench p99, isolated and contended. *)
 module Fig3 : sig
   type t = {
     cells : Ksurf_tailbench.Runner.result list;
-        (** 8 apps x {kvm,docker} x {isolated,contended} *)
+        (** apps x {kvm,docker} x {isolated,contended} *)
   }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?apps:Ksurf_tailbench.Apps.t list -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val run : ?apps:Ksurf_tailbench.Apps.t list -> context -> t
+  (** [apps] defaults to all eight. *)
 
   val cell : t -> app:string -> kind:string -> contended:bool ->
     Ksurf_tailbench.Runner.result option
@@ -136,7 +162,7 @@ module Fig3 : sig
   (** [fig3.csv]: one row per (app, kind, contended) cell. *)
 end
 
-(** Figure 4: 64-node BSP runtimes. *)
+(** Figure 4: 64-node BSP runtimes over the same grid as Figure 3. *)
 module Fig4 : sig
   type t = { cells : Ksurf_cluster.Cluster.result list }
 
@@ -145,50 +171,11 @@ module Fig4 : sig
       on the cluster nodes) or specjbb (Java runtime failures), as in
       the paper. *)
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?apps:Ksurf_tailbench.Apps.t list -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val run : ?apps:Ksurf_tailbench.Apps.t list -> context -> t
+  (** [apps] defaults to {!paper_apps}. *)
 
   val cell : t -> app:string -> kind:string -> contended:bool ->
     Ksurf_cluster.Cluster.result option
-
-  val pp : Format.formatter -> t -> unit
-end
-
-(** E7 ablation: which modeled mechanism produces the native tails. *)
-module Ablate : sig
-  type row = {
-    variant : string;
-    p99 : Ksurf_stats.Buckets.row;
-    max : Ksurf_stats.Buckets.row;
-  }
-
-  type t = { rows : row list }
-
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-  (** Native 64-rank varbench under: default, no background daemons, no
-      TLB shootdowns, no timer noise, all off. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-(** E9 extension (the paper's future work, §2): the Table-2 comparison
-    repeated for lightweight-VM technologies — Firecracker, Kata, Nabla
-    presets from {!Ksurf_virt.Lightweight} — next to native, Docker and
-    stock KVM, all as 64 single-core isolation units. *)
-module Lwvm : sig
-  type row = {
-    env : string;
-    median : Ksurf_stats.Buckets.row;
-    p99 : Ksurf_stats.Buckets.row;
-    max : Ksurf_stats.Buckets.row;
-  }
-
-  type t = { rows : row list }
-
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
 
   val pp : Format.formatter -> t -> unit
 end
@@ -209,8 +196,7 @@ module Locks : sig
 
   type t = { rows : row list }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val run : context -> t
 
   val pp : Format.formatter -> t -> unit
   (** Sorted by contention within each environment; quiet locks
@@ -229,9 +215,8 @@ module Ablate_virt : sig
 
   type t = { rows : row list }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?apps:Ksurf_tailbench.Apps.t list -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val run : ?apps:Ksurf_tailbench.Apps.t list -> context -> t
+  (** [apps] defaults to silo and sphinx. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -255,15 +240,11 @@ module Dose : sig
 
   type t = { plan_name : string; cells : cell list }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?plan:Ksurf_fault.Plan.t -> ?intensities:float list ->
-    ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-  (** One varbench run per (environment x intensity) cell, at
+  val run : ?intensities:float list -> context -> t
+  (** One varbench run per (environment x intensity) cell under the
+      ["mixed"] fault preset (every mechanism, no crashes), at
       intensities 0, 0.5, 1 and 2 by default (zero dose is each
-      environment's baseline); [plan] defaults to the ["mixed"] preset
-      (every mechanism, no crashes).
-      With [journal], cells already recorded (keys
+      environment's baseline).  With a journal, cells already recorded (keys
       [dose:<env>:<intensity>]) are skipped and omitted from the result;
       each completed cell is journalled as it completes (persisted in
       batches, flushed when the sweep ends). *)
@@ -319,16 +300,12 @@ module Specialize : sig
   val retained : Ksurf_kernel.Category.t list
   (** The categories the study keeps: File_io, Fs_mgmt. *)
 
-  val workload :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t -> unit ->
-    Ksurf_syzgen.Corpus.t
-  (** The restricted corpus ({!Ksurf_spec.Profile.restrict} to
+  val workload : context -> Ksurf_syzgen.Corpus.t
+  (** The context's corpus restricted ({!Ksurf_spec.Profile.restrict} to
       {!retained}; falls back to the full corpus if nothing survives). *)
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
-  (** With [journal], environments already recorded (keys
+  val run : context -> t
+  (** With a journal, environments already recorded (keys
       [specialize:<env>]) are skipped and omitted from the result. *)
 
   val row : t -> env:string -> row option
@@ -366,15 +343,12 @@ module Recover : sig
     cells : cell list;
   }
 
-  val run :
-    ?seed:int -> ?scale:scale -> ?corpus:Ksurf_syzgen.Corpus.t ->
-    ?app:Ksurf_tailbench.Apps.t -> ?rates:float list ->
-    ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
+  val run : ?rates:float list -> context -> t
   (** Sweeps the Survivors, Readmit and Speculative policies ([Disabled]
       wedges by design; the watchdog tests cover it) across crash rates
       0, 0.005, 0.01 and 0.02 by default (zero is each policy's
-      baseline); [app] defaults to silo on isolated kvm-64.  With
-      [journal], cells already recorded (keys
+      baseline); the app is silo on isolated kvm-64.  With a
+      journal, cells already recorded (keys
       [recover:<policy>:<rate>]) are skipped and omitted from the
       result. *)
 
@@ -395,13 +369,12 @@ module Tenancy : sig
   type t = { slo_ns : float; cells : cell list }
 
   val run :
-    ?seed:int -> ?scale:scale -> ?tenants:int list -> ?churns:float list ->
-    ?policies:Ksurf_tenant.Policy.t list -> ?journal:Ksurf_recov.Journal.t ->
-    ?pool:Ksurf_par.Pool.t -> unit -> t
+    ?tenants:int list -> ?churns:float list ->
+    ?policies:Ksurf_tenant.Policy.t list -> context -> t
   (** One fleet simulation per (policy x tenants x churn) cell through
-      the kpar sweep; [scale] sets the default tenant counts and churn
+      the kpar sweep; the scale sets the default tenant counts and churn
       rates and each cell's virtual day length, and [policies] default
-      to all five.  With [journal], cells already recorded (keys
+      to all five.  With a journal, cells already recorded (keys
       [tenancy:<policy>:<tenants>:<churn>]) are skipped and omitted
       from the result. *)
 
@@ -436,13 +409,12 @@ module Drift : sig
   type t = { cells : cell list }
 
   val run :
-    ?seed:int -> ?scale:scale -> ?doses:float list ->
-    ?policies:Ksurf_adapt.Driftbench.policy list ->
-    ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
+    ?doses:float list -> ?policies:Ksurf_adapt.Driftbench.policy list ->
+    context -> t
   (** One {!Ksurf_adapt.Driftbench} run per (policy x dose) cell through
       the kpar sweep: doses default to 0 (the no-drift control), 1, 2
-      and 3, policies to all three, and [scale] sets epochs and programs
-      per epoch.  With [journal], cells already recorded (keys
+      and 3, policies to all three, and the scale sets epochs and programs
+      per epoch.  With a journal, cells already recorded (keys
       [drift:<policy>:<dose>]) are skipped and omitted from the
       result. *)
 
@@ -468,15 +440,14 @@ module Torture : sig
   type t = { cells : cell list }
 
   val run :
-    ?seed:int -> ?scale:scale -> ?doses:float list ->
-    ?kinds:Ksurf_dur.Torture.kind list -> ?scratch:string ->
-    ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> unit -> t
+    ?doses:float list -> ?kinds:Ksurf_dur.Torture.kind list ->
+    ?scratch:string -> context -> t
   (** One {!Ksurf_dur.Torture} cell per (kind x dose) through the kpar
       sweep: doses default to 0 (the fault-free control), 1, 2 and 3,
-      kinds to every durable writer path, and [scale] sets the live-run
+      kinds to every durable writer path, and the scale sets the live-run
       budget.  [scratch] defaults to [$TMPDIR/ksurf-torture]; pass a
-      private one when several torture runs may share a host.  With
-      [journal], cells already recorded (keys [torture:<kind>:<dose>])
+      private one when several torture runs may share a host.  With a
+      journal, cells already recorded (keys [torture:<kind>:<dose>])
       are skipped and omitted from the result. *)
 
   val violations : t -> int

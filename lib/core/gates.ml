@@ -533,9 +533,9 @@ module Torture = struct
 
   let grid ~seed ~root jobs =
     Ksurf_par.Pool.with_pool ~jobs (fun pool ->
-        T.run ~seed ~scale:Experiments.Quick ~doses:[ 0.0; 1.0 ]
+        T.run ~doses:[ 0.0; 1.0 ]
           ~scratch:(Filename.concat root (Printf.sprintf "grid-j%d" jobs))
-          ~pool ())
+          (Experiments.context ~seed ~pool Experiments.Quick))
 
   let export_bytes ~root jobs t =
     let dir = Filename.concat root (Printf.sprintf "csv-j%d" jobs) in

@@ -67,104 +67,45 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+(* Parser for the line format (Kvline): each action's keyword and
+   key=value pairs. *)
 
-let parse_kv word =
-  match String.index_opt word '=' with
-  | None -> Error (Printf.sprintf "expected key=value, got %S" word)
-  | Some i ->
-      Ok
-        ( String.sub word 0 i,
-          String.sub word (i + 1) (String.length word - i - 1) )
-
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: not an integer: %S" name v)
+module Kvline = Ksurf_util.Kvline
 
 let ( let* ) = Result.bind
+let find_float = Kvline.find_float
+let find_int = Kvline.find_int
 
-let kvs_of words =
-  List.fold_left
-    (fun acc w ->
-      let* acc = acc in
-      let* kv = parse_kv w in
-      Ok (kv :: acc))
-    (Ok []) words
-  |> Result.map List.rev
-
-let find_float kvs key ~default =
-  match List.assoc_opt key kvs with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing %s=" key))
-  | Some v -> parse_float key v
-
-let find_int kvs key ~default =
-  match List.assoc_opt key kvs with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing %s=" key))
-  | Some v -> parse_int key v
-
-let parse_action line =
-  match split_words line with
-  | [] -> Ok None
-  | keyword :: rest -> (
-      let* kvs = kvs_of rest in
-      match keyword with
-      | "transient" ->
-          let* rate = find_float kvs "rate" ~default:None in
-          let* eintr_share =
-            find_float kvs "eintr-share" ~default:(Some 0.5)
-          in
-          Ok (Some (Transient { rate; eintr_share }))
-      | "enospc" ->
-          let* from_op = find_int kvs "at" ~default:None in
-          let* until_op = find_int kvs "clear" ~default:None in
-          if until_op <= from_op then
-            Error "enospc: clear= must exceed at="
-          else Ok (Some (Enospc_window { from_op; until_op }))
-      | "eio" ->
-          let* rate = find_float kvs "rate" ~default:None in
-          Ok (Some (Hard_eio { rate }))
-      | "torn" ->
-          let* rate = find_float kvs "rate" ~default:None in
-          let* keep = find_float kvs "keep" ~default:(Some 0.5) in
-          Ok (Some (Torn_write { rate; keep = clamp01 keep }))
-      | "fsync-drop" ->
-          let* rate = find_float kvs "rate" ~default:None in
-          Ok (Some (Fsync_drop { rate }))
-      | "crash" ->
-          let* op = find_int kvs "at-op" ~default:None in
-          Ok (Some (Crash_at { op }))
-      | other -> Error (Printf.sprintf "unknown I/O fault action %S" other))
+let parse_action keyword kvs =
+  match keyword with
+  | "transient" ->
+      let* rate = find_float kvs "rate" ~default:None in
+      let* eintr_share = find_float kvs "eintr-share" ~default:(Some 0.5) in
+      Ok (Transient { rate; eintr_share })
+  | "enospc" ->
+      let* from_op = find_int kvs "at" ~default:None in
+      let* until_op = find_int kvs "clear" ~default:None in
+      if until_op <= from_op then Error "enospc: clear= must exceed at="
+      else Ok (Enospc_window { from_op; until_op })
+  | "eio" ->
+      let* rate = find_float kvs "rate" ~default:None in
+      Ok (Hard_eio { rate })
+  | "torn" ->
+      let* rate = find_float kvs "rate" ~default:None in
+      let* keep = find_float kvs "keep" ~default:(Some 0.5) in
+      Ok (Torn_write { rate; keep = clamp01 keep })
+  | "fsync-drop" ->
+      let* rate = find_float kvs "rate" ~default:None in
+      Ok (Fsync_drop { rate })
+  | "crash" ->
+      let* op = find_int kvs "at-op" ~default:None in
+      Ok (Crash_at { op })
+  | other -> Error (Printf.sprintf "unknown I/O fault action %S" other)
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go name actions = function
-    | [] -> Ok { name; actions = List.rev actions }
-    | line :: rest -> (
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go name actions rest
-        else
-          match split_words line with
-          | "name" :: n :: _ -> go n actions rest
-          | _ -> (
-              match parse_action line with
-              | Error e -> Error (Printf.sprintf "%S: %s" line e)
-              | Ok None -> go name actions rest
-              | Ok (Some a) -> go name (a :: actions) rest))
-  in
-  go "unnamed" [] lines
+  Result.map
+    (fun (name, actions) -> { name; actions })
+    (Kvline.parse ~action:parse_action s)
 
 (* --- presets ----------------------------------------------------------
 

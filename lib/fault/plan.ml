@@ -144,144 +144,89 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-(* Parser for the line format: "keyword key=value ..." *)
+(* Parser for the line format (Kvline): each action's keyword and
+   key=value pairs. *)
 
-let split_words s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
-
-let parse_kv word =
-  match String.index_opt word '=' with
-  | None -> Error (Printf.sprintf "expected key=value, got %S" word)
-  | Some i ->
-      Ok
-        ( String.sub word 0 i,
-          String.sub word (i + 1) (String.length word - i - 1) )
-
-let parse_float name v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%s: not a number: %S" name v)
-
-let parse_int name v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: not an integer: %S" name v)
+module Kvline = Ksurf_util.Kvline
 
 let ( let* ) = Result.bind
+let find_float = Kvline.find_float
 
-let kvs_of words =
-  List.fold_left
-    (fun acc w ->
-      let* acc = acc in
-      let* kv = parse_kv w in
-      Ok (kv :: acc))
-    (Ok []) words
-  |> Result.map List.rev
-
-let find_float kvs key ~default =
-  match List.assoc_opt key kvs with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing %s=" key))
-  | Some v -> parse_float key v
-
-let parse_action line =
-  match split_words line with
-  | [] -> Ok None
-  | keyword :: rest -> (
-      let* kvs = kvs_of rest in
-      match keyword with
-      | "syscall-failures" ->
-          let* eintr_share =
-            find_float kvs "eintr-share" ~default:(Some 0.3)
-          in
-          let* rates =
-            List.fold_left
-              (fun acc (k, v) ->
-                let* acc = acc in
-                if k = "eintr-share" then Ok acc
-                else
-                  match Category.of_string k with
-                  | None -> Error (Printf.sprintf "unknown category %S" k)
-                  | Some c ->
-                      let* r = parse_float k v in
-                      Ok ((c, r) :: acc))
-              (Ok []) kvs
-          in
-          Ok (Some (Syscall_failures { rates = List.rev rates; eintr_share }))
-      | "daemon-storm" ->
-          let* jbd2 = find_float kvs "jbd2" ~default:(Some 1.0) in
-          let* kswapd = find_float kvs "kswapd" ~default:(Some 1.0) in
-          let* load_balancer =
-            find_float kvs "load-balancer" ~default:(Some 1.0)
-          in
-          let* cgroup_flusher =
-            find_float kvs "cgroup-flusher" ~default:(Some 1.0)
-          in
-          Ok (Some (Daemon_storm { jbd2; kswapd; load_balancer; cgroup_flusher }))
-      | "lock-preemption" ->
-          let* lock_class =
-            match List.assoc_opt "class" kvs with
-            | Some c -> Ok c
-            | None -> Error "lock-preemption: missing class="
-          in
-          let* probability = find_float kvs "prob" ~default:None in
-          let* stretch_ns = find_float kvs "stretch" ~default:None in
-          Ok (Some (Lock_preemption { lock_class; probability; stretch_ns }))
-      | "ipi-storm" ->
-          let* period_ns = find_float kvs "period" ~default:None in
-          Ok (Some (Ipi_storm { period_ns }))
-      | "cache-flush" ->
-          let* period_ns = find_float kvs "period" ~default:None in
-          let* window_ns = find_float kvs "window" ~default:None in
-          let* pressure = find_float kvs "pressure" ~default:None in
-          Ok (Some (Cache_flush_storm { period_ns; window_ns; pressure }))
-      | "slow-memory" ->
-          let* period_ns = find_float kvs "period" ~default:None in
-          let* window_ns = find_float kvs "window" ~default:None in
-          let* dilation = find_float kvs "dilation" ~default:None in
-          Ok (Some (Slow_memory { period_ns; window_ns; dilation }))
-      | "device-stall" ->
-          let* probability = find_float kvs "prob" ~default:None in
-          let* stall_ns = find_float kvs "stall" ~default:None in
-          Ok (Some (Device_stall { probability; stall_ns }))
-      | "rank-crash" ->
-          let* rank =
-            match List.assoc_opt "rank" kvs with
-            | Some v -> parse_int "rank" v
-            | None -> Error "rank-crash: missing rank="
-          in
-          let* at_ns = find_float kvs "at" ~default:None in
-          let* restart_after_ns =
-            match List.assoc_opt "restart" kvs with
-            | None -> Ok None
-            | Some v -> Result.map Option.some (parse_float "restart" v)
-          in
-          Ok (Some (Rank_crash { rank; at_ns; restart_after_ns }))
-      | "workload-drift" ->
-          let* at_ns = find_float kvs "at" ~default:None in
-          let* shift = find_float kvs "shift" ~default:None in
-          Ok (Some (Workload_drift { at_ns; shift }))
-      | other -> Error (Printf.sprintf "unknown fault action %S" other))
+let parse_action keyword kvs =
+  match keyword with
+  | "syscall-failures" ->
+      let* eintr_share = find_float kvs "eintr-share" ~default:(Some 0.3) in
+      let* rates =
+        List.fold_left
+          (fun acc (k, v) ->
+            let* acc = acc in
+            if k = "eintr-share" then Ok acc
+            else
+              match Category.of_string k with
+              | None -> Error (Printf.sprintf "unknown category %S" k)
+              | Some c ->
+                  let* r = Kvline.float_of k v in
+                  Ok ((c, r) :: acc))
+          (Ok []) kvs
+      in
+      Ok (Syscall_failures { rates = List.rev rates; eintr_share })
+  | "daemon-storm" ->
+      let* jbd2 = find_float kvs "jbd2" ~default:(Some 1.0) in
+      let* kswapd = find_float kvs "kswapd" ~default:(Some 1.0) in
+      let* load_balancer = find_float kvs "load-balancer" ~default:(Some 1.0) in
+      let* cgroup_flusher =
+        find_float kvs "cgroup-flusher" ~default:(Some 1.0)
+      in
+      Ok (Daemon_storm { jbd2; kswapd; load_balancer; cgroup_flusher })
+  | "lock-preemption" ->
+      let* lock_class =
+        match List.assoc_opt "class" kvs with
+        | Some c -> Ok c
+        | None -> Error "lock-preemption: missing class="
+      in
+      let* probability = find_float kvs "prob" ~default:None in
+      let* stretch_ns = find_float kvs "stretch" ~default:None in
+      Ok (Lock_preemption { lock_class; probability; stretch_ns })
+  | "ipi-storm" ->
+      let* period_ns = find_float kvs "period" ~default:None in
+      Ok (Ipi_storm { period_ns })
+  | "cache-flush" ->
+      let* period_ns = find_float kvs "period" ~default:None in
+      let* window_ns = find_float kvs "window" ~default:None in
+      let* pressure = find_float kvs "pressure" ~default:None in
+      Ok (Cache_flush_storm { period_ns; window_ns; pressure })
+  | "slow-memory" ->
+      let* period_ns = find_float kvs "period" ~default:None in
+      let* window_ns = find_float kvs "window" ~default:None in
+      let* dilation = find_float kvs "dilation" ~default:None in
+      Ok (Slow_memory { period_ns; window_ns; dilation })
+  | "device-stall" ->
+      let* probability = find_float kvs "prob" ~default:None in
+      let* stall_ns = find_float kvs "stall" ~default:None in
+      Ok (Device_stall { probability; stall_ns })
+  | "rank-crash" ->
+      let* rank =
+        match List.assoc_opt "rank" kvs with
+        | Some v -> Kvline.int_of "rank" v
+        | None -> Error "rank-crash: missing rank="
+      in
+      let* at_ns = find_float kvs "at" ~default:None in
+      let* restart_after_ns =
+        match List.assoc_opt "restart" kvs with
+        | None -> Ok None
+        | Some v -> Result.map Option.some (Kvline.float_of "restart" v)
+      in
+      Ok (Rank_crash { rank; at_ns; restart_after_ns })
+  | "workload-drift" ->
+      let* at_ns = find_float kvs "at" ~default:None in
+      let* shift = find_float kvs "shift" ~default:None in
+      Ok (Workload_drift { at_ns; shift })
+  | other -> Error (Printf.sprintf "unknown fault action %S" other)
 
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let rec go name actions = function
-    | [] -> Ok { name; actions = List.rev actions }
-    | line :: rest -> (
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go name actions rest
-        else
-          match split_words line with
-          | "name" :: n :: _ -> go n actions rest
-          | _ -> (
-              match parse_action line with
-              | Error e -> Error (Printf.sprintf "%S: %s" line e)
-              | Ok None -> go name actions rest
-              | Ok (Some a) -> go name (a :: actions) rest))
-  in
-  go "unnamed" [] lines
+  Result.map
+    (fun (name, actions) -> { name; actions })
+    (Kvline.parse ~action:parse_action s)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

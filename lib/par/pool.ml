@@ -94,8 +94,8 @@ let jobs t = t.jobs
    The size is per domain and does *not* propagate to spawned domains,
    so [create] applies it to the submitting domain and every worker
    applies it to itself on entry.  Users stay in charge: an explicit
-   s=<n> in OCAMLRUNPARAM or a KSURF_MINOR_WORDS override wins, and we
-   only ever grow the arena, never shrink it. *)
+   s=<n> in OCAMLRUNPARAM wins, and we only ever grow the arena, never
+   shrink it. *)
 let default_minor_words = 8 * 1024 * 1024 (* words: 64 MB per domain on 64-bit *)
 
 let user_sized_minor_heap () =
@@ -106,27 +106,11 @@ let user_sized_minor_heap () =
       |> List.exists (fun kv ->
              String.length kv >= 2 && kv.[0] = 's' && kv.[1] = '=')
 
-let minor_heap_target () =
-  match Sys.getenv_opt "KSURF_MINOR_WORDS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None ->
-          if String.trim s <> "" then
-            Printf.eprintf
-              "ksurf: ignoring invalid KSURF_MINOR_WORDS=%S (expected a \
-               positive word count); using %d\n\
-               %!"
-              s default_minor_words;
-          default_minor_words)
-  | None -> default_minor_words
-
 let tune_minor_heap () =
   if not (user_sized_minor_heap ()) then begin
-    let target = minor_heap_target () in
     let g = Gc.get () in
-    if g.Gc.minor_heap_size < target then
-      Gc.set { g with Gc.minor_heap_size = target }
+    if g.Gc.minor_heap_size < default_minor_words then
+      Gc.set { g with Gc.minor_heap_size = default_minor_words }
   end
 
 (* Claim-and-run until the batch has no unclaimed cells.  Runs on

@@ -28,9 +28,9 @@ val default_jobs : unit -> int
     treated as unset, silently (putenv cannot remove a variable). *)
 
 val tune_minor_heap : unit -> unit
-(** Grow the calling domain's minor heap to the kpar default (8M words
-    unless [KSURF_MINOR_WORDS] overrides it), unless the user already
-    chose a size via [s=<n>] in [OCAMLRUNPARAM].  Never shrinks.
+(** Grow the calling domain's minor heap to the kpar default of 8M
+    words, unless the user already chose a size via [s=<n>] in
+    [OCAMLRUNPARAM].  Never shrinks.
 
     OCaml 5 minor collections are a stop-the-world rendezvous of every
     domain, and the setting does not propagate to spawned domains —

@@ -333,8 +333,8 @@ let doses = [ 0.0; 2.0 ]
 let sweep_policies = [ D.Static; D.Adaptive ]
 
 let run ?journal ?pool () =
-  E.Drift.run ~seed:7 ~scale:E.Quick ~doses ~policies:sweep_policies ?journal
-    ?pool ()
+  E.Drift.run ~doses ~policies:sweep_policies
+    (E.context ~seed:7 ?journal ?pool E.Quick)
 
 let export_bytes t dir =
   match Ksurf.Experiments.Drift.csv ~dir t with

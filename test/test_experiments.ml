@@ -6,7 +6,11 @@ module E = Experiments
    sizes.  Shape-versus-paper comparisons at Full scale live in
    EXPERIMENTS.md and the bench harness. *)
 
-let quick_corpus = lazy (E.default_corpus E.Quick)
+let quick = E.context E.Quick
+
+(* One statistic's bucket row of one deployment. *)
+let bucket (t : E.Breakdown.t) label stat =
+  List.assoc stat (List.assoc label t.rows)
 
 let test_scale_parsing () =
   Alcotest.(check bool) "quick" true (E.scale_of_string "quick" = Some E.Quick);
@@ -19,7 +23,7 @@ let test_default_corpus_deterministic () =
   Alcotest.(check string) "same corpus" a b
 
 let test_table1 () =
-  let t = E.Table1.run () in
+  let t = E.Table1.run quick in
   Alcotest.(check int) "seven rows" 7 (List.length t);
   let vms, first = List.hd t in
   Alcotest.(check int) "first row 1 VM" 1 vms;
@@ -27,37 +31,39 @@ let test_table1 () =
   let rendered = Format.asprintf "%a" E.Table1.pp t in
   Alcotest.(check bool) "renders" true (String.length rendered > 0)
 
-let table2 = lazy (E.Table2.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) ())
+let table2 = lazy (E.Breakdown.run E.Breakdown.table2 quick)
 
 let test_table2_structure () =
   let t = Lazy.force table2 in
-  Alcotest.(check int) "three environments" 3 (List.length t.E.Table2.rows);
   Alcotest.(check (list string)) "env names" [ "native"; "kvm-64"; "docker-64" ]
-    (List.map (fun r -> r.E.Table2.env) t.E.Table2.rows);
+    (List.map fst t.E.Breakdown.rows);
+  List.iter
+    (fun (_, buckets) ->
+      Alcotest.(check (list string)) "statistics" [ "median"; "p99"; "max" ]
+        (List.map (fun (s, _) -> Study.statistic_name s) buckets))
+    t.E.Breakdown.rows;
   Alcotest.(check bool) "renders" true
-    (String.length (Format.asprintf "%a" E.Table2.pp t) > 0)
-
-let row_of t env =
-  List.find (fun r -> r.E.Table2.env = env) t.E.Table2.rows
+    (String.length (Format.asprintf "%a" E.Breakdown.pp t) > 0)
 
 let test_table2_virt_median_overhead () =
   (* The paper's first observation: native has more sub-1us medians than
      the 64-VM environment. *)
   let t = Lazy.force table2 in
-  let native = row_of t "native" and kvm = row_of t "kvm-64" in
+  let native = bucket t "native" Study.Median
+  and kvm = bucket t "kvm-64" Study.Median in
   Alcotest.(check bool) "native medians faster at 1us" true
-    (native.E.Table2.median.Buckets.le_1us > kvm.E.Table2.median.Buckets.le_1us)
+    (native.Buckets.le_1us > kvm.Buckets.le_1us)
 
 let test_table2_kvm_bounds_worst_case () =
   (* And the second: KVM bounds the tail — fewer max values above 10ms
      than native. *)
   let t = Lazy.force table2 in
-  let native = row_of t "native" and kvm = row_of t "kvm-64" in
+  let native = bucket t "native" Study.Max and kvm = bucket t "kvm-64" Study.Max in
   Alcotest.(check bool) "kvm max above 10ms <= native's" true
-    (kvm.E.Table2.max.Buckets.gt_10ms <= native.E.Table2.max.Buckets.gt_10ms)
+    (kvm.Buckets.gt_10ms <= native.Buckets.gt_10ms)
 
 let test_fig2_structure () =
-  let t = E.Fig2.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) () in
+  let t = E.Fig2.run quick in
   Alcotest.(check int) "7 vm counts x 6 categories" 42
     (List.length t.E.Fig2.cells);
   Alcotest.(check bool) "filter keeps a subset" true
@@ -66,15 +72,16 @@ let test_fig2_structure () =
     (String.length (Format.asprintf "%a" E.Fig2.pp t) > 0)
 
 let test_table3_structure () =
-  let t = E.Table3.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) () in
-  Alcotest.(check (list int)) "container counts" [ 1; 2; 4; 8; 16; 32; 64 ]
-    (List.map (fun r -> r.E.Table3.containers) t.E.Table3.rows);
+  let t = E.Breakdown.run E.Breakdown.table3 quick in
+  Alcotest.(check (list string)) "container counts"
+    [ "1"; "2"; "4"; "8"; "16"; "32"; "64" ]
+    (List.map fst t.E.Breakdown.rows);
   Alcotest.(check bool) "renders" true
-    (String.length (Format.asprintf "%a" E.Table3.pp t) > 0)
+    (String.length (Format.asprintf "%a" E.Breakdown.pp t) > 0)
 
 let test_fig3_smoke () =
   let apps = List.filter_map Apps.by_name [ "silo" ] in
-  let t = E.Fig3.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) ~apps () in
+  let t = E.Fig3.run ~apps quick in
   Alcotest.(check int) "4 cells for one app" 4 (List.length t.E.Fig3.cells);
   (match E.Fig3.cell t ~app:"silo" ~kind:"kvm" ~contended:false with
   | Some r -> Alcotest.(check bool) "positive p99" true (r.Runner.p99 > 0.0)
@@ -84,7 +91,7 @@ let test_fig3_smoke () =
 
 let test_fig4_smoke () =
   let apps = List.filter_map Apps.by_name [ "silo" ] in
-  let t = E.Fig4.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) ~apps () in
+  let t = E.Fig4.run ~apps quick in
   Alcotest.(check int) "4 cells" 4 (List.length t.E.Fig4.cells);
   (match E.Fig4.cell t ~app:"silo" ~kind:"docker" ~contended:true with
   | Some r -> Alcotest.(check bool) "positive runtime" true (r.Cluster.runtime_ns > 0.0)
@@ -102,19 +109,18 @@ let test_fig4_paper_apps () =
   Alcotest.(check int) "six apps" 6 (List.length E.Fig4.paper_apps)
 
 let test_ablation_quietest_variant_wins () =
-  let t = E.Ablate.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) () in
-  Alcotest.(check int) "five variants" 5 (List.length t.E.Ablate.rows);
-  let find v = List.find (fun r -> r.E.Ablate.variant = v) t.E.Ablate.rows in
-  let default = find "default" and off = find "all-off" in
+  let t = E.Breakdown.run E.Breakdown.ablate quick in
+  Alcotest.(check int) "five variants" 5 (List.length t.E.Breakdown.rows);
+  let default = bucket t "default" Study.Max and off = bucket t "all-off" Study.Max in
   (* With every mechanism off, worst cases cannot be heavier. *)
   Alcotest.(check bool) "all-off has no heavier tail" true
-    (off.E.Ablate.max.Buckets.gt_10ms <= default.E.Ablate.max.Buckets.gt_10ms);
+    (off.Buckets.gt_10ms <= default.Buckets.gt_10ms);
   Alcotest.(check bool) "renders" true
-    (String.length (Format.asprintf "%a" E.Ablate.pp t) > 0)
+    (String.length (Format.asprintf "%a" E.Breakdown.pp t) > 0)
 
 let test_ablate_virt_monotone_interest () =
   let apps = List.filter_map Apps.by_name [ "silo" ] in
-  let t = E.Ablate_virt.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) ~apps () in
+  let t = E.Ablate_virt.run ~apps quick in
   Alcotest.(check int) "four scales" 4 (List.length t.E.Ablate_virt.rows);
   List.iter
     (fun r ->
@@ -158,20 +164,19 @@ let test_lightweight_presets () =
     (Lightweight.gvisor.Virt_config.exits_per_syscall >= 1.0)
 
 let test_lwvm_experiment () =
-  let t = E.Lwvm.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) () in
-  Alcotest.(check int) "seven environments" 7 (List.length t.E.Lwvm.rows);
-  let find env = List.find (fun r -> r.E.Lwvm.env = env) t.E.Lwvm.rows in
+  let t = E.Breakdown.run E.Breakdown.lwvm quick in
+  Alcotest.(check int) "seven environments" 7 (List.length t.E.Breakdown.rows);
   (* Every virtualised environment bounds the worst case at least as
      well as Docker's shared kernel. *)
-  let docker = find "docker-64" in
+  let docker = bucket t "docker-64" Study.Max in
   List.iter
     (fun env ->
-      let r = find env in
+      let r = bucket t env Study.Max in
       Alcotest.(check bool) (env ^ " bounds the tail") true
-        (r.E.Lwvm.max.Buckets.gt_10ms <= docker.E.Lwvm.max.Buckets.gt_10ms))
+        (r.Buckets.gt_10ms <= docker.Buckets.gt_10ms))
     [ "kvm-64"; "firecracker-64"; "kata-64"; "nabla-64"; "gvisor-64" ];
   Alcotest.(check bool) "renders" true
-    (String.length (Format.asprintf "%a" E.Lwvm.pp t) > 0)
+    (String.length (Format.asprintf "%a" E.Breakdown.pp t) > 0)
 
 let suite =
   suite
@@ -181,7 +186,7 @@ let suite =
     ]
 
 let test_locks_experiment () =
-  let t = E.Locks.run ~scale:E.Quick ~corpus:(Lazy.force quick_corpus) () in
+  let t = E.Locks.run quick in
   let envs =
     List.sort_uniq String.compare (List.map (fun r -> r.E.Locks.env) t.E.Locks.rows)
   in
@@ -204,7 +209,7 @@ let suite =
 
 (* --- specialization study (kspec) ------------------------------------- *)
 
-let specialize = lazy (E.Specialize.run ~scale:E.Quick ())
+let specialize = lazy (E.Specialize.run quick)
 
 let test_specialize_structure () =
   let t = Lazy.force specialize in

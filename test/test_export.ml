@@ -50,9 +50,8 @@ let line_count path =
 
 let test_export_table2 () =
   with_temp_dir (fun dir ->
-      let corpus = E.default_corpus E.Quick in
-      let t = E.Table2.run ~scale:E.Quick ~corpus () in
-      match E.Table2.csv ~dir t with
+      let t = E.Breakdown.run E.Breakdown.table2 (E.context E.Quick) in
+      match E.Breakdown.csv ~dir t with
       | [ path ] ->
           (* 3 environments x 3 statistics + header. *)
           Alcotest.(check int) "rows" 10 (line_count path)
@@ -60,9 +59,8 @@ let test_export_table2 () =
 
 let test_export_fig3 () =
   with_temp_dir (fun dir ->
-      let corpus = E.default_corpus E.Quick in
       let apps = List.filter_map Apps.by_name [ "silo" ] in
-      let t = E.Fig3.run ~scale:E.Quick ~corpus ~apps () in
+      let t = E.Fig3.run ~apps (E.context E.Quick) in
       match E.Fig3.csv ~dir t with
       | [ path ] -> Alcotest.(check int) "4 cells + header" 5 (line_count path)
       | _ -> Alcotest.fail "expected one file")

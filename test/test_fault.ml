@@ -46,6 +46,47 @@ let test_plan_parse_errors () =
   | Ok p -> Alcotest.(check bool) "empty plan" true (p.Plan.actions = [])
   | Error e -> Alcotest.failf "comments rejected: %s" e
 
+(* Both plan decoders are total: arbitrary bytes and mutated preset
+   text decode to [Ok] or [Error], never an exception.  Whatever they
+   accept reaches a [to_string] fixed point, and an unmutated preset
+   round-trips byte for byte. *)
+let preset_texts =
+  List.map (fun (_, p) -> Plan.to_string p) Plan.presets
+  @ List.map (fun (_, p) -> Durplan.to_string p) Durplan.presets
+
+let mutate text edits =
+  let b = Bytes.of_string text in
+  let n = Bytes.length b in
+  List.iter (fun (i, c) -> if n > 0 then Bytes.set b (i mod n) c) edits;
+  Bytes.to_string b
+
+let plan_text =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      oneof
+        [
+          string;
+          map2 mutate (oneofl preset_texts)
+            (list_size (0 -- 6)
+               (pair nat (oneofl [ '='; ' '; '\n'; '#'; 'x'; '-'; '.'; '1' ])));
+        ])
+
+let qcheck_plan_decoders_total =
+  QCheck.Test.make ~name:"plan decoders total" ~count:1000 plan_text (fun s ->
+      let fixed of_string to_string =
+        match of_string s with
+        | Error _ -> None
+        | Ok p ->
+            let text = to_string p in
+            (match of_string text with
+            | Ok p' when to_string p' = text -> ()
+            | _ -> QCheck.Test.fail_reportf "no fixed point: %S" text);
+            Some text
+      in
+      let plan = fixed Plan.of_string Plan.to_string in
+      let durplan = fixed Durplan.of_string Durplan.to_string in
+      (not (List.mem s preset_texts)) || plan = Some s || durplan = Some s)
+
 let test_scale () =
   let mixed = Option.get (Plan.preset "mixed") in
   Alcotest.(check bool) "zero dose injects nothing" true
@@ -254,8 +295,8 @@ let test_faulted_scenarios_clean () =
 
 let test_dose_response_directional () =
   let t =
-    Experiments.Dose.run ~seed:42 ~scale:Experiments.Quick
-      ~intensities:[ 0.0; 2.0 ] ()
+    Experiments.Dose.run ~intensities:[ 0.0; 2.0 ]
+      (Experiments.context Experiments.Quick)
   in
   let top env =
     match Experiments.Dose.degradation t ~env with
@@ -276,6 +317,7 @@ let suite =
     Alcotest.test_case "presets parse" `Quick test_presets_parse;
     Alcotest.test_case "plan roundtrip" `Quick test_plan_roundtrip;
     Alcotest.test_case "plan parse errors" `Quick test_plan_parse_errors;
+    QCheck_alcotest.to_alcotest qcheck_plan_decoders_total;
     Alcotest.test_case "scale" `Quick test_scale;
     Alcotest.test_case "injections probed" `Quick
       test_injections_fire_and_are_probed;

@@ -170,24 +170,25 @@ let test_map_racing_shutdown () =
 
 (* --- Determinism under parallelism --------------------------------- *)
 
-(* Every journalled entry renders the same text and writes the same
-   CSV bytes on a 1-job pool (no worker domains) and a 4-domain pool. *)
-let test_journalled_jobs_agnostic () =
+(* Every journalled entry, and two of the Breakdown tables (one code
+   path for all four), renders the same text and writes the same CSV
+   bytes with no pool as on a 4-domain pool. *)
+let test_studies_pool_agnostic () =
   let corpus = lazy (E.default_corpus ~seed:11 E.Quick) in
-  let outcome jobs (s : E.study) =
-    Pool.with_pool ~jobs (fun pool ->
-        s.E.run ~seed:11 ~scale:E.Quick ~corpus ~journal:None ~pool)
+  let outcome ?pool (s : E.study) =
+    s.E.run (E.context ~seed:11 ~corpus ?pool E.Quick)
   in
   let render (o : E.outcome) = Format.asprintf "%t" o.E.render in
   let csv (o : E.outcome) =
     match o.E.csv with
     | Some write -> with_temp_dir (fun dir -> List.map read_file (write ~dir))
-    | None -> Alcotest.fail "journalled entry without a CSV writer"
+    | None -> Alcotest.fail "entry without a CSV writer"
   in
   List.iter
     (fun (s : E.study) ->
-      if s.E.journals then begin
-        let seq = outcome 1 s and par = outcome 4 s in
+      if s.E.journals || List.mem s.E.name [ "table2"; "ablate" ] then begin
+        let seq = outcome s
+        and par = Pool.with_pool ~jobs:4 (fun pool -> outcome ~pool s) in
         Alcotest.(check string) (s.E.name ^ " rendering") (render seq) (render par);
         Alcotest.(check (list string)) (s.E.name ^ " csv bytes") (csv seq) (csv par)
       end)
@@ -250,7 +251,7 @@ let test_dose_resume_equivalence () =
   (* Resuming from a journal that already has some cells recomputes
      exactly the missing cells, with values identical to an
      uninterrupted run. *)
-  let full = E.Dose.run ~seed:11 ~scale:E.Quick () in
+  let full = E.Dose.run (E.context ~seed:11 E.Quick) in
   let keys =
     List.map
       (fun (c : E.Dose.cell) -> Printf.sprintf "dose:%s:%.2f" c.env c.intensity)
@@ -266,9 +267,10 @@ let test_dose_resume_equivalence () =
       Recov_journal.flush j;
       let resumed =
         Pool.with_pool ~jobs:4 (fun pool ->
-            E.Dose.run ~seed:11 ~scale:E.Quick ~pool
-              ~journal:(Recov_journal.load ~path ())
-              ())
+            E.Dose.run
+              (E.context ~seed:11 ~pool
+                 ~journal:(Recov_journal.load ~path ())
+                 E.Quick))
       in
       let expect =
         List.filteri (fun i _ -> i >= done_n) full.E.Dose.cells
@@ -343,8 +345,8 @@ let suite =
       test_skewed_runtime_identity;
     Alcotest.test_case "many small batches" `Quick test_many_small_batches;
     Alcotest.test_case "map racing shutdown" `Quick test_map_racing_shutdown;
-    Alcotest.test_case "journalled studies jobs 1 = jobs 4" `Slow
-      test_journalled_jobs_agnostic;
+    Alcotest.test_case "studies pool-agnostic" `Slow
+      test_studies_pool_agnostic;
     Alcotest.test_case "journal single writer" `Quick
       test_journal_parallel_single_writer;
     Alcotest.test_case "journal kill mid-sweep" `Quick

@@ -300,7 +300,11 @@ let test_all_policies_complete_crashy () =
       Alcotest.(check bool)
         (Supervisor.policy_name policy ^ " saw the planned crash")
         true
-        (o.Supervisor.crashes >= 1))
+        (o.Supervisor.crashes >= 1);
+      Alcotest.(check bool)
+        (Supervisor.policy_name policy ^ " straggler amplification")
+        true
+        (o.Supervisor.straggler_factor >= 1.0))
     Supervisor.[ Survivors; Readmit; Speculative ]
 
 let test_survivors_degrades () =
@@ -502,11 +506,10 @@ let tiny_corpus =
        ())
       .Generator.corpus
 
-let cluster_cell ?on_env ?recovery ?plan ?resume_from () =
+let cluster_cell ?on_env () =
   let app = Option.get (Apps.by_name "silo") in
   Cluster.run ~app ~kind:Env.Native ~contended:false ~config:tiny_cluster_config
-    ~noise_corpus:(Lazy.force tiny_corpus) ?on_env ?recovery ?plan ?resume_from
-    ()
+    ~noise_corpus:(Lazy.force tiny_corpus) ?on_env ()
 
 (* Satellite regression: a permanent [Rank_crash] during node simulation
    must not contribute partial-iteration samples to the pool — they are
@@ -527,35 +530,15 @@ let test_cluster_permanent_crash_drops_samples () =
   Alcotest.(check int) "baseline drops nothing" 0
     baseline.Cluster.samples_dropped
 
-let test_cluster_supervised_run () =
-  let recovery =
-    { Supervisor.default_config with Supervisor.policy = Supervisor.Readmit }
-  in
-  let r = cluster_cell ~recovery ~plan:crashy_plan () in
-  Alcotest.(check string) "policy stamped" "readmit" r.Cluster.policy;
-  Alcotest.(check bool) "positive runtime" true (r.Cluster.runtime_ns > 0.0);
-  Alcotest.(check bool) "crash seen" true (r.Cluster.crashes >= 1);
-  Alcotest.(check bool) "straggler amplification" true
-    (r.Cluster.straggler_factor >= 1.0);
-  (* Supervised synthesis is deterministic too. *)
-  let r' = cluster_cell ~recovery ~plan:crashy_plan () in
-  Alcotest.(check (float 0.0)) "deterministic runtime" r.Cluster.runtime_ns
-    r'.Cluster.runtime_ns
-
-let test_cluster_unsupervised_unchanged () =
-  let r = cluster_cell () in
-  Alcotest.(check string) "no policy" "none" r.Cluster.policy;
-  Alcotest.(check int) "full membership"
-    tiny_cluster_config.Cluster.nodes_total r.Cluster.survivors
-
 (* --- experiments ------------------------------------------------------- *)
 
 let test_recover_study_and_journal () =
   let p = temp_path ".journal" in
   let journal = Recov_journal.load ~path:p () in
   let t =
-    Experiments.Recover.run ~seed:9 ~scale:Experiments.Quick
-      ~corpus:(Lazy.force tiny_corpus) ~rates:[ 0.0; 0.02 ] ~journal ()
+    Experiments.Recover.run ~rates:[ 0.0; 0.02 ]
+      (Experiments.context ~seed:9 ~corpus:tiny_corpus ~journal
+         Experiments.Quick)
   in
   Alcotest.(check int) "3 policies x 2 rates" 6
     (List.length t.Experiments.Recover.cells);
@@ -576,9 +559,9 @@ let test_recover_study_and_journal () =
     [ "survivors"; "readmit"; "speculative" ];
   (* Second run with the same journal skips every cell. *)
   let t' =
-    Experiments.Recover.run ~seed:9 ~scale:Experiments.Quick
-      ~corpus:(Lazy.force tiny_corpus) ~rates:[ 0.0; 0.02 ]
-      ~journal:(Recov_journal.load ~path:p ()) ()
+    Experiments.Recover.run ~rates:[ 0.0; 0.02 ]
+      (Experiments.context ~seed:9 ~corpus:tiny_corpus
+         ~journal:(Recov_journal.load ~path:p ()) Experiments.Quick)
   in
   Alcotest.(check int) "resume skips all" 0
     (List.length t'.Experiments.Recover.cells);
@@ -635,10 +618,6 @@ let suite =
       test_disabled_policy_wedge_aborts;
     Alcotest.test_case "cluster crash drops samples" `Quick
       test_cluster_permanent_crash_drops_samples;
-    Alcotest.test_case "cluster supervised run" `Quick
-      test_cluster_supervised_run;
-    Alcotest.test_case "cluster unsupervised unchanged" `Quick
-      test_cluster_unsupervised_unchanged;
     Alcotest.test_case "recover study + journal" `Slow
       test_recover_study_and_journal;
     Alcotest.test_case "recovered-bsp scenario clean" `Slow

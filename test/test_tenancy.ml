@@ -11,8 +11,8 @@ let tenants = [ 8 ]
 let churns = [ 0.0; 16.0 ]
 
 let run ?journal ?pool () =
-  E.Tenancy.run ~seed:7 ~scale:E.Quick ~tenants ~churns ~policies ?journal
-    ?pool ()
+  E.Tenancy.run ~tenants ~churns ~policies
+    (E.context ~seed:7 ?journal ?pool E.Quick)
 
 let with_tmp_dir prefix f =
   let dir = Filename.temp_file prefix "" in
