@@ -43,8 +43,10 @@ tenancy-bench:
 # result bit-identical.  The pass's minor_mwords (the deterministic
 # allocation count) must also stay within BENCHMARK.json's minor_mwords
 # bound (1%) of that workload's median in the committed
-# BENCH_ledger_snapshot.json: an allocation regression fails here, not
-# only in the benchmark.  Exits nonzero on either.  Writes only under
+# BENCH_ledger_snapshot.json, on either side: an allocation regression
+# fails here, not only in the benchmark, and so does a gain the
+# snapshot does not record yet, so the snapshot is refreshed in the same
+# change as the gain.  Exits nonzero on any of these.  Writes only under
 # .bench_build/.
 LEDGER_WORKLOADS = shared-kernel partitioned-sweep fleet-churn observed-shared tail-serving
 LEDGER_SNAPSHOT = BENCH_ledger_snapshot.json
@@ -63,6 +65,10 @@ ledger-check:
 	      [ -n "$$mw" ] || { echo "ledger-check $$w: FAILED: no minor_mwords in $$line"; exit 1; }; \
 	      if awk -v mw="$$mw" -v ref="$$ref" -v b="$$bound" 'BEGIN { exit !(mw > ref * (1 + b)) }'; then \
 	        printf 'ledger-check %s: FAILED: minor_mwords %.1f is more than %s%% over the snapshot median %.1f\n' $$w "$$mw" "$$pct" "$$ref"; \
+	        exit 1; \
+	      fi; \
+	      if awk -v mw="$$mw" -v ref="$$ref" -v b="$$bound" 'BEGIN { exit !(mw < ref * (1 - b)) }'; then \
+	        printf 'ledger-check %s: FAILED: minor_mwords %.1f is more than %s%% under the snapshot median %.1f; record the gain with: sh ledger/run.sh ledger --trace --out $(LEDGER_SNAPSHOT)\n' $$w "$$mw" "$$pct" "$$ref"; \
 	        exit 1; \
 	      fi; \
 	      printf 'ledger-check %s: ok (minor_mwords %.1f, snapshot %.1f)\n' $$w "$$mw" "$$ref" ;; \

@@ -9,10 +9,11 @@ type ctx = { core : int; tenant : int; key : int; cgroup : int option }
 
 (* A striped lock group.  A stripe is created, and named
    [prefix ^ "[i]"], the first time a context resolves to it; later
-   lookups return that same object.  A churned guest touches a handful
-   of its stripes, so boot costs what the guest uses rather than what
-   the stripe counts allow. *)
-type 'a stripes = { prefix : string; slots : 'a option array }
+   lookups return that same object.  The slot array itself is made on
+   the group's first touch.  A churned guest touches a handful of its
+   stripes in a few of its groups, so boot costs what the guest uses
+   rather than what the stripe counts allow. *)
+type 'a stripes = { prefix : string; count : int; mutable slots : 'a option array }
 
 type t = {
   engine : Engine.t;
@@ -90,10 +91,11 @@ let class_index = function
   | Sched_activity -> 2
   | Charge_activity -> 3
 
-let stripes prefix n = { prefix; slots = Array.make n None }
+let stripes prefix count = { prefix; count; slots = [||] }
 
 let stripe engine (create : engine:Engine.t -> name:string -> 'a) s i =
-  let i = i mod Array.length s.slots in
+  if Array.length s.slots = 0 then s.slots <- Array.make s.count None;
+  let i = i mod s.count in
   match s.slots.(i) with
   | Some l -> l
   | None ->

@@ -10,17 +10,36 @@ type t = {
   initial : float array;  (* first five samples, for startup *)
 }
 
+(* The state before any sample.  [initial] needs no clearing: [add]
+   overwrites a slot before anything reads it. *)
+let reset t =
+  let q = t.q in
+  Array.fill t.heights 0 5 0.0;
+  for i = 0 to 4 do
+    t.positions.(i) <- float_of_int (i + 1)
+  done;
+  t.desired.(0) <- 1.0;
+  t.desired.(1) <- 1.0 +. (2.0 *. q);
+  t.desired.(2) <- 1.0 +. (4.0 *. q);
+  t.desired.(3) <- 3.0 +. (2.0 *. q);
+  t.desired.(4) <- 5.0;
+  t.n <- 0
+
 let create q =
   if q <= 0.0 || q >= 1.0 then invalid_arg "P2_quantile.create: q in (0,1)";
-  {
-    q;
-    heights = Array.make 5 0.0;
-    positions = [| 1.0; 2.0; 3.0; 4.0; 5.0 |];
-    desired = [| 1.0; 1.0 +. (2.0 *. q); 1.0 +. (4.0 *. q); 3.0 +. (2.0 *. q); 5.0 |];
-    increments = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
-    n = 0;
-    initial = Array.make 5 0.0;
-  }
+  let t =
+    {
+      q;
+      heights = Array.make 5 0.0;
+      positions = Array.make 5 0.0;
+      desired = Array.make 5 0.0;
+      increments = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
+      n = 0;
+      initial = Array.make 5 0.0;
+    }
+  in
+  reset t;
+  t
 
 let quantile t = t.q
 let count t = t.n

@@ -13,6 +13,10 @@ val create : float -> t
 (** [create q] for a quantile [q] in (0, 1), e.g. [create 0.99].
     Raises [Invalid_argument] outside the open interval. *)
 
+val reset : t -> unit
+(** Forget every sample: afterwards [t] behaves exactly as [create
+    (quantile t)] does, without allocating a new estimator. *)
+
 val add : t -> float -> unit
 val count : t -> int
 

@@ -65,7 +65,6 @@ let stddev t = Welford.stddev t.welford
 let min_value t = Welford.min_value t.welford
 let max_value t = Welford.max_value t.welford
 let total t = Welford.total t.welford
-let spilled t = t.spilled
 
 let exact t = if t.spilled then None else Some (Array.sub t.buf 0 t.len)
 

@@ -47,10 +47,6 @@ val p99 : t -> float
 (** Exact (type-7) while buffered, P² estimates after spilling.  0 if
     empty. *)
 
-val spilled : t -> bool
-(** [true] once the exact buffer has been replayed into the P²
-    estimators (or from creation with [~exact_cap:0]). *)
-
 val exact : t -> float array option
 (** The retained samples in insertion order while still buffered;
     [None] once spilled.  Callers that need historical byte-exact

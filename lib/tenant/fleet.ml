@@ -114,8 +114,8 @@ type tenant = {
   mutable pending_retire : int;  (* scale-downs not yet honoured *)
   mutable serving : int;  (* replica fibers not yet retired *)
   mutable bad_epochs : int;
-  stats : Streamstat.t;  (* streaming: lifetime post-warmup latencies *)
-  mutable epoch_p99 : P2.t;
+  lifetime_p99 : P2.t;  (* lifetime post-warmup latencies *)
+  epoch_p99 : P2.t;  (* reset at every control epoch *)
   mutable epoch_count : int;
 }
 
@@ -128,7 +128,14 @@ type t = {
   t_end : float;
   warmup_end : float;
   mk_config : Config.t;
-  mutable live : tenant list;  (* live tenants, reverse admission order *)
+  (* Live tenants in admission order: [live.(0 .. live_count - 1)].
+     Past the first [cfg.tenants], a tenant is admitted only after one
+     has departed, so both arrays hold [cfg.tenants].  [depart] closes
+     its gap and clears the freed slot.  [epoch_walk] is the control
+     epoch's copy of it, cleared after each epoch. *)
+  live : tenant option array;
+  mutable live_count : int;
+  epoch_walk : tenant option array;
   (* Lifetime SLO verdicts folded in at departure, so departed tenant
      records can be dropped: fleet memory tracks the live population,
      not every tenant ever admitted. *)
@@ -325,7 +332,7 @@ let spawn_replica t (tn : tenant) =
           let latency = now -. arrival in
           t.completed <- t.completed + 1;
           if now >= t.warmup_end then begin
-            Streamstat.add tn.stats latency;
+            P2.add tn.lifetime_p99 latency;
             Streamstat.add t.fleet_stats latency;
             P2.add tn.epoch_p99 latency;
             tn.epoch_count <- tn.epoch_count + 1
@@ -352,11 +359,39 @@ let spawn_client t (tn : tenant) =
       in
       loop ())
 
+let remove_live t tn =
+  let holds i = match t.live.(i) with Some other -> other == tn | None -> false in
+  let i = ref 0 in
+  while !i < t.live_count && not (holds !i) do
+    incr i
+  done;
+  if !i < t.live_count then begin
+    Array.blit t.live (!i + 1) t.live !i (t.live_count - !i - 1);
+    t.live_count <- t.live_count - 1;
+    t.live.(t.live_count) <- None
+  end
+
+let fold_live t f acc =
+  let acc = ref acc in
+  for i = 0 to t.live_count - 1 do
+    match t.live.(i) with Some tn -> acc := f !acc tn | None -> ()
+  done;
+  !acc
+
+(* The lifetime SLO verdict: a tenant is judged once it has enough
+   post-warmup samples, and meets the SLO when its p99 does. *)
+let is_measured (cfg : config) tn = P2.count tn.lifetime_p99 >= cfg.min_tenant_samples
+
+let meets_slo (cfg : config) tn =
+  let p99 = if P2.count tn.lifetime_p99 = 0 then 0.0 else P2.value tn.lifetime_p99 in
+  p99 <= cfg.slo_ns
+
 (* Admission must run inside a simulation process (placement storms). *)
 let admit t =
   let id = t.next_tenant in
   t.next_tenant <- t.next_tenant + 1;
-  let rng = Prng.split t.root_rng (Printf.sprintf "tenant-%d" id) in
+  let name = "tenant-" ^ string_of_int id in
+  let rng = Prng.split t.root_rng name in
   let profile =
     Workload.make
       ~rng:(Prng.split rng "profile")
@@ -375,8 +410,7 @@ let admit t =
       profile;
       client_rng = Prng.split rng "client";
       work_rng = Prng.split rng "work";
-      mailbox =
-        Mailbox.create ~engine:t.engine ~name:(Printf.sprintf "tenant-%d" id);
+      mailbox = Mailbox.create ~engine:t.engine ~name;
       klass = Policy.initial_klass t.cfg.policy;
       placement = Shared (host_of t id) (* overwritten by [place] *);
       alive = true;
@@ -385,13 +419,14 @@ let admit t =
       pending_retire = 0;
       serving = 0;
       bad_epochs = 0;
-      stats = Streamstat.streaming ();
+      lifetime_p99 = P2.create 0.99;
       epoch_p99 = P2.create 0.99;
       epoch_count = 0;
     }
   in
   place t tn (Policy.initial_klass t.cfg.policy);
-  t.live <- tn :: t.live;
+  t.live.(t.live_count) <- Some tn;
+  t.live_count <- t.live_count + 1;
   t.arrivals <- t.arrivals + 1;
   spawn_client t tn;
   spawn_replica t tn;
@@ -414,61 +449,66 @@ let depart t (tn : tenant) =
       Mailbox.send tn.mailbox (Engine.now t.engine)
     done;
     (* Fold the lifetime SLO verdict now and drop the record. *)
-    if Streamstat.count tn.stats >= t.cfg.min_tenant_samples then begin
+    if is_measured t.cfg tn then begin
       t.departed_measured <- t.departed_measured + 1;
-      if Streamstat.p99 tn.stats <= t.cfg.slo_ns then
-        t.departed_slo_met <- t.departed_slo_met + 1
+      if meets_slo t.cfg tn then t.departed_slo_met <- t.departed_slo_met + 1
     end;
-    t.live <- List.filter (fun other -> other != tn) t.live;
+    remove_live t tn;
     t.departures <- t.departures + 1;
     true
   end
 
-let live_tenants t = List.rev t.live
-
 (* The per-epoch SLO control loop: scale out a violating tenant until
    it hits the replica ceiling, then (adaptive policy) migrate it to a
    stronger isolation boundary; scale quiet tenants back in. *)
+let control_tenant t tn =
+  if tn.alive then begin
+    if tn.epoch_count >= t.cfg.min_epoch_samples then begin
+      let p99 = P2.value tn.epoch_p99 in
+      if p99 > t.cfg.slo_ns then begin
+        t.epoch_violations <- t.epoch_violations + 1;
+        tn.bad_epochs <- tn.bad_epochs + 1;
+        if tn.target_replicas < t.cfg.max_replicas then begin
+          tn.target_replicas <- tn.target_replicas + 1;
+          (* An unconsumed retire token cancels against the new
+             capacity; only spawn when every live fiber is staying. *)
+          if tn.pending_retire > 0 then
+            tn.pending_retire <- tn.pending_retire - 1
+          else spawn_replica t tn;
+          t.scale_ups <- t.scale_ups + 1
+        end
+        else if tn.bad_epochs >= t.cfg.escalate_after then
+          match Policy.escalation t.cfg.policy tn.klass with
+          | Some klass ->
+              release t tn;
+              place t tn klass;
+              tn.bad_epochs <- 0;
+              t.migrations <- t.migrations + 1
+          | None -> ()
+      end
+      else begin
+        tn.bad_epochs <- 0;
+        if p99 < t.cfg.slo_ns /. 4.0 && tn.target_replicas > 1 then begin
+          tn.target_replicas <- tn.target_replicas - 1;
+          tn.pending_retire <- tn.pending_retire + 1;
+          t.scale_downs <- t.scale_downs + 1
+        end
+      end
+    end;
+    P2.reset tn.epoch_p99;
+    tn.epoch_count <- 0
+  end
+
+(* A migration yields, and churn may admit or depart tenants meanwhile,
+   so the epoch walks the tenants live at its start, in admission
+   order, from [epoch_walk]. *)
 let control_epoch t =
-  List.iter
-    (fun tn ->
-      if tn.alive then begin
-        if tn.epoch_count >= t.cfg.min_epoch_samples then begin
-          let p99 = P2.value tn.epoch_p99 in
-          if p99 > t.cfg.slo_ns then begin
-            t.epoch_violations <- t.epoch_violations + 1;
-            tn.bad_epochs <- tn.bad_epochs + 1;
-            if tn.target_replicas < t.cfg.max_replicas then begin
-              tn.target_replicas <- tn.target_replicas + 1;
-              (* An unconsumed retire token cancels against the new
-                 capacity; only spawn when every live fiber is staying. *)
-              if tn.pending_retire > 0 then
-                tn.pending_retire <- tn.pending_retire - 1
-              else spawn_replica t tn;
-              t.scale_ups <- t.scale_ups + 1
-            end
-            else if tn.bad_epochs >= t.cfg.escalate_after then
-              match Policy.escalation t.cfg.policy tn.klass with
-              | Some klass ->
-                  release t tn;
-                  place t tn klass;
-                  tn.bad_epochs <- 0;
-                  t.migrations <- t.migrations + 1
-              | None -> ()
-          end
-          else begin
-            tn.bad_epochs <- 0;
-            if p99 < t.cfg.slo_ns /. 4.0 && tn.target_replicas > 1 then begin
-              tn.target_replicas <- tn.target_replicas - 1;
-              tn.pending_retire <- tn.pending_retire + 1;
-              t.scale_downs <- t.scale_downs + 1
-            end
-          end
-        end;
-        tn.epoch_p99 <- P2.create 0.99;
-        tn.epoch_count <- 0
-      end)
-    (List.rev t.live)
+  let n = t.live_count in
+  Array.blit t.live 0 t.epoch_walk 0 n;
+  for i = 0 to n - 1 do
+    match t.epoch_walk.(i) with Some tn -> control_tenant t tn | None -> ()
+  done;
+  Array.fill t.epoch_walk 0 n None
 
 let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
   if cfg.tenants < 1 then invalid_arg "Fleet.create: tenants must be >= 1";
@@ -499,7 +539,9 @@ let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     t_end;
     warmup_end = cfg.warmup_fraction *. t_end;
     mk_config = mk_kernel_config cfg.kernel_config Workload.service_mix;
-    live = [];
+    live = Array.make cfg.tenants None;
+    live_count = 0;
+    epoch_walk = Array.make cfg.tenants None;
     departed_measured = 0;
     departed_slo_met = 0;
     next_tenant = 0;
@@ -544,24 +586,22 @@ let run ?on_engine (cfg : config) =
                boot — runs in its own fiber so slow placements (VM
                boot) don't throttle the churn rate. *)
             let victim =
-              match live_tenants t with
-              | [] -> None
-              | live ->
-                  Some (List.nth live (Prng.int t.churn_rng (List.length live)))
+              if t.live_count = 0 then None
+              else t.live.(Prng.int t.churn_rng t.live_count)
             in
             (* A lifecycle event replaces a tenant, so it admits only
                when it actually tore one down.  Both guarded cases would
                otherwise drift the live population above the steady
                state for good: an event firing before the first
-               admission finishes its boot delay finds [t.live] empty,
+               admission finishes its boot delay finds no live tenant,
                and an earlier fiber may still be mid-teardown on the
                same victim (depart yields during the storm before
-               pruning [t.live]), making the loser's depart a no-op. *)
-            Option.iter
-              (fun tn ->
-                Engine.spawn engine (fun () ->
-                    if depart t tn then ignore (admit t : tenant)))
-              victim;
+               removing it from [t.live]), making the loser's depart a
+               no-op. *)
+            (match victim with
+            | Some tn ->
+                Engine.spawn engine (fun () -> if depart t tn then ignore (admit t : tenant))
+            | None -> ());
             loop ()
           end
         in
@@ -577,19 +617,15 @@ let run ?on_engine (cfg : config) =
       in
       loop ());
   Engine.run ~until:t.t_end ~stop:(fun () -> hit_request_target t) engine;
-  let measured = ref t.departed_measured
-  and slo_met = ref t.departed_slo_met in
-  List.iter
-    (fun tn ->
-      if Streamstat.count tn.stats >= cfg.min_tenant_samples then begin
-        incr measured;
-        if Streamstat.p99 tn.stats <= cfg.slo_ns then incr slo_met
-      end)
-    t.live;
+  let measured =
+    fold_live t (fun acc tn -> if is_measured cfg tn then acc + 1 else acc) t.departed_measured
+  and slo_met =
+    fold_live t
+      (fun acc tn -> if is_measured cfg tn && meets_slo cfg tn then acc + 1 else acc)
+      t.departed_slo_met
+  in
   let count_final k =
-    List.fold_left
-      (fun acc tn -> if tn.alive && tn.klass = k then acc + 1 else acc)
-      0 t.live
+    fold_live t (fun acc tn -> if tn.alive && tn.klass = k then acc + 1 else acc) 0
   in
   let n = Streamstat.count t.fleet_stats in
   {
@@ -603,11 +639,10 @@ let run ?on_engine (cfg : config) =
     p99 = Streamstat.p99 t.fleet_stats;
     max = (if n = 0 then 0.0 else Streamstat.max_value t.fleet_stats);
     slo_ns = cfg.slo_ns;
-    measured = !measured;
-    slo_met = !slo_met;
+    measured;
+    slo_met;
     attainment =
-      (if !measured = 0 then 0.0
-       else float_of_int !slo_met /. float_of_int !measured);
+      (if measured = 0 then 0.0 else float_of_int slo_met /. float_of_int measured);
     epoch_violations = t.epoch_violations;
     arrivals = t.arrivals;
     departures = t.departures;
@@ -620,12 +655,12 @@ let run ?on_engine (cfg : config) =
       (* Autoscaler soundness: for every live tenant the replica fibers
          still serving, net of unconsumed retire tokens, must equal the
          target — a scale-up after a scale-down really added capacity. *)
-      List.fold_left
+      fold_live t
         (fun acc tn ->
           if tn.alive then
             acc + abs ((tn.serving - tn.pending_retire) - tn.target_replicas)
           else acc)
-        0 t.live;
+        0;
     peak_cgroups = t.peak_cgroups;
     final_native = count_final Policy.Native;
     final_docker = count_final Policy.Docker;

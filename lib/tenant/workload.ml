@@ -66,20 +66,30 @@ let make ~rng ~params =
 
 let two_pi = 2.0 *. Float.pi
 
-let rate_at p ~day_ns t =
+(* [next_gap] runs before every client request and allocates only its
+   result: [rate_at] is inlined, so no float it computes is boxed, the
+   flash product is a loop over the list in its order rather than a
+   fold closure, and the uniform is drawn as [Prng.bits53] (the same
+   value as [Prng.uniform], but an int crosses the module boundary
+   unboxed). *)
+let[@inline] rate_at p ~day_ns t =
   let diurnal =
     1.0 +. (p.amplitude *. sin (two_pi *. ((t /. day_ns) +. p.phase)))
   in
-  let flash =
-    List.fold_left
-      (fun acc f -> if t >= f.from_ns && t < f.until_ns then acc *. f.boost else acc)
-      1.0 p.flashes
-  in
-  Float.max (0.05 *. p.base_rate) (p.base_rate *. diurnal *. flash)
+  let flash = ref 1.0 and rest = ref p.flashes in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | f :: tl ->
+        if t >= f.from_ns && t < f.until_ns then flash := !flash *. f.boost;
+        rest := tl
+  done;
+  Float.max (0.05 *. p.base_rate) (p.base_rate *. diurnal *. !flash)
 
 let next_gap p ~day_ns rng ~now =
   let rate = rate_at p ~day_ns now in
-  -.Float.log (1.0 -. Prng.uniform rng) /. rate
+  let u = float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0) in
+  -.Float.log (1.0 -. u) /. rate
 
 let pick_request p rng =
   let spec = Prng.pick rng p.mix in

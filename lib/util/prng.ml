@@ -28,14 +28,15 @@ let[@inline always] bits64 t =
   Bytes.set_int64_ne t.state 0 s;
   mix64 s
 
-(* FNV-1a over the label, folded into the parent's seed. *)
+(* FNV-1a over the label, folded into the parent's seed.  A loop, not
+   [String.iter]: the local [int64] ref stays unboxed, where a closure
+   would box it twice per character. *)
 let label_hash label =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    label;
+  for i = 0 to String.length label - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code label.[i]));
+    h := Int64.mul !h 0x100000001b3L
+  done;
   !h
 
 let split t label =

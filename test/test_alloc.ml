@@ -203,6 +203,49 @@ let test_try_syscall () =
   Engine.run engine;
   check_ceiling "Env.try_syscall (native, 1 rank)" ~ceiling:(exactly 17.0) !words
 
+(* 12 words, however long the label: the child's state buffer and
+   record and the label hash's result box.  A [String.iter] hash boxes
+   two [int64]s per character (15 words, plus 6 per byte). *)
+let test_prng_split () =
+  let parent = Prng.create 3 in
+  List.iter
+    (fun label ->
+      check_ceiling
+        (Printf.sprintf "Prng.split (%d-byte label)" (String.length label))
+        ~ceiling:(exactly 12.0)
+        (words_per_op ~n:10_000 (fun () -> ignore (Prng.split parent label))))
+    [ ""; "tenant-12345"; String.make 64 'x' ]
+
+(* A churned tenant's guest kernel, 4 cores and 2 GB, with its
+   background daemons (the fraction is the engine's queues growing over
+   the 200 boots).  A stripe group's slot array is made on its first
+   touch, and a fresh guest has touched none: making all six at boot
+   costs 194 words more.  A per-byte boxing label hash in its PRNG
+   splits costs another 279. *)
+let test_kernel_boot () =
+  let engine = Engine.create ~seed:1 () in
+  check_ceiling "Kernel.boot (4 cores, 2 GB)" ~ceiling:(exactly 606.72)
+    (words_per_op ~n:200 (fun () ->
+         ignore
+           (Kernel.boot ~engine ~config:Kernel_config.default ~id:7 ~cores:4
+              ~mem_mb:2048 ())))
+
+(* The result's box and nothing else, even inside three overlapping
+   flash windows: a fold over the flashes costs 11 words plus 2 per
+   window. *)
+let test_next_gap () =
+  let params = { Workload.default_params with max_flashes = 8 } in
+  let profile = Workload.make ~rng:(Prng.create 1) ~params in
+  let now = 4.2e8 in
+  let active =
+    List.filter (fun f -> now >= f.Workload.from_ns && now < f.until_ns) profile.flashes
+  in
+  Alcotest.(check int) "flash windows at now" 3 (List.length active);
+  let rng = Prng.create 12 in
+  check_ceiling "Workload.next_gap" ~ceiling:(exactly 2.0)
+    (words_per_op ~n:100_000 (fun () ->
+         ignore (Workload.next_gap profile ~day_ns:params.day_ns rng ~now)))
+
 let suite =
   [
     Alcotest.test_case "delay <= 4 words" `Quick test_delay;
@@ -221,4 +264,7 @@ let suite =
     Alcotest.test_case "Env.try_syscall per call" `Quick test_try_syscall;
     Alcotest.test_case "observed delay emits without a closure" `Quick
       test_observed_delay;
+    Alcotest.test_case "Prng.split does not grow with the label" `Quick test_prng_split;
+    Alcotest.test_case "Kernel.boot of a churned guest" `Quick test_kernel_boot;
+    Alcotest.test_case "Workload.next_gap boxes only its result" `Quick test_next_gap;
   ]

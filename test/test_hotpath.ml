@@ -132,6 +132,60 @@ let prop_p2_tied =
         (list_of_size Gen.(int_range 0 400) (map float_of_int (int_range 0 3))))
     (fun (q, samples) -> p2_agrees q samples)
 
+(* [reset] then a second stream is a fresh estimator fed that stream:
+   every marker after every sample, and the estimate. *)
+let prop_p2_reset =
+  let stream = QCheck.(list_of_size Gen.(int_range 0 60) (float_range (-1e6) 1e9)) in
+  QCheck.Test.make ~name:"P2.reset is P2.create" ~count:300
+    QCheck.(triple (make quantile_gen) stream stream)
+    (fun (q, first, second) ->
+      let p = P2.create q and fresh = P2.create q in
+      List.iter (P2.add p) first;
+      P2.reset p;
+      let same () =
+        let hp, pp = P2.markers p and hf, pf = P2.markers fresh in
+        Array.for_all2 Float.equal hp hf
+        && Array.for_all2 Float.equal pp pf
+        && P2.count p = P2.count fresh
+        && (P2.count p = 0 || Float.equal (P2.value p) (P2.value fresh))
+      in
+      same ()
+      && List.for_all
+           (fun x ->
+             P2.add p x;
+             P2.add fresh x;
+             same ())
+           second)
+
+(* --- stream derivation ------------------------------------------- *)
+
+(* Child streams of [Prng.create 42], pinned from the [String.iter]
+   label hash: the child seed and its first two [bits53] draws.  The
+   last label is 64 bytes. *)
+let split_goldens =
+  [
+    ("", -3583783417532941290, 5677579561422875, 8376739154514429);
+    ("a", 3213458937229770257, 7936364931624109, 5909849052988728);
+    ("tenant-12345", -1043152199924235691, 6352915955106146, 825604326652405);
+    ( String.init 64 (fun i -> Char.chr (32 + (i * 7 mod 95))),
+      -67264799593559510,
+      550070075014457,
+      1611771868799504 );
+  ]
+
+let test_split_goldens () =
+  let parent = Prng.create 42 in
+  List.iter
+    (fun (label, seed, d1, d2) ->
+      let child = Prng.split parent label in
+      let name = Printf.sprintf "split %S" label in
+      Alcotest.(check int) (name ^ " seed") seed (Prng.seed_of child);
+      Alcotest.(check (pair int int))
+        (name ^ " draws") (d1, d2)
+        (let a = Prng.bits53 child in
+         (a, Prng.bits53 child)))
+    split_goldens
+
 (* --- unit draws ----------------------------------------------------- *)
 
 (* The identity every module-local unit draw rests on. *)
@@ -304,6 +358,42 @@ let prop_dist_sample =
         (List.init 32 Fun.id)
       && Prng.save a = Prng.save b)
 
+(* --- Workload.next_gap ------------------------------------------- *)
+
+(* [next_gap] as written before it was made allocation-free: a fold
+   over the flashes, [Float.max] and [Prng.uniform]. *)
+let ref_next_gap (p : Workload.profile) ~day_ns rng ~now =
+  let diurnal =
+    1.0 +. (p.amplitude *. sin (2.0 *. Float.pi *. ((now /. day_ns) +. p.phase)))
+  in
+  let flash =
+    List.fold_left
+      (fun acc (f : Workload.flash) ->
+        if now >= f.from_ns && now < f.until_ns then acc *. f.boost else acc)
+      1.0 p.flashes
+  in
+  let rate = Float.max (0.05 *. p.base_rate) (p.base_rate *. diurnal *. flash) in
+  -.Float.log (1.0 -. Prng.uniform rng) /. rate
+
+(* Many flashes, so overlapping windows multiply in list order. *)
+let prop_next_gap =
+  QCheck.Test.make ~name:"Workload.next_gap matches the fold reference" ~count:200
+    QCheck.(pair small_nat (list_of_size Gen.(int_range 1 40) (float_range 0.0 4e9)))
+    (fun (seed, nows) ->
+      let params =
+        { Workload.default_params with max_flashes = 8; horizon_ns = 4e9 }
+      in
+      let profile = Workload.make ~rng:(Prng.create seed) ~params in
+      let a = Prng.create (seed + 1) in
+      let b = Prng.copy a in
+      List.for_all
+        (fun now ->
+          Float.equal
+            (Workload.next_gap profile ~day_ns:params.day_ns a ~now)
+            (ref_next_gap profile ~day_ns:params.day_ns b ~now))
+        nows
+      && Prng.save a = Prng.save b)
+
 (* --- Welford.add_span -------------------------------------------- *)
 
 let prop_add_span =
@@ -325,12 +415,15 @@ let prop_add_span =
       && Float.equal (Welford.total a) (Welford.total b))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
-    [
-      prop_p2_random;
-      prop_p2_tied;
-      prop_bits53;
-      prop_burn_draw;
-      prop_dist_sample;
-      prop_add_span;
-    ]
+  Alcotest.test_case "Prng.split child streams are pinned" `Quick test_split_goldens
+  :: List.map QCheck_alcotest.to_alcotest
+       [
+         prop_p2_random;
+         prop_p2_tied;
+         prop_p2_reset;
+         prop_bits53;
+         prop_burn_draw;
+         prop_dist_sample;
+         prop_next_gap;
+         prop_add_span;
+       ]
