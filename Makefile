@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test gates bench-json tenancy-bench ledger-check exports-check staticcheck lint check clean
+.PHONY: all build test gates bench-json tenancy-bench ledger-check exports-check staticcheck lint loc check clean
 
 all: build
 
@@ -103,6 +103,14 @@ staticcheck:
 # Sys.rename durable writes that bypass Fileio.
 lint:
 	dune exec bin/klint.exe -- lib
+
+# Code size, as ROADMAP item 5 counts it: every line of lib + bin +
+# bench, and the .mli lines among them (files git tracks or would
+# track).
+LOC_FILES = git ls-files -co --exclude-standard
+loc:
+	@echo "lib+bin+bench: $$(cat $$($(LOC_FILES) 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bin/*.mli' 'bench/*') | wc -l) lines"
+	@echo ".mli: $$(cat $$($(LOC_FILES) 'lib/*.mli' 'bin/*.mli') | wc -l) lines"
 
 check: build test lint staticcheck gates
 

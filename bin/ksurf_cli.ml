@@ -194,7 +194,7 @@ let run_corpus seed file (env_name, kind) units iterations () =
   match Ksurf.Corpus.load file with
   | Error e ->
       Format.eprintf "cannot load %s: %s@." file e;
-      exit 1
+      exit 2
   | Ok corpus ->
       let engine = Ksurf.Engine.create ~seed () in
       let env = Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units) in

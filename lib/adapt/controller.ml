@@ -28,8 +28,6 @@ let default_config =
 
 type state = Auditing | Enforcing
 
-let state_name = function Auditing -> "auditing" | Enforcing -> "enforcing"
-
 type decision = Promoted | Demoted | Stayed
 
 type t = {

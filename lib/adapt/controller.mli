@@ -58,8 +58,6 @@ val default_config : config
 
 type state = Auditing | Enforcing
 
-val state_name : state -> string
-
 type decision = Promoted | Demoted | Stayed
 (** What {!epoch} did. *)
 

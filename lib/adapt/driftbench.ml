@@ -316,15 +316,3 @@ let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     mean_denial_rate;
     p95_divergence;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "@[<v>%s @@ dose %.2f: %d calls, %d denied (fp %.4f), surface %.3f/%.3f \
-     (reduction %.3f)@,\
-     promotions %d, demotions %d, respecializations %d, swaps %d, drifts %d@,\
-     reconverge %s@]"
-    r.policy r.dose r.calls r.denied r.fp_rate r.surface r.surface_full
-    r.reduction r.promotions r.demotions r.respecializations r.swaps r.drifts
-    (match r.reconverge_ns with
-    | None -> "n/a"
-    | Some ns -> Printf.sprintf "%.0f ns" ns)

@@ -32,14 +32,6 @@ val policy_name : policy -> string
 val policy_of_string : string -> policy option
 val all_policies : policy list
 
-val base_categories : Ksurf_kernel.Category.t list
-(** File_io, Fs_mgmt — what the profile learns. *)
-
-val novel_categories : Ksurf_kernel.Category.t list
-(** Ipc, Perm — where the drift moves calls.  Deliberately as narrow
-    as the base: drift is a {e shift} to a different small working set,
-    not a broadening to the whole syscall table, so a sound re-learned
-    allowlist can stay deeply specialized. *)
 
 type config = {
   policy : policy;
@@ -95,4 +87,3 @@ val run : ?on_engine:(Ksurf_sim.Engine.t -> unit) -> config -> result
     deployment, so probes attached there see setup-time policy
     installs. *)
 
-val pp_result : Format.formatter -> result -> unit

@@ -21,8 +21,6 @@ val make :
   unit ->
   t
 
-val severity_name : severity -> string
-
 val sort : t list -> t list
 (** Stable report order: errors first, then by analyzer, code and
     message. *)

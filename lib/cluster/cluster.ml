@@ -1,13 +1,11 @@
 module Engine = Ksurf_sim.Engine
 module Env = Ksurf_env.Env
 module Machine = Ksurf_env.Machine
-module Partition = Ksurf_env.Partition
 module Mailbox = Ksurf_sim.Mailbox
 module Prng = Ksurf_util.Prng
 module Quantile = Ksurf_stats.Quantile
-module Noise = Ksurf_varbench.Noise
 module Apps = Ksurf_tailbench.Apps
-module Service = Ksurf_tailbench.Service
+module Runner = Ksurf_tailbench.Runner
 
 type config = {
   nodes_total : int;
@@ -62,104 +60,42 @@ type node_outcome = {
   node_dropped : int;  (* iteration samples discarded after permanent loss *)
 }
 
-(* Fully simulate one node: the app in unit 0, noise in units 1-3 when
-   contended, iteration = a fixed burst of requests followed by a local
-   quiescent point.  Returns per-iteration durations (warm-up dropped). *)
+(* Fully simulate one node: Fig 3's tailbench node (the app in unit 0,
+   noise in units 1-3 when contended), driven in iterations of a fixed
+   burst of requests followed by a local quiescent point.  Returns
+   per-iteration durations (warm-up dropped). *)
 let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
     ~on_engine ~on_env =
-  let compiled = Service.compile app in
-  let engine = Engine.create ~seed:node_seed () in
-  (* Observer hook: lets sanitizers attach probes before anything runs. *)
-  on_engine engine;
-  let partition =
-    Partition.equal_split ~units:config.units
-      ~total_cores:(config.units * config.unit_cores)
-      ~total_mem_mb:(config.units * config.unit_mem_mb)
-  in
-  let env = Env.deploy ~engine ~machine:config.machine kind partition in
-  (* Deployment hook: lets callers arm a fault plan on the fresh env. *)
-  on_env env;
-  let workers = List.init config.unit_cores (fun i -> i) in
-  if contended then begin
-    let noise_ranks =
-      List.init
-        (Env.rank_count env - config.unit_cores)
-        (fun i -> config.unit_cores + i)
-    in
-    ignore (Noise.start ~env ~corpus:noise_corpus ~ranks:noise_ranks () : Noise.handle)
-  end;
-  let mean_service = Service.estimate_native_service compiled in
-  let rate =
-    config.util_target *. float_of_int config.unit_cores /. mean_service
-  in
-  let mailbox = Mailbox.create ~engine ~name:(app.Apps.name ^ ".reqs") in
   let completed_in_iter = ref 0 in
   let iteration_waiter : (unit -> unit) option ref = ref None in
-  (* Robustness accounting (krecov): a fault plan armed via [on_env]
-     may crash a worker rank.  A crashed worker requeues its in-flight
-     request and either restarts after the plan's downtime or exits for
-     good; a permanent loss marks the node so iteration samples gathered
-     after the crash — timed with fewer serving cores — are dropped
-     rather than silently distorting the BSP pool. *)
-  let live = ref (List.length workers) in
-  let crashes = ref 0 in
-  let restarts = ref 0 in
-  let lost_for_good = ref false in
-  List.iter
-    (fun rank ->
-      let rng =
-        Prng.split (Engine.rng engine) (Printf.sprintf "worker-%d" rank)
-      in
-      Engine.spawn engine (fun () ->
-          let crash_at = Env.crash_time_of_rank env ~rank in
-          let restart_delay = Env.restart_delay_of_rank env ~rank in
-          let crash_handled = ref false in
-          let rec serve () =
-            let arrival = Mailbox.recv mailbox in
-            match crash_at with
-            | Some at when (not !crash_handled) && Engine.now engine >= at -> (
-                crash_handled := true;
-                incr crashes;
-                if Engine.observed engine then
-                  Engine.emit engine
-                    (Engine.Injected
-                       {
-                         now = Engine.now engine;
-                         pid = Engine.current_pid engine;
-                         fault = "rank-crash";
-                         magnitude = float_of_int rank;
-                       });
-                (* The in-flight request survives the crash: back to the
-                   queue for whoever is still serving. *)
-                Mailbox.send mailbox arrival;
-                match restart_delay with
-                | Some downtime ->
-                    Engine.delay downtime;
-                    incr restarts;
-                    serve ()
-                | None ->
-                    decr live;
-                    lost_for_good := true)
-            | _ ->
-                let hw_dilation =
-                  if not contended then 1.0
-                  else
-                    match kind with
-                    | Env.Kvm _ -> 1.005 +. Prng.float rng 0.01
-                    | Env.Native | Env.Multikernel | Env.Docker -> 1.01 +. Prng.float rng 0.03
-                in
-                Service.handle compiled ~env ~rank ~rng ~hw_dilation ();
-                incr completed_in_iter;
-                (if !completed_in_iter >= config.requests_per_iteration then
-                   match !iteration_waiter with
-                   | Some wake ->
-                       iteration_waiter := None;
-                       wake ()
-                   | None -> ());
-                serve ()
-          in
-          serve ()))
-    workers;
+  let served _ _ =
+    incr completed_in_iter;
+    if !completed_in_iter >= config.requests_per_iteration then
+      match !iteration_waiter with
+      | Some wake ->
+          iteration_waiter := None;
+          wake ()
+      | None -> ()
+  in
+  let node =
+    Runner.start_node ~app ~kind ~contended
+      ~config:
+        {
+          Runner.default_config with
+          Runner.seed = node_seed;
+          util_target = config.util_target;
+          units = config.units;
+          unit_cores = config.unit_cores;
+          unit_mem_mb = config.unit_mem_mb;
+          machine = config.machine;
+        }
+      ~noise_corpus ~on_engine ~on_env ~served
+  in
+  let engine = node.Runner.engine in
+  (* A permanent worker loss (krecov) marks the node, so iteration
+     samples gathered after it — timed with fewer serving cores — are
+     dropped rather than silently distorting the BSP pool. *)
+  let lost_for_good () = node.Runner.live < node.Runner.workers in
   let durations = ref [] in
   let dropped = ref 0 in
   let total_iters = config.warmup_iterations + config.sim_iterations_per_node in
@@ -170,45 +106,30 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
         let start = Engine.now engine in
         completed_in_iter := 0;
         for _ = 1 to config.requests_per_iteration do
-          let gap = -.Float.log (1.0 -. Prng.uniform client_rng) /. rate in
+          let gap = -.Float.log (1.0 -. Prng.uniform client_rng) /. node.Runner.rate in
           Engine.delay gap;
-          Mailbox.send mailbox (Engine.now engine)
+          Mailbox.send node.Runner.mailbox (Engine.now engine)
         done;
         (* Wait until the whole burst has been served.  With every
            worker permanently crashed there is no one left to wake us:
            give up on the remaining iterations instead of parking
            forever. *)
-        if !completed_in_iter < config.requests_per_iteration && !live > 0 then
-          Engine.suspend (fun wake -> iteration_waiter := Some wake);
+        if !completed_in_iter < config.requests_per_iteration && node.Runner.live > 0
+        then Engine.suspend (fun wake -> iteration_waiter := Some wake);
         if iter >= config.warmup_iterations then
-          if !lost_for_good then incr dropped
+          if lost_for_good () then incr dropped
           else durations := (Engine.now engine -. start) :: !durations
       done;
       finished := true);
-  Engine.run ~stop:(fun () -> !finished || (!live = 0 && !lost_for_good)) engine;
+  Engine.run
+    ~stop:(fun () -> !finished || (node.Runner.live = 0 && lost_for_good ()))
+    engine;
   {
     durations = Array.of_list (List.rev !durations);
-    node_crashes = !crashes;
-    node_restarts = !restarts;
+    node_crashes = node.Runner.crashes;
+    node_restarts = node.Runner.restarts;
     node_dropped = !dropped;
   }
-
-let default_noise_corpus ~contended noise_corpus =
-  match noise_corpus with
-  | Some c -> c
-  | None ->
-      if contended then
-        (Ksurf_syzgen.Generator.run ()).Ksurf_syzgen.Generator.corpus
-      else
-        (* Unused, but keep the type simple: a minimal corpus. *)
-        (Ksurf_syzgen.Generator.run
-           ~params:
-             {
-               Ksurf_syzgen.Generator.default_params with
-               Ksurf_syzgen.Generator.target_programs = 1;
-             }
-           ())
-          .Ksurf_syzgen.Generator.corpus
 
 (* Each node simulation is self-contained (own engine, own PRNG stream
    derived from [seed + node * 7919]), so the replica pool can fan nodes
@@ -219,7 +140,14 @@ let default_noise_corpus ~contended noise_corpus =
 let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
     ~on_env =
   if config.nodes_simulated < 1 then invalid_arg "Cluster: need >= 1 node";
-  let noise_corpus = default_noise_corpus ~contended noise_corpus in
+  (* Generated once and shared by every node; an isolated node needs
+     none. *)
+  let noise_corpus =
+    match noise_corpus with
+    | None when contended ->
+        Some (Ksurf_syzgen.Generator.run ()).Ksurf_syzgen.Generator.corpus
+    | c -> c
+  in
   let cell node =
     simulate_node ~app ~kind ~contended ~config ~noise_corpus
       ~node_seed:(config.seed + (node * 7919))

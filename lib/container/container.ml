@@ -15,9 +15,8 @@ type t = {
 
 let namespace_cost = 35.0
 
-let launch ~host ~id shape =
+let launch ~host ~id ~cgroup shape =
   if shape.cpus < 1 then invalid_arg "Container.launch: cpus must be >= 1";
-  let cgroup = Instance.register_cgroup host in
   let cfg = Instance.config host in
   {
     id;

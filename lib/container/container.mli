@@ -12,9 +12,11 @@ type shape = { cpus : int; mem_limit_mb : int }
 type t
 
 val launch :
-  host:Ksurf_kernel.Instance.t -> id:int -> shape -> t
-(** Create a container on the host kernel: registers its cgroup and
-    namespace set.  [cpus] is the size of its pinned cpuset. *)
+  host:Ksurf_kernel.Instance.t -> id:int -> cgroup:int -> shape -> t
+(** Create a container on the host kernel in [cgroup], a cgroup the
+    caller made on [host] ({!Ksurf_kernel.Instance.register_cgroup}, or
+    the creation storm of {!Ksurf_kernel.Instance.cgroup_create}).
+    [cpus] is the size of its pinned cpuset. *)
 
 val id : t -> int
 val shape : t -> shape

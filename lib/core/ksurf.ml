@@ -10,11 +10,12 @@
     - {!Syscalls}, {!Spec}, {!Arg} — the modeled system-call table
     - {!Program}, {!Corpus}, {!Generator}, {!Coverage} — coverage-guided
       workload generation (the Syzkaller substitute)
-    - {!Vm}, {!Hypervisor}, {!Virt_config}, {!Container} — isolation
+    - {!Vm}, {!Virt_config}, {!Container} — isolation
       substrates
     - {!Machine}, {!Partition}, {!Env} — deployments and surface-area
       partitioning
-    - {!Harness}, {!Study}, {!Noise} — the varbench measurement harness
+    - {!Harness}, {!Study}, {!Noise}, {!Retry} — the varbench measurement
+      harness
     - {!Profile}, {!Kspec}, {!Specializer} — profile-guided kernel
       specialization (see [ksurf_cli specialize])
     - {!Analysis} — opt-in sanitizers: lockdep, determinism checker,
@@ -75,7 +76,6 @@ module Generator = Ksurf_syzgen.Generator
 module Virt_config = Ksurf_virt.Virt_config
 module Vm = Ksurf_virt.Vm
 module Lightweight = Ksurf_virt.Lightweight
-module Hypervisor = Ksurf_virt.Hypervisor
 module Container = Ksurf_container.Container
 
 module Machine = Ksurf_env.Machine
@@ -93,6 +93,7 @@ module Samples = Ksurf_varbench.Samples
 module Harness = Ksurf_varbench.Harness
 module Study = Ksurf_varbench.Study
 module Noise = Ksurf_varbench.Noise
+module Retry = Ksurf_varbench.Retry
 
 module Workload = Ksurf_tenant.Workload
 module Tenant_policy = Ksurf_tenant.Policy

@@ -24,12 +24,6 @@ let kind_name = function
   | Checkpoint_path -> "checkpoint"
   | Export_path -> "export"
 
-let kind_of_name = function
-  | "journal" -> Some Journal_path
-  | "checkpoint" -> Some Checkpoint_path
-  | "export" -> Some Export_path
-  | _ -> None
-
 type config = {
   kind : kind;
   dose : float;

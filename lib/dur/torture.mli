@@ -25,7 +25,6 @@ type kind = Journal_path | Checkpoint_path | Export_path
 
 val all_kinds : kind list
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type config = {
   kind : kind;

@@ -3,7 +3,6 @@ module Instance = Ksurf_kernel.Instance
 module Spec = Ksurf_syscalls.Spec
 module Arg = Ksurf_syscalls.Arg
 module Vm = Ksurf_virt.Vm
-module Hypervisor = Ksurf_virt.Hypervisor
 module Container = Ksurf_container.Container
 
 type kind = Native | Multikernel | Kvm of Ksurf_virt.Virt_config.t | Docker
@@ -103,14 +102,13 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
         swaps = 0;
       }
   | Kvm virt ->
-      let hv = Hypervisor.create ~engine ~kernel_config ~virt () in
       let ranks = ref [] in
       let core = ref 0 in
       let vms =
         List.mapi
           (fun unit_index (u : Partition.unit_spec) ->
             let vm =
-              Hypervisor.boot_vm hv
+              Vm.boot ~engine ~kernel_config ~virt ~id:unit_index
                 { Vm.vcpus = u.Partition.cores; mem_mb = u.Partition.mem_mb }
             in
             Instance.set_tenants (Vm.guest vm) u.Partition.cores;
@@ -142,6 +140,7 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
         (fun unit_index (u : Partition.unit_spec) ->
           let ctr =
             Container.launch ~host ~id:unit_index
+              ~cgroup:(Instance.register_cgroup host)
               { Container.cpus = u.Partition.cores;
                 mem_limit_mb = u.Partition.mem_mb }
           in
@@ -172,12 +171,9 @@ let exec_ops t ~rank:i ~key ops =
   let t0 = Engine.now t.engine in
   (match r.target with
   | On_host host ->
-      let cfg = Instance.config host in
-      let ctx =
+      Instance.exec_syscall host
         { Instance.core = r.global_core; tenant = i; key; cgroup = None }
-      in
-      Instance.burn host cfg.Ksurf_kernel.Config.syscall_entry_cost;
-      Instance.exec_program host ctx ops
+        ops
   | On_vm (vm, vcpu) -> Vm.exec_syscall vm ~core:vcpu ~tenant:i ~key ops
   | On_ctr (ctr, core) -> Container.exec_syscall ctr ~core ~tenant:i ~key ops);
   Engine.now t.engine -. t0

@@ -46,7 +46,6 @@ let set_extra_pressure t p =
   t.extra_pressure <- Float.max 0.0 p;
   refresh t
 
-let extra_pressure t = t.extra_pressure
 let hit_rate t = t.hit_rate
 
 let probe t rng =

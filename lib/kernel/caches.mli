@@ -23,8 +23,6 @@ val set_extra_pressure : t -> float -> unit
     of sharer pressure — how a cache-flush fault-injection storm evicts
     entries for a window.  The 0.5 hit-rate floor still applies. *)
 
-val extra_pressure : t -> float
-
 val hit_rate : t -> float
 
 val probe : t -> Ksurf_util.Prng.t -> bool

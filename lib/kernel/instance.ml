@@ -471,6 +471,10 @@ and exec_list t ctx = function
 
 let exec_program = exec_list
 
+let exec_syscall t ctx ops =
+  burn t t.config.Config.syscall_entry_cost;
+  exec_list t ctx ops
+
 (* --- cgroup lifecycle (ktenant churn storms) ------------------------- *)
 
 let cgroup_create t ctx =

@@ -87,6 +87,10 @@ val exec_op : t -> ctx -> Ops.op -> unit
 val exec_program : t -> ctx -> Ops.op list -> unit
 (** Interpret a whole op program (no entry cost — wrappers add it). *)
 
+val exec_syscall : t -> ctx -> Ops.op list -> unit
+(** A system call on the instance's own cores: burn the configured
+    syscall entry cost, then {!exec_program}. *)
+
 val lock : t -> ctx -> Ops.lock_ref -> Ksurf_sim.Lock.t
 (** Resolve a lock reference for a context (striping applied) — exposed
     for {!Background} and for white-box tests.  A stripe is created, as

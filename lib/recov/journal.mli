@@ -19,9 +19,6 @@
 
 type t
 
-val default_flush_every : int
-(** Persist cadence used when [load] is not given [?flush_every]. *)
-
 val load : ?flush_every:int -> path:string -> unit -> t
 (** Load a journal; a missing, empty or unrecognisable file yields an
     empty journal at that path.  Corrupt lines are silently dropped.

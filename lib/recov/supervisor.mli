@@ -52,12 +52,6 @@ val default_config : config
 
 type crash = { crash_rank : int; crash_superstep : int; crash_restart : bool }
 
-val crashes_of_plan :
-  Ksurf_fault.Plan.t -> est_superstep_ns:float -> crash list
-(** Project a kfault plan's [Rank_crash] actions onto superstep indices
-    by the expected superstep length — the bridge from the "crashy"
-    preset to the supervisor. *)
-
 type outcome = {
   policy : string;
   nodes : int;

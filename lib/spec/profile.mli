@@ -26,11 +26,6 @@ val mix : t -> float array
     recorded, all zeros otherwise).  The baseline the kadapt drift
     detector diverges against. *)
 
-val retained_categories : t -> Ksurf_kernel.Category.t list
-(** Categories with at least one observed call site, in
-    {!Ksurf_kernel.Category.all} order.  Everything else is machinery
-    the specialized kernel can drop. *)
-
 val restrict :
   Ksurf_syzgen.Corpus.t ->
   keep:Ksurf_kernel.Category.t list ->

@@ -21,10 +21,6 @@ val compile : ?mode:Spec.mode -> Profile.t -> Spec.t
 (** [mode] defaults to [Enforce].  Raises [Invalid_argument] on a
     profile with an empty syscall list. *)
 
-val pruned_machinery : Spec.t -> Ksurf_kernel.Ops.machinery list
-(** Machinery needed by no retained category, in
-    {!Ksurf_kernel.Ops.all_machinery} order. *)
-
 val kernel_config :
   ?base:Ksurf_kernel.Config.t -> Spec.t -> Ksurf_kernel.Config.t
 (** [base] (default {!Ksurf_kernel.Config.default}) with every pruned

@@ -38,8 +38,6 @@ val lattice_points : Ksurf_syscalls.Arg.model -> Ksurf_syscalls.Arg.t list
 (** The argument lattice: one representative size per coverage bucket,
     every object stripe, every flag value.  Bounded and cheap. *)
 
-val of_spec : Ksurf_syscalls.Spec.t -> t
-
 val all : unit -> t list
 (** Footprints of the whole stock table, cached after the first call. *)
 

@@ -71,8 +71,6 @@ let total_pairs t =
   let n = List.length calls in
   n * (n - 1) / 2
 
-let calls_on t cls = Option.value ~default:[] (List.assoc_opt cls t.classes)
-
 let shared_locks t a b =
   List.filter_map
     (fun (x, y, shared) ->

@@ -12,13 +12,11 @@ type t = {
 
 val global_classes : string list
 
-val of_footprints : Footprint.t list -> t
 val of_table : unit -> t
 
 val interfering_pairs : t -> int
 val total_pairs : t -> int
 
-val calls_on : t -> string -> string list
 val shared_locks : t -> string -> string -> string list
 
 val pp : Format.formatter -> t -> unit

@@ -22,7 +22,6 @@ type t = { nodes : string list; edges : edge list }
 val of_specs : Ksurf_syscalls.Spec.t list -> t
 val of_table : unit -> t
 
-val node_count : t -> int
 val edge_count : t -> int
 
 val cycles : t -> Ksurf_analysis.Finding.t list

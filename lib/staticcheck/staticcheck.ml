@@ -202,8 +202,6 @@ let pp_spec_report ppf r =
 
 (* --- whole-table entry points ------------------------------------------ *)
 
-let table_findings () = Lockgraph.findings (Lockgraph.of_table ())
-
 let export_csv ~dir () =
   let fps = Footprint.all () in
   let graph = Lockgraph.of_table () in

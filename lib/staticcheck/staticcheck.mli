@@ -49,8 +49,6 @@ val verify :
 
 val pp_spec_report : Format.formatter -> spec_report -> unit
 
-val table_findings : unit -> Ksurf_analysis.Finding.t list
-(** Lock-order cycles of the stock table (empty = certified). *)
 
 val export_csv : dir:string -> unit -> string list
 (** Write static_footprints.csv, static_lock_graph.csv and

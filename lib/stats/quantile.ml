@@ -63,8 +63,3 @@ let summarize samples =
     min = sorted.(0);
     max = sorted.(n - 1);
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3g med=%.3g p95=%.3g p99=%.3g min=%.3g max=%.3g" s.count
-    s.mean s.median s.p95 s.p99 s.min s.max

@@ -35,4 +35,3 @@ type summary = {
 val summarize : float array -> summary
 (** One-pass summary of a sample set. *)
 
-val pp_summary : Format.formatter -> summary -> unit

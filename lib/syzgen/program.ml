@@ -38,8 +38,7 @@ let parse_line line =
   | Some open_paren -> (
       let name = String.sub line 0 open_paren in
       match String.rindex_opt line ')' with
-      | None -> Error (Printf.sprintf "missing ')' in %S" line)
-      | Some close_paren -> (
+      | Some close_paren when close_paren > open_paren -> (
           let args =
             String.sub line (open_paren + 1) (close_paren - open_paren - 1)
           in
@@ -48,7 +47,8 @@ let parse_line line =
           | Some spec -> (
               match Arg.of_string args with
               | None -> Error (Printf.sprintf "bad arguments %S" args)
-              | Some arg -> Ok { spec; arg })))
+              | Some arg -> Ok { spec; arg }))
+      | _ -> Error (Printf.sprintf "missing ')' after '(' in %S" line))
 
 let of_string ~id s =
   let lines =
@@ -65,7 +65,7 @@ let of_string ~id s =
   in
   match build [] lines with
   | Ok t when t.calls = [] -> Error "empty program"
-  | result -> (match result with Ok _ as ok -> ok | Error e -> Error e)
+  | result -> result
 
 let pp ppf t = Format.fprintf ppf "@[<v>prog %d:@,%s@]" t.id (to_string t)
 

@@ -11,11 +11,6 @@ type t = {
   virt_cpu_penalty : float;
 }
 
-let scale_note =
-  "service times scaled ~10x below the physical tailbench suite so a \
-   full tail experiment fits the simulation budget; relative magnitudes \
-   across applications are preserved"
-
 (* Per-request service parameters.  Relative ordering follows the
    suite's published request latencies: sphinx and moses are the long,
    compute-heavy requests; masstree/silo/specjbb are sub-millisecond

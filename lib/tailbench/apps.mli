@@ -30,9 +30,6 @@ val all : t list
 val by_name : string -> t option
 val names : string list
 
-val scale_note : string
-(** Human-readable statement of the service-time scaling. *)
-
 val mean_service_estimate : t -> float
 (** Estimated native mean service time (ns): user CPU + kernel calls at
     uncontended cost + I/O.  Used to set client rates for ~75%% target

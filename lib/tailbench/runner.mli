@@ -41,6 +41,44 @@ type result = {
   timeouts : int;  (** requests exceeding [request_timeout_ns] *)
 }
 
+(** {2 One tailbench node}
+
+    The node Fig 3 measures and Fig 4 replicates on every BSP node: the
+    app's workers in unit 0, behind one request mailbox. *)
+
+type node = {
+  engine : Ksurf_sim.Engine.t;
+  env : Ksurf_env.Env.t;
+  mailbox : float Ksurf_sim.Mailbox.t;  (** request arrival times *)
+  rate : float;  (** the client's request rate, per ns *)
+  workers : int;
+  mutable live : int;  (** workers not permanently crashed *)
+  mutable crashes : int;  (** injected worker crashes (fault plan) *)
+  mutable restarts : int;  (** crashed workers that came back *)
+}
+
+val start_node :
+  app:Apps.t ->
+  kind:Ksurf_env.Env.kind ->
+  contended:bool ->
+  config:config ->
+  noise_corpus:Ksurf_syzgen.Corpus.t option ->
+  on_engine:(Ksurf_sim.Engine.t -> unit) ->
+  on_env:(Ksurf_env.Env.t -> unit) ->
+  served:(node -> float -> unit) ->
+  node
+(** Build the node's engine (then [on_engine]), deploy [config]'s
+    partition (then [on_env]), start the noise ranks on units 1 and up
+    when [contended] (generating a corpus if none is given), fix the
+    client rate for [config.util_target] worker utilisation at the
+    app's native service estimate, and spawn one worker per unit-0
+    core.  A worker serves each request it receives and then calls
+    [served node arrival].  A worker whose fault plan schedules a crash
+    requeues its in-flight request, emits a [rank-crash] probe and
+    either restarts after the plan's downtime, emitting [rank-restart],
+    or leaves for good.  [config.requests] and [config.warmup_fraction]
+    are not read: the caller owns the client. *)
+
 val run_single_node :
   app:Apps.t ->
   kind:Ksurf_env.Env.kind ->

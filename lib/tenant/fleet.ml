@@ -95,7 +95,7 @@ type host = { inst : Instance.t; mutable sharers : int }
 
 type placement =
   | Shared of host
-  | Contained of host * int  (* host, cgroup id *)
+  | Contained of host * Container.t
   | Virtual of Vm.t
   | Private of Instance.t
 
@@ -181,19 +181,15 @@ let total_cgroups t =
 
 let refresh_sharers h = Instance.set_tenants h.inst h.sharers
 
+(* The context a tenant's cgroup storms run in. *)
+let lifecycle_ctx t (tn : tenant) =
+  { Instance.core = tn.slot mod t.cfg.host_cores; tenant = tn.id; key = 0; cgroup = None }
+
 (* Placement transitions.  [place] and [release] must run inside a
    simulation process: the Docker paths execute the cgroup
    create/destroy storms on the shared host kernel. *)
 let place t (tn : tenant) (klass : Policy.klass) =
   let h = host_of t tn.slot in
-  let ctx =
-    {
-      Instance.core = tn.slot mod t.cfg.host_cores;
-      tenant = tn.id;
-      key = 0;
-      cgroup = None;
-    }
-  in
   let placement =
     match klass with
     | Policy.Native ->
@@ -203,10 +199,13 @@ let place t (tn : tenant) (klass : Policy.klass) =
     | Policy.Docker ->
         h.sharers <- h.sharers + 1;
         refresh_sharers h;
-        let cg = Instance.cgroup_create h.inst ctx in
+        let cgroup = Instance.cgroup_create h.inst (lifecycle_ctx t tn) in
         t.cgroup_creates <- t.cgroup_creates + 1;
         t.peak_cgroups <- max t.peak_cgroups (total_cgroups t);
-        Contained (h, cg)
+        Contained
+          ( h,
+            Container.launch ~host:h.inst ~id:tn.id ~cgroup
+              { Container.cpus = t.cfg.max_replicas; mem_limit_mb = 2048 } )
     | Policy.Kvm ->
         let id = t.next_guest in
         t.next_guest <- t.next_guest + 1;
@@ -236,16 +235,8 @@ let release t (tn : tenant) =
   | Shared h ->
       h.sharers <- max 0 (h.sharers - 1);
       refresh_sharers h
-  | Contained (h, cg) ->
-      let ctx =
-        {
-          Instance.core = tn.slot mod t.cfg.host_cores;
-          tenant = tn.id;
-          key = 0;
-          cgroup = Some cg;
-        }
-      in
-      Instance.cgroup_destroy h.inst ctx ~cgroup:cg;
+  | Contained (h, ctr) ->
+      Instance.cgroup_destroy h.inst (lifecycle_ctx t tn) ~cgroup:(Container.cgroup ctr);
       t.cgroup_destroys <- t.cgroup_destroys + 1;
       h.sharers <- max 0 (h.sharers - 1);
       refresh_sharers h
@@ -263,9 +254,7 @@ let exec_request t (tn : tenant) ~replica =
   let ops = spec.Spec.ops arg in
   match tn.placement with
   | Shared h ->
-      let cfg = Instance.config h.inst in
-      Instance.burn h.inst cfg.Config.syscall_entry_cost;
-      Instance.exec_program h.inst
+      Instance.exec_syscall h.inst
         {
           Instance.core = (tn.slot + replica) mod t.cfg.host_cores;
           tenant = tn.id;
@@ -273,26 +262,16 @@ let exec_request t (tn : tenant) ~replica =
           cgroup = None;
         }
         ops
-  | Contained (h, cg) ->
-      let cfg = Instance.config h.inst in
-      Instance.burn h.inst
-        (cfg.Config.syscall_entry_cost +. Container.namespace_cost);
-      Instance.exec_program h.inst
-        {
-          Instance.core = (tn.slot + replica) mod t.cfg.host_cores;
-          tenant = tn.id;
-          key;
-          cgroup = Some cg;
-        }
-        (Ops.Cgroup_charge :: ops)
+  | Contained (_, ctr) ->
+      Container.exec_syscall ctr
+        ~core:((tn.slot + replica) mod t.cfg.host_cores)
+        ~tenant:tn.id ~key ops
   | Virtual vm ->
       Vm.exec_syscall vm
         ~core:(replica mod t.cfg.max_replicas)
         ~tenant:tn.id ~key ops
   | Private inst ->
-      let cfg = Instance.config inst in
-      Instance.burn inst cfg.Config.syscall_entry_cost;
-      Instance.exec_program inst
+      Instance.exec_syscall inst
         {
           Instance.core = replica mod t.cfg.max_replicas;
           tenant = tn.id;

@@ -2,12 +2,6 @@ type klass = Native | Docker | Kvm | Multikernel
 
 type t = Static of klass | Adaptive
 
-let klass_name = function
-  | Native -> "native"
-  | Docker -> "docker"
-  | Kvm -> "kvm"
-  | Multikernel -> "multikernel"
-
 let name = function
   | Static Native -> "native-shared"
   | Static Docker -> "docker"

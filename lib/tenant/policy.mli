@@ -17,7 +17,6 @@ type t =
       (** start as [Docker]; persistent SLO violators are promoted to a
           private [Multikernel] *)
 
-val klass_name : klass -> string
 val name : t -> string
 val of_string : string -> t option
 val all : t list

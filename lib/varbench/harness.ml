@@ -34,10 +34,6 @@ type result = {
 let total_invocations r =
   Array.fold_left (fun acc s -> acc + Streamstat.count s.stats) 0 r.sites
 
-let backoff_base_ns = 1_000.0
-let backoff_cap_ns = 256_000.0
-let max_retries = 10
-
 exception Rank_stopped
 
 let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
@@ -87,9 +83,7 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
   let progress = Array.make ranks 0.0 in
   let dropped = ref [] in
   let dropped_count = ref 0 in
-  let retries = ref 0 in
-  let abandoned = ref 0 in
-  let denied = ref 0 in
+  let counters = Retry.counters () in
   let drop rank fault =
     if alive.(rank) then begin
       alive.(rank) <- false;
@@ -109,29 +103,6 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
       if Barrier.parties barrier > 1 then Barrier.depart barrier
     end
   in
-  (* One attempt per recursion, with the attempt count as an argument:
-     a local [go] over [rank] and [c] would be a closure per call. *)
-  let rec call_with_retry rank (c : Program.call) attempt =
-    match Env.try_syscall env ~rank c.Program.spec c.Program.arg with
-    | Env.Completed _ -> true
-    | Env.Denied _ ->
-        (* ENOSYS from a specialization policy: permanent, so no retry
-           and no sample — the call never did its work. *)
-        incr denied;
-        false
-    | Env.Faulted _ ->
-        incr retries;
-        if attempt >= max_retries then begin
-          incr abandoned;
-          false
-        end
-        else begin
-          Engine.delay
-            (Float.min backoff_cap_ns
-               (backoff_base_ns *. Float.pow 2.0 (float_of_int attempt)));
-          call_with_retry rank c (attempt + 1)
-        end
-  in
   for rank = 0 to ranks - 1 do
     Engine.spawn engine (fun () ->
         let crash_at = Env.crash_time_of_rank env ~rank in
@@ -147,7 +118,7 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
           | [] -> ()
           | (c : Program.call) :: rest ->
               let t0 = Engine.now engine in
-              let ok = call_with_retry rank c 0 in
+              let ok = Retry.call counters env ~rank c in
               progress.(rank) <- Engine.now engine;
               (* Latency includes retries and backoff — the cost
                  the caller actually paid to get the call through. *)
@@ -219,7 +190,7 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
     degraded = !dropped <> [];
     survivors = ranks - !dropped_count;
     dropped_ranks = List.rev !dropped;
-    transient_retries = !retries;
-    abandoned_calls = !abandoned;
-    denied_calls = !denied;
+    transient_retries = counters.retries;
+    abandoned_calls = counters.abandoned;
+    denied_calls = counters.denied;
   }

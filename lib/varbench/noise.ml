@@ -3,56 +3,18 @@ module Env = Ksurf_env.Env
 module Program = Ksurf_syzgen.Program
 module Corpus = Ksurf_syzgen.Corpus
 
-type handle = {
-  mutable issued : int;
-  mutable transient_failures : int;
-  mutable abandoned : int;
-  mutable denied : int;
-}
+(* A program's calls in order, as a direct recursion: a [List.iter]
+   closure would be built on every program run. *)
+let rec issue_all counters env rank = function
+  | [] -> ()
+  | c :: rest ->
+      ignore (Retry.call counters env ~rank c : bool);
+      issue_all counters env rank rest
 
-let issued h = h.issued
-let transient_failures h = h.transient_failures
-let abandoned h = h.abandoned
-let denied h = h.denied
-
-type stream_stats = { calls : int; mean_ns : float; p99_ns : float }
-
-let backoff_base_ns = 1_000.0
-let backoff_cap_ns = 256_000.0
-let max_retries = 10
-
-(* One call with retry-on-transient-failure: exponential backoff,
-   giving up (rarely) after [max_retries].  With no fault control
-   installed this is exactly one [exec_syscall]. *)
-let issue_with_retry h ~env ~rank (c : Program.call) =
-  let rec go attempt =
-    match Env.try_syscall env ~rank c.Program.spec c.Program.arg with
-    | Env.Completed _ ->
-        h.issued <- h.issued + 1;
-        true
-    | Env.Denied _ ->
-        (* ENOSYS from a specialization policy: permanent, never retried. *)
-        h.denied <- h.denied + 1;
-        false
-    | Env.Faulted _ ->
-        h.transient_failures <- h.transient_failures + 1;
-        if attempt >= max_retries then begin
-          h.abandoned <- h.abandoned + 1;
-          false
-        end
-        else begin
-          Engine.delay
-            (Float.min backoff_cap_ns
-               (backoff_base_ns *. Float.pow 2.0 (float_of_int attempt)));
-          go (attempt + 1)
-        end
-  in
-  go 0
-
-let start_general ~env ~corpus ~ranks ~think_time ~observe =
+let start ~env ~corpus ~ranks ?(think_time = 0.0) () =
   let engine = Env.engine env in
   let programs = Corpus.programs corpus in
-  let h = { issued = 0; transient_failures = 0; abandoned = 0; denied = 0 } in
+  let counters = Retry.counters () in
   List.iter
     (fun rank ->
       if rank < 0 || rank >= Env.rank_count env then
@@ -61,39 +23,10 @@ let start_general ~env ~corpus ~ranks ~think_time ~observe =
           (* Offset start positions so noise ranks are not in lock-step. *)
           let start_at = rank mod Array.length programs in
           let rec loop pi =
-            let p = programs.(pi) in
-            List.iter
-              (fun (c : Program.call) ->
-                let t0 = Engine.now engine in
-                if issue_with_retry h ~env ~rank c then
-                  (* Observed latency includes retries and backoff: the
-                     antagonist's effective cost of getting the call
-                     through. *)
-                  observe (Engine.now engine -. t0))
-              p.Program.calls;
+            issue_all counters env rank programs.(pi).Program.calls;
             if think_time > 0.0 then Engine.delay think_time;
             loop ((pi + 1) mod Array.length programs)
           in
           loop start_at))
     ranks;
-  h
-
-let start ~env ~corpus ~ranks ?(think_time = 0.0) () =
-  start_general ~env ~corpus ~ranks ~think_time ~observe:(fun _ -> ())
-
-let start_tracked ~env ~corpus ~ranks ?(think_time = 0.0) () =
-  let p99 = Ksurf_stats.P2_quantile.create 0.99 in
-  let mean = Ksurf_util.Welford.create () in
-  let observe latency =
-    Ksurf_stats.P2_quantile.add p99 latency;
-    Ksurf_util.Welford.add mean latency
-  in
-  let h = start_general ~env ~corpus ~ranks ~think_time ~observe in
-  ( h,
-    fun () ->
-      {
-        calls = Ksurf_util.Welford.count mean;
-        mean_ns = Ksurf_util.Welford.mean mean;
-        p99_ns =
-          Option.value (Ksurf_stats.P2_quantile.quantile_opt p99) ~default:0.0;
-      } )
+  counters

@@ -5,29 +5,9 @@
     goal is sustained pressure, not synchronised measurement) until the
     caller stops draining the engine.
 
-    Noise streams are fault-aware: calls go through
-    {!Ksurf_env.Env.try_syscall}, and transiently failed calls retry
-    with exponential backoff, so an injected EAGAIN storm slows the
-    antagonist down instead of crashing it. *)
-
-type handle
-(** Per-stream accounting for one {!start} invocation.  Replaces the
-    old process-global counter, which leaked across runs in one process
-    and was a latent determinism hazard. *)
-
-val issued : handle -> int
-(** Completed noise system calls of this stream. *)
-
-val transient_failures : handle -> int
-(** Injected EAGAIN/EINTR faults this stream retried. *)
-
-val abandoned : handle -> int
-(** Calls given up on after exhausting retries (only under extreme
-    injected fault rates). *)
-
-val denied : handle -> int
-(** Calls rejected with ENOSYS by an [Enforce]-mode specialization
-    policy (kspec).  Permanent failures — never retried. *)
+    Noise streams are fault-aware: calls go through {!Retry.call}, so an
+    injected EAGAIN storm slows the antagonist down instead of crashing
+    it. *)
 
 val start :
   env:Ksurf_env.Env.t ->
@@ -35,27 +15,9 @@ val start :
   ranks:int list ->
   ?think_time:float ->
   unit ->
-  handle
-(** Spawn an infinite noise loop on each listed rank of [env].
+  Retry.counters
+(** Spawn an infinite noise loop on each listed rank of [env], and
+    return the stream's own counters, which start at zero.
     [think_time] (ns, default 0) is an idle gap between programs, for
     intensity control.  Run the engine with [~until] or [~stop] to bound
     the simulation. *)
-
-type stream_stats = {
-  calls : int;
-  mean_ns : float;
-  p99_ns : float;  (** streaming P² estimate — O(1) memory *)
-}
-
-val start_tracked :
-  env:Ksurf_env.Env.t ->
-  corpus:Ksurf_syzgen.Corpus.t ->
-  ranks:int list ->
-  ?think_time:float ->
-  unit ->
-  handle * (unit -> stream_stats)
-(** Like {!start}, but additionally returns a closure reporting the
-    noise workload's own latency statistics so far (latencies include
-    any retry/backoff time) — useful to confirm the antagonist is
-    actually being slowed by the environment under test.  The closure
-    raises [Failure] if called before any call completed. *)

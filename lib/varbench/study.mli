@@ -28,8 +28,6 @@ val pooled_samples : Harness.result -> float array option
 type statistic = Median | P99 | Max
 
 val statistic_name : statistic -> string
-val value_of : statistic -> site_stats -> float
-
 val bucket_row : statistic -> site_stats array -> Ksurf_stats.Buckets.row
 (** The Table 2/3 row for one environment and statistic. *)
 

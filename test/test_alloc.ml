@@ -246,6 +246,49 @@ let test_next_gap () =
     (words_per_op ~n:100_000 (fun () ->
          ignore (Workload.next_gap profile ~day_ns:params.day_ns rng ~now)))
 
+(* One call that faults once and then completes, through the retry
+   loop varbench and noise ranks share, from a rank in the app's unit
+   (0) and one in a noise unit (1) of a background-free native node.
+   The faulted attempt costs 14 (the entry path's delay, the op
+   context, the latency's box and [Faulted]), the backoff 6 (a delay
+   and its duration's box) and the completed attempt is
+   [Env.try_syscall]'s 17.  A retry closure built per call adds 7. *)
+let test_retry_call () =
+  let engine = Engine.create ~seed:1 () in
+  let env =
+    Env.deploy ~engine
+      ~kernel_config:(Kernel_config.without_background Kernel_config.default)
+      Env.Native
+      (Partition.equal_split ~units:2 ~total_cores:2 ~total_mem_mb:2048)
+  in
+  let faults = ref false in
+  Env.set_fault_ctl env
+    (Some
+       {
+         Env.syscall_errno =
+           (fun ~rank:_ _ ->
+             faults := not !faults;
+             if !faults then Some Env.EAGAIN else None);
+         crash_at = (fun ~rank:_ -> None);
+         restart_after = (fun ~rank:_ -> None);
+       });
+  let call =
+    { Program.spec = Option.get (Syscalls.by_name "getpid");
+      arg = { Arg.size = 0; obj = 0; flags = 0 } }
+  in
+  let n = 20_000 in
+  List.iter
+    (fun (name, rank) ->
+      let counters = Retry.counters () in
+      let words = ref infinity in
+      Engine.spawn engine (fun () ->
+          words := words_per_op ~n (fun () -> ignore (Retry.call counters env ~rank call)));
+      Engine.run engine;
+      Alcotest.(check (pair int int)) (name ^ ": one retry per call") (n + 1, n + 1)
+        (counters.Retry.retries, counters.Retry.issued);
+      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 37.0) !words)
+    [ ("harness rank", 0); ("noise rank", 1) ]
+
 let suite =
   [
     Alcotest.test_case "delay <= 4 words" `Quick test_delay;
@@ -267,4 +310,5 @@ let suite =
     Alcotest.test_case "Prng.split does not grow with the label" `Quick test_prng_split;
     Alcotest.test_case "Kernel.boot of a churned guest" `Quick test_kernel_boot;
     Alcotest.test_case "Workload.next_gap boxes only its result" `Quick test_next_gap;
+    Alcotest.test_case "a retried call builds no closure" `Quick test_retry_call;
   ]

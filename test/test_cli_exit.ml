@@ -75,6 +75,18 @@ let test_bad_args_exit_2 () =
       ("bad jobs", "table2 --jobs x");
     ]
 
+(* A corpus run-corpus cannot decode is a bad argument, like a bad
+   inject plan: a line whose last ')' comes before its first '(', a
+   missing file. *)
+let test_bad_corpus_exit_2 () =
+  let corpus = Filename.temp_file "ksurf-cli" ".corpus" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove corpus)
+    (fun () ->
+      Out_channel.with_open_bin corpus (fun oc -> output_string oc "read)x(\n");
+      check_exit "run-corpus undecodable" 2 ("run-corpus " ^ Filename.quote corpus);
+      check_exit "run-corpus missing" 2 ("run-corpus " ^ Filename.quote (corpus ^ ".none")))
+
 (* The negative-control gate: one lock-order-cycle finding. *)
 let test_findings_exit_1 () =
   check_exit "analyze inversion" 1 "analyze --scenario inversion"
@@ -149,6 +161,7 @@ let suite =
   [
     Alcotest.test_case "io failures exit 3" `Quick test_io_failure_exits_3;
     Alcotest.test_case "bad arguments exit 2" `Quick test_bad_args_exit_2;
+    Alcotest.test_case "bad corpus exits 2" `Quick test_bad_corpus_exit_2;
     Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
     Alcotest.test_case "tables are subcommands" `Quick

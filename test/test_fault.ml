@@ -46,13 +46,21 @@ let test_plan_parse_errors () =
   | Ok p -> Alcotest.(check bool) "empty plan" true (p.Plan.actions = [])
   | Error e -> Alcotest.failf "comments rejected: %s" e
 
-(* Both plan decoders are total: arbitrary bytes and mutated preset
-   text decode to [Ok] or [Error], never an exception.  Whatever they
-   accept reaches a [to_string] fixed point, and an unmutated preset
-   round-trips byte for byte. *)
+(* The text decoders are total: arbitrary bytes and mutated valid text
+   (the plan presets, a corpus, a profile) decode to [Ok] or [Error],
+   never an exception.  Whatever they accept reaches a [to_string]
+   fixed point, and an unmutated plan preset round-trips byte for
+   byte. *)
 let preset_texts =
   List.map (fun (_, p) -> Plan.to_string p) Plan.presets
   @ List.map (fun (_, p) -> Durplan.to_string p) Durplan.presets
+
+let decoder_texts =
+  let corpus = Lazy.force tiny_corpus in
+  (* A call line whose last ')' comes before its first '(' once made
+     [Program.of_string] raise. *)
+  "read)x(" :: preset_texts
+  @ [ Corpus.to_string corpus; Profile.to_string (Profile.of_corpus ~name:"tiny" corpus) ]
 
 let mutate text edits =
   let b = Bytes.of_string text in
@@ -66,9 +74,11 @@ let plan_text =
       oneof
         [
           string;
-          map2 mutate (oneofl preset_texts)
+          map2 mutate (oneofl decoder_texts)
             (list_size (0 -- 6)
-               (pair nat (oneofl [ '='; ' '; '\n'; '#'; 'x'; '-'; '.'; '1' ])));
+               (pair nat
+                  (oneofl
+                     [ '='; ' '; '\n'; '#'; 'x'; '-'; '.'; '1'; '('; ')'; ':'; ','; '%' ])));
         ])
 
 let qcheck_plan_decoders_total =
@@ -85,6 +95,9 @@ let qcheck_plan_decoders_total =
       in
       let plan = fixed Plan.of_string Plan.to_string in
       let durplan = fixed Durplan.of_string Durplan.to_string in
+      ignore (fixed Corpus.of_string Corpus.to_string : string option);
+      ignore (fixed (Program.of_string ~id:0) Program.to_string : string option);
+      ignore (fixed Profile.of_string Profile.to_string : string option);
       (not (List.mem s preset_texts)) || plan = Some s || durplan = Some s)
 
 let test_scale () =

@@ -530,6 +530,35 @@ let test_cluster_permanent_crash_drops_samples () =
   Alcotest.(check int) "baseline drops nothing" 0
     baseline.Cluster.samples_dropped
 
+(* A Cluster node serves through Runner's workers, so a worker that
+   crashes and comes back emits one [rank-restart] probe per restart,
+   as a Fig 3 node does. *)
+let test_cluster_restart_probes () =
+  let plan =
+    {
+      Fault_plan.name = "restart";
+      actions =
+        [ Fault_plan.Rank_crash { rank = 1; at_ns = 1e5; restart_after_ns = Some 1e5 } ];
+    }
+  in
+  let probed = ref 0 in
+  let on_engine engine =
+    Engine.add_probe engine (function
+      | Engine.Injected { fault = "rank-restart"; _ } -> incr probed
+      | _ -> ())
+  in
+  let armed = ref None in
+  let on_env env = armed := Some (Kfault.arm ~env ~plan ~seed:3 ()) in
+  let app = Option.get (Apps.by_name "silo") in
+  let r =
+    Cluster.run ~app ~kind:Env.Native ~contended:false ~config:tiny_cluster_config
+      ~on_engine ~on_env ()
+  in
+  Option.iter Kfault.disarm !armed;
+  Alcotest.(check int) "one restart" 1 r.Cluster.restarts;
+  Alcotest.(check int) "one probe per restart" r.Cluster.restarts !probed;
+  Alcotest.(check bool) "a restart is no loss" false r.Cluster.degraded
+
 (* --- experiments ------------------------------------------------------- *)
 
 let test_recover_study_and_journal () =
@@ -618,6 +647,7 @@ let suite =
       test_disabled_policy_wedge_aborts;
     Alcotest.test_case "cluster crash drops samples" `Quick
       test_cluster_permanent_crash_drops_samples;
+    Alcotest.test_case "cluster restart probes" `Quick test_cluster_restart_probes;
     Alcotest.test_case "recover study + journal" `Slow
       test_recover_study_and_journal;
     Alcotest.test_case "recovered-bsp scenario clean" `Slow

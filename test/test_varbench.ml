@@ -126,22 +126,22 @@ let test_noise_issues_calls () =
   let corpus = Lazy.force tiny_corpus in
   let h = Noise.start ~env ~corpus ~ranks:[ 0; 1; 2 ] () in
   Engine.run ~until:1e6 engine;
-  Alcotest.(check bool) "noise ran" true (Noise.issued h > 0);
+  Alcotest.(check bool) "noise ran" true (h.Retry.issued > 0);
   (* Accounting is purely per-handle: a second stream starts from zero
      regardless of what earlier streams issued. *)
   let engine2, env2 = tiny_env ~units:4 () in
   let h2 = Noise.start ~env:env2 ~corpus ~ranks:[ 0 ] () in
-  Alcotest.(check int) "fresh handle starts at zero" 0 (Noise.issued h2);
+  Alcotest.(check int) "fresh handle starts at zero" 0 (h2.Retry.issued);
   Engine.run ~until:1e5 engine2;
   Alcotest.(check bool) "independent of first stream" true
-    (Noise.issued h2 < Noise.issued h)
+    (h2.Retry.issued < h.Retry.issued)
 
 let test_noise_rank_validation () =
   let _, env = tiny_env () in
   let corpus = Lazy.force tiny_corpus in
   Alcotest.(check bool) "bad rank rejected" true
     (try
-       ignore (Noise.start ~env ~corpus ~ranks:[ 1000 ] () : Noise.handle);
+       ignore (Noise.start ~env ~corpus ~ranks:[ 1000 ] () : Retry.counters);
        false
      with Invalid_argument _ -> true)
 
@@ -151,7 +151,7 @@ let test_noise_think_time_slows () =
     let engine, env = tiny_env () in
     let h = Noise.start ~env ~corpus ~ranks:[ 0 ] ~think_time:think () in
     Engine.run ~until:1e7 engine;
-    Noise.issued h
+    h.Retry.issued
   in
   Alcotest.(check bool) "think time reduces throughput" true
     (count 1e6 < count 0.0)
@@ -209,17 +209,3 @@ let suite =
       Alcotest.test_case "barrier synchronises ranks" `Slow
         test_barrier_synchronises_ranks;
     ]
-
-let test_tracked_noise_stats () =
-  let engine, env = tiny_env ~units:4 () in
-  let corpus = Lazy.force tiny_corpus in
-  let _h, stats_of = Noise.start_tracked ~env ~corpus ~ranks:[ 0; 1 ] () in
-  Engine.run ~until:2e6 engine;
-  let stats = stats_of () in
-  Alcotest.(check bool) "calls counted" true (stats.Noise.calls > 0);
-  Alcotest.(check bool) "mean positive" true (stats.Noise.mean_ns > 0.0);
-  Alcotest.(check bool) "p99 >= mean/2" true
-    (stats.Noise.p99_ns >= stats.Noise.mean_ns /. 2.0)
-
-let suite =
-  suite @ [ Alcotest.test_case "tracked noise" `Quick test_tracked_noise_stats ]

@@ -96,27 +96,6 @@ let test_vm_adds_bounded_overhead () =
   Alcotest.(check bool) "vm slower than native" true (vm_mean > native_mean);
   Alcotest.(check bool) "but bounded (< 10x)" true (vm_mean < 10.0 *. native_mean)
 
-let test_hypervisor_partition () =
-  let engine = Engine.create () in
-  let hv = Hypervisor.create ~engine ~kernel_config:Kernel_config.quiet () in
-  let vms = Hypervisor.boot_partition hv ~vms:4 ~total_cores:16 ~total_mem_mb:8192 in
-  Alcotest.(check int) "four vms" 4 (List.length vms);
-  List.iter
-    (fun vm ->
-      Alcotest.(check int) "4 vcpus" 4 (Vm.shape vm).Vm.vcpus;
-      Alcotest.(check int) "2 GB" 2048 (Vm.shape vm).Vm.mem_mb)
-    vms;
-  Alcotest.(check int) "hypervisor tracks them" 4 (List.length (Hypervisor.vms hv))
-
-let test_hypervisor_uneven_split () =
-  let engine = Engine.create () in
-  let hv = Hypervisor.create ~engine ~kernel_config:Kernel_config.quiet () in
-  Alcotest.(check bool) "uneven rejected" true
-    (try
-       ignore (Hypervisor.boot_partition hv ~vms:3 ~total_cores:16 ~total_mem_mb:8192);
-       false
-     with Invalid_argument _ -> true)
-
 let test_shared_host_disk_couples_vms () =
   let engine = Engine.create ~seed:9 () in
   let config =
@@ -124,10 +103,14 @@ let test_shared_host_disk_couples_vms () =
       block_latency = Dist.constant 10_000.0;
       block_bandwidth_ns_per_byte = 0.0 }
   in
-  let hv =
-    Hypervisor.create ~engine ~kernel_config:config ~share_host_disk:true ()
+  (* Both guests queue on one host device, as a fleet's guests do on
+     their host's. *)
+  let host_block = Resource.create ~engine ~name:"host.blkdev" ~capacity:1 in
+  let vms =
+    List.init 2 (fun id ->
+        Vm.boot ~engine ~host_block ~kernel_config:config ~id
+          { Vm.vcpus = 1; mem_mb = 512 })
   in
-  let vms = Hypervisor.boot_partition hv ~vms:2 ~total_cores:2 ~total_mem_mb:1024 in
   let io = [ Ops.Block_io { bytes = 0; write = false } ] in
   let last = ref 0.0 in
   List.iter
@@ -142,13 +125,17 @@ let test_shared_host_disk_couples_vms () =
 
 (* --- containers -------------------------------------------------------- *)
 
+(* A container in a fresh cgroup, as [Env.deploy] launches them. *)
+let launch ~host ~id shape =
+  Container.launch ~host ~id ~cgroup:(Instance.register_cgroup host) shape
+
 let test_container_cgroups_distinct () =
   let engine = Engine.create () in
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4 ~mem_mb:2048 ()
   in
-  let a = Container.launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
-  let b = Container.launch ~host ~id:1 { Container.cpus = 2; mem_limit_mb = 512 } in
+  let a = launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
+  let b = launch ~host ~id:1 { Container.cpus = 2; mem_limit_mb = 512 } in
   Alcotest.(check bool) "distinct cgroups" true
     (Container.cgroup a <> Container.cgroup b);
   Alcotest.(check int) "host sees two" 2 (Instance.cgroup_count host)
@@ -158,7 +145,7 @@ let test_container_shares_host_kernel () =
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4 ~mem_mb:2048 ()
   in
-  let c = Container.launch ~host ~id:0 { Container.cpus = 4; mem_limit_mb = 1024 } in
+  let c = launch ~host ~id:0 { Container.cpus = 4; mem_limit_mb = 1024 } in
   Alcotest.(check bool) "same instance" true (Container.host c == host)
 
 let test_container_validation () =
@@ -168,7 +155,7 @@ let test_container_validation () =
   in
   Alcotest.(check bool) "0 cpus rejected" true
     (try
-       ignore (Container.launch ~host ~id:0 { Container.cpus = 0; mem_limit_mb = 1 });
+       ignore (launch ~host ~id:0 { Container.cpus = 0; mem_limit_mb = 1 });
        false
      with Invalid_argument _ -> true)
 
@@ -177,7 +164,7 @@ let test_container_namespace_cost () =
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:2 ~mem_mb:1024 ()
   in
-  let c = Container.launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
+  let c = launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
   let elapsed = ref nan in
   Engine.spawn engine (fun () ->
       let t0 = Engine.now engine in
@@ -199,8 +186,6 @@ let suite =
     Alcotest.test_case "guest surface" `Quick test_vm_guest_surface;
     Alcotest.test_case "vcpu range" `Quick test_vm_vcpu_range;
     Alcotest.test_case "bounded overhead" `Quick test_vm_adds_bounded_overhead;
-    Alcotest.test_case "hypervisor partition" `Quick test_hypervisor_partition;
-    Alcotest.test_case "uneven split" `Quick test_hypervisor_uneven_split;
     Alcotest.test_case "shared host disk" `Quick test_shared_host_disk_couples_vms;
     Alcotest.test_case "container cgroups" `Quick test_container_cgroups_distinct;
     Alcotest.test_case "container shares kernel" `Quick
