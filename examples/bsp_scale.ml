@@ -22,7 +22,7 @@ let () =
     }
   in
   Format.printf "app: %s on %d nodes, %d barrier-synced iterations@.@."
-    app.Apps.name config.Cluster.nodes_total config.Cluster.iterations;
+    app.Apps.name Cluster.nodes_total config.Cluster.iterations;
   Format.printf "%-8s %-11s %14s %14s %12s %10s@." "env" "tenancy"
     "node mean iter" "node p99 iter" "straggler x" "runtime";
   List.iter

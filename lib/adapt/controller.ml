@@ -9,29 +9,17 @@ module Env = Ksurf_env.Env
 module Welford = Ksurf_util.Welford
 module P2 = Ksurf_stats.P2_quantile
 
-type config = {
-  stability_epochs : int;
-  min_epoch_calls : int;
-  denial_rate_limit : float;
-  divergence_limit : float;
-  breach_epochs : int;
-}
-
-let default_config =
-  {
-    stability_epochs = 2;
-    min_epoch_calls = 16;
-    denial_rate_limit = 0.05;
-    divergence_limit = 0.25;
-    breach_epochs = 2;
-  }
+let stability_epochs = 2
+let min_epoch_calls = 16
+let denial_rate_limit = 0.05
+let divergence_limit = 0.25
+let breach_epochs = 2
 
 type state = Auditing | Enforcing
 
 type decision = Promoted | Demoted | Stayed
 
 type t = {
-  cfg : config;
   env : Env.t;
   rank : int;
   base_name : string;
@@ -74,16 +62,9 @@ let permissive_audit_policy () =
     denials = ref 0;
   }
 
-let create ?(config = default_config) env ~rank ~name =
-  if config.stability_epochs < 1 then
-    invalid_arg "Controller.create: stability_epochs must be >= 1";
-  if config.min_epoch_calls < 1 then
-    invalid_arg "Controller.create: min_epoch_calls must be >= 1";
-  if config.breach_epochs < 1 then
-    invalid_arg "Controller.create: breach_epochs must be >= 1";
+let create env ~rank ~name =
   let t =
     {
-      cfg = config;
       env;
       rank;
       base_name = name;
@@ -177,7 +158,7 @@ let epoch t =
   t.epochs <- t.epochs + 1;
   let calls = t.epoch_calls in
   let decision =
-    if calls < t.cfg.min_epoch_calls then Stayed
+    if calls < min_epoch_calls then Stayed
       (* An underfed epoch is evidence of nothing: it neither advances
          the stability count nor triggers the drift detector. *)
     else
@@ -186,7 +167,7 @@ let epoch t =
           let blocks = Profile.observed_blocks t.recorder in
           if blocks > 0 && blocks = t.last_blocks then begin
             t.stable_epochs <- t.stable_epochs + 1;
-            if t.stable_epochs >= t.cfg.stability_epochs then promote t
+            if t.stable_epochs >= stability_epochs then promote t
             else Stayed
           end
           else begin
@@ -203,10 +184,9 @@ let epoch t =
              drift.  One noisy epoch is not drift either — demotion
              needs [breach_epochs] consecutive over-limit epochs, so
              the boundary cannot flap in either direction. *)
-          if rate > t.cfg.denial_rate_limit || div > t.cfg.divergence_limit
-          then begin
+          if rate > denial_rate_limit || div > divergence_limit then begin
             t.breaches <- t.breaches + 1;
-            if t.breaches >= t.cfg.breach_epochs then demote t else Stayed
+            if t.breaches >= breach_epochs then demote t else Stayed
           end
           else begin
             t.breaches <- 0;
@@ -220,7 +200,6 @@ let epoch t =
 
 let state t = t.state
 let spec t = t.spec
-let config t = t.cfg
 
 type stats = {
   epochs : int;

@@ -7,16 +7,16 @@
     - {b Auditing}: a permissive (or stale-allowlist) Audit-mode policy
       is installed and every program the rank issues feeds a live
       {!Ksurf_spec.Profile.recorder}.  The {e promotion rule} watches
-      coverage stability: once [stability_epochs] consecutive
-      sufficiently-fed epochs add no new coverage blocks, the recorded
+      coverage stability: once 2 consecutive sufficiently-fed epochs
+      add no new coverage blocks, the recorded
       profile is compiled ({!Ksurf_spec.Specializer.compile}, [Enforce])
       and hot-installed via {!Ksurf_env.Env.swap_policy}.
     - {b Enforcing}: the {e drift detector} watches each epoch's
       enforced-denial rate and the total-variation divergence between
       the epoch's per-category call mix and the learned profile's mix
       (streamed into {!Ksurf_util.Welford} / {!Ksurf_stats.P2_quantile}
-      diagnostics).  Either signal strictly exceeding its limit demotes
-      the rank back to Auditing — stale allowlist kept in Audit mode so
+      diagnostics).  Either signal strictly exceeding its limit (a 5%
+      denial rate, a 0.25 divergence) demotes the rank back to Auditing — stale allowlist kept in Audit mode so
       would-be denials stay probe-visible — and a fresh recorder
       re-learns the workload until the promotion rule fires again (a
       {e respecialization}).
@@ -28,33 +28,11 @@
     [Engine.Denied], so ksan's lockdep/determinism/invariant tooling
     sees the whole control loop.
 
-    Hysteresis by construction: promotion needs [stability_epochs]
-    {e consecutive} stable epochs, demotion needs [breach_epochs]
-    {e consecutive} epochs with a signal {e strictly} above its limit,
-    and underfed epochs (fewer than [min_epoch_calls] calls) are
-    evidence of nothing — so a workload sitting exactly at a boundary
-    never flaps. *)
-
-type config = {
-  stability_epochs : int;
-      (** consecutive stable audit epochs required to promote (>= 1) *)
-  min_epoch_calls : int;
-      (** epochs with fewer calls count neither for promotion nor
-          demotion (>= 1) *)
-  denial_rate_limit : float;
-      (** demote when an enforce epoch's denial rate strictly exceeds
-          this *)
-  divergence_limit : float;
-      (** demote when an enforce epoch's call-mix total-variation
-          divergence from the learned profile strictly exceeds this *)
-  breach_epochs : int;
-      (** consecutive over-limit enforce epochs required to demote
-          (>= 1) — one noisy epoch is not drift *)
-}
-
-val default_config : config
-(** 2 stable epochs, 16 calls minimum, 5% denial rate, 0.25 TV
-    divergence, 2 breach epochs. *)
+    Hysteresis by construction: promotion needs 2 {e consecutive}
+    stable epochs, demotion needs 2 {e consecutive} epochs with a
+    signal {e strictly} above its limit, and underfed epochs (fewer
+    than 16 calls) are evidence of nothing — so a workload sitting
+    exactly at a boundary never flaps. *)
 
 type state = Auditing | Enforcing
 
@@ -63,13 +41,10 @@ type decision = Promoted | Demoted | Stayed
 
 type t
 
-val create :
-  ?config:config -> Ksurf_env.Env.t -> rank:int -> name:string -> t
+val create : Ksurf_env.Env.t -> rank:int -> name:string -> t
 (** Attach a controller to [rank]: installs the permissive audit-window
     policy (probe-visible ["unfiltered"] -> ["audit"] transition) and
-    starts recording under profile name [name].  Raises
-    [Invalid_argument] on a non-positive [stability_epochs],
-    [min_epoch_calls] or [breach_epochs]. *)
+    starts recording under profile name [name]. *)
 
 val observe : t -> ?denied:int -> Ksurf_syzgen.Program.t -> unit
 (** Account one issued program: its calls enter the epoch call-mix
@@ -86,8 +61,6 @@ val epoch : t -> decision
 val state : t -> state
 val spec : t -> Ksurf_spec.Spec.t option
 (** The most recently compiled spec ([None] until first promotion). *)
-
-val config : t -> config
 
 type stats = {
   epochs : int;

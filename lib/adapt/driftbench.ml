@@ -39,33 +39,33 @@ let novel_categories = [ Category.Ipc; Category.Perm ]
 type config = {
   policy : policy;
   dose : float;
-  units : int;
-  cores_per_unit : int;
   epochs : int;
   programs_per_epoch : int;
-  think_ns : float;  (** idle gap after each program *)
   corpus_programs : int;
   drift_at_ns : float;
-  base_shift : float;  (** mix shift at dose 1; scales with the dose *)
   seed : int;
-  controller : Controller.config;
 }
 
 let default_config =
   {
     policy = Adaptive;
     dose = 1.0;
-    units = 2;
-    cores_per_unit = 2;
     epochs = 48;
     programs_per_epoch = 24;
-    think_ns = 2_000.0;
     corpus_programs = 24;
     drift_at_ns = 16_000_000.0;
-    base_shift = 0.25;
     seed = 42;
-    controller = Controller.default_config;
   }
+
+(* Two Multikernel units of two cores each. *)
+let units = 2
+let cores_per_unit = 2
+
+(* The idle gap after each program. *)
+let think_ns = 2_000.0
+
+(* The mix shift at dose 1; it scales with the dose. *)
+let base_shift = 0.25
 
 type result = {
   policy : string;
@@ -104,16 +104,15 @@ let drift_plan (cfg : config) =
     {
       Plan.name = "drift";
       actions =
-        [ Plan.Workload_drift { at_ns = cfg.drift_at_ns; shift = cfg.base_shift } ];
+        [ Plan.Workload_drift { at_ns = cfg.drift_at_ns; shift = base_shift } ];
     }
 
 let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
   let engine = Engine.create ~seed:cfg.seed () in
   on_engine engine;
   let partition =
-    Partition.equal_split ~units:cfg.units
-      ~total_cores:(cfg.units * cfg.cores_per_unit)
-      ~total_mem_mb:(cfg.units * cfg.cores_per_unit * 512)
+    Partition.equal_split ~units ~total_cores:(units * cores_per_unit)
+      ~total_mem_mb:(units * cores_per_unit * 512)
   in
   let env = Env.deploy ~engine Env.Multikernel partition in
   let ranks = Env.rank_count env in
@@ -159,7 +158,7 @@ let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     | Adaptive ->
         Some
           (Array.init ranks (fun r ->
-               Controller.create ~config:cfg.controller env ~rank:r
+               Controller.create env ~rank:r
                  ~name:(Printf.sprintf "drift-r%d" r)))
     | Static | Audit_only ->
         (* The offline kspec path: one profile of the pre-drift workload,
@@ -214,7 +213,7 @@ let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
               (match controllers with
               | Some cs -> Controller.observe cs.(r) ~denied:!denied program
               | None -> ());
-              if cfg.think_ns > 0.0 then Engine.delay cfg.think_ns
+              Engine.delay think_ns
             done;
             (match controllers with
             | Some cs -> ignore (Controller.epoch cs.(r))

@@ -4,8 +4,8 @@
     A Multikernel deployment serves a file-subsystem workload (the same
     File_io/Fs_mgmt restriction the kspec study pins); a kfault
     [Workload_drift] action fires mid-run and shifts fraction
-    [shift = dose * base_shift] of each rank's subsequent programs onto
-    the non-file corpus the learned profile never saw.  Three policies
+    [shift = dose * 0.25] of each rank's subsequent programs onto the
+    non-file corpus the learned profile never saw.  Three policies
     face the drift:
 
     - {b static}: the offline kspec path — one Enforce spec compiled
@@ -35,17 +35,14 @@ val all_policies : policy list
 
 type config = {
   policy : policy;
-  dose : float;  (** scales the plan: shift = dose * base_shift *)
-  units : int;
-  cores_per_unit : int;  (** ranks = units * cores_per_unit *)
+  dose : float;  (** scales the plan: shift = dose * 0.25 *)
   epochs : int;
   programs_per_epoch : int;
-  think_ns : float;  (** idle gap after each program *)
+      (** per rank and epoch, each followed by a 2 us idle gap; there
+          are 4 ranks, two Multikernel units of two cores *)
   corpus_programs : int;
   drift_at_ns : float;  (** virtual trigger time of the drift *)
-  base_shift : float;
   seed : int;
-  controller : Controller.config;
 }
 
 val default_config : config

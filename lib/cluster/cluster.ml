@@ -8,35 +8,31 @@ module Apps = Ksurf_tailbench.Apps
 module Runner = Ksurf_tailbench.Runner
 
 type config = {
-  nodes_total : int;
   nodes_simulated : int;
   iterations : int;
   sim_iterations_per_node : int;
   warmup_iterations : int;
   requests_per_iteration : int;
-  util_target : float;
   units : int;
   unit_cores : int;
   unit_mem_mb : int;
-  machine : Machine.t;
   seed : int;
 }
 
 let default_config =
   {
-    nodes_total = 64;
     nodes_simulated = 3;
     iterations = 50;
     sim_iterations_per_node = 50;
     warmup_iterations = 2;
     requests_per_iteration = 25;
-    util_target = 0.65;
     units = 4;
     unit_cores = 12;
     unit_mem_mb = 16384;
-    machine = Machine.haswell_node;
     seed = 42;
   }
+
+let nodes_total = 64
 
 type result = {
   app_name : string;
@@ -83,11 +79,10 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
         {
           Runner.default_config with
           Runner.seed = node_seed;
-          util_target = config.util_target;
           units = config.units;
           unit_cores = config.unit_cores;
           unit_mem_mb = config.unit_mem_mb;
-          machine = config.machine;
+          machine = Machine.haswell_node;
         }
       ~noise_corpus ~on_engine ~on_env ~served
   in
@@ -158,7 +153,7 @@ let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
   | Some pool -> Ksurf_par.Pool.map ~pool cell nodes
   | None -> List.map cell nodes
 
-let barrier_cost_for ~kind ~nodes_total =
+let barrier_cost_for ~kind =
   let per_party =
     match kind with
     | Env.Kvm virt -> 1_500.0 +. virt.Ksurf_virt.Virt_config.virtio_net_per_msg
@@ -198,11 +193,11 @@ let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
      Monte-Carlo resample: the estimate is then deterministic in the
      pool, so iso-vs-contended comparisons are free of resampling
      noise. *)
-  let barrier_cost = barrier_cost_for ~kind ~nodes_total:config.nodes_total in
+  let barrier_cost = barrier_cost_for ~kind in
   let mean arr = Array.fold_left ( +. ) 0.0 arr /. float_of_int (Array.length arr) in
   let sorted = Quantile.sorted_copy pool in
   let n = float_of_int (Array.length sorted) in
-  let power frac = Float.pow frac (float_of_int config.nodes_total) in
+  let power frac = Float.pow frac (float_of_int nodes_total) in
   let expected_max = ref 0.0 in
   Array.iteri
     (fun i x ->

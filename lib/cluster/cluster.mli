@@ -17,24 +17,24 @@
     nodes (DESIGN.md). *)
 
 type config = {
-  nodes_total : int;  (** 64 in the paper *)
   nodes_simulated : int;  (** fully simulated nodes feeding the pool *)
   iterations : int;  (** barrier-synchronised iterations (paper: 50) *)
   sim_iterations_per_node : int;  (** iteration samples gathered per node *)
   warmup_iterations : int;  (** leading samples discarded per node *)
   requests_per_iteration : int;
-  util_target : float;
   units : int;
   unit_cores : int;
   unit_mem_mb : int;
-  machine : Ksurf_env.Machine.t;
   seed : int;
 }
 
 val default_config : config
-(** 64 nodes (3 simulated), 50 iterations from 50 samples/node (2
-    warm-up), 25 requests/iteration, 4 x 12-core units on a Chameleon
-    Haswell node. *)
+(** 3 simulated nodes, 50 iterations from 50 samples/node (2 warm-up),
+    25 requests/iteration, 4 x 12-core units. *)
+
+val nodes_total : int
+(** 64, as in the paper: the nodes the synthesis draws each iteration
+    from.  Every simulated node is a Chameleon Haswell node. *)
 
 type result = {
   app_name : string;
@@ -73,10 +73,10 @@ val pool :
     pool is bit-identical to the sequential one.  Do not pass [par]
     together with non-thread-safe [on_engine]/[on_env] observers. *)
 
-val barrier_cost_for : kind:Ksurf_env.Env.kind -> nodes_total:int -> float
+val barrier_cost_for : kind:Ksurf_env.Env.kind -> float
 (** The per-iteration global barrier cost the synthesis charges:
-    log2(nodes) tree depth times a per-party cost that depends on the
-    transport (virtio for KVM). *)
+    log2({!nodes_total}) tree depth times a per-party cost that depends
+    on the transport (virtio for KVM). *)
 
 val run :
   app:Ksurf_tailbench.Apps.t ->

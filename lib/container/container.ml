@@ -1,10 +1,6 @@
 module Instance = Ksurf_kernel.Instance
 
-type shape = { cpus : int; mem_limit_mb : int }
-
 type t = {
-  id : int;
-  shape : shape;
   cgroup : int;
   host : Instance.t;
   (* Per-call constants, computed at launch rather than on every
@@ -15,20 +11,15 @@ type t = {
 
 let namespace_cost = 35.0
 
-let launch ~host ~id ~cgroup shape =
-  if shape.cpus < 1 then invalid_arg "Container.launch: cpus must be >= 1";
+let launch ~host ~cgroup =
   let cfg = Instance.config host in
   {
-    id;
-    shape;
     cgroup;
     host;
     entry_cost = cfg.Ksurf_kernel.Config.syscall_entry_cost +. namespace_cost;
     in_cgroup = Some cgroup;
   }
 
-let id t = t.id
-let shape t = t.shape
 let cgroup t = t.cgroup
 let host t = t.host
 

@@ -7,19 +7,13 @@
     host-wide stats flusher it feeds) grows with the container count —
     the mechanism behind Table 3's worst-case degradation. *)
 
-type shape = { cpus : int; mem_limit_mb : int }
-
 type t
 
-val launch :
-  host:Ksurf_kernel.Instance.t -> id:int -> cgroup:int -> shape -> t
+val launch : host:Ksurf_kernel.Instance.t -> cgroup:int -> t
 (** Create a container on the host kernel in [cgroup], a cgroup the
     caller made on [host] ({!Ksurf_kernel.Instance.register_cgroup}, or
-    the creation storm of {!Ksurf_kernel.Instance.cgroup_create}).
-    [cpus] is the size of its pinned cpuset. *)
+    the creation storm of {!Ksurf_kernel.Instance.cgroup_create}). *)
 
-val id : t -> int
-val shape : t -> shape
 val cgroup : t -> int
 val host : t -> Ksurf_kernel.Instance.t
 

@@ -1123,14 +1123,11 @@ module Recover = struct
     let iterations =
       match ctx.scale with Quick -> 12 | Full -> cconfig.Cluster.iterations
     in
-    let barrier =
-      Cluster.barrier_cost_for ~kind:kvm_kind
-        ~nodes_total:cconfig.Cluster.nodes_total
-    in
+    let barrier = Cluster.barrier_cost_for ~kind:kvm_kind in
     let base =
       {
         Supervisor.default_config with
-        Supervisor.nodes = cconfig.Cluster.nodes_total;
+        Supervisor.nodes = Cluster.nodes_total;
         iterations;
         barrier_cost_ns = barrier;
         seed = ctx.seed;
@@ -1175,7 +1172,7 @@ module Recover = struct
       if n = 0 then 0.0
       else Array.fold_left ( +. ) 0.0 iter_pool /. float_of_int n
     in
-    { nodes = cconfig.Cluster.nodes_total; iterations; pool_mean_ns; cells }
+    { nodes = Cluster.nodes_total; iterations; pool_mean_ns; cells }
 
   let cell t ~policy ~crash_rate =
     List.find_opt
@@ -1326,11 +1323,13 @@ module Tenancy = struct
       t.cells
 
   (* The headline: per policy, the largest (tenants, churn) cell that
-     still attains the SLO for at least [floor] of its tenants.  Cells
-     with no measured tenant carry no verdict — their attainment of 0 is
+     still attains the SLO for at least 95% of its tenants.  Cells with
+     no measured tenant carry no verdict — their attainment of 0 is
      no-data, not failure — so they can neither anchor nor be part of
      the frontier. *)
-  let frontier ?(floor = 0.95) t =
+  let frontier_floor = 0.95
+
+  let frontier t =
     let policies =
       List.sort_uniq compare
         (List.map (fun (c : cell) -> c.Fleet.policy) t.cells)
@@ -1342,7 +1341,7 @@ module Tenancy = struct
             (fun (c : cell) ->
               c.Fleet.policy = p
               && c.Fleet.measured > 0
-              && c.Fleet.attainment >= floor)
+              && c.Fleet.attainment >= frontier_floor)
             t.cells
         in
         let best =

@@ -384,10 +384,9 @@ module Tenancy : sig
 
   val cell : t -> policy:string -> tenants:int -> churn:float -> cell option
 
-  val frontier :
-    ?floor:float -> t -> (string * cell option) list
+  val frontier : t -> (string * cell option) list
   (** Per policy, the largest cell (by tenants, then churn) attaining
-      the SLO for at least [floor] (default 0.95) of measured tenants;
+      the SLO for at least 95% of measured tenants;
       [None] if no cell qualifies.  Cells with [measured = 0] carry no
       verdict and are excluded — their reported attainment of 0 is
       no-data, not a failing policy. *)

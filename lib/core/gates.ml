@@ -244,10 +244,9 @@ module Recovered_bsp = struct
     let base =
       {
         Supervisor.default_config with
-        Supervisor.nodes = config.Cluster.nodes_total;
+        Supervisor.nodes = Cluster.nodes_total;
         iterations = 10;
-        barrier_cost_ns =
-          Cluster.barrier_cost_for ~kind ~nodes_total:config.Cluster.nodes_total;
+        barrier_cost_ns = Cluster.barrier_cost_for ~kind;
         crash_rate = 0.02;
         seed;
       }
@@ -414,7 +413,6 @@ module Adaptive_drift = struct
 
   let config ~seed ~policy ~dose ~drift_at_ns =
     {
-      Driftbench.default_config with
       Driftbench.policy;
       dose;
       epochs = 24;

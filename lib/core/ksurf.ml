@@ -89,7 +89,6 @@ module Specializer = Ksurf_spec.Specializer
 module Adapt = Ksurf_adapt.Controller
 module Driftbench = Ksurf_adapt.Driftbench
 
-module Samples = Ksurf_varbench.Samples
 module Harness = Ksurf_varbench.Harness
 module Study = Ksurf_varbench.Study
 module Noise = Ksurf_varbench.Noise

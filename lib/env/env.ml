@@ -139,10 +139,7 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
       List.iteri
         (fun unit_index (u : Partition.unit_spec) ->
           let ctr =
-            Container.launch ~host ~id:unit_index
-              ~cgroup:(Instance.register_cgroup host)
-              { Container.cpus = u.Partition.cores;
-                mem_limit_mb = u.Partition.mem_mb }
+            Container.launch ~host ~cgroup:(Instance.register_cgroup host)
           in
           for _ = 1 to u.Partition.cores do
             ranks :=

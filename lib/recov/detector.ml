@@ -20,22 +20,11 @@ let verdict_name = function
   | Suspect -> "suspect"
   | Dead -> "dead"
 
-type config = {
-  window : int;  (* inter-arrival samples kept per rank *)
-  bootstrap_interval_ns : float;  (* assumed mean before samples exist *)
-  min_interval_ns : float;  (* floor on the mean estimate *)
-  suspect_phi : float;
-  dead_phi : float;
-}
-
-let default_config =
-  {
-    window = 8;
-    bootstrap_interval_ns = 1.0e5;
-    min_interval_ns = 1.0;
-    suspect_phi = 1.0;
-    dead_phi = 4.0;
-  }
+let window = 8 (* inter-arrival samples kept per rank *)
+let bootstrap_interval_ns = 1.0e5 (* assumed mean before samples exist *)
+let min_interval_ns = 1.0 (* floor on the mean estimate *)
+let suspect_phi = 1.0
+let dead_phi = 4.0
 
 type rank_state = {
   rank : int;
@@ -46,18 +35,11 @@ type rank_state = {
   mutable monitored : bool;
 }
 
-type t = {
-  config : config;
-  ranks : rank_state list;  (* sorted by rank: evaluation order is fixed *)
-}
+type t = { ranks : rank_state list (* sorted by rank: evaluation order is fixed *) }
 
-let create ?(config = default_config) ~now ~ranks () =
-  if config.window < 1 then invalid_arg "Detector.create: window < 1";
-  if config.dead_phi < config.suspect_phi then
-    invalid_arg "Detector.create: dead_phi < suspect_phi";
+let create ~now ~ranks () =
   let ranks = List.sort_uniq compare ranks in
   {
-    config;
     ranks =
       List.map
         (fun rank ->
@@ -82,29 +64,29 @@ let heartbeat t ~rank ~now =
   let interval = now -. r.last in
   if interval > 0.0 then begin
     let kept =
-      if r.interval_count >= t.config.window then
-        List.filteri (fun i _ -> i < t.config.window - 1) r.intervals
+      if r.interval_count >= window then
+        List.filteri (fun i _ -> i < window - 1) r.intervals
       else r.intervals
     in
     r.intervals <- interval :: kept;
-    r.interval_count <- min (r.interval_count + 1) t.config.window
+    r.interval_count <- min (r.interval_count + 1) window
   end;
   r.last <- now
 
-let mean_interval t r =
+let mean_interval r =
   match r.intervals with
-  | [] -> Float.max t.config.bootstrap_interval_ns t.config.min_interval_ns
+  | [] -> bootstrap_interval_ns
   | is ->
       let sum = List.fold_left ( +. ) 0.0 is in
-      Float.max (sum /. float_of_int (List.length is)) t.config.min_interval_ns
+      Float.max (sum /. float_of_int (List.length is)) min_interval_ns
 
 let ln10 = Float.log 10.0
 
-let phi_of t r ~now =
+let phi_of r ~now =
   let silence = Float.max 0.0 (now -. r.last) in
-  silence /. (mean_interval t r *. ln10)
+  silence /. (mean_interval r *. ln10)
 
-let phi t ~rank ~now = phi_of t (find t rank) ~now
+let phi t ~rank ~now = phi_of (find t rank) ~now
 let state t ~rank = (find t rank).state
 let retire t ~rank = (find t rank).monitored <- false
 
@@ -124,12 +106,12 @@ let evaluate t ~now =
     (fun r ->
       if not r.monitored then None
       else
-        let p = phi_of t r ~now in
+        let p = phi_of r ~now in
         let next =
           match r.state with
-          | Alive when p >= t.config.suspect_phi -> Suspect
-          | Suspect when p >= t.config.dead_phi -> Dead
-          | Suspect when p < t.config.suspect_phi -> Alive
+          | Alive when p >= suspect_phi -> Suspect
+          | Suspect when p >= dead_phi -> Dead
+          | Suspect when p < suspect_phi -> Alive
           | s -> s
         in
         if next = r.state then None
@@ -160,9 +142,8 @@ let save t =
       })
     t.ranks
 
-let restore ?(config = default_config) snaps =
+let restore snaps =
   {
-    config;
     ranks =
       List.map
         (fun s ->

@@ -4,8 +4,8 @@
     [phi = silence / (mean_interval * ln 10)] — the exponential-arrival
     form of Hayashibara's accrual detector — against a windowed estimate
     of its heartbeat inter-arrival time.  Two thresholds split phi into
-    three states: [Alive] below [suspect_phi], [Suspect] between,
-    [Dead] above [dead_phi].  Phi is continuous and strictly monotone
+    three states: [Alive] below phi 1, [Suspect] between, [Dead] from
+    {!dead_phi} up.  Phi is continuous and strictly monotone
     in silence, so detection latency is a deterministic function of the
     heartbeat history — property-tested in [test_recov.ml].
 
@@ -19,20 +19,14 @@ val verdict_name : verdict -> string
 (** ["alive"], ["suspect"], ["dead"] — the strings carried by
     [Engine.Rank_transition] probe events. *)
 
-type config = {
-  window : int;  (** inter-arrival samples kept per rank *)
-  bootstrap_interval_ns : float;
-      (** assumed mean inter-arrival before any samples exist *)
-  min_interval_ns : float;  (** floor on the mean estimate *)
-  suspect_phi : float;
-  dead_phi : float;
-}
-
-val default_config : config
+val dead_phi : float
+(** 4: the phi at which a Suspect rank is ruled Dead.  A rank turns
+    Suspect at phi 1.  The mean inter-arrival is estimated over the
+    last 8 heartbeats, and assumed 100 us before the first. *)
 
 type t
 
-val create : ?config:config -> now:float -> ranks:int list -> unit -> t
+val create : now:float -> ranks:int list -> unit -> t
 (** Fresh detector; every rank starts [Alive] with its last-heartbeat
     time set to [now]. *)
 
@@ -64,6 +58,6 @@ type rank_snapshot = {
 }
 
 val save : t -> rank_snapshot list
-val restore : ?config:config -> rank_snapshot list -> t
+val restore : rank_snapshot list -> t
 (** Checkpoint support: {!restore} of a {!save} resumes detection
     bit-identically. *)

@@ -37,36 +37,20 @@ module Plan = Ksurf_fault.Plan
 
 type policy = Disabled | Survivors | Readmit | Speculative
 
-let all_policies = [ Disabled; Survivors; Readmit; Speculative ]
-
 let policy_name = function
   | Disabled -> "disabled"
   | Survivors -> "survivors"
   | Readmit -> "readmit"
   | Speculative -> "speculative"
 
-let policy_of_string = function
-  | "disabled" -> Some Disabled
-  | "survivors" -> Some Survivors
-  | "readmit" -> Some Readmit
-  | "speculative" -> Some Speculative
-  | _ -> None
-
 type config = {
   nodes : int;
   iterations : int;  (* supersteps *)
   barrier_cost_ns : float;
-  heartbeat_interval_ns : float;
-  detector : Detector.config;
   policy : policy;
   crash_rate : float;  (* per-rank per-superstep crash probability *)
-  restart_supersteps : int;  (* readmit downtime, in supersteps *)
-  catchup_factor : float;
-      (* readmit: rejoin duration penalty per missed superstep,
-         in units of the pool mean *)
   checkpoint_interval : int;  (* supersteps between checkpoints *)
   checkpoint_path : string option;
-  deadline_factor : float;  (* watchdog slack over the worst-case step *)
   seed : int;
 }
 
@@ -75,17 +59,23 @@ let default_config =
     nodes = 64;
     iterations = 50;
     barrier_cost_ns = 1_800.0 *. 6.0;
-    heartbeat_interval_ns = 1.0e5;
-    detector = Detector.default_config;
     policy = Survivors;
     crash_rate = 0.0;
-    restart_supersteps = 1;
-    catchup_factor = 0.5;
     checkpoint_interval = 5;
     checkpoint_path = None;
-    deadline_factor = 8.0;
     seed = 42;
   }
+
+let heartbeat_interval_ns = 1.0e5
+
+(* Readmit: a restarted rank re-enters after this many supersteps, and
+   its rejoin iteration pays this many pool means per missed
+   superstep. *)
+let restart_supersteps = 1
+let catchup_factor = 0.5
+
+(* Watchdog slack over the worst-case superstep. *)
+let deadline_factor = 8.0
 
 type crash = { crash_rank : int; crash_superstep : int; crash_restart : bool }
 
@@ -128,7 +118,7 @@ type outcome = {
 let superstep ~config ~pool ~mean_pool ~planned ~rng ~on_engine
     (st : Checkpoint.state) =
   let s = st.superstep in
-  let hb = config.heartbeat_interval_ns in
+  let hb = heartbeat_interval_ns in
   (* Re-admit restarted ranks whose downtime has elapsed. *)
   let ready, waiting =
     List.partition
@@ -159,7 +149,7 @@ let superstep ~config ~pool ~mean_pool ~planned ~rng ~on_engine
             List.find_opt (fun r -> r.Checkpoint.rj_rank = rank) ready
           with
           | Some r ->
-              config.catchup_factor
+              catchup_factor
               *. float_of_int (s - r.Checkpoint.rj_died_at)
               *. mean_pool
           | None -> 0.0
@@ -201,9 +191,7 @@ let superstep ~config ~pool ~mean_pool ~planned ~rng ~on_engine
         ~from_v:Detector.Dead ~to_v:Detector.Alive
         ~incident:r.Checkpoint.rj_incident)
     ready;
-  let det =
-    Detector.create ~config:config.detector ~now:0.0 ~ranks:membership ()
-  in
+  let det = Detector.create ~now:0.0 ~ranks:membership () in
   let remaining = ref (List.length membership) in
   let superstep_end = ref 0.0 in
   let finished = ref false in
@@ -322,11 +310,9 @@ let superstep ~config ~pool ~mean_pool ~planned ~rng ~on_engine
     List.fold_left (fun acc (_, d, b, _, _, _) -> Float.max acc (d +. b)) 0.0
       draws
   in
-  let detection_horizon =
-    config.detector.Detector.dead_phi *. Float.log 10.0 *. hb *. 3.0
-  in
+  let detection_horizon = Detector.dead_phi *. Float.log 10.0 *. hb *. 3.0 in
   let deadline =
-    config.deadline_factor *. (worst_draw +. detection_horizon +. (4.0 *. hb))
+    deadline_factor *. (worst_draw +. detection_horizon +. (4.0 *. hb))
   in
   Engine.run ~stop:(fun () -> !finished) ~deadline engine;
   (* Speculative takeovers leave the original rank Suspect or Dead in
@@ -350,7 +336,7 @@ let superstep ~config ~pool ~mean_pool ~planned ~rng ~on_engine
       (fun (rank, incident) ->
         {
           Checkpoint.rj_rank = rank;
-          rj_superstep = s + 1 + config.restart_supersteps;
+          rj_superstep = s + 1 + restart_supersteps;
           rj_incident = incident;
           rj_died_at = s;
         })

@@ -25,30 +25,24 @@ type policy =
       (** a Suspect verdict launches a backup execution; the rank
           completes at the first finisher *)
 
-val all_policies : policy list
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
 type config = {
   nodes : int;
   iterations : int;  (** supersteps *)
   barrier_cost_ns : float;
-  heartbeat_interval_ns : float;
-  detector : Detector.config;
   policy : policy;
   crash_rate : float;  (** per-rank per-superstep crash probability *)
-  restart_supersteps : int;  (** readmit downtime, in supersteps *)
-  catchup_factor : float;
-      (** readmit: rejoin penalty per missed superstep, × pool mean *)
   checkpoint_interval : int;  (** supersteps between checkpoints *)
   checkpoint_path : string option;
-  deadline_factor : float;  (** watchdog slack over the worst-case step *)
   seed : int;
 }
 
 val default_config : config
 (** 64 nodes, 50 supersteps, Survivors policy, no crashes, checkpoint
-    every 5 supersteps (when a path is given). *)
+    every 5 supersteps (when a path is given).  Ranks heartbeat every
+    100 us.  A readmitted rank is down for one superstep, and its
+    rejoin iteration pays half a pool mean per missed superstep. *)
 
 type crash = { crash_rank : int; crash_superstep : int; crash_restart : bool }
 

@@ -46,8 +46,8 @@ let pruned_machinery (s : Spec.t) =
   in
   List.filter (fun m -> not (List.mem m needed)) Ops.all_machinery
 
-let kernel_config ?(base = Config.default) s =
-  List.fold_left (fun cfg m -> Config.without_machinery m cfg) base
+let kernel_config s =
+  List.fold_left (fun cfg m -> Config.without_machinery m cfg) Config.default
     (pruned_machinery s)
 
 let policy (s : Spec.t) =

@@ -21,10 +21,9 @@ val compile : ?mode:Spec.mode -> Profile.t -> Spec.t
 (** [mode] defaults to [Enforce].  Raises [Invalid_argument] on a
     profile with an empty syscall list. *)
 
-val kernel_config :
-  ?base:Ksurf_kernel.Config.t -> Spec.t -> Ksurf_kernel.Config.t
-(** [base] (default {!Ksurf_kernel.Config.default}) with every pruned
-    machinery switched off.  Pass as [~kernel_config] to
+val kernel_config : Spec.t -> Ksurf_kernel.Config.t
+(** {!Ksurf_kernel.Config.default} with every pruned machinery switched
+    off.  Pass as [~kernel_config] to
     {!Ksurf_env.Env.deploy}. *)
 
 val policy : Spec.t -> Ksurf_kernel.Instance.syscall_policy

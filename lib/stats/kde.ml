@@ -18,25 +18,26 @@ let silverman_bandwidth samples =
 
 let gaussian u = Float.exp (-0.5 *. u *. u) /. Float.sqrt (2.0 *. Float.pi)
 
-let estimate ?bandwidth samples x =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Kde.estimate: empty";
-  let h = match bandwidth with Some h -> h | None -> silverman_bandwidth samples in
+let density ~h samples x =
   let acc = ref 0.0 in
   Array.iter (fun s -> acc := !acc +. gaussian ((x -. s) /. h)) samples;
-  !acc /. (float_of_int n *. h)
+  !acc /. (float_of_int (Array.length samples) *. h)
 
-let curve ?bandwidth ?(points = 64) samples =
+let estimate samples x =
+  if Array.length samples = 0 then invalid_arg "Kde.estimate: empty";
+  density ~h:(silverman_bandwidth samples) samples x
+
+let curve ?(points = 64) samples =
   if Array.length samples = 0 then invalid_arg "Kde.curve: empty";
   if points < 2 then invalid_arg "Kde.curve: need at least two points";
-  let h = match bandwidth with Some h -> h | None -> silverman_bandwidth samples in
+  let h = silverman_bandwidth samples in
   let lo = Quantile.min_value samples -. (3.0 *. h) in
   let hi = Quantile.max_value samples +. (3.0 *. h) in
   Array.init points (fun i ->
       let x = lo +. (float_of_int i /. float_of_int (points - 1) *. (hi -. lo)) in
-      (x, estimate ~bandwidth:h samples x))
+      (x, density ~h samples x))
 
-let log_curve ?bandwidth ?(points = 64) samples =
+let log_curve ?(points = 64) samples =
   let logs =
     Array.of_list
       (List.filter_map
@@ -44,5 +45,5 @@ let log_curve ?bandwidth ?(points = 64) samples =
          (Array.to_list samples))
   in
   if Array.length logs = 0 then invalid_arg "Kde.log_curve: no positive samples";
-  let pairs = curve ?bandwidth ~points logs in
+  let pairs = curve ~points logs in
   Array.map (fun (lx, d) -> (Float.pow 10.0 lx, d)) pairs

@@ -9,17 +9,15 @@ val silverman_bandwidth : float array -> float
     value for degenerate (constant) samples.  Raises [Invalid_argument]
     on empty input. *)
 
-val estimate : ?bandwidth:float -> float array -> float -> float
-(** [estimate samples x] is the estimated density at [x].  Bandwidth
-    defaults to {!silverman_bandwidth}. *)
+val estimate : float array -> float -> float
+(** [estimate samples x] is the estimated density at [x], with the
+    {!silverman_bandwidth} of [samples]. *)
 
-val curve :
-  ?bandwidth:float -> ?points:int -> float array -> (float * float) array
+val curve : ?points:int -> float array -> (float * float) array
 (** [curve samples] evaluates the density at [points] (default 64)
     positions spanning \[min-3h, max+3h\]; returns (x, density) pairs. *)
 
-val log_curve :
-  ?bandwidth:float -> ?points:int -> float array -> (float * float) array
+val log_curve : ?points:int -> float array -> (float * float) array
 (** Density of log10(samples), evaluated on a log-spaced grid and
     reported against the original scale — matches the log-axis violins
     in the paper.  Non-positive samples are dropped. *)

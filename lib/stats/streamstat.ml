@@ -13,8 +13,7 @@ type t = {
   mutable spilled : bool;
 }
 
-let create ?(exact_cap = default_exact_cap) () =
-  if exact_cap < 0 then invalid_arg "Streamstat.create: negative exact_cap";
+let make exact_cap =
   {
     exact_cap;
     welford = Welford.create ();
@@ -26,7 +25,8 @@ let create ?(exact_cap = default_exact_cap) () =
     spilled = exact_cap = 0;
   }
 
-let streaming () = create ~exact_cap:0 ()
+let create () = make default_exact_cap
+let streaming () = make 0
 
 let feed_p2 t x =
   P2_quantile.add t.q50 x;

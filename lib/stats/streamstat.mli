@@ -3,7 +3,8 @@
     Small runs (the seed-scale varbench/tailbench configurations) keep
     every sample in an exact buffer, so summary quantiles computed from
     {!exact} are byte-identical to the historical array-based pipeline.
-    Once the sample count crosses [exact_cap] the buffer is replayed —
+    Once the sample count crosses {!default_exact_cap} the buffer is
+    replayed —
     in insertion order — into three {!P2_quantile} estimators
     (p50/p95/p99) and dropped; from then on the accumulator is
     constant-size no matter how many samples arrive.  Mean, variance,
@@ -20,13 +21,12 @@ val default_exact_cap : int
 (** 4096 — comfortably above every seed-scale per-site and per-run
     sample count, so existing CSV output is unchanged. *)
 
-val create : ?exact_cap:int -> unit -> t
-(** [exact_cap] defaults to {!default_exact_cap}.  [~exact_cap:0] never
-    buffers: pure streaming from the first sample. *)
+val create : unit -> t
+(** Buffers up to {!default_exact_cap} samples. *)
 
 val streaming : unit -> t
-(** [create ~exact_cap:0 ()] — for fleet-scale consumers that must
-    never materialize samples. *)
+(** Never buffers: pure streaming from the first sample — for
+    fleet-scale consumers that must never materialize samples. *)
 
 val add : t -> float -> unit
 

@@ -40,7 +40,9 @@ let pp_row ppf v =
   Format.fprintf ppf "%-12s %5d %8.3g %8.3g %8.3g %8.3g %8.3g %8.3g %8.3g" v.label
     v.count v.min v.lo95 v.q1 v.median v.q3 v.hi95 v.max
 
-let render_ascii ?(height = 20) violins =
+let height = 20
+
+let render_ascii violins =
   match violins with
   | [] -> ""
   | _ ->

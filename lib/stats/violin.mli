@@ -25,6 +25,6 @@ val pp_row : Format.formatter -> t -> unit
 
 val header : string
 
-val render_ascii : ?height:int -> t list -> string
-(** Side-by-side vertical ASCII violins on a shared log axis — the
-    textual stand-in for the paper's Figure 2 panels. *)
+val render_ascii : t list -> string
+(** Side-by-side vertical ASCII violins, 20 rows tall, on a shared log
+    axis — the textual stand-in for the paper's Figure 2 panels. *)

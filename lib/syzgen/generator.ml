@@ -1,25 +1,16 @@
 module Prng = Ksurf_util.Prng
 
-type params = {
-  seed : int;
-  target_programs : int;
-  max_rounds : int;
-  min_len : int;
-  max_len : int;
-  mutation_bias : float;
-  target_calls : int option;
-}
+type params = { seed : int; target_programs : int; target_calls : int option }
 
-let default_params =
-  {
-    seed = 42;
-    target_programs = 64;
-    max_rounds = 20_000;
-    min_len = 3;
-    max_len = 10;
-    mutation_bias = 0.7;
-    target_calls = None;
-  }
+let default_params = { seed = 42; target_programs = 64; target_calls = None }
+
+(* The bound on candidate evaluations; fresh programs' lengths; and the
+   chance a candidate mutates a corpus member rather than being fresh,
+   once the corpus is non-empty. *)
+let max_rounds = 20_000
+let min_len = 3
+let max_len = 10
+let mutation_bias = 0.7
 
 type report = {
   corpus : Corpus.t;
@@ -69,7 +60,7 @@ let run ?(params = default_params) () =
   in
   let candidate () =
     let mutate_existing =
-      !corpus_rev <> [] && Prng.chance rng params.mutation_bias
+      !corpus_rev <> [] && Prng.chance rng mutation_bias
     in
     if mutate_existing then begin
       match corpus_pick () with
@@ -77,10 +68,9 @@ let run ?(params = default_params) () =
       | None -> assert false
     end
     else
-      Program.random rng ~id:(fresh_id ()) ~min_len:params.min_len
-        ~max_len:params.max_len
+      Program.random rng ~id:(fresh_id ()) ~min_len ~max_len
   in
-  while !corpus_len < params.target_programs && !rounds < params.max_rounds do
+  while !corpus_len < params.target_programs && !rounds < max_rounds do
     incr rounds;
     let cand = candidate () in
     let cov = Coverage.of_program cand in

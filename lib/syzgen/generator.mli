@@ -9,13 +9,9 @@
 
 type params = {
   seed : int;
-  target_programs : int;  (** stop once the corpus reaches this size *)
-  max_rounds : int;  (** hard bound on candidate evaluations *)
-  min_len : int;
-  max_len : int;
-  mutation_bias : float;
-      (** probability of mutating an existing member vs generating fresh,
-          once the corpus is non-empty *)
+  target_programs : int;
+      (** stop once the corpus reaches this size, or after 20,000
+          candidates *)
   target_calls : int option;
       (** paper-scale mode: after coverage-guided admission saturates (or
           [target_programs] is reached), keep appending mutated variants
@@ -27,8 +23,8 @@ type params = {
 }
 
 val default_params : params
-(** seed 42, 64 programs, generous round budget, lengths 3–10,
-    mutation bias 0.7. *)
+(** seed 42, 64 programs.  Fresh candidates are 3–10 calls long; once
+    the corpus is non-empty, 70% of candidates mutate a member. *)
 
 type report = {
   corpus : Corpus.t;

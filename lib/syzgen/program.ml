@@ -32,23 +32,22 @@ let to_string t =
        (fun c -> Printf.sprintf "%s(%s)" c.spec.Spec.name (Arg.to_string c.arg))
        t.calls)
 
+(* A call is the whole line: its ')' must be the last character. *)
 let parse_line line =
+  let n = String.length line in
   match String.index_opt line '(' with
   | None -> Error (Printf.sprintf "missing '(' in %S" line)
+  | Some _ when line.[n - 1] <> ')' ->
+      Error (Printf.sprintf "line does not end with the call's ')' in %S" line)
   | Some open_paren -> (
       let name = String.sub line 0 open_paren in
-      match String.rindex_opt line ')' with
-      | Some close_paren when close_paren > open_paren -> (
-          let args =
-            String.sub line (open_paren + 1) (close_paren - open_paren - 1)
-          in
-          match Syscalls.by_name name with
-          | None -> Error (Printf.sprintf "unknown syscall %S" name)
-          | Some spec -> (
-              match Arg.of_string args with
-              | None -> Error (Printf.sprintf "bad arguments %S" args)
-              | Some arg -> Ok { spec; arg }))
-      | _ -> Error (Printf.sprintf "missing ')' after '(' in %S" line))
+      let args = String.sub line (open_paren + 1) (n - open_paren - 2) in
+      match Syscalls.by_name name with
+      | None -> Error (Printf.sprintf "unknown syscall %S" name)
+      | Some spec -> (
+          match Arg.of_string args with
+          | None -> Error (Printf.sprintf "bad arguments %S" args)
+          | Some arg -> Ok { spec; arg }))
 
 let of_string ~id s =
   let lines =

@@ -10,9 +10,7 @@ module Noise = Ksurf_varbench.Noise
 
 type config = {
   requests : int;
-  warmup_fraction : float;
   seed : int;
-  util_target : float;
   units : int;
   unit_cores : int;
   unit_mem_mb : int;
@@ -22,14 +20,17 @@ type config = {
 let default_config =
   {
     requests = 4_000;
-    warmup_fraction = 0.2;
     seed = 42;
-    util_target = 0.65;
     units = 4;
     unit_cores = 16;
     unit_mem_mb = 8192;
     machine = Machine.epyc;
   }
+
+(* The leading fraction of latencies discarded, and the worker
+   utilisation the client rate aims for. *)
+let warmup_fraction = 0.2
+let util_target = 0.65
 
 type result = {
   app_name : string;
@@ -95,7 +96,7 @@ let start_node ~app ~kind ~contended ~(config : config) ~noise_corpus ~on_engine
       engine;
       env;
       mailbox = Mailbox.create ~engine ~name:(app.Apps.name ^ ".reqs");
-      rate = config.util_target *. float_of_int config.unit_cores /. mean_service;
+      rate = util_target *. float_of_int config.unit_cores /. mean_service;
       workers = config.unit_cores;
       live = config.unit_cores;
       crashes = 0;
@@ -176,13 +177,11 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
      spill is possible, stream from the start. *)
   let streaming_mode = config.requests >= Streamstat.default_exact_cap in
   let latencies =
-    Streamstat.create
-      ~exact_cap:(if streaming_mode then 0 else Streamstat.default_exact_cap)
-      ()
+    if streaming_mode then Streamstat.streaming () else Streamstat.create ()
   in
   let warmup_skip =
     if streaming_mode then
-      int_of_float (float_of_int config.requests *. config.warmup_fraction)
+      int_of_float (float_of_int config.requests *. warmup_fraction)
     else 0
   in
   let recorded = ref 0 in
@@ -226,7 +225,7 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
     match Streamstat.exact latencies with
     | Some all ->
         let skip =
-          int_of_float (float_of_int (Array.length all) *. config.warmup_fraction)
+          int_of_float (float_of_int (Array.length all) *. warmup_fraction)
         in
         let measured = Array.sub all skip (Array.length all - skip) in
         if Array.length measured = 0 then (0, 0.0, 0.0, 0.0, 0.0)

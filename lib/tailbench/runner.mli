@@ -4,16 +4,16 @@
     on the EPYC machine.  Unit 0 runs one tailbench application with an
     open-loop client over loopback; units 1–3 run a 48-rank varbench
     noise workload when the run is {e contended}.  The client rate is
-    set from the app's {e native} service estimate for ~72%% worker
+    set from the app's {e native} service estimate for 65%% worker
     utilisation and kept identical across environments, so environments
     that inflate service times absorb the extra load as queueing — the
     paper's fixed-rate configuration. *)
 
 type config = {
-  requests : int;  (** completed requests to measure *)
-  warmup_fraction : float;  (** leading fraction of latencies discarded *)
+  requests : int;
+      (** completed requests; the first 20%% of latencies are warm-up
+          and discarded *)
   seed : int;
-  util_target : float;
   units : int;
   unit_cores : int;
   unit_mem_mb : int;
@@ -21,8 +21,8 @@ type config = {
 }
 
 val default_config : config
-(** 4000 requests, 20%% warm-up, seed 42, util 0.65, 4 x (16 cores, 8 GB)
-    on {!Ksurf_env.Machine.epyc}. *)
+(** 4000 requests, seed 42, 4 x (16 cores, 8 GB) on
+    {!Ksurf_env.Machine.epyc}. *)
 
 type result = {
   app_name : string;
@@ -70,14 +70,14 @@ val start_node :
 (** Build the node's engine (then [on_engine]), deploy [config]'s
     partition (then [on_env]), start the noise ranks on units 1 and up
     when [contended] (generating a corpus if none is given), fix the
-    client rate for [config.util_target] worker utilisation at the
-    app's native service estimate, and spawn one worker per unit-0
+    client rate for 65%% worker utilisation at the app's native service
+    estimate, and spawn one worker per unit-0
     core.  A worker serves each request it receives and then calls
     [served node arrival].  A worker whose fault plan schedules a crash
     requeues its in-flight request, emits a [rank-crash] probe and
     either restarts after the plan's downtime, emitting [rank-restart],
-    or leaves for good.  [config.requests] and [config.warmup_fraction]
-    are not read: the caller owns the client. *)
+    or leaves for good.  [config.requests] is not read: the caller owns
+    the client. *)
 
 val run_single_node :
   app:Apps.t ->

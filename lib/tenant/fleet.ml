@@ -10,7 +10,6 @@ module Config = Ksurf_kernel.Config
 module Ops = Ksurf_kernel.Ops
 module Container = Ksurf_container.Container
 module Vm = Ksurf_virt.Vm
-module Virt_config = Ksurf_virt.Virt_config
 module Spec = Ksurf_syscalls.Spec
 
 type config = {
@@ -18,22 +17,14 @@ type config = {
   churn_per_day : float;
   policy : Policy.t;
   seed : int;
-  hosts : int;  (* 0 = one host per 128 tenant slots *)
   host_cores : int;
-  host_mem_mb : int;
   day_ns : float;
   days : float;
   warmup_fraction : float;
   mean_rate_per_s : float;
   epoch_ns : float;
   slo_ns : float;
-  max_replicas : int;
-  escalate_after : int;
-  min_epoch_samples : int;
-  min_tenant_samples : int;
   request_target : int option;
-  kernel_config : Config.t;
-  virt : Virt_config.t;
 }
 
 let default_config =
@@ -42,23 +33,33 @@ let default_config =
     churn_per_day = 4.0;
     policy = Policy.Static Policy.Docker;
     seed = 42;
-    hosts = 0;
     host_cores = 64;
-    host_mem_mb = 262_144;
     day_ns = 2e9;
     days = 1.0;
     warmup_fraction = 0.1;
     mean_rate_per_s = 25.0;
     epoch_ns = 1e8;
     slo_ns = 2.5e5;
-    max_replicas = 4;
-    escalate_after = 3;
-    min_epoch_samples = 8;
-    min_tenant_samples = 20;
     request_target = None;
-    kernel_config = Config.default;
-    virt = Virt_config.default;
   }
+
+(* One 256 GB host kernel per 128 tenant slots; every host and KVM
+   guest runs the stock kernel. *)
+let tenants_per_host = 128
+let host_mem_mb = 262_144
+
+(* The autoscaler's replica ceiling per tenant, which also sizes each
+   tenant's guest and private kernel. *)
+let max_replicas = 4
+
+(* Consecutive violating epochs at [max_replicas] before an adaptive
+   policy migrates the tenant. *)
+let escalate_after = 3
+
+(* Epochs thinner than this are skipped; tenants thinner than this are
+   left out of SLO attainment. *)
+let min_epoch_samples = 8
+let min_tenant_samples = 20
 
 type result = {
   policy : string;
@@ -202,17 +203,13 @@ let place t (tn : tenant) (klass : Policy.klass) =
         let cgroup = Instance.cgroup_create h.inst (lifecycle_ctx t tn) in
         t.cgroup_creates <- t.cgroup_creates + 1;
         t.peak_cgroups <- max t.peak_cgroups (total_cgroups t);
-        Contained
-          ( h,
-            Container.launch ~host:h.inst ~id:tn.id ~cgroup
-              { Container.cpus = t.cfg.max_replicas; mem_limit_mb = 2048 } )
+        Contained (h, Container.launch ~host:h.inst ~cgroup)
     | Policy.Kvm ->
         let id = t.next_guest in
         t.next_guest <- t.next_guest + 1;
         let vm =
-          Vm.boot ~engine:t.engine ~host_block:(Instance.block_dev h.inst)
-            ~kernel_config:t.cfg.kernel_config ~virt:t.cfg.virt ~id
-            { Vm.vcpus = t.cfg.max_replicas; mem_mb = 2048 }
+          Vm.boot ~engine:t.engine ~host_block:(Instance.block_dev h.inst) ~id
+            { Vm.vcpus = max_replicas; mem_mb = 2048 }
         in
         Engine.delay vm_boot_delay_ns;
         Virtual vm
@@ -221,7 +218,7 @@ let place t (tn : tenant) (klass : Policy.klass) =
         t.next_guest <- t.next_guest + 1;
         let inst =
           Kernel.boot ~engine:t.engine ~config:t.mk_config ~id:(100_000 + id)
-            ~cores:t.cfg.max_replicas ~mem_mb:2048
+            ~cores:max_replicas ~mem_mb:2048
             ~block_dev:(Instance.block_dev h.inst) ()
         in
         Engine.delay mk_boot_delay_ns;
@@ -268,12 +265,12 @@ let exec_request t (tn : tenant) ~replica =
         ~tenant:tn.id ~key ops
   | Virtual vm ->
       Vm.exec_syscall vm
-        ~core:(replica mod t.cfg.max_replicas)
+        ~core:(replica mod max_replicas)
         ~tenant:tn.id ~key ops
   | Private inst ->
       Instance.exec_syscall inst
         {
-          Instance.core = replica mod t.cfg.max_replicas;
+          Instance.core = replica mod max_replicas;
           tenant = tn.id;
           key;
           cgroup = None;
@@ -359,7 +356,7 @@ let fold_live t f acc =
 
 (* The lifetime SLO verdict: a tenant is judged once it has enough
    post-warmup samples, and meets the SLO when its p99 does. *)
-let is_measured (cfg : config) tn = P2.count tn.lifetime_p99 >= cfg.min_tenant_samples
+let is_measured tn = P2.count tn.lifetime_p99 >= min_tenant_samples
 
 let meets_slo (cfg : config) tn =
   let p99 = if P2.count tn.lifetime_p99 = 0 then 0.0 else P2.value tn.lifetime_p99 in
@@ -372,15 +369,8 @@ let admit t =
   let name = "tenant-" ^ string_of_int id in
   let rng = Prng.split t.root_rng name in
   let profile =
-    Workload.make
-      ~rng:(Prng.split rng "profile")
-      ~params:
-        {
-          Workload.default_params with
-          Workload.day_ns = t.cfg.day_ns;
-          horizon_ns = t.t_end;
-          mean_rate_per_s = t.cfg.mean_rate_per_s;
-        }
+    Workload.make ~rng:(Prng.split rng "profile") ~day_ns:t.cfg.day_ns
+      ~horizon_ns:t.t_end ~mean_rate_per_s:t.cfg.mean_rate_per_s
   in
   let tn =
     {
@@ -428,7 +418,7 @@ let depart t (tn : tenant) =
       Mailbox.send tn.mailbox (Engine.now t.engine)
     done;
     (* Fold the lifetime SLO verdict now and drop the record. *)
-    if is_measured t.cfg tn then begin
+    if is_measured tn then begin
       t.departed_measured <- t.departed_measured + 1;
       if meets_slo t.cfg tn then t.departed_slo_met <- t.departed_slo_met + 1
     end;
@@ -442,12 +432,12 @@ let depart t (tn : tenant) =
    stronger isolation boundary; scale quiet tenants back in. *)
 let control_tenant t tn =
   if tn.alive then begin
-    if tn.epoch_count >= t.cfg.min_epoch_samples then begin
+    if tn.epoch_count >= min_epoch_samples then begin
       let p99 = P2.value tn.epoch_p99 in
       if p99 > t.cfg.slo_ns then begin
         t.epoch_violations <- t.epoch_violations + 1;
         tn.bad_epochs <- tn.bad_epochs + 1;
-        if tn.target_replicas < t.cfg.max_replicas then begin
+        if tn.target_replicas < max_replicas then begin
           tn.target_replicas <- tn.target_replicas + 1;
           (* An unconsumed retire token cancels against the new
              capacity; only spawn when every live fiber is staying. *)
@@ -456,7 +446,7 @@ let control_tenant t tn =
           else spawn_replica t tn;
           t.scale_ups <- t.scale_ups + 1
         end
-        else if tn.bad_epochs >= t.cfg.escalate_after then
+        else if tn.bad_epochs >= escalate_after then
           match Policy.escalation t.cfg.policy tn.klass with
           | Some klass ->
               release t tn;
@@ -495,15 +485,13 @@ let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     invalid_arg "Fleet.create: churn must be >= 0";
   let engine = Engine.create ~seed:cfg.seed () in
   on_engine engine;
-  let host_count =
-    if cfg.hosts > 0 then cfg.hosts else max 1 ((cfg.tenants + 127) / 128)
-  in
+  let host_count = max 1 ((cfg.tenants + tenants_per_host - 1) / tenants_per_host) in
   let hosts =
     Array.init host_count (fun i ->
         {
           inst =
-            Kernel.boot ~engine ~config:cfg.kernel_config ~id:i
-              ~cores:cfg.host_cores ~mem_mb:cfg.host_mem_mb ();
+            Kernel.boot ~engine ~config:Config.default ~id:i
+              ~cores:cfg.host_cores ~mem_mb:host_mem_mb ();
           sharers = 0;
         })
   in
@@ -517,7 +505,7 @@ let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     churn_rng = Prng.split root_rng "churn";
     t_end;
     warmup_end = cfg.warmup_fraction *. t_end;
-    mk_config = mk_kernel_config cfg.kernel_config Workload.service_mix;
+    mk_config = mk_kernel_config Config.default Workload.service_mix;
     live = Array.make cfg.tenants None;
     live_count = 0;
     epoch_walk = Array.make cfg.tenants None;
@@ -597,10 +585,10 @@ let run ?on_engine (cfg : config) =
       loop ());
   Engine.run ~until:t.t_end ~stop:(fun () -> hit_request_target t) engine;
   let measured =
-    fold_live t (fun acc tn -> if is_measured cfg tn then acc + 1 else acc) t.departed_measured
+    fold_live t (fun acc tn -> if is_measured tn then acc + 1 else acc) t.departed_measured
   and slo_met =
     fold_live t
-      (fun acc tn -> if is_measured cfg tn && meets_slo cfg tn then acc + 1 else acc)
+      (fun acc tn -> if is_measured tn && meets_slo cfg tn then acc + 1 else acc)
       t.departed_slo_met
   in
   let count_final k =

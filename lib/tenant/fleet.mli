@@ -25,32 +25,28 @@ type config = {
           the churn process entirely *)
   policy : Policy.t;
   seed : int;
-  hosts : int;  (** shared-kernel hosts; 0 = one per 128 tenant slots *)
   host_cores : int;
-  host_mem_mb : int;
+      (** cores of each shared-kernel host; there is one 256 GB host
+          per 128 tenant slots *)
   day_ns : float;  (** virtual length of one diurnal period *)
   days : float;  (** run length in days *)
   warmup_fraction : float;  (** leading fraction excluded from stats *)
   mean_rate_per_s : float;  (** fleet-mean per-tenant request rate *)
   epoch_ns : float;  (** SLO control-loop period *)
-  slo_ns : float;  (** per-tenant p99 latency target *)
-  max_replicas : int;  (** autoscaler ceiling per tenant *)
-  escalate_after : int;
-      (** consecutive violating epochs at max replicas before an
-          adaptive policy migrates the tenant *)
-  min_epoch_samples : int;  (** epochs thinner than this are skipped *)
-  min_tenant_samples : int;
-      (** tenants thinner than this are excluded from SLO attainment *)
+  slo_ns : float;
+      (** per-tenant p99 latency target.  A violating tenant scales out
+          to 4 replicas; after 3 more violating epochs an adaptive
+          policy migrates it.  Epochs with fewer than 8 samples and
+          tenants with fewer than 20 are not judged. *)
   request_target : int option;
       (** stop once this many requests completed (bench ladders);
           [None] runs to [days * day_ns] *)
-  kernel_config : Ksurf_kernel.Config.t;  (** host / KVM-guest kernel *)
-  virt : Ksurf_virt.Virt_config.t;
 }
 
 val default_config : config
 (** 128 tenants, 4 replacements/tenant/day, Docker placement, one
-    2-virtual-second day on one 64-core host, 250 us p99 SLO. *)
+    2-virtual-second day on one 64-core host, 250 us p99 SLO.  Hosts
+    and KVM guests run the stock kernel. *)
 
 type result = {
   policy : string;

@@ -14,24 +14,11 @@ type profile = {
   key_space : int;
 }
 
-type params = {
-  day_ns : float;
-  horizon_ns : float;
-  mean_rate_per_s : float;
-  rate_spread : float;
-  max_flashes : int;
-  max_flash_boost : float;
-}
-
-let default_params =
-  {
-    day_ns = 2e9;
-    horizon_ns = 2e9;
-    mean_rate_per_s = 25.0;
-    rate_spread = 0.6;
-    max_flashes = 2;
-    max_flash_boost = 6.0;
-  }
+(* Tenant-to-tenant rate spread (+-60%), and up to two flash crowds of
+   up to 6x per tenant. *)
+let rate_spread = 0.6
+let max_flashes = 2
+let max_flash_boost = 6.0
 
 (* The service shape: an RPC handler doing file I/O, metadata lookups
    and socket traffic — File_io / Fs_mgmt / Ipc categories only, which
@@ -49,17 +36,17 @@ let service_mix =
          | None -> invalid_arg ("Workload.service_mix: unknown syscall " ^ n))
        names)
 
-let make ~rng ~params =
-  let spread = 1.0 +. (params.rate_spread *. ((2.0 *. Prng.uniform rng) -. 1.0)) in
-  let base_rate = params.mean_rate_per_s *. spread /. 1e9 in
+let make ~rng ~day_ns ~horizon_ns ~mean_rate_per_s =
+  let spread = 1.0 +. (rate_spread *. ((2.0 *. Prng.uniform rng) -. 1.0)) in
+  let base_rate = mean_rate_per_s *. spread /. 1e9 in
   let amplitude = 0.3 +. (0.5 *. Prng.uniform rng) in
   let phase = Prng.uniform rng in
-  let n_flashes = Prng.int rng (params.max_flashes + 1) in
+  let n_flashes = Prng.int rng (max_flashes + 1) in
   let flashes =
     List.init n_flashes (fun _ ->
-        let from_ns = Prng.float rng params.horizon_ns in
-        let dur = (0.02 +. (0.05 *. Prng.uniform rng)) *. params.day_ns in
-        let boost = 1.5 +. Prng.float rng (params.max_flash_boost -. 1.5) in
+        let from_ns = Prng.float rng horizon_ns in
+        let dur = (0.02 +. (0.05 *. Prng.uniform rng)) *. day_ns in
+        let boost = 1.5 +. Prng.float rng (max_flash_boost -. 1.5) in
         { from_ns; until_ns = from_ns +. dur; boost })
   in
   { base_rate; amplitude; phase; flashes; mix = service_mix; key_space = 64 }

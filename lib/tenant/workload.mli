@@ -19,25 +19,20 @@ type profile = {
   key_space : int;  (** object-identity space for lock striping *)
 }
 
-type params = {
-  day_ns : float;  (** virtual length of one diurnal period *)
-  horizon_ns : float;  (** run length; flash windows land inside it *)
-  mean_rate_per_s : float;  (** fleet-mean per-tenant request rate *)
-  rate_spread : float;  (** +- relative tenant-to-tenant rate spread *)
-  max_flashes : int;
-  max_flash_boost : float;
-}
-
-val default_params : params
-(** One 2-virtual-second day, 25 req/s per tenant +-60%, up to two
-    flash crowds of up to 6x. *)
-
 val service_mix : Ksurf_syscalls.Spec.t array
 (** The RPC-service syscall mix every tenant draws from: file reads and
     writes, metadata lookups, open/close pairs, socket send/receive. *)
 
-val make : rng:Ksurf_util.Prng.t -> params:params -> profile
-(** Draw a tenant's profile.  Consumes only [rng]. *)
+val make :
+  rng:Ksurf_util.Prng.t ->
+  day_ns:float ->
+  horizon_ns:float ->
+  mean_rate_per_s:float ->
+  profile
+(** Draw a tenant's profile for a diurnal period of [day_ns].  Its mean
+    rate is within +-60% of the fleet mean [mean_rate_per_s] (req/s),
+    and it has up to two flash crowds of up to 6x, inside
+    [horizon_ns].  Consumes only [rng]. *)
 
 val rate_at : profile -> day_ns:float -> float -> float
 (** Instantaneous arrival rate (req/ns) at a virtual time. *)

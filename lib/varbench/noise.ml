@@ -11,7 +11,7 @@ let rec issue_all counters env rank = function
       ignore (Retry.call counters env ~rank c : bool);
       issue_all counters env rank rest
 
-let start ~env ~corpus ~ranks ?(think_time = 0.0) () =
+let start ~env ~corpus ~ranks () =
   let engine = Env.engine env in
   let programs = Corpus.programs corpus in
   let counters = Retry.counters () in
@@ -24,7 +24,6 @@ let start ~env ~corpus ~ranks ?(think_time = 0.0) () =
           let start_at = rank mod Array.length programs in
           let rec loop pi =
             issue_all counters env rank programs.(pi).Program.calls;
-            if think_time > 0.0 then Engine.delay think_time;
             loop ((pi + 1) mod Array.length programs)
           in
           loop start_at))

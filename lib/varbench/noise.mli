@@ -13,11 +13,10 @@ val start :
   env:Ksurf_env.Env.t ->
   corpus:Ksurf_syzgen.Corpus.t ->
   ranks:int list ->
-  ?think_time:float ->
   unit ->
   Retry.counters
 (** Spawn an infinite noise loop on each listed rank of [env], and
-    return the stream's own counters, which start at zero.
-    [think_time] (ns, default 0) is an idle gap between programs, for
-    intensity control.  Run the engine with [~until] or [~stop] to bound
+    return the stream's own counters, which start at zero.  A rank
+    issues its next program as soon as the last one ends.  Run the
+    engine with [~until] or [~stop] to bound
     the simulation. *)

@@ -76,15 +76,19 @@ let test_bad_args_exit_2 () =
     ]
 
 (* A corpus run-corpus cannot decode is a bad argument, like a bad
-   inject plan: a line whose last ')' comes before its first '(', a
-   missing file. *)
+   inject plan: a line whose last ')' comes before its first '(', one
+   with junk after its ')', a missing file. *)
 let test_bad_corpus_exit_2 () =
   let corpus = Filename.temp_file "ksurf-cli" ".corpus" in
   Fun.protect
     ~finally:(fun () -> Sys.remove corpus)
     (fun () ->
-      Out_channel.with_open_bin corpus (fun oc -> output_string oc "read)x(\n");
-      check_exit "run-corpus undecodable" 2 ("run-corpus " ^ Filename.quote corpus);
+      List.iter
+        (fun text ->
+          Out_channel.with_open_bin corpus (fun oc -> output_string oc text);
+          check_exit ("run-corpus undecodable " ^ String.escaped text) 2
+            ("run-corpus " ^ Filename.quote corpus))
+        [ "read)x(\n"; "getpid(0:0:0)junk\n" ];
       check_exit "run-corpus missing" 2 ("run-corpus " ^ Filename.quote (corpus ^ ".none")))
 
 (* The negative-control gate: one lock-order-cycle finding. *)

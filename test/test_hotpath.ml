@@ -375,22 +375,32 @@ let ref_next_gap (p : Workload.profile) ~day_ns rng ~now =
   let rate = Float.max (0.05 *. p.base_rate) (p.base_rate *. diurnal *. flash) in
   -.Float.log (1.0 -. Prng.uniform rng) /. rate
 
-(* Many flashes, so overlapping windows multiply in list order. *)
+(* Many flashes, so overlapping windows multiply in list order: the
+   profile carries the flash crowds of four drawn profiles, up to 8. *)
 let prop_next_gap =
   QCheck.Test.make ~name:"Workload.next_gap matches the fold reference" ~count:200
     QCheck.(pair small_nat (list_of_size Gen.(int_range 1 40) (float_range 0.0 4e9)))
     (fun (seed, nows) ->
-      let params =
-        { Workload.default_params with max_flashes = 8; horizon_ns = 4e9 }
+      let day_ns = 2e9 in
+      let draw seed =
+        Workload.make ~rng:(Prng.create seed) ~day_ns ~horizon_ns:4e9 ~mean_rate_per_s:25.0
       in
-      let profile = Workload.make ~rng:(Prng.create seed) ~params in
+      let profile =
+        {
+          (draw seed) with
+          Workload.flashes =
+            List.concat_map
+              (fun k -> (draw (seed + (1000 * k))).Workload.flashes)
+              [ 0; 1; 2; 3 ];
+        }
+      in
       let a = Prng.create (seed + 1) in
       let b = Prng.copy a in
       List.for_all
         (fun now ->
           Float.equal
-            (Workload.next_gap profile ~day_ns:params.day_ns a ~now)
-            (ref_next_gap profile ~day_ns:params.day_ns b ~now))
+            (Workload.next_gap profile ~day_ns a ~now)
+            (ref_next_gap profile ~day_ns b ~now))
         nows
       && Prng.save a = Prng.save b)
 

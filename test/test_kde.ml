@@ -27,7 +27,7 @@ let test_density_integrates_to_one () =
   let integral = ref 0.0 in
   for i = 0 to steps - 1 do
     let x = lo +. (float_of_int i +. 0.5) *. dx in
-    integral := !integral +. (Kde.estimate ~bandwidth:h samples x *. dx)
+    integral := !integral +. (Kde.estimate samples x *. dx)
   done;
   if Float.abs (!integral -. 1.0) > 0.02 then
     Alcotest.failf "density integrates to %f" !integral

@@ -32,7 +32,9 @@ let base_config =
 
 (* --- detector ---------------------------------------------------------- *)
 
-let hb = Detector.default_config.Detector.bootstrap_interval_ns
+(* The supervisor's heartbeat interval, which is also the mean the
+   detector assumes before its first sample. *)
+let hb = 1.0e5
 
 (* A detector for one rank with [n] regular heartbeats behind it. *)
 let warmed_detector n =

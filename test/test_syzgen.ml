@@ -27,6 +27,8 @@ let test_parse_errors () =
   Alcotest.(check bool) "unknown syscall" true (bad "frobnicate(0:0:0)");
   Alcotest.(check bool) "bad args" true (bad "read(x)");
   Alcotest.(check bool) "missing paren" true (bad "read");
+  Alcotest.(check bool) "a whole call parses" false (bad "getpid(0:0:0)");
+  Alcotest.(check bool) "junk after the call" true (bad "getpid(0:0:0)junk");
   Alcotest.(check bool) "empty program" true (bad "   \n  ")
 
 let test_site_names () =
@@ -143,7 +145,7 @@ let test_swap_preserves_multiset () =
 (* --- generator -------------------------------------------------------- *)
 
 let quick_params =
-  { Generator.default_params with Generator.target_programs = 12; max_rounds = 2000 }
+  { Generator.default_params with Generator.target_programs = 12 }
 
 let test_generator_deterministic () =
   let a = Generator.run ~params:quick_params () in

@@ -111,28 +111,26 @@ let test_journal_resume () =
 
 let test_frontier_sane () =
   let t = run () in
-  let frontier = E.Tenancy.frontier ~floor:0.0 t in
+  let frontier = E.Tenancy.frontier t in
   Alcotest.(check int) "one frontier row per policy" (List.length policies)
     (List.length frontier);
   List.iter
     (fun (p, best) ->
-      let has_data =
-        List.exists
-          (fun (c : E.Tenancy.cell) ->
-            c.Ksurf.Fleet.policy = p && c.Ksurf.Fleet.measured > 0)
-          t.E.Tenancy.cells
+      let qualifies (c : E.Tenancy.cell) =
+        c.Ksurf.Fleet.policy = p && c.Ksurf.Fleet.measured > 0
+        && c.Ksurf.Fleet.attainment >= 0.95
       in
       match best with
       | Some (c : E.Tenancy.cell) ->
-          Alcotest.(check bool) "frontier cell carries a verdict" true
-            (c.Ksurf.Fleet.measured > 0);
+          Alcotest.(check bool) "frontier cell carries a passing verdict" true
+            (qualifies c);
           Alcotest.(check bool) "attainment within [0,1]" true
-            (c.Ksurf.Fleet.attainment >= 0.0 && c.Ksurf.Fleet.attainment <= 1.0)
+            (c.Ksurf.Fleet.attainment <= 1.0)
       | None ->
-          (* Even at floor 0 a policy whose cells are all no-data must
-             yield no frontier cell; one with data must yield one. *)
-          Alcotest.(check bool) "only no-data policies yield no cell" false
-            has_data)
+          (* A policy yields no frontier cell only when none of its
+             cells is measured and attains the floor. *)
+          Alcotest.(check bool) "no qualifying cell" false
+            (List.exists qualifies t.E.Tenancy.cells))
     frontier
 
 (* A sparse cell (no tenant reached min_tenant_samples) reports
@@ -184,12 +182,12 @@ let test_frontier_excludes_no_data () =
         ];
     }
   in
-  (match E.Tenancy.frontier ~floor:0.0 t with
+  (match E.Tenancy.frontier t with
   | [ (_, Some c) ] ->
       Alcotest.(check int) "measured cell wins over larger no-data cell" 8
         c.Ksurf.Fleet.tenants
   | _ -> Alcotest.fail "expected one frontier row with a cell");
-  match E.Tenancy.frontier ~floor:0.95 (
+  match E.Tenancy.frontier (
     { t with E.Tenancy.cells = [ cell ~tenants:512 ~measured:0 ~slo_met:0 ] })
   with
   | [ (_, None) ] -> ()

@@ -9,7 +9,6 @@ let quick cfg =
     mean_rate_per_s = 40.0;
     epoch_ns = 5e7;
     host_cores = 16;
-    host_mem_mb = 32_768;
   }
 
 let run_quick ?(churn = 8.0) ?(policy = Tenant_policy.Static Tenant_policy.Docker)
@@ -102,17 +101,21 @@ let test_request_target_stops_early () =
     (r.Fleet.completed >= 100 && r.Fleet.completed < 1000)
 
 let test_adaptive_can_migrate () =
-  (* A tight SLO with one replica available forces escalation. *)
+  (* No latency meets a 1 ns SLO: every judged epoch violates, so a
+     tenant scales out to its replica ceiling and then escalates.  The
+     rate feeds every epoch enough samples to be judged. *)
   let cfg =
-    quick
-      {
-        Fleet.default_config with
-        churn_per_day = 0.0;
-        policy = Tenant_policy.Adaptive;
-        slo_ns = 1.0;
-        max_replicas = 1;
-        escalate_after = 1;
-      }
+    {
+      (quick
+         {
+           Fleet.default_config with
+           churn_per_day = 0.0;
+           policy = Tenant_policy.Adaptive;
+           slo_ns = 1.0;
+         })
+      with
+      Fleet.mean_rate_per_s = 400.0;
+    }
   in
   let r = Fleet.run cfg in
   Alcotest.(check bool) "migrations happened" true (r.Fleet.migrations > 0);
@@ -138,8 +141,8 @@ let test_policy_names_roundtrip () =
 
 let test_workload_rate_positive () =
   let rng = Prng.create 7 in
-  let profile = Workload.make ~rng ~params:Workload.default_params in
-  let day = Workload.default_params.Workload.day_ns in
+  let day = 2e9 in
+  let profile = Workload.make ~rng ~day_ns:day ~horizon_ns:day ~mean_rate_per_s:25.0 in
   for i = 0 to 100 do
     let t = float_of_int i *. day /. 100.0 in
     if Workload.rate_at profile ~day_ns:day t <= 0.0 then

@@ -34,7 +34,7 @@ let test_render_ascii () =
     Violin.of_samples ~label:"wide"
       (Array.init 50 (fun i -> Float.pow 10.0 (1.0 +. (float_of_int i /. 12.0))))
   in
-  let text = Violin.render_ascii ~height:12 [ v1; v2 ] in
+  let text = Violin.render_ascii [ v1; v2 ] in
   Alcotest.(check bool) "non-empty" true (String.length text > 0);
   Alcotest.(check bool) "contains median marker" true
     (String.contains text 'O');

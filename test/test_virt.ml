@@ -126,16 +126,15 @@ let test_shared_host_disk_couples_vms () =
 (* --- containers -------------------------------------------------------- *)
 
 (* A container in a fresh cgroup, as [Env.deploy] launches them. *)
-let launch ~host ~id shape =
-  Container.launch ~host ~id ~cgroup:(Instance.register_cgroup host) shape
+let launch ~host = Container.launch ~host ~cgroup:(Instance.register_cgroup host)
 
 let test_container_cgroups_distinct () =
   let engine = Engine.create () in
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4 ~mem_mb:2048 ()
   in
-  let a = launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
-  let b = launch ~host ~id:1 { Container.cpus = 2; mem_limit_mb = 512 } in
+  let a = launch ~host in
+  let b = launch ~host in
   Alcotest.(check bool) "distinct cgroups" true
     (Container.cgroup a <> Container.cgroup b);
   Alcotest.(check int) "host sees two" 2 (Instance.cgroup_count host)
@@ -145,26 +144,15 @@ let test_container_shares_host_kernel () =
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4 ~mem_mb:2048 ()
   in
-  let c = launch ~host ~id:0 { Container.cpus = 4; mem_limit_mb = 1024 } in
+  let c = launch ~host in
   Alcotest.(check bool) "same instance" true (Container.host c == host)
-
-let test_container_validation () =
-  let engine = Engine.create () in
-  let host =
-    Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:4 ~mem_mb:2048 ()
-  in
-  Alcotest.(check bool) "0 cpus rejected" true
-    (try
-       ignore (launch ~host ~id:0 { Container.cpus = 0; mem_limit_mb = 1 });
-       false
-     with Invalid_argument _ -> true)
 
 let test_container_namespace_cost () =
   let engine = Engine.create () in
   let host =
     Instance.boot ~engine ~config:Kernel_config.quiet ~id:0 ~cores:2 ~mem_mb:1024 ()
   in
-  let c = launch ~host ~id:0 { Container.cpus = 2; mem_limit_mb = 512 } in
+  let c = launch ~host in
   let elapsed = ref nan in
   Engine.spawn engine (fun () ->
       let t0 = Engine.now engine in
@@ -190,6 +178,5 @@ let suite =
     Alcotest.test_case "container cgroups" `Quick test_container_cgroups_distinct;
     Alcotest.test_case "container shares kernel" `Quick
       test_container_shares_host_kernel;
-    Alcotest.test_case "container validation" `Quick test_container_validation;
     Alcotest.test_case "namespace cost" `Quick test_container_namespace_cost;
   ]
