@@ -2,11 +2,12 @@
 
     Re-checks, over the probe event stream, what the engine and the
     synchronization primitives promise structurally: events never
-    scheduled in the past, execution time never regressing, suspensions
-    woken at most once, barrier generations monotone and gap-free, and
-    per-lock contention counters consistent.  The engine hard-raises on
-    some of these itself; the sanitizer exists so a future engine
-    change that silently drops a guard is still caught. *)
+    scheduled in the past or at a non-finite time, execution time never
+    regressing, suspensions woken at most once, barrier generations
+    monotone and gap-free, and per-lock contention counters consistent.
+    The engine hard-raises on some of these itself; the sanitizer exists
+    so a future engine change that silently drops a guard is still
+    caught. *)
 
 type t
 

@@ -83,7 +83,10 @@ val create : ?seed:int -> unit -> t
 
 val add_probe : t -> (event_info -> unit) -> unit
 (** Register an observer called synchronously on every {!event_info}.
-    Probes must not call back into the engine. *)
+    Probes must not call back into the engine.  Each event is a fresh
+    immutable value that a probe may keep (the determinism checker
+    queues a whole run of them), so no emitter may reuse one mutable
+    event across calls. *)
 
 val clear_probes : t -> unit
 

@@ -49,10 +49,15 @@ let emit t op =
          op;
        })
 
+(* The two acquire payloads, built once: an observed acquire picks one
+   instead of allocating its own. *)
+let acquire_uncontended = Engine.Acquire { contended = false }
+let acquire_contended = Engine.Acquire { contended = true }
+
 let acquire t =
   let start = Engine.now t.engine in
   if Engine.observed t.engine then
-    emit t (Engine.Acquire { contended = t.held });
+    emit t (if t.held then acquire_contended else acquire_uncontended);
   if not t.held then t.held <- true
   else begin
     t.contended <- t.contended + 1;

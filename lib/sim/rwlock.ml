@@ -49,11 +49,17 @@ let write_waiting t =
   Queue.fold (fun acc w -> acc || match w with Write _ -> true | Read _ -> false)
     false t.queue
 
+(* The acquire payloads, built once (see Lock). *)
+let read_uncontended = Engine.Read_acquire { contended = false }
+let read_contended = Engine.Read_acquire { contended = true }
+let write_uncontended = Engine.Write_acquire { contended = false }
+let write_contended = Engine.Write_acquire { contended = true }
+
 let acquire_read t =
   let start = Engine.now t.engine in
   let granted = (not t.writer) && not (write_waiting t) in
   if Engine.observed t.engine then
-    emit t (Engine.Read_acquire { contended = not granted });
+    emit t (if granted then read_uncontended else read_contended);
   if granted then t.readers <- t.readers + 1
   else Engine.suspend t.enqueue_read;
   record_wait t start
@@ -62,7 +68,7 @@ let acquire_write t =
   let start = Engine.now t.engine in
   let granted = (not t.writer) && t.readers = 0 && Queue.is_empty t.queue in
   if Engine.observed t.engine then
-    emit t (Engine.Write_acquire { contended = not granted });
+    emit t (if granted then write_uncontended else write_contended);
   if granted then t.writer <- true
   else Engine.suspend t.enqueue_write;
   record_wait t start

@@ -57,6 +57,18 @@ let test_observed_delay () =
   Engine.add_probe engine (fun _ -> ());
   check_ceiling "Engine.delay (one probe)" ~ceiling:(exactly 13.0) (delay_words engine)
 
+(* Lockdep and the invariant checker, as every gate attaches them.
+   They read each event and allocate nothing in steady state, so a
+   delay costs exactly what it costs under one no-op probe. *)
+let analyzed engine =
+  Engine.add_probe engine (Analysis.Lockdep.on_event (Analysis.Lockdep.create ()));
+  Engine.add_probe engine (Analysis.Invariants.on_event (Analysis.Invariants.create ()));
+  engine
+
+let test_analyzed_delay () =
+  check_ceiling "Engine.delay (lockdep + invariants)" ~ceiling:(exactly 13.0)
+    (delay_words (analyzed (Engine.create ~seed:1 ())))
+
 let test_welford_add () =
   let w = Welford.create () in
   (* Already-boxed samples, so the loop itself boxes nothing. *)
@@ -91,6 +103,26 @@ let test_lock_pair () =
   Engine.run engine;
   Alcotest.(check int) "uncontended" 0 (Lock.contended_acquisitions lock);
   check_ceiling "Lock.acquire/release (uncontended)" ~ceiling:zero !words
+
+(* Under both analyzers an uncontended pair builds its two [Sync]
+   events (5 words each; the time is the engine's own box) and nothing
+   else: the acquire payload is a shared constant, the lock's name is
+   interned on the warm-up pair and the held stack pops in place.  A
+   held stack rebuilt as a list costs 3 words more per acquire. *)
+let test_analyzed_lock_pair () =
+  let n = 20_000 in
+  let engine = analyzed (Engine.create ~seed:1 ()) in
+  let lock = Lock.create ~engine ~name:"k0.alloc[3]" in
+  let words = ref infinity in
+  Engine.spawn engine (fun () ->
+      words :=
+        words_per_op ~n (fun () ->
+            Lock.acquire lock;
+            Lock.release lock));
+  Engine.run engine;
+  Alcotest.(check int) "uncontended" 0 (Lock.contended_acquisitions lock);
+  check_ceiling "Lock.acquire/release (lockdep + invariants)" ~ceiling:(exactly 10.0)
+    !words
 
 let test_memo_hit () =
   let spec = Option.get (Syscalls.by_name "write") in
@@ -316,4 +348,8 @@ let suite =
     Alcotest.test_case "Kernel.boot of a churned guest" `Quick test_kernel_boot;
     Alcotest.test_case "Workload.next_gap boxes only its result" `Quick test_next_gap;
     Alcotest.test_case "a retried call builds no closure" `Quick test_retry_call;
+    Alcotest.test_case "analyzed delay costs one probe's events" `Quick
+      test_analyzed_delay;
+    Alcotest.test_case "analyzed lock pair allocates only its events" `Quick
+      test_analyzed_lock_pair;
   ]

@@ -14,6 +14,62 @@ let test_invariants_scheduled_in_past () =
   Alcotest.(check (list string)) "flagged" [ "scheduled-in-past" ]
     (codes (Invariants.finish ~drained:false state))
 
+(* The engine emits [Scheduled] before refusing a time, so the
+   sanitizer sees the NaN and +infinity that [< now] lets through. *)
+let test_invariants_non_finite_schedule () =
+  List.iter
+    (fun at ->
+      let engine = Engine.create () in
+      let state = Invariants.create () in
+      Engine.add_probe engine (Invariants.on_event state);
+      Alcotest.(check bool) (Printf.sprintf "engine refuses %g" at) true
+        (try
+           Engine.spawn ~at engine ignore;
+           false
+         with Invalid_argument _ -> true);
+      Alcotest.(check (list string)) (Printf.sprintf "flagged %g" at)
+        [ "scheduled-non-finite" ]
+        (codes (Invariants.finish ~drained:false state)))
+    [ nan; infinity ]
+
+(* Tokens the engine never issues — 0, negative, past 2^30 — go
+   through the same states as its own: a wake before any suspension, a
+   suspension, a wake, a second wake and a reuse. *)
+let test_invariants_token_edges () =
+  List.iter
+    (fun token ->
+      let state = Invariants.create () in
+      let suspend now =
+        Invariants.on_event state (Engine.Suspended { now; pid = 1; token })
+      in
+      let wake now = Invariants.on_event state (Engine.Woken { now; pid = 1; token }) in
+      wake 0.0;
+      suspend 1.0;
+      wake 2.0;
+      wake 3.0;
+      suspend 4.0;
+      Alcotest.(check (list string)) (Printf.sprintf "token %d" token)
+        [ "wake-without-suspend"; "double-wake"; "suspension-token-reused" ]
+        (codes (Invariants.finish ~drained:true state)))
+    [ 0; -1; 1 lsl 30; (1 lsl 30) + 12345; max_int ]
+
+(* Stuck suspensions are reported sorted by message, so a token's
+   digits, not its value or arrival order, place it. *)
+let test_invariants_stuck_sorted () =
+  let state = Invariants.create () in
+  List.iter
+    (fun token -> Invariants.on_event state (Engine.Suspended { now = 0.0; pid = 2; token }))
+    [ 12; 3; -1; 1 lsl 30; 0; 100; 7 ];
+  Invariants.on_event state (Engine.Suspended { now = 0.0; pid = 2; token = 5 });
+  Invariants.on_event state (Engine.Woken { now = 1.0; pid = 2; token = 5 });
+  Alcotest.(check (list string)) "sorted messages"
+    (List.map
+       (Printf.sprintf "suspension %d was never woken: a process is stuck")
+       [ -1; 0; 100; 1 lsl 30; 12; 3; 7 ])
+    (List.map
+       (fun (f : Finding.t) -> f.Finding.message)
+       (Invariants.finish ~drained:true state))
+
 let test_invariants_double_wake () =
   let state = Invariants.create () in
   Invariants.on_event state (Engine.Suspended { now = 0.0; pid = 1; token = 1 });
@@ -315,4 +371,10 @@ let suite =
       test_double_run_static_once;
     Alcotest.test_case "double_run: divergence" `Quick
       test_double_run_divergence;
+    Alcotest.test_case "invariants: non-finite schedule" `Quick
+      test_invariants_non_finite_schedule;
+    Alcotest.test_case "invariants: token edge values" `Quick
+      test_invariants_token_edges;
+    Alcotest.test_case "invariants: stuck tokens sorted" `Quick
+      test_invariants_stuck_sorted;
   ]

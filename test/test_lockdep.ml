@@ -136,6 +136,68 @@ let test_read_write_modes_tracked () =
   Alcotest.(check (list string)) "rwlock participates in cycles"
     [ "lock-order-cycle" ] (codes findings)
 
+(* Releasing an outer lock before the inner one is legal and leaves the
+   rest of the stack in order: the witness of a later bad release lists
+   what is still held, innermost first. *)
+let test_non_innermost_release () =
+  let state = Lockdep.create () in
+  Lockdep.on_event state (acquire "nest.a");
+  Lockdep.on_event state (acquire ~time:1.0 "nest.b");
+  Lockdep.on_event state (release ~time:2.0 "nest.a");
+  Lockdep.on_event state (release ~time:3.0 "nest.b");
+  Alcotest.(check (list string)) "out-of-order release is clean" []
+    (codes (Lockdep.finish state));
+  List.iteri
+    (fun i name -> Lockdep.on_event state (acquire ~time:(10.0 +. float_of_int i) name))
+    [ "nest.a"; "nest.b"; "nest.c" ];
+  Lockdep.on_event state (release ~time:20.0 "nest.b");
+  Lockdep.on_event state (release ~time:21.0 "nest.z");
+  let f = List.find (fun f -> f.Finding.code = "release-not-held") (Lockdep.finish state) in
+  Alcotest.(check (list string)) "remaining stack, innermost first"
+    [ "t=21 pid=1 held [nest.c; nest.a]" ] f.Finding.witness
+
+(* Stacks of pids no engine issues are kept apart like any other. *)
+let test_far_pids () =
+  let state = Lockdep.create () in
+  Lockdep.on_event state (acquire ~pid:100_000 "far.a");
+  Lockdep.on_event state (acquire ~pid:(-3) "far.b");
+  Lockdep.on_event state (acquire ~pid:100_000 ~time:1.0 "far.a");
+  Lockdep.on_event state (release ~pid:100_000 ~time:2.0 "far.b");
+  Lockdep.on_event state (acquire ~pid:(-3) ~time:3.0 "far.c");
+  Lockdep.on_event state (release ~pid:(-3) ~time:4.0 "far.c");
+  let findings = Lockdep.finish state in
+  Alcotest.(check (list string)) "per-pid findings"
+    [
+      "pid 100000 acquires far.a while already holding it";
+      "pid 100000 releases far.b which it does not hold";
+      "pid -3 still holds far.b (class far.b) when the engine drained";
+      "pid 100000 still holds far.a (class far.a) when the engine drained";
+      "pid 100000 still holds far.a (class far.a) when the engine drained";
+      "potential deadlock: lock-order cycle [far.a -> far.a]";
+    ]
+    (List.map (fun f -> f.Finding.message) findings)
+
+(* A release matches the innermost entry of its name whatever the mode,
+   and a second acquisition of a name is a double acquire in any mode;
+   other pids' holds never count. *)
+let test_one_name_both_modes () =
+  let state = Lockdep.create () in
+  let op ?pid ?time o = Lockdep.on_event state (sync ?pid ?time "rw.x" o) in
+  op ~pid:1 (Engine.Read_acquire { contended = false });
+  op ~pid:2 ~time:1.0 (Engine.Write_acquire { contended = true });
+  op ~pid:1 ~time:2.0 (Engine.Write_acquire { contended = false });
+  op ~pid:1 ~time:3.0 Engine.Read_release;
+  op ~pid:3 ~time:4.0 (Engine.Read_acquire { contended = false });
+  op ~pid:1 ~time:5.0 Engine.Write_release;
+  op ~pid:2 ~time:6.0 Engine.Write_release;
+  Alcotest.(check (list string)) "findings"
+    [
+      "pid 1 acquires rw.x (write) while already holding it";
+      "pid 3 still holds rw.x (read) (class rw.x) when the engine drained";
+      "potential deadlock: lock-order cycle [rw.x -> rw.x]";
+    ]
+    (List.map (fun f -> f.Finding.message) (Lockdep.finish state))
+
 let suite =
   [
     Alcotest.test_case "class of instance" `Quick test_class_of_name;
@@ -149,4 +211,7 @@ let suite =
     Alcotest.test_case "same-class nesting" `Quick
       test_same_class_nesting_is_self_cycle;
     Alcotest.test_case "read/write modes" `Quick test_read_write_modes_tracked;
+    Alcotest.test_case "non-innermost release" `Quick test_non_innermost_release;
+    Alcotest.test_case "far and negative pids" `Quick test_far_pids;
+    Alcotest.test_case "one name in both modes" `Quick test_one_name_both_modes;
   ]
