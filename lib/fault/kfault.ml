@@ -104,6 +104,28 @@ let crash_schedule actions =
       | _ -> None)
     actions
 
+(* The acquire hook's two walks, closure-free: one chance per action,
+   in plan order. *)
+let rec preempt engine rng counters = function
+  | [] -> ()
+  | (p : Plan.lock_preemption) :: rest ->
+      if Prng.chance rng p.Plan.probability then begin
+        counters.c_preempt <- counters.c_preempt + 1;
+        inject engine "lock-preemption" p.Plan.stretch_ns;
+        Engine.delay p.Plan.stretch_ns
+      end;
+      preempt engine rng counters rest
+
+let rec stall engine rng counters = function
+  | [] -> ()
+  | (probability, stall_ns) :: rest ->
+      if Prng.chance rng probability then begin
+        counters.c_stall <- counters.c_stall + 1;
+        inject engine "device-stall" stall_ns;
+        Engine.delay stall_ns
+      end;
+      stall engine rng counters rest
+
 (* --- hook installation ------------------------------------------------ *)
 
 let arm ~env ~plan ~seed () =
@@ -183,33 +205,27 @@ let arm ~env ~plan ~seed () =
   in
   if preemptions <> [] || stalls <> [] then begin
     let rng = Prng.split root "kfault-preempt" in
+    (* Each lock name's matching preemptions, in plan order, resolved on
+       the name's first acquisition: a later one is a hashtable hit. *)
+    let matching = Hashtbl.create 64 in
+    let preemptions_of name =
+      match Hashtbl.find matching name with
+      | ps -> ps
+      | exception Not_found ->
+          let cls = Ksurf_sim.Lock.class_of_name name in
+          let ps =
+            List.filter (fun (p : Plan.lock_preemption) -> p.Plan.lock_class = cls) preemptions
+          in
+          Hashtbl.add matching name ps;
+          ps
+    in
     Engine.set_acquire_hook engine
       (Some
          (fun site name ->
            if t.active then
              match site with
-             | Engine.Lock_site ->
-                 let cls = Ksurf_sim.Lock.class_of_name name in
-                 List.iter
-                   (fun (p : Plan.lock_preemption) ->
-                     if
-                       p.Plan.lock_class = cls
-                       && Prng.chance rng p.Plan.probability
-                     then begin
-                       counters.c_preempt <- counters.c_preempt + 1;
-                       inject engine "lock-preemption" p.Plan.stretch_ns;
-                       Engine.delay p.Plan.stretch_ns
-                     end)
-                   preemptions
-             | Engine.Resource_site ->
-                 List.iter
-                   (fun (probability, stall_ns) ->
-                     if Prng.chance rng probability then begin
-                       counters.c_stall <- counters.c_stall + 1;
-                       inject engine "device-stall" stall_ns;
-                       Engine.delay stall_ns
-                     end)
-                   stalls))
+             | Engine.Lock_site -> preempt engine rng counters (preemptions_of name)
+             | Engine.Resource_site -> stall engine rng counters stalls))
   end;
   (* 3. Daemon storms: per-instance hold multipliers consulted by
      Background on every housekeeping pass. *)

@@ -11,8 +11,10 @@ type t = {
    drawn from the call's model takes one of only
    |sizes| x max_obj x max_flags values, so each program is built once
    and then shared.  A hit is an array read and allocates nothing.  An
-   argument outside the model (tailbench's 512-byte requests, objects
-   past max_obj) goes to the builder every time.
+   argument outside the model goes to the builder every time, unless a
+   caller that issues such arguments on purpose (tailbench's 512-byte
+   requests, objects past max_obj) memoises over its own wider model
+   with [covering].
 
    The slot table is shared by every domain that runs the call.  Racing
    builders store structurally equal programs, and OCaml's memory model
@@ -54,6 +56,10 @@ let make ~name ~number ~categories ~doc ?(arg_model = Arg.no_args) ops =
   if name = "" then invalid_arg "Spec.make: empty name";
   if categories = [] then invalid_arg "Spec.make: no categories";
   { name; number; categories; doc; arg_model; ops = memoise arg_model ops }
+
+(* A miss falls through to [t.ops], so an argument inside the call's
+   own model still shares the program its memo holds. *)
+let covering t model = { t with ops = memoise model t.ops }
 
 let in_category t cat =
   List.exists (fun c -> Ksurf_kernel.Category.equal c cat) t.categories

@@ -26,7 +26,16 @@ val make :
     object below [max_obj], flags below [max_flags]), so a repeat call
     returns the physically same program and allocates nothing.  The
     memo is safe to share across domains.  An argument outside the
-    model is passed to the builder on every call. *)
+    model is passed to the builder on every call; see {!covering}. *)
+
+val covering : t -> Arg.model -> t
+(** [covering t model] is [t] with [ops] memoised over [model] as well,
+    for a caller whose arguments fall outside [t.arg_model]: a repeat
+    call with any argument [model] admits returns the physically same
+    program and allocates nothing.  The programs are those of [t.ops];
+    [arg_model] stays [t]'s, so arguments drawn from it are unchanged.
+    A model wider than the memo's slot limit (4096 slots) adds no
+    memo. *)
 
 val in_category : t -> Ksurf_kernel.Category.t -> bool
 val pp : Format.formatter -> t -> unit

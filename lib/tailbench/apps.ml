@@ -1,5 +1,4 @@
 module Dist = Ksurf_util.Dist
-module Syscalls = Ksurf_syscalls.Syscalls
 
 type t = {
   name : string;
@@ -187,18 +186,3 @@ let mean_service_estimate t =
   Dist.mean_estimate t.service_cpu
   +. (float_of_int t.calls_per_request *. per_call_estimate)
   +. List.fold_left (fun acc io -> acc +. io_estimate io) 0.0 t.io_calls
-
-let validate t =
-  let missing =
-    List.filter_map
-      (fun (_, name) ->
-        match Syscalls.by_name name with Some _ -> None | None -> Some name)
-      t.mix
-    @ List.filter_map
-        (fun (name, _) ->
-          match Syscalls.by_name name with Some _ -> None | None -> Some name)
-        t.io_calls
-  in
-  match missing with
-  | [] -> Ok ()
-  | l -> Error (t.name ^ ": unknown syscalls " ^ String.concat ", " l)

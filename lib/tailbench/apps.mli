@@ -34,6 +34,3 @@ val mean_service_estimate : t -> float
 (** Estimated native mean service time (ns): user CPU + kernel calls at
     uncontended cost + I/O.  Used to set client rates for ~75%% target
     utilisation, as the paper configures its clients. *)
-
-val validate : t -> (unit, string) result
-(** Check that every syscall the mix references exists in the table. *)

@@ -10,9 +10,16 @@ type compiled
 (** An app's mix resolved against the syscall table. *)
 
 val compile : Apps.t -> compiled
-(** Raises [Invalid_argument] if the mix references unknown calls. *)
+(** Raises [Invalid_argument] if the mix or the I/O calls reference
+    unknown calls.  Each call is {!Ksurf_syscalls.Spec.covering} every
+    argument {!handle} can issue to it (the model's sizes and the sizes
+    a request puts in their place, objects below 64, the model's
+    flags), so a request rebuilds no op program. *)
 
 val app : compiled -> Apps.t
+
+val specs : compiled -> Ksurf_syscalls.Spec.t list
+(** Every call a request can issue, once each, sorted by name. *)
 
 val handle :
   compiled ->

@@ -326,6 +326,92 @@ let test_retry_call () =
       check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 37.0) !words)
     [ ("harness rank", 0); ("noise rank", 1) ]
 
+(* A lock pair under a fault plan whose preemptions never fire: one
+   whose class matches the lock's and one whose class does not.  The
+   hook resolves the lock's name to its matching preemptions on the
+   warm-up pair and then draws one chance per pair, so the pair costs
+   what it costs unfaulted.  Resolving the class and walking the plan
+   through a closure on every acquisition costs 24 words. *)
+let test_faulted_lock_pair () =
+  let n = 20_000 in
+  let engine = Engine.create ~seed:1 () in
+  let env =
+    Env.deploy ~engine
+      ~kernel_config:(Kernel_config.without_background Kernel_config.default)
+      Env.Native
+      (Partition.equal_split ~units:1 ~total_cores:1 ~total_mem_mb:1024)
+  in
+  let preempt lock_class =
+    Fault_plan.Lock_preemption { lock_class; probability = 1e-12; stretch_ns = 100.0 }
+  in
+  let kf =
+    Kfault.arm ~env
+      ~plan:{ Fault_plan.name = "alloc"; actions = [ preempt "journal"; preempt "alloc" ] }
+      ~seed:3 ()
+  in
+  let lock = Lock.create ~engine ~name:"k0.alloc[3]" in
+  let words = ref infinity in
+  Engine.spawn engine (fun () ->
+      words :=
+        words_per_op ~n (fun () ->
+            Lock.acquire lock;
+            Lock.release lock));
+  Engine.run engine;
+  Alcotest.(check int) "never fired" 0 (Kfault.stats kf).Kfault.lock_preemptions;
+  check_ceiling "Lock.acquire/release (preemption plan)" ~ceiling:zero !words
+
+(* Every call a compiled app issues, at an argument outside the call's
+   own model: each call's first size at object 37, a 512-byte
+   [recvfrom] and shore's 16,384-byte [fsync].  A program rebuilt per
+   call costs its lists and [Dist] values: 22 words for [futex_wake]. *)
+let test_request_calls_memoised () =
+  List.iter
+    (fun app ->
+      let compiled = Service.compile app in
+      let spec name =
+        List.find (fun (s : Spec.t) -> s.Spec.name = name) (Service.specs compiled)
+      in
+      let check (s : Spec.t) (arg : Arg.t) =
+        check_ceiling
+          (Printf.sprintf "%s: %s(%s)" app.Apps.name s.Spec.name (Arg.to_string arg))
+          ~ceiling:zero
+          (words_per_op ~n:1_000 (fun () -> ignore (s.Spec.ops arg)))
+      in
+      List.iter
+        (fun (s : Spec.t) ->
+          check s { Arg.size = s.Spec.arg_model.Arg.sizes.(0); obj = 37; flags = 0 })
+        (Service.specs compiled);
+      check (spec "recvfrom") { Arg.size = 512; obj = 37; flags = 1 };
+      if app.Apps.name = "shore" then
+        check (spec "fsync") { Arg.size = 16_384; obj = 5; flags = 3 })
+    Apps.all
+
+(* One silo request on a 1-rank Docker env without background daemons,
+   after 500 requests have filled the memos its rank reaches: its
+   delays, its five calls' kernel work and one drawn and one issued
+   argument per call.  An [issue] closure per request, a [find] closure
+   per mix pick and a third argument record per call cost 35 words
+   more. *)
+let test_silo_request () =
+  let engine = Engine.create ~seed:1 () in
+  let env =
+    Env.deploy ~engine
+      ~kernel_config:(Kernel_config.without_background Kernel_config.default)
+      Env.Docker
+      (Partition.equal_split ~units:1 ~total_cores:1 ~total_mem_mb:1024)
+  in
+  let compiled = Service.compile (Option.get (Apps.by_name "silo")) in
+  let rng = Prng.create 9 in
+  let request () = Service.handle compiled ~env ~rank:0 ~rng () in
+  let words = ref infinity in
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 500 do
+        request ()
+      done;
+      words := words_per_op ~n:2_000 request);
+  Engine.run engine;
+  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 245.2) !words
+
 let suite =
   [
     Alcotest.test_case "delay <= 4 words" `Quick test_delay;
@@ -352,4 +438,7 @@ let suite =
       test_analyzed_delay;
     Alcotest.test_case "analyzed lock pair allocates only its events" `Quick
       test_analyzed_lock_pair;
+    Alcotest.test_case "faulted lock pair allocates nothing" `Quick test_faulted_lock_pair;
+    Alcotest.test_case "request calls hit their memos" `Quick test_request_calls_memoised;
+    Alcotest.test_case "silo request allocates its events" `Quick test_silo_request;
   ]

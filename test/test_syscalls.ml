@@ -240,6 +240,48 @@ let test_memo_across_domains () =
   Alcotest.(check bool) "domains agree" true (mine = theirs);
   Alcotest.(check bool) "programs match arguments" true (mine = List.map spells args)
 
+(* Memoisation is invisible: for every call in the table, a covering
+   memo over a model wider than the call's (two extra sizes, 64
+   objects) returns the program the call's own [ops] builds, for
+   arguments inside and outside both models.  A repeat call returns an
+   equal program, and the same one when the covering model admits the
+   argument. *)
+let qcheck_covering_invisible =
+  let extra_sizes = [| 0; 100; 512; 8192; 16_384 |] in
+  let cover (s : Spec.t) =
+    let model = s.Spec.arg_model in
+    { model with Arg.sizes = Array.append model.Arg.sizes [| 512; 16_384 |]; max_obj = 64 }
+  in
+  let covered = Array.map (fun s -> Spec.covering s (cover s)) Syscalls.all in
+  let arg_gen =
+    QCheck.Gen.(
+      map
+        (fun (((i, pick), (extra, obj)), flags) -> (i, pick, extra, obj, flags))
+        (pair
+           (pair
+              (pair (int_bound (Array.length Syscalls.all - 1)) bool)
+              (pair (int_bound (Array.length extra_sizes - 1)) (int_bound 127)))
+           (int_bound 15)))
+  in
+  QCheck.Test.make ~name:"covering memo is invisible" ~count:2_000
+    (QCheck.make
+       ~print:(fun (i, pick, extra, obj, flags) ->
+         Printf.sprintf "%s pick=%b extra=%d obj=%d flags=%d" Syscalls.all.(i).Spec.name pick
+           extra obj flags)
+       arg_gen)
+    (fun (i, pick, extra, obj, flags) ->
+      let spec = Syscalls.all.(i) in
+      let model = cover spec in
+      let sizes = spec.Spec.arg_model.Arg.sizes in
+      let size = if pick then sizes.(obj mod Array.length sizes) else extra_sizes.(extra) in
+      let arg = { Arg.size; obj; flags } in
+      let first = covered.(i).Spec.ops arg in
+      let again = covered.(i).Spec.ops arg in
+      let admitted =
+        Array.mem size model.Arg.sizes && obj < model.Arg.max_obj && flags < model.Arg.max_flags
+      in
+      first = spec.Spec.ops arg && again = first && ((not admitted) || again == first))
+
 let suite =
   [
     Alcotest.test_case "table size" `Quick test_table_size;
@@ -263,6 +305,7 @@ let suite =
     Alcotest.test_case "memo across domains" `Quick test_memo_across_domains;
     QCheck_alcotest.to_alcotest qcheck_arg_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_generate_within_model;
+    QCheck_alcotest.to_alcotest qcheck_covering_invisible;
   ]
 
 let test_ops_pp () =

@@ -6,13 +6,19 @@ let test_eight_apps () =
     [ "xapian"; "masstree"; "moses"; "sphinx"; "img-dnn"; "specjbb"; "silo"; "shore" ]
     Apps.names
 
+(* Compiling resolves every call an app's mix and I/O list name
+   against the table, and rejects an unknown one. *)
 let test_all_apps_validate () =
   List.iter
     (fun app ->
-      match Apps.validate app with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    Apps.all
+      match Service.compile app with
+      | _ -> ()
+      | exception Invalid_argument e -> Alcotest.fail e)
+    Apps.all;
+  let bogus = { (List.hd Apps.all) with Apps.io_calls = [ ("frobnicate", 64) ] } in
+  Alcotest.check_raises "unknown io call"
+    (Invalid_argument "Service.compile: unknown syscall frobnicate") (fun () ->
+      ignore (Service.compile bogus))
 
 let test_by_name () =
   Alcotest.(check bool) "found" true (Apps.by_name "silo" <> None);
