@@ -189,6 +189,26 @@ let env_arg =
     & opt env_conv ("native", Ksurf.Env.Native)
     & info [ "env" ] ~docv:"ENV" ~doc:names)
 
+(* --units N: a Table-1 row.  Anything else is a parse error (exit 2),
+   not a partition that fails to build.  Not [Arg.enum]: it would take
+   "3" as a prefix of "32". *)
+let units_arg default =
+  let rows = Ksurf.Partition.table1_rows in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when List.mem n rows -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "%S is not a Table-1 row (%s)" s
+                (String.concat "," (List.map string_of_int rows))))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) default
+    & info [ "units" ] ~docv:"N"
+        ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
+
 (* Replay an arbitrary corpus on an arbitrary deployment. *)
 let run_corpus seed file (env_name, kind) units iterations () =
   match Ksurf.Corpus.load file with
@@ -223,15 +243,15 @@ let run_corpus_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"CORPUS" ~doc:"Corpus file from gen-corpus.")
   in
-  let units =
-    Arg.(
-      value & opt int 1
-      & info [ "units" ] ~docv:"N"
-          ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
-  in
   let iterations =
+    let positive s =
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    in
     Arg.(
-      value & opt int 10
+      value
+      & opt (conv (positive, Format.pp_print_int)) 10
       & info [ "iterations" ] ~docv:"N" ~doc:"Measured corpus repetitions.")
   in
   Cmd.v
@@ -239,7 +259,7 @@ let run_corpus_cmd =
        ~doc:"Replay a corpus file on a chosen deployment and print its \
              latency breakdown")
     Term.(
-      const run_corpus $ seed_arg $ file $ env_arg $ units $ iterations
+      const run_corpus $ seed_arg $ file $ env_arg $ units_arg 1 $ iterations
       $ logs_term)
 
 (* --- analyze ---------------------------------------------------------- *)
@@ -382,12 +402,6 @@ let inject_cmd =
             "Fault plan: a preset name ($(b,syscalls), $(b,storms), \
              $(b,preempt), $(b,mixed), $(b,crashy)) or a plan file path.")
   in
-  let units =
-    Arg.(
-      value & opt int 2
-      & info [ "units" ] ~docv:"N"
-          ~doc:"Isolation units (a Table-1 row: 1,2,4,8,16,32,64).")
-  in
   let intensity =
     Arg.(
       value & opt float 1.0
@@ -401,7 +415,7 @@ let inject_cmd =
           injections replay bit-identically and pass lockdep/invariants; \
           exit nonzero on any finding")
     Term.(
-      const inject $ seed_arg $ plan $ env_arg $ units $ intensity $ logs_term)
+      const inject $ seed_arg $ plan $ env_arg $ units_arg 2 $ intensity $ logs_term)
 
 (* --- staticcheck ------------------------------------------------------ *)
 

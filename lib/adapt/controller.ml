@@ -223,16 +223,3 @@ let stats (t : t) =
        else Welford.mean t.denial_rates);
     p95_divergence = P2.quantile_opt t.divergences;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>epochs            %d@,\
-     promotions        %d@,\
-     demotions         %d@,\
-     respecializations %d@,\
-     mean denial rate  %.4f@,\
-     p95 divergence    %s@]"
-    s.epochs s.promotions s.demotions s.respecializations s.mean_denial_rate
-    (match s.p95_divergence with
-    | None -> "n/a"
-    | Some d -> Printf.sprintf "%.4f" d)

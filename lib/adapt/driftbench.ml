@@ -21,12 +21,6 @@ let policy_name = function
   | Audit_only -> "audit"
   | Adaptive -> "adaptive"
 
-let policy_of_string = function
-  | "static" -> Some Static
-  | "audit" | "audit-only" -> Some Audit_only
-  | "adaptive" -> Some Adaptive
-  | _ -> None
-
 let all_policies = [ Static; Audit_only; Adaptive ]
 
 (* The learned workload lives in the file subsystems; drift moves calls

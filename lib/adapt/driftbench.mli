@@ -29,7 +29,6 @@ type policy = Static | Audit_only | Adaptive
 val policy_name : policy -> string
 (** ["static"] / ["audit"] / ["adaptive"]. *)
 
-val policy_of_string : string -> policy option
 val all_policies : policy list
 
 

@@ -29,8 +29,4 @@ val errors : t list -> t list
 
 val pp : Format.formatter -> t -> unit
 
-val csv_header : string list
-
-val csv_rows : t list -> string list list
-
 val export_csv : path:string -> t list -> unit

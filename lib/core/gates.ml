@@ -366,7 +366,7 @@ module Tenancy = struct
         seed;
         host_cores = 16;
         day_ns = 4e8;
-        mean_rate_per_s = 40.0;
+        mean_rate_per_s = 400.0;
         epoch_ns = 5e7;
       }
 
@@ -375,6 +375,7 @@ module Tenancy = struct
     failures
       [
         fail_if (r.completed <= 0) "no requests completed";
+        fail_if (r.measured = 0) "no tenant measured";
         fail_if
           (r.attainment < 0.0 || r.attainment > 1.0)
           "attainment %.3f outside [0,1]" r.attainment;

@@ -1,11 +1,10 @@
 (* Host-I/O fault plans.
 
-   Same discipline as lib/fault/plan.ml, one layer down: typed actions,
-   a line-oriented text format, presets, and a dose knob — but the
-   events being perturbed are host I/O operations (open / write /
-   fsync / rename / ...) rather than simulated syscalls.  Keeping the
-   two languages twins means a torture run is described, replayed and
-   scaled exactly like a kfault run. *)
+   Same discipline as lib/fault/plan.ml, one layer down: typed actions
+   and a dose knob, but the events being perturbed are host I/O
+   operations (open / write / fsync / rename / ...) rather than
+   simulated syscalls, so a torture run is scaled exactly like a kfault
+   run. *)
 
 type action =
   | Transient of { rate : float; eintr_share : float }
@@ -16,8 +15,6 @@ type action =
   | Crash_at of { op : int }
 
 type t = { name : string; actions : action list }
-
-let empty = { name = "empty"; actions = [] }
 
 (* --- dose scaling ----------------------------------------------------- *)
 
@@ -47,117 +44,19 @@ let scale k t =
       (if k = 0.0 then [] else List.filter_map (scale_action k) t.actions);
   }
 
-(* --- serialisation ---------------------------------------------------- *)
-
-let action_to_string = function
-  | Transient { rate; eintr_share } ->
-      Printf.sprintf "transient rate=%g eintr-share=%g" rate eintr_share
-  | Enospc_window { from_op; until_op } ->
-      Printf.sprintf "enospc at=%d clear=%d" from_op until_op
-  | Hard_eio { rate } -> Printf.sprintf "eio rate=%g" rate
-  | Torn_write { rate; keep } ->
-      Printf.sprintf "torn rate=%g keep=%g" rate keep
-  | Fsync_drop { rate } -> Printf.sprintf "fsync-drop rate=%g" rate
-  | Crash_at { op } -> Printf.sprintf "crash at-op=%d" op
-
-let to_string t =
-  String.concat "\n"
-    (Printf.sprintf "name %s" t.name :: List.map action_to_string t.actions)
-  ^ "\n"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* Parser for the line format (Kvline): each action's keyword and
-   key=value pairs. *)
-
-module Kvline = Ksurf_util.Kvline
-
-let ( let* ) = Result.bind
-let find_float = Kvline.find_float
-let find_int = Kvline.find_int
-
-let parse_action keyword kvs =
-  match keyword with
-  | "transient" ->
-      let* rate = find_float kvs "rate" ~default:None in
-      let* eintr_share = find_float kvs "eintr-share" ~default:(Some 0.5) in
-      Ok (Transient { rate; eintr_share })
-  | "enospc" ->
-      let* from_op = find_int kvs "at" ~default:None in
-      let* until_op = find_int kvs "clear" ~default:None in
-      if until_op <= from_op then Error "enospc: clear= must exceed at="
-      else Ok (Enospc_window { from_op; until_op })
-  | "eio" ->
-      let* rate = find_float kvs "rate" ~default:None in
-      Ok (Hard_eio { rate })
-  | "torn" ->
-      let* rate = find_float kvs "rate" ~default:None in
-      let* keep = find_float kvs "keep" ~default:(Some 0.5) in
-      Ok (Torn_write { rate; keep = clamp01 keep })
-  | "fsync-drop" ->
-      let* rate = find_float kvs "rate" ~default:None in
-      Ok (Fsync_drop { rate })
-  | "crash" ->
-      let* op = find_int kvs "at-op" ~default:None in
-      Ok (Crash_at { op })
-  | other -> Error (Printf.sprintf "unknown I/O fault action %S" other)
-
-let of_string s =
-  Result.map
-    (fun (name, actions) -> { name; actions })
-    (Kvline.parse ~action:parse_action s)
-
-(* --- presets ----------------------------------------------------------
-
-   Rates are per-op, sized for torture workloads of a few hundred ops
+(* Rates are per-op, sized for torture workloads of a few hundred ops
    per run: at dose 1 a run sees a handful of transients, roughly one
    hard fault, and one mid-run ENOSPC episode — enough to exercise
    every recovery path without making progress improbable. *)
-
-let transient_preset =
-  {
-    name = "io-transient";
-    actions = [ Transient { rate = 0.04; eintr_share = 0.5 } ];
-  }
-
-let enospc_preset =
-  {
-    name = "io-enospc";
-    actions = [ Enospc_window { from_op = 40; until_op = 80 } ];
-  }
-
-let torn_preset =
-  {
-    name = "io-torn";
-    actions =
-      [
-        Torn_write { rate = 0.02; keep = 0.5 };
-        Fsync_drop { rate = 0.03 };
-      ];
-  }
-
-let mixed_preset =
+let io_mixed =
   {
     name = "io-mixed";
     actions =
-      transient_preset.actions @ enospc_preset.actions
-      @ torn_preset.actions
-      @ [ Hard_eio { rate = 0.002 } ];
+      [
+        Transient { rate = 0.04; eintr_share = 0.5 };
+        Enospc_window { from_op = 40; until_op = 80 };
+        Torn_write { rate = 0.02; keep = 0.5 };
+        Fsync_drop { rate = 0.03 };
+        Hard_eio { rate = 0.002 };
+      ];
   }
-
-let crashy_preset =
-  {
-    name = "io-crashy";
-    actions = mixed_preset.actions @ [ Crash_at { op = 25 } ];
-  }
-
-let presets =
-  [
-    ("io-transient", transient_preset);
-    ("io-enospc", enospc_preset);
-    ("io-torn", torn_preset);
-    ("io-mixed", { mixed_preset with name = "io-mixed" });
-    ("io-crashy", { crashy_preset with name = "io-crashy" });
-  ]
-
-let preset name = List.assoc_opt name presets

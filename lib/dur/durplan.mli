@@ -3,10 +3,9 @@
     A plan is a named list of typed actions over the host I/O op
     stream ({!Ksurf_util.Iohook}): transient errno rates, an [ENOSPC]
     onset/clear window, hard [EIO], torn writes, silently-dropped
-    fsyncs, and crash-at-op-k.  Plans serialise to the same
-    line-oriented [keyword key=value] text format as
-    {!Ksurf_fault.Plan}, scale with a dose knob, and compile (with a
-    seed) into a deterministic {!Faultio} handler. *)
+    fsyncs, and crash-at-op-k.  Plans are values built in code: they
+    scale with a dose knob, like {!Ksurf_fault.Plan}, and compile
+    (with a seed) into a deterministic {!Faultio} handler. *)
 
 type action =
   | Transient of { rate : float; eintr_share : float }
@@ -29,17 +28,14 @@ type action =
 
 type t = { name : string; actions : action list }
 
-val empty : t
-
 val scale : float -> t -> t
 (** Dose knob, kfault semantics: rates multiply by [k] (clamped to
     [0,1]), the ENOSPC window stretches its length by [k], crash
     schedules apply verbatim for [k > 0] and are dropped at [k = 0] —
     and a zero dose injects literally nothing. *)
 
-val to_string : t -> string
-val of_string : string -> (t, string) result
-val pp : t Fmt.t
-
-val presets : (string * t) list
-val preset : string -> t option
+val io_mixed : t
+(** ["io-mixed"], the torture grid's plan: transient errnos, one
+    [ENOSPC] window (ops 40 to 80), torn writes, dropped fsyncs and
+    rare hard [EIO], sized so that at dose 1 a run of a few hundred
+    ops hits every recovery path. *)

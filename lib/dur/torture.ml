@@ -387,8 +387,7 @@ let export_check_state ~dir ~versions ~t =
 (* --- the cell ---------------------------------------------------------- *)
 
 let live_plan ~dose ~crash_op =
-  let base = Option.get (Durplan.preset "io-mixed") in
-  let scaled = Durplan.scale dose base in
+  let scaled = Durplan.scale dose Durplan.io_mixed in
   if dose <= 0.0 then scaled
   else
     {

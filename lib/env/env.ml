@@ -18,7 +18,7 @@ type target =
   | On_vm of Vm.t * int  (** guest kernel, local vCPU *)
   | On_ctr of Container.t * int  (** shared host kernel via namespaces *)
 
-type rank = { target : target; unit_index : int; global_core : int }
+type rank = { target : target; global_core : int }
 
 type errno = EAGAIN | EINTR
 
@@ -46,111 +46,74 @@ type t = {
 
 let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Config.default)
     kind partition =
-  let units = partition.Partition.units in
-  if Partition.total_cores partition > machine.Machine.cores then
+  let total = Partition.total_cores partition in
+  if total > machine.Machine.cores then
     invalid_arg "Env.deploy: partition exceeds machine cores";
-  match kind with
-  | Native ->
-      let host =
-        Ksurf_kernel.Kernel.boot ~engine ~config:kernel_config ~id:0
-          ~cores:machine.Machine.cores ~mem_mb:machine.Machine.mem_mb ()
-      in
-      let ranks = ref [] in
-      let core = ref 0 in
-      List.iteri
-        (fun unit_index (u : Partition.unit_spec) ->
-          for _ = 1 to u.Partition.cores do
-            ranks :=
-              { target = On_host host; unit_index; global_core = !core } :: !ranks;
-            incr core
-          done)
-        units;
-      let ranks = Array.of_list (List.rev !ranks) in
-      Instance.set_tenants host (Array.length ranks);
-      { kind; engine; ranks; instances = [ host ]; fault = None; swaps = 0 }
-  | Multikernel ->
-      (* MultiK-style: one (typically specialized) kernel instance per
-         partition unit, on bare metal.  Ranks pay native syscall costs —
-         no exit/virtio tax — but share kernel state only with their own
-         unit, so cross-unit lock convoys vanish with the sharing. *)
-      let ranks = ref [] in
-      let core = ref 0 in
-      let kernels =
-        List.mapi
-          (fun unit_index (u : Partition.unit_spec) ->
-            let inst =
-              Ksurf_kernel.Kernel.boot ~engine ~config:kernel_config
-                ~id:unit_index ~cores:u.Partition.cores
-                ~mem_mb:u.Partition.mem_mb ()
-            in
-            Instance.set_tenants inst u.Partition.cores;
-            for _ = 1 to u.Partition.cores do
-              ranks :=
-                { target = On_host inst; unit_index; global_core = !core }
-                :: !ranks;
-              incr core
-            done;
-            inst)
-          units
-      in
-      {
-        kind;
-        engine;
-        ranks = Array.of_list (List.rev !ranks);
-        instances = kernels;
-        fault = None;
-        swaps = 0;
-      }
-  | Kvm virt ->
-      let ranks = ref [] in
-      let core = ref 0 in
-      let vms =
-        List.mapi
-          (fun unit_index (u : Partition.unit_spec) ->
-            let vm =
-              Vm.boot ~engine ~kernel_config ~virt ~id:unit_index
-                { Vm.vcpus = u.Partition.cores; mem_mb = u.Partition.mem_mb }
-            in
-            Instance.set_tenants (Vm.guest vm) u.Partition.cores;
-            for vcpu = 0 to u.Partition.cores - 1 do
-              ranks :=
-                { target = On_vm (vm, vcpu); unit_index; global_core = !core }
-                :: !ranks;
-              incr core
-            done;
-            vm)
-          units
-      in
-      {
-        kind;
-        engine;
-        ranks = Array.of_list (List.rev !ranks);
-        instances = List.map Vm.guest vms;
-        fault = None;
-        swaps = 0;
-      }
-  | Docker ->
-      let host =
-        Ksurf_kernel.Kernel.boot ~engine ~config:kernel_config ~id:0
-          ~cores:machine.Machine.cores ~mem_mb:machine.Machine.mem_mb ()
-      in
-      let ranks = ref [] in
-      let core = ref 0 in
-      List.iteri
-        (fun unit_index (u : Partition.unit_spec) ->
-          let ctr =
-            Container.launch ~host ~cgroup:(Instance.register_cgroup host)
+  let boot ~id ~cores ~mem_mb =
+    Ksurf_kernel.Kernel.boot ~engine ~config:kernel_config ~id ~cores ~mem_mb ()
+  in
+  (* Each kernel learns how many ranks it serves as it boots. *)
+  let instances = ref [] in
+  let serve inst ranks =
+    Instance.set_tenants inst ranks;
+    instances := inst :: !instances
+  in
+  let shared_host () =
+    let host = boot ~id:0 ~cores:machine.Machine.cores ~mem_mb:machine.Machine.mem_mb in
+    serve host total;
+    host
+  in
+  (* [open_unit id u] boots what unit [id] needs.  The function it
+     returns gives the target of the unit's [vcpu]-th rank, pinned to
+     global [core]. *)
+  let open_unit : int -> Partition.unit_spec -> vcpu:int -> core:int -> target =
+    match kind with
+    | Native ->
+        let host = shared_host () in
+        fun _ _ ~vcpu:_ ~core:_ -> On_host host
+    | Docker ->
+        let host = shared_host () in
+        fun _ _ ->
+          let ctr = Container.launch ~host ~cgroup:(Instance.register_cgroup host) in
+          fun ~vcpu:_ ~core -> On_ctr (ctr, core)
+    | Multikernel ->
+        (* MultiK-style: one (typically specialized) kernel instance per
+           partition unit, on bare metal.  Ranks pay native syscall
+           costs — no exit/virtio tax — but share kernel state only with
+           their own unit, so cross-unit lock convoys vanish with the
+           sharing. *)
+        fun id u ->
+          let cores = u.Partition.cores in
+          let inst = boot ~id ~cores ~mem_mb:u.Partition.mem_mb in
+          serve inst cores;
+          fun ~vcpu:_ ~core:_ -> On_host inst
+    | Kvm virt ->
+        fun id u ->
+          let cores = u.Partition.cores in
+          let vm =
+            Vm.boot ~engine ~kernel_config ~virt ~id
+              { Vm.vcpus = cores; mem_mb = u.Partition.mem_mb }
           in
-          for _ = 1 to u.Partition.cores do
-            ranks :=
-              { target = On_ctr (ctr, !core); unit_index; global_core = !core }
-              :: !ranks;
-            incr core
-          done)
-        units;
-      let ranks = Array.of_list (List.rev !ranks) in
-      Instance.set_tenants host (Array.length ranks);
-      { kind; engine; ranks; instances = [ host ]; fault = None; swaps = 0 }
+          serve (Vm.guest vm) cores;
+          fun ~vcpu ~core:_ -> On_vm (vm, vcpu)
+  in
+  let ranks = ref [] and core = ref 0 in
+  List.iteri
+    (fun id (u : Partition.unit_spec) ->
+      let target = open_unit id u in
+      for vcpu = 0 to u.Partition.cores - 1 do
+        ranks := { target = target ~vcpu ~core:!core; global_core = !core } :: !ranks;
+        incr core
+      done)
+    partition.Partition.units;
+  {
+    kind;
+    engine;
+    ranks = Array.of_list (List.rev !ranks);
+    instances = List.rev !instances;
+    fault = None;
+    swaps = 0;
+  }
 
 let kind t = t.kind
 let engine t = t.engine
@@ -160,8 +123,6 @@ let rank t i =
   if i < 0 || i >= Array.length t.ranks then
     invalid_arg (Printf.sprintf "Env: rank %d out of range" i);
   t.ranks.(i)
-
-let unit_of_rank t i = (rank t i).unit_index
 
 let exec_ops t ~rank:i ~key ops =
   let r = rank t i in

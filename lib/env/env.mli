@@ -40,9 +40,6 @@ val engine : t -> Ksurf_sim.Engine.t
 val rank_count : t -> int
 (** One rank per partition core. *)
 
-val unit_of_rank : t -> int -> int
-(** Which partition unit (VM/container index) a rank is pinned into. *)
-
 val exec_syscall :
   t -> rank:int -> Ksurf_syscalls.Spec.t -> Ksurf_syscalls.Arg.t -> float
 (** Execute one call from the given rank and return its latency in ns.
@@ -125,13 +122,8 @@ val surface_area_of_rank : t -> int -> float
     live deployment.  {!swap_policy} replaces a rank's policy without a
     redeploy, preserving the cumulative denial count, and emits a
     probe-visible [Rank_transition] between the policy states
-    ["unfiltered"], ["audit"] and ["enforce"] (from
-    {!policy_state}). *)
-
-val policy_state : Ksurf_kernel.Instance.syscall_policy option -> string
-(** ["unfiltered"] for [None], else ["audit"] / ["enforce"] by the
-    policy's mode — the state names the invariant sanitizer validates
-    kadapt transitions against. *)
+    ["unfiltered"] (no policy), ["audit"] and ["enforce"] (by the
+    policy's mode). *)
 
 val swap_policy :
   t -> rank:int -> Ksurf_kernel.Instance.syscall_policy option -> unit

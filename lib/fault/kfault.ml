@@ -31,7 +31,6 @@ type counters = {
 
 type t = {
   env : Env.t;
-  the_plan : Plan.t;
   counters : counters;
   mutable active : bool;
   mutable drift_sink : (shift:float -> unit) option;
@@ -145,7 +144,7 @@ let arm ~env ~plan ~seed () =
       c_drift = 0;
     }
   in
-  let t = { env; the_plan = plan; counters; active = true; drift_sink = None } in
+  let t = { env; counters; active = true; drift_sink = None } in
   (* 1. Transient syscall failures + the crash/restart schedule, via the
      env fault control. *)
   let syscall_errno =
@@ -365,8 +364,6 @@ let total_injections t =
   s.syscall_faults + s.lock_preemptions + s.device_stalls
   + s.daemon_storm_passes + s.ipi_storms + s.cache_flushes
   + s.slow_memory_windows + s.workload_drifts
-
-let plan t = t.the_plan
 
 let pp_stats ppf s =
   Format.fprintf ppf

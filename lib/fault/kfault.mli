@@ -47,5 +47,4 @@ val set_drift_sink : t -> (shift:float -> unit) option -> unit
 
 val stats : t -> stats
 val total_injections : t -> int
-val plan : t -> Plan.t
 val pp_stats : Format.formatter -> stats -> unit

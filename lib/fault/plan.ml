@@ -41,8 +41,6 @@ type action =
 
 type t = { name : string; actions : action list }
 
-let empty = { name = "empty"; actions = [] }
-
 (* --- dose scaling ----------------------------------------------------- *)
 
 let clamp01 x = Float.min 1.0 (Float.max 0.0 x)
@@ -142,15 +140,43 @@ let to_string t =
     :: List.map action_to_string t.actions)
   ^ "\n"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* Parser for the line format (Kvline): each action's keyword and
-   key=value pairs. *)
-
-module Kvline = Ksurf_util.Kvline
+(* Parser for the line format: one [keyword key=value ...] action per
+   line, an optional [name <n>] line, blank lines and [#] comments
+   ignored.  Every error names the offending line. *)
 
 let ( let* ) = Result.bind
-let find_float = Kvline.find_float
+
+let parse_kv word =
+  match String.index_opt word '=' with
+  | None -> Error (Printf.sprintf "expected key=value, got %S" word)
+  | Some i ->
+      Ok (String.sub word 0 i, String.sub word (i + 1) (String.length word - i - 1))
+
+let kvs_of words =
+  List.fold_left
+    (fun acc w ->
+      let* acc = acc in
+      let* kv = parse_kv w in
+      Ok (kv :: acc))
+    (Ok []) words
+  |> Result.map List.rev
+
+let float_of key v =
+  match float_of_string_opt v with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "%s: not a number: %S" key v)
+
+let int_of key v =
+  match int_of_string_opt v with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "%s: not an integer: %S" key v)
+
+(* [key]'s value, else [default], else [missing <key>=]. *)
+let find_float kvs key ~default =
+  match (List.assoc_opt key kvs, default) with
+  | Some v, _ -> float_of key v
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "missing %s=" key)
 
 let parse_action keyword kvs =
   match keyword with
@@ -165,7 +191,7 @@ let parse_action keyword kvs =
               match Category.of_string k with
               | None -> Error (Printf.sprintf "unknown category %S" k)
               | Some c ->
-                  let* r = Kvline.float_of k v in
+                  let* r = float_of k v in
                   Ok ((c, r) :: acc))
           (Ok []) kvs
       in
@@ -207,14 +233,14 @@ let parse_action keyword kvs =
   | "rank-crash" ->
       let* rank =
         match List.assoc_opt "rank" kvs with
-        | Some v -> Kvline.int_of "rank" v
+        | Some v -> int_of "rank" v
         | None -> Error "rank-crash: missing rank="
       in
       let* at_ns = find_float kvs "at" ~default:None in
       let* restart_after_ns =
         match List.assoc_opt "restart" kvs with
         | None -> Ok None
-        | Some v -> Result.map Option.some (Kvline.float_of "restart" v)
+        | Some v -> Result.map Option.some (float_of "restart" v)
       in
       Ok (Rank_crash { rank; at_ns; restart_after_ns })
   | "workload-drift" ->
@@ -224,9 +250,24 @@ let parse_action keyword kvs =
   | other -> Error (Printf.sprintf "unknown fault action %S" other)
 
 let of_string s =
-  Result.map
-    (fun (name, actions) -> { name; actions })
-    (Kvline.parse ~action:parse_action s)
+  let rec go name actions = function
+    | [] -> Ok { name; actions = List.rev actions }
+    | line :: rest -> (
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then go name actions rest
+        else
+          match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+          | [] -> go name actions rest
+          | "name" :: n :: _ -> go n actions rest
+          | keyword :: words -> (
+              match
+                let* kvs = kvs_of words in
+                parse_action keyword kvs
+              with
+              | Error e -> Error (Printf.sprintf "%S: %s" line e)
+              | Ok a -> go name (a :: actions) rest))
+  in
+  go "unnamed" [] (String.split_on_char '\n' s)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -67,8 +67,6 @@ type action =
 
 type t = { name : string; actions : action list }
 
-val empty : t
-
 val scale : float -> t -> t
 (** [scale k plan] is the dose knob: probabilities and rates multiply
     by [k] (clamped to 1), hold/dilation multipliers interpolate as
@@ -95,4 +93,3 @@ val presets : (string * t) list
     shift — the kadapt dose–response driver). *)
 
 val preset : string -> t option
-val pp : Format.formatter -> t -> unit

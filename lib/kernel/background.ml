@@ -3,8 +3,6 @@ module Lock = Ksurf_sim.Lock
 module Dist = Ksurf_util.Dist
 module Prng = Ksurf_util.Prng
 
-let daemon_names = [ "jbd2"; "kswapd"; "load_balancer"; "cgroup_flusher" ]
-
 (* Each daemon is an infinite loop in virtual time: sleep for a sampled
    interval, then do a batch of housekeeping sized by the activity that
    accumulated since its last pass — an idle kernel commits nothing,

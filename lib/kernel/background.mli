@@ -14,6 +14,3 @@ val start : Instance.t -> unit
     [enable_background] is false in the instance's {!Config.t} (the
     cgroup flusher also needs [enable_cgroup_accounting] and at least
     one registered cgroup at fire time). *)
-
-val daemon_names : string list
-(** For documentation and tests. *)

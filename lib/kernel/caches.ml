@@ -54,6 +54,5 @@ let probe t rng =
   if not hit then t.misses <- t.misses + 1;
   hit
 
-let name t = t.name
 let lookups t = t.lookups
 let misses t = t.misses

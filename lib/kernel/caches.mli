@@ -28,6 +28,5 @@ val hit_rate : t -> float
 val probe : t -> Ksurf_util.Prng.t -> bool
 (** One lookup: [true] on hit. *)
 
-val name : t -> string
 val lookups : t -> int
 val misses : t -> int

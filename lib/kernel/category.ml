@@ -29,5 +29,4 @@ let index = function
   | Ipc -> 4
   | Perm -> 5
 
-let compare a b = Int.compare (index a) (index b)
 let equal a b = index a = index b

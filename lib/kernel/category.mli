@@ -19,7 +19,6 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 val pp : Format.formatter -> t -> unit
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val index : t -> int
 (** 0-based position in {!all}. *)

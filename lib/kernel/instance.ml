@@ -161,7 +161,6 @@ let boot ~engine ~config ~id ~cores ~mem_mb ?block_dev () =
 
 let engine t = t.engine
 let config t = t.config
-let id t = t.id
 let cores t = t.cores
 let mem_mb t = t.mem_mb
 
@@ -172,8 +171,6 @@ let set_tenants t n =
   t.tenants <- max 1 n;
   Caches.set_sharers t.dcache t.tenants;
   Caches.set_sharers t.page_cache t.tenants
-
-let tenants t = t.tenants
 
 let register_cgroup t =
   t.cgroups <- t.cgroups + 1;
@@ -190,8 +187,6 @@ let halted t = t.halted
 let set_burn_mult t m =
   if m <= 0.0 then invalid_arg "Instance.set_burn_mult: must be positive";
   t.burn_mult <- m
-
-let burn_mult t = t.burn_mult
 
 let set_daemon_hold_mult t f = t.daemon_hold_mult <- f
 
@@ -409,13 +404,12 @@ let rec exec_op t ctx (op : Ops.op) =
   | Ops.With_lock (Ops.Runqueue, _, _) | Ops.With_lock (Ops.Tasklist, _, _) ->
       note_activity t Sched_activity
   | Ops.Cgroup_charge -> note_activity t Charge_activity
-  | Ops.Cpu _ | Ops.Cpu_dist _ | Ops.Lock (_, _) | Ops.With_lock (_, _, _)
+  | Ops.Cpu _ | Ops.Lock (_, _) | Ops.With_lock (_, _, _)
   | Ops.Read_lock (_, _) | Ops.Write_lock (Ops.Sb_umount, _)
   | Ops.Page_cache_lookup | Ops.Rcu_sync | Ops.Block_io _ | Ops.Sleep _ ->
       ());
   match op with
   | Ops.Cpu d -> burn t d
-  | Ops.Cpu_dist dist -> burn t (sample t dist)
   | Ops.Lock (ref, hold) -> locked_burn t (lock t ctx ref) (sample t hold)
   | Ops.With_lock (ref, hold, body) ->
       (* The outer lock stays held across the body: this is the only op

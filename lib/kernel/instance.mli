@@ -37,7 +37,6 @@ val boot :
 
 val engine : t -> Ksurf_sim.Engine.t
 val config : t -> Config.t
-val id : t -> int
 val cores : t -> int
 val mem_mb : t -> int
 
@@ -49,8 +48,6 @@ val surface_area : t -> float
 val set_tenants : t -> int -> unit
 (** Declare how many tenants actively share the instance; drives
     software-cache pressure.  At least 1. *)
-
-val tenants : t -> int
 
 val register_cgroup : t -> int
 (** Allocate a cgroup id (containers).  Increases the accounting load of
@@ -143,8 +140,6 @@ val burn : t -> float -> unit
 val set_burn_mult : t -> float -> unit
 (** Dilate all in-kernel CPU time by a factor — a slow-memory-channel
     window.  Must be positive; 1.0 restores stock behaviour. *)
-
-val burn_mult : t -> float
 
 val set_daemon_hold_mult : t -> (string -> float) option -> unit
 (** Install a per-daemon lock-hold multiplier, keyed by daemon name

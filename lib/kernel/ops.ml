@@ -36,7 +36,6 @@ let global_lock_refs = [ Tasklist; Zone; Dcache; Journal; Msgq_registry; Audit; 
 
 type op =
   | Cpu of float
-  | Cpu_dist of Ksurf_util.Dist.t
   | Lock of lock_ref * Ksurf_util.Dist.t
   | With_lock of lock_ref * Ksurf_util.Dist.t * op list
   | Read_lock of rw_ref * Ksurf_util.Dist.t
@@ -53,7 +52,6 @@ type op =
 
 let rec pp_op ppf = function
   | Cpu ns -> Format.fprintf ppf "cpu(%.0fns)" ns
-  | Cpu_dist _ -> Format.fprintf ppf "cpu(dist)"
   | Lock (l, _) -> Format.fprintf ppf "lock(%s)" (lock_ref_name l)
   | With_lock (l, _, body) ->
       Format.fprintf ppf "with_lock(%s){%a}" (lock_ref_name l)

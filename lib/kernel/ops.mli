@@ -34,7 +34,6 @@ val global_lock_refs : lock_ref list
 
 type op =
   | Cpu of float  (** in-kernel computation, fixed ns *)
-  | Cpu_dist of Ksurf_util.Dist.t  (** in-kernel computation, sampled *)
   | Lock of lock_ref * Ksurf_util.Dist.t  (** critical section; hold sampled *)
   | With_lock of lock_ref * Ksurf_util.Dist.t * op list
       (** nested critical section: the lock is held (for the sampled

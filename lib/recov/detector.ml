@@ -10,8 +10,9 @@
    which is continuous and strictly monotone in silence — thresholds
    pick the trade-off between detection latency and false suspicion.
    Two thresholds give three states: Alive below [suspect_phi], Suspect
-   between, Dead above [dead_phi].  Dead is sticky: revival is an
-   explicit supervisor decision ({!revive}), never inferred. *)
+   between, Dead above [dead_phi].  Dead is sticky: the supervisor
+   builds a fresh detector for each superstep rather than reviving a
+   rank. *)
 
 type verdict = Alive | Suspect | Dead
 
@@ -86,17 +87,8 @@ let phi_of r ~now =
   let silence = Float.max 0.0 (now -. r.last) in
   silence /. (mean_interval r *. ln10)
 
-let phi t ~rank ~now = phi_of (find t rank) ~now
 let state t ~rank = (find t rank).state
 let retire t ~rank = (find t rank).monitored <- false
-
-let revive t ~rank ~now =
-  let r = find t rank in
-  r.state <- Alive;
-  r.intervals <- [];
-  r.interval_count <- 0;
-  r.last <- now;
-  r.monitored <- true
 
 (* Re-evaluate every monitored rank at [now]; apply and return the
    state changes in rank order.  Dead is terminal here — a heartbeat
@@ -121,39 +113,3 @@ let evaluate t ~now =
           Some (r.rank, prev, next)
         end)
     t.ranks
-
-type rank_snapshot = {
-  snap_rank : int;
-  snap_intervals : float list;
-  snap_last : float;
-  snap_state : verdict;
-  snap_monitored : bool;
-}
-
-let save t =
-  List.map
-    (fun r ->
-      {
-        snap_rank = r.rank;
-        snap_intervals = r.intervals;
-        snap_last = r.last;
-        snap_state = r.state;
-        snap_monitored = r.monitored;
-      })
-    t.ranks
-
-let restore snaps =
-  {
-    ranks =
-      List.map
-        (fun s ->
-          {
-            rank = s.snap_rank;
-            intervals = s.snap_intervals;
-            interval_count = List.length s.snap_intervals;
-            last = s.snap_last;
-            state = s.snap_state;
-            monitored = s.snap_monitored;
-          })
-        (List.sort (fun a b -> compare a.snap_rank b.snap_rank) snaps);
-  }

@@ -9,9 +9,7 @@
     in silence, so detection latency is a deterministic function of the
     heartbeat history — property-tested in [test_recov.ml].
 
-    [Dead] is sticky: only an explicit {!revive} (a supervisor decision,
-    e.g. a restarted rank re-admitted after catch-up) returns a rank to
-    [Alive]. *)
+    [Dead] is sticky: no heartbeat returns a rank to [Alive]. *)
 
 type verdict = Alive | Suspect | Dead
 
@@ -33,9 +31,6 @@ val create : now:float -> ranks:int list -> unit -> t
 val heartbeat : t -> rank:int -> now:float -> unit
 (** Record a heartbeat: fold the inter-arrival into the window. *)
 
-val phi : t -> rank:int -> now:float -> float
-(** Current suspicion level of [rank] at time [now]. *)
-
 val evaluate : t -> now:float -> (int * verdict * verdict) list
 (** Re-evaluate every monitored rank; apply and return the transitions
     as [(rank, from, to)], in rank order (deterministic). *)
@@ -44,20 +39,3 @@ val state : t -> rank:int -> verdict
 val retire : t -> rank:int -> unit
 (** Stop monitoring a rank that finished its work legitimately — a
     departed rank must not accrue suspicion. *)
-
-val revive : t -> rank:int -> now:float -> unit
-(** Supervisor decision: return a (typically Dead) rank to [Alive] with
-    a cleared window. *)
-
-type rank_snapshot = {
-  snap_rank : int;
-  snap_intervals : float list;
-  snap_last : float;
-  snap_state : verdict;
-  snap_monitored : bool;
-}
-
-val save : t -> rank_snapshot list
-val restore : rank_snapshot list -> t
-(** Checkpoint support: {!restore} of a {!save} resumes detection
-    bit-identically. *)

@@ -38,8 +38,6 @@ type t = {
   mutable last_error : string option;
 }
 
-let path t = t.path
-
 let cells t =
   Mutex.lock t.lock;
   let l = List.rev t.cells_rev in

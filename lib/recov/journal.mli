@@ -60,4 +60,3 @@ val mem : t -> string -> bool
 val cells : t -> string list
 (** Completed cells in completion order. *)
 
-val path : t -> string

@@ -39,19 +39,6 @@ let render_bar ppf value peak =
   let n = if n > bar_width then bar_width else if n < 0 then 0 else n in
   Format.fprintf ppf "%s" (String.make n '#')
 
-let bars ~title ~unit_label entries ppf =
-  Format.fprintf ppf "%s (%s)@." title unit_label;
-  let peak = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 entries in
-  let label_width =
-    List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries
-  in
-  List.iter
-    (fun (label, value) ->
-      Format.fprintf ppf "  %-*s %10.2f  " label_width label value;
-      render_bar ppf value peak;
-      Format.fprintf ppf "@.")
-    entries
-
 let grouped_bars ~title ~unit_label ~series groups ppf =
   List.iter
     (fun (_, values) ->

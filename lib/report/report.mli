@@ -10,15 +10,6 @@ val table :
     Raises [Invalid_argument] if a row's width differs from the
     header's. *)
 
-val bars :
-  title:string ->
-  unit_label:string ->
-  (string * float) list ->
-  Format.formatter ->
-  unit
-(** Horizontal bar chart: one labelled bar per entry, scaled to the
-    maximum value. *)
-
 val grouped_bars :
   title:string ->
   unit_label:string ->

@@ -120,7 +120,6 @@ let pending t = Heap.size t.conts + Heap.size t.thunks
 let events_executed t = t.executed
 
 let add_probe t probe = t.probes <- t.probes @ [ probe ]
-let clear_probes t = t.probes <- []
 let observed t = t.probes <> []
 (* A recursive walk, not [List.iter] over a closure capturing [info]:
    emitting builds nothing beyond the event itself. *)

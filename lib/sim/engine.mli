@@ -88,8 +88,6 @@ val add_probe : t -> (event_info -> unit) -> unit
     queues a whole run of them), so no emitter may reuse one mutable
     event across calls. *)
 
-val clear_probes : t -> unit
-
 val observed : t -> bool
 (** [true] iff at least one probe is registered — instrumented call
     sites use this to skip event construction entirely. *)

@@ -29,7 +29,6 @@ let create ~engine ~name =
   }
 
 let held t = t.held
-let queue_length t = Queue.length t.waiters
 let name t = t.name
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
@@ -93,16 +92,6 @@ let with_hold t d =
   acquire t;
   Engine.delay d;
   release t
-
-let with_lock t f =
-  acquire t;
-  match f () with
-  | v ->
-      release t;
-      v
-  | exception exn ->
-      release t;
-      raise exn
 
 (* "k3.inode[7]" -> class "inode": strip the kernel-instance prefix and
    the stripe index so striping and multi-instance deployments do not

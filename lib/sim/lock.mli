@@ -21,11 +21,7 @@ val with_hold : t -> float -> unit
 (** [with_hold l d] acquires, holds for [d] nanoseconds, releases.  The
     canonical "critical section of length d" operation. *)
 
-val with_lock : t -> (unit -> 'a) -> 'a
-(** Run a function while holding the lock (releases on exception too). *)
-
 val held : t -> bool
-val queue_length : t -> int
 val name : t -> string
 
 (** Accounting, reset-free since engine creation: *)

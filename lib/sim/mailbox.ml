@@ -31,5 +31,4 @@ let recv t =
       | None -> failwith (t.name ^ ": woken without a message"))
 
 let length t = Queue.length t.queue
-let waiting_consumers t = Queue.length t.consumers
 let sent t = t.sent

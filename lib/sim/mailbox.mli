@@ -15,6 +15,5 @@ val recv : 'a t -> 'a
 val length : 'a t -> int
 (** Messages queued (0 when consumers are waiting). *)
 
-val waiting_consumers : 'a t -> int
 val sent : 'a t -> int
 (** Total messages ever sent. *)

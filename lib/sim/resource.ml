@@ -24,9 +24,6 @@ let create ~engine ~name ~capacity =
   }
 
 let in_use t = t.in_use
-let capacity t = t.capacity
-let queue_length t = Queue.length t.waiters
-let wait_stats t = t.wait_stats
 let served t = t.served
 
 let acquire t =
@@ -48,8 +45,3 @@ let release t =
   match Queue.take_opt t.waiters with
   | Some wake -> wake () (* slot transfers: in_use unchanged *)
   | None -> t.in_use <- t.in_use - 1
-
-let serve t d =
-  acquire t;
-  Engine.delay d;
-  release t

@@ -16,11 +16,5 @@ val release : t -> unit
 (** Raises [Invalid_argument] (naming the station) if no slot is in
     use. *)
 
-val serve : t -> float -> unit
-(** [serve r d] acquires a slot, holds it for [d] ns, releases. *)
-
 val in_use : t -> int
-val capacity : t -> int
-val queue_length : t -> int
-val wait_stats : t -> Ksurf_util.Welford.t
 val served : t -> int

@@ -26,8 +26,6 @@ let create ~engine ~name =
   }
 
 let readers t = t.readers
-let writer_held t = t.writer
-let wait_stats t = t.wait_stats
 
 let record_wait t start =
   Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine)
@@ -115,13 +113,3 @@ let release_write t =
       (Printf.sprintf "Rwlock.release_write: %s has no writer" t.name);
   t.writer <- false;
   drain t
-
-let with_read t d =
-  acquire_read t;
-  Engine.delay d;
-  release_read t
-
-let with_write t d =
-  acquire_write t;
-  Engine.delay d;
-  release_write t

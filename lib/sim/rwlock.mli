@@ -19,12 +19,4 @@ val acquire_write : t -> unit
 val release_write : t -> unit
 (** Raises [Invalid_argument] (naming the lock) if no writer holds it. *)
 
-val with_read : t -> float -> unit
-(** Hold for reading for a fixed duration. *)
-
-val with_write : t -> float -> unit
-(** Hold for writing for a fixed duration. *)
-
 val readers : t -> int
-val writer_held : t -> bool
-val wait_stats : t -> Ksurf_util.Welford.t

@@ -31,14 +31,6 @@ let mix t =
   if total > 0.0 then Array.iteri (fun i x -> v.(i) <- x /. total) v;
   v
 
-let retained_categories t =
-  List.filter_map
-    (fun cat ->
-      match List.assoc_opt cat t.categories with
-      | Some n when n > 0 -> Some cat
-      | _ -> None)
-    Category.all
-
 let restrict corpus ~keep =
   let keeps cat = List.exists (Category.equal cat) keep in
   let progs =
@@ -87,7 +79,6 @@ let observe r (p : Program.t) =
     p.Program.calls;
   r.blocks <- Coverage.Set.union r.blocks (Coverage.of_program p)
 
-let observed_programs r = r.programs
 let observed_blocks r = Coverage.Set.cardinal r.blocks
 
 let snapshot r =
@@ -189,21 +180,3 @@ let of_string s =
           categories;
           coverage = Option.value ~default:Coverage.Set.empty coverage;
         }
-
-let save t path =
-  Ksurf_util.Fileio.write_atomic ~path (fun oc -> output_string oc (to_string t))
-
-let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>profile %s: %d syscalls, %d blocks@,retained: %a@]" t.name
-    (List.length t.syscalls)
-    (Coverage.Set.cardinal t.coverage)
-    Fmt.(list ~sep:(any ", ") Category.pp)
-    (retained_categories t)

@@ -44,7 +44,6 @@ type recorder
 
 val recorder : name:string -> unit -> recorder
 val observe : recorder -> Ksurf_syzgen.Program.t -> unit
-val observed_programs : recorder -> int
 
 val observed_blocks : recorder -> int
 (** Distinct kernel basic blocks covered so far — the coverage-stability
@@ -60,6 +59,3 @@ val to_string : t -> string
     coverage block ids.  Stable for equal profiles. *)
 
 val of_string : string -> (t, string) result
-val save : t -> string -> unit
-val load : string -> (t, string) result
-val pp : Format.formatter -> t -> unit

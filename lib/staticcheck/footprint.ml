@@ -87,7 +87,7 @@ let add_lock acc l = if not (List.mem l acc.a_locks) then acc.a_locks <- l :: ac
 
 let rec absorb_op acc (op : Ops.op) =
   match op with
-  | Ops.Cpu _ | Ops.Cpu_dist _ -> ()
+  | Ops.Cpu _ -> ()
   | Ops.Lock (l, _) -> add_lock acc l
   | Ops.With_lock (l, _, body) ->
       add_lock acc l;

@@ -61,7 +61,7 @@ let shallow_acquisitions (op : Ops.op) =
   | Ops.Page_cache_lookup -> [ Footprint.class_of_lock_ref Ops.Page_cache_tree ]
   | Ops.Slab_alloc | Ops.Page_alloc _ -> [ Footprint.class_of_lock_ref Ops.Zone ]
   | Ops.Cgroup_charge -> [ Footprint.class_of_lock_ref Ops.Cgroup_css ]
-  | Ops.Cpu _ | Ops.Cpu_dist _ | Ops.Tlb_shootdown | Ops.Rcu_sync
+  | Ops.Cpu _ | Ops.Tlb_shootdown | Ops.Rcu_sync
   | Ops.Block_io _ | Ops.Sleep _ ->
       []
 
@@ -143,8 +143,6 @@ let cycles t =
              ~witness:witness_lines ())
       end)
     sccs
-
-let findings = cycles
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>static lock-order graph: %d classes, %d edges@,"

@@ -22,16 +22,11 @@ type t = { nodes : string list; edges : edge list }
 val of_specs : Ksurf_syscalls.Spec.t list -> t
 val of_table : unit -> t
 
-val edge_count : t -> int
-
 val cycles : t -> Ksurf_analysis.Finding.t list
 (** One [static-lock-order-cycle] error per cyclic SCC (non-trivial
     SCC, or a self-edge from same-class nesting), with every
     in-cycle edge witness.  Empty list = the table is certified
     cycle-free. *)
-
-val findings : t -> Ksurf_analysis.Finding.t list
-(** Alias of {!cycles}. *)
 
 val pp : Format.formatter -> t -> unit
 

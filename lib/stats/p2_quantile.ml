@@ -41,7 +41,6 @@ let create q =
   reset t;
   t
 
-let quantile t = t.q
 let count t = t.n
 
 (* [add] runs once per observation on every streaming statistic and

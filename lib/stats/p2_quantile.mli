@@ -34,5 +34,3 @@ val markers : t -> float array * float array
 (** Copies of the five marker heights and their positions.  Exposed so
     tests can pin the marker update bit for bit. *)
 
-val quantile : t -> float
-(** The target quantile this estimator tracks. *)

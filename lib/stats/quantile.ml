@@ -30,14 +30,6 @@ let min_value samples =
   if Array.length samples = 0 then invalid_arg "Quantile.min_value: empty";
   Array.fold_left Float.min infinity samples
 
-let ecdf samples x =
-  let n = Array.length samples in
-  if n = 0 then 0.0
-  else begin
-    let below = ref 0 in
-    Array.iter (fun v -> if v <= x then incr below) samples;
-    float_of_int !below /. float_of_int n
-  end
 
 type summary = {
   count : int;

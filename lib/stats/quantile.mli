@@ -19,9 +19,6 @@ val p95 : float array -> float
 val max_value : float array -> float
 val min_value : float array -> float
 
-val ecdf : float array -> float -> float
-(** [ecdf samples x] is the fraction of samples [<= x]; 0 on empty input. *)
-
 type summary = {
   count : int;
   mean : float;

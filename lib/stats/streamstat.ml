@@ -61,7 +61,6 @@ let add t x =
 let count t = Welford.count t.welford
 let mean t = Welford.mean t.welford
 let variance t = Welford.variance t.welford
-let stddev t = Welford.stddev t.welford
 let min_value t = Welford.min_value t.welford
 let max_value t = Welford.max_value t.welford
 let total t = Welford.total t.welford

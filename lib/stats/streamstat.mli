@@ -36,7 +36,6 @@ val variance : t -> float
 (** Unbiased sample variance (from Welford); 0 if fewer than two
     samples. *)
 
-val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 val total : t -> float

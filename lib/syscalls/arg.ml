@@ -29,7 +29,6 @@ let size_bucket size =
     1 + (log2 0 size / 4)
   end
 
-let pp ppf t = Format.fprintf ppf "size=%d obj=%d flags=%d" t.size t.obj t.flags
 let to_string t = Printf.sprintf "%d:%d:%d" t.size t.obj t.flags
 
 let of_string s =

@@ -37,7 +37,6 @@ val size_bucket : int -> int
 (** Log2-ish bucket of a size — the granularity at which the coverage
     map distinguishes argument values. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val of_string : string -> t option
 (** Parses the output of {!to_string}; [None] on malformed input. *)

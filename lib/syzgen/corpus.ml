@@ -42,52 +42,6 @@ let category_histogram t =
     t.programs;
   List.map (fun cat -> (cat, counts.(Category.index cat))) Category.all
 
-let filter_by_category t cat =
-  let programs =
-    Array.to_list t.programs
-    |> List.filter (fun (p : Program.t) ->
-           List.exists
-             (fun (c : Program.call) ->
-               Ksurf_syscalls.Spec.in_category c.Program.spec cat)
-             p.Program.calls)
-  in
-  match programs with [] -> None | l -> Some (of_programs l)
-
-(* Greedy set cover: repeatedly take the program contributing the most
-   not-yet-covered blocks.  Ties break towards the earliest program, so
-   the result is deterministic. *)
-let distill t =
-  let target = coverage t in
-  let remaining = Array.to_list t.programs in
-  let rec go covered chosen remaining =
-    if Coverage.Set.cardinal covered >= Coverage.Set.cardinal target then
-      List.rev chosen
-    else begin
-      let scored =
-        List.map
-          (fun p ->
-            (Coverage.Set.diff_cardinal (Coverage.of_program p) covered, p))
-          remaining
-      in
-      match
-        List.fold_left
-          (fun best (gain, p) ->
-            match best with
-            | Some (bg, _) when bg >= gain -> best
-            | _ when gain > 0 -> Some (gain, p)
-            | _ -> best)
-          None scored
-      with
-      | None -> List.rev chosen
-      | Some (_, pick) ->
-          go
-            (Coverage.Set.union covered (Coverage.of_program pick))
-            (pick :: chosen)
-            (List.filter (fun p -> p != pick) remaining)
-    end
-  in
-  of_programs (go Coverage.Set.empty [] remaining)
-
 let separator = "%"
 
 let to_string t =

@@ -30,13 +30,4 @@ val save : t -> string -> unit
 
 val load : string -> (t, string) result
 
-val filter_by_category : t -> Ksurf_kernel.Category.t -> t option
-(** Programs containing at least one call of the category, with the
-    other calls intact (sequence context preserved).  [None] if no
-    program qualifies.  Used to build per-subsystem stress corpora. *)
-
-val distill : t -> t
-(** Greedy minimum-ish subset of programs preserving the corpus's full
-    block coverage (classic corpus distillation).  Deterministic. *)
-
 val pp_stats : Format.formatter -> t -> unit

@@ -29,7 +29,6 @@ end
 let rec op_tag (op : Ops.op) =
   match op with
   | Ops.Cpu _ -> 1
-  | Ops.Cpu_dist _ -> 2
   | Ops.Lock (l, _) -> Hash.combine 3 (Hash.string (Ops.lock_ref_name l))
   | Ops.With_lock (l, _, body) ->
       Hash.combine 15

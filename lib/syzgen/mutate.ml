@@ -7,13 +7,6 @@ type op = Insert | Remove | Replace_arg | Splice | Swap
 
 let all_ops = [ Insert; Remove; Replace_arg; Splice; Swap ]
 
-let op_name = function
-  | Insert -> "insert"
-  | Remove -> "remove"
-  | Replace_arg -> "replace-arg"
-  | Splice -> "splice"
-  | Swap -> "swap"
-
 let max_program_len = 16
 
 let fresh_call rng =

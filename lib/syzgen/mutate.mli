@@ -8,7 +8,6 @@
 type op = Insert | Remove | Replace_arg | Splice | Swap
 
 val all_ops : op list
-val op_name : op -> string
 
 val apply :
   Ksurf_util.Prng.t ->

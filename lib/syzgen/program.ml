@@ -13,10 +13,6 @@ let call_site t i =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Program.call_site: index %d" i)
 
-let site_name t i =
-  let c = call_site t i in
-  Printf.sprintf "%d/%d:%s" t.id i c.spec.Spec.name
-
 let random_call rng =
   let spec = Prng.pick rng Syscalls.all in
   { spec; arg = Arg.generate spec.Spec.arg_model rng }
@@ -65,8 +61,6 @@ let of_string ~id s =
   match build [] lines with
   | Ok t when t.calls = [] -> Error "empty program"
   | result -> result
-
-let pp ppf t = Format.fprintf ppf "@[<v>prog %d:@,%s@]" t.id (to_string t)
 
 let equal a b =
   List.length a.calls = List.length b.calls

@@ -16,10 +16,6 @@ val call_site : t -> int -> call
 (** [call_site p i] is the [i]-th call.  Raises [Invalid_argument] if
     out of range. *)
 
-val site_name : t -> int -> string
-(** Stable identifier of a call site: ["<prog id>/<index>:<syscall>"].
-    Per-site latency tabulation keys on this. *)
-
 val random :
   Ksurf_util.Prng.t -> id:int -> min_len:int -> max_len:int -> t
 (** A fresh random program with length uniform in [min_len, max_len]. *)
@@ -30,6 +26,5 @@ val to_string : t -> string
 val of_string : id:int -> string -> (t, string) result
 (** Parse {!to_string} output.  Unknown syscall names are an error. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 (** Same call sequence (ids may differ). *)

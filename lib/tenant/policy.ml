@@ -12,8 +12,6 @@ let name = function
 let all =
   [ Static Native; Static Docker; Static Kvm; Static Multikernel; Adaptive ]
 
-let names = List.map name all
-
 let of_string s = List.find_opt (fun p -> name p = s) all
 
 let initial_klass = function Static k -> k | Adaptive -> Docker

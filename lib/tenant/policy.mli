@@ -20,8 +20,6 @@ type t =
 val name : t -> string
 val of_string : string -> t option
 val all : t list
-val names : string list
-
 val initial_klass : t -> klass
 
 val escalation : t -> klass -> klass option

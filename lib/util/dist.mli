@@ -16,17 +16,9 @@ val uniform : lo:float -> hi:float -> t
 val exponential : mean:float -> t
 (** Exponential with the given mean. *)
 
-val erlang : k:int -> mean:float -> t
-(** Erlang-[k] (sum of [k] exponentials) with the given total mean;
-    lower variance than exponential, used for service stages. *)
-
 val lognormal : median:float -> sigma:float -> t
 (** Lognormal parameterised by its median and the log-space std dev.
     The workhorse for latencies: right-skewed with controllable tail. *)
-
-val pareto : scale:float -> shape:float -> t
-(** Pareto with minimum [scale] and tail index [shape] ([shape > 0]).
-    Heavy-tailed; models unbounded software interference episodes. *)
 
 val bounded_pareto : lo:float -> hi:float -> shape:float -> t
 (** Pareto truncated to \[lo, hi\]. *)
@@ -37,15 +29,9 @@ val shifted : float -> t -> t
 val scaled : float -> t -> t
 (** [scaled f d] multiplies each sample of [d] by [f] ([f >= 0]). *)
 
-val mixture : (float * t) list -> t
-(** [mixture [(w1,d1); ...]] picks component [i] with probability
-    proportional to [wi].  Raises [Invalid_argument] on an empty list or
-    non-positive total weight. *)
-
 val sample : t -> Prng.t -> float
 (** Draw one sample; always [>= 0] (negatives are clamped). *)
 
 val mean_estimate : t -> float
-(** Analytic mean where available, otherwise an estimate; used to set
-    client arrival rates for target utilisation.  Heavy tails are
-    truncation-estimated. *)
+(** Analytic mean; used to set client arrival rates for target
+    utilisation. *)

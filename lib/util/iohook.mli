@@ -48,9 +48,6 @@ exception Crashed of string
 val path_of : op -> string
 (** The primary path the op touches ([src] for renames). *)
 
-val describe : op -> string
-(** Human-readable form, used in {!Crashed} payloads and traces. *)
-
 val active : unit -> bool
 (** Is a handler installed in this domain? *)
 

@@ -69,7 +69,6 @@ let[@inline always] uniform t =
   v *. (1.0 /. 9007199254740992.0)
 
 let float t x = uniform t *. x
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let chance t p =
   if p <= 0.0 then false

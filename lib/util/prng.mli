@@ -39,8 +39,6 @@ val float : t -> float -> float
 val uniform : t -> float
 (** Uniform in \[0, 1). *)
 
-val bool : t -> bool
-
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to \[0,1\]). *)
 

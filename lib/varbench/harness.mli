@@ -13,9 +13,6 @@ type params = {
   warmup_iterations : int;  (** discarded leading repetitions *)
 }
 
-val default_params : params
-(** 20 iterations, 2 warm-up. *)
-
 type site = {
   program : int;  (** program id within the corpus *)
   index : int;  (** call position within the program *)
@@ -54,7 +51,8 @@ val run :
   ?straggler_timeout_ns:float ->
   unit ->
   result
-(** Execute the corpus on every rank of [env].  Each call site collects
+(** Execute the corpus on every rank of [env] ([params] defaults to 20
+    iterations after 2 warm-up ones).  Each call site collects
     up to [ranks x iterations] latency samples.  Deterministic given the
     environment's engine seed.
 

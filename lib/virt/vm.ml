@@ -5,7 +5,6 @@ module Prng = Ksurf_util.Prng
 type shape = { vcpus : int; mem_mb : int }
 
 type t = {
-  id : int;
   shape : shape;
   virt : Virt_config.t;
   guest : Instance.t;
@@ -27,12 +26,9 @@ let boot ~engine ?host_block ?(kernel_config = Ksurf_kernel.Config.default)
   let rng = Prng.split (Engine.rng engine) ("vm-" ^ string_of_int id) in
   let whole_exits = int_of_float virt.Virt_config.exits_per_syscall in
   let frac_exit = virt.Virt_config.exits_per_syscall -. float_of_int whole_exits in
-  { id; shape; virt; guest; rng; whole_exits; frac_exit }
+  { shape; virt; guest; rng; whole_exits; frac_exit }
 
-let id t = t.id
-let shape t = t.shape
 let guest t = t.guest
-let virt t = t.virt
 let shutdown t = Instance.halt t.guest
 
 let exec_syscall t ~core ~tenant ~key ops =

@@ -25,10 +25,7 @@ val boot :
     paper's per-VM virtio disks); pass [host_block] to make virtio
     requests queue directly on a shared host device instead. *)
 
-val id : t -> int
-val shape : t -> shape
 val guest : t -> Ksurf_kernel.Instance.t
-val virt : t -> Virt_config.t
 
 val shutdown : t -> unit
 (** Halt the guest kernel ({!Ksurf_kernel.Instance.halt}): its

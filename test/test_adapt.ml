@@ -382,7 +382,9 @@ let test_journal_resume () =
       (* A second resume with the now-complete journal is a no-op. *)
       List.iter
         (fun (c : E.Drift.cell) ->
-          match D.policy_of_string c.D.policy with
+          match
+            List.find_opt (fun p -> D.policy_name p = c.D.policy) D.all_policies
+          with
           | Some p ->
               Ksurf.Recov_journal.record journal (E.Drift.cell_key (p, c.D.dose))
           | None -> Alcotest.failf "bad policy %s" c.D.policy)

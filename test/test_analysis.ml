@@ -223,7 +223,9 @@ let test_tampered_tenancy () =
   let t = Gates.Tenancy.run ~seed:42 ~on_engine:ignore in
   Alcotest.(check (list string)) "untampered" [] (Gates.Tenancy.check t);
   fails "slo_met > measured"
-    (Gates.Tenancy.check { t with Fleet.slo_met = t.Fleet.measured + 1 })
+    (Gates.Tenancy.check { t with Fleet.slo_met = t.Fleet.measured + 1 });
+  fails "no tenant measured"
+    (Gates.Tenancy.check { t with Fleet.measured = 0; slo_met = 0 })
 
 let test_tampered_drift () =
   let d = Gates.Adaptive_drift.run ~seed:42 ~on_engine:ignore in

@@ -9,11 +9,15 @@ let exe dir name = Filename.concat (Filename.concat ".." dir) name
 let cli = exe "bin" "ksurf_cli.exe"
 let bench = exe "bench" "main.exe"
 
-(* Exit code and stdout of one spawn (stderr is discarded). *)
-let run_out ?(prog = cli) args =
+(* Exit code, stdout and stderr of one spawn. *)
+let spawn ?(prog = cli) args =
   let out = Filename.temp_file "ksurf-cli" ".out" in
+  let err = Filename.temp_file "ksurf-cli" ".err" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
   Fun.protect
-    ~finally:(fun () -> Sys.remove out)
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
     (fun () ->
       (* Other suites in this process putenv KSURF_JOBS to junk on
          purpose; children would inherit it and die in cmdliner's env
@@ -21,9 +25,14 @@ let run_out ?(prog = cli) args =
       let code =
         Sys.command
           ("unset KSURF_JOBS; exec " ^ Filename.quote prog ^ " " ^ args ^ " >"
-         ^ Filename.quote out ^ " 2>/dev/null")
+         ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
       in
-      (code, In_channel.with_open_bin out In_channel.input_all))
+      (code, read out, read err))
+
+(* Exit code and stdout of one spawn. *)
+let run_out ?prog args =
+  let code, out, _ = spawn ?prog args in
+  (code, out)
 
 let check_exit ?prog name expected args =
   Alcotest.(check int) name expected (fst (run_out ?prog args))
@@ -90,6 +99,31 @@ let test_bad_corpus_exit_2 () =
             ("run-corpus " ^ Filename.quote corpus))
         [ "read)x(\n"; "getpid(0:0:0)junk\n" ];
       check_exit "run-corpus missing" 2 ("run-corpus " ^ Filename.quote (corpus ^ ".none")))
+
+(* A --units outside Table 1 or a non-positive --iterations is refused
+   while the arguments are parsed: usage on stderr and exit 2, not an
+   uncaught exception. *)
+let test_bad_numbers_are_usage_errors () =
+  let corpus = Filename.temp_file "ksurf-cli" ".corpus" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove corpus)
+    (fun () ->
+      Out_channel.with_open_bin corpus (fun oc -> output_string oc "getpid(0:0:0)\n");
+      let run_corpus = "run-corpus " ^ Filename.quote corpus in
+      List.iter
+        (fun (name, args) ->
+          let code, _, err = spawn args in
+          Alcotest.(check int) name 2 code;
+          Alcotest.(check bool) (name ^ ": usage") true (Test_util.contains ~sub:"Usage:" err);
+          Alcotest.(check bool)
+            (name ^ ": no uncaught exception")
+            false
+            (Test_util.contains ~sub:"Fatal error" err))
+        [
+          ("run-corpus --units 3", run_corpus ^ " --units 3");
+          ("inject --units 3", "inject --units 3");
+          ("run-corpus --iterations 0", run_corpus ^ " --iterations 0");
+        ])
 
 (* The negative-control gate: one lock-order-cycle finding. *)
 let test_findings_exit_1 () =
@@ -166,6 +200,8 @@ let suite =
     Alcotest.test_case "io failures exit 3" `Quick test_io_failure_exits_3;
     Alcotest.test_case "bad arguments exit 2" `Quick test_bad_args_exit_2;
     Alcotest.test_case "bad corpus exits 2" `Quick test_bad_corpus_exit_2;
+    Alcotest.test_case "bad numbers are usage errors" `Quick
+      test_bad_numbers_are_usage_errors;
     Alcotest.test_case "findings exit 1" `Quick test_findings_exit_1;
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
     Alcotest.test_case "tables are subcommands" `Quick

@@ -29,18 +29,8 @@ let test_mean_exponential () =
 let test_mean_uniform () =
   check_mean_close "uniform" (Dist.uniform ~lo:10.0 ~hi:30.0) 0.02
 
-let test_mean_erlang () = check_mean_close "erlang" (Dist.erlang ~k:4 ~mean:88.0) 0.02
-
 let test_mean_lognormal () =
   check_mean_close "lognormal" (Dist.lognormal ~median:100.0 ~sigma:0.5) 0.05
-
-let test_mean_mixture () =
-  let d =
-    Dist.mixture
-      [ (1.0, Dist.constant 10.0); (3.0, Dist.constant 50.0) ]
-  in
-  Alcotest.(check (float 1e-6)) "mixture mean" 40.0 (Dist.mean_estimate d);
-  check_mean_close "mixture" d 0.02
 
 let test_mean_shifted_scaled () =
   let d = Dist.shifted 5.0 (Dist.scaled 2.0 (Dist.constant 10.0)) in
@@ -60,27 +50,22 @@ let test_invalid_args () =
   let raises f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "neg constant" true (raises (fun () -> ignore (Dist.constant (-1.0))));
   Alcotest.(check bool) "bad exp" true (raises (fun () -> ignore (Dist.exponential ~mean:0.0)));
-  Alcotest.(check bool) "bad erlang" true (raises (fun () -> ignore (Dist.erlang ~k:0 ~mean:1.0)));
-  Alcotest.(check bool) "bad pareto" true (raises (fun () -> ignore (Dist.pareto ~scale:0.0 ~shape:1.0)));
   Alcotest.(check bool) "bad bounds" true
     (raises (fun () -> ignore (Dist.bounded_pareto ~lo:10.0 ~hi:5.0 ~shape:1.0)));
-  Alcotest.(check bool) "empty mixture" true (raises (fun () -> ignore (Dist.mixture [])));
   Alcotest.(check bool) "neg shift" true
     (raises (fun () -> ignore (Dist.shifted (-1.0) (Dist.constant 1.0))))
 
 let qcheck_samples_non_negative =
   QCheck.Test.make ~name:"all samplers non-negative" ~count:300
-    QCheck.(pair small_int (int_bound 6))
+    QCheck.(pair small_int (int_bound 4))
     (fun (seed, which) ->
       let dist =
         match which with
         | 0 -> Dist.exponential ~mean:10.0
         | 1 -> Dist.lognormal ~median:5.0 ~sigma:1.5
-        | 2 -> Dist.pareto ~scale:1.0 ~shape:0.8
-        | 3 -> Dist.bounded_pareto ~lo:1.0 ~hi:100.0 ~shape:1.2
-        | 4 -> Dist.uniform ~lo:0.0 ~hi:3.0
-        | 5 -> Dist.erlang ~k:3 ~mean:7.0
-        | _ -> Dist.mixture [ (1.0, Dist.constant 1.0); (1.0, Dist.exponential ~mean:2.0) ]
+        | 2 -> Dist.bounded_pareto ~lo:1.0 ~hi:100.0 ~shape:1.2
+        | 3 -> Dist.uniform ~lo:0.0 ~hi:3.0
+        | _ -> Dist.shifted 1.0 (Dist.exponential ~mean:2.0)
       in
       let rng = Prng.create seed in
       let ok = ref true in
@@ -107,9 +92,7 @@ let suite =
     Alcotest.test_case "constant" `Quick test_constant;
     Alcotest.test_case "exponential mean" `Slow test_mean_exponential;
     Alcotest.test_case "uniform mean" `Slow test_mean_uniform;
-    Alcotest.test_case "erlang mean" `Slow test_mean_erlang;
     Alcotest.test_case "lognormal mean" `Slow test_mean_lognormal;
-    Alcotest.test_case "mixture mean" `Slow test_mean_mixture;
     Alcotest.test_case "shifted/scaled" `Quick test_mean_shifted_scaled;
     Alcotest.test_case "lognormal median" `Slow test_lognormal_median;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;

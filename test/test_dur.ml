@@ -2,7 +2,7 @@ open Ksurf
 
 (* kdur: host-I/O fault injection and crash-consistency torture.
 
-   Covers the fault-plan language, the deterministic injector, the
+   Covers the fault plans' dose knob, the deterministic injector, the
    crash-state enumerator's filesystem model, the hardened writers
    (dir fsync, bounded retry, ENOSPC deferral), recovery edges
    (torn journal tails, checkpoint loads from enumerated crash
@@ -48,31 +48,17 @@ let op_tag (op : Iohook.op) =
 
 (* --- durplan ------------------------------------------------------------ *)
 
-let test_durplan_roundtrip () =
-  List.iter
-    (fun (name, plan) ->
-      match Durplan.of_string (Durplan.to_string plan) with
-      | Ok p ->
-          Alcotest.(check string) (name ^ " name") plan.Durplan.name p.name;
-          Alcotest.(check bool)
-            (name ^ " actions survive round-trip")
-            true
-            (p.Durplan.actions = plan.Durplan.actions)
-      | Error e -> Alcotest.failf "%s did not round-trip: %s" name e)
-    Durplan.presets;
-  (match Durplan.of_string "plan x\nbogus rate=1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown keyword accepted");
-  match Durplan.of_string "plan x\ntransient rate=nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad float accepted"
-
 let test_durplan_scale () =
-  let mixed = Option.get (Durplan.preset "io-mixed") in
+  let mixed = Durplan.io_mixed in
   Alcotest.(check (list int))
     "zero dose injects nothing" []
     (List.map (fun _ -> 0) (Durplan.scale 0.0 mixed).Durplan.actions);
-  let crashy = Option.get (Durplan.preset "io-crashy") in
+  let crashy =
+    {
+      Durplan.name = "io-crashy";
+      actions = mixed.Durplan.actions @ [ Durplan.Crash_at { op = 25 } ];
+    }
+  in
   let has_crash p =
     List.exists
       (function Durplan.Crash_at _ -> true | _ -> false)
@@ -84,7 +70,12 @@ let test_durplan_scale () =
   Alcotest.(check bool)
     "crash dropped at k=0" false
     (has_crash (Durplan.scale 0.0 crashy));
-  let enospc = Option.get (Durplan.preset "io-enospc") in
+  let enospc =
+    {
+      Durplan.name = "io-enospc";
+      actions = [ Durplan.Enospc_window { from_op = 40; until_op = 80 } ];
+    }
+  in
   let window p =
     List.find_map
       (function
@@ -147,7 +138,7 @@ let test_ensure_dir () =
 (* --- faultio ------------------------------------------------------------ *)
 
 let test_faultio_deterministic () =
-  let plan = Durplan.scale 2.0 (Option.get (Durplan.preset "io-mixed")) in
+  let plan = Durplan.scale 2.0 Durplan.io_mixed in
   let synth i : Iohook.op =
     if i mod 3 = 0 then Iohook.Write { path = "/r/f"; content = "x" }
     else if i mod 3 = 1 then Iohook.Fsync { path = "/r/f" }
@@ -508,7 +499,6 @@ let test_iohook_nesting () =
 
 let suite =
   [
-    Alcotest.test_case "durplan round-trip" `Quick test_durplan_roundtrip;
     Alcotest.test_case "durplan scale" `Quick test_durplan_scale;
     Alcotest.test_case "write_atomic trace + dir fsync" `Quick
       test_write_atomic_trace;

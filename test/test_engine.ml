@@ -225,9 +225,7 @@ let test_probe_event_sequence () =
   Alcotest.(check int) "event count" (List.length expected)
     (List.length (List.rev !events));
   Alcotest.(check bool) "exact probe sequence" true
-    (List.rev !events = expected);
-  Engine.clear_probes engine;
-  Alcotest.(check bool) "cleared" false (Engine.observed engine)
+    (List.rev !events = expected)
 
 let test_suspend_double_wake_probe () =
   (* The second wake still reaches probes before the engine raises, so

@@ -51,9 +51,7 @@ let test_plan_parse_errors () =
    or [Error], never an exception.  Whatever they accept reaches a
    [to_string] fixed point, and an unmutated plan preset round-trips
    byte for byte. *)
-let preset_texts =
-  List.map (fun (_, p) -> Plan.to_string p) Plan.presets
-  @ List.map (fun (_, p) -> Durplan.to_string p) Durplan.presets
+let preset_texts = List.map (fun (_, p) -> Plan.to_string p) Plan.presets
 
 (* [Checkpoint.read] decodes a file, so each text goes through one. *)
 let with_checkpoint_file f =
@@ -142,12 +140,11 @@ let qcheck_plan_decoders_total =
             Some text
       in
       let plan = fixed Plan.of_string Plan.to_string in
-      let durplan = fixed Durplan.of_string Durplan.to_string in
       ignore (fixed Corpus.of_string Corpus.to_string : string option);
       ignore (fixed (Program.of_string ~id:0) Program.to_string : string option);
       ignore (fixed Profile.of_string Profile.to_string : string option);
       checkpoint_read_total s;
-      (not (List.mem s preset_texts)) || plan = Some s || durplan = Some s)
+      (not (List.mem s preset_texts)) || plan = Some s)
 
 let test_scale () =
   let mixed = Option.get (Plan.preset "mixed") in

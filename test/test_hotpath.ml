@@ -241,29 +241,22 @@ type shape =
   | Const of float
   | Unif of float * float
   | Expo of float
-  | Erl of int * float
   | Logn of float * float
-  | Par of float * float
   | Bpar of float * float * float
   | Shift of float * shape
   | Scale of float * shape
-  | Mix of (float * shape) list
 
 let rec build = function
   | Const v -> Dist.constant v
   | Unif (lo, hi) -> Dist.uniform ~lo ~hi
   | Expo mean -> Dist.exponential ~mean
-  | Erl (k, mean) -> Dist.erlang ~k ~mean
   | Logn (median, sigma) -> Dist.lognormal ~median ~sigma
-  | Par (scale, shape) -> Dist.pareto ~scale ~shape
   | Bpar (lo, hi, shape) -> Dist.bounded_pareto ~lo ~hi ~shape
   | Shift (c, s) -> Dist.shifted c (build s)
   | Scale (f, s) -> Dist.scaled f (build s)
-  | Mix parts -> Dist.mixture (List.map (fun (w, s) -> (w, build s)) parts)
 
 (* The sampler as written before its draws moved into [Dist]: every
-   draw through [Prng.uniform]/[Prng.float], the mixture search as a
-   closure. *)
+   draw through [Prng.uniform]/[Prng.float]. *)
 let rec ref_sample s rng =
   let v =
     match s with
@@ -272,22 +265,11 @@ let rec ref_sample s rng =
     | Expo mean ->
         let u = 1.0 -. Prng.uniform rng in
         -.mean *. Float.log u
-    | Erl (k, mean) ->
-        let stage_mean = mean /. float_of_int k in
-        let acc = ref 0.0 in
-        for _ = 1 to k do
-          let u = 1.0 -. Prng.uniform rng in
-          acc := !acc -. (stage_mean *. Float.log u)
-        done;
-        !acc
     | Logn (median, sigma) ->
         let mu = Float.log median in
         let u1 = 1.0 -. Prng.uniform rng and u2 = Prng.uniform rng in
         let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
         Float.exp (mu +. (sigma *. z))
-    | Par (scale, shape) ->
-        let u = 1.0 -. Prng.uniform rng in
-        scale /. Float.pow u (1.0 /. shape)
     | Bpar (lo, hi, shape) ->
         let u = Prng.uniform rng in
         let la = Float.pow lo shape and ha = Float.pow hi shape in
@@ -295,23 +277,6 @@ let rec ref_sample s rng =
         Float.pow (1.0 /. x) (1.0 /. shape)
     | Shift (c, s) -> c +. ref_sample s rng
     | Scale (f, s) -> f *. ref_sample s rng
-    | Mix parts ->
-        let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 parts in
-        let n = List.length parts in
-        let cumulative = Array.make n 0.0 and acc = ref 0.0 in
-        List.iteri
-          (fun i (w, _) ->
-            acc := !acc +. (w /. total);
-            cumulative.(i) <- !acc)
-          parts;
-        cumulative.(n - 1) <- 1.0;
-        let components = Array.of_list (List.map snd parts) in
-        let u = Prng.uniform rng in
-        let rec find i =
-          if i >= Array.length cumulative - 1 || u < cumulative.(i) then i
-          else find (i + 1)
-        in
-        ref_sample components.(find 0) rng
   in
   if v < 0.0 then 0.0 else v
 
@@ -324,9 +289,7 @@ let shape_gen =
         map (fun v -> Const v) (float_range 0.0 1e4);
         map2 (fun lo w -> Unif (lo, lo +. w)) (float_range 0.0 1e4) (float_range 0.0 1e4);
         map (fun m -> Expo m) pos;
-        map2 (fun k m -> Erl (k, m)) (int_range 1 6) pos;
         map2 (fun m s -> Logn (m, s)) pos (float_range 0.0 2.0);
-        map2 (fun sc sh -> Par (sc, sh)) pos (float_range 0.1 4.0);
         map3 (fun lo w sh -> Bpar (lo, lo +. w, sh)) pos (float_range 1.0 1e6)
           (float_range 0.1 3.0);
       ]
@@ -340,10 +303,6 @@ let shape_gen =
                (2, leaf);
                (1, map2 (fun c s -> Shift (c, s)) (float_range 0.0 1e3) (self (n - 1)));
                (1, map2 (fun f s -> Scale (f, s)) (float_range 0.0 10.0) (self (n - 1)));
-               ( 2,
-                 map (fun parts -> Mix parts)
-                   (list_size (int_range 1 4)
-                      (pair (float_range 0.01 5.0) (self (n - 1)))) );
              ])
 
 let prop_dist_sample =

@@ -77,19 +77,6 @@ let test_release_unheld_fails () =
        (* The message must identify the offending lock. *)
        Test_util.contains ~sub:"naked" msg)
 
-let test_with_lock_releases_on_exception () =
-  let engine = Engine.create () in
-  let lock = Lock.create ~engine ~name:"l" in
-  let reacquired = ref false in
-  Engine.spawn engine (fun () ->
-      (try Lock.with_lock lock (fun () -> failwith "inner") with
-      | Failure _ -> ());
-      Lock.acquire lock;
-      reacquired := true;
-      Lock.release lock);
-  Engine.run engine;
-  Alcotest.(check bool) "released after exception" true !reacquired
-
 let test_wait_statistics () =
   let engine = Engine.create () in
   let lock = Lock.create ~engine ~name:"l" in
@@ -126,8 +113,6 @@ let suite =
     Alcotest.test_case "fifo fairness" `Quick test_fifo_fairness;
     Alcotest.test_case "queueing delay" `Quick test_queueing_delay;
     Alcotest.test_case "release unheld" `Quick test_release_unheld_fails;
-    Alcotest.test_case "with_lock on exception" `Quick
-      test_with_lock_releases_on_exception;
     Alcotest.test_case "wait statistics" `Quick test_wait_statistics;
     QCheck_alcotest.to_alcotest qcheck_serialization;
   ]

@@ -69,7 +69,7 @@ let test_waiting_consumers () =
   let mb : int Mailbox.t = Mailbox.create ~engine ~name:"m" in
   Engine.spawn engine (fun () -> ignore (Mailbox.recv mb));
   Engine.run engine;
-  Alcotest.(check int) "one waiting" 1 (Mailbox.waiting_consumers mb)
+  Alcotest.(check int) "one waiting" 1 (List.length (Engine.blocked engine))
 
 let suite =
   [

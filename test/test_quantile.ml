@@ -26,13 +26,6 @@ let test_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Quantile.of_sorted: empty")
     (fun () -> ignore (Quantile.median [||]))
 
-let test_ecdf () =
-  let data = [| 1.0; 2.0; 3.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "below all" 0.0 (Quantile.ecdf data 0.5);
-  Alcotest.(check (float 1e-9)) "half" 0.5 (Quantile.ecdf data 2.0);
-  Alcotest.(check (float 1e-9)) "all" 1.0 (Quantile.ecdf data 10.0);
-  Alcotest.(check (float 1e-9)) "empty is 0" 0.0 (Quantile.ecdf [||] 1.0)
-
 let test_summarize () =
   let s = Quantile.summarize [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   Alcotest.(check int) "count" 5 s.Quantile.count;
@@ -90,7 +83,6 @@ let suite =
     Alcotest.test_case "type-7 interpolation" `Quick test_type7_interpolation;
     Alcotest.test_case "extremes" `Quick test_extremes;
     Alcotest.test_case "empty raises" `Quick test_empty_raises;
-    Alcotest.test_case "ecdf" `Quick test_ecdf;
     Alcotest.test_case "summarize" `Quick test_summarize;
     Alcotest.test_case "no mutation" `Quick test_sorted_copy_does_not_mutate;
     QCheck_alcotest.to_alcotest qcheck_quantile_bounded;

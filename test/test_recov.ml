@@ -44,13 +44,23 @@ let warmed_detector n =
   done;
   (d, float_of_int n *. hb)
 
+(* The verdict a warmed detector reaches after [silence]: two
+   evaluations climb Alive -> Suspect -> Dead as far as phi allows, so
+   the verdict is the band phi falls in. *)
+let severity_after beats silence =
+  let d, last = warmed_detector beats in
+  ignore (Detector.evaluate d ~now:(last +. silence));
+  ignore (Detector.evaluate d ~now:(last +. silence));
+  match Detector.state d ~rank:0 with
+  | Detector.Alive -> 0
+  | Detector.Suspect -> 1
+  | Detector.Dead -> 2
+
 let qcheck_phi_monotone_in_silence =
   QCheck.Test.make ~name:"phi is monotone in silence" ~count:100
     QCheck.(triple (int_range 1 20) (pair pos_float pos_float) small_int)
     (fun (beats, (s1, s2), _) ->
-      let d, last = warmed_detector beats in
-      let t1 = last +. Float.min s1 s2 and t2 = last +. Float.max s1 s2 in
-      Detector.phi d ~rank:0 ~now:t1 <= Detector.phi d ~rank:0 ~now:t2)
+      severity_after beats (Float.min s1 s2) <= severity_after beats (Float.max s1 s2))
 
 let qcheck_no_dead_under_jitter =
   (* Heartbeats with bounded jitter around the nominal interval must
@@ -105,14 +115,11 @@ let test_verdict_ladder () =
     ->
       ()
   | l -> Alcotest.failf "unexpected transition list (%d entries)" (List.length l));
-  (* Dead is sticky: a late heartbeat does not resurrect... *)
+  (* Dead is sticky: a late heartbeat does not resurrect. *)
   Detector.heartbeat d ~rank:0 ~now:(last +. 200.0 *. hb);
   ignore (Detector.evaluate d ~now:(last +. 200.0 *. hb));
   Alcotest.(check bool) "dead is sticky" true
-    (Detector.state d ~rank:0 = Detector.Dead);
-  (* ...only an explicit revival does. *)
-  Detector.revive d ~rank:0 ~now:(last +. 201.0 *. hb);
-  Alcotest.(check bool) "revived" true (Detector.state d ~rank:0 = Detector.Alive)
+    (Detector.state d ~rank:0 = Detector.Dead)
 
 let test_suspect_recovers () =
   let d, last = warmed_detector 8 in
@@ -132,16 +139,6 @@ let test_retired_rank_accrues_nothing () =
   Detector.retire d ~rank:0;
   let trans = Detector.evaluate d ~now:(last +. 1000.0 *. hb) in
   Alcotest.(check int) "no transitions" 0 (List.length trans)
-
-let test_detector_save_restore () =
-  let d, last = warmed_detector 6 in
-  ignore (Detector.evaluate d ~now:(last +. 2.5 *. hb));
-  let d' = Detector.restore (Detector.save d) in
-  let now = last +. 3.7 *. hb in
-  Alcotest.(check (float 1e-12)) "same phi" (Detector.phi d ~rank:0 ~now)
-    (Detector.phi d' ~rank:0 ~now);
-  Alcotest.(check bool) "same transitions" true
-    (Detector.evaluate d ~now = Detector.evaluate d' ~now)
 
 (* --- checkpoint -------------------------------------------------------- *)
 
@@ -613,7 +610,6 @@ let suite =
     Alcotest.test_case "suspect recovers" `Quick test_suspect_recovers;
     Alcotest.test_case "retired rank silent" `Quick
       test_retired_rank_accrues_nothing;
-    Alcotest.test_case "detector save/restore" `Quick test_detector_save_restore;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint corruption" `Quick
       test_checkpoint_detects_corruption;

@@ -25,7 +25,9 @@ let test_table_ragged () =
 
 let test_bars () =
   let out =
-    render (Report.bars ~title:"t" ~unit_label:"ms" [ ("x", 10.0); ("y", 5.0) ])
+    render
+      (Report.grouped_bars ~title:"t" ~unit_label:"ms" ~series:[ "s" ]
+         [ ("x", [ 10.0 ]); ("y", [ 5.0 ]) ])
   in
   Alcotest.(check bool) "bars drawn" true (String.contains out '#');
   Alcotest.(check bool) "labels present" true
@@ -33,7 +35,9 @@ let test_bars () =
     && String.split_on_char '\n' out |> List.exists (fun l -> String.contains l 'x'))
 
 let test_bars_zero_peak () =
-  let out = render (Report.bars ~title:"t" ~unit_label:"u" [ ("z", 0.0) ]) in
+  let out =
+    render (Report.grouped_bars ~title:"t" ~unit_label:"u" ~series:[ "s" ] [ ("z", [ 0.0 ]) ])
+  in
   Alcotest.(check bool) "no bar for zero" true (not (String.contains out '#'))
 
 let test_grouped_bars () =

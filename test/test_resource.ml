@@ -6,7 +6,9 @@ let test_capacity_parallelism () =
   let last = ref nan in
   for _ = 1 to 4 do
     Engine.spawn engine (fun () ->
-        Resource.serve r 10.0;
+        Resource.acquire r;
+        Engine.delay 10.0;
+        Resource.release r;
         last := Engine.now engine)
   done;
   Engine.run engine;
@@ -19,7 +21,9 @@ let test_capacity_one_is_lock () =
   let last = ref nan in
   for _ = 1 to 3 do
     Engine.spawn engine (fun () ->
-        Resource.serve r 5.0;
+        Resource.acquire r;
+        Engine.delay 5.0;
+        Resource.release r;
         last := Engine.now engine)
   done;
   Engine.run engine;
@@ -61,7 +65,10 @@ let test_served_counter () =
   let engine = Engine.create () in
   let r = Resource.create ~engine ~name:"r" ~capacity:2 in
   for _ = 1 to 5 do
-    Engine.spawn engine (fun () -> Resource.serve r 1.0)
+    Engine.spawn engine (fun () ->
+        Resource.acquire r;
+        Engine.delay 1.0;
+        Resource.release r)
   done;
   Engine.run engine;
   Alcotest.(check int) "served" 5 (Resource.served r)
@@ -75,7 +82,9 @@ let qcheck_makespan =
       let last = ref 0.0 in
       for _ = 1 to jobs do
         Engine.spawn engine (fun () ->
-            Resource.serve r 7.0;
+            Resource.acquire r;
+            Engine.delay 7.0;
+            Resource.release r;
             last := Engine.now engine)
       done;
       Engine.run engine;

@@ -68,7 +68,6 @@ let test_profile_recorder_matches_of_corpus () =
   let corpus = fs_corpus () in
   let r = Profile.recorder ~name:"fs" () in
   Array.iter (Profile.observe r) (Corpus.programs corpus);
-  Alcotest.(check int) "observed" 2 (Profile.observed_programs r);
   let live = Profile.snapshot r in
   let offline = Profile.of_corpus ~name:"fs" corpus in
   Alcotest.(check (list string))
@@ -276,7 +275,8 @@ let test_deploy_multikernel () =
     (Env.kind_name (Env.kind env));
   Alcotest.(check int) "one kernel per unit" 8 (List.length (Env.instances env));
   Alcotest.(check int) "64 ranks" 64 (Env.rank_count env);
-  Alcotest.(check int) "rank 63 in unit 7" 7 (Env.unit_of_rank env 63)
+  Alcotest.(check bool) "rank 63 in unit 7" true
+    (Env.instance_of_rank env 63 == List.nth (Env.instances env) 7)
 
 let test_multikernel_native_cost () =
   (* getpid on a multikernel rank costs the same order as native — no
