@@ -79,12 +79,16 @@ ledger-check:
 # Export bit-identity gate: one `ksurf_cli all --scale full` run writes
 # every study's CSV into a temporary directory, then each committed
 # baseline in exports/ is byte-compared against it.  Exits nonzero if
-# the run fails, or if a baseline is missing from the run or differs.
-# The baselines were written at --jobs 1 and this runs at the default
-# --jobs, so it also proves every study is jobs-agnostic.
+# the run fails, if the run writes a CSV that has no baseline, or if a
+# baseline is missing from the run or differs.  The baselines were
+# written at --jobs 1 and this runs at the default --jobs, so it also
+# proves every study is jobs-agnostic.
 exports-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	dune exec bin/ksurf_cli.exe -- all --scale full --export "$$tmp" >/dev/null || exit 1; \
+	for f in "$$tmp"/*.csv; do \
+	  [ -f "exports/$${f#$$tmp/}" ] || { echo "exports-check $${f#$$tmp/}: no baseline in exports/"; exit 1; }; \
+	done; \
 	for f in exports/*.csv; do \
 	  cmp "$$f" "$$tmp/$${f#exports/}" || exit 1; \
 	  echo "exports-check $${f#exports/}: identical"; \

@@ -535,6 +535,7 @@ let staticcheck_cmd =
 let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
   Option.iter Ksurf.Fileio.ensure_dir export;
   let journal = journal_of path resume in
+  let write dir c = Format.printf "wrote %s@." (E.write_csv ~dir c) in
   let failures =
     with_pool jobs (fun pool ->
         let ctx = E.context ~seed ?journal ~pool scale in
@@ -543,10 +544,7 @@ let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
             if i > 0 then Format.printf "@.";
             let o = timed s.E.name (fun () -> s.E.run ctx) in
             Format.printf "%t@." o.E.render;
-            (match (export, o.E.csv) with
-            | Some dir, Some csv ->
-                List.iter (Format.printf "wrote %s@.") (csv ~dir)
-            | _ -> ());
+            Option.iter (fun dir -> List.iter (write dir) o.E.csvs) export;
             o.E.failures)
           studies)
   in
@@ -558,7 +556,7 @@ let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
    rebuilds the entry from its own flags. *)
 let study_cmd ?grid (s : E.study) =
   let study = Option.value grid ~default:(Term.const s) in
-  let export = if s.E.exports then export_arg else Term.const None in
+  let export = if s.E.exports () <> [] then export_arg else Term.const None in
   let journal =
     if s.E.journals then Term.(const (fun p r -> (p, r)) $ journal_arg $ resume_arg)
     else Term.const (None, false)

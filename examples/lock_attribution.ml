@@ -44,5 +44,8 @@ let () =
   (* Export the Table-2 comparison for external plotting. *)
   let table2 = E.Breakdown.run E.Breakdown.table2 ctx in
   let dir = Filename.get_temp_dir_name () in
-  let files = E.Breakdown.csv ~dir table2 in
+  let files =
+    E.csvs (E.Breakdown.columns E.Breakdown.table2) table2
+    |> List.map (E.write_csv ~dir)
+  in
   Format.printf "@.CSV written: %s@." (String.concat ", " files)

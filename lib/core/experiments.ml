@@ -99,31 +99,129 @@ let deploy ?kernel_config ctx kind units =
 let varbench ctx ~corpus env =
   Harness.run ~env ~corpus ~params:(harness_params ctx.scale) ()
 
-(* --- CSV export: each driver's [csv ~dir t] writes its files into
-   [dir] under stable names ([table2.csv], [fig2.csv], ...) and returns
-   the paths written. *)
+(* --- One column list per study.  A column has a CSV side, a stdout
+   side, or both; each side is a header and the text of one row, and
+   the text may read the whole result (a ratio against a baseline
+   row).  [csvs] and [render] are the only readers, so a study's
+   exported file and its printed table come from one declaration.  A
+   list names its CSV file when the study exports one; [shown] keeps
+   the rows the stdout table prints (the CSV carries every row).
 
-let bucket_header = [ "le_1us"; "le_10us"; "le_100us"; "le_1ms"; "le_10ms"; "gt_10ms" ]
+   A list, and a study's [exports], are built on each use, not when
+   the program starts: data a module keeps live from start-up shifts
+   the GC's pacing of every later allocation (the ledger's fleet-churn
+   peak RSS reads 71 MB so, 104 MB with every list built at start-up
+   and 81 MB with only the headers kept), so a declaration holds
+   nothing until a study reads it. *)
 
-let bucket_cells (r : Buckets.row) =
-  List.map (Printf.sprintf "%.4f")
-    [ r.Buckets.le_1us; r.Buckets.le_10us; r.Buckets.le_100us;
-      r.Buckets.le_1ms; r.Buckets.le_10ms; r.Buckets.gt_10ms ]
+type csv = { file : string; header : string list; rows : string list list }
+
+type ('t, 'r) column = {
+  csv : (string * ('t -> 'r -> string)) option;
+  shown : (string * ('t -> 'r -> string)) option;
+}
+
+type 't columns =
+  | Columns : {
+      file : string option;
+      rows : 't -> 'r list;
+      shown : 'r -> bool;
+      columns : unit -> ('t, 'r) column list;
+    }
+      -> 't columns
+
+let side header text = Some (header, fun _ r -> text r)
+let csv header text = { csv = side header text; shown = None }
+let shown header text = { csv = None; shown = side header text }
+
+(* Both sides, one text; [shown] renames the stdout header. *)
+let col ?shown:label header text =
+  let label = Option.value label ~default:header in
+  { csv = side header text; shown = side label text }
+
+let count ?shown name get = col ?shown name (fun r -> string_of_int (get r))
+let csv_count name get = csv name (fun r -> string_of_int (get r))
+
+(* One entry, a different header and text on each side. *)
+let both (csv_header, csv_text) (shown_header, shown_text) =
+  { csv = side csv_header csv_text; shown = side shown_header shown_text }
+
+(* A float in the CSV's format, and on stdout only with [shown]'s
+   header and format. *)
+let num ?shown (header, fmt) get =
+  let text fmt r = Printf.sprintf fmt (get r) in
+  { csv = side header (text fmt);
+    shown = Option.bind shown (fun (h, fmt) -> side h (text fmt)) }
+
+(* A nanosecond figure: exact in the CSV, in microseconds on stdout. *)
+let us name get =
+  both
+    (name ^ "_ns", fun r -> Printf.sprintf "%.0f" (get r))
+    (name ^ " (us)", fun r -> Printf.sprintf "%.1f" (get r /. 1e3))
+
+(* [k] with its stdout text printed only on the rows [first] accepts
+   (blank on the others): a group's figures on its first row. *)
+let only_on first k =
+  let blank (h, text) = (h, fun t r -> if first r then text t r else "") in
+  { k with shown = Option.map blank k.shown }
+
+(* A side's text for a ratio read off the whole result: [fmt], or
+   [none] when the ratio has no baseline. *)
+let ratio ratio_of (fmt, none) t r =
+  Option.fold ~none ~some:(Printf.sprintf fmt) (ratio_of t r)
+
+let columns ?file ?(shown = fun _ -> true) rows columns =
+  Columns { file; rows; shown; columns }
+
+let cells sides t rows =
+  List.map (fun r -> List.map (fun (_, text) -> text t r) sides) rows
+
+let exports (Columns c) =
+  let header =
+    List.filter_map (fun k -> Option.map fst k.csv) (c.columns ())
+  in
+  List.map (fun file -> (file, header)) (Option.to_list c.file)
+
+let csvs (Columns c) t =
+  let sides = List.filter_map (fun k -> k.csv) (c.columns ()) in
+  List.map
+    (fun file ->
+      { file; header = List.map fst sides; rows = cells sides t (c.rows t) })
+    (Option.to_list c.file)
+
+let render (Columns c) t ppf =
+  let sides = List.filter_map (fun k -> k.shown) (c.columns ()) in
+  Report.table ~header:(List.map fst sides)
+    ~rows:(cells sides t (List.filter c.shown (c.rows t)))
+    ppf
 
 (* Every export creates (and fsyncs) its target directory on first
    use, so `--export fresh/dir` just works and the new entry survives
    a crash. *)
-let write_csv ~dir file ~header ~rows =
+let write_csv ~dir c =
   Ksurf_util.Fileio.ensure_dir dir;
-  let p = Filename.concat dir file in
-  Csv.write ~path:p ~header ~rows;
-  [ p ]
+  let path = Filename.concat dir c.file in
+  Csv.write ~path ~header:c.header ~rows:c.rows;
+  path
+
+(* CSV-only float columns, one per field [get] reads from a row's
+   [part]. *)
+let fields fmt part =
+  List.map (fun (header, get) ->
+      csv header (fun r -> Printf.sprintf fmt (get (part r))))
+
+let bucket_columns row =
+  fields "%.4f" row
+    Buckets.
+      [ ("le_1us", fun b -> b.le_1us); ("le_10us", fun b -> b.le_10us);
+        ("le_100us", fun b -> b.le_100us); ("le_1ms", fun b -> b.le_1ms);
+        ("le_10ms", fun b -> b.le_10ms); ("gt_10ms", fun b -> b.gt_10ms) ]
 
 (* --- Studies: one entry per regenerable table, figure or study. *)
 
 type outcome = {
   render : Format.formatter -> unit;
-  csv : (dir:string -> string list) option;
+  csvs : csv list;
   failures : int;
 }
 
@@ -131,22 +229,19 @@ type study = {
   name : string;
   doc : string;
   journals : bool;
-  exports : bool;
+  exports : unit -> (string * string list) list;
   run : context -> outcome;
 }
 
-(* The one way to build an entry, so [exports] always says whether
-   [run]'s outcome carries a writer. *)
-let study ?(journals = false) ?csv ?(failures = fun _ -> 0) name doc pp run =
+(* The one way to build an entry: its exports and its outcome's CSV
+   files both come from the study's column list. *)
+let study ?(journals = false) ?(failures = fun _ -> 0) name doc columns pp
+    run =
   let run ctx =
     let t = run ctx in
-    {
-      render = (fun ppf -> pp ppf t);
-      csv = Option.map (fun csv ~dir -> csv ~dir t) csv;
-      failures = failures t;
-    }
+    { render = Fun.flip pp t; csvs = csvs columns t; failures = failures t }
   in
-  { name; doc; journals; exports = Option.is_some csv; run }
+  { name; doc; journals; exports = (fun () -> exports columns); run }
 
 (* ------------------------------------------------------------------ *)
 
@@ -156,21 +251,20 @@ module Table1 = struct
   let run (_ : context) =
     List.map (fun n -> (n, Partition.table1 n)) Partition.table1_rows
 
-  let pp ppf t =
-    let rows =
-      List.map
-        (fun (n, p) ->
-          match p.Partition.units with
-          | u :: _ ->
-              [
-                string_of_int n;
-                string_of_int u.Partition.cores;
-                Printf.sprintf "%.1f" (float_of_int u.Partition.mem_mb /. 1024.0);
-              ]
-          | [] -> [ string_of_int n; "-"; "-" ])
-        t
+  let columns =
+    let unit text (_, p) =
+      match p.Partition.units with u :: _ -> text u | [] -> "-"
     in
-    Report.table ~header:[ "# VMs"; "Cores/VM"; "GB RAM/VM" ] ~rows ppf
+    columns Fun.id @@ fun () ->
+    [
+      shown "# VMs" (fun (n, _) -> string_of_int n);
+      shown "Cores/VM" (unit (fun u -> string_of_int u.Partition.cores));
+      shown "GB RAM/VM" (unit (fun u ->
+          let gb = float_of_int u.Partition.mem_mb /. 1024.0 in
+          Printf.sprintf "%.1f" gb));
+    ]
+
+  let pp = Fun.flip (render columns)
 end
 
 module Breakdown = struct
@@ -292,41 +386,31 @@ module Breakdown = struct
       invocations = (match List.rev cells with (_, n) :: _ -> n | [] -> 0);
     }
 
-  (* A stat column only when there is more than one statistic to tell
-     apart; the label is printed on its deployment's first line. *)
+  (* One row per (deployment, statistic).  Stdout prints the label on
+     its deployment's first row, a stat column only when there is more
+     than one statistic to tell apart, and the buckets as one cell. *)
+  let columns table =
+    let shown_label, csv_label = table.label_header in
+    let stat (_, _, s, _) = Study.statistic_name s in
+    let many = List.compare_length_with table.stats 1 > 0 in
+    columns ~file:table.file
+      (fun t ->
+        List.concat_map
+          (fun (label, buckets) ->
+            List.mapi (fun i (s, row) -> (label, i, s, row)) buckets)
+          t.rows) @@ fun () ->
+    only_on
+      (fun (_, i, _, _) -> i = 0)
+      (col csv_label ~shown:shown_label (fun (label, _, _, _) -> label))
+    :: { csv = side "statistic" stat;
+         shown = (if many then side "stat" stat else None) }
+    :: shown Buckets.header (fun (_, _, _, b) ->
+           Format.asprintf "%a" Buckets.pp b)
+    :: bucket_columns (fun (_, _, _, b) -> b)
+
   let pp ppf t =
     Format.fprintf ppf "%s@.@." (t.table.title t);
-    let stat_column = List.compare_length_with t.table.stats 1 > 0 in
-    let rows =
-      List.concat_map
-        (fun (label, buckets) ->
-          List.mapi
-            (fun i (stat, row) ->
-              let label = if i = 0 then label else "" in
-              let cell = Format.asprintf "%a" Buckets.pp row in
-              if stat_column then [ label; Study.statistic_name stat; cell ]
-              else [ label; cell ])
-            buckets)
-        t.rows
-    in
-    let header = fst t.table.label_header in
-    Report.table
-      ~header:
-        (if stat_column then [ header; "stat"; Buckets.header ]
-         else [ header; Buckets.header ])
-      ~rows ppf
-
-  let csv ~dir t =
-    write_csv ~dir t.table.file
-      ~header:([ snd t.table.label_header; "statistic" ] @ bucket_header)
-      ~rows:
-        (List.concat_map
-           (fun (label, buckets) ->
-             List.map
-               (fun (stat, row) ->
-                 [ label; Study.statistic_name stat ] @ bucket_cells row)
-               buckets)
-           t.rows)
+    render (columns t.table) t ppf
 end
 
 module Fig2 = struct
@@ -395,23 +479,21 @@ module Fig2 = struct
         end)
       Category.all
 
-  let csv ~dir t =
-    write_csv ~dir "fig2.csv"
-      ~header:
-        [ "vms"; "category"; "sites"; "min"; "lo95"; "q1"; "median"; "q3";
-          "hi95"; "max" ]
-      ~rows:
-        (List.filter_map
-           (fun (c : cell) ->
-             Option.map
-               (fun (v : Violin.t) ->
-                 string_of_int c.vms :: Category.to_string c.category
-                 :: string_of_int v.Violin.count
-                 :: List.map (Printf.sprintf "%.1f")
-                      Violin.
-                        [ v.min; v.lo95; v.q1; v.median; v.q3; v.hi95; v.max ])
-               c.violin)
-           t.cells)
+  let columns =
+    columns ~file:"fig2.csv"
+      (fun t ->
+        List.filter_map
+          (fun (c : cell) -> Option.map (fun v -> (c, v)) c.violin)
+          t.cells) @@ fun () ->
+    csv "vms" (fun ((c : cell), _) -> string_of_int c.vms)
+    :: csv "category" (fun ((c : cell), _) -> Category.to_string c.category)
+    :: csv_count "sites" (fun (_, v) -> v.Violin.count)
+    :: fields "%.1f" snd
+         Violin.
+           [ ("min", fun v -> v.min); ("lo95", fun v -> v.lo95);
+             ("q1", fun v -> v.q1); ("median", fun v -> v.median);
+             ("q3", fun v -> v.q3); ("hi95", fun v -> v.hi95);
+             ("max", fun v -> v.max) ]
 end
 
 (* Fig 3 and Fig 4 sweep one grid, app x {kvm, docker} x {isolated,
@@ -496,26 +578,17 @@ module Fig3 = struct
         "p99 increase, isolated -> contended" )
       ppf t.cells
 
-  let csv ~dir t =
-    write_csv ~dir "fig3.csv"
-      ~header:
-        [ "app"; "kind"; "contended"; "mean_ns"; "p95_ns"; "p99_ns"; "max_ns";
-          "degraded"; "survivors" ]
-      ~rows:
-        (List.map
-           (fun (r : Runner.result) ->
-             [
-               r.Runner.app_name;
-               r.Runner.kind;
-               string_of_bool r.Runner.contended;
-               Printf.sprintf "%.0f" r.Runner.mean;
-               Printf.sprintf "%.0f" r.Runner.p95;
-               Printf.sprintf "%.0f" r.Runner.p99;
-               Printf.sprintf "%.0f" r.Runner.max;
-               string_of_bool r.Runner.degraded;
-               string_of_int r.Runner.survivors;
-             ])
-           t.cells)
+  let columns =
+    columns ~file:"fig3.csv" (fun t -> t.cells) @@ fun () ->
+    Runner.(
+      csv "app" (fun r -> r.app_name)
+      :: csv "kind" (fun r -> r.kind)
+      :: csv "contended" (fun r -> string_of_bool r.contended)
+      :: fields "%.0f" Fun.id
+           [ ("mean_ns", fun r -> r.mean); ("p95_ns", fun r -> r.p95);
+             ("p99_ns", fun r -> r.p99); ("max_ns", fun r -> r.max) ]
+      @ [ csv "degraded" (fun r -> string_of_bool r.degraded);
+          csv_count "survivors" (fun r -> r.survivors) ])
 end
 
 module Fig4 = struct
@@ -558,24 +631,17 @@ module Fig4 = struct
         "relative loss, isolated -> multi-tenant" )
       ppf t.cells
 
-  let csv ~dir t =
-    write_csv ~dir "fig4.csv"
-      ~header:
-        [ "app"; "kind"; "contended"; "runtime_ns"; "node_mean_iter_ns";
-          "node_p99_iter_ns"; "straggler_factor" ]
-      ~rows:
-        (List.map
-           (fun (r : Cluster.result) ->
-             [
-               r.Cluster.app_name;
-               r.Cluster.kind;
-               string_of_bool r.Cluster.contended;
-               Printf.sprintf "%.0f" r.Cluster.runtime_ns;
-               Printf.sprintf "%.0f" r.Cluster.node_mean_iter_ns;
-               Printf.sprintf "%.0f" r.Cluster.node_p99_iter_ns;
-               Printf.sprintf "%.4f" r.Cluster.straggler_factor;
-             ])
-           t.cells)
+  let columns =
+    columns ~file:"fig4.csv" (fun t -> t.cells) @@ fun () ->
+    Cluster.(
+      csv "app" (fun r -> r.app_name)
+      :: csv "kind" (fun r -> r.kind)
+      :: csv "contended" (fun r -> string_of_bool r.contended)
+      :: fields "%.0f" Fun.id
+           [ ("runtime_ns", fun r -> r.runtime_ns);
+             ("node_mean_iter_ns", fun r -> r.node_mean_iter_ns);
+             ("node_p99_iter_ns", fun r -> r.node_p99_iter_ns) ]
+      @ [ num ("straggler_factor", "%.4f") (fun r -> r.straggler_factor) ])
 end
 
 module Locks = struct
@@ -647,24 +713,30 @@ module Locks = struct
     in
     { rows }
 
+  (* The CSV carries every lock; stdout omits the quiet ones. *)
+  let columns =
+    let wait name shown_name get =
+      both
+        (name, fun r -> Printf.sprintf "%.1f" (get r))
+        (shown_name, fun r -> Report.duration_ns (get r))
+    in
+    columns ~file:"locks.csv"
+      ~shown:(fun r -> r.contended_pct >= 0.1)
+      (fun t -> t.rows) @@ fun () ->
+    [
+      col "environment" (fun r -> r.env);
+      col "lock" (fun r -> r.lock);
+      count "acquisitions" ~shown:"acq" (fun r -> r.acquisitions);
+      num ("contended_pct", "%.4f") ~shown:("contended", "%.1f%%")
+        (fun r -> r.contended_pct);
+      wait "mean_wait_ns" "mean wait" (fun r -> r.mean_wait_ns);
+      wait "max_wait_ns" "max wait" (fun r -> r.max_wait_ns);
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "E10 diagnostic: per-lock contention under the corpus (>= 0.1%% contended)@.@.";
-    let rows =
-      List.filter (fun r -> r.contended_pct >= 0.1) t.rows
-      |> List.map (fun r ->
-             [
-               r.env;
-               r.lock;
-               string_of_int r.acquisitions;
-               Printf.sprintf "%.1f%%" r.contended_pct;
-               Report.duration_ns r.mean_wait_ns;
-               Report.duration_ns r.max_wait_ns;
-             ])
-    in
-    Report.table
-      ~header:[ "environment"; "lock"; "acq"; "contended"; "mean wait"; "max wait" ]
-      ~rows ppf
+    render columns t ppf
 end
 
 module Ablate_virt = struct
@@ -721,41 +793,29 @@ module Ablate_virt = struct
     in
     { rows }
 
+  let columns =
+    let runtime name get =
+      both
+        (name ^ "_runtime_ns", fun r -> Printf.sprintf "%.0f" (get r))
+        (name ^ " (s)", fun r -> Printf.sprintf "%.3f" (get r /. 1e9))
+    in
+    columns ~file:"ablate_virt.csv" (fun t -> t.rows) @@ fun () ->
+    [
+      col "app" (fun r -> r.app);
+      col "exit_scale" ~shown:"exit scale" (fun r ->
+          Printf.sprintf "%.2f" r.exit_scale);
+      runtime "kvm" (fun r -> r.kvm_runtime_ns);
+      runtime "docker" (fun r -> r.docker_runtime_ns);
+      shown "kvm advantage" (fun r ->
+          Printf.sprintf "%+.1f%%"
+            (100.0 *. (r.docker_runtime_ns -. r.kvm_runtime_ns)
+            /. r.docker_runtime_ns));
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "E8 ablation: contended 64-node KVM runtime as exit costs shrink@.@.";
-    let rows =
-      List.map
-        (fun r ->
-          [
-            r.app;
-            Printf.sprintf "%.2f" r.exit_scale;
-            Printf.sprintf "%.3f" (r.kvm_runtime_ns /. 1e9);
-            Printf.sprintf "%.3f" (r.docker_runtime_ns /. 1e9);
-            Printf.sprintf "%+.1f%%"
-              (100.0
-              *. (r.docker_runtime_ns -. r.kvm_runtime_ns)
-              /. r.docker_runtime_ns);
-          ])
-        t.rows
-    in
-    Report.table
-      ~header:[ "app"; "exit scale"; "kvm (s)"; "docker (s)"; "kvm advantage" ]
-      ~rows ppf
-
-  let csv ~dir t =
-    write_csv ~dir "ablate_virt.csv"
-      ~header:[ "app"; "exit_scale"; "kvm_runtime_ns"; "docker_runtime_ns" ]
-      ~rows:
-        (List.map
-           (fun (r : row) ->
-             [
-               r.app;
-               Printf.sprintf "%.2f" r.exit_scale;
-               Printf.sprintf "%.0f" r.kvm_runtime_ns;
-               Printf.sprintf "%.0f" r.docker_runtime_ns;
-             ])
-           t.rows)
+    render columns t ppf
 end
 
 module Dose = struct
@@ -869,54 +929,31 @@ module Dose = struct
         else None)
       t.cells
 
+  let columns =
+    columns ~file:"dose.csv" (fun t -> t.cells) @@ fun () ->
+    [
+      col "environment" (fun c -> c.env);
+      col "intensity" ~shown:"dose" (fun c ->
+          Printf.sprintf "%.2f" c.intensity);
+      us "p99" (fun c -> c.p99);
+      { csv = None;
+        shown = Some ("vs baseline", ratio vs_baseline ("%.2fx", "-")) };
+      num ("cov", "%.4f") ~shown:("CoV", "%.3f") (fun c -> c.cov);
+      count "injections" (fun c -> c.injections);
+      count "retries" (fun c -> c.retries);
+      both
+        ("degraded", fun c -> string_of_bool c.degraded)
+        ("degraded", fun c ->
+          if c.degraded then Printf.sprintf "yes (%d left)" c.survivors
+          else "no");
+      csv_count "survivors" (fun c -> c.survivors);
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "Dose-response: varbench p99 sensitivity to injected faults (plan %s)@.@."
       t.plan_name;
-    let rows =
-      List.map
-        (fun c ->
-          [
-            c.env;
-            Printf.sprintf "%.2f" c.intensity;
-            Printf.sprintf "%.1f" (c.p99 /. 1e3);
-            Option.fold ~none:"-" ~some:(Printf.sprintf "%.2fx")
-              (vs_baseline t c);
-            Printf.sprintf "%.3f" c.cov;
-            string_of_int c.injections;
-            string_of_int c.retries;
-            (if c.degraded then Printf.sprintf "yes (%d left)" c.survivors
-             else "no");
-          ])
-        t.cells
-    in
-    Report.table
-      ~header:
-        [
-          "environment"; "dose"; "p99 (us)"; "vs baseline"; "CoV";
-          "injections"; "retries"; "degraded";
-        ]
-      ~rows ppf
-
-  let csv ~dir t =
-    write_csv ~dir "dose.csv"
-      ~header:
-        [ "environment"; "intensity"; "p99_ns"; "cov"; "injections"; "retries";
-          "degraded"; "survivors" ]
-      ~rows:
-        (List.map
-           (fun (c : cell) ->
-             [
-               c.env;
-               Printf.sprintf "%.2f" c.intensity;
-               Printf.sprintf "%.0f" c.p99;
-               Printf.sprintf "%.4f" c.cov;
-               string_of_int c.injections;
-               string_of_int c.retries;
-               string_of_bool c.degraded;
-               string_of_int c.survivors;
-             ])
-           t.cells)
+    render columns t ppf
 end
 
 module Specialize = struct
@@ -1020,62 +1057,39 @@ module Specialize = struct
 
   let row t ~env = List.find_opt (fun r -> r.env = env) t.rows
 
+  (* Two rows per environment, one per bucketed statistic.  Stdout
+     prints the environment's figures on its p99 row only. *)
+  let columns =
+    columns ~file:"specialize.csv"
+      (fun t ->
+        List.concat_map
+          (fun r -> [ (r, "p99", r.p99_bucket); (r, "max", r.max_bucket) ])
+          t.rows) @@ fun () ->
+    let p99_row = only_on (fun (_, stat, _) -> stat = "p99") in
+    let stat (_, stat, _) = stat in
+    [
+      p99_row (col "environment" (fun (r, _, _) -> r.env));
+      shown "stat" stat;
+      shown Buckets.header (fun (_, _, b) -> Format.asprintf "%a" Buckets.pp b);
+    ]
+    @ List.map p99_row
+        [
+          us "p50" (fun (r, _, _) -> r.p50);
+          us "p99" (fun (r, _, _) -> r.p99);
+          num ("tail_ratio", "%.4f") ~shown:("site p99/p50", "%.2f")
+            (fun (r, _, _) -> r.tail_ratio);
+          count "denials" (fun (r, _, _) -> r.denials);
+          num ("surface_area", "%.4f") ~shown:("surface", "%.3f")
+            (fun (r, _, _) -> r.surface_area);
+        ]
+    @ csv "statistic" stat :: bucket_columns (fun (_, _, b) -> b)
+
   let pp ppf t =
     Format.fprintf ppf
       "Specialization (kspec): fs-restricted varbench (%d call sites), \
        64 ranks per environment@.@.%a@.@."
       t.corpus_calls Ksurf_spec.Spec.pp t.spec;
-    let cell row = Format.asprintf "%a" Buckets.pp row in
-    let rows =
-      List.concat_map
-        (fun r ->
-          [
-            [
-              r.env;
-              "p99";
-              cell r.p99_bucket;
-              Printf.sprintf "%.1f" (r.p50 /. 1e3);
-              Printf.sprintf "%.1f" (r.p99 /. 1e3);
-              Printf.sprintf "%.2f" r.tail_ratio;
-              string_of_int r.denials;
-              Printf.sprintf "%.3f" r.surface_area;
-            ];
-            [ ""; "max"; cell r.max_bucket; ""; ""; ""; ""; "" ];
-          ])
-        t.rows
-    in
-    Report.table
-      ~header:
-        [
-          "environment"; "stat"; Buckets.header; "p50 (us)"; "p99 (us)";
-          "site p99/p50"; "denials"; "surface";
-        ]
-      ~rows ppf
-
-  let csv ~dir t =
-    write_csv ~dir "specialize.csv"
-      ~header:
-        ([ "environment"; "p50_ns"; "p99_ns"; "tail_ratio"; "denials";
-           "surface_area"; "statistic" ]
-        @ bucket_header)
-      ~rows:
-        (List.concat_map
-           (fun (r : row) ->
-             let base =
-               [
-                 r.env;
-                 Printf.sprintf "%.0f" r.p50;
-                 Printf.sprintf "%.0f" r.p99;
-                 Printf.sprintf "%.4f" r.tail_ratio;
-                 string_of_int r.denials;
-                 Printf.sprintf "%.4f" r.surface_area;
-               ]
-             in
-             [
-               (base @ [ "p99" ]) @ bucket_cells r.p99_bucket;
-               (base @ [ "max" ]) @ bucket_cells r.max_bucket;
-             ])
-           t.rows)
+    render columns t ppf
 end
 
 module Recover = struct
@@ -1195,64 +1209,38 @@ module Recover = struct
         else None)
       t.cells
 
+  let columns =
+    columns ~file:"recover.csv" (fun t -> t.cells) @@ fun () ->
+    [
+      col "policy" (fun c -> c.policy);
+      num ("crash_rate", "%.4f") ~shown:("crash rate", "%.3f")
+        (fun c -> c.crash_rate);
+      both
+        ("runtime_ns", fun c -> Printf.sprintf "%.0f" c.runtime_ns)
+        ("runtime (s)", fun c -> Printf.sprintf "%.3f" (c.runtime_ns /. 1e9));
+      { csv = Some ("vs_crash_free", ratio vs_crash_free ("%.4f", ""));
+        shown = Some ("vs crash-free", ratio vs_crash_free ("%.2fx", "-")) };
+      num ("straggler_factor", "%.4f") ~shown:("straggler", "%.2f")
+        (fun c -> c.straggler_factor);
+      csv_count "supersteps" (fun c -> c.supersteps);
+      count "survivors" (fun c -> c.survivors);
+      both
+        ("degraded", fun c -> string_of_bool c.degraded)
+        ("degraded", fun c -> if c.degraded then "yes" else "no");
+      count "crashes" (fun c -> c.crashes);
+      count "restarts" (fun c -> c.restarts);
+      count "backups" (fun c -> c.backups);
+      count "deaths" (fun c -> c.deaths);
+      csv_count "transitions" (fun c -> c.transitions);
+      count "checkpoints" ~shown:"ckpts" (fun c -> c.checkpoints);
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "Recovery study: crash rate x policy on the %d-node BSP synthesis \
        (%d supersteps, pool mean %.2f ms)@.@."
       t.nodes t.iterations (t.pool_mean_ns /. 1e6);
-    let rows =
-      List.map
-        (fun c ->
-          [
-            c.policy;
-            Printf.sprintf "%.3f" c.crash_rate;
-            Printf.sprintf "%.3f" (c.runtime_ns /. 1e9);
-            Option.fold ~none:"-" ~some:(Printf.sprintf "%.2fx")
-              (vs_crash_free t c);
-            Printf.sprintf "%.2f" c.straggler_factor;
-            string_of_int c.survivors;
-            (if c.degraded then "yes" else "no");
-            string_of_int c.crashes;
-            string_of_int c.restarts;
-            string_of_int c.backups;
-            string_of_int c.deaths;
-            string_of_int c.checkpoints;
-          ])
-        t.cells
-    in
-    Report.table
-      ~header:
-        [
-          "policy"; "crash rate"; "runtime (s)"; "vs crash-free"; "straggler";
-          "survivors"; "degraded"; "crashes"; "restarts"; "backups"; "deaths";
-          "ckpts";
-        ]
-      ~rows ppf
-
-  let csv ~dir t =
-    write_csv ~dir "recover.csv"
-      ~header:
-        [ "policy"; "crash_rate"; "runtime_ns"; "vs_crash_free";
-          "straggler_factor"; "supersteps"; "survivors"; "degraded"; "crashes";
-          "restarts"; "backups"; "deaths"; "transitions"; "checkpoints" ]
-      ~rows:
-        (List.map
-           (fun (c : cell) ->
-             [
-               c.policy;
-               Printf.sprintf "%.4f" c.crash_rate;
-               Printf.sprintf "%.0f" c.runtime_ns;
-               Option.fold ~none:"" ~some:(Printf.sprintf "%.4f")
-                 (vs_crash_free t c);
-               Printf.sprintf "%.4f" c.straggler_factor;
-               string_of_int c.supersteps;
-               string_of_int c.survivors;
-               string_of_bool c.degraded;
-             ]
-             @ List.map string_of_int
-                 [ c.crashes; c.restarts; c.backups; c.deaths; c.transitions;
-                   c.checkpoints ])
-           t.cells)
+    render columns t ppf
 end
 
 module Tenancy = struct
@@ -1330,69 +1318,70 @@ module Tenancy = struct
   let frontier_floor = 0.95
 
   let frontier t =
-    let policies =
-      List.sort_uniq compare
-        (List.map (fun (c : cell) -> c.Fleet.policy) t.cells)
+    let key (c : cell) = (c.Fleet.tenants, c.Fleet.churn_per_day) in
+    let attains (c : cell) =
+      c.Fleet.measured > 0 && c.Fleet.attainment >= frontier_floor
     in
     List.map
       (fun p ->
-        let mine =
-          List.filter
-            (fun (c : cell) ->
-              c.Fleet.policy = p
-              && c.Fleet.measured > 0
-              && c.Fleet.attainment >= frontier_floor)
-            t.cells
+        let best acc (c : cell) =
+          match acc with
+          | Some b when key b >= key c -> acc
+          | _ -> if c.Fleet.policy = p && attains c then Some c else acc
         in
-        let best =
-          List.fold_left
-            (fun acc (c : cell) ->
-              match acc with
-              | None -> Some c
-              | Some (b : cell) ->
-                  if
-                    c.Fleet.tenants > b.Fleet.tenants
-                    || (c.Fleet.tenants = b.Fleet.tenants
-                        && c.Fleet.churn_per_day > b.Fleet.churn_per_day)
-                  then Some c
-                  else acc)
-            None mine
-        in
-        (p, best))
-      policies
+        (p, List.fold_left best None t.cells))
+      (List.sort_uniq compare
+         (List.map (fun (c : cell) -> c.Fleet.policy) t.cells))
+
+  let columns =
+    let module F = Fleet in
+    columns ~file:"tenancy.csv" (fun t -> t.cells) @@ fun () ->
+    [
+      col "policy" (fun c -> c.F.policy);
+      count "tenants" (fun c -> c.F.tenants);
+      num ("churn_per_day", "%.2f") ~shown:("churn/day", "%.1f")
+        (fun c -> c.F.churn_per_day);
+      count "completed" ~shown:"requests" (fun c -> c.F.completed);
+      num ("mean_ns", "%.0f") (fun c -> c.F.mean);
+      us "p50" (fun c -> c.F.p50);
+      num ("p95_ns", "%.0f") (fun c -> c.F.p95);
+      us "p99" (fun c -> c.F.p99);
+      num ("max_ns", "%.0f") (fun c -> c.F.max);
+      num ("slo_ns", "%.0f") (fun c -> c.F.slo_ns);
+      csv_count "measured" (fun c -> c.F.measured);
+      csv_count "slo_met" (fun c -> c.F.slo_met);
+      both
+        ("attainment", fun c -> Printf.sprintf "%.4f" c.F.attainment)
+        ( "slo attain",
+          fun c ->
+            if c.F.measured = 0 then "n/a"
+            else Printf.sprintf "%.3f" c.F.attainment );
+      count "epoch_violations" ~shown:"viol epochs" (fun c ->
+          c.F.epoch_violations);
+      csv_count "arrivals" (fun c -> c.F.arrivals);
+      csv_count "departures" (fun c -> c.F.departures);
+      csv_count "cgroup_creates" (fun c -> c.F.cgroup_creates);
+      csv_count "cgroup_destroys" (fun c -> c.F.cgroup_destroys);
+      shown "cg storms" (fun c ->
+          string_of_int (c.F.cgroup_creates + c.F.cgroup_destroys));
+      count "migrations" ~shown:"migr" (fun c -> c.F.migrations);
+      csv_count "scale_ups" (fun c -> c.F.scale_ups);
+      csv_count "scale_downs" (fun c -> c.F.scale_downs);
+      shown "scale" (fun c -> string_of_int (c.F.scale_ups + c.F.scale_downs));
+      csv_count "replica_imbalance" (fun c -> c.F.replica_imbalance);
+      csv_count "peak_cgroups" (fun c -> c.F.peak_cgroups);
+      csv_count "final_native" (fun c -> c.F.final_native);
+      csv_count "final_docker" (fun c -> c.F.final_docker);
+      csv_count "final_kvm" (fun c -> c.F.final_kvm);
+      csv_count "final_mk" (fun c -> c.F.final_mk);
+    ]
 
   let pp ppf t =
     Format.fprintf ppf
       "Tenancy study: fleet p99 and SLO attainment (p99 <= %.0f us per \
        tenant) by policy x tenants x churn@.@."
       (t.slo_ns /. 1e3);
-    let rows =
-      List.map
-        (fun (c : cell) ->
-          [
-            c.Fleet.policy;
-            string_of_int c.Fleet.tenants;
-            Printf.sprintf "%.1f" c.Fleet.churn_per_day;
-            string_of_int c.Fleet.completed;
-            Printf.sprintf "%.1f" (c.Fleet.p50 /. 1e3);
-            Printf.sprintf "%.1f" (c.Fleet.p99 /. 1e3);
-            (if c.Fleet.measured = 0 then "n/a"
-             else Printf.sprintf "%.3f" c.Fleet.attainment);
-            string_of_int c.Fleet.epoch_violations;
-            string_of_int (c.Fleet.cgroup_creates + c.Fleet.cgroup_destroys);
-            string_of_int c.Fleet.migrations;
-            string_of_int
-              (c.Fleet.scale_ups + c.Fleet.scale_downs);
-          ])
-        t.cells
-    in
-    Report.table
-      ~header:
-        [
-          "policy"; "tenants"; "churn/day"; "requests"; "p50 (us)"; "p99 (us)";
-          "slo attain"; "viol epochs"; "cg storms"; "migr"; "scale";
-        ]
-      ~rows ppf;
+    render columns t ppf;
     Format.fprintf ppf
       "@.SLO frontier (largest cell with >= 95%% of measured tenants \
        attaining):@.";
@@ -1408,43 +1397,14 @@ module Tenancy = struct
         | None -> Format.fprintf ppf "  %-13s  no cell attains the floor@." p)
       (frontier t)
 
-  let csv ~dir t =
-    write_csv ~dir "tenancy.csv"
-      ~header:
-        [ "policy"; "tenants"; "churn_per_day"; "completed"; "mean_ns";
-          "p50_ns"; "p95_ns"; "p99_ns"; "max_ns"; "slo_ns"; "measured";
-          "slo_met"; "attainment"; "epoch_violations"; "arrivals";
-          "departures"; "cgroup_creates"; "cgroup_destroys"; "migrations";
-          "scale_ups"; "scale_downs"; "replica_imbalance"; "peak_cgroups";
-          "final_native";
-          "final_docker"; "final_kvm"; "final_mk" ]
-      ~rows:
-        (List.map
-           (fun (c : cell) ->
-             let module F = Ksurf_tenant.Fleet in
-             [ c.F.policy; string_of_int c.F.tenants;
-               Printf.sprintf "%.2f" c.F.churn_per_day;
-               string_of_int c.F.completed ]
-             @ List.map (Printf.sprintf "%.0f")
-                 [ c.F.mean; c.F.p50; c.F.p95; c.F.p99; c.F.max; c.F.slo_ns ]
-             @ [ string_of_int c.F.measured; string_of_int c.F.slo_met;
-                 Printf.sprintf "%.4f" c.F.attainment ]
-             @ List.map string_of_int
-                 [ c.F.epoch_violations; c.F.arrivals; c.F.departures;
-                   c.F.cgroup_creates; c.F.cgroup_destroys; c.F.migrations;
-                   c.F.scale_ups; c.F.scale_downs; c.F.replica_imbalance;
-                   c.F.peak_cgroups; c.F.final_native; c.F.final_docker;
-                   c.F.final_kvm; c.F.final_mk ])
-           t.cells)
-
   (* The tenancy entry over a chosen grid; [studies] holds the default
      one and [ksurf_cli tenancy]'s grid flags build the others. *)
   let study ?tenants ?churns ?policies () =
-    study ~journals:true ~csv "tenancy"
+    study ~journals:true "tenancy"
       "ktenant study: fleet-scale multi-tenant serving under churn and \
        diurnal load — placement policy x tenant count x churn rate, with \
        per-tenant p99 SLO autoscaling"
-      pp
+      columns pp
       (run ?tenants ?churns ?policies)
 end
 
@@ -1504,36 +1464,48 @@ module Drift = struct
         c.Driftbench.policy = policy && c.Driftbench.dose = dose)
       t.cells
 
+  let columns =
+    let module D = Driftbench in
+    let opt_ns = Option.fold ~none:"" ~some:(Printf.sprintf "%.0f") in
+    columns ~file:"drift.csv" (fun t -> t.cells) @@ fun () ->
+    [
+      col "policy" (fun c -> c.D.policy);
+      num ("dose", "%.2f") ~shown:("dose", "%.1f") (fun c -> c.D.dose);
+      csv_count "ranks" (fun c -> c.D.ranks);
+      csv_count "epochs" (fun c -> c.D.epochs);
+      count "calls" (fun c -> c.D.calls);
+      csv_count "denied" (fun c -> c.D.denied);
+      csv_count "calls_post_drift" (fun c -> c.D.calls_post_drift);
+      csv_count "denied_post_drift" (fun c -> c.D.denied_post_drift);
+      num ("fp_rate", "%.6f") ~shown:("fp rate", "%.4f") (fun c -> c.D.fp_rate);
+      num ("p99_ns", "%.0f") (fun c -> c.D.p99_ns);
+      num ("surface", "%.4f") (fun c -> c.D.surface);
+      num ("surface_full", "%.4f") (fun c -> c.D.surface_full);
+      num ("reduction", "%.4f") ~shown:("surface red.", "%.3f")
+        (fun c -> c.D.reduction);
+      csv "drift_at_ns" (fun c -> opt_ns c.D.drift_at_ns);
+      both
+        ("reconverge_ns", fun c -> opt_ns c.D.reconverge_ns)
+        ( "reconverge (us)",
+          fun c ->
+            Option.fold ~none:"n/a"
+              ~some:(fun ns -> Printf.sprintf "%.0f" (ns /. 1e3))
+              c.D.reconverge_ns );
+      count "promotions" ~shown:"promote" (fun c -> c.D.promotions);
+      count "demotions" ~shown:"demote" (fun c -> c.D.demotions);
+      count "respecializations" ~shown:"respec" (fun c ->
+          c.D.respecializations);
+      csv_count "swaps" (fun c -> c.D.swaps);
+      count "drifts" (fun c -> c.D.drifts);
+      num ("mean_denial_rate", "%.6f") (fun c -> c.D.mean_denial_rate);
+      num ("p95_divergence", "%.6f") (fun c -> c.D.p95_divergence);
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "Drift study: false-positive ENOSYS vs retained surface area vs \
        time-to-reconverge, per policy x dose@.@.";
-    let rows =
-      List.map
-        (fun (c : cell) ->
-          [
-            c.Driftbench.policy;
-            Printf.sprintf "%.1f" c.Driftbench.dose;
-            string_of_int c.Driftbench.calls;
-            Printf.sprintf "%.4f" c.Driftbench.fp_rate;
-            Printf.sprintf "%.3f" c.Driftbench.reduction;
-            (match c.Driftbench.reconverge_ns with
-            | None -> "n/a"
-            | Some ns -> Printf.sprintf "%.0f" (ns /. 1e3));
-            string_of_int c.Driftbench.promotions;
-            string_of_int c.Driftbench.demotions;
-            string_of_int c.Driftbench.respecializations;
-            string_of_int c.Driftbench.drifts;
-          ])
-        t.cells
-    in
-    Report.table
-      ~header:
-        [
-          "policy"; "dose"; "calls"; "fp rate"; "surface red.";
-          "reconverge (us)"; "promote"; "demote"; "respec"; "drifts";
-        ]
-      ~rows ppf;
+    render columns t ppf;
     (* The headline comparison at each drifted dose. *)
     let doses =
       List.sort_uniq compare
@@ -1558,44 +1530,12 @@ module Drift = struct
         | _ -> ())
       doses
 
-  let csv ~dir t =
-    let opt_ns = function
-      | None -> ""
-      | Some ns -> Printf.sprintf "%.0f" ns
-    in
-    write_csv ~dir "drift.csv"
-      ~header:
-        [ "policy"; "dose"; "ranks"; "epochs"; "calls"; "denied";
-          "calls_post_drift"; "denied_post_drift"; "fp_rate"; "p99_ns";
-          "surface"; "surface_full"; "reduction"; "drift_at_ns";
-          "reconverge_ns"; "promotions"; "demotions"; "respecializations";
-          "swaps"; "drifts"; "mean_denial_rate"; "p95_divergence" ]
-      ~rows:
-        (List.map
-           (fun (c : cell) ->
-             let module D = Ksurf_adapt.Driftbench in
-             [ c.D.policy; Printf.sprintf "%.2f" c.D.dose ]
-             @ List.map string_of_int
-                 [ c.D.ranks; c.D.epochs; c.D.calls; c.D.denied;
-                   c.D.calls_post_drift; c.D.denied_post_drift ]
-             @ [ Printf.sprintf "%.6f" c.D.fp_rate;
-                 Printf.sprintf "%.0f" c.D.p99_ns ]
-             @ List.map (Printf.sprintf "%.4f")
-                 [ c.D.surface; c.D.surface_full; c.D.reduction ]
-             @ [ opt_ns c.D.drift_at_ns; opt_ns c.D.reconverge_ns ]
-             @ List.map string_of_int
-                 [ c.D.promotions; c.D.demotions; c.D.respecializations;
-                   c.D.swaps; c.D.drifts ]
-             @ List.map (Printf.sprintf "%.6f")
-                 [ c.D.mean_denial_rate; c.D.p95_divergence ])
-           t.cells)
-
   let study ?doses ?policies () =
-    study ~journals:true ~csv "drift"
+    study ~journals:true "drift"
       "kadapt study: online adaptive specialization under workload drift — \
        policy x dose, tabling false-positive ENOSYS rate vs retained \
        surface area vs time-to-reconverge"
-      pp
+      columns pp
       (run ?doses ?policies)
 end
 
@@ -1650,79 +1590,54 @@ module Torture = struct
   let violations t =
     List.fold_left (fun acc c -> acc + T.violations c) 0 t.cells
 
+  let columns =
+    columns ~file:"torture.csv" (fun t -> t.cells) @@ fun () ->
+    [
+      col "path" (fun c -> c.T.kind);
+      num ("dose", "%.2f") ~shown:("dose", "%.1f") (fun c -> c.T.dose);
+      csv_count "trace_ops" (fun c -> c.T.trace_ops);
+      count "crash_points" ~shown:"crash pts" (fun c -> c.T.crash_points);
+      count "crash_states" ~shown:"states" (fun c -> c.T.crash_states);
+      count "enum_violations" ~shown:"viol" (fun c -> c.T.enum_violations);
+      count "torn_refused" ~shown:"torn ref" (fun c -> c.T.torn_refused);
+      csv_count "live_runs" (fun c -> c.T.live_runs);
+      csv_count "live_ok" (fun c -> c.T.live_ok);
+      shown "recovered" (fun c ->
+          Printf.sprintf "%d/%d" c.T.live_ok c.T.live_runs);
+      num ("recovery_ok", "%.4f") ~shown:("rate", "%.2f") (fun c ->
+          c.T.recovery_ok);
+      count "crashes" (fun c -> c.T.crashes);
+      count "transients" ~shown:"transient" (fun c -> c.T.transients);
+      count "enospc" (fun c -> c.T.enospc);
+      csv_count "eio" (fun c -> c.T.eio);
+      csv_count "torn_writes" (fun c -> c.T.torn_writes);
+      csv_count "fsync_dropped" (fun c -> c.T.fsync_dropped);
+      count "deferred_persists" ~shown:"deferred" (fun c ->
+          c.T.deferred_persists);
+      count "cells_lost" ~shown:"lost" (fun c -> c.T.cells_lost);
+      count "double_runs" ~shown:"dbl-run" (fun c -> c.T.double_runs);
+      count "litter" (fun c -> c.T.litter);
+      count "litter_after" ~shown:"litter after" (fun c -> c.T.litter_after);
+    ]
+
   let pp ppf t =
     Format.fprintf ppf
       "Torture study: crash-state enumeration + live fault injection per \
        writer path x dose@.@.";
-    let rows =
-      List.map
-        (fun (c : cell) ->
-          [
-            c.T.kind;
-            Printf.sprintf "%.1f" c.T.dose;
-            string_of_int c.T.crash_points;
-            string_of_int c.T.crash_states;
-            string_of_int c.T.enum_violations;
-            string_of_int c.T.torn_refused;
-            Printf.sprintf "%d/%d" c.T.live_ok c.T.live_runs;
-            Printf.sprintf "%.2f" c.T.recovery_ok;
-            string_of_int c.T.crashes;
-            string_of_int c.T.transients;
-            string_of_int c.T.enospc;
-            string_of_int c.T.deferred_persists;
-            string_of_int c.T.cells_lost;
-            string_of_int c.T.double_runs;
-            string_of_int c.T.litter;
-            string_of_int c.T.litter_after;
-          ])
-        t.cells
-    in
-    Report.table
-      ~header:
-        [
-          "path"; "dose"; "crash pts"; "states"; "viol"; "torn ref";
-          "recovered"; "rate"; "crashes"; "transient"; "enospc"; "deferred";
-          "lost"; "dbl-run"; "litter"; "litter after";
-        ]
-      ~rows ppf;
+    render columns t ppf;
     Format.fprintf ppf
       "@.%d consistency violations across %d cells (0 = every invariant \
        held at every crash point)@."
       (violations t) (List.length t.cells)
 
-  let csv ~dir t =
-    write_csv ~dir "torture.csv"
-      ~header:
-        [ "path"; "dose"; "trace_ops"; "crash_points"; "crash_states";
-          "enum_violations"; "torn_refused"; "live_runs"; "live_ok";
-          "recovery_ok"; "crashes"; "transients"; "enospc"; "eio";
-          "torn_writes"; "fsync_dropped"; "deferred_persists"; "cells_lost";
-          "double_runs"; "litter"; "litter_after" ]
-      ~rows:
-        (List.map
-           (fun (c : cell) ->
-             let module T = Ksurf_dur.Torture in
-             [ c.T.kind; Printf.sprintf "%.2f" c.T.dose ]
-             @ List.map string_of_int
-                 [ c.T.trace_ops; c.T.crash_points; c.T.crash_states;
-                   c.T.enum_violations; c.T.torn_refused; c.T.live_runs;
-                   c.T.live_ok ]
-             @ (Printf.sprintf "%.4f" c.T.recovery_ok
-               :: List.map string_of_int
-                    [ c.T.crashes; c.T.transients; c.T.enospc; c.T.eio;
-                      c.T.torn_writes; c.T.fsync_dropped; c.T.deferred_persists;
-                      c.T.cells_lost; c.T.double_runs; c.T.litter;
-                      c.T.litter_after ]))
-           t.cells)
-
   (* Each run tortures its writers in a per-pid scratch directory, so
      concurrent runs never share crash states, and removes it after. *)
   let study ?doses ?kinds () =
-    study ~journals:true ~csv ~failures:violations "torture"
+    study ~journals:true ~failures:violations "torture"
       "kdur study: host-I/O fault injection and crash-consistency torture \
        — writer path x dose, enumerating every crash state and recovering \
        every live faulted run"
-      pp
+      columns pp
       (fun ctx ->
         let scratch = default_scratch ^ "." ^ string_of_int (Unix.getpid ()) in
         Fun.protect
@@ -1732,35 +1647,37 @@ end
 
 let studies =
   let breakdown name doc table =
-    study ~csv:Breakdown.csv name doc Breakdown.pp (Breakdown.run table)
+    study name doc (Breakdown.columns table) Breakdown.pp (Breakdown.run table)
   in
   [
-    study "table1" "Print the VM configuration sweep (Table 1)" Table1.pp
-      Table1.run;
+    study "table1" "Print the VM configuration sweep (Table 1)" Table1.columns
+      Table1.pp Table1.run;
     breakdown "table2" "Syscall latency breakdown (Table 2)" Breakdown.table2;
-    study ~csv:Fig2.csv "fig2" "Per-subsystem p99 vs VM count (Figure 2)"
-      Fig2.pp Fig2.run;
+    study "fig2" "Per-subsystem p99 vs VM count (Figure 2)" Fig2.columns Fig2.pp
+      Fig2.run;
     breakdown "table3" "Container worst-case breakdown (Table 3)"
       Breakdown.table3;
-    study ~csv:Fig3.csv "fig3" "Single-node tail latency (Figure 3)" Fig3.pp
+    study "fig3" "Single-node tail latency (Figure 3)" Fig3.columns Fig3.pp
       Fig3.run;
-    study ~csv:Fig4.csv "fig4" "64-node BSP runtimes (Figure 4)" Fig4.pp
+    study "fig4" "64-node BSP runtimes (Figure 4)" Fig4.columns Fig4.pp
       Fig4.run;
     breakdown "ablate" "E7: variability-mechanism knockouts" Breakdown.ablate;
-    study ~csv:Ablate_virt.csv "ablate-virt" "E8: exit-cost sensitivity sweep"
+    study "ablate-virt" "E8: exit-cost sensitivity sweep" Ablate_virt.columns
       Ablate_virt.pp Ablate_virt.run;
     breakdown "lwvm" "E9: lightweight-VM technology comparison" Breakdown.lwvm;
-    study "locks" "E10: per-lock contention attribution" Locks.pp Locks.run;
-    study ~journals:true ~csv:Dose.csv "dose"
-      "Dose-response: fault-intensity sensitivity sweep" Dose.pp Dose.run;
-    study ~journals:true ~csv:Specialize.csv "specialize"
+    study "locks" "E10: per-lock contention attribution" Locks.columns Locks.pp
+      Locks.run;
+    study ~journals:true "dose"
+      "Dose-response: fault-intensity sensitivity sweep" Dose.columns Dose.pp
+      Dose.run;
+    study ~journals:true "specialize"
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
-      Specialize.pp Specialize.run;
-    study ~journals:true ~csv:Recover.csv "recover"
+      Specialize.columns Specialize.pp Specialize.run;
+    study ~journals:true "recover"
       "krecov study: crash rate x recovery policy on the supervised 64-node \
        BSP synthesis"
-      Recover.pp Recover.run;
+      Recover.columns Recover.pp Recover.run;
     Tenancy.study ();
     Drift.study ();
     Torture.study ();

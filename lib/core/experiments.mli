@@ -2,11 +2,13 @@
 
     Every driver has one shape: [run] takes the grid arguments a caller
     may narrow (apps, intensities, rates, the tenancy/drift/torture
-    grids), then a {!context}, and returns a structured result that
-    [pp] renders paper-style and [csv] exports.  Each driver is
-    deterministic given the seed.  [Quick] scale keeps everything under
-    a few seconds for tests and smoke runs; [Full] scale is what the
-    committed [exports/] baselines pin.
+    grids), then a {!context}, and returns a structured result.  One
+    column list per study ({!columns}) declares both the CSV it exports
+    and the table it prints; [pp] builds the paper-style rendering
+    around that table.  Each driver is deterministic given the seed.
+    [Quick] scale keeps everything under a few seconds for tests and
+    smoke runs; [Full] scale is what the committed [exports/] baselines
+    pin.
 
     With a pool, a driver fans its sweep's cells across domains.  Cells
     are self-contained (each builds its own engine and PRNG stream from
@@ -39,12 +41,24 @@ val context :
 (** [seed] defaults to 42 and [corpus] to {!default_corpus} at that
     seed and scale, generated on first use. *)
 
+(** A CSV file as data: the exact text {!write_csv} writes. *)
+type csv = { file : string; header : string list; rows : string list list }
+
+type 't columns
+(** A study's column list over its result ['t]: each column has a CSV
+    side, a stdout side, or both; the list may name a CSV file. *)
+
+val csvs : 't columns -> 't -> csv list
+(** The result's CSV files: one, or none when the list names no file. *)
+
+val write_csv : dir:string -> csv -> string
+(** The one CSV writer: [dir/file] through {!Ksurf_report.Csv.write},
+    creating [dir] if missing.  Returns the path. *)
+
 (** What one run of a study hands back. *)
 type outcome = {
   render : Format.formatter -> unit;  (** the paper-style rendering *)
-  csv : (dir:string -> string list) option;
-      (** writes the result's CSV files into [dir] (created if missing)
-          and returns their paths; [None] for table1 and locks *)
+  csvs : csv list;  (** the result's CSV files, as data *)
   failures : int;  (** FAIL count: torture's violations, 0 elsewhere *)
 }
 
@@ -54,7 +68,8 @@ type study = {
   name : string;  (** the subcommand *)
   doc : string;
   journals : bool;  (** [run] skips and records journalled cells *)
-  exports : bool;  (** [run]'s outcome carries a CSV writer *)
+  exports : unit -> (string * string list) list;
+      (** each CSV [run] writes: file and header, known without running *)
   run : context -> outcome;
 }
 
@@ -114,12 +129,11 @@ module Breakdown : sig
 
   val run : table -> context -> t
 
-  val pp : Format.formatter -> t -> unit
-  (** The stat column appears only when the table has more than one
-      statistic. *)
+  val columns : table -> t columns
+  (** [<file>]: one row per (deployment, statistic).  Stdout shows the
+      stat column only when the table has more than one statistic. *)
 
-  val csv : dir:string -> t -> string list
-  (** [<file>]: one row per (deployment, statistic). *)
+  val pp : Format.formatter -> t -> unit
 end
 
 (** Figure 2: per-category p99 violins across the Table 1 VM sweep. *)
@@ -158,7 +172,7 @@ module Fig3 : sig
   val pp : Format.formatter -> t -> unit
   (** Renders (a) isolated p99s, (b) contended p99s, (c) %% increase. *)
 
-  val csv : dir:string -> t -> string list
+  val columns : t columns
   (** [fig3.csv]: one row per (app, kind, contended) cell. *)
 end
 
@@ -200,7 +214,8 @@ module Locks : sig
 
   val pp : Format.formatter -> t -> unit
   (** Sorted by contention within each environment; quiet locks
-      (contention < 0.1%%) are omitted. *)
+      (contention < 0.1%%) are omitted.  [locks.csv] carries every
+      lock. *)
 end
 
 (** E8 ablation: Figure 4 contended KVM cells as virtualisation hardware
@@ -256,7 +271,7 @@ module Dose : sig
 
   val pp : Format.formatter -> t -> unit
 
-  val csv : dir:string -> t -> string list
+  val columns : t columns
   (** [dose.csv]: one row per (environment, intensity) cell, stamped
       with the degraded flag and survivor count. *)
 end
@@ -391,15 +406,11 @@ module Tenancy : sig
       verdict and are excluded — their reported attainment of 0 is
       no-data, not a failing policy. *)
 
-  val csv : dir:string -> t -> string list
-  (** [tenancy.csv]: one row per (policy, tenants, churn) fleet cell:
-      latency summary, SLO attainment, churn-storm and autoscaling
-      counters, and the final placement-class census. *)
-
   val study :
     ?tenants:int list -> ?churns:float list ->
     ?policies:Ksurf_tenant.Policy.t list -> unit -> study
-  (** The [tenancy] entry over this grid (defaults as in {!run}). *)
+  (** The [tenancy] entry over this grid (defaults as in {!run}); its
+      [tenancy.csv] has one row per (policy, tenants, churn) cell. *)
 end
 
 module Drift : sig
@@ -422,15 +433,11 @@ module Drift : sig
 
   val cell : t -> policy:string -> dose:float -> cell option
 
-  val csv : dir:string -> t -> string list
-  (** [drift.csv]: one row per (policy, dose) cell: false-positive
-      ENOSYS rate, retained surface area, reconvergence time, and the
-      promotion / demotion / swap / drift counters. *)
-
   val study :
     ?doses:float list -> ?policies:Ksurf_adapt.Driftbench.policy list ->
     unit -> study
-  (** The [drift] entry over this grid (defaults as in {!run}). *)
+  (** The [drift] entry over this grid (defaults as in {!run}); its
+      [drift.csv] has one row per (policy, dose) cell. *)
 end
 
 module Torture : sig
@@ -452,11 +459,9 @@ module Torture : sig
   val violations : t -> int
   (** Total consistency violations across all cells; 0 required. *)
 
-  val csv : dir:string -> t -> string list
+  val columns : t columns
   (** [torture.csv]: one row per (writer path, dose) cell: crash-state
-      enumeration counts and violations, torn-state refusals, live
-      recovery rate, and the injected-fault / deferred-persist / litter
-      counters. *)
+      enumeration, live recovery and injected-fault counters. *)
 
   val study :
     ?doses:float list -> ?kinds:Ksurf_dur.Torture.kind list -> unit -> study

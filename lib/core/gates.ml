@@ -538,10 +538,11 @@ module Torture = struct
 
   let export_bytes ~root jobs t =
     let dir = Filename.concat root (Printf.sprintf "csv-j%d" jobs) in
-    String.concat "\x00"
-      (List.map
-         (fun p -> In_channel.with_open_bin p In_channel.input_all)
-         (T.csv ~dir t))
+    List.map
+      (fun c ->
+        In_channel.with_open_bin (Experiments.write_csv ~dir c)
+          In_channel.input_all)
+      (Experiments.csvs T.columns t)
 
   let run ~seed ~on_engine =
     let root = Filename.temp_dir "ksurf-torture-gate" "" in

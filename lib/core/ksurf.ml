@@ -32,8 +32,8 @@
     - {!Adapt}, {!Driftbench} — online adaptive specialization: audit,
       promote, detect drift, re-specialize live (see [ksurf_cli drift])
     - {!Experiments} — drivers that regenerate every table, figure and
-      study, each with its CSV writer, and the [studies] list behind
-      [ksurf_cli all]
+      study, each with one column list for its CSV and its table, and
+      the [studies] list behind [ksurf_cli all]
     - {!Report} — terminal rendering *)
 
 module Prng = Ksurf_util.Prng

@@ -91,92 +91,3 @@ let snapshot r =
     categories = List.map (fun cat -> (cat, r.counts.(Category.index cat))) Category.all;
     coverage = r.blocks;
   }
-
-(* --- serialisation ---------------------------------------------------- *)
-
-let to_string t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "profile %s\n" t.name);
-  Buffer.add_string buf
-    (Printf.sprintf "syscalls %s\n" (String.concat "," t.syscalls));
-  List.iter
-    (fun (cat, n) ->
-      Buffer.add_string buf
-        (Printf.sprintf "category %s %d\n" (Category.to_string cat) n))
-    t.categories;
-  Buffer.add_string buf
-    (Printf.sprintf "coverage %s\n"
-       (String.concat ","
-          (List.map string_of_int (Coverage.Set.to_list t.coverage))));
-  Buffer.contents buf
-
-let of_string s =
-  let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
-  in
-  let field prefix line =
-    let plen = String.length prefix in
-    if String.length line >= plen && String.sub line 0 plen = prefix then
-      Some (String.sub line plen (String.length line - plen))
-    else None
-  in
-  let rec parse lines name syscalls cats cov =
-    match lines with
-    | [] -> Ok (name, syscalls, List.rev cats, cov)
-    | line :: rest -> (
-        match field "profile " line with
-        | Some n -> parse rest (Some n) syscalls cats cov
-        | None -> (
-            match field "syscalls " line with
-            | Some body ->
-                let names =
-                  String.split_on_char ',' body
-                  |> List.filter (fun n -> n <> "")
-                in
-                parse rest name (Some names) cats cov
-            | None -> (
-                match field "category " line with
-                | Some body -> (
-                    match String.split_on_char ' ' body with
-                    | [ cat_s; n_s ] -> (
-                        match
-                          (Category.of_string cat_s, int_of_string_opt n_s)
-                        with
-                        | Some cat, Some n ->
-                            parse rest name syscalls ((cat, n) :: cats) cov
-                        | _ ->
-                            Error
-                              (Printf.sprintf "Profile: bad category line %S"
-                                 line))
-                    | _ ->
-                        Error
-                          (Printf.sprintf "Profile: bad category line %S" line))
-                | None -> (
-                    match field "coverage " line with
-                    | Some body ->
-                        let ids =
-                          String.split_on_char ',' body
-                          |> List.filter (fun x -> x <> "")
-                          |> List.filter_map int_of_string_opt
-                        in
-                        parse rest name syscalls cats
-                          (Some (Coverage.Set.of_list ids))
-                    | None ->
-                        Error (Printf.sprintf "Profile: unknown line %S" line)))
-            ))
-  in
-  let* name, syscalls, categories, coverage =
-    parse lines None None [] None
-  in
-  match (name, syscalls) with
-  | None, _ -> Error "Profile: missing profile line"
-  | _, None -> Error "Profile: missing syscalls line"
-  | Some name, Some syscalls ->
-      Ok
-        {
-          name;
-          syscalls;
-          categories;
-          coverage = Option.value ~default:Coverage.Set.empty coverage;
-        }

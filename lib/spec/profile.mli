@@ -51,11 +51,3 @@ val observed_blocks : recorder -> int
 
 val snapshot : recorder -> t
 (** Raises [Invalid_argument] if nothing was observed. *)
-
-(** {2 Serialisation} *)
-
-val to_string : t -> string
-(** Line-based form: profile name, syscall list, per-category counts,
-    coverage block ids.  Stable for equal profiles. *)
-
-val of_string : string -> (t, string) result

@@ -13,13 +13,8 @@ module Set = struct
   let union = Int_set.union
   let diff_cardinal a b = Int_set.cardinal (Int_set.diff a b)
   let subset = Int_set.subset
+  let equal = Int_set.equal
   let mem = Int_set.mem
-
-  (* Int_set iterates in increasing element order, so both traversals
-     are stable — profiles serialize coverage through them. *)
-  let fold f t acc = Int_set.fold f t acc
-  let to_list = Int_set.elements
-  let of_list = Int_set.of_list
 end
 
 (* Discriminant of an op: which argument-independent structure it is.

@@ -21,17 +21,8 @@ module Set : sig
   (** [diff_cardinal a b] = number of blocks in [a] not in [b]. *)
 
   val subset : t -> t -> bool
+  val equal : t -> t -> bool
   val mem : int -> t -> bool
-
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Fold over block ids in increasing order (stable across runs —
-      block ids are stable hashes). *)
-
-  val to_list : t -> int list
-  (** Block ids in increasing order. *)
-
-  val of_list : int list -> t
-  (** Inverse of {!to_list} (accepts any order). *)
 end
 
 val blocks_of_call :

@@ -170,7 +170,7 @@ let test_studies_are_subcommands () =
     (fun (s : Ksurf.Experiments.study) ->
       let n = s.name in
       check_exit (n ^ " --help") 0 (n ^ " --help=plain");
-      check_exit (n ^ " --export") (if s.exports then 3 else 2)
+      check_exit (n ^ " --export") (if s.exports () <> [] then 3 else 2)
         (n ^ " --export /dev/null/x");
       check_exit (n ^ " --journal") (if s.journals then 3 else 2)
         (n ^ " --journal /dev/null/x/sweep.journal"))
@@ -178,11 +178,12 @@ let test_studies_are_subcommands () =
   Alcotest.(check (list string)) "writers"
     [
       "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate"; "ablate-virt";
-      "lwvm"; "dose"; "specialize"; "recover"; "tenancy"; "drift"; "torture";
+      "lwvm"; "locks"; "dose"; "specialize"; "recover"; "tenancy"; "drift";
+      "torture";
     ]
     (List.filter_map
        (fun (s : Ksurf.Experiments.study) ->
-         if s.exports then Some s.name else None)
+         if s.exports () <> [] then Some s.name else None)
        studies)
 
 let test_bench_bad_args_exit_2 () =

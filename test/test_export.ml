@@ -48,10 +48,13 @@ let line_count path =
   |> List.filter (fun l -> l <> "")
   |> List.length
 
+(* A result's CSV files, written through the one writer. *)
+let export ~dir columns t = List.map (E.write_csv ~dir) (E.csvs columns t)
+
 let test_export_table2 () =
   with_temp_dir (fun dir ->
       let t = E.Breakdown.run E.Breakdown.table2 (E.context E.Quick) in
-      match E.Breakdown.csv ~dir t with
+      match export ~dir (E.Breakdown.columns E.Breakdown.table2) t with
       | [ path ] ->
           (* 3 environments x 3 statistics + header. *)
           Alcotest.(check int) "rows" 10 (line_count path)
@@ -61,7 +64,7 @@ let test_export_fig3 () =
   with_temp_dir (fun dir ->
       let apps = List.filter_map Apps.by_name [ "silo" ] in
       let t = E.Fig3.run ~apps (E.context E.Quick) in
-      match E.Fig3.csv ~dir t with
+      match export ~dir E.Fig3.columns t with
       | [ path ] -> Alcotest.(check int) "4 cells + header" 5 (line_count path)
       | _ -> Alcotest.fail "expected one file")
 
@@ -85,7 +88,7 @@ let test_export_dose () =
             ];
         }
       in
-      match E.Dose.csv ~dir t with
+      match export ~dir E.Dose.columns t with
       | [ path ] ->
           Alcotest.(check int) "1 cell + header" 2 (line_count path);
           (* The degraded stamp and survivor count must reach the CSV. *)
@@ -96,9 +99,28 @@ let test_export_dose () =
                (String.split_on_char '\n' contents))
       | _ -> Alcotest.fail "expected one file")
 
+(* Column-order drift shows here, without a simulation: every CSV a
+   study declares has the header of its committed baseline. *)
+let test_headers_match_baselines () =
+  List.iter
+    (fun (s : E.study) ->
+      List.iter
+        (fun (file, header) ->
+          let baseline = Filename.concat "../exports" file in
+          Alcotest.(check bool) (baseline ^ " committed") true
+            (Sys.file_exists baseline);
+          Alcotest.(check string) (file ^ " header")
+            (In_channel.with_open_bin baseline In_channel.input_line
+            |> Option.value ~default:"")
+            (Csv.line header))
+        (s.E.exports ()))
+    E.studies
+
 let suite =
   [
     Alcotest.test_case "escape" `Quick test_escape;
+    Alcotest.test_case "headers match baselines" `Quick
+      test_headers_match_baselines;
     Alcotest.test_case "export dose" `Quick test_export_dose;
     Alcotest.test_case "line" `Quick test_line;
     Alcotest.test_case "write roundtrip" `Quick test_write_roundtrip;

@@ -98,10 +98,7 @@ let decoder_texts =
      [Program.of_string] raise, and one with junk after its ')' once
      decoded. *)
   "read)x(" :: "getpid(0:0:0)junk" :: preset_texts
-  @ [
-      Corpus.to_string corpus;
-      Profile.to_string (Profile.of_corpus ~name:"tiny" corpus);
-    ]
+  @ [ Corpus.to_string corpus ]
 
 let mutate text edits =
   let b = Bytes.of_string text in
@@ -142,7 +139,6 @@ let qcheck_plan_decoders_total =
       let plan = fixed Plan.of_string Plan.to_string in
       ignore (fixed Corpus.of_string Corpus.to_string : string option);
       ignore (fixed (Program.of_string ~id:0) Program.to_string : string option);
-      ignore (fixed Profile.of_string Profile.to_string : string option);
       checkpoint_read_total s;
       (not (List.mem s preset_texts)) || plan = Some s)
 

@@ -180,9 +180,11 @@ let test_studies_pool_agnostic () =
   in
   let render (o : E.outcome) = Format.asprintf "%t" o.E.render in
   let csv (o : E.outcome) =
-    match o.E.csv with
-    | Some write -> with_temp_dir (fun dir -> List.map read_file (write ~dir))
-    | None -> Alcotest.fail "entry without a CSV writer"
+    match o.E.csvs with
+    | [] -> Alcotest.fail "entry without a CSV file"
+    | csvs ->
+        with_temp_dir (fun dir ->
+            List.map (fun c -> read_file (E.write_csv ~dir c)) csvs)
   in
   List.iter
     (fun (s : E.study) ->

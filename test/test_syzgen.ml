@@ -312,23 +312,9 @@ let test_corpus_roundtrip_property () =
             (Corpus.category_histogram c = Corpus.category_histogram c'))
     [ 1; 2; 3; 5; 8; 13; 21; 42 ]
 
-let test_coverage_order_stable () =
-  let c = seeded_corpus 42 in
-  let cov = Corpus.coverage c in
-  let l = Coverage.Set.to_list cov in
-  Alcotest.(check bool) "to_list sorted ascending" true
-    (l = List.sort_uniq compare l);
-  let folded = List.rev (Coverage.Set.fold (fun b acc -> b :: acc) cov []) in
-  Alcotest.(check (list int)) "fold agrees with to_list" l folded;
-  Alcotest.(check int) "of_list round-trips"
-    (Coverage.Set.cardinal cov)
-    (Coverage.Set.cardinal (Coverage.Set.of_list (List.rev l)))
-
 let suite =
   suite
   @ [
       Alcotest.test_case "corpus roundtrip property" `Quick
         test_corpus_roundtrip_property;
-      Alcotest.test_case "coverage iteration order stable" `Quick
-        test_coverage_order_stable;
     ]
