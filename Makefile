@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test gates bench-json tenancy-bench ledger-check exports-check staticcheck lint loc check clean
+.PHONY: all build test gates bench-json tenancy-bench ledger-check ab exports-check staticcheck lint loc check clean
 
 all: build
 
@@ -75,6 +75,17 @@ ledger-check:
 	    *) echo "ledger-check $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
 	done
+
+# Paired A/B timing against a base revision: AB_N alternating
+# (base, head) ledger runs per workload at --seconds AB_SECONDS, then
+# per workload the median head/base ratio of sim_s and setup_s with a
+# sign-test interval (bench/ab.sh).  BASE is built from an exported
+# copy under .bench_build/ab/; the working tree is the head.
+AB_N ?= 5
+AB_SECONDS ?= 18
+ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make ab BASE=<rev> [AB_N=5] [AB_SECONDS=18] [AB_WORKLOADS='w ...']"; exit 2; }
+	sh bench/ab.sh "$(BASE)" $(AB_N) $(AB_SECONDS) $(AB_WORKLOADS)
 
 # Export bit-identity gate: one `ksurf_cli all --scale full` run writes
 # every study's CSV into a temporary directory, then each committed

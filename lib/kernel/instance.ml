@@ -17,11 +17,16 @@ type 'a stripes = { prefix : string; count : int; mutable slots : 'a option arra
 
 type t = {
   engine : Engine.t;
+  clock : float array;  (* [Engine.clock engine], read in place *)
   config : Config.t;
   id : int;
   cores : int;
   mem_mb : int;
   rng : Prng.t;
+  (* The cell every sampled duration is drawn into ([sample]), so no
+     draw is boxed.  Read at once: a process that parks keeps its
+     duration in an unboxed local, not here. *)
+  draw : float array;
   (* Global (one per instance) locks, in Ops.lock_ref order where global. *)
   tasklist : Lock.t;
   zone : Lock.t;
@@ -120,11 +125,13 @@ let boot ~engine ~config ~id ~cores ~mem_mb ?block_dev () =
   in
   {
     engine;
+    clock = Engine.clock engine;
     config;
     id;
     cores;
     mem_mb;
     rng;
+    draw = [| 0.0 |];
     tasklist = lock "tasklist";
     zone = lock "zone";
     dcache_lock = lock "dcache";
@@ -228,7 +235,7 @@ let busy_window_ns = 5e6
 
 let note_op t =
   t.win_ops <- t.win_ops + 1;
-  let elapsed = Engine.now t.engine -. t.win_start in
+  let elapsed = t.clock.(0) -. t.win_start in
   if elapsed >= busy_window_ns then begin
     let rate =
       float_of_int t.win_ops /. Float.max 1.0 elapsed
@@ -276,13 +283,22 @@ let rwlock t ctx (ref : Ops.rw_ref) =
   | Ops.Mmap_sem -> stripe t.engine Rwlock.create t.mmap_sem ctx.tenant
   | Ops.Sb_umount -> t.sb_umount
 
-(* [Prng.chance rng p], drawn here from [Prng.bits53] so a freshly
-   computed [p] is never boxed into a call: same comparisons, same
-   draw, same value. *)
+(* [Prng.uniform rng], drawn here from [Prng.bits53] so the value stays
+   an unboxed local: same draw, same value. *)
+let[@inline always] unit_draw rng =
+  float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0)
+
+(* [Prng.chance rng p], with a freshly computed [p] never boxed into a
+   call: same comparisons, same draw, same value. *)
 let[@inline always] chance rng p =
-  if p <= 0.0 then false
-  else if p >= 1.0 then true
-  else float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0) < p
+  if p <= 0.0 then false else if p >= 1.0 then true else unit_draw rng < p
+
+(* A sample of [dist] from the instance's stream, as [Dist.sample] draws
+   it, read back from the draw cell: inlined, so the value is an
+   unboxed local of the caller. *)
+let[@inline] sample t dist =
+  Dist.sample_into dist t.rng t.draw;
+  t.draw.(0)
 
 (* In-kernel CPU time plus probabilistic timer-tick interference: a
    burst of duration [d] overlaps a tick with probability d/period, in
@@ -297,15 +313,13 @@ let[@inline] burn t d =
   let d =
     if not t.config.Config.enable_timer_noise then d
     else if chance t.rng (Float.min 1.0 (d /. t.config.Config.tick_period)) then
-      d +. Dist.sample t.config.Config.tick_service_cost t.rng
+      d +. sample t t.config.Config.tick_service_cost
     else d
   in
   if d > 0.0 then begin
     (Engine.delay_cell t.engine).(0) <- d;
     Engine.delay_from_cell t.engine
   end
-
-let sample t dist = Dist.sample dist t.rng
 
 (* TLB shootdown: flush the local TLB, then IPI every other core the
    address space has run on and wait for all acknowledgements.  The span
@@ -342,7 +356,7 @@ let tlb_shootdown t =
 let rcu_sync t =
   let per_core = 350.0 in
   let base = 2_000.0 in
-  let jitter = Prng.float t.rng (float_of_int t.cores *. per_core) in
+  let jitter = unit_draw t.rng *. (float_of_int t.cores *. per_core) in
   burn t (base +. (float_of_int t.cores *. per_core) +. jitter)
 
 let page_alloc t _ctx order =
@@ -360,7 +374,8 @@ let block_io t ~bytes ~write =
     +. if write then 5_000.0 else 0.0
   in
   Resource.acquire t.block_dev;
-  Engine.delay service;
+  (Engine.delay_cell t.engine).(0) <- service;
+  Engine.delay_from_cell t.engine;
   Resource.release t.block_dev
 
 let cgroup_charge t ctx =
@@ -384,9 +399,12 @@ let cgroup_charge t ctx =
         Lock.release t.cgroup_css
       end
 
-let locked_burn t l hold =
+(* Hold [l] for a sample of [hold], drawn before acquiring.  Inlined,
+   so the drawn hold waits out the acquire as an unboxed local. *)
+let[@inline] locked_burn t l hold =
+  let d = sample t hold in
   Lock.acquire l;
-  burn t hold;
+  burn t d;
   Lock.release l
 
 let rec exec_op t ctx (op : Ops.op) =
@@ -410,7 +428,7 @@ let rec exec_op t ctx (op : Ops.op) =
       ());
   match op with
   | Ops.Cpu d -> burn t d
-  | Ops.Lock (ref, hold) -> locked_burn t (lock t ctx ref) (sample t hold)
+  | Ops.Lock (ref, hold) -> locked_burn t (lock t ctx ref) hold
   | Ops.With_lock (ref, hold, body) ->
       (* The outer lock stays held across the body: this is the only op
          that nests acquisitions, so it is the sole source of lock-order
@@ -435,24 +453,26 @@ let rec exec_op t ctx (op : Ops.op) =
       if Caches.probe t.dcache t.rng then burn t cfg.Config.dcache_hit_cost
       else
         (* Miss: allocate and insert a dentry under the dcache lock. *)
-        locked_burn t t.dcache_lock (sample t cfg.Config.dcache_miss_cost)
+        locked_burn t t.dcache_lock cfg.Config.dcache_miss_cost
   | Ops.Page_cache_lookup ->
       if Caches.probe t.page_cache t.rng then burn t cfg.Config.page_cache_hit_cost
       else begin
         let l = lock t ctx Ops.Page_cache_tree in
-        locked_burn t l (sample t cfg.Config.page_cache_miss_cost)
+        locked_burn t l cfg.Config.page_cache_miss_cost
       end
   | Ops.Slab_alloc ->
       if Prng.chance t.rng cfg.Config.slab_refill_prob then
         (* Per-cpu magazine empty: refill from the shared slab. *)
-        locked_burn t t.zone (sample t cfg.Config.slab_refill_cost)
+        locked_burn t t.zone cfg.Config.slab_refill_cost
       else burn t cfg.Config.slab_fast_cost
   | Ops.Page_alloc order -> page_alloc t ctx order
   | Ops.Tlb_shootdown -> tlb_shootdown t
   | Ops.Rcu_sync -> rcu_sync t
   | Ops.Block_io { bytes; write } -> block_io t ~bytes ~write
   | Ops.Cgroup_charge -> cgroup_charge t ctx
-  | Ops.Sleep dist -> Engine.delay (sample t dist)
+  | Ops.Sleep dist ->
+      Dist.sample_into dist t.rng (Engine.delay_cell t.engine);
+      Engine.delay_from_cell t.engine
 
 (* A direct recursion, not [List.iter (exec_op t ctx)]: the partial
    application would build a closure on every syscall and every

@@ -4,22 +4,12 @@ type t = {
   mutable parties : int;
   mutable arrived : int;
   mutable generation : int;
-  waiters : (unit -> unit) Queue.t;
-  enqueue : (unit -> unit) -> unit;  (* built once, as in Lock *)
+  waiters : Fifo.t;  (* parked parties' tickets *)
 }
 
 let create ~engine ~name ~parties =
   if parties < 1 then invalid_arg "Barrier.create: parties must be >= 1";
-  let waiters = Queue.create () in
-  {
-    engine;
-    name;
-    parties;
-    arrived = 0;
-    generation = 0;
-    waiters;
-    enqueue = (fun wake -> Queue.push wake waiters);
-  }
+  { engine; name; parties; arrived = 0; generation = 0; waiters = Fifo.create () }
 
 let generation t = t.generation
 let waiting t = t.arrived
@@ -35,22 +25,29 @@ let emit t op =
          op;
        })
 
+(* Release everyone parked on this generation, in arrival order, and
+   start the next one. *)
+let release_generation t =
+  t.arrived <- 0;
+  t.generation <- t.generation + 1;
+  if Engine.observed t.engine then
+    emit t (Engine.Barrier_release { generation = t.generation });
+  while not (Fifo.is_empty t.waiters) do
+    Engine.wake_ticket t.engine (Fifo.pop t.waiters)
+  done
+
 let arrive t =
   t.arrived <- t.arrived + 1;
   if Engine.observed t.engine then
     emit t
       (Engine.Barrier_arrive
          { generation = t.generation; arrived = t.arrived; parties = t.parties });
-  if t.arrived < t.parties then Engine.suspend t.enqueue
-  else begin
-    (* Last arrival: release everyone, start a new generation. *)
-    t.arrived <- 0;
-    t.generation <- t.generation + 1;
-    if Engine.observed t.engine then
-      emit t (Engine.Barrier_release { generation = t.generation });
-    Queue.iter (fun wake -> wake ()) t.waiters;
-    Queue.clear t.waiters
+  if t.arrived < t.parties then begin
+    Fifo.push t.waiters (Engine.ticket t.engine);
+    Engine.park t.engine
   end
+  else (* last arrival *)
+    release_generation t
 
 let depart t =
   if t.parties <= 1 then
@@ -62,16 +59,8 @@ let depart t =
       (Engine.Barrier_depart { generation = t.generation; parties = t.parties });
   (* The departing party may have been the only arrival the current
      generation was still waiting for: release it now so survivors do
-     not deadlock.  Identical to [arrive]'s last-arrival branch, minus
-     the extra arrival. *)
-  if t.arrived >= t.parties then begin
-    t.arrived <- 0;
-    t.generation <- t.generation + 1;
-    if Engine.observed t.engine then
-      emit t (Engine.Barrier_release { generation = t.generation });
-    Queue.iter (fun wake -> wake ()) t.waiters;
-    Queue.clear t.waiters
-  end
+     not deadlock. *)
+  if t.arrived >= t.parties then release_generation t
 
 let arrive_with_cost t ~per_party_cost =
   arrive t;

@@ -1,5 +1,13 @@
 type t = {
-  mutable now : float;
+  (* The clock: one unboxed float, read in place by the sync primitives
+     and the kernel through [clock], so moving it or reading it boxes
+     nothing.  [now] boxes it lazily, at most once per clock move:
+     [now_box] holds that box while [now_fresh] says it is current. *)
+  clock : float array;
+  mutable now_box : float;
+  mutable now_fresh : bool;
+  (* Where the run loop reads the next event's time, unboxed. *)
+  next_time : float array;
   mutable seq : int;
   (* The event queue, split by payload so that no event needs a job
      wrapper: delay expiries and wakes queue the suspended continuation
@@ -28,26 +36,31 @@ type t = {
   mutable acquire_hook : (acquire_site -> string -> unit) option;
   (* Closure-free effects.  [delay] writes its duration into
      [delay_arg] (a float array, so the store does not box) and
-     performs the engine's one preallocated [delay_eff]; [suspend]
-     parks its register function in [register] and performs
-     [suspend_eff].  The handler record and the [Some] closures the
-     effect handler returns are built once per engine, so neither
-     effect nor a spawn allocates handler machinery. *)
+     performs the engine's one preallocated [delay_eff]; [park]
+     performs [park_eff]; [suspend] parks its register function in
+     [register] and performs [suspend_eff].  The handler record and the
+     [Some] closures the effect handler returns are built once per
+     engine, so neither effect nor a spawn allocates handler
+     machinery. *)
   delay_arg : float array;
   delay_eff : unit Effect.t;
+  park_eff : unit Effect.t;
   suspend_eff : unit Effect.t;
   mutable register : (unit -> unit) -> unit;
   on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
   on_suspend : ((unit, unit) Effect.Deep.continuation -> unit) option;
   handler : (unit, unit) Effect.Deep.handler;
-  (* Liveness accounting (krecov): every parked suspension holds a slot
-     in a growable table, so a watchdog abort can name the processes
-     that will never run again.  Slot [i] is free when [park_token.(i)]
-     is 0; freed slots go on the [park_free] stack.  Maintained
-     unconditionally, at a few array stores per suspend and wake. *)
+  (* Parking: every parked process holds a slot in a growable table of
+     columns, and its continuation waits in [park_k] until a ticket
+     naming (token, slot) wakes it.  Slot [i] is free when
+     [park_token.(i)] is 0; freed slots go on the [park_free] stack.
+     The same table names the processes that will never run again
+     when the liveness watchdog aborts. *)
   mutable park_token : int array;
   mutable park_pid : int array;
   mutable park_since : float array;
+  mutable park_k : (unit, unit) Effect.Deep.continuation array;
   mutable park_free : int array;
   mutable park_nfree : int;
 }
@@ -103,7 +116,10 @@ exception Hung of string
 (* The payload names the engine, so nested engines (e.g. per-node
    cluster simulations driven from a parent program) never handle each
    other's effects.  Each engine preallocates one value of each. *)
-type _ Effect.t += Delay : t -> unit Effect.t | Suspend : t -> unit Effect.t
+type _ Effect.t +=
+  | Delay : t -> unit Effect.t
+  | Park : t -> unit Effect.t
+  | Suspend : t -> unit Effect.t
 
 (* The engine whose handler is currently executing a process.  The
    ambient reference only serves the argumentless [delay]/[suspend]
@@ -114,7 +130,22 @@ let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let get_current () = Domain.DLS.get current_key
 let set_current v = Domain.DLS.set current_key v
 
-let now t = t.now
+let clock t = t.clock
+
+(* The clock's box, made on the first read after the clock moved: every
+   probe event, the invariant checker and the harnesses reading [now]
+   within one event share it. *)
+let now t =
+  if not t.now_fresh then begin
+    t.now_box <- t.clock.(0);
+    t.now_fresh <- true
+  end;
+  t.now_box
+
+let[@inline] set_clock t time =
+  t.clock.(0) <- time;
+  t.now_fresh <- false
+
 let rng t = t.root_rng
 let pending t = Heap.size t.conts + Heap.size t.thunks
 let events_executed t = t.executed
@@ -140,14 +171,14 @@ let acquire_hook t = t.acquire_hook
 let[@inline] admit t ~pid at =
   (* Emit before validating so a sanitizer records the violation even
      though the engine still refuses it. *)
-  if observed t then emit t (Scheduled { now = t.now; at; pid });
+  if observed t then emit t (Scheduled { now = now t; at; pid });
   (* A NaN time passes the [< now] test below and would silently break
      the heap order, so non-finite times are refused first. *)
   if not (Float.is_finite at) then
     invalid_arg (Printf.sprintf "Engine.schedule: time %g is not finite" at);
-  if at < t.now then
+  if at < t.clock.(0) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: time %g is before now %g" at t.now);
+      (Printf.sprintf "Engine.schedule: time %g is before now %g" at t.clock.(0));
   t.seq <- t.seq + 1
 
 (* Execute one dequeued event, [run x], under its pid: [exec t ~pid f ()]
@@ -155,7 +186,7 @@ let[@inline] admit t ~pid at =
 let exec t ~pid run x =
   let saved = t.cur_pid in
   t.cur_pid <- pid;
-  if observed t then emit t (Executed { now = t.now; pid });
+  if observed t then emit t (Executed { now = now t; pid });
   match run x with
   | () -> t.cur_pid <- saved
   | exception exn ->
@@ -164,12 +195,26 @@ let exec t ~pid run x =
 
 let resume k = Effect.Deep.continue k ()
 
-(* --- the parking slot table ------------------------------------------ *)
+(* --- parking by ticket ----------------------------------------------- *)
+
+(* A ticket is [token lsl slot_bits lor slot]: one immediate int that a
+   wait queue holds without boxing.  Tokens stay below [max_token], so a
+   ticket leaves the top bit of a non-negative int clear and a primitive
+   may shift it left once to tag it. *)
+let slot_bits = 24
+let slot_mask = (1 lsl slot_bits) - 1
+let max_token = 1 lsl (Sys.int_size - 2 - slot_bits)
+
+(* What a free slot's [park_k] holds: an immediate the GC skips, so a
+   woken continuation is not kept alive by its old slot.  It is never
+   resumed, since a free slot's token is 0 and no ticket matches it. *)
+let no_continuation : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
 (* Grow every column, pushing the new slots on the free stack. *)
 let grow_park t =
   let cap = Array.length t.park_token in
   let ncap = if cap = 0 then 16 else 2 * cap in
+  if ncap > slot_mask + 1 then failwith "Engine: too many parked processes";
   let widen a fill =
     let b = Array.make ncap fill in
     Array.blit a 0 b 0 cap;
@@ -178,54 +223,74 @@ let grow_park t =
   t.park_token <- widen t.park_token 0;
   t.park_pid <- widen t.park_pid 0;
   t.park_since <- widen t.park_since 0.0;
+  t.park_k <- widen t.park_k no_continuation;
   t.park_free <- widen t.park_free 0;
   for slot = ncap - 1 downto cap do
     t.park_free.(t.park_nfree) <- slot;
     t.park_nfree <- t.park_nfree + 1
   done
 
-let take_slot t ~token ~pid =
+(* The ticket the next park will take: the next token, in the slot on
+   top of the free stack.  Peeking takes nothing, so asking twice before
+   parking returns the same ticket. *)
+let ticket t =
   if t.park_nfree = 0 then grow_park t;
+  if t.next_token + 1 >= max_token then failwith "Engine: suspension tokens exhausted";
+  ((t.next_token + 1) lsl slot_bits) lor t.park_free.(t.park_nfree - 1)
+
+(* Park the running process's continuation [k] under a fresh token and
+   return its ticket.  A token is never reused, so a second wake of the
+   ticket finds a different token (or 0) in the slot, even once the
+   slot holds another process. *)
+let park_cont t k =
+  let ticket = ticket t in
+  let pid = t.cur_pid in
+  let token = ticket lsr slot_bits and slot = ticket land slot_mask in
+  t.next_token <- token;
   t.park_nfree <- t.park_nfree - 1;
-  let slot = t.park_free.(t.park_nfree) in
   t.park_token.(slot) <- token;
   t.park_pid.(slot) <- pid;
-  t.park_since.(slot) <- t.now;
-  slot
+  t.park_since.(slot) <- t.clock.(0);
+  t.park_k.(slot) <- k;
+  if observed t then emit t (Suspended { now = now t; pid; token });
+  ticket
 
-let free_slot t slot =
+(* The waker schedules the parked continuation at the current time,
+   under the parked process's pid, not the waker's.  A wake is never in
+   the past or non-finite, so [admit]'s checks are skipped and the
+   expiry is pushed from the clock cell: only a probe needs a box, and
+   it gets the clock's shared one. *)
+let wake_ticket t ticket =
+  let token = ticket lsr slot_bits and slot = ticket land slot_mask in
+  let known = slot < Array.length t.park_token in
+  let live = known && token <> 0 && t.park_token.(slot) = token in
+  (* Emitted before the check, so a sanitizer records a double wake the
+     engine then refuses.  A freed slot keeps its last pid, so a second
+     wake names its process, unless the slot was reused since. *)
+  if observed t then
+    emit t (Woken { now = now t; pid = (if known then t.park_pid.(slot) else 0); token });
+  if not live then failwith "Engine: process woken twice";
+  let pid = t.park_pid.(slot) and k = t.park_k.(slot) in
   t.park_token.(slot) <- 0;
+  t.park_k.(slot) <- no_continuation;
   t.park_free.(t.park_nfree) <- slot;
-  t.park_nfree <- t.park_nfree + 1
-
-(* Park the running process under a fresh token and hand its register
-   function the wake.  A token is never reused while its slot may be,
-   so a second wake finds a different token (or 0) in the slot. *)
-let park t k =
-  let pid = t.cur_pid in
-  let register = t.register in
-  t.register <- ignore;
-  t.next_token <- t.next_token + 1;
-  let token = t.next_token in
-  let slot = take_slot t ~token ~pid in
-  if observed t then emit t (Suspended { now = t.now; pid; token });
-  let wake () =
-    if observed t then emit t (Woken { now = t.now; pid; token });
-    if t.park_token.(slot) <> token then failwith "Engine: process woken twice";
-    free_slot t slot;
-    (* The continuation resumes under the suspended process's pid, not
-       the waker's. *)
-    admit t ~pid t.now;
-    Heap.push t.conts ~time:t.now ~seq:t.seq ~pid k
-  in
-  register wake
+  t.park_nfree <- t.park_nfree + 1;
+  if observed t then begin
+    let at = now t in
+    emit t (Scheduled { now = at; at; pid })
+  end;
+  t.seq <- t.seq + 1;
+  Heap.push_cell t.conts t.clock ~seq:t.seq ~pid k
 
 let create ?(seed = 0) () =
   let root_rng = Ksurf_util.Prng.create seed in
-  let delay_arg = [| 0.0 |] in
+  let clock = [| 0.0 |] and delay_arg = [| 0.0 |] in
   let rec t =
     {
-      now = 0.0;
+      clock;
+      now_box = 0.0;
+      now_fresh = true;
+      next_time = [| 0.0 |];
       seq = 0;
       conts = Heap.create ();
       thunks = Heap.create ();
@@ -238,6 +303,7 @@ let create ?(seed = 0) () =
       acquire_hook = None;
       delay_arg;
       delay_eff = Delay t;
+      park_eff = Park t;
       suspend_eff = Suspend t;
       register = ignore;
       (* The expiry is computed into the delay cell and pushed from
@@ -246,26 +312,36 @@ let create ?(seed = 0) () =
         Some
           (fun k ->
             let pid = t.cur_pid in
-            delay_arg.(0) <- t.now +. delay_arg.(0);
+            delay_arg.(0) <- clock.(0) +. delay_arg.(0);
             admit t ~pid delay_arg.(0);
             Heap.push_cell t.conts delay_arg ~seq:t.seq ~pid k);
-      on_suspend = Some (fun k -> park t k);
+      on_park = Some (fun k -> ignore (park_cont t k));
+      on_suspend =
+        Some
+          (fun k ->
+            let ticket = park_cont t k in
+            let register = t.register in
+            t.register <- ignore;
+            register (fun () -> wake_ticket t ticket));
       handler =
         {
           retc = (fun () -> ());
           exnc =
-            (fun exn -> raise (Process_error (Printf.sprintf "at t=%g" t.now, exn)));
+            (fun exn ->
+              raise (Process_error (Printf.sprintf "at t=%g" clock.(0), exn)));
           effc =
             (fun (type a) (eff : a Effect.t) :
                  ((a, unit) Effect.Deep.continuation -> unit) option ->
               match eff with
               | Delay eng when eng == t -> t.on_delay
+              | Park eng when eng == t -> t.on_park
               | Suspend eng when eng == t -> t.on_suspend
               | _ -> None);
         };
       park_token = [||];
       park_pid = [||];
       park_since = [||];
+      park_k = [||];
       park_free = [||];
       park_nfree = 0;
     }
@@ -275,7 +351,7 @@ let create ?(seed = 0) () =
 let handle t f = Effect.Deep.match_with f () t.handler
 
 let spawn ?at t f =
-  let at = match at with Some a -> a | None -> t.now in
+  let at = match at with Some a -> a | None -> now t in
   t.next_pid <- t.next_pid + 1;
   let pid = t.next_pid in
   admit t ~pid at;
@@ -300,6 +376,11 @@ let[@inline] delay d =
 
 let delay_cell t = t.delay_arg
 let delay_from_cell t = delay t.delay_arg.(0)
+
+let park t =
+  match get_current () with
+  | Some cur when cur == t -> Effect.perform t.park_eff
+  | _ -> failwith "Engine.park: called outside of a process of this engine"
 
 let suspend register =
   let t = engine_of_process "Engine.suspend" in
@@ -333,7 +414,7 @@ let hung_diagnostic t ~reason =
           (if extra > 0 then Printf.sprintf "; ... %d more" extra else "")
   in
   Printf.sprintf
-    "Engine hung at t=%g (%s): %d runnable event(s) pending, %s" t.now reason
+    "Engine hung at t=%g (%s): %d runnable event(s) pending, %s" t.clock.(0) reason
     (pending t) parked_desc
 
 let run ?until ?stop ?deadline ?stall_limit t =
@@ -342,19 +423,20 @@ let run ?until ?stop ?deadline ?stall_limit t =
   (* No-progress detection: count consecutive executed events that fail to
      advance virtual time; a livelocked simulation (wake loops, zero-delay
      ping-pong) trips [stall_limit] long before wall-clock patience runs
-     out, and the abort names the parked processes. *)
-  let stall_at = ref t.now in
+     out, and the abort names the parked processes.  The last advancing
+     time lives in a cell, so tracking it boxes nothing. *)
+  let stall_at = [| t.clock.(0) |] in
   let stalled = ref 0 in
-  (* Move the clock to a dequeued event's time and count it.  [time] is
-     [Heap.top_time]'s box, which [t.now] keeps. *)
-  let advance time =
-    t.now <- time;
+  (* Move the clock to the dequeued event's time, read from
+     [next_time], and count the event. *)
+  let advance () =
+    set_clock t t.next_time.(0);
     t.executed <- t.executed + 1;
     match stall_limit with
     | None -> ()
     | Some limit ->
-        if time > !stall_at then begin
-          stall_at := time;
+        if t.clock.(0) > stall_at.(0) then begin
+          stall_at.(0) <- t.clock.(0);
           stalled := 0
         end
         else begin
@@ -365,54 +447,55 @@ let run ?until ?stop ?deadline ?stall_limit t =
                  (hung_diagnostic t
                     ~reason:
                       (Printf.sprintf "no progress: %d consecutive events at t=%g"
-                         !stalled time)))
+                         !stalled t.clock.(0))))
         end
   in
   Fun.protect
     ~finally:(fun () -> set_current saved)
     (fun () ->
       (* The loop reads the heaps through the non-allocating accessors
-         ([top_before]/[top_pid]/[top]/[drop]); only [top_time] boxes,
-         and that box becomes [t.now].  With [Heap.push] also
-         allocation-free, a probe-less engine executes a timer event
-         for the continuation the runtime built and the clock box alone
-         — what keeps multi-domain sweeps from serialising on
-         stop-the-world minor collections (DESIGN §6). *)
+         ([top_before]/[top_time_into]/[top_pid]/[top]/[drop]) and
+         moves the clock in its cell, so with [Heap.push] also
+         allocation-free a probe-less engine executes a timer event for
+         the continuation the runtime built alone — what keeps
+         multi-domain sweeps from serialising on stop-the-world minor
+         collections (DESIGN §6). *)
       let continue = ref true in
       while !continue do
         if (match stop with Some f -> f () | None -> false) then continue := false
         else if pending t = 0 then continue := false
         else begin
           let cont_first = Heap.top_before t.conts t.thunks in
-          let time =
-            if cont_first then Heap.top_time t.conts else Heap.top_time t.thunks
-          in
-          if match until with Some u -> time > u | None -> false then
+          if cont_first then Heap.top_time_into t.conts t.next_time
+          else Heap.top_time_into t.thunks t.next_time;
+          if match until with Some u -> t.next_time.(0) > u | None -> false then
             continue := false
-          else if match deadline with Some d -> time > d | None -> false then begin
-            t.now <- (match deadline with Some d -> d | None -> t.now);
+          else if match deadline with Some d -> t.next_time.(0) > d | None -> false
+          then begin
+            let d = Option.get deadline in
+            set_clock t d;
             raise
               (Hung
                  (hung_diagnostic t
                     ~reason:
                       (Printf.sprintf
-                         "virtual-time deadline %g exceeded by next event at %g"
-                         (Option.get deadline) time)))
+                         "virtual-time deadline %g exceeded by next event at %g" d
+                         t.next_time.(0))))
           end
           else if cont_first then begin
             let pid = Heap.top_pid t.conts and k = Heap.top t.conts in
             Heap.drop t.conts;
-            advance time;
+            advance ();
             exec t ~pid resume k
           end
           else begin
             let pid = Heap.top_pid t.thunks and f = Heap.top t.thunks in
             Heap.drop t.thunks;
-            advance time;
+            advance ();
             exec t ~pid f ()
           end
         end
       done;
       match until with
-      | Some u when u > t.now && pending t = 0 -> t.now <- u
+      | Some u when u > t.clock.(0) && pending t = 0 -> set_clock t u
       | _ -> ())

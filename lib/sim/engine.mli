@@ -111,6 +111,18 @@ val acquire_hook : t -> (acquire_site -> string -> unit) option
 (** The installed hook, consulted by the sync primitives. *)
 
 val now : t -> float
+(** The current virtual time.  The clock lives unboxed in {!clock};
+    [now] boxes it on its first call after the clock moved and returns
+    that same box until the clock moves again, so every reader within
+    one event shares one box. *)
+
+val clock : t -> float array
+(** The engine's clock: a one-element float array whose slot 0 is the
+    current virtual time.  Read-only: only the engine's run loop moves
+    it, and a caller that writes it corrupts the simulation.  Reading
+    [(clock t).(0)] boxes nothing, which is how the sync primitives and
+    the kernel stamp their waits and holds; ordinary code calls {!now}. *)
+
 val rng : t -> Ksurf_util.Prng.t
 (** The engine's root random stream; components should [Prng.split] it. *)
 
@@ -134,10 +146,35 @@ val delay_from_cell : t -> unit
     validation and the same ambient-engine lookup, so a process of a
     nested engine delays exactly as {!delay} would. *)
 
+val ticket : t -> int
+(** The ticket the calling process will park under if it calls {!park}
+    next: one immediate int naming a fresh suspension token and a
+    parking slot.  Asking takes nothing, so a caller asks, files the
+    ticket where its waker will find it (a {!Fifo} wait queue), and
+    then calls {!park} with nothing in between.  Tickets are
+    non-negative and leave the top bit of an int clear, so a primitive
+    may shift one left by a bit to tag it (as {!Rwlock} marks writers). *)
+
+val park : t -> unit
+(** Park the calling process under {!ticket}'s ticket until
+    {!wake_ticket} wakes it.  The continuation waits in the engine's
+    parking table, so parking allocates only what the runtime builds on
+    [perform].  Raises [Failure] unless called from a process of this
+    engine. *)
+
+val wake_ticket : t -> int -> unit
+(** Reschedule the process parked under the ticket at the current
+    virtual time, under its own pid.  A ticket wakes once: waking it
+    again raises [Failure] (["woken twice"]), also after its slot has
+    been reused by another park. *)
+
 val suspend : ((unit -> unit) -> unit) -> unit
-(** [suspend register] parks the calling process and hands [register] a
-    wake function.  Calling the wake function reschedules the process at
-    the then-current virtual time; waking twice raises [Failure]. *)
+(** [suspend register] parks the calling process as {!park} does and
+    hands [register] a wake function, a closure over the ticket that
+    calls {!wake_ticket}.  Calling it reschedules the process at the
+    then-current virtual time; waking twice raises [Failure].  For
+    callers that keep a wake as a closure; the sync primitives queue
+    tickets instead. *)
 
 val run :
   ?until:float ->

@@ -87,6 +87,7 @@ let push t ~time ~seq ~pid payload = insert t time ~seq ~pid payload
 let push_cell t cell ~seq ~pid payload = insert t cell.(0) ~seq ~pid payload
 
 let top_time t = t.times.(0)
+let top_time_into t cell = cell.(0) <- t.times.(0)
 let top_pid t = t.pids.(0)
 let top t = t.data.(0)
 

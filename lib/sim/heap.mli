@@ -7,9 +7,10 @@
     The layout is allocation-free on the hot path: times, sequence
     numbers, pids and payloads live in parallel arrays (the float array
     is unboxed), so a [push]/[drop] pair allocates nothing.  Events are
-    consumed through the [top_*]/[drop] accessors, none of which
-    allocates except {!top_time}, whose result crosses the module
-    boundary boxed. *)
+    consumed through the [top_*]/[drop] accessors.  Every accessor is
+    allocation-free except {!top_time}, whose result crosses the module
+    boundary boxed; {!top_time_into} reads the same time into a float
+    array instead, and is how the engine's run loop reads it. *)
 
 type 'a t
 
@@ -29,6 +30,10 @@ val push_cell : 'a t -> float array -> seq:int -> pid:int -> 'a -> unit
 val top_time : 'a t -> float
 (** Time of the earliest event.  Undefined on an empty heap — check
     {!is_empty} first. *)
+
+val top_time_into : 'a t -> float array -> unit
+(** [top_time_into t cell] stores {!top_time} in [cell.(0)] without
+    boxing it.  Undefined on an empty heap. *)
 
 val top_pid : 'a t -> int
 (** Pid of the earliest event.  Undefined on an empty heap. *)

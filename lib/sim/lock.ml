@@ -1,12 +1,13 @@
 type t = {
   engine : Engine.t;
+  clock : float array;  (* [Engine.clock engine], read in place *)
   name : string;
   mutable held : bool;
-  mutable acquired_at : float;
-  waiters : (unit -> unit) Queue.t;
-  (* [Queue.push wake waiters], built once here so a contended acquire
-     does not allocate a fresh closure for [Engine.suspend]. *)
-  enqueue : (unit -> unit) -> unit;
+  (* [cells.(0)] is the scratch a wait or a hold is computed into for
+     [Welford.add_cell]; [cells.(1)] is the current hold's start.
+     Neither boxes a time. *)
+  cells : float array;
+  waiters : Fifo.t;  (* parked acquirers' tickets *)
   wait_stats : Ksurf_util.Welford.t;
   hold_stats : Ksurf_util.Welford.t;
   mutable acquisitions : int;
@@ -14,14 +15,13 @@ type t = {
 }
 
 let create ~engine ~name =
-  let waiters = Queue.create () in
   {
     engine;
+    clock = Engine.clock engine;
     name;
     held = false;
-    acquired_at = 0.0;
-    waiters;
-    enqueue = (fun wake -> Queue.push wake waiters);
+    cells = [| 0.0; 0.0 |];
+    waiters = Fifo.create ();
     wait_stats = Ksurf_util.Welford.create ();
     hold_stats = Ksurf_util.Welford.create ();
     acquisitions = 0;
@@ -54,22 +54,25 @@ let acquire_uncontended = Engine.Acquire { contended = false }
 let acquire_contended = Engine.Acquire { contended = true }
 
 let acquire t =
-  let start = Engine.now t.engine in
+  (* An unboxed local, kept on the process's stack across the park. *)
+  let start = t.clock.(0) in
   if Engine.observed t.engine then
     emit t (if t.held then acquire_contended else acquire_uncontended);
   if not t.held then t.held <- true
   else begin
     t.contended <- t.contended + 1;
-    Engine.suspend t.enqueue
+    Fifo.push t.waiters (Engine.ticket t.engine);
+    Engine.park t.engine
     (* On resume the releaser has transferred ownership to us:
        [t.held] is still true and we are the owner. *)
   end;
   t.acquisitions <- t.acquisitions + 1;
-  t.acquired_at <- Engine.now t.engine;
-  Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine);
+  t.cells.(1) <- t.clock.(0);
+  t.cells.(0) <- t.clock.(0) -. start;
+  Ksurf_util.Welford.add_cell t.wait_stats t.cells;
   (* Fault-injection point: the hook runs while we own the lock, so any
      [Engine.delay] it performs stretches the critical section
-     (lock-holder preemption).  [acquired_at] is already set, keeping
+     (lock-holder preemption).  The hold's start is already set, keeping
      the stretch inside the recorded hold time. *)
   match Engine.acquire_hook t.engine with
   | None -> ()
@@ -79,14 +82,14 @@ let release t =
   if Engine.observed t.engine then emit t Engine.Release;
   if not t.held then
     invalid_arg (Printf.sprintf "Lock.release: %s is not held" t.name);
-  Ksurf_util.Welford.add_span t.hold_stats ~since:t.acquired_at
-    ~until:(Engine.now t.engine);
-  match Queue.take_opt t.waiters with
-  | Some wake ->
-      (* Ownership transfer: the lock stays held for the waiter. *)
-      t.acquired_at <- Engine.now t.engine;
-      wake ()
-  | None -> t.held <- false
+  t.cells.(0) <- t.clock.(0) -. t.cells.(1);
+  Ksurf_util.Welford.add_cell t.hold_stats t.cells;
+  if Fifo.is_empty t.waiters then t.held <- false
+  else begin
+    (* Ownership transfer: the lock stays held for the waiter. *)
+    t.cells.(1) <- t.clock.(0);
+    Engine.wake_ticket t.engine (Fifo.pop t.waiters)
+  end
 
 let with_hold t d =
   acquire t;

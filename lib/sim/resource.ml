@@ -1,24 +1,25 @@
 type t = {
   engine : Engine.t;
+  clock : float array;  (* [Engine.clock engine], read in place *)
   name : string;
   capacity : int;
   mutable in_use : int;
-  waiters : (unit -> unit) Queue.t;
-  enqueue : (unit -> unit) -> unit;  (* as in Lock: built once *)
+  waiters : Fifo.t;  (* parked acquirers' tickets *)
+  wait : float array;  (* scratch a wait is computed into, as in Lock *)
   wait_stats : Ksurf_util.Welford.t;
   mutable served : int;
 }
 
 let create ~engine ~name ~capacity =
   if capacity < 1 then invalid_arg "Resource.create: capacity must be >= 1";
-  let waiters = Queue.create () in
   {
     engine;
+    clock = Engine.clock engine;
     name;
     capacity;
     in_use = 0;
-    waiters;
-    enqueue = (fun wake -> Queue.push wake waiters);
+    waiters = Fifo.create ();
+    wait = [| 0.0 |];
     wait_stats = Ksurf_util.Welford.create ();
     served = 0;
   }
@@ -27,12 +28,16 @@ let in_use t = t.in_use
 let served t = t.served
 
 let acquire t =
-  let start = Engine.now t.engine in
+  let start = t.clock.(0) in
   if t.in_use < t.capacity then t.in_use <- t.in_use + 1
-  else Engine.suspend t.enqueue;
+  else begin
+    Fifo.push t.waiters (Engine.ticket t.engine);
+    Engine.park t.engine
+  end;
   (* On wake the releaser has transferred the slot to us. *)
   t.served <- t.served + 1;
-  Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine);
+  t.wait.(0) <- t.clock.(0) -. start;
+  Ksurf_util.Welford.add_cell t.wait_stats t.wait;
   (* Fault-injection point: a hook delay here models a stalled device
      channel — the slot is occupied for longer. *)
   match Engine.acquire_hook t.engine with
@@ -42,6 +47,6 @@ let acquire t =
 let release t =
   if t.in_use <= 0 then
     invalid_arg (Printf.sprintf "Resource.release: %s is idle" t.name);
-  match Queue.take_opt t.waiters with
-  | Some wake -> wake () (* slot transfers: in_use unchanged *)
-  | None -> t.in_use <- t.in_use - 1
+  if Fifo.is_empty t.waiters then t.in_use <- t.in_use - 1
+  else (* slot transfers: in_use unchanged *)
+    Engine.wake_ticket t.engine (Fifo.pop t.waiters)

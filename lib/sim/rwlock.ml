@@ -1,34 +1,36 @@
-type waiter = Read of (unit -> unit) | Write of (unit -> unit)
-
 type t = {
   engine : Engine.t;
+  clock : float array;  (* [Engine.clock engine], read in place *)
   name : string;
   mutable readers : int;
   mutable writer : bool;
-  queue : waiter Queue.t;
-  (* The two waiter-enqueue functions, built once (see Lock). *)
-  enqueue_read : (unit -> unit) -> unit;
-  enqueue_write : (unit -> unit) -> unit;
+  (* Parked acquirers in arrival order, each ticket shifted left by one
+     with the low bit set for a writer. *)
+  queue : Fifo.t;
+  mutable queued_writers : int;
+  wait : float array;  (* scratch a wait is computed into, as in Lock *)
   wait_stats : Ksurf_util.Welford.t;
 }
 
 let create ~engine ~name =
-  let queue = Queue.create () in
   {
     engine;
+    clock = Engine.clock engine;
     name;
     readers = 0;
     writer = false;
-    queue;
-    enqueue_read = (fun wake -> Queue.push (Read wake) queue);
-    enqueue_write = (fun wake -> Queue.push (Write wake) queue);
+    queue = Fifo.create ();
+    queued_writers = 0;
+    wait = [| 0.0 |];
     wait_stats = Ksurf_util.Welford.create ();
   }
 
 let readers t = t.readers
 
-let record_wait t start =
-  Ksurf_util.Welford.add_span t.wait_stats ~since:start ~until:(Engine.now t.engine)
+(* Inlined, so the start time stays an unboxed local. *)
+let[@inline] record_wait t start =
+  t.wait.(0) <- t.clock.(0) -. start;
+  Ksurf_util.Welford.add_cell t.wait_stats t.wait
 
 (* Like Lock, probe events fire at intent time, before blocking. *)
 let emit t op =
@@ -41,11 +43,15 @@ let emit t op =
          op;
        })
 
-(* A write waiter anywhere in the queue blocks new readers (writer
-   preference), preventing writer starvation under read-heavy load. *)
-let write_waiting t =
-  Queue.fold (fun acc w -> acc || match w with Write _ -> true | Read _ -> false)
-    false t.queue
+(* Queue the caller's ticket, tagged as a writer or not, and park. *)
+let wait_in_queue t ~write =
+  let ticket = Engine.ticket t.engine lsl 1 in
+  if write then begin
+    t.queued_writers <- t.queued_writers + 1;
+    Fifo.push t.queue (ticket lor 1)
+  end
+  else Fifo.push t.queue ticket;
+  Engine.park t.engine
 
 (* The acquire payloads, built once (see Lock). *)
 let read_uncontended = Engine.Read_acquire { contended = false }
@@ -53,50 +59,41 @@ let read_contended = Engine.Read_acquire { contended = true }
 let write_uncontended = Engine.Write_acquire { contended = false }
 let write_contended = Engine.Write_acquire { contended = true }
 
+(* A queued writer blocks new readers (writer preference), preventing
+   writer starvation under read-heavy load. *)
 let acquire_read t =
-  let start = Engine.now t.engine in
-  let granted = (not t.writer) && not (write_waiting t) in
+  let start = t.clock.(0) in
+  let granted = (not t.writer) && t.queued_writers = 0 in
   if Engine.observed t.engine then
     emit t (if granted then read_uncontended else read_contended);
-  if granted then t.readers <- t.readers + 1
-  else Engine.suspend t.enqueue_read;
+  if granted then t.readers <- t.readers + 1 else wait_in_queue t ~write:false;
   record_wait t start
 
 let acquire_write t =
-  let start = Engine.now t.engine in
-  let granted = (not t.writer) && t.readers = 0 && Queue.is_empty t.queue in
+  let start = t.clock.(0) in
+  let granted = (not t.writer) && t.readers = 0 && Fifo.is_empty t.queue in
   if Engine.observed t.engine then
     emit t (if granted then write_uncontended else write_contended);
-  if granted then t.writer <- true
-  else Engine.suspend t.enqueue_write;
+  if granted then t.writer <- true else wait_in_queue t ~write:true;
   record_wait t start
+
+let is_writer tagged = tagged land 1 = 1
 
 (* Grant the lock to as many queued waiters as compatible: either the
    front writer alone, or the maximal prefix of readers. *)
 let drain t =
-  if t.writer || t.readers > 0 then ()
+  if t.writer || t.readers > 0 || Fifo.is_empty t.queue then ()
+  else if is_writer (Fifo.peek t.queue) then begin
+    let tagged = Fifo.pop t.queue in
+    t.queued_writers <- t.queued_writers - 1;
+    t.writer <- true;
+    Engine.wake_ticket t.engine (tagged lsr 1)
+  end
   else
-    match Queue.peek_opt t.queue with
-    | None -> ()
-    | Some (Write _) -> (
-        match Queue.pop t.queue with
-        | Write wake ->
-            t.writer <- true;
-            wake ()
-        | Read _ -> assert false)
-    | Some (Read _) ->
-        let rec grant_reads () =
-          match Queue.peek_opt t.queue with
-          | Some (Read _) -> (
-              match Queue.pop t.queue with
-              | Read wake ->
-                  t.readers <- t.readers + 1;
-                  wake ();
-                  grant_reads ()
-              | Write _ -> assert false)
-          | Some (Write _) | None -> ()
-        in
-        grant_reads ()
+    while (not (Fifo.is_empty t.queue)) && not (is_writer (Fifo.peek t.queue)) do
+      t.readers <- t.readers + 1;
+      Engine.wake_ticket t.engine (Fifo.pop t.queue lsr 1)
+    done
 
 let release_read t =
   if Engine.observed t.engine then emit t Engine.Read_release;

@@ -42,32 +42,59 @@ let scaled f d =
 let[@inline always] unit_draw rng =
   float_of_int (Prng.bits53 rng) *. (1.0 /. 9007199254740992.0)
 
-(* The only allocation is the result's box: every draw is a local
-   [unit_draw]. *)
+let[@inline always] clamp v = if v < 0.0 then 0.0 else v
+
+(* One draw per random leaf, unclamped.  Inlined into both samplers, one
+   branch each, so every draw is a local [unit_draw] and the value stays
+   unboxed: a single match returning the leaf's value would box it in
+   every branch. *)
+let[@inline always] uniform_draw lo hi rng = lo +. (unit_draw rng *. (hi -. lo))
+
+let[@inline always] exponential_draw mean rng =
+  let u = 1.0 -. unit_draw rng in
+  -.mean *. Float.log u
+
+(* Box–Muller; one draw per sample keeps the stream usage simple and
+   deterministic. *)
+let[@inline always] lognormal_draw mu sigma rng =
+  let u1 = 1.0 -. unit_draw rng and u2 = unit_draw rng in
+  let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
+  Float.exp (mu +. (sigma *. z))
+
+(* Inverse CDF of the truncated Pareto. *)
+let[@inline always] pareto_draw lo hi shape rng =
+  let u = unit_draw rng in
+  let la = Float.pow lo shape and ha = Float.pow hi shape in
+  let x = -.((u *. ha) -. u *. la -. ha) /. (ha *. la) in
+  Float.pow (1.0 /. x) (1.0 /. shape)
+
+(* The only allocation is the result's box. *)
 let rec sample d rng =
-  let v =
-    match d with
-    | Constant v -> v
-    | Uniform { lo; hi } -> lo +. (unit_draw rng *. (hi -. lo))
-    | Exponential { mean } ->
-        let u = 1.0 -. unit_draw rng in
-        -.mean *. Float.log u
-    | Lognormal { mu; sigma } ->
-        (* Box–Muller; one draw per sample keeps the stream usage simple
-           and deterministic. *)
-        let u1 = 1.0 -. unit_draw rng and u2 = unit_draw rng in
-        let z = Float.sqrt (-2.0 *. Float.log u1) *. Float.cos (2.0 *. Float.pi *. u2) in
-        Float.exp (mu +. (sigma *. z))
-    | Bounded_pareto { lo; hi; shape } ->
-        (* Inverse CDF of the truncated Pareto. *)
-        let u = unit_draw rng in
-        let la = Float.pow lo shape and ha = Float.pow hi shape in
-        let x = -.((u *. ha) -. u *. la -. ha) /. (ha *. la) in
-        Float.pow (1.0 /. x) (1.0 /. shape)
-    | Shifted (c, d) -> c +. sample d rng
-    | Scaled (f, d) -> f *. sample d rng
-  in
-  if v < 0.0 then 0.0 else v
+  match d with
+  | Constant v -> clamp v
+  | Uniform { lo; hi } -> clamp (uniform_draw lo hi rng)
+  | Exponential { mean } -> clamp (exponential_draw mean rng)
+  | Lognormal { mu; sigma } -> clamp (lognormal_draw mu sigma rng)
+  | Bounded_pareto { lo; hi; shape } -> clamp (pareto_draw lo hi shape rng)
+  | Shifted (c, d) -> clamp (c +. sample d rng)
+  | Scaled (f, d) -> clamp (f *. sample d rng)
+
+(* [sample], with every level's value kept in [cell.(0)]: the same draws
+   in the same order and the same clamp at every level, so the same
+   bits, and no box at all. *)
+let rec sample_into d rng cell =
+  match d with
+  | Constant v -> cell.(0) <- clamp v
+  | Uniform { lo; hi } -> cell.(0) <- clamp (uniform_draw lo hi rng)
+  | Exponential { mean } -> cell.(0) <- clamp (exponential_draw mean rng)
+  | Lognormal { mu; sigma } -> cell.(0) <- clamp (lognormal_draw mu sigma rng)
+  | Bounded_pareto { lo; hi; shape } -> cell.(0) <- clamp (pareto_draw lo hi shape rng)
+  | Shifted (c, d) ->
+      sample_into d rng cell;
+      cell.(0) <- clamp (c +. cell.(0))
+  | Scaled (f, d) ->
+      sample_into d rng cell;
+      cell.(0) <- clamp (f *. cell.(0))
 
 let rec mean_estimate = function
   | Constant v -> v

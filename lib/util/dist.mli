@@ -32,6 +32,12 @@ val scaled : float -> t -> t
 val sample : t -> Prng.t -> float
 (** Draw one sample; always [>= 0] (negatives are clamped). *)
 
+val sample_into : t -> Prng.t -> float array -> unit
+(** [sample_into d rng cell] stores in [cell.(0)] the bits [sample d rng]
+    would return, after the same draws from [rng].  Nothing is boxed,
+    so a hot path that reads the sample from the cell allocates
+    nothing for it. *)
+
 val mean_estimate : t -> float
 (** Analytic mean; used to set client arrival rates for target
     utilisation. *)

@@ -24,10 +24,10 @@ let[@inline] add t x =
   if x > t.max_v then t.max_v <- x;
   t.total <- t.total +. x
 
-(* [add] inlined, so the difference is never boxed: callers pass two
-   times they already hold (a lock's acquire stamp and [Engine.now])
-   instead of a freshly computed span. *)
-let add_span t ~since ~until = add t (until -. since)
+(* [add] inlined, so the sample is read from the cell unboxed: the sync
+   primitives compute each wait and hold into a scratch cell instead of
+   passing a freshly computed float. *)
+let add_cell t cell = add t cell.(0)
 
 let count t = int_of_float t.n
 let mean t = if t.n = 0.0 then 0.0 else t.mean

@@ -8,10 +8,10 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 
-val add_span : t -> since:float -> until:float -> unit
-(** [add_span t ~since ~until] is [add t (until -. since)], without
-    boxing the difference: recording a wait or a hold from two stored
-    times allocates nothing. *)
+val add_cell : t -> float array -> unit
+(** [add_cell t cell] is [add t cell.(0)], without boxing the sample: a
+    wait or a hold computed into a float array is recorded with no
+    allocation. *)
 
 val count : t -> int
 val mean : t -> float

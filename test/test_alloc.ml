@@ -41,17 +41,19 @@ let delay_words engine =
   Alcotest.(check int) "every delay executed" (n + 2) (Engine.events_executed engine);
   !words
 
-(* The continuation the runtime builds on [perform] (2 words) and the
-   box of the time that becomes [Engine.now] (2).  The expiry goes to
-   the heap through the delay cell and the queue holds the continuation
-   itself, so a job wrapper or a boxed expiry fails this. *)
+(* The continuation the runtime builds on [perform] (2 words) and
+   nothing else.  The expiry goes to the heap through the delay cell,
+   the queue holds the continuation itself and the run loop moves the
+   clock in its cell, so a job wrapper, a boxed expiry or a boxed clock
+   fails this. *)
 let test_delay () =
-  check_ceiling "Engine.delay (no probe)" ~ceiling:(exactly 4.0)
+  check_ceiling "Engine.delay (no probe)" ~ceiling:(exactly 2.0)
     (delay_words (Engine.create ~seed:1 ()))
 
 (* Under a probe a delay also builds its [Scheduled] event (4 words)
-   with the expiry's box (2) and its [Executed] event (3).  Delivering
-   them to the probe list builds no closure. *)
+   with the expiry's box (2), its [Executed] event (3) and the clock's
+   box (2), made once for both events.  Delivering them to the probe
+   list builds no closure. *)
 let test_observed_delay () =
   let engine = Engine.create ~seed:1 () in
   Engine.add_probe engine (fun _ -> ());
@@ -68,6 +70,24 @@ let analyzed engine =
 let test_analyzed_delay () =
   check_ceiling "Engine.delay (lockdep + invariants)" ~ceiling:(exactly 13.0)
     (delay_words (analyzed (Engine.create ~seed:1 ())))
+
+(* Two [Engine.now] reads within one event share one box: the first
+   read after the clock moved makes it (2 words), the second returns
+   it.  With the delay's continuation that is 4 words an iteration. *)
+let test_now_boxes_once () =
+  let n = 20_000 in
+  let engine = Engine.create ~seed:1 () in
+  let words = ref infinity and shared = ref true in
+  Engine.spawn engine (fun () ->
+      words :=
+        words_per_op ~n (fun () ->
+            Engine.delay 10.0;
+            let a = Engine.now engine in
+            let b = Engine.now engine in
+            if a != b then shared := false));
+  Engine.run engine;
+  Alcotest.(check bool) "one box per clock move" true !shared;
+  check_ceiling "Engine.delay + two Engine.now" ~ceiling:(exactly 4.0) !words
 
 let test_welford_add () =
   let w = Welford.create () in
@@ -103,6 +123,59 @@ let test_lock_pair () =
   Engine.run engine;
   Alcotest.(check int) "uncontended" 0 (Lock.contended_acquisitions lock);
   check_ceiling "Lock.acquire/release (uncontended)" ~ceiling:zero !words
+
+(* Minor words per lock hold when [procs] processes hold one lock in
+   turn, so every acquire but the very first parks and every release
+   hands the lock on: the acquirer's continuation (2 words) and the
+   hold's delay (2).  The parked acquirer's ticket waits in an int
+   ring, so a wake closure or a queue cell per waiter fails this. *)
+let test_contended_lock () =
+  let procs = 4 and holds = 5_000 in
+  let engine = Engine.create ~seed:1 () in
+  let lock = Lock.create ~engine ~name:"alloc.contended" in
+  for _ = 1 to procs do
+    Engine.spawn engine (fun () ->
+        for _ = 1 to holds do
+          Lock.acquire lock;
+          Engine.delay 10.0;
+          Lock.release lock
+        done)
+  done;
+  (* The warm-up: start every process, so the ring and the parking
+     table reach their size before the count starts. *)
+  Engine.run ~until:100.0 engine;
+  let done_before = Lock.acquisitions lock in
+  let w0 = Gc.minor_words () in
+  Engine.run engine;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Lock.acquisitions lock - done_before) in
+  Alcotest.(check int) "every hold done" (procs * holds) (Lock.acquisitions lock);
+  Alcotest.(check bool) "contended" true
+    (Lock.contended_acquisitions lock >= (procs * holds) - procs);
+  check_ceiling "Lock hold (contended handoff)" ~ceiling:(exactly 4.0) words
+
+(* Minor words per party per [Barrier] generation: every party but the
+   last parks (its continuation, 2 words) and each then delays (2). *)
+let test_barrier_generation () =
+  let parties = 8 and rounds = 2_500 in
+  let engine = Engine.create ~seed:1 () in
+  let barrier = Barrier.create ~engine ~name:"alloc.barrier" ~parties in
+  for _ = 1 to parties do
+    Engine.spawn engine (fun () ->
+        for _ = 1 to rounds do
+          Barrier.arrive barrier;
+          Engine.delay 10.0
+        done)
+  done;
+  Engine.run ~until:100.0 engine;
+  let gen0 = Barrier.generation barrier in
+  let w0 = Gc.minor_words () in
+  Engine.run engine;
+  let words =
+    (Gc.minor_words () -. w0)
+    /. float_of_int ((Barrier.generation barrier - gen0) * parties)
+  in
+  Alcotest.(check int) "every generation released" rounds (Barrier.generation barrier);
+  check_ceiling "Barrier generation, per party" ~ceiling:(exactly 3.75) words
 
 (* Under both analyzers an uncontended pair builds its two [Sync]
    events (5 words each; the time is the engine's own box) and nothing
@@ -183,6 +256,21 @@ let test_dist_sample () =
       ("uniform", Dist.uniform ~lo:10.0 ~hi:20.0);
     ]
 
+let test_dist_sample_into () =
+  let rng = Prng.create 5 and cell = [| 0.0 |] in
+  List.iter
+    (fun (name, d) ->
+      check_ceiling ("Dist.sample_into " ^ name) ~ceiling:zero
+        (words_per_op ~n:100_000 (fun () -> Dist.sample_into d rng cell)))
+    [
+      ("constant", Dist.constant 3.0);
+      ("lognormal", Dist.lognormal ~median:100.0 ~sigma:0.8);
+      ("exponential", Dist.exponential ~mean:50.0);
+      ("uniform", Dist.uniform ~lo:10.0 ~hi:20.0);
+      ("bounded pareto", Dist.bounded_pareto ~lo:1.0 ~hi:1e4 ~shape:1.2);
+      ("shifted scaled", Dist.shifted 5.0 (Dist.scaled 2.0 (Dist.exponential ~mean:9.0)));
+    ]
+
 (* [n] runs of [program] inside one process of a background-free
    kernel, so no daemon event lands in the measurement. *)
 let program_words ~n program =
@@ -199,25 +287,27 @@ let program_words ~n program =
   Engine.run engine;
   !words
 
-(* One delay (4 words, what [Engine.delay] costs on its own) and
+(* One delay (2 words, what [Engine.delay] costs on its own) and
    nothing else: the op's duration reaches the engine through its delay
    cell, and the timer tick's chance is drawn unboxed. *)
 let test_exec_cpu () =
   check_ceiling "Instance.exec_program [Cpu _]" ~ceiling:(exactly 4.0)
     (program_words ~n:20_000 [ Ops.Cpu 120.0 ])
 
-(* Three delays (the hold and the two body ops, 12 words) and the hold
-   sample's box: 14 words.  Iterating the body through a partial application of
-   [exec_op] would add a closure. *)
+(* Three delays (the hold and the two body ops, 6 words) and nothing
+   else: the hold is drawn into the instance's cell.  Iterating the
+   body through a partial application of [exec_op] would add a
+   closure. *)
 let test_with_lock_body () =
   let hold = Dist.constant 40.0 in
   check_ceiling "Instance.exec_program [With_lock (_, _, [Cpu; Cpu])]"
-    ~ceiling:(exactly 14.0)
+    ~ceiling:(exactly 6.0)
     (program_words ~n:20_000
        [ Ops.With_lock (Ops.Tasklist, hold, [ Ops.Cpu 30.0; Ops.Cpu 50.0 ]) ])
 
-(* getpid is [Cpu 60.0]: two delays (entry path and op, 8 words), the
-   op context (5), the latency's box (2) and [Completed] (2). *)
+(* getpid is [Cpu 60.0]: two delays (entry path and op, 4 words), the
+   clock's box when the latency reads [Engine.now] (2), the op context
+   (5), the latency's box (2) and [Completed] (2). *)
 let test_try_syscall () =
   let engine = Engine.create ~seed:1 () in
   let env =
@@ -233,7 +323,7 @@ let test_try_syscall () =
       words :=
         words_per_op ~n:20_000 (fun () -> ignore (Env.try_syscall env ~rank:0 spec arg)));
   Engine.run engine;
-  check_ceiling "Env.try_syscall (native, 1 rank)" ~ceiling:(exactly 17.0) !words
+  check_ceiling "Env.try_syscall (native, 1 rank)" ~ceiling:(exactly 15.0) !words
 
 (* 12 words, however long the label: the child's state buffer and
    record and the label hash's result box.  A [String.iter] hash boxes
@@ -286,10 +376,10 @@ let test_next_gap () =
 (* One call that faults once and then completes, through the retry
    loop varbench and noise ranks share, from a rank in the app's unit
    (0) and one in a noise unit (1) of a background-free native node.
-   The faulted attempt costs 14 (the entry path's delay, the op
-   context, the latency's box and [Faulted]), the backoff 6 (a delay
-   and its duration's box) and the completed attempt is
-   [Env.try_syscall]'s 17.  A retry closure built per call adds 7. *)
+   35 words: each attempt's delays, op context, latency box and
+   result, the backoff's delay and duration box, and the clock's box
+   wherever a moved clock is read through [Engine.now].  A retry
+   closure built per call adds 7. *)
 let test_retry_call () =
   let engine = Engine.create ~seed:1 () in
   let env =
@@ -323,7 +413,7 @@ let test_retry_call () =
       Engine.run engine;
       Alcotest.(check (pair int int)) (name ^ ": one retry per call") (n + 1, n + 1)
         (counters.Retry.retries, counters.Retry.issued);
-      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 37.0) !words)
+      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 35.0) !words)
     [ ("harness rank", 0); ("noise rank", 1) ]
 
 (* A lock pair under a fault plan whose preemptions never fire: one
@@ -410,7 +500,7 @@ let test_silo_request () =
       done;
       words := words_per_op ~n:2_000 request);
   Engine.run engine;
-  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 245.2) !words
+  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 183.91) !words
 
 let suite =
   [
@@ -441,4 +531,9 @@ let suite =
     Alcotest.test_case "faulted lock pair allocates nothing" `Quick test_faulted_lock_pair;
     Alcotest.test_case "request calls hit their memos" `Quick test_request_calls_memoised;
     Alcotest.test_case "silo request allocates its events" `Quick test_silo_request;
+    Alcotest.test_case "two Engine.now reads share one box" `Quick test_now_boxes_once;
+    Alcotest.test_case "contended lock hands off by ticket" `Quick test_contended_lock;
+    Alcotest.test_case "barrier generation parks by ticket" `Quick
+      test_barrier_generation;
+    Alcotest.test_case "Dist.sample_into allocates nothing" `Quick test_dist_sample_into;
   ]

@@ -310,6 +310,38 @@ let test_parking_slot_reuse () =
   Alcotest.(check (list (triple int int (float 0.0)))) "nothing parked" []
     (Engine.blocked engine)
 
+(* The same refusal for a ticket parked and woken directly: process 1
+   is woken, process 2 parks in the freed slot, and the old ticket must
+   fail as a second wake without resuming process 2. *)
+let test_stale_ticket () =
+  let engine = Engine.create () in
+  let first = ref (-1) and second = ref (-1) in
+  let resumed = ref [] in
+  Engine.spawn engine (fun () ->
+      first := Engine.ticket engine;
+      Engine.park engine;
+      resumed := 1 :: !resumed);
+  Engine.spawn engine (fun () ->
+      Engine.delay 1.0;
+      Engine.wake_ticket engine !first;
+      Engine.delay 1.0;
+      second := Engine.ticket engine;
+      Engine.park engine;
+      resumed := 2 :: !resumed);
+  Engine.run engine;
+  Alcotest.(check bool) "a fresh ticket" true (!first <> !second);
+  Alcotest.(check (list (triple int int (float 0.0)))) "second parked in the freed slot"
+    [ (2, 2, 2.0) ] (Engine.blocked engine);
+  (match Engine.wake_ticket engine !first with
+  | () -> Alcotest.fail "stale ticket accepted"
+  | exception Failure msg ->
+      Alcotest.(check string) "refused" "Engine: process woken twice" msg);
+  Engine.run engine;
+  Alcotest.(check (list int)) "only process 1 resumed" [ 1 ] !resumed;
+  Engine.wake_ticket engine !second;
+  Engine.run engine;
+  Alcotest.(check (list int)) "process 2 resumed by its own ticket" [ 2; 1 ] !resumed
+
 let test_blocked_lists_every_parked () =
   let engine = Engine.create () in
   for i = 1 to 40 do
@@ -337,16 +369,31 @@ let qcheck_delays_sum =
 
 (* A random script on a coarse integer time grid, so ties are common:
    root processes spawned at chosen times, each running delays, nested
-   spawns, suspensions and wakes.  [Wake] resumes the longest-parked
+   spawns, suspensions and wakes, holds of one shared lock and arrivals
+   at one two-party barrier.  [Wake] resumes the longest-parked
    process, if any. *)
-type step = Delay of int | Spawn of int * step list | Suspend | Wake
+type step =
+  | Delay of int
+  | Spawn of int * step list
+  | Suspend
+  | Wake
+  | Hold of int  (** hold the script's one [Lock] for that long *)
+  | Arrive  (** arrive at the script's one two-party [Barrier] *)
 
 let rec prog_gen depth =
   QCheck.Gen.(list_size (int_bound 5) (step_gen depth))
 
 and step_gen depth =
   let open QCheck.Gen in
-  let leaves = [ map (fun d -> Delay d) (int_range 1 3); return Suspend; return Wake ] in
+  let leaves =
+    [
+      map (fun d -> Delay d) (int_range 1 3);
+      return Suspend;
+      return Wake;
+      map (fun d -> Hold d) (int_range 1 3);
+      return Arrive;
+    ]
+  in
   if depth = 0 then oneof leaves
   else oneof (map2 (fun at p -> Spawn (at, p)) (int_bound 3) (prog_gen (depth - 1)) :: leaves)
 
@@ -357,6 +404,8 @@ and show_step = function
   | Spawn (at, p) -> Printf.sprintf "S%d%s" at (show_prog p)
   | Suspend -> "Z"
   | Wake -> "W"
+  | Hold d -> Printf.sprintf "H%d" d
+  | Arrive -> "B"
 
 let script_arb =
   QCheck.make
@@ -368,6 +417,8 @@ let script_arb =
 let engine_trace roots =
   let engine = Engine.create () in
   let wakes = Queue.create () and trace = ref [] in
+  let lock = Lock.create ~engine ~name:"script.lock" in
+  let barrier = Barrier.create ~engine ~name:"script.barrier" ~parties:2 in
   Engine.add_probe engine (function
     | Engine.Executed { now; pid } -> trace := (int_of_float now, pid) :: !trace
     | _ -> ());
@@ -378,7 +429,12 @@ let engine_trace roots =
         | Spawn (at, p) ->
             Engine.spawn ~at:(Engine.now engine +. float_of_int at) engine (fun () -> run_prog p)
         | Suspend -> Engine.suspend (fun wake -> Queue.push wake wakes)
-        | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt wakes))
+        | Wake -> Option.iter (fun wake -> wake ()) (Queue.take_opt wakes)
+        | Hold d ->
+            Lock.acquire lock;
+            Engine.delay (float_of_int d);
+            Lock.release lock
+        | Arrive -> Barrier.arrive barrier)
       prog
   in
   List.iter (fun (at, p) -> Engine.spawn ~at:(float_of_int at) engine (fun () -> run_prog p)) roots;
@@ -387,19 +443,25 @@ let engine_trace roots =
 
 (* The same script on a list scheduler: one queue of (time, seq, process)
    entries, every spawn, delay and wake taking the next seq, and the
-   earliest (time, seq) firing next. *)
-type proc = { pid : int; mutable rest : step list }
+   earliest (time, seq) firing next.  The lock and the barrier are FIFO
+   lists of the processes parked on them: a release hands the lock to
+   the first, the last arrival wakes them all in arrival order.
+   [Release] is the second half of a [Hold]. *)
+type proc = { pid : int; mutable rest : ref_step list }
+and ref_step = Step of step | Release
 
 let reference_trace roots =
   let queue = ref [] and seq = ref 0 and next_pid = ref 0 in
   let parked = Queue.create () and trace = ref [] in
+  let held = ref false and lock_q = Queue.create () in
+  let arrived = Queue.create () in
   let schedule time p =
     incr seq;
     queue := (time, !seq, p) :: !queue
   in
   let spawn time prog =
     incr next_pid;
-    schedule time { pid = !next_pid; rest = prog }
+    schedule time { pid = !next_pid; rest = List.map (fun s -> Step s) prog }
   in
   let rec resume now p =
     match p.rest with
@@ -407,14 +469,33 @@ let reference_trace roots =
     | step :: rest -> (
         p.rest <- rest;
         match step with
-        | Delay d -> schedule (now + d) p
-        | Suspend -> Queue.push p parked
-        | Spawn (at, prog) ->
+        | Step (Delay d) -> schedule (now + d) p
+        | Step Suspend -> Queue.push p parked
+        | Step (Spawn (at, prog)) ->
             spawn (now + at) prog;
             resume now p
-        | Wake ->
+        | Step Wake ->
             Option.iter (schedule now) (Queue.take_opt parked);
-            resume now p)
+            resume now p
+        | Step (Hold d) ->
+            p.rest <- Step (Delay d) :: Release :: p.rest;
+            if !held then Queue.push p lock_q
+            else begin
+              held := true;
+              resume now p
+            end
+        | Release ->
+            (match Queue.take_opt lock_q with
+            | Some next -> schedule now next
+            | None -> held := false);
+            resume now p
+        | Step Arrive ->
+            if Queue.is_empty arrived then Queue.push p arrived
+            else begin
+              Queue.iter (schedule now) arrived;
+              Queue.clear arrived;
+              resume now p
+            end)
   in
   List.iter (fun (at, prog) -> spawn at prog) roots;
   let rec loop () =
@@ -468,4 +549,5 @@ let suite =
       test_blocked_lists_every_parked;
     QCheck_alcotest.to_alcotest qcheck_delays_sum;
     QCheck_alcotest.to_alcotest qcheck_order_matches_reference;
+    Alcotest.test_case "stale ticket refused" `Quick test_stale_ticket;
   ]

@@ -317,6 +317,59 @@ let prop_dist_sample =
         (List.init 32 Fun.id)
       && Prng.save a = Prng.save b)
 
+(* Bitwise equality: [Float.equal] would let -0.0 pass for 0.0. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every constructor, nested [Shifted]/[Scaled] included, from the
+   [Dist.sample] reference's shapes. *)
+let prop_sample_into =
+  QCheck.Test.make ~name:"Dist.sample_into writes Dist.sample's bits" ~count:300
+    QCheck.(pair (make shape_gen) small_nat)
+    (fun (shape, seed) ->
+      let d = build shape and cell = [| nan |] in
+      let a = Prng.create seed in
+      let b = Prng.copy a in
+      List.for_all
+        (fun _ ->
+          Dist.sample_into d a cell;
+          same_bits cell.(0) (Dist.sample d b))
+        (List.init 32 Fun.id)
+      && Prng.save a = Prng.save b)
+
+(* The constructors refuse negative parameters, so the clamp at each
+   level only ever meets its edge values: -0.0 (kept, since it is not
+   below 0.0), NaN (kept) and infinity.  [sample_into] must keep each
+   exactly as [sample] does, at every level of a nested distribution,
+   and leave the stream where [sample] leaves it. *)
+let test_sample_into_edges () =
+  let dists =
+    [
+      ("constant -0", Dist.constant (-0.0));
+      ("shifted -0", Dist.shifted (-0.0) (Dist.constant (-0.0)));
+      ("scaled -0", Dist.scaled (-0.0) (Dist.exponential ~mean:3.0));
+      ("scaled 0 of infinity", Dist.scaled 0.0 (Dist.constant infinity));
+      ("uniform to NaN", Dist.shifted 1.0 (Dist.uniform ~lo:0.0 ~hi:nan));
+      ( "nested",
+        Dist.scaled 2.0
+          (Dist.shifted 1.5 (Dist.scaled 0.5 (Dist.lognormal ~median:10.0 ~sigma:1.0))) );
+      ("pareto", Dist.shifted 0.0 (Dist.bounded_pareto ~lo:1.0 ~hi:1e6 ~shape:0.7));
+    ]
+  in
+  List.iter
+    (fun (name, d) ->
+      let a = Prng.create 17 in
+      let b = Prng.copy a in
+      let cell = [| 42.0 |] in
+      for _ = 1 to 50 do
+        Dist.sample_into d a cell;
+        let v = Dist.sample d b in
+        if not (same_bits cell.(0) v) then
+          Alcotest.failf "%s: sample_into %h, sample %h" name cell.(0) v
+      done;
+      Alcotest.(check bool) (name ^ ": same stream position") true
+        (Prng.save a = Prng.save b))
+    dists
+
 (* --- Workload.next_gap ------------------------------------------- *)
 
 (* [next_gap] as written before it was made allocation-free: a fold
@@ -363,17 +416,19 @@ let prop_next_gap =
         nows
       && Prng.save a = Prng.save b)
 
-(* --- Welford.add_span -------------------------------------------- *)
+(* --- Welford.add_cell -------------------------------------------- *)
 
-let prop_add_span =
-  QCheck.Test.make ~name:"Welford.add_span is add of the difference" ~count:300
+let prop_add_cell =
+  QCheck.Test.make ~name:"Welford.add_cell is add of the cell" ~count:300
     QCheck.(list (pair (float_range 0.0 1e9) (float_range 0.0 1e6)))
     (fun spans ->
       let a = Welford.create () and b = Welford.create () in
+      let cell = [| 0.0 |] in
       List.iter
         (fun (since, len) ->
           let until = since +. len in
-          Welford.add_span a ~since ~until;
+          cell.(0) <- until -. since;
+          Welford.add_cell a cell;
           Welford.add b (until -. since))
         spans;
       Welford.count a = Welford.count b
@@ -393,6 +448,9 @@ let suite =
          prop_bits53;
          prop_burn_draw;
          prop_dist_sample;
+         prop_sample_into;
          prop_next_gap;
-         prop_add_span;
+         prop_add_cell;
        ]
+  @ [ Alcotest.test_case "Dist.sample_into keeps the clamp's edges" `Quick
+        test_sample_into_edges ]
