@@ -86,16 +86,17 @@ let deterministic r = r.divergence = None && r.hash_first = r.hash_second
 
 (* [run ~probe] must perform one complete scenario run, feeding every
    engine event to [probe] (attach it via [Engine.add_probe] on every
-   engine the scenario creates).  The first run queues the events
-   themselves, which are immutable; the second compares keys against
-   them, and only a divergent pair is rendered for display. *)
+   engine the scenario creates).  The first run queues copies of the
+   events, since an engine overwrites the one it hands a probe; the
+   second compares keys against them, and only a divergent pair is
+   rendered for display. *)
 let check ~(run : probe:(Engine.event_info -> unit) -> unit) () =
   let seed_hash = Stable_hash.string "ksan-determinism" in
   let first_events = Queue.create () in
   let hash_first = ref seed_hash in
   run ~probe:(fun info ->
       hash_first := Stable_hash.combine !hash_first (Stable_hash.string (key info));
-      Queue.push info first_events);
+      Queue.push (Engine.copy_event info) first_events);
   let events_first = Queue.length first_events in
   let hash_second = ref seed_hash in
   let events_second = ref 0 in

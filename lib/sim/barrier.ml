@@ -15,23 +15,14 @@ let generation t = t.generation
 let waiting t = t.arrived
 let parties t = t.parties
 
-let emit t op =
-  Engine.emit t.engine
-    (Engine.Sync
-       {
-         now = Engine.now t.engine;
-         pid = Engine.current_pid t.engine;
-         name = t.name;
-         op;
-       })
-
 (* Release everyone parked on this generation, in arrival order, and
    start the next one. *)
 let release_generation t =
   t.arrived <- 0;
   t.generation <- t.generation + 1;
   if Engine.observed t.engine then
-    emit t (Engine.Barrier_release { generation = t.generation });
+    Engine.emit_sync t.engine ~name:t.name
+      (Engine.Barrier_release { generation = t.generation });
   while not (Fifo.is_empty t.waiters) do
     Engine.wake_ticket t.engine (Fifo.pop t.waiters)
   done
@@ -39,7 +30,7 @@ let release_generation t =
 let arrive t =
   t.arrived <- t.arrived + 1;
   if Engine.observed t.engine then
-    emit t
+    Engine.emit_sync t.engine ~name:t.name
       (Engine.Barrier_arrive
          { generation = t.generation; arrived = t.arrived; parties = t.parties });
   if t.arrived < t.parties then begin
@@ -55,7 +46,7 @@ let depart t =
       (Printf.sprintf "Barrier.depart: %s would have no parties left" t.name);
   t.parties <- t.parties - 1;
   if Engine.observed t.engine then
-    emit t
+    Engine.emit_sync t.engine ~name:t.name
       (Engine.Barrier_depart { generation = t.generation; parties = t.parties });
   (* The departing party may have been the only arrival the current
      generation was still waiting for: release it now so survivors do

@@ -21,8 +21,17 @@ type t = {
   root_rng : Ksurf_util.Prng.t;
   mutable executed : int;
   (* Observer layer: analyzers (lockdep, determinism, invariants)
-     register probes; the hot path only pays when one is attached. *)
+     register probes; the hot path only pays when one is attached.
+     The engine emits its frequent kinds through one block each, built
+     here and overwritten by every emit of that kind, so an observed
+     event allocates only the float boxes its fields need.  The blocks
+     are per engine: engines on other domains fill their own. *)
   mutable probes : (event_info -> unit) list;
+  ev_scheduled : event_info;
+  ev_executed : event_info;
+  ev_suspended : event_info;
+  ev_woken : event_info;
+  ev_sync : event_info;
   (* Process identity: every [spawn] gets a fresh pid, and continuations
      (delay/suspend wake-ups) run under the pid that created them, so
      probes can attribute lock operations to logical processes. *)
@@ -72,15 +81,20 @@ and acquire_site = Lock_site | Resource_site
    [add_probe] observes a whole simulation; the types live here to
    avoid dependency cycles inside the library. *)
 and event_info =
-  | Scheduled of { now : float; at : float; pid : int }
+  | Scheduled of { mutable now : float; mutable at : float; mutable pid : int }
       (** an event was pushed on the heap, to run as [pid] *)
-  | Executed of { now : float; pid : int }
+  | Executed of { mutable now : float; mutable pid : int }
       (** a heap event started executing *)
-  | Suspended of { now : float; pid : int; token : int }
+  | Suspended of { mutable now : float; mutable pid : int; mutable token : int }
       (** [pid] parked on a wait queue; [token] identifies the suspension *)
-  | Woken of { now : float; pid : int; token : int }
+  | Woken of { mutable now : float; mutable pid : int; mutable token : int }
       (** suspension [token] was woken *)
-  | Sync of { now : float; pid : int; name : string; op : sync_op }
+  | Sync of {
+      mutable now : float;
+      mutable pid : int;
+      mutable name : string;
+      mutable op : sync_op;
+    }
       (** a synchronization-primitive operation on primitive [name] *)
   | Injected of { now : float; pid : int; fault : string; magnitude : float }
       (** a fault injector (kfault) perturbed the simulation; [fault]
@@ -142,9 +156,15 @@ let now t =
   end;
   t.now_box
 
+(* The box stays current while the time keeps its bits, so events
+   that run at an unchanged time share it.  [<>] alone would keep a
+   0.0 box for -0.0, so zeros also compare signs; the clock is never
+   NaN. *)
 let[@inline] set_clock t time =
-  t.clock.(0) <- time;
-  t.now_fresh <- false
+  let old = t.clock.(0) in
+  if time <> old || (time = 0.0 && Float.sign_bit time <> Float.sign_bit old) then
+    t.now_fresh <- false;
+  t.clock.(0) <- time
 
 let rng t = t.root_rng
 let pending t = Heap.size t.conts + Heap.size t.thunks
@@ -161,6 +181,74 @@ let rec emit_to info = function
       emit_to info rest
 
 let emit t info = emit_to info t.probes
+
+(* The reusable blocks are filled by matching on their constructor,
+   the only way to reach an inline record's fields; the other branch
+   never runs.  A block outlives a minor collection, so storing a
+   pointer in it runs the write barrier, a C call that costs more than
+   allocating a fresh event did: a pointer field already holding the
+   value (the clock's box at an unchanged time, a lock's name) is left
+   alone. *)
+let emit_scheduled t ~at ~pid =
+  (match t.ev_scheduled with
+  | Scheduled r ->
+      let box = now t in
+      if r.now != box then r.now <- box;
+      r.at <- at;
+      r.pid <- pid
+  | _ -> ());
+  emit t t.ev_scheduled
+
+let emit_executed t ~pid =
+  (match t.ev_executed with
+  | Executed r ->
+      let box = now t in
+      if r.now != box then r.now <- box;
+      r.pid <- pid
+  | _ -> ());
+  emit t t.ev_executed
+
+let emit_suspended t ~pid ~token =
+  (match t.ev_suspended with
+  | Suspended r ->
+      let box = now t in
+      if r.now != box then r.now <- box;
+      r.pid <- pid;
+      r.token <- token
+  | _ -> ());
+  emit t t.ev_suspended
+
+let emit_woken t ~pid ~token =
+  (match t.ev_woken with
+  | Woken r ->
+      let box = now t in
+      if r.now != box then r.now <- box;
+      r.pid <- pid;
+      r.token <- token
+  | _ -> ());
+  emit t t.ev_woken
+
+let emit_sync t ~name op =
+  if observed t then begin
+    (match t.ev_sync with
+    | Sync r ->
+        let box = now t in
+        if r.now != box then r.now <- box;
+        r.pid <- t.cur_pid;
+        if r.name != name then r.name <- name;
+        if r.op != op then r.op <- op
+    | _ -> ());
+    emit t t.ev_sync
+  end
+
+let copy_event = function
+  | Scheduled { now; at; pid } -> Scheduled { now; at; pid }
+  | Executed { now; pid } -> Executed { now; pid }
+  | Suspended { now; pid; token } -> Suspended { now; pid; token }
+  | Woken { now; pid; token } -> Woken { now; pid; token }
+  | Sync { now; pid; name; op } -> Sync { now; pid; name; op }
+  | (Injected _ | Denied _ | Rank_transition _) as e -> e
+
 let current_pid t = t.cur_pid
 let set_acquire_hook t hook = t.acquire_hook <- hook
 let acquire_hook t = t.acquire_hook
@@ -171,7 +259,7 @@ let acquire_hook t = t.acquire_hook
 let[@inline] admit t ~pid at =
   (* Emit before validating so a sanitizer records the violation even
      though the engine still refuses it. *)
-  if observed t then emit t (Scheduled { now = now t; at; pid });
+  if observed t then emit_scheduled t ~at ~pid;
   (* A NaN time passes the [< now] test below and would silently break
      the heap order, so non-finite times are refused first. *)
   if not (Float.is_finite at) then
@@ -186,7 +274,7 @@ let[@inline] admit t ~pid at =
 let exec t ~pid run x =
   let saved = t.cur_pid in
   t.cur_pid <- pid;
-  if observed t then emit t (Executed { now = now t; pid });
+  if observed t then emit_executed t ~pid;
   match run x with
   | () -> t.cur_pid <- saved
   | exception exn ->
@@ -252,7 +340,7 @@ let park_cont t k =
   t.park_pid.(slot) <- pid;
   t.park_since.(slot) <- t.clock.(0);
   t.park_k.(slot) <- k;
-  if observed t then emit t (Suspended { now = now t; pid; token });
+  if observed t then emit_suspended t ~pid ~token;
   ticket
 
 (* The waker schedules the parked continuation at the current time,
@@ -268,17 +356,14 @@ let wake_ticket t ticket =
      engine then refuses.  A freed slot keeps its last pid, so a second
      wake names its process, unless the slot was reused since. *)
   if observed t then
-    emit t (Woken { now = now t; pid = (if known then t.park_pid.(slot) else 0); token });
+    emit_woken t ~pid:(if known then t.park_pid.(slot) else 0) ~token;
   if not live then failwith "Engine: process woken twice";
   let pid = t.park_pid.(slot) and k = t.park_k.(slot) in
   t.park_token.(slot) <- 0;
   t.park_k.(slot) <- no_continuation;
   t.park_free.(t.park_nfree) <- slot;
   t.park_nfree <- t.park_nfree + 1;
-  if observed t then begin
-    let at = now t in
-    emit t (Scheduled { now = at; at; pid })
-  end;
+  if observed t then emit_scheduled t ~at:(now t) ~pid;
   t.seq <- t.seq + 1;
   Heap.push_cell t.conts t.clock ~seq:t.seq ~pid k
 
@@ -297,6 +382,11 @@ let create ?(seed = 0) () =
       root_rng;
       executed = 0;
       probes = [];
+      ev_scheduled = Scheduled { now = 0.0; at = 0.0; pid = 0 };
+      ev_executed = Executed { now = 0.0; pid = 0 };
+      ev_suspended = Suspended { now = 0.0; pid = 0; token = 0 };
+      ev_woken = Woken { now = 0.0; pid = 0; token = 0 };
+      ev_sync = Sync { now = 0.0; pid = 0; name = ""; op = Release };
       cur_pid = 0;
       next_pid = 0;
       next_token = 0;

@@ -21,13 +21,22 @@ type t
 (** Probe events, in engine order.  Emitted only while at least one
     probe is registered (see {!add_probe}); the instrumented hot paths
     are otherwise untouched.  [pid] identifies the simulated process
-    (0 outside any process), [token] a single suspension. *)
+    (0 outside any process), [token] a single suspension.
+
+    The five frequent kinds have mutable fields: each engine emits them
+    through one block per kind that every emit of that kind overwrites
+    (see {!add_probe}).  Only the engine writes them. *)
 type event_info =
-  | Scheduled of { now : float; at : float; pid : int }
-  | Executed of { now : float; pid : int }
-  | Suspended of { now : float; pid : int; token : int }
-  | Woken of { now : float; pid : int; token : int }
-  | Sync of { now : float; pid : int; name : string; op : sync_op }
+  | Scheduled of { mutable now : float; mutable at : float; mutable pid : int }
+  | Executed of { mutable now : float; mutable pid : int }
+  | Suspended of { mutable now : float; mutable pid : int; mutable token : int }
+  | Woken of { mutable now : float; mutable pid : int; mutable token : int }
+  | Sync of {
+      mutable now : float;
+      mutable pid : int;
+      mutable name : string;
+      mutable op : sync_op;
+    }
   | Injected of { now : float; pid : int; fault : string; magnitude : float }
       (** A fault injector (kfault) perturbed the simulation.  [fault]
           names the mechanism (e.g. ["syscall-eagain"],
@@ -83,10 +92,18 @@ val create : ?seed:int -> unit -> t
 
 val add_probe : t -> (event_info -> unit) -> unit
 (** Register an observer called synchronously on every {!event_info}.
-    Probes must not call back into the engine.  Each event is a fresh
-    immutable value that a probe may keep (the determinism checker
-    queues a whole run of them), so no emitter may reuse one mutable
-    event across calls. *)
+    Probes must not call back into the engine.  An event lives only
+    for the call: the engine overwrites the same [Scheduled],
+    [Executed], [Suspended], [Woken] or [Sync] block on the next emit
+    of its kind, so a probe may read an event's fields (and keep the
+    values it reads) but must not keep the event itself after it
+    returns.  A probe that keeps events keeps {!copy_event}s of them,
+    as the determinism checker does. *)
+
+val copy_event : event_info -> event_info
+(** A fresh event with the same fields, which later emits leave
+    alone.  Returns the rare kinds ([Injected], [Denied],
+    [Rank_transition]), which are immutable, as they are. *)
 
 val observed : t -> bool
 (** [true] iff at least one probe is registered — instrumented call
@@ -94,7 +111,15 @@ val observed : t -> bool
 
 val emit : t -> event_info -> unit
 (** Deliver an event to every registered probe (no-op when none).
-    Exposed for the sync primitives; ordinary code never calls it. *)
+    Probes see it only for the call, as {!add_probe} says.  Exposed for
+    the rare kinds that other layers emit (fault injections, policy
+    denials, rank transitions); ordinary code never calls it. *)
+
+val emit_sync : t -> name:string -> sync_op -> unit
+(** [emit_sync t ~name op] emits a [Sync] event for primitive [name] at
+    the current time, under the current pid, by filling the engine's
+    one [Sync] block; no-op when no probe is registered.  How {!Lock},
+    {!Rwlock} and {!Barrier} report their operations. *)
 
 val current_pid : t -> int
 (** Pid of the currently executing process, or 0 outside processes. *)
@@ -114,7 +139,8 @@ val now : t -> float
 (** The current virtual time.  The clock lives unboxed in {!clock};
     [now] boxes it on its first call after the clock moved and returns
     that same box until the clock moves again, so every reader within
-    one event shares one box. *)
+    one event, and within a run of events at the same time, shares
+    one box. *)
 
 val clock : t -> float array
 (** The engine's clock: a one-element float array whose slot 0 is the

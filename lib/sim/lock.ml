@@ -35,29 +35,20 @@ let contended_acquisitions t = t.contended
 let wait_stats t = t.wait_stats
 let hold_stats t = t.hold_stats
 
-(* Probe events are emitted at *intent* time — before any blocking — so
-   a lock-order analyzer sees the acquisition order even when a request
-   deadlocks and never completes (exactly what it exists to catch). *)
-let emit t op =
-  Engine.emit t.engine
-    (Engine.Sync
-       {
-         now = Engine.now t.engine;
-         pid = Engine.current_pid t.engine;
-         name = t.name;
-         op;
-       })
-
 (* The two acquire payloads, built once: an observed acquire picks one
    instead of allocating its own. *)
 let acquire_uncontended = Engine.Acquire { contended = false }
 let acquire_contended = Engine.Acquire { contended = true }
 
+(* Probe events are emitted at *intent* time — before any blocking — so
+   a lock-order analyzer sees the acquisition order even when a request
+   deadlocks and never completes (exactly what it exists to catch). *)
 let acquire t =
   (* An unboxed local, kept on the process's stack across the park. *)
   let start = t.clock.(0) in
   if Engine.observed t.engine then
-    emit t (if t.held then acquire_contended else acquire_uncontended);
+    Engine.emit_sync t.engine ~name:t.name
+      (if t.held then acquire_contended else acquire_uncontended);
   if not t.held then t.held <- true
   else begin
     t.contended <- t.contended + 1;
@@ -79,7 +70,8 @@ let acquire t =
   | Some hook -> hook Engine.Lock_site t.name
 
 let release t =
-  if Engine.observed t.engine then emit t Engine.Release;
+  if Engine.observed t.engine then
+    Engine.emit_sync t.engine ~name:t.name Engine.Release;
   if not t.held then
     invalid_arg (Printf.sprintf "Lock.release: %s is not held" t.name);
   t.cells.(0) <- t.clock.(0) -. t.cells.(1);

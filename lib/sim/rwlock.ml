@@ -32,17 +32,6 @@ let[@inline] record_wait t start =
   t.wait.(0) <- t.clock.(0) -. start;
   Ksurf_util.Welford.add_cell t.wait_stats t.wait
 
-(* Like Lock, probe events fire at intent time, before blocking. *)
-let emit t op =
-  Engine.emit t.engine
-    (Engine.Sync
-       {
-         now = Engine.now t.engine;
-         pid = Engine.current_pid t.engine;
-         name = t.name;
-         op;
-       })
-
 (* Queue the caller's ticket, tagged as a writer or not, and park. *)
 let wait_in_queue t ~write =
   let ticket = Engine.ticket t.engine lsl 1 in
@@ -60,12 +49,14 @@ let write_uncontended = Engine.Write_acquire { contended = false }
 let write_contended = Engine.Write_acquire { contended = true }
 
 (* A queued writer blocks new readers (writer preference), preventing
-   writer starvation under read-heavy load. *)
+   writer starvation under read-heavy load.  Like Lock, probe events
+   fire at intent time, before blocking. *)
 let acquire_read t =
   let start = t.clock.(0) in
   let granted = (not t.writer) && t.queued_writers = 0 in
   if Engine.observed t.engine then
-    emit t (if granted then read_uncontended else read_contended);
+    Engine.emit_sync t.engine ~name:t.name
+      (if granted then read_uncontended else read_contended);
   if granted then t.readers <- t.readers + 1 else wait_in_queue t ~write:false;
   record_wait t start
 
@@ -73,7 +64,8 @@ let acquire_write t =
   let start = t.clock.(0) in
   let granted = (not t.writer) && t.readers = 0 && Fifo.is_empty t.queue in
   if Engine.observed t.engine then
-    emit t (if granted then write_uncontended else write_contended);
+    Engine.emit_sync t.engine ~name:t.name
+      (if granted then write_uncontended else write_contended);
   if granted then t.writer <- true else wait_in_queue t ~write:true;
   record_wait t start
 
@@ -96,7 +88,8 @@ let drain t =
     done
 
 let release_read t =
-  if Engine.observed t.engine then emit t Engine.Read_release;
+  if Engine.observed t.engine then
+    Engine.emit_sync t.engine ~name:t.name Engine.Read_release;
   if t.readers <= 0 then
     invalid_arg
       (Printf.sprintf "Rwlock.release_read: %s has no readers" t.name);
@@ -104,7 +97,8 @@ let release_read t =
   drain t
 
 let release_write t =
-  if Engine.observed t.engine then emit t Engine.Write_release;
+  if Engine.observed t.engine then
+    Engine.emit_sync t.engine ~name:t.name Engine.Write_release;
   if not t.writer then
     invalid_arg
       (Printf.sprintf "Rwlock.release_write: %s has no writer" t.name);

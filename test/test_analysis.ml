@@ -162,6 +162,72 @@ let test_determinism_catches_divergence () =
   Alcotest.(check (list string)) "one finding" [ "divergent-replay" ]
     (codes (Determinism.to_findings result))
 
+(* The witness names each run's own event at the divergent index.  The
+   engine overwrites one [Scheduled] block for every delay, so a
+   checker that queued the events themselves would hold run 1's last
+   schedule (at=40) in every slot and diverge at index 0. *)
+let test_determinism_witness_is_run_one_event () =
+  let calls = ref 0 in
+  let run ~probe =
+    incr calls;
+    let second = !calls > 1 in
+    let engine = Engine.create () in
+    Engine.add_probe engine probe;
+    Engine.spawn engine (fun () ->
+        Engine.delay 10.0;
+        Engine.delay (if second then 11.0 else 10.0);
+        Engine.delay 10.0;
+        Engine.delay 10.0);
+    Engine.run engine
+  in
+  let result = Determinism.check ~run () in
+  match result.Determinism.divergence with
+  | None -> Alcotest.fail "expected a divergence record"
+  | Some d ->
+      (* spawn, execute, schedule(at=10), execute, then the second delay *)
+      Alcotest.(check int) "index" 4 d.Determinism.index;
+      Alcotest.(check (option string)) "run 1's event"
+        (Some "t=10 pid=1 schedule(at=20)") d.Determinism.first;
+      Alcotest.(check (option string)) "run 2's event"
+        (Some "t=10 pid=1 schedule(at=21)") d.Determinism.second
+
+(* Eight processes hold one lock for random spans drawn from the
+   engine's stream, so each seed gives its own event stream. *)
+let contended_run ~seed ~probe =
+  let engine = Engine.create ~seed () in
+  Engine.add_probe engine probe;
+  let rng = Engine.rng engine in
+  let lock = Lock.create ~engine ~name:"pool.lock" in
+  for _ = 1 to 8 do
+    Engine.spawn engine (fun () ->
+        for _ = 1 to 500 do
+          Lock.with_hold lock (float_of_int (1 + Prng.int rng 50))
+        done)
+  done;
+  Engine.run engine
+
+(* Two observed engines run at once as the cells of a 2-domain pool
+   and hash exactly as each does alone: every engine fills its own
+   event blocks, so neither domain overwrites the other's events. *)
+let test_determinism_per_engine_under_pool () =
+  let seeds = [ 1; 2 ] in
+  let cell seed = Determinism.check ~run:(contended_run ~seed) () in
+  let alone = List.map cell seeds in
+  let pooled = Pool.with_pool ~jobs:2 (fun pool -> Pool.map ~pool cell seeds) in
+  List.iter2
+    (fun (a : Determinism.result) (p : Determinism.result) ->
+      Alcotest.(check bool) "deterministic in the pool" true
+        (Determinism.deterministic p);
+      Alcotest.(check int) "events" a.Determinism.events_first p.Determinism.events_first;
+      Alcotest.(check int) "hash as alone" a.Determinism.hash_first
+        p.Determinism.hash_first)
+    alone pooled;
+  match alone with
+  | [ a; b ] ->
+      Alcotest.(check bool) "seeds differ" true
+        (a.Determinism.hash_first <> b.Determinism.hash_first)
+  | _ -> assert false
+
 (* --- sanitizer orchestration ------------------------------------------ *)
 
 let test_checks_of_string () =
@@ -355,6 +421,10 @@ let suite =
     Alcotest.test_case "determinism: passes" `Quick test_determinism_passes;
     Alcotest.test_case "determinism: catches divergence" `Quick
       test_determinism_catches_divergence;
+    Alcotest.test_case "determinism: witness shows the first run's event" `Quick
+      test_determinism_witness_is_run_one_event;
+    Alcotest.test_case "determinism: per-engine events under Pool" `Quick
+      test_determinism_per_engine_under_pool;
     Alcotest.test_case "checks parsing" `Quick test_checks_of_string;
     Alcotest.test_case "stock scenarios clean" `Slow test_stock_scenarios_clean;
     Alcotest.test_case "drift gate fires at seed 7" `Quick

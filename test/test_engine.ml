@@ -186,11 +186,29 @@ let test_until_clock_waits_for_both_queues () =
   Alcotest.(check (float 0.0)) "both queues empty" 50.0
     (clock_after (fun e -> Engine.spawn e (fun () -> Engine.delay 20.0)))
 
+(* Events at an unchanged time share [Engine.now]'s box.  The box is
+   kept only for the same bits, so a spawn at -0.0 on a clock at 0.0
+   reads back -0.0. *)
+let test_now_box_per_time () =
+  let engine = Engine.create () in
+  let reads = ref [] in
+  let read () = reads := Engine.now engine :: !reads in
+  Engine.spawn ~at:(-0.0) engine read;
+  Engine.spawn ~at:5.0 engine read;
+  Engine.spawn ~at:5.0 engine read;
+  Engine.run engine;
+  match List.rev !reads with
+  | [ zero; a; b ] ->
+      Alcotest.(check bool) "-0.0 reads back as -0.0" true (Float.sign_bit zero);
+      Alcotest.(check bool) "same time, same box" true (a == b)
+  | _ -> Alcotest.fail "expected three reads"
+
 let test_probe_event_sequence () =
   let engine = Engine.create () in
   Alcotest.(check bool) "unobserved by default" false (Engine.observed engine);
   let events = ref [] in
-  Engine.add_probe engine (fun e -> events := e :: !events);
+  (* The engine overwrites one block per kind, so a kept event is a copy. *)
+  Engine.add_probe engine (fun e -> events := Engine.copy_event e :: !events);
   Alcotest.(check bool) "observed once registered" true
     (Engine.observed engine);
   Alcotest.(check int) "no process outside run" 0 (Engine.current_pid engine);
@@ -522,6 +540,7 @@ let suite =
     Alcotest.test_case "spawn at" `Quick test_spawn_at;
     Alcotest.test_case "spawn in past" `Quick test_spawn_in_past_raises;
     Alcotest.test_case "same-time fifo" `Quick test_same_time_fifo;
+    Alcotest.test_case "now box kept at an unchanged time" `Quick test_now_box_per_time;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
     Alcotest.test_case "double wake" `Quick test_double_wake_fails;
