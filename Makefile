@@ -79,7 +79,9 @@ ledger-check:
 # Paired A/B timing against a base revision: AB_N alternating
 # (base, head) ledger runs per workload at --seconds AB_SECONDS, then
 # per workload the median head/base ratio of sim_s and setup_s with a
-# sign-test interval (bench/ab.sh).  BASE is built from an exported
+# sign-test interval, each side's median peak_rss_mb and minor_mwords,
+# and a flag on any metric worse than its BENCHMARK.json bound
+# (bench/ab.sh).  BASE is built from an exported
 # copy under .bench_build/ab/; the working tree is the head.
 AB_N ?= 5
 AB_SECONDS ?= 18

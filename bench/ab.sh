@@ -15,7 +15,10 @@
 # it: the order statistics [r_(k), r_(N+1-k)] of the sorted ratios, with
 # their exact binomial coverage (93.8% at N = 5, 96.9% at N = 6, 96.1%
 # at N = 9).  An interval that contains 1.0 shows no difference at that
-# confidence.  Exits 1 if a run fails, 2 on bad arguments.  Each run
+# confidence.  For peak_rss_mb and minor_mwords it prints each side's
+# median and their ratio.  Any of the four whose median head/base ratio
+# is worse than the metric's bound in BENCHMARK.json is flagged
+# "OVER BOUND".  Exits 1 if a run fails, 2 on bad arguments.  Each run
 # times itself inside the ledger, so the builds (one per side, on the
 # first run) are not in the numbers.  Cost: 2 x N runs per workload,
 # each SECONDS plus the ledger's set-up and warm-up.
@@ -31,6 +34,16 @@ case "$n" in '' | *[!0-9]*) echo "$usage" >&2; exit 2 ;; esac
 [ "$n" -ge 1 ] || { echo "$usage" >&2; exit 2; }
 case "$secs" in '' | *[!0-9.]*) echo "$usage" >&2; exit 2 ;; esac
 [ -f ledger/run.sh ] || { echo "bench/ab.sh: run it from the checkout root" >&2; exit 2; }
+
+# The judged metrics, in the result line's order, and each one's bound:
+# the largest relative worsening BENCHMARK.json allows.
+metrics="sim_s setup_s peak_rss_mb minor_mwords"
+bounds=
+for m in $metrics; do
+  b=$(awk -v m="$m" '$0 ~ "\"name\": \"" m "\"" { f = 1 } f && /"bound":/ { gsub(/[^0-9.]/, "", $2); print $2; exit }' BENCHMARK.json)
+  [ -n "$b" ] || { echo "bench/ab.sh: no $m bound in BENCHMARK.json" >&2; exit 2; }
+  bounds="$bounds $b"
+done
 
 commit=$(git rev-parse --verify --quiet "$base^{commit}") ||
   { echo "bench/ab.sh: unknown revision $base" >&2; exit 2; }
@@ -69,17 +82,31 @@ for w in $workloads; do
       run "$head_dir" head "$w" || exit 1
       run "$base_dir" base "$w" || exit 1
     fi
-    echo "$(metric sim_s base) $(metric sim_s head) $(metric setup_s base) $(metric setup_s head)" >>"$out/pairs"
+    for m in $metrics; do printf '%s %s ' "$(metric "$m" base)" "$(metric "$m" head)"; done >>"$out/pairs"
+    echo >>"$out/pairs"
     i=$((i + 1))
   done
-  for m in sim_s setup_s; do
-    col=1
-    [ "$m" = setup_s ] && col=3
-    awk -v c="$col" '{ print $(c + 1) / $c }' "$out/pairs" | sort -g |
-      awk -v w="$w" -v m="$m" -v n="$n" '
-        { r[NR] = $1 }
+  col=1
+  set -- $bounds
+  for m in $metrics; do
+    # Sorted head/base ratios, then base values, then head values.
+    { awk -v c="$col" '{ print $(c + 1) / $c }' "$out/pairs" | sort -g
+      awk -v c="$col" '{ print $c }' "$out/pairs" | sort -g
+      awk -v c="$col" '{ print $(c + 1) }' "$out/pairs" | sort -g; } |
+      awk -v w="$w" -v m="$m" -v n="$n" -v b="$1" '
+        { v[NR] = $1 }
+        function median(o) { return (n % 2) ? v[o + (n + 1) / 2] : (v[o + n / 2] + v[o + n / 2 + 1]) / 2 }
         END {
-          med = (n % 2) ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
+          # Timings: the median paired ratio.  Sizes: head median over
+          # base median.
+          timing = (m == "sim_s" || m == "setup_s")
+          med = timing ? median(0) : median(2 * n) / median(n)
+          flag = med > 1 + b ? sprintf(", OVER BOUND (%g%%)", 100 * b) : ""
+          if (!timing) {
+            printf "ab %s %s: median base %.3f, head %.3f, ratio %.3f%s\n", \
+              w, m, median(n), median(2 * n), med, flag
+            exit
+          }
           # Largest k with P(Binomial(n, 1/2) <= k - 1) <= 2.5%, at least 1.
           k = 1; cdf = 0; p = 0.5 ^ n; term = p
           for (j = 0; j < n; j++) {
@@ -91,10 +118,12 @@ for w in $workloads; do
           if (k > (n + 1) / 2) k = int((n + 1) / 2)
           below = 0; term = p
           for (j = 0; j < k; j++) { below += term; term = term * (n - j) / (j + 1) }
-          lo = r[k]; hi = r[n + 1 - k]
-          printf "ab %s %s: median ratio %.3f, %.1f%% interval [%.3f, %.3f], %s\n", \
+          lo = v[k]; hi = v[n + 1 - k]
+          printf "ab %s %s: median ratio %.3f, %.1f%% interval [%.3f, %.3f], %s%s\n", \
             w, m, med, 100 * (1 - 2 * below), lo, hi, \
-            (lo <= 1 && hi >= 1) ? "contains 1.0" : (hi < 1 ? "head faster" : "head slower")
+            (lo <= 1 && hi >= 1) ? "contains 1.0" : (hi < 1 ? "head faster" : "head slower"), flag
         }'
+    col=$((col + 2))
+    shift
   done
 done

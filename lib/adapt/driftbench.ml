@@ -174,6 +174,7 @@ let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
   let calls_total = ref 0 and denied_total = ref 0 in
   let calls_post = ref 0 and denied_post = ref 0 in
   let latencies = Streamstat.create () in
+  let clock = Engine.clock engine in
   let surface_samples = Welford.create () in
   List.iter
     (fun r ->
@@ -189,13 +190,11 @@ let run ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
               let denied = ref 0 in
               List.iter
                 (fun (c : Program.call) ->
-                  match Env.try_syscall env ~rank:r c.Program.spec c.Program.arg with
-                  | Env.Denied { latency_ns } ->
-                      incr denied;
-                      Streamstat.add latencies latency_ns
-                  | Env.Completed latency_ns
-                  | Env.Faulted { latency_ns; _ } ->
-                      Streamstat.add latencies latency_ns)
+                  let t0 = clock.(0) in
+                  (match Env.try_syscall env ~rank:r c.Program.spec c.Program.arg with
+                  | Env.Denied -> incr denied
+                  | Env.Completed | Env.Faulted _ -> ());
+                  Streamstat.add latencies (clock.(0) -. t0))
                 program.Program.calls;
               let n = List.length program.Program.calls in
               calls_total := !calls_total + n;

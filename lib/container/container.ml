@@ -23,8 +23,9 @@ let launch ~host ~cgroup =
 let cgroup t = t.cgroup
 let host t = t.host
 
-let exec_syscall t ~core ~tenant ~key ops =
-  let ctx = { Instance.core; tenant; key; cgroup = t.in_cgroup } in
+let context t ~core ~tenant ~key = { Instance.core; tenant; key; cgroup = t.in_cgroup }
+
+let exec_syscall t ctx ops =
   Instance.burn t.host t.entry_cost;
   (* Every containerised call passes resource accounting (cpuacct on
      entry, memcg on any allocation) before its own ops run. *)

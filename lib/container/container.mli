@@ -21,8 +21,12 @@ val namespace_cost : float
 (** Per-syscall namespace translation cost (ns): pid/mnt/net indirection
     on entry. *)
 
-val exec_syscall :
-  t -> core:int -> tenant:int -> key:int -> Ksurf_kernel.Ops.op list -> unit
+val context : t -> core:int -> tenant:int -> key:int -> Ksurf_kernel.Instance.ctx
+(** The op context of a call from inside the container: the container's
+    cgroup is set, so charge ops are live.  [core] is the pinned
+    physical CPU. *)
+
+val exec_syscall : t -> Ksurf_kernel.Instance.ctx -> Ksurf_kernel.Ops.op list -> unit
 (** Run an op program on the shared host kernel from inside the
-    container: entry cost + namespace cost, cgroup context set so charge
-    ops are live.  [core] is the pinned physical CPU. *)
+    container, in a context {!context} built: entry cost + namespace
+    cost, then the cgroup charge and the program. *)

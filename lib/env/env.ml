@@ -15,19 +15,25 @@ let kind_name = function
 
 type target =
   | On_host of Instance.t  (** native: straight to the host kernel *)
-  | On_vm of Vm.t * int  (** guest kernel, local vCPU *)
-  | On_ctr of Container.t * int  (** shared host kernel via namespaces *)
+  | On_vm of Vm.t  (** guest kernel *)
+  | On_ctr of Container.t  (** shared host kernel via namespaces *)
 
-type rank = { target : target; global_core : int }
+(* [ctxs.(k)] is the rank's op context for key [k], built the first
+   time the rank calls with [k] and reused after that, so a call passes
+   a context rather than building one.  [ctxs.(0)] is built at deploy;
+   a slot whose context has another key (it holds [ctxs.(0)]) is not
+   built yet. *)
+type rank = { target : target; mutable ctxs : Instance.ctx array }
 
 type errno = EAGAIN | EINTR
 
 let errno_name = function EAGAIN -> "EAGAIN" | EINTR -> "EINTR"
 
-type syscall_outcome =
-  | Completed of float
-  | Faulted of { errno : errno; latency_ns : float }
-  | Denied of { latency_ns : float }
+type syscall_outcome = Completed | Faulted of errno | Denied
+
+(* Each [Faulted] value is a constant, so a faulted call allocates no
+   outcome either. *)
+let faulted = function EAGAIN -> Faulted EAGAIN | EINTR -> Faulted EINTR
 
 type fault_ctl = {
   syscall_errno : rank:int -> Spec.t -> errno option;
@@ -63,19 +69,16 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
     serve host total;
     host
   in
-  (* [open_unit id u] boots what unit [id] needs.  The function it
-     returns gives the target of the unit's [vcpu]-th rank, pinned to
-     global [core]. *)
-  let open_unit : int -> Partition.unit_spec -> vcpu:int -> core:int -> target =
+  (* [open_unit id u] boots what unit [id] needs and returns the target
+     of the unit's ranks. *)
+  let open_unit : int -> Partition.unit_spec -> target =
     match kind with
     | Native ->
         let host = shared_host () in
-        fun _ _ ~vcpu:_ ~core:_ -> On_host host
+        fun _ _ -> On_host host
     | Docker ->
         let host = shared_host () in
-        fun _ _ ->
-          let ctr = Container.launch ~host ~cgroup:(Instance.register_cgroup host) in
-          fun ~vcpu:_ ~core -> On_ctr (ctr, core)
+        fun _ _ -> On_ctr (Container.launch ~host ~cgroup:(Instance.register_cgroup host))
     | Multikernel ->
         (* MultiK-style: one (typically specialized) kernel instance per
            partition unit, on bare metal.  Ranks pay native syscall
@@ -86,7 +89,7 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
           let cores = u.Partition.cores in
           let inst = boot ~id ~cores ~mem_mb:u.Partition.mem_mb in
           serve inst cores;
-          fun ~vcpu:_ ~core:_ -> On_host inst
+          On_host inst
     | Kvm virt ->
         fun id u ->
           let cores = u.Partition.cores in
@@ -95,14 +98,22 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
               { Vm.vcpus = cores; mem_mb = u.Partition.mem_mb }
           in
           serve (Vm.guest vm) cores;
-          fun ~vcpu ~core:_ -> On_vm (vm, vcpu)
+          On_vm vm
+  in
+  (* The key-0 context of the unit's [vcpu]-th rank, pinned to global
+     [core]; the rank's index, its tenant id, is [core] too. *)
+  let first_context target ~vcpu ~core =
+    match target with
+    | On_host _ -> { Instance.core; tenant = core; key = 0; cgroup = None }
+    | On_vm _ -> { Instance.core = vcpu; tenant = core; key = 0; cgroup = None }
+    | On_ctr ctr -> Container.context ctr ~core ~tenant:core ~key:0
   in
   let ranks = ref [] and core = ref 0 in
   List.iteri
     (fun id (u : Partition.unit_spec) ->
       let target = open_unit id u in
       for vcpu = 0 to u.Partition.cores - 1 do
-        ranks := { target = target ~vcpu ~core:!core; global_core = !core } :: !ranks;
+        ranks := { target; ctxs = [| first_context target ~vcpu ~core:!core |] } :: !ranks;
         incr core
       done)
     partition.Partition.units;
@@ -124,26 +135,43 @@ let rank t i =
     invalid_arg (Printf.sprintf "Env: rank %d out of range" i);
   t.ranks.(i)
 
-(* The latency is read from the clock's cell on both sides, so the
-   call boxes only its result. *)
+(* A key past the table's end grows it to twice its length, or to the
+   key if that is larger.  A negative key, which only a hand-written
+   corpus holds, is not kept. *)
+let rank_context r key =
+  let ctxs = r.ctxs in
+  if key < 0 then { ctxs.(0) with Instance.key }
+  else begin
+    let n = Array.length ctxs in
+    if key >= n then begin
+      let grown = Array.make (max (key + 1) (2 * n)) ctxs.(0) in
+      Array.blit ctxs 0 grown 0 n;
+      r.ctxs <- grown
+    end;
+    let c = r.ctxs.(key) in
+    if c.Instance.key = key then c
+    else begin
+      let c = { c with Instance.key } in
+      r.ctxs.(key) <- c;
+      c
+    end
+  end
+
+let context t ~rank:i ~key = rank_context (rank t i) key
+
 let exec_ops t ~rank:i ~key ops =
   let r = rank t i in
-  let clock = Engine.clock t.engine in
-  let t0 = clock.(0) in
-  (match r.target with
-  | On_host host ->
-      Instance.exec_syscall host
-        { Instance.core = r.global_core; tenant = i; key; cgroup = None }
-        ops
-  | On_vm (vm, vcpu) -> Vm.exec_syscall vm ~core:vcpu ~tenant:i ~key ops
-  | On_ctr (ctr, core) -> Container.exec_syscall ctr ~core ~tenant:i ~key ops);
-  clock.(0) -. t0
+  let ctx = rank_context r key in
+  match r.target with
+  | On_host host -> Instance.exec_syscall host ctx ops
+  | On_vm vm -> Vm.exec_syscall vm ctx ops
+  | On_ctr ctr -> Container.exec_syscall ctr ctx ops
 
 let instance_of_rank t i =
   match (rank t i).target with
   | On_host host -> host
-  | On_vm (vm, _) -> Vm.guest vm
-  | On_ctr (ctr, _) -> Container.host ctr
+  | On_vm vm -> Vm.guest vm
+  | On_ctr ctr -> Container.host ctr
 
 (* Specialization policy (kspec): consult the calling rank's seccomp-style
    allowlist, if one is installed on the instance behind it.  Every
@@ -190,8 +218,8 @@ let try_syscall t ~rank:i spec (arg : Arg.t) =
   | `Denied ->
       (* The policy filter runs before the fault model: a call seccomp
          rejects never reaches the paths kfault perturbs. *)
-      let latency_ns = exec_ops t ~rank:i ~key:arg.Arg.obj [] in
-      Denied { latency_ns }
+      exec_ops t ~rank:i ~key:arg.Arg.obj [];
+      Denied
   | `Allowed -> (
       (* The errno draw, when a fault plan is installed, precedes the
          call; without one the call runs directly, so the common path
@@ -202,13 +230,15 @@ let try_syscall t ~rank:i spec (arg : Arg.t) =
         | Some ctl -> ctl.syscall_errno ~rank:i spec
       in
       match errno with
-      | None -> Completed (exec_ops t ~rank:i ~key:arg.Arg.obj (spec.Spec.ops arg))
+      | None ->
+          exec_ops t ~rank:i ~key:arg.Arg.obj (spec.Spec.ops arg);
+          Completed
       | Some errno ->
           (* The aborted call still pays the entry path (trap, argument
              copy, early bail-out) — an empty op program wrapped the
              same way as a real one. *)
-          let latency_ns = exec_ops t ~rank:i ~key:arg.Arg.obj [] in
-          Faulted { errno; latency_ns })
+          exec_ops t ~rank:i ~key:arg.Arg.obj [];
+          faulted errno)
 
 let instances t = t.instances
 
@@ -269,8 +299,4 @@ let surface_area_of_rank t i =
       structural *. p.Instance.reachable
   | _ -> structural
 
-let busy_of_rank t i =
-  match (rank t i).target with
-  | On_host host -> Instance.busy_fraction host
-  | On_vm (vm, _) -> Instance.busy_fraction (Vm.guest vm)
-  | On_ctr (ctr, _) -> Instance.busy_fraction (Container.host ctr)
+let busy_of_rank t i = Instance.busy_fraction (instance_of_rank t i)

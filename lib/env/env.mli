@@ -41,12 +41,25 @@ val rank_count : t -> int
 (** One rank per partition core. *)
 
 val exec_syscall :
-  t -> rank:int -> Ksurf_syscalls.Spec.t -> Ksurf_syscalls.Arg.t -> float
-(** Execute one call from the given rank and return its latency in ns.
-    Must run inside a simulation process.  Consults the rank's
+  t -> rank:int -> Ksurf_syscalls.Spec.t -> Ksurf_syscalls.Arg.t -> unit
+(** Execute one call from the given rank.  Must run inside a simulation
+    process; a caller that wants the call's latency reads
+    {!Ksurf_sim.Engine.clock} before and after it.  Consults the rank's
     specialization policy first (see {!Ksurf_kernel.Instance.syscall_policy}):
     an [Enforce]-mode rejection pays only the entry path; use
-    {!try_syscall} to distinguish denial from completion. *)
+    {!try_syscall} to distinguish denial from completion.
+
+    Beyond the kernel work itself a call allocates nothing: the rank
+    passes the context {!context} returns, and the clock is read from
+    its cell. *)
+
+val context : t -> rank:int -> key:int -> Ksurf_kernel.Instance.ctx
+(** The op context of the rank's calls on object [key]: its core (the
+    vCPU index under KVM, the global core otherwise), the rank index as
+    tenant, [key], and its container's cgroup under Docker.  Built on
+    the rank's first call with [key] and the same value after that;
+    contexts are never shared between ranks.  A negative key gets a
+    fresh context every call. *)
 
 (** {2 Fault injection}
 
@@ -60,14 +73,16 @@ type errno = EAGAIN | EINTR
 
 val errno_name : errno -> string
 
+(** How a call ended.  No outcome carries a latency, and none is
+    allocated: the clock, read around the call, is the only source of
+    its latency. *)
 type syscall_outcome =
-  | Completed of float  (** latency in ns, as {!exec_syscall} *)
-  | Faulted of { errno : errno; latency_ns : float }
-      (** the call aborted early; [latency_ns] covers the entry path *)
-  | Denied of { latency_ns : float }
+  | Completed
+  | Faulted of errno  (** the call aborted early, after the entry path *)
+  | Denied
       (** an [Enforce]-mode specialization policy rejected the call
-          (ENOSYS); [latency_ns] covers the entry path.  Not a transient
-          failure — retrying cannot succeed. *)
+          (ENOSYS) after the entry path.  Not a transient failure —
+          retrying cannot succeed. *)
 
 type fault_ctl = {
   syscall_errno : rank:int -> Ksurf_syscalls.Spec.t -> errno option;

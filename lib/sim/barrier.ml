@@ -5,11 +5,26 @@ type t = {
   mutable arrived : int;
   mutable generation : int;
   waiters : Fifo.t;  (* parked parties' tickets *)
+  (* One payload block per kind, filled on each observed event of its
+     kind, as the engine fills its [Sync] block. *)
+  ev_arrive : Engine.sync_op;
+  ev_release : Engine.sync_op;
+  ev_depart : Engine.sync_op;
 }
 
 let create ~engine ~name ~parties =
   if parties < 1 then invalid_arg "Barrier.create: parties must be >= 1";
-  { engine; name; parties; arrived = 0; generation = 0; waiters = Fifo.create () }
+  {
+    engine;
+    name;
+    parties;
+    arrived = 0;
+    generation = 0;
+    waiters = Fifo.create ();
+    ev_arrive = Engine.Barrier_arrive { generation = 0; arrived = 0; parties = 0 };
+    ev_release = Engine.Barrier_release { generation = 0 };
+    ev_depart = Engine.Barrier_depart { generation = 0; parties = 0 };
+  }
 
 let generation t = t.generation
 let waiting t = t.arrived
@@ -20,19 +35,27 @@ let parties t = t.parties
 let release_generation t =
   t.arrived <- 0;
   t.generation <- t.generation + 1;
-  if Engine.observed t.engine then
-    Engine.emit_sync t.engine ~name:t.name
-      (Engine.Barrier_release { generation = t.generation });
+  if Engine.observed t.engine then begin
+    (match t.ev_release with
+    | Engine.Barrier_release r -> r.generation <- t.generation
+    | _ -> ());
+    Engine.emit_sync t.engine ~name:t.name t.ev_release
+  end;
   while not (Fifo.is_empty t.waiters) do
     Engine.wake_ticket t.engine (Fifo.pop t.waiters)
   done
 
 let arrive t =
   t.arrived <- t.arrived + 1;
-  if Engine.observed t.engine then
-    Engine.emit_sync t.engine ~name:t.name
-      (Engine.Barrier_arrive
-         { generation = t.generation; arrived = t.arrived; parties = t.parties });
+  if Engine.observed t.engine then begin
+    (match t.ev_arrive with
+    | Engine.Barrier_arrive r ->
+        r.generation <- t.generation;
+        r.arrived <- t.arrived;
+        r.parties <- t.parties
+    | _ -> ());
+    Engine.emit_sync t.engine ~name:t.name t.ev_arrive
+  end;
   if t.arrived < t.parties then begin
     Fifo.push t.waiters (Engine.ticket t.engine);
     Engine.park t.engine
@@ -45,9 +68,14 @@ let depart t =
     invalid_arg
       (Printf.sprintf "Barrier.depart: %s would have no parties left" t.name);
   t.parties <- t.parties - 1;
-  if Engine.observed t.engine then
-    Engine.emit_sync t.engine ~name:t.name
-      (Engine.Barrier_depart { generation = t.generation; parties = t.parties });
+  if Engine.observed t.engine then begin
+    (match t.ev_depart with
+    | Engine.Barrier_depart r ->
+        r.generation <- t.generation;
+        r.parties <- t.parties
+    | _ -> ());
+    Engine.emit_sync t.engine ~name:t.name t.ev_depart
+  end;
   (* The departing party may have been the only arrival the current
      generation was still waiting for: release it now so survivors do
      not deadlock. *)

@@ -120,9 +120,13 @@ and sync_op =
   | Read_release
   | Write_acquire of { contended : bool }
   | Write_release
-  | Barrier_arrive of { generation : int; arrived : int; parties : int }
-  | Barrier_release of { generation : int }
-  | Barrier_depart of { generation : int; parties : int }
+  | Barrier_arrive of {
+      mutable generation : int;
+      mutable arrived : int;
+      mutable parties : int;
+    }
+  | Barrier_release of { mutable generation : int }
+  | Barrier_depart of { mutable generation : int; mutable parties : int }
 
 exception Process_error of string * exn
 exception Hung of string
@@ -241,12 +245,23 @@ let emit_sync t ~name op =
     emit t t.ev_sync
   end
 
+(* A barrier's payloads are its own reused blocks; the lock payloads
+   are immutable. *)
+let copy_sync_op = function
+  | Barrier_arrive { generation; arrived; parties } ->
+      Barrier_arrive { generation; arrived; parties }
+  | Barrier_release { generation } -> Barrier_release { generation }
+  | Barrier_depart { generation; parties } -> Barrier_depart { generation; parties }
+  | (Acquire _ | Release | Read_acquire _ | Read_release | Write_acquire _ | Write_release)
+    as op ->
+      op
+
 let copy_event = function
   | Scheduled { now; at; pid } -> Scheduled { now; at; pid }
   | Executed { now; pid } -> Executed { now; pid }
   | Suspended { now; pid; token } -> Suspended { now; pid; token }
   | Woken { now; pid; token } -> Woken { now; pid; token }
-  | Sync { now; pid; name; op } -> Sync { now; pid; name; op }
+  | Sync { now; pid; name; op } -> Sync { now; pid; name; op = copy_sync_op op }
   | (Injected _ | Denied _ | Rank_transition _) as e -> e
 
 let current_pid t = t.cur_pid

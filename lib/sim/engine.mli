@@ -69,7 +69,9 @@ type event_info =
 (** Synchronisation-primitive operations, reported by {!Lock},
     {!Rwlock} and {!Barrier} through their engine.  Acquire events are
     emitted at {e intent} time — before any blocking — so deadlocked
-    acquisitions still reach the probes. *)
+    acquisitions still reach the probes.  Each barrier fills one
+    reused payload block per barrier kind, so a barrier payload, like
+    the event that carries it, lives only for the probe call. *)
 and sync_op =
   | Acquire of { contended : bool }
   | Release
@@ -77,9 +79,13 @@ and sync_op =
   | Read_release
   | Write_acquire of { contended : bool }
   | Write_release
-  | Barrier_arrive of { generation : int; arrived : int; parties : int }
-  | Barrier_release of { generation : int }
-  | Barrier_depart of { generation : int; parties : int }
+  | Barrier_arrive of {
+      mutable generation : int;
+      mutable arrived : int;
+      mutable parties : int;
+    }
+  | Barrier_release of { mutable generation : int }
+  | Barrier_depart of { mutable generation : int; mutable parties : int }
       (** A party permanently left the barrier ({!Barrier.depart});
           [parties] is the new, smaller membership. *)
 
@@ -102,8 +108,9 @@ val add_probe : t -> (event_info -> unit) -> unit
 
 val copy_event : event_info -> event_info
 (** A fresh event with the same fields, which later emits leave
-    alone.  Returns the rare kinds ([Injected], [Denied],
-    [Rank_transition]), which are immutable, as they are. *)
+    alone; a [Sync] event's barrier payload is copied too.  Returns the
+    rare kinds ([Injected], [Denied], [Rank_transition]), which are
+    immutable, as they are. *)
 
 val observed : t -> bool
 (** [true] iff at least one probe is registered — instrumented call

@@ -14,12 +14,13 @@ let objected ?(max_flags = 2) max_obj =
 
 let io = { sizes = [| 64; 4096; 65536; 1 lsl 20 |]; max_obj = 8; max_flags = 4 }
 
+(* Flags, then object, then size: the order every recorded corpus and
+   fingerprint was drawn in. *)
 let generate model rng =
-  {
-    size = Ksurf_util.Prng.pick rng model.sizes;
-    obj = Ksurf_util.Prng.int rng model.max_obj;
-    flags = Ksurf_util.Prng.int rng model.max_flags;
-  }
+  let flags = Ksurf_util.Prng.int rng model.max_flags in
+  let obj = Ksurf_util.Prng.int rng model.max_obj in
+  let size = Ksurf_util.Prng.pick rng model.sizes in
+  { size; obj; flags }
 
 let size_bucket size =
   if size <= 0 then 0

@@ -89,15 +89,17 @@ let drawn_size = -1
    drawn one.  Each worker gets its own object neighbourhood, so app
    file/futex objects are distinct from the noise generators'. *)
 let issue env ~rank rng (spec : Spec.t) size =
-  let drawn = Arg.generate spec.Spec.arg_model rng in
-  let arg =
+  (* [Arg.generate]'s three draws, in its order, without its record. *)
+  let model = spec.Spec.arg_model in
+  let flags = Prng.int rng model.Arg.max_flags in
+  let obj = Prng.int rng model.Arg.max_obj in
+  let drawn = Prng.pick rng model.Arg.sizes in
+  Env.exec_syscall env ~rank spec
     {
-      Arg.size = (if size = drawn_size then drawn.Arg.size else size);
-      obj = (drawn.Arg.obj + (rank * 3)) mod obj_space;
-      flags = drawn.Arg.flags;
+      Arg.size = (if size = drawn_size then drawn else size);
+      obj = (obj + (rank * 3)) mod obj_space;
+      flags;
     }
-  in
-  ignore (Env.exec_syscall env ~rank spec arg)
 
 let rec issue_io env ~rank rng = function
   | [] -> ()

@@ -261,12 +261,14 @@ let exec_request t (tn : tenant) ~replica =
         ops
   | Contained (_, ctr) ->
       Container.exec_syscall ctr
-        ~core:((tn.slot + replica) mod t.cfg.host_cores)
-        ~tenant:tn.id ~key ops
+        (Container.context ctr
+           ~core:((tn.slot + replica) mod t.cfg.host_cores)
+           ~tenant:tn.id ~key)
+        ops
   | Virtual vm ->
       Vm.exec_syscall vm
-        ~core:(replica mod max_replicas)
-        ~tenant:tn.id ~key ops
+        { Instance.core = replica mod max_replicas; tenant = tn.id; key; cgroup = None }
+        ops
   | Private inst ->
       Instance.exec_syscall inst
         {

@@ -20,10 +20,10 @@ let max_retries = 10
    call. *)
 let rec attempt counters env rank (c : Program.call) n =
   match Env.try_syscall env ~rank c.Program.spec c.Program.arg with
-  | Env.Completed _ ->
+  | Env.Completed ->
       counters.issued <- counters.issued + 1;
       true
-  | Env.Denied _ ->
+  | Env.Denied ->
       (* ENOSYS from a specialization policy: permanent, so no retry
          and no sample — the call never did its work. *)
       counters.denied <- counters.denied + 1;

@@ -31,28 +31,24 @@ let boot ~engine ?host_block ?(kernel_config = Ksurf_kernel.Config.default)
 let guest t = t.guest
 let shutdown t = Instance.halt t.guest
 
-let exec_syscall t ~core ~tenant ~key ops =
-  if core < 0 || core >= t.shape.vcpus then
-    invalid_arg (Printf.sprintf "Vm.exec_syscall: vCPU %d out of range" core);
+let exec_syscall t (ctx : Instance.ctx) ops =
+  if ctx.Instance.core < 0 || ctx.Instance.core >= t.shape.vcpus then
+    invalid_arg (Printf.sprintf "Vm.exec_syscall: vCPU %d out of range" ctx.Instance.core);
   let cfg = Instance.config t.guest in
-  let ctx = { Instance.core; tenant; key; cgroup = None } in
   Instance.burn t.guest cfg.Ksurf_kernel.Config.syscall_entry_cost;
   (* Virtualisation overhead: the expected involuntary exits per call,
-     bounded per call, plus a rare slow exit.  Computed in place and
-     handed to the engine through its delay cell, so the overhead is
-     never a boxed float. *)
+     bounded per call, plus a rare slow exit.  Computed in the engine's
+     delay cell, the slow exit's cost drawn straight into it, so the
+     overhead is never a boxed float. *)
   let v = t.virt in
   let exits = t.whole_exits + if Prng.chance t.rng t.frac_exit then 1 else 0 in
   let fast = float_of_int exits *. v.Virt_config.exit_cost in
-  let slow =
-    if exits > 0 && Prng.chance t.rng v.Virt_config.exit_slow_prob then
-      Ksurf_util.Dist.sample v.Virt_config.exit_slow_cost t.rng
-    else 0.0
-  in
-  let overhead = fast +. slow in
-  if overhead > 0.0 then begin
-    let engine = Instance.engine t.guest in
-    (Engine.delay_cell engine).(0) <- overhead;
-    Engine.delay_from_cell engine
-  end;
+  let engine = Instance.engine t.guest in
+  let cell = Engine.delay_cell engine in
+  if exits > 0 && Prng.chance t.rng v.Virt_config.exit_slow_prob then begin
+    Ksurf_util.Dist.sample_into v.Virt_config.exit_slow_cost t.rng cell;
+    cell.(0) <- fast +. cell.(0)
+  end
+  else cell.(0) <- fast;
+  if cell.(0) > 0.0 then Engine.delay_from_cell engine;
   Instance.exec_program t.guest ctx ops

@@ -32,10 +32,8 @@ val shutdown : t -> unit
     background daemons exit at their next wakeup, so a decommissioned
     VM stops generating events. *)
 
-val exec_syscall :
-  t -> core:int -> tenant:int -> key:int ->
-  Ksurf_kernel.Ops.op list -> unit
-(** Run an op program on the guest kernel from a vCPU, paying guest
-    entry cost and virtualisation overhead (involuntary exits, drawn
-    from the VM's own deterministic stream).  [core] is the vCPU index
-    (must be < vcpus). *)
+val exec_syscall : t -> Ksurf_kernel.Instance.ctx -> Ksurf_kernel.Ops.op list -> unit
+(** Run an op program on the guest kernel in the caller's context,
+    paying guest entry cost and virtualisation overhead (involuntary
+    exits, drawn from the VM's own deterministic stream).  The
+    context's [core] is the vCPU index (must be < vcpus). *)

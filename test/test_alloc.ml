@@ -307,26 +307,42 @@ let test_with_lock_body () =
     (program_words ~n:20_000
        [ Ops.With_lock (Ops.Tasklist, hold, [ Ops.Cpu 30.0; Ops.Cpu 50.0 ]) ])
 
-(* getpid is [Cpu 60.0]: two delays (entry path and op, 4 words), the
-   op context (5), the latency's box (2) and [Completed] (2).  The
-   latency reads the clock's cell, so reading [Engine.now] after the
-   delays instead costs the clock's box (2 more). *)
+(* getpid through each kind of deployment, on one background-free
+   rank: the continuations of the call's events (2 words each) and
+   nothing else.  Native runs two events (entry path and op), Docker
+   three (the cgroup charge too), and KVM its exits' delay on the calls
+   that exit.  The rank passes the context it keeps for the key, the
+   outcome is a constant and the clock is read from its cell: a
+   context built per call costs 5 words more, a latency in the outcome
+   4. *)
 let test_try_syscall () =
-  let engine = Engine.create ~seed:1 () in
-  let env =
-    Env.deploy ~engine
-      ~kernel_config:(Kernel_config.without_background Kernel_config.default)
-      Env.Native
-      (Partition.equal_split ~units:1 ~total_cores:1 ~total_mem_mb:1024)
-  in
   let spec = Option.get (Syscalls.by_name "getpid") in
   let arg = { Arg.size = 0; obj = 0; flags = 0 } in
-  let words = ref infinity in
-  Engine.spawn engine (fun () ->
-      words :=
-        words_per_op ~n:20_000 (fun () -> ignore (Env.try_syscall env ~rank:0 spec arg)));
-  Engine.run engine;
-  check_ceiling "Env.try_syscall (native, 1 rank)" ~ceiling:(exactly 13.0) !words
+  List.iter
+    (fun kind ->
+      let engine = Engine.create ~seed:1 () in
+      let env =
+        Env.deploy ~engine
+          ~kernel_config:(Kernel_config.without_background Kernel_config.default)
+          kind
+          (Partition.equal_split ~units:1 ~total_cores:1 ~total_mem_mb:1024)
+      in
+      let n = 20_000 in
+      let words = ref infinity and events = ref 0 in
+      Engine.spawn engine (fun () ->
+          let call () = ignore (Env.try_syscall env ~rank:0 spec arg : Env.syscall_outcome) in
+          call ();
+          let e0 = Engine.events_executed engine in
+          words := words_per_op ~n call;
+          events := Engine.events_executed engine - e0);
+      Engine.run engine;
+      let per_call = float_of_int !events /. float_of_int (n + 1) in
+      check_ceiling
+        (Printf.sprintf "Env.try_syscall (%s, %.2f events per call)" (Env.kind_name kind)
+           per_call)
+        ~ceiling:(exactly (2.0 *. per_call))
+        !words)
+    [ Env.Native; Env.Kvm Virt_config.default; Env.Docker ]
 
 (* 12 words, however long the label: the child's state buffer and
    record and the label hash's result box.  A [String.iter] hash boxes
@@ -379,10 +395,10 @@ let test_next_gap () =
 (* One call that faults once and then completes, through the retry
    loop varbench and noise ranks share, from a rank in the app's unit
    (0) and one in a noise unit (1) of a background-free native node.
-   35 words: each attempt's delays, op context, latency box and
-   result, the backoff's delay and duration box, and the clock's box
-   wherever a moved clock is read through [Engine.now].  A retry
-   closure built per call adds 7. *)
+   10 words: the faulted attempt's entry-path delay, the backoff's
+   delay and its duration's box, and the completed attempt's two
+   delays.  A retry closure built per call adds 7; a context built per
+   attempt 5 more each, a latency in each outcome 4. *)
 let test_retry_call () =
   let engine = Engine.create ~seed:1 () in
   let env =
@@ -416,7 +432,7 @@ let test_retry_call () =
       Engine.run engine;
       Alcotest.(check (pair int int)) (name ^ ": one retry per call") (n + 1, n + 1)
         (counters.Retry.retries, counters.Retry.issued);
-      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 35.0) !words)
+      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 10.0) !words)
     [ ("harness rank", 0); ("noise rank", 1) ]
 
 (* A lock pair under a fault plan whose preemptions never fire: one
@@ -480,11 +496,11 @@ let test_request_calls_memoised () =
     Apps.all
 
 (* One silo request on a 1-rank Docker env without background daemons,
-   after 500 requests have filled the memos its rank reaches: its
-   delays, its five calls' kernel work and one drawn and one issued
-   argument per call.  An [issue] closure per request, a [find] closure
-   per mix pick and a third argument record per call cost 35 words
-   more. *)
+   after 500 requests have filled the memos its rank reaches and the
+   contexts of the keys it calls with: its delays, its five calls'
+   kernel work and one issued argument per call.  An [issue] closure
+   per request, a [find] closure per mix pick and a second argument
+   record per call cost 35 words more; a context built per call 25. *)
 let test_silo_request () =
   let engine = Engine.create ~seed:1 () in
   let env =
@@ -503,7 +519,7 @@ let test_silo_request () =
       done;
       words := words_per_op ~n:2_000 request);
   Engine.run engine;
-  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 183.91) !words
+  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 108.91) !words
 
 let suite =
   [

@@ -119,6 +119,51 @@ let test_depart_last_party_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A probe that keeps [Engine.copy_event]s of the barrier's events
+   reads each one as it was emitted, although the barrier refills one
+   payload block per kind: each kept arrival still reads its own
+   generation after the next generation's arrivals. *)
+let test_kept_copies_keep_their_payload () =
+  let engine = Engine.create () in
+  let barrier = Barrier.create ~engine ~name:"b" ~parties:2 in
+  let kept = ref [] and live = ref [] in
+  Engine.add_probe engine (function
+    | Engine.Sync { op; _ } as e ->
+        kept := Engine.copy_event e :: !kept;
+        live := op :: !live
+    | _ -> ());
+  for _ = 1 to 2 do
+    Engine.spawn engine (fun () ->
+        Barrier.arrive barrier;
+        Barrier.arrive barrier)
+  done;
+  Engine.run engine;
+  Engine.spawn engine (fun () -> Barrier.depart barrier);
+  Engine.run engine;
+  let show = function
+    | Engine.Barrier_arrive { generation; arrived; parties } ->
+        Printf.sprintf "arrive g%d %d/%d" generation arrived parties
+    | Engine.Barrier_release { generation } -> Printf.sprintf "release g%d" generation
+    | Engine.Barrier_depart { generation; parties } ->
+        Printf.sprintf "depart g%d %d" generation parties
+    | _ -> "lock op"
+  in
+  Alcotest.(check (list string))
+    "each copy as emitted"
+    [
+      "arrive g0 1/2"; "arrive g0 2/2"; "release g1"; "arrive g1 1/2"; "arrive g1 2/2";
+      "release g2"; "depart g2 1";
+    ]
+    (List.rev_map (function Engine.Sync { op; _ } -> show op | _ -> "other") !kept);
+  (* The payloads the probe saw are the barrier's three blocks, so the
+     four live arrivals all read as the last one. *)
+  let blocks = List.fold_left (fun acc op -> if List.memq op acc then acc else op :: acc) [] !live in
+  Alcotest.(check int) "one payload block per kind" 3 (List.length blocks);
+  Alcotest.(check (list string)) "live arrivals read as the last" (List.init 4 (fun _ -> "arrive g1 2/2"))
+    (List.filter_map
+       (function Engine.Barrier_arrive _ as op -> Some (show op) | _ -> None)
+       !live)
+
 let suite =
   [
     Alcotest.test_case "release together" `Quick test_release_together;
@@ -131,4 +176,6 @@ let suite =
     Alcotest.test_case "arrive with cost" `Quick test_arrive_with_cost;
     Alcotest.test_case "invalid parties" `Quick test_invalid_parties;
     Alcotest.test_case "waiting count" `Quick test_waiting_count;
+    Alcotest.test_case "kept copies keep their payload" `Quick
+      test_kept_copies_keep_their_payload;
   ]

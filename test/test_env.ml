@@ -3,6 +3,14 @@ open Ksurf
 let quiet = Kernel_config.quiet
 let kvm = Env.Kvm Virt_config.default
 
+(* A call's latency, read from the clock around it as every harness
+   reads it. *)
+let timed_call env ~rank spec arg =
+  let clock = Engine.clock (Env.engine env) in
+  let t0 = clock.(0) in
+  Env.exec_syscall env ~rank spec arg;
+  clock.(0) -. t0
+
 let test_partition_table1 () =
   List.iter
     (fun n ->
@@ -70,7 +78,7 @@ let test_exec_syscall_latency () =
   let spec = Option.get (Syscalls.by_name "getpid") in
   let latency = ref nan in
   Engine.spawn engine (fun () ->
-      latency := Env.exec_syscall env ~rank:0 spec Arg.default);
+      latency := timed_call env ~rank:0 spec Arg.default);
   Engine.run engine;
   (* entry (180 in quiet config? quiet inherits default entry) + 60 *)
   Alcotest.(check bool) "positive and small" true (!latency > 0.0 && !latency < 10_000.0)
@@ -85,7 +93,7 @@ let test_exec_latency_ordering_native_vs_kvm () =
     let total = ref 0.0 in
     Engine.spawn engine (fun () ->
         for _ = 1 to 300 do
-          total := !total +. Env.exec_syscall env ~rank:0 spec Arg.default
+          total := !total +. timed_call env ~rank:0 spec Arg.default
         done);
     Engine.run engine;
     !total /. 300.0
@@ -97,7 +105,7 @@ let test_rank_out_of_range () =
   let env = Env.deploy ~engine ~kernel_config:quiet Env.Native (Partition.table1 1) in
   let spec = Option.get (Syscalls.by_name "getpid") in
   Engine.spawn engine (fun () ->
-      ignore (Env.exec_syscall env ~rank:99 spec Arg.default));
+      Env.exec_syscall env ~rank:99 spec Arg.default);
   Alcotest.(check bool) "raises" true
     (try
        Engine.run engine;
@@ -127,6 +135,56 @@ let test_busy_of_rank_starts_idle () =
   let env = Env.deploy ~engine ~kernel_config:quiet Env.Docker (Partition.table1 4) in
   Alcotest.(check (float 1e-9)) "idle" 0.0 (Env.busy_of_rank env 0)
 
+(* Each rank builds its context for a key on the key's first call and
+   passes that same value on every later call, also after later keys
+   grow its table; no two ranks share a context.  Each context names
+   its rank as tenant, its vCPU (KVM) or global core (otherwise) and,
+   under Docker, a cgroup. *)
+let test_context_per_rank_and_key () =
+  let spec = Option.get (Syscalls.by_name "getpid") in
+  let keys = [ 0; 3; 17; 3; 200; 17; 0 ] in
+  List.iter
+    (fun kind ->
+      let name = Env.kind_name kind in
+      let engine = Engine.create () in
+      let env = Env.deploy ~engine ~kernel_config:quiet kind (Partition.table1 8) in
+      let ranks = Env.rank_count env in
+      let first = Array.make_matrix ranks 201 None in
+      Engine.spawn engine (fun () ->
+          List.iter
+            (fun key ->
+              for rank = 0 to ranks - 1 do
+                Env.exec_syscall env ~rank spec { Arg.default with Arg.obj = key };
+                let c = Env.context env ~rank ~key in
+                match first.(rank).(key) with
+                | None -> first.(rank).(key) <- Some c
+                | Some c0 ->
+                    if c != c0 then Alcotest.failf "%s rank %d key %d: rebuilt" name rank key
+              done)
+            keys);
+      Engine.run engine;
+      let all = ref [] in
+      for rank = 0 to ranks - 1 do
+        List.iter
+          (fun key ->
+            let c = Env.context env ~rank ~key in
+            Alcotest.(check bool) (name ^ ": kept") true
+              (match first.(rank).(key) with Some c0 -> c == c0 | None -> false);
+            Alcotest.(check (pair int int)) (name ^ ": tenant and key") (rank, key)
+              (c.Instance.tenant, c.Instance.key);
+            Alcotest.(check int) (name ^ ": core")
+              (match kind with Env.Kvm _ -> rank mod 8 | _ -> rank)
+              c.Instance.core;
+            Alcotest.(check bool) (name ^ ": cgroup")
+              (match kind with Env.Docker -> true | _ -> false)
+              (c.Instance.cgroup <> None);
+            if not (List.memq c !all) then all := c :: !all)
+          [ 0; 3; 17; 200 ]
+      done;
+      Alcotest.(check int) (name ^ ": one context per rank and key") (ranks * 4)
+        (List.length !all))
+    [ Env.Native; Env.Multikernel; kvm; Env.Docker ]
+
 let suite =
   [
     Alcotest.test_case "table1 partitions" `Quick test_partition_table1;
@@ -143,4 +201,6 @@ let suite =
     Alcotest.test_case "partition too large" `Quick test_partition_exceeding_machine;
     Alcotest.test_case "barrier cost by kind" `Quick test_barrier_cost_kind_dependent;
     Alcotest.test_case "busy starts idle" `Quick test_busy_of_rank_starts_idle;
+    Alcotest.test_case "one context per rank and key" `Quick
+      test_context_per_rank_and_key;
   ]

@@ -6,6 +6,13 @@ open Ksurf
 
 let quiet = Kernel_config.quiet
 
+(* [f ()]'s result and the virtual time it took, read from the clock. *)
+let timed engine f =
+  let clock = Engine.clock engine in
+  let t0 = clock.(0) in
+  let r = f () in
+  (r, clock.(0) -. t0)
+
 let program_of_calls ~id names =
   let text =
     String.concat "\n" (List.map (fun n -> Printf.sprintf "%s(0:0:0)" n) names)
@@ -161,11 +168,12 @@ let test_enforce_denial () =
   let opn = Option.get (Syscalls.by_name "open") in
   let outcomes = ref [] in
   Engine.spawn engine (fun () ->
-      outcomes := Env.try_syscall env ~rank:0 mmap Arg.default :: !outcomes;
-      outcomes := Env.try_syscall env ~rank:0 opn Arg.default :: !outcomes);
+      let call spec = timed engine (fun () -> Env.try_syscall env ~rank:0 spec Arg.default) in
+      outcomes := call mmap :: !outcomes;
+      outcomes := call opn :: !outcomes);
   Engine.run engine;
   (match List.rev !outcomes with
-  | [ Env.Denied { latency_ns }; Env.Completed _ ] ->
+  | [ (Env.Denied, latency_ns); (Env.Completed, _) ] ->
       Alcotest.(check bool) "denial pays the entry path" true (latency_ns > 0.0)
   | _ -> Alcotest.fail "expected one denial then one completion");
   Alcotest.(check int) "one denial charged" 1 (Specializer.denials env ~rank:0);
@@ -177,10 +185,10 @@ let test_audit_lets_call_run () =
   let mmap = Option.get (Syscalls.by_name "mmap") in
   let outcome = ref None in
   Engine.spawn engine (fun () ->
-      outcome := Some (Env.try_syscall env ~rank:0 mmap Arg.default));
+      outcome := Some (timed engine (fun () -> Env.try_syscall env ~rank:0 mmap Arg.default)));
   Engine.run engine;
   (match !outcome with
-  | Some (Env.Completed latency) ->
+  | Some (Env.Completed, latency) ->
       Alcotest.(check bool) "ran to completion" true (latency > 0.0)
   | _ -> Alcotest.fail "audit mode must not block the call");
   Alcotest.(check int) "denial still counted" 1 (Specializer.denials env ~rank:0);
@@ -192,7 +200,7 @@ let test_exec_syscall_charges_denial () =
   let mmap = Option.get (Syscalls.by_name "mmap") in
   let latency = ref nan in
   Engine.spawn engine (fun () ->
-      latency := Env.exec_syscall env ~rank:0 mmap Arg.default);
+      latency := snd (timed engine (fun () -> Env.exec_syscall env ~rank:0 mmap Arg.default)));
   Engine.run engine;
   Alcotest.(check bool) "entry-path latency only" true
     (!latency > 0.0 && !latency < 5_000.0);
@@ -257,7 +265,8 @@ let test_multikernel_native_cost () =
     let total = ref 0.0 in
     Engine.spawn engine (fun () ->
         for _ = 1 to 100 do
-          total := !total +. Env.exec_syscall env ~rank:0 spec Arg.default
+          total :=
+            !total +. snd (timed engine (fun () -> Env.exec_syscall env ~rank:0 spec Arg.default))
         done);
     Engine.run engine;
     !total /. 100.0

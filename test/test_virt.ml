@@ -53,7 +53,9 @@ let test_vm_vcpu_range () =
       { Vm.vcpus = 2; mem_mb = 512 }
   in
   Engine.spawn engine (fun () ->
-      Vm.exec_syscall vm ~core:5 ~tenant:0 ~key:0 [ Ops.Cpu 10.0 ]);
+      Vm.exec_syscall vm
+        { Instance.core = 5; tenant = 0; key = 0; cgroup = None }
+        [ Ops.Cpu 10.0 ]);
   Alcotest.(check bool) "vcpu out of range" true
     (try
        Engine.run engine;
@@ -91,7 +93,7 @@ let test_vm_adds_bounded_overhead () =
         Instance.exec_program native ctx ops)
   in
   let vm_mean =
-    measure (fun () -> Vm.exec_syscall vm ~core:0 ~tenant:0 ~key:0 ops)
+    measure (fun () -> Vm.exec_syscall vm ctx ops)
   in
   Alcotest.(check bool) "vm slower than native" true (vm_mean > native_mean);
   Alcotest.(check bool) "but bounded (< 10x)" true (vm_mean < 10.0 *. native_mean)
@@ -116,7 +118,7 @@ let test_shared_host_disk_couples_vms () =
   List.iter
     (fun vm ->
       Engine.spawn engine (fun () ->
-          Vm.exec_syscall vm ~core:0 ~tenant:0 ~key:0 io;
+          Vm.exec_syscall vm { Instance.core = 0; tenant = 0; key = 0; cgroup = None } io;
           last := Float.max !last (Engine.now engine)))
     vms;
   Engine.run engine;
@@ -156,7 +158,8 @@ let test_container_namespace_cost () =
   let elapsed = ref nan in
   Engine.spawn engine (fun () ->
       let t0 = Engine.now engine in
-      Container.exec_syscall c ~core:0 ~tenant:0 ~key:0 [ Ops.Cpu 100.0 ];
+      Container.exec_syscall c (Container.context c ~core:0 ~tenant:0 ~key:0)
+        [ Ops.Cpu 100.0 ];
       elapsed := Engine.now engine -. t0);
   Engine.run engine;
   let entry = Kernel_config.quiet.Kernel_config.syscall_entry_cost in
