@@ -43,9 +43,10 @@ type t = {
      stretch the critical section with [delay].  None (the default)
      costs one load on the acquire path. *)
   mutable acquire_hook : (acquire_site -> string -> unit) option;
-  (* Closure-free effects.  [delay] writes its duration into
-     [delay_arg] (a float array, so the store does not box) and
-     performs the engine's one preallocated [delay_eff]; [park]
+  (* Closure-free effects.  [delay] writes its expiry into
+     [delay_arg] (a float array, so the store does not box) and, unless
+     it runs in place ([step_in_place]), performs the engine's one
+     preallocated [delay_eff]; [park]
      performs [park_eff]; [suspend] parks its register function in
      [register] and performs [suspend_eff].  The handler record and the
      [Some] closures the effect handler returns are built once per
@@ -72,6 +73,16 @@ type t = {
   mutable park_k : (unit, unit) Effect.Deep.continuation array;
   mutable park_free : int array;
   mutable park_nfree : int;
+  (* The running loop's bounds and watchdog, kept here so that a delay
+     can do the loop's work itself ([step_in_place]): the [stop]
+     predicate, the horizon [min until deadline] (neg_infinity outside
+     a run, so no delay runs in place there), and the stall watchdog's
+     last advancing time and count of events since.  [run] saves them
+     on entry and restores them on exit. *)
+  mutable run_stop : (unit -> bool) option;
+  horizon : float array;
+  stall_at : float array;
+  mutable stalled : int;
 }
 
 and acquire_site = Lock_site | Resource_site
@@ -411,13 +422,12 @@ let create ?(seed = 0) () =
       park_eff = Park t;
       suspend_eff = Suspend t;
       register = ignore;
-      (* The expiry is computed into the delay cell and pushed from
-         there, so a delay allocates no time box of its own. *)
+      (* [delay] computed the expiry into the delay cell; it is pushed
+         from there, so a delay allocates no time box of its own. *)
       on_delay =
         Some
           (fun k ->
             let pid = t.cur_pid in
-            delay_arg.(0) <- clock.(0) +. delay_arg.(0);
             admit t ~pid delay_arg.(0);
             Heap.push_cell t.conts delay_arg ~seq:t.seq ~pid k);
       on_park = Some (fun k -> ignore (park_cont t k));
@@ -449,6 +459,10 @@ let create ?(seed = 0) () =
       park_k = [||];
       park_free = [||];
       park_nfree = 0;
+      run_stop = None;
+      horizon = [| Float.neg_infinity |];
+      stall_at = [| 0.0 |];
+      stalled = 0;
     }
   in
   t
@@ -467,16 +481,63 @@ let engine_of_process name =
   | Some t -> t
   | None -> failwith (name ^ ": called outside of a simulation process")
 
+(* Poll the running loop's [stop] as the loop would.  A [true] is
+   latched, so the loop, which ends the run next, does not poll again. *)
+let stop_latched = Some (fun () -> true)
+
+let stopping t =
+  match t.run_stop with
+  | None -> false
+  | Some f ->
+      f ()
+      && begin
+           t.run_stop <- stop_latched;
+           true
+         end
+
+(* Whether the delay whose expiry is in the delay cell is the event the
+   run loop would execute next, and if so, do that execution's work in
+   place: the process keeps running instead of performing, going
+   through the heap and being resumed.  It is next when it moves the
+   clock (an expiry the clock absorbs is left to the loop, whose stall
+   watchdog counts it), stays within the loop's [until] and
+   [deadline], fires strictly before both heap tops (a queued event at
+   the same time took its seq first), and the loop's [stop], polled
+   last as the loop would poll it, is false.  The work is the loop's,
+   in its order: the Scheduled probe event, a seq, the clock, the event
+   count, the watchdog, the Executed event. *)
+let step_in_place t =
+  let wake = t.delay_arg in
+  let next =
+    wake.(0) > t.clock.(0)
+    && wake.(0) <= t.horizon.(0)
+    && wake.(0) < Float.infinity
+    && Heap.fires_after t.conts wake
+    && Heap.fires_after t.thunks wake
+    && not (stopping t)
+  in
+  if next then begin
+    let pid = t.cur_pid in
+    if observed t then emit_scheduled t ~at:wake.(0) ~pid;
+    t.seq <- t.seq + 1;
+    set_clock t wake.(0);
+    t.executed <- t.executed + 1;
+    t.stall_at.(0) <- wake.(0);
+    t.stalled <- 0;
+    if observed t then emit_executed t ~pid
+  end;
+  next
+
 (* Inlined into [delay_from_cell], so a duration read from a cell
-   stays unboxed through the validation and the store. *)
+   stays unboxed through the validation and the store of its expiry. *)
 let[@inline] delay d =
   if d < 0.0 then invalid_arg "Engine.delay: negative";
   if not (Float.is_finite d) then invalid_arg "Engine.delay: not finite";
   if d = 0.0 then ()
   else begin
     let t = engine_of_process "Engine.delay" in
-    t.delay_arg.(0) <- d;
-    Effect.perform t.delay_eff
+    t.delay_arg.(0) <- t.clock.(0) +. d;
+    if not (step_in_place t) then Effect.perform t.delay_eff
   end
 
 let delay_cell t = t.delay_arg
@@ -522,41 +583,53 @@ let hung_diagnostic t ~reason =
     "Engine hung at t=%g (%s): %d runnable event(s) pending, %s" t.clock.(0) reason
     (pending t) parked_desc
 
+(* Move the clock to the dequeued event's time, read from [next_time],
+   and count the event.  No-progress detection: count consecutive
+   executed events that fail to advance virtual time; a livelocked
+   simulation (wake loops, zero-delay ping-pong) trips [stall_limit]
+   long before wall-clock patience runs out, and the abort names the
+   parked processes.  The last advancing time lives in a cell, so
+   tracking it boxes nothing. *)
+let advance t stall_limit =
+  set_clock t t.next_time.(0);
+  t.executed <- t.executed + 1;
+  match stall_limit with
+  | None -> ()
+  | Some limit ->
+      if t.clock.(0) > t.stall_at.(0) then begin
+        t.stall_at.(0) <- t.clock.(0);
+        t.stalled <- 0
+      end
+      else begin
+        t.stalled <- t.stalled + 1;
+        if t.stalled > limit then
+          raise
+            (Hung
+               (hung_diagnostic t
+                  ~reason:
+                    (Printf.sprintf "no progress: %d consecutive events at t=%g"
+                       t.stalled t.clock.(0))))
+      end
+
 let run ?until ?stop ?deadline ?stall_limit t =
   let saved = get_current () in
+  let saved_stop = t.run_stop and saved_horizon = t.horizon.(0) in
+  let saved_stall_at = t.stall_at.(0) and saved_stalled = t.stalled in
   set_current (Some t);
-  (* No-progress detection: count consecutive executed events that fail to
-     advance virtual time; a livelocked simulation (wake loops, zero-delay
-     ping-pong) trips [stall_limit] long before wall-clock patience runs
-     out, and the abort names the parked processes.  The last advancing
-     time lives in a cell, so tracking it boxes nothing. *)
-  let stall_at = [| t.clock.(0) |] in
-  let stalled = ref 0 in
-  (* Move the clock to the dequeued event's time, read from
-     [next_time], and count the event. *)
-  let advance () =
-    set_clock t t.next_time.(0);
-    t.executed <- t.executed + 1;
-    match stall_limit with
-    | None -> ()
-    | Some limit ->
-        if t.clock.(0) > stall_at.(0) then begin
-          stall_at.(0) <- t.clock.(0);
-          stalled := 0
-        end
-        else begin
-          incr stalled;
-          if !stalled > limit then
-            raise
-              (Hung
-                 (hung_diagnostic t
-                    ~reason:
-                      (Printf.sprintf "no progress: %d consecutive events at t=%g"
-                         !stalled t.clock.(0))))
-        end
-  in
+  t.run_stop <- stop;
+  t.horizon.(0) <-
+    Float.min
+      (Option.value until ~default:Float.infinity)
+      (Option.value deadline ~default:Float.infinity);
+  t.stall_at.(0) <- t.clock.(0);
+  t.stalled <- 0;
   Fun.protect
-    ~finally:(fun () -> set_current saved)
+    ~finally:(fun () ->
+      set_current saved;
+      t.run_stop <- saved_stop;
+      t.horizon.(0) <- saved_horizon;
+      t.stall_at.(0) <- saved_stall_at;
+      t.stalled <- saved_stalled)
     (fun () ->
       (* The loop reads the heaps through the non-allocating accessors
          ([top_before]/[top_time_into]/[top_pid]/[top]/[drop]) and
@@ -564,10 +637,11 @@ let run ?until ?stop ?deadline ?stall_limit t =
          allocation-free a probe-less engine executes a timer event for
          the continuation the runtime built alone — what keeps
          multi-domain sweeps from serialising on stop-the-world minor
-         collections (DESIGN §6). *)
+         collections (DESIGN §6).  A delay that is the next event does
+         this work itself ([step_in_place]) and never reaches the loop. *)
       let continue = ref true in
       while !continue do
-        if (match stop with Some f -> f () | None -> false) then continue := false
+        if (match t.run_stop with Some f -> f () | None -> false) then continue := false
         else if pending t = 0 then continue := false
         else begin
           let cont_first = Heap.top_before t.conts t.thunks in
@@ -590,13 +664,13 @@ let run ?until ?stop ?deadline ?stall_limit t =
           else if cont_first then begin
             let pid = Heap.top_pid t.conts and k = Heap.top t.conts in
             Heap.drop t.conts;
-            advance ();
+            advance t stall_limit;
             exec t ~pid resume k
           end
           else begin
             let pid = Heap.top_pid t.thunks and f = Heap.top t.thunks in
             Heap.drop t.thunks;
-            advance ();
+            advance t stall_limit;
             exec t ~pid f ()
           end
         end

@@ -165,8 +165,19 @@ val spawn : ?at:float -> t -> (unit -> unit) -> unit
 
 val delay : float -> unit
 (** Advance the calling process's virtual time.  A negative, NaN or
-    infinite delay raises [Invalid_argument].  Must be called from
-    inside a process. *)
+    infinite delay raises [Invalid_argument], and so does one whose
+    expiry overflows to infinity.  Must be called from inside a
+    process.
+
+    When nothing precedes its expiry, the delay finishes without
+    yielding: if the expiry moves the clock, lies within the running
+    {!run}'s [until] and [deadline], is earlier than every queued
+    event, and [run]'s [stop] (polled here as the run loop would poll
+    it) is false, the delay does the work the run loop would do for
+    that event (the same probe events, sequence number, clock move,
+    event count and stall-watchdog reset) and returns to the process.
+    Otherwise it yields, and the run loop applies its bounds to it as
+    to any event.  Either way the simulation is the same, bit for bit. *)
 
 val delay_cell : t -> float array
 (** The engine's one-slot duration cell.  Writing a duration into a
@@ -220,7 +231,11 @@ val run :
     [until]).  [stop] is polled before each event: returning [true]
     halts the run — the way harnesses terminate measurement while
     infinite background daemons still hold queued events.  May be called
-    repeatedly as more work is spawned.
+    repeatedly as more work is spawned.  [until], [deadline], [stop] and
+    the stall watchdog apply to a {!delay} that finishes without
+    yielding as to any other event, and [stop] is polled once per
+    event either way; an exception [stop] raises while polled from a
+    delay escapes as that process's {!Process_error}.
 
     Liveness watchdog (krecov): [deadline] raises {!Hung} if the next
     event lies beyond that virtual time — unlike [until], which stops

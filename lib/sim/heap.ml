@@ -125,3 +125,8 @@ let top_before a b =
   && (b.len = 0
      || a.times.(0) < b.times.(0)
      || (a.times.(0) = b.times.(0) && a.seqs.(0) < b.seqs.(0)))
+
+(* Whether every event fires after the time in [cell.(0)]: the heap is
+   empty or its earliest time is later.  Reads the time in place, so
+   asking boxes nothing. *)
+let fires_after t cell = t.len = 0 || t.times.(0) > cell.(0)

@@ -50,3 +50,9 @@ val top_before : 'a t -> 'b t -> bool
     event precedes [b]'s by (time, seq), or [b] is empty.  Lets a caller
     that keeps two heaps on one sequence counter merge them without
     boxing either top time. *)
+
+val fires_after : 'a t -> float array -> bool
+(** [fires_after t cell] is [true] iff [t] is empty or its earliest
+    event's time is later than [cell.(0)], so an event at that time
+    would fire before every event of [t] whatever its seq.  Reads the
+    cell in place, so asking boxes nothing. *)

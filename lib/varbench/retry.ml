@@ -35,8 +35,12 @@ let rec attempt counters env rank (c : Program.call) n =
         false
       end
       else begin
-        Engine.delay
-          (Float.min backoff_cap_ns (backoff_base_ns *. Float.pow 2.0 (float_of_int n)));
+        (* The backoff goes through the engine's delay cell, so its
+           duration is never boxed. *)
+        let engine = Env.engine env in
+        (Engine.delay_cell engine).(0) <-
+          Float.min backoff_cap_ns (backoff_base_ns *. Float.pow 2.0 (float_of_int n));
+        Engine.delay_from_cell engine;
         attempt counters env rank c (n + 1)
       end
 

@@ -31,15 +31,23 @@ let check_ceiling name ~ceiling words =
   if words > ceiling then
     Alcotest.failf "%s: %.2f minor words per op, ceiling %.2f" name words ceiling
 
-(* Minor words per [Engine.delay] inside one process of [engine].  The
-   warm-up delay grows the event queue, so only delays are counted. *)
-let delay_words engine =
+(* Minor words per [Engine.delay] that goes through the event queue.
+   Two processes delay 10 ns at a time, 5 ns apart, so each wake finds
+   the other's event queued before it and none runs in place.  The
+   count covers [n] delays of the first process, which span [n] of the
+   second; the warm-up delay grows the event queue. *)
+let queued_delay_words engine =
   let n = 20_000 in
   let words = ref infinity in
   Engine.spawn engine (fun () -> words := words_per_op ~n (fun () -> Engine.delay 10.0));
+  Engine.spawn ~at:5.0 engine (fun () ->
+      for _ = 1 to n + 1 do
+        Engine.delay 10.0
+      done);
   Engine.run engine;
-  Alcotest.(check int) "every delay executed" (n + 2) (Engine.events_executed engine);
-  !words
+  Alcotest.(check int) "every delay executed" (2 * (n + 2))
+    (Engine.events_executed engine);
+  !words /. 2.0
 
 (* The continuation the runtime builds on [perform] (2 words) and
    nothing else.  The expiry goes to the heap through the delay cell,
@@ -48,7 +56,7 @@ let delay_words engine =
    fails this. *)
 let test_delay () =
   check_ceiling "Engine.delay (no probe)" ~ceiling:(exactly 2.0)
-    (delay_words (Engine.create ~seed:1 ()))
+    (queued_delay_words (Engine.create ~seed:1 ()))
 
 (* Under a probe a delay fills the engine's [Scheduled] and [Executed]
    blocks rather than building events, so beyond its continuation (2
@@ -59,7 +67,28 @@ let test_delay () =
 let test_observed_delay () =
   let engine = Engine.create ~seed:1 () in
   Engine.add_probe engine (fun _ -> ());
-  check_ceiling "Engine.delay (one probe)" ~ceiling:(exactly 6.0) (delay_words engine)
+  check_ceiling "Engine.delay (one probe)" ~ceiling:(exactly 6.0)
+    (queued_delay_words engine)
+
+(* A lone process's delays are each the next event, so each runs in
+   place: no continuation, no queue entry, nothing at all.  Under a
+   probe it pays only its two events' boxes, the expiry's and the
+   clock's (4 words). *)
+let test_delay_in_place () =
+  let lone_delay_words engine =
+    let n = 20_000 in
+    let words = ref infinity in
+    Engine.spawn engine (fun () -> words := words_per_op ~n (fun () -> Engine.delay 10.0));
+    Engine.run engine;
+    Alcotest.(check int) "every delay executed" (n + 2) (Engine.events_executed engine);
+    !words
+  in
+  check_ceiling "Engine.delay in place (no probe)" ~ceiling:zero
+    (lone_delay_words (Engine.create ~seed:1 ()));
+  let engine = Engine.create ~seed:1 () in
+  Engine.add_probe engine (fun _ -> ());
+  check_ceiling "Engine.delay in place (one probe)" ~ceiling:(exactly 4.0)
+    (lone_delay_words engine)
 
 (* Lockdep and the invariant checker, as every gate attaches them.
    They read each event and allocate nothing in steady state, so a
@@ -71,11 +100,11 @@ let analyzed engine =
 
 let test_analyzed_delay () =
   check_ceiling "Engine.delay (lockdep + invariants)" ~ceiling:(exactly 6.0)
-    (delay_words (analyzed (Engine.create ~seed:1 ())))
+    (queued_delay_words (analyzed (Engine.create ~seed:1 ())))
 
 (* Two [Engine.now] reads within one event share one box: the first
    read after the clock moved makes it (2 words), the second returns
-   it.  With the delay's continuation that is 4 words an iteration. *)
+   it.  The lone process's delay runs in place, so that is all. *)
 let test_now_boxes_once () =
   let n = 20_000 in
   let engine = Engine.create ~seed:1 () in
@@ -89,7 +118,7 @@ let test_now_boxes_once () =
             if a != b then shared := false));
   Engine.run engine;
   Alcotest.(check bool) "one box per clock move" true !shared;
-  check_ceiling "Engine.delay + two Engine.now" ~ceiling:(exactly 4.0) !words
+  check_ceiling "Engine.delay + two Engine.now" ~ceiling:(exactly 2.0) !words
 
 let test_welford_add () =
   let w = Welford.create () in
@@ -128,9 +157,10 @@ let test_lock_pair () =
 
 (* Minor words per lock hold when [procs] processes hold one lock in
    turn, so every acquire but the very first parks and every release
-   hands the lock on: the acquirer's continuation (2 words) and the
-   hold's delay (2).  The parked acquirer's ticket waits in an int
-   ring, so a wake closure or a queue cell per waiter fails this. *)
+   hands the lock on: the acquirer's continuation (2 words).  The
+   hold's delay runs in place, since the other processes are parked.
+   The parked acquirer's ticket waits in an int ring, so a wake closure
+   or a queue cell per waiter fails this. *)
 let test_contended_lock () =
   let procs = 4 and holds = 5_000 in
   let engine = Engine.create ~seed:1 () in
@@ -153,10 +183,12 @@ let test_contended_lock () =
   Alcotest.(check int) "every hold done" (procs * holds) (Lock.acquisitions lock);
   Alcotest.(check bool) "contended" true
     (Lock.contended_acquisitions lock >= (procs * holds) - procs);
-  check_ceiling "Lock hold (contended handoff)" ~ceiling:(exactly 4.0) words
+  check_ceiling "Lock hold (contended handoff)" ~ceiling:(exactly 2.0) words
 
 (* Minor words per party per [Barrier] generation: every party but the
-   last parks (its continuation, 2 words) and each then delays (2). *)
+   last parks (its continuation, 2 words) and each then delays (2).
+   The parties wake at one time, so each delay finds the others queued
+   before its expiry and goes through the queue. *)
 let test_barrier_generation () =
   let parties = 8 and rounds = 2_500 in
   let engine = Engine.create ~seed:1 () in
@@ -289,32 +321,32 @@ let program_words ~n program =
   Engine.run engine;
   !words
 
-(* One delay (2 words, what [Engine.delay] costs on its own) and
+(* One delay, which runs in place on a kernel without daemons, and
    nothing else: the op's duration reaches the engine through its delay
-   cell, and the timer tick's chance is drawn unboxed. *)
+   cell, and the timer tick's chance is drawn unboxed.  A boxed
+   duration costs 2 words. *)
 let test_exec_cpu () =
-  check_ceiling "Instance.exec_program [Cpu _]" ~ceiling:(exactly 4.0)
+  check_ceiling "Instance.exec_program [Cpu _]" ~ceiling:zero
     (program_words ~n:20_000 [ Ops.Cpu 120.0 ])
 
-(* Three delays (the hold and the two body ops, 6 words) and nothing
-   else: the hold is drawn into the instance's cell.  Iterating the
-   body through a partial application of [exec_op] would add a
+(* Three delays (the hold and the two body ops), each run in place, and
+   nothing else: the hold is drawn into the instance's cell.  Iterating
+   the body through a partial application of [exec_op] would add a
    closure. *)
 let test_with_lock_body () =
   let hold = Dist.constant 40.0 in
   check_ceiling "Instance.exec_program [With_lock (_, _, [Cpu; Cpu])]"
-    ~ceiling:(exactly 6.0)
+    ~ceiling:zero
     (program_words ~n:20_000
        [ Ops.With_lock (Ops.Tasklist, hold, [ Ops.Cpu 30.0; Ops.Cpu 50.0 ]) ])
 
 (* getpid through each kind of deployment, on one background-free
-   rank: the continuations of the call's events (2 words each) and
-   nothing else.  Native runs two events (entry path and op), Docker
-   three (the cgroup charge too), and KVM its exits' delay on the calls
-   that exit.  The rank passes the context it keeps for the key, the
-   outcome is a constant and the clock is read from its cell: a
-   context built per call costs 5 words more, a latency in the outcome
-   4. *)
+   rank: nothing at all.  Native runs two events (entry path and op),
+   Docker three (the cgroup charge too), and KVM its exits' delay on
+   the calls that exit; with nothing else queued each is a delay that
+   runs in place.  The rank passes the context it keeps for the key,
+   the outcome is a constant and the clock is read from its cell: a
+   context built per call costs 5 words, a latency in the outcome 4. *)
 let test_try_syscall () =
   let spec = Option.get (Syscalls.by_name "getpid") in
   let arg = { Arg.size = 0; obj = 0; flags = 0 } in
@@ -340,8 +372,7 @@ let test_try_syscall () =
       check_ceiling
         (Printf.sprintf "Env.try_syscall (%s, %.2f events per call)" (Env.kind_name kind)
            per_call)
-        ~ceiling:(exactly (2.0 *. per_call))
-        !words)
+        ~ceiling:zero !words)
     [ Env.Native; Env.Kvm Virt_config.default; Env.Docker ]
 
 (* 12 words, however long the label: the child's state buffer and
@@ -395,10 +426,11 @@ let test_next_gap () =
 (* One call that faults once and then completes, through the retry
    loop varbench and noise ranks share, from a rank in the app's unit
    (0) and one in a noise unit (1) of a background-free native node.
-   10 words: the faulted attempt's entry-path delay, the backoff's
-   delay and its duration's box, and the completed attempt's two
-   delays.  A retry closure built per call adds 7; a context built per
-   attempt 5 more each, a latency in each outcome 4. *)
+   Nothing: the faulted attempt's entry-path delay, the backoff's delay
+   and the completed attempt's two delays all run in place, and the
+   backoff's duration goes through the delay cell.  A boxed duration
+   costs 2 words; a retry closure built per call 7; a context built per
+   attempt 5 each, a latency in each outcome 4. *)
 let test_retry_call () =
   let engine = Engine.create ~seed:1 () in
   let env =
@@ -432,7 +464,7 @@ let test_retry_call () =
       Engine.run engine;
       Alcotest.(check (pair int int)) (name ^ ": one retry per call") (n + 1, n + 1)
         (counters.Retry.retries, counters.Retry.issued);
-      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:(exactly 10.0) !words)
+      check_ceiling ("Retry.call, faulted once, " ^ name) ~ceiling:zero !words)
     [ ("harness rank", 0); ("noise rank", 1) ]
 
 (* A lock pair under a fault plan whose preemptions never fire: one
@@ -497,8 +529,9 @@ let test_request_calls_memoised () =
 
 (* One silo request on a 1-rank Docker env without background daemons,
    after 500 requests have filled the memos its rank reaches and the
-   contexts of the keys it calls with: its delays, its five calls'
-   kernel work and one issued argument per call.  An [issue] closure
+   contexts of the keys it calls with: its delays that do not run in
+   place, its five calls' kernel work and one issued argument per
+   call.  An [issue] closure
    per request, a [find] closure per mix pick and a second argument
    record per call cost 35 words more; a context built per call 25. *)
 let test_silo_request () =
@@ -519,7 +552,7 @@ let test_silo_request () =
       done;
       words := words_per_op ~n:2_000 request);
   Engine.run engine;
-  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 108.91) !words
+  check_ceiling "Service.handle (silo, docker)" ~ceiling:(exactly 40.22) !words
 
 let suite =
   [
@@ -555,4 +588,6 @@ let suite =
     Alcotest.test_case "barrier generation parks by ticket" `Quick
       test_barrier_generation;
     Alcotest.test_case "Dist.sample_into allocates nothing" `Quick test_dist_sample_into;
+    Alcotest.test_case "a delay that runs in place allocates nothing" `Quick
+      test_delay_in_place;
   ]

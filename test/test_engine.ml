@@ -534,6 +534,160 @@ let qcheck_order_matches_reference =
   QCheck.Test.make ~name:"execution order is (time, creation seq)" ~count:300 script_arb
     (fun roots -> engine_trace roots = reference_trace roots)
 
+(* --- delays the run loop would pop next ------------------------------- *)
+
+(* A wake that overflows the clock to infinity is refused as a spawn at
+   infinity is: by the engine, outside the process, leaving nothing
+   queued. *)
+let test_overflowing_wake_raises () =
+  let engine = Engine.create () in
+  Engine.spawn ~at:Float.max_float engine (fun () -> Engine.delay Float.max_float);
+  Alcotest.(check bool) "Invalid_argument out of run" true
+    (try
+       Engine.run engine;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending engine)
+
+(* A wake at the time of a queued event runs after it: the queued event
+   took its sequence number first. *)
+let test_wake_at_queued_time_runs_after () =
+  let engine = Engine.create () in
+  let seen = ref [] in
+  Engine.spawn engine (fun () ->
+      Engine.delay 10.0;
+      seen := "delayed" :: !seen);
+  Engine.spawn ~at:10.0 engine (fun () -> seen := "queued" :: !seen);
+  Engine.run engine;
+  Alcotest.(check (list string)) "queued first" [ "queued"; "delayed" ] (List.rev !seen);
+  Alcotest.(check int) "three events" 3 (Engine.events_executed engine)
+
+(* A wake at [until] runs; the next, beyond it, stays queued and the
+   clock stays at [until]. *)
+let test_wake_beyond_until_stays_pending () =
+  let engine = Engine.create () in
+  let steps = ref 0 in
+  Engine.spawn engine (fun () ->
+      Engine.delay 5.0;
+      incr steps;
+      Engine.delay 5.0;
+      incr steps);
+  Engine.run ~until:5.0 engine;
+  Alcotest.(check int) "the wake at until ran" 1 !steps;
+  Alcotest.(check int) "the wake beyond until is pending" 1 (Engine.pending engine);
+  Alcotest.(check (float 0.0)) "clock at until" 5.0 (Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check int) "resumed" 2 !steps;
+  Alcotest.(check (float 0.0)) "clock at the last wake" 10.0 (Engine.now engine)
+
+(* Once [stop] holds, a delay leaves its process queued. *)
+let test_wake_after_stop_stays_pending () =
+  let engine = Engine.create () in
+  let count = ref 0 and polls = ref 0 in
+  Engine.spawn engine (fun () ->
+      while true do
+        incr count;
+        Engine.delay 1.0
+      done);
+  Engine.run
+    ~stop:(fun () ->
+      incr polls;
+      !count >= 3)
+    engine;
+  Alcotest.(check int) "stopped after three steps" 3 !count;
+  Alcotest.(check int) "the process is pending" 1 (Engine.pending engine);
+  Alcotest.(check (float 0.0)) "clock at the last wake" 2.0 (Engine.now engine);
+  Alcotest.(check int) "stop polled once per event" 4 !polls;
+  Alcotest.(check int) "three events" 3 (Engine.events_executed engine)
+
+(* Every delay counts as one executed event, whether or not another
+   event is queued. *)
+let test_events_executed_counts_delays () =
+  let engine = Engine.create () in
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 100 do
+        Engine.delay 1.0
+      done);
+  Engine.run engine;
+  Alcotest.(check int) "a lone process" 101 (Engine.events_executed engine);
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 100 do
+        Engine.delay 1.0
+      done);
+  Engine.spawn ~at:1000.0 engine ignore;
+  Engine.run engine;
+  Alcotest.(check int) "beside a queued spawn" 203 (Engine.events_executed engine);
+  Alcotest.(check (float 0.0)) "clock" 1000.0 (Engine.now engine)
+
+(* One fixed mixed simulation (delays, spawns at equal times, a lock
+   handoff, a mailbox, a barrier and [until]) under a probe that hashes
+   every field of every event.  The pinned hash is the engine's event
+   order: any reordering, a missing or an extra event changes it. *)
+let probe_stream_hash () =
+  let engine = Engine.create ~seed:11 () in
+  let h = ref 0 and count = ref 0 in
+  let mix ints = List.iter (fun i -> h := Stable_hash.combine !h i) ints in
+  let bits f = Int64.to_int (Int64.bits_of_float f) in
+  let op_fields = function
+    | Engine.Acquire { contended } -> [ 1; Bool.to_int contended ]
+    | Release -> [ 2 ]
+    | Read_acquire { contended } -> [ 3; Bool.to_int contended ]
+    | Read_release -> [ 4 ]
+    | Write_acquire { contended } -> [ 5; Bool.to_int contended ]
+    | Write_release -> [ 6 ]
+    | Barrier_arrive { generation; arrived; parties } -> [ 7; generation; arrived; parties ]
+    | Barrier_release { generation } -> [ 8; generation ]
+    | Barrier_depart { generation; parties } -> [ 9; generation; parties ]
+  in
+  Engine.add_probe engine (fun e ->
+      incr count;
+      mix
+        (match e with
+        | Engine.Scheduled { now; at; pid } -> [ 1; bits now; bits at; pid ]
+        | Executed { now; pid } -> [ 2; bits now; pid ]
+        | Suspended { now; pid; token } -> [ 3; bits now; pid; token ]
+        | Woken { now; pid; token } -> [ 4; bits now; pid; token ]
+        | Sync { now; pid; name; op } ->
+            5 :: bits now :: pid :: Stable_hash.string name :: op_fields op
+        | Injected _ | Denied _ | Rank_transition _ -> [ 6 ]));
+  let lock = Lock.create ~engine ~name:"stream.lock" in
+  let box = Mailbox.create ~engine ~name:"stream.box" in
+  let barrier = Barrier.create ~engine ~name:"stream.barrier" ~parties:3 in
+  let rng = Prng.split (Engine.rng engine) "stream" in
+  for w = 1 to 3 do
+    Engine.spawn engine (fun () ->
+        for round = 1 to 4 do
+          Engine.delay (1.0 +. Prng.float rng 5.0);
+          Lock.acquire lock;
+          Engine.delay (float_of_int w);
+          Lock.release lock;
+          Mailbox.send box ((10 * w) + round);
+          Barrier.arrive barrier
+        done)
+  done;
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 12 do
+        let m = Mailbox.recv box in
+        Engine.delay (float_of_int (m mod 7))
+      done);
+  for _ = 1 to 2 do
+    Engine.spawn ~at:20.0 engine (fun () ->
+        Engine.delay 3.0;
+        Engine.delay 0.5)
+  done;
+  Engine.spawn engine (fun () ->
+      while true do
+        Engine.delay 7.0
+      done);
+  Engine.run ~until:60.0 engine;
+  mix [ bits (Engine.now engine); Engine.pending engine; Engine.events_executed engine ];
+  (!count, !h)
+
+let test_probe_stream_pinned () =
+  let count, hash = probe_stream_hash () in
+  Alcotest.(check (pair int int))
+    "events and hash" (223, 1855394493944187539) (count, hash)
+
 let suite =
   [
     Alcotest.test_case "delay advances time" `Quick test_delay_advances_time;
@@ -569,4 +723,14 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_delays_sum;
     QCheck_alcotest.to_alcotest qcheck_order_matches_reference;
     Alcotest.test_case "stale ticket refused" `Quick test_stale_ticket;
+    Alcotest.test_case "overflowing wake" `Quick test_overflowing_wake_raises;
+    Alcotest.test_case "wake at a queued time runs after it" `Quick
+      test_wake_at_queued_time_runs_after;
+    Alcotest.test_case "wake beyond until stays pending" `Quick
+      test_wake_beyond_until_stays_pending;
+    Alcotest.test_case "wake after stop stays pending" `Quick
+      test_wake_after_stop_stays_pending;
+    Alcotest.test_case "events executed counts delays" `Quick
+      test_events_executed_counts_delays;
+    Alcotest.test_case "probe stream pinned" `Quick test_probe_stream_pinned;
   ]

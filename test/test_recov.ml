@@ -449,6 +449,43 @@ let test_engine_stall_limit () =
     Alcotest.(check bool) "diagnostic" true
       (Test_util.contains ~sub:"Engine hung" msg)
 
+(* A delay the clock absorbs (1e20 +. 1.0 = 1e20) never advances
+   virtual time, so the no-progress detector trips in [run], as for any
+   other stall, and names the time. *)
+let test_absorbed_delay_stalls () =
+  let engine = Engine.create ~seed:1 () in
+  Engine.spawn ~at:1e20 engine (fun () ->
+      while true do
+        Engine.delay 1.0
+      done);
+  match Engine.run ~stall_limit:64 engine with
+  | () -> Alcotest.fail "no Hung"
+  | exception Engine.Hung msg ->
+      Alcotest.(check string) "diagnostic"
+        "Engine hung at t=1e+20 (no progress: 65 consecutive events at t=1e+20): 0 \
+         runnable event(s) pending, no parked processes"
+        msg;
+      Alcotest.(check int) "events" 66 (Engine.events_executed engine)
+
+(* A lone process whose next wake lies beyond the deadline: [run] moves
+   the clock to the deadline and raises with the wake still queued. *)
+let test_wake_beyond_deadline_hangs () =
+  let engine = Engine.create ~seed:1 () in
+  Engine.spawn engine (fun () ->
+      while true do
+        Engine.delay 30.0
+      done);
+  match Engine.run ~deadline:100.0 engine with
+  | () -> Alcotest.fail "no Hung"
+  | exception Engine.Hung msg ->
+      Alcotest.(check string) "diagnostic"
+        "Engine hung at t=100 (virtual-time deadline 100 exceeded by next event at 120): \
+         1 runnable event(s) pending, no parked processes"
+        msg;
+      Alcotest.(check (float 0.0)) "clock at the deadline" 100.0 (Engine.now engine);
+      Alcotest.(check int) "the wake is pending" 1 (Engine.pending engine);
+      Alcotest.(check int) "events" 4 (Engine.events_executed engine)
+
 let test_hung_diagnostic_lists_parked () =
   let engine = Engine.create ~seed:1 () in
   let lock = Lock.create ~engine ~name:"wedge" in
@@ -639,6 +676,9 @@ let suite =
     Alcotest.test_case "deadline converts hang" `Quick
       test_engine_deadline_converts_hang;
     Alcotest.test_case "stall limit" `Quick test_engine_stall_limit;
+    Alcotest.test_case "absorbed delay stalls" `Quick test_absorbed_delay_stalls;
+    Alcotest.test_case "wake beyond deadline hangs" `Quick
+      test_wake_beyond_deadline_hangs;
     Alcotest.test_case "hung diagnostic lists parked" `Quick
       test_hung_diagnostic_lists_parked;
     Alcotest.test_case "disabled policy wedge aborts" `Quick
