@@ -12,9 +12,10 @@ test:
 
 # Every stock gate (Ksurf.Gates.stock) in one run: each workload twice
 # under lockdep + determinism + invariants, then its own accounting
-# checks (recovery policies complete, tenancy SLO accounting, drift
-# controller choreography, torture crash consistency, ...).  Exits
-# nonzero on any finding or FAIL line.
+# checks (zero specialization denials, tenancy SLO accounting, torture
+# crash consistency at 1 and 4 workers, ...).  The torture gate is the
+# only place the durable-I/O torture runs.  Exits nonzero on any
+# finding or FAIL line.
 gates:
 	dune exec bin/ksurf_cli.exe -- analyze --seed 42
 

@@ -531,25 +531,21 @@ let staticcheck_cmd =
    export directory and the journal are set up before any cell runs, so
    a bad path exits 3 with nothing rendered.  Then each entry runs in
    order on one corpus and one pool, prints its rendering and writes
-   its CSV.  Exits 1 if any entry reports a failure. *)
+   its CSV. *)
 let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
   Option.iter Ksurf.Fileio.ensure_dir export;
   let journal = journal_of path resume in
   let write dir c = Format.printf "wrote %s@." (E.write_csv ~dir c) in
-  let failures =
-    with_pool jobs (fun pool ->
-        let ctx = E.context ~seed ?journal ~pool scale in
-        List.mapi
-          (fun i (s : E.study) ->
-            if i > 0 then Format.printf "@.";
-            let o = timed s.E.name (fun () -> s.E.run ctx) in
-            Format.printf "%t@." o.E.render;
-            Option.iter (fun dir -> List.iter (write dir) o.E.csvs) export;
-            o.E.failures)
-          studies)
-  in
-  finish_journal journal;
-  if List.exists (fun n -> n > 0) failures then exit 1
+  with_pool jobs (fun pool ->
+      let ctx = E.context ~seed ?journal ~pool scale in
+      List.iteri
+        (fun i (s : E.study) ->
+          if i > 0 then Format.printf "@.";
+          let o = timed s.E.name (fun () -> s.E.run ctx) in
+          Format.printf "%t@." o.E.render;
+          Option.iter (fun dir -> List.iter (write dir) o.E.csvs) export)
+        studies);
+  finish_journal journal
 
 (* One subcommand per entry: --seed/--scale/--jobs, plus --export when
    it writes a CSV and --journal/--resume when it journals.  [grid]
@@ -577,12 +573,12 @@ let all_cmd =
     (Cmd.info "all"
        ~doc:
          "Run every table and study in order, writing every CSV under \
-          $(b,--export); exit nonzero if any reports a failure")
+          $(b,--export)")
     Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ export_arg $ logs_term)
 
-(* The grid flags of tenancy, drift and torture: each builds its entry
-   through the module's own constructor.  An unknown name is a parse
-   error (exit 2); an empty list means the entry's default. *)
+(* The grid flags of tenancy: they build its entry through the module's
+   own constructor.  An unknown name is a parse error (exit 2); an
+   empty list means the entry's default. *)
 let tenancy_grid =
   let tenants =
     Arg.(
@@ -613,62 +609,12 @@ let tenancy_grid =
           ?policies:(list_opt policies) ())
     $ tenants $ churns $ policies)
 
-let drift_grid =
-  let doses =
-    Arg.(
-      value
-      & opt (list float) []
-      & info [ "dose" ] ~docv:"D,..."
-          ~doc:
-            "Drift doses to sweep; the injected mix shift is dose x 0.25 \
-             (default: 0,1,2,3).")
-  in
-  let policies =
-    names_arg "policy" ~docv:"P,..."
-      ~doc:
-        "Policies to sweep: $(b,static), $(b,audit) or $(b,adaptive) \
-         (default: all)."
-      (("audit-only", Ksurf.Driftbench.Audit_only)
-      :: List.map
-           (fun p -> (Ksurf.Driftbench.policy_name p, p))
-           Ksurf.Driftbench.all_policies)
-  in
-  Term.(
-    const (fun doses policies ->
-        E.Drift.study ?doses:(list_opt doses) ?policies:(list_opt policies) ())
-    $ doses $ policies)
-
-let torture_grid =
-  let doses =
-    Arg.(
-      value
-      & opt (list float) []
-      & info [ "dose" ] ~docv:"D,..."
-          ~doc:
-            "Fault doses to sweep; dose scales the io-mixed plan's rates \
-             and ENOSPC window, 0 is the fault-free control (default: \
-             0,1,2,3).")
-  in
-  let kinds =
-    names_arg "path" ~docv:"P,..."
-      ~doc:
-        "Durable writer paths to torture: $(b,journal), $(b,checkpoint), \
-         $(b,export) (default: all)."
-      (List.map (fun k -> (Ksurf.Torture.kind_name k, k)) Ksurf.Torture.all_kinds)
-  in
-  Term.(
-    const (fun doses kinds ->
-        E.Torture.study ?doses:(list_opt doses) ?kinds:(list_opt kinds) ())
-    $ doses $ kinds)
-
 let main_cmd =
   let doc =
     "reproduce 'Reducing Kernel Surface Areas for Isolation and \
      Scalability' (ICPP'19) on a simulated multicore machine"
   in
-  let grids =
-    [ ("tenancy", tenancy_grid); ("drift", drift_grid); ("torture", torture_grid) ]
-  in
+  let grids = [ ("tenancy", tenancy_grid) ] in
   Cmd.group (Cmd.info "ksurf" ~version:"1.0.0" ~doc)
     ([ gen_corpus_cmd; run_corpus_cmd; analyze_cmd; inject_cmd; staticcheck_cmd ]
     @ List.map

@@ -43,9 +43,6 @@ let key (info : Engine.event_info) =
       Printf.sprintf "I:%Lx:%d:%s:%Lx" (bits now) pid fault (bits magnitude)
   | Engine.Denied { now; pid; syscall; enforced } ->
       Printf.sprintf "D:%Lx:%d:%s:%b" (bits now) pid syscall enforced
-  | Engine.Rank_transition { now; pid; rank; from_state; to_state; incident } ->
-      Printf.sprintf "R:%Lx:%d:%d:%s:%s:%d" (bits now) pid rank from_state
-        to_state incident
 
 let display (info : Engine.event_info) =
   match info with
@@ -62,9 +59,6 @@ let display (info : Engine.event_info) =
       Printf.sprintf "t=%g pid=%d inject %s(%g)" now pid fault magnitude
   | Engine.Denied { now; pid; syscall; enforced } ->
       Printf.sprintf "t=%g pid=%d deny %s(enforced=%b)" now pid syscall enforced
-  | Engine.Rank_transition { now; pid; rank; from_state; to_state; incident } ->
-      Printf.sprintf "t=%g pid=%d rank %d %s->%s (incident %d)" now pid rank
-        from_state to_state incident
 
 let describe info = { key = key info; display = display info }
 

@@ -21,10 +21,6 @@ type t = {
       (** states of tokens outside [0, max_dense_token) *)
   barriers : (string, int) Hashtbl.t;  (** barrier -> last generation *)
   locks : (string, lock_counts) Hashtbl.t;
-  ranks : (int, string) Hashtbl.t;  (** rank -> last detector state *)
-  policies : (int, string) Hashtbl.t;  (** rank -> last policy state *)
-  rank_edges : (int * int * string, int) Hashtbl.t;
-      (** (rank, incident, edge) -> occurrences *)
   mutable last_exec_time : float;
   mutable events : int;
 }
@@ -43,9 +39,6 @@ let create () =
     far_tokens = Hashtbl.create 8;
     barriers = Hashtbl.create 8;
     locks = Hashtbl.create 64;
-    ranks = Hashtbl.create 8;
-    policies = Hashtbl.create 8;
-    rank_edges = Hashtbl.create 16;
     last_exec_time = neg_infinity;
     events = 0;
   }
@@ -158,57 +151,6 @@ let on_event t (info : Engine.event_info) =
               (Printf.sprintf "barrier %s: left with %d parties at t=%g" name
                  parties now))
   | Engine.Injected _ | Engine.Denied _ -> ()
-  | Engine.Rank_transition { now; rank; from_state; to_state; incident; _ } ->
-      (* Two disjoint per-rank state machines share the transition
-         event.  Failure-detector protocol (krecov): transitions must
-         follow alive -> suspect -> {alive, dead} -> alive, each event's
-         [from_state] must agree with the rank's last reported state,
-         and within one incident no edge may repeat — one suspicion, at
-         most one death, at most one rejoin.  Policy protocol (kadapt):
-         a rank's syscall policy moves unfiltered -> {audit, enforce},
-         promotes audit -> enforce, and demotes enforce -> audit; it
-         never returns to unfiltered, and the same last-state continuity
-         rule applies on its own track. *)
-      let policy_state s =
-        s = "unfiltered" || s = "audit" || s = "enforce"
-      in
-      let is_policy = policy_state from_state && policy_state to_state in
-      let valid =
-        match (from_state, to_state) with
-        | "alive", "suspect"
-        | "suspect", "alive"
-        | "suspect", "dead"
-        | "dead", "alive"
-        | "unfiltered", "audit"
-        | "unfiltered", "enforce"
-        | "audit", "enforce"
-        | "enforce", "audit" ->
-            true
-        | _ -> false
-      in
-      if not valid then
-        add t ~severity:Finding.Error ~code:"rank-transition-invalid"
-          (Printf.sprintf "rank %d: illegal transition %s->%s at t=%g" rank
-             from_state to_state now);
-      let track = if is_policy then t.policies else t.ranks in
-      (match Hashtbl.find_opt track rank with
-      | Some last when last <> from_state ->
-          add t ~severity:Finding.Error ~code:"rank-transition-discontinuous"
-            (Printf.sprintf
-               "rank %d: transition claims from %s but last state was %s at \
-                t=%g"
-               rank from_state last now)
-      | Some _ | None -> ());
-      Hashtbl.replace track rank to_state;
-      let edge = Printf.sprintf "%s->%s" from_state to_state in
-      let key = (rank, incident, edge) in
-      let seen = Option.value ~default:0 (Hashtbl.find_opt t.rank_edges key) in
-      if seen > 0 then
-        add t ~severity:Finding.Error ~code:"rank-transition-repeated"
-          (Printf.sprintf
-             "rank %d incident %d: transition %s reported %d times at t=%g"
-             rank incident edge (seen + 1) now);
-      Hashtbl.replace t.rank_edges key (seen + 1)
 
 (* [drained] as in {!Lockdep.finish}: stuck-process checks only make
    sense when the engine genuinely ran out of events. *)

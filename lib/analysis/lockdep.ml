@@ -213,8 +213,7 @@ let on_event t (info : Engine.event_info) =
       | Engine.Barrier_depart _ ->
           ())
   | Engine.Scheduled _ | Engine.Executed _ | Engine.Suspended _
-  | Engine.Woken _ | Engine.Injected _ | Engine.Denied _
-  | Engine.Rank_transition _ ->
+  | Engine.Woken _ | Engine.Injected _ | Engine.Denied _ ->
       ()
 
 (* --- cycle detection -------------------------------------------------- *)

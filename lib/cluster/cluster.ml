@@ -87,7 +87,7 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
       ~noise_corpus ~on_engine ~on_env ~served
   in
   let engine = node.Runner.engine in
-  (* A permanent worker loss (krecov) marks the node, so iteration
+  (* A permanent worker loss marks the node, so iteration
      samples gathered after it — timed with fewer serving cores — are
      dropped rather than silently distorting the BSP pool. *)
   let lost_for_good () = node.Runner.live < node.Runner.workers in
@@ -153,6 +153,9 @@ let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
   | Some pool -> Ksurf_par.Pool.map ~pool cell nodes
   | None -> List.map cell nodes
 
+(* The per-iteration global barrier cost the synthesis charges:
+   log2([nodes_total]) tree depth times a per-party cost that depends on
+   the transport (virtio for KVM). *)
 let barrier_cost_for ~kind =
   let per_party =
     match kind with
@@ -163,16 +166,6 @@ let barrier_cost_for ~kind =
   *. Float.ceil (Float.log (float_of_int nodes_total) /. Float.log 2.0)
 
 let durations nodes = Array.concat (List.map (fun n -> n.durations) nodes)
-
-(* The empirical iteration pool alone — for callers (the recovery study)
-   that sweep many supervised syntheses over one set of simulated
-   nodes. *)
-let pool ~app ~kind ~contended ?(config = default_config) ?noise_corpus
-    ?(on_engine = fun (_ : Engine.t) -> ())
-    ?(on_env = fun (_ : Env.t) -> ()) ?par () =
-  durations
-    (simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
-       ~on_env)
 
 let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     ?(on_engine = fun (_ : Engine.t) -> ())

@@ -54,30 +54,6 @@ type result = {
           left them timed with fewer serving cores *)
 }
 
-val pool :
-  app:Ksurf_tailbench.Apps.t ->
-  kind:Ksurf_env.Env.kind ->
-  contended:bool ->
-  ?config:config ->
-  ?noise_corpus:Ksurf_syzgen.Corpus.t ->
-  ?on_engine:(Ksurf_sim.Engine.t -> unit) ->
-  ?on_env:(Ksurf_env.Env.t -> unit) ->
-  ?par:Ksurf_par.Pool.t ->
-  unit ->
-  float array
-(** Just the pooled per-iteration durations from the simulated nodes —
-    for callers (e.g. the recovery study) that sweep many supervised
-    syntheses over one set of node simulations.  [par] fans the node
-    simulations across a worker pool; each node is a self-contained
-    engine with its own seed, and results merge in node order, so the
-    pool is bit-identical to the sequential one.  Do not pass [par]
-    together with non-thread-safe [on_engine]/[on_env] observers. *)
-
-val barrier_cost_for : kind:Ksurf_env.Env.kind -> float
-(** The per-iteration global barrier cost the synthesis charges:
-    log2({!nodes_total}) tree depth times a per-party cost that depends
-    on the transport (virtio for KVM). *)
-
 val run :
   app:Ksurf_tailbench.Apps.t ->
   kind:Ksurf_env.Env.kind ->
@@ -89,15 +65,17 @@ val run :
   ?par:Ksurf_par.Pool.t ->
   unit ->
   result
-(** One cell of Figure 4.  [on_engine] is called on each engine (node
-    simulations, and each supervised superstep) right after creation —
-    the hook sanitizers use to attach probes.  [on_env] is called on
-    each node deployment so fault plans can be armed; a [Rank_crash]
-    with no restart drops the node's post-crash samples (see
-    [samples_dropped]) instead of polluting the pool.  Deterministic
-    for a given seed; [par] parallelises the node simulations (see
-    {!pool}).  Supervised recovery runs {!Ksurf_recov.Supervisor.run}
-    over {!pool} instead. *)
+(** One cell of Figure 4.  [on_engine] is called on each node
+    simulation's engine right after creation — the hook sanitizers use
+    to attach probes.  [on_env] is called on each node deployment so
+    fault plans can be armed; a [Rank_crash] with no restart drops the
+    node's post-crash samples (see [samples_dropped]) instead of
+    polluting the pool.  Deterministic for a given seed.  [par] fans
+    the node simulations across a worker pool; each node is a
+    self-contained engine with its own seed, and results merge in node
+    order, so the result is bit-identical to the sequential one.  Do
+    not pass [par] together with non-thread-safe [on_engine]/[on_env]
+    observers. *)
 
 val relative_loss : isolated:result -> contended:result -> float
 (** Figure 4(c): percent runtime increase from isolated to contended. *)

@@ -219,11 +219,7 @@ let bucket_columns row =
 
 (* --- Studies: one entry per regenerable table, figure or study. *)
 
-type outcome = {
-  render : Format.formatter -> unit;
-  csvs : csv list;
-  failures : int;
-}
+type outcome = { render : Format.formatter -> unit; csvs : csv list }
 
 type study = {
   name : string;
@@ -235,11 +231,10 @@ type study = {
 
 (* The one way to build an entry: its exports and its outcome's CSV
    files both come from the study's column list. *)
-let study ?(journals = false) ?(failures = fun _ -> 0) name doc columns pp
-    run =
+let study ?(journals = false) name doc columns pp run =
   let run ctx =
     let t = run ctx in
-    { render = Fun.flip pp t; csvs = csvs columns t; failures = failures t }
+    { render = Fun.flip pp t; csvs = csvs columns t }
   in
   { name; doc; journals; exports = (fun () -> exports columns); run }
 
@@ -1092,157 +1087,6 @@ module Specialize = struct
     render columns t ppf
 end
 
-module Recover = struct
-  module Supervisor = Ksurf_recov.Supervisor
-
-  type cell = {
-    policy : string;
-    crash_rate : float;
-    runtime_ns : float;
-    straggler_factor : float;
-    supersteps : int;
-    survivors : int;
-    degraded : bool;
-    crashes : int;
-    restarts : int;
-    backups : int;
-    deaths : int;
-    transitions : int;
-    checkpoints : int;
-  }
-
-  type t = {
-    nodes : int;
-    iterations : int;
-    pool_mean_ns : float;
-    cells : cell list;
-  }
-
-  let default_rates = [ 0.0; 0.005; 0.01; 0.02 ]
-
-  let policies =
-    [ Supervisor.Survivors; Supervisor.Readmit; Supervisor.Speculative ]
-
-  let run ?(rates = default_rates) ctx =
-    let corpus = Lazy.force ctx.corpus in
-    let app = Option.get (Apps.by_name "silo") in
-    let cconfig = Fig4.cluster_config ~seed:ctx.seed ctx.scale in
-    (* One set of node simulations feeds every (policy x rate) cell: the
-       sweep varies only the supervision, never the empirical pool.  The
-       node simulations themselves fan out across the context's pool. *)
-    let iter_pool =
-      Cluster.pool ~app ~kind:kvm_kind ~contended:false ~config:cconfig
-        ~noise_corpus:corpus ?par:ctx.pool ()
-    in
-    let iterations =
-      match ctx.scale with Quick -> 12 | Full -> cconfig.Cluster.iterations
-    in
-    let barrier = Cluster.barrier_cost_for ~kind:kvm_kind in
-    let base =
-      {
-        Supervisor.default_config with
-        Supervisor.nodes = Cluster.nodes_total;
-        iterations;
-        barrier_cost_ns = barrier;
-        seed = ctx.seed;
-      }
-    in
-    let specs =
-      List.concat_map
-        (fun policy -> List.map (fun rate -> (policy, rate)) rates)
-        policies
-    in
-    let cells =
-      Sweep.run ctx
-        ~key:(fun (policy, crash_rate) ->
-          Printf.sprintf "recover:%s:%.4f"
-            (Supervisor.policy_name policy)
-            crash_rate)
-        (fun (policy, crash_rate) ->
-          let o =
-            Supervisor.run ~pool:iter_pool
-              ~config:{ base with Supervisor.policy; crash_rate }
-              ()
-          in
-          {
-            policy = o.Supervisor.policy;
-            crash_rate;
-            runtime_ns = o.Supervisor.runtime_ns;
-            straggler_factor = o.Supervisor.straggler_factor;
-            supersteps = o.Supervisor.supersteps;
-            survivors = o.Supervisor.survivors;
-            degraded = o.Supervisor.degraded;
-            crashes = o.Supervisor.crashes;
-            restarts = o.Supervisor.restarts;
-            backups = o.Supervisor.backups;
-            deaths = o.Supervisor.deaths;
-            transitions = o.Supervisor.transitions;
-            checkpoints = o.Supervisor.checkpoints;
-          })
-        specs
-    in
-    let n = Array.length iter_pool in
-    let pool_mean_ns =
-      if n = 0 then 0.0
-      else Array.fold_left ( +. ) 0.0 iter_pool /. float_of_int n
-    in
-    { nodes = Cluster.nodes_total; iterations; pool_mean_ns; cells }
-
-  let cell t ~policy ~crash_rate =
-    List.find_opt
-      (fun c -> c.policy = policy && c.crash_rate = crash_rate)
-      t.cells
-
-  (* Runtime relative to the same policy's crash-free baseline. *)
-  let vs_crash_free t c =
-    match cell t ~policy:c.policy ~crash_rate:0.0 with
-    | Some base when base.runtime_ns > 0.0 ->
-        Some (c.runtime_ns /. base.runtime_ns)
-    | _ -> None
-
-  (* The recovery-cost curve the study plots. *)
-  let overhead t ~policy =
-    List.filter_map
-      (fun c ->
-        if c.policy = policy then
-          Option.map (fun r -> (c.crash_rate, r)) (vs_crash_free t c)
-        else None)
-      t.cells
-
-  let columns =
-    columns ~file:"recover.csv" (fun t -> t.cells) @@ fun () ->
-    [
-      col "policy" (fun c -> c.policy);
-      num ("crash_rate", "%.4f") ~shown:("crash rate", "%.3f")
-        (fun c -> c.crash_rate);
-      both
-        ("runtime_ns", fun c -> Printf.sprintf "%.0f" c.runtime_ns)
-        ("runtime (s)", fun c -> Printf.sprintf "%.3f" (c.runtime_ns /. 1e9));
-      { csv = Some ("vs_crash_free", ratio vs_crash_free ("%.4f", ""));
-        shown = Some ("vs crash-free", ratio vs_crash_free ("%.2fx", "-")) };
-      num ("straggler_factor", "%.4f") ~shown:("straggler", "%.2f")
-        (fun c -> c.straggler_factor);
-      csv_count "supersteps" (fun c -> c.supersteps);
-      count "survivors" (fun c -> c.survivors);
-      both
-        ("degraded", fun c -> string_of_bool c.degraded)
-        ("degraded", fun c -> if c.degraded then "yes" else "no");
-      count "crashes" (fun c -> c.crashes);
-      count "restarts" (fun c -> c.restarts);
-      count "backups" (fun c -> c.backups);
-      count "deaths" (fun c -> c.deaths);
-      csv_count "transitions" (fun c -> c.transitions);
-      count "checkpoints" ~shown:"ckpts" (fun c -> c.checkpoints);
-    ]
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "Recovery study: crash rate x policy on the %d-node BSP synthesis \
-       (%d supersteps, pool mean %.2f ms)@.@."
-      t.nodes t.iterations (t.pool_mean_ns /. 1e6);
-    render columns t ppf
-end
-
 module Tenancy = struct
   module Fleet = Ksurf_tenant.Fleet
   module Policy = Ksurf_tenant.Policy
@@ -1408,243 +1252,6 @@ module Tenancy = struct
       (run ?tenants ?churns ?policies)
 end
 
-(* ------------------------------------------------------------------ *)
-
-module Drift = struct
-  module Driftbench = Ksurf_adapt.Driftbench
-
-  type cell = Driftbench.result
-
-  type t = { cells : cell list }
-
-  let default_doses = [ 0.0; 1.0; 2.0; 3.0 ]
-  let default_policies = Driftbench.all_policies
-
-  (* The scale knob sizes the run, not the question: more epochs mean
-     the adaptive policy's audit windows amortise over a longer enforced
-     life, exactly as they would in a long-running deployment. *)
-  let cell_config ~seed ~scale ~policy ~dose =
-    let base = Driftbench.default_config in
-    let epochs, programs_per_epoch, drift_at_ns =
-      match scale with
-      | Quick -> (36, 16, 16_000_000.0)
-      | Full -> (96, 24, 24_000_000.0)
-    in
-    {
-      base with
-      Driftbench.policy;
-      dose;
-      epochs;
-      programs_per_epoch;
-      drift_at_ns;
-      seed;
-    }
-
-  let cell_key (policy, dose) =
-    Printf.sprintf "drift:%s:%.2f" (Driftbench.policy_name policy) dose
-
-  let run ?(doses = default_doses) ?(policies = default_policies) ctx =
-    let specs =
-      List.concat_map
-        (fun policy -> List.map (fun dose -> (policy, dose)) doses)
-        policies
-    in
-    let cells =
-      Sweep.run ctx ~key:cell_key
-        (fun (policy, dose) ->
-          Driftbench.run
-            (cell_config ~seed:ctx.seed ~scale:ctx.scale ~policy ~dose))
-        specs
-    in
-    { cells }
-
-  let cell t ~policy ~dose =
-    List.find_opt
-      (fun (c : cell) ->
-        c.Driftbench.policy = policy && c.Driftbench.dose = dose)
-      t.cells
-
-  let columns =
-    let module D = Driftbench in
-    let opt_ns = Option.fold ~none:"" ~some:(Printf.sprintf "%.0f") in
-    columns ~file:"drift.csv" (fun t -> t.cells) @@ fun () ->
-    [
-      col "policy" (fun c -> c.D.policy);
-      num ("dose", "%.2f") ~shown:("dose", "%.1f") (fun c -> c.D.dose);
-      csv_count "ranks" (fun c -> c.D.ranks);
-      csv_count "epochs" (fun c -> c.D.epochs);
-      count "calls" (fun c -> c.D.calls);
-      csv_count "denied" (fun c -> c.D.denied);
-      csv_count "calls_post_drift" (fun c -> c.D.calls_post_drift);
-      csv_count "denied_post_drift" (fun c -> c.D.denied_post_drift);
-      num ("fp_rate", "%.6f") ~shown:("fp rate", "%.4f") (fun c -> c.D.fp_rate);
-      num ("p99_ns", "%.0f") (fun c -> c.D.p99_ns);
-      num ("surface", "%.4f") (fun c -> c.D.surface);
-      num ("surface_full", "%.4f") (fun c -> c.D.surface_full);
-      num ("reduction", "%.4f") ~shown:("surface red.", "%.3f")
-        (fun c -> c.D.reduction);
-      csv "drift_at_ns" (fun c -> opt_ns c.D.drift_at_ns);
-      both
-        ("reconverge_ns", fun c -> opt_ns c.D.reconverge_ns)
-        ( "reconverge (us)",
-          fun c ->
-            Option.fold ~none:"n/a"
-              ~some:(fun ns -> Printf.sprintf "%.0f" (ns /. 1e3))
-              c.D.reconverge_ns );
-      count "promotions" ~shown:"promote" (fun c -> c.D.promotions);
-      count "demotions" ~shown:"demote" (fun c -> c.D.demotions);
-      count "respecializations" ~shown:"respec" (fun c ->
-          c.D.respecializations);
-      csv_count "swaps" (fun c -> c.D.swaps);
-      count "drifts" (fun c -> c.D.drifts);
-      num ("mean_denial_rate", "%.6f") (fun c -> c.D.mean_denial_rate);
-      num ("p95_divergence", "%.6f") (fun c -> c.D.p95_divergence);
-    ]
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "Drift study: false-positive ENOSYS vs retained surface area vs \
-       time-to-reconverge, per policy x dose@.@.";
-    render columns t ppf;
-    (* The headline comparison at each drifted dose. *)
-    let doses =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (c : cell) ->
-             if c.Driftbench.dose > 0.0 then Some c.Driftbench.dose else None)
-           t.cells)
-    in
-    List.iter
-      (fun dose ->
-        match
-          (cell t ~policy:"static" ~dose, cell t ~policy:"adaptive" ~dose)
-        with
-        | Some s, Some a ->
-            Format.fprintf ppf
-              "@.dose %.1f: adaptive fp %.4f vs static %.4f; adaptive \
-               retains %.0f%% of static's surface reduction@."
-              dose a.Driftbench.fp_rate s.Driftbench.fp_rate
-              (if s.Driftbench.reduction > 0.0 then
-                 100.0 *. a.Driftbench.reduction /. s.Driftbench.reduction
-               else 0.0)
-        | _ -> ())
-      doses
-
-  let study ?doses ?policies () =
-    study ~journals:true "drift"
-      "kadapt study: online adaptive specialization under workload drift — \
-       policy x dose, tabling false-positive ENOSYS rate vs retained \
-       surface area vs time-to-reconverge"
-      columns pp
-      (run ?doses ?policies)
-end
-
-(* ------------------------------------------------------------------ *)
-
-module Torture = struct
-  module T = Ksurf_dur.Torture
-
-  type cell = T.result
-
-  type t = { cells : cell list }
-
-  let default_doses = [ 0.0; 1.0; 2.0; 3.0 ]
-  let default_kinds = T.all_kinds
-
-  let default_scratch =
-    Filename.concat (Filename.get_temp_dir_name ()) "ksurf-torture"
-
-  (* The scale knob sizes the live-run budget; enumeration is exact at
-     both scales (it covers every crash point of the trace either
-     way). *)
-  let cell_config ~seed ~scale ~scratch ~kind ~dose =
-    {
-      T.kind;
-      dose;
-      runs = (match scale with Quick -> 4 | Full -> 8);
-      seed;
-      scratch =
-        Filename.concat scratch
-          (Printf.sprintf "%s-%.2f" (T.kind_name kind) dose);
-    }
-
-  let cell_key (kind, dose) =
-    Printf.sprintf "torture:%s:%.2f" (T.kind_name kind) dose
-
-  let run ?(doses = default_doses) ?(kinds = default_kinds)
-      ?(scratch = default_scratch) ctx =
-    let specs =
-      List.concat_map
-        (fun kind -> List.map (fun dose -> (kind, dose)) doses)
-        kinds
-    in
-    let cells =
-      Sweep.run ctx ~key:cell_key
-        (fun (kind, dose) ->
-          T.run
-            (cell_config ~seed:ctx.seed ~scale:ctx.scale ~scratch ~kind ~dose))
-        specs
-    in
-    { cells }
-
-  let violations t =
-    List.fold_left (fun acc c -> acc + T.violations c) 0 t.cells
-
-  let columns =
-    columns ~file:"torture.csv" (fun t -> t.cells) @@ fun () ->
-    [
-      col "path" (fun c -> c.T.kind);
-      num ("dose", "%.2f") ~shown:("dose", "%.1f") (fun c -> c.T.dose);
-      csv_count "trace_ops" (fun c -> c.T.trace_ops);
-      count "crash_points" ~shown:"crash pts" (fun c -> c.T.crash_points);
-      count "crash_states" ~shown:"states" (fun c -> c.T.crash_states);
-      count "enum_violations" ~shown:"viol" (fun c -> c.T.enum_violations);
-      count "torn_refused" ~shown:"torn ref" (fun c -> c.T.torn_refused);
-      csv_count "live_runs" (fun c -> c.T.live_runs);
-      csv_count "live_ok" (fun c -> c.T.live_ok);
-      shown "recovered" (fun c ->
-          Printf.sprintf "%d/%d" c.T.live_ok c.T.live_runs);
-      num ("recovery_ok", "%.4f") ~shown:("rate", "%.2f") (fun c ->
-          c.T.recovery_ok);
-      count "crashes" (fun c -> c.T.crashes);
-      count "transients" ~shown:"transient" (fun c -> c.T.transients);
-      count "enospc" (fun c -> c.T.enospc);
-      csv_count "eio" (fun c -> c.T.eio);
-      csv_count "torn_writes" (fun c -> c.T.torn_writes);
-      csv_count "fsync_dropped" (fun c -> c.T.fsync_dropped);
-      count "deferred_persists" ~shown:"deferred" (fun c ->
-          c.T.deferred_persists);
-      count "cells_lost" ~shown:"lost" (fun c -> c.T.cells_lost);
-      count "double_runs" ~shown:"dbl-run" (fun c -> c.T.double_runs);
-      count "litter" (fun c -> c.T.litter);
-      count "litter_after" ~shown:"litter after" (fun c -> c.T.litter_after);
-    ]
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "Torture study: crash-state enumeration + live fault injection per \
-       writer path x dose@.@.";
-    render columns t ppf;
-    Format.fprintf ppf
-      "@.%d consistency violations across %d cells (0 = every invariant \
-       held at every crash point)@."
-      (violations t) (List.length t.cells)
-
-  (* Each run tortures its writers in a per-pid scratch directory, so
-     concurrent runs never share crash states, and removes it after. *)
-  let study ?doses ?kinds () =
-    study ~journals:true ~failures:violations "torture"
-      "kdur study: host-I/O fault injection and crash-consistency torture \
-       — writer path x dose, enumerating every crash state and recovering \
-       every live faulted run"
-      columns pp
-      (fun ctx ->
-        let scratch = default_scratch ^ "." ^ string_of_int (Unix.getpid ()) in
-        Fun.protect
-          ~finally:(fun () -> Ksurf_dur.Crashsim.rm_tree scratch)
-          (fun () -> run ?doses ?kinds ~scratch ctx))
-end
-
 let studies =
   let breakdown name doc table =
     study name doc (Breakdown.columns table) Breakdown.pp (Breakdown.run table)
@@ -1674,11 +1281,5 @@ let studies =
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
       Specialize.columns Specialize.pp Specialize.run;
-    study ~journals:true "recover"
-      "krecov study: crash rate x recovery policy on the supervised 64-node \
-       BSP synthesis"
-      Recover.columns Recover.pp Recover.run;
     Tenancy.study ();
-    Drift.study ();
-    Torture.study ();
   ]

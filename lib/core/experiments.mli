@@ -1,11 +1,11 @@
 (** Drivers that regenerate every table and figure of the paper.
 
     Every driver has one shape: [run] takes the grid arguments a caller
-    may narrow (apps, intensities, rates, the tenancy/drift/torture
-    grids), then a {!context}, and returns a structured result.  One
-    column list per study ({!columns}) declares both the CSV it exports
-    and the table it prints; [pp] builds the paper-style rendering
-    around that table.  Each driver is deterministic given the seed.
+    may narrow (apps, intensities, the tenancy grid), then a
+    {!context}, and returns a structured result.  One column list per
+    study ({!columns}) declares both the CSV it exports and the table
+    it prints; [pp] builds the paper-style rendering around that
+    table.  Each driver is deterministic given the seed.
     [Quick] scale keeps everything under a few seconds for tests and
     smoke runs; [Full] scale is what the committed [exports/] baselines
     pin.
@@ -59,7 +59,6 @@ val write_csv : dir:string -> csv -> string
 type outcome = {
   render : Format.formatter -> unit;  (** the paper-style rendering *)
   csvs : csv list;  (** the result's CSV files, as data *)
-  failures : int;  (** FAIL count: torture's violations, 0 elsewhere *)
 }
 
 (** One regenerable table, figure or study: a [ksurf_cli] subcommand
@@ -327,52 +326,6 @@ module Specialize : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Recovery study (krecov): crash rate x recovery policy on the 64-node
-    BSP synthesis.  One set of node simulations feeds an empirical
-    iteration pool ({!Ksurf_cluster.Cluster.pool}); the supervised
-    superstep-by-superstep re-synthesis
-    ({!Ksurf_recov.Supervisor.run}) then sweeps every recovery policy
-    across per-rank per-superstep crash probabilities, measuring how
-    much runtime each policy pays to survive each crash rate. *)
-module Recover : sig
-  type cell = {
-    policy : string;
-    crash_rate : float;
-    runtime_ns : float;
-    straggler_factor : float;
-    supersteps : int;
-    survivors : int;
-    degraded : bool;
-    crashes : int;
-    restarts : int;
-    backups : int;
-    deaths : int;
-    transitions : int;  (** rank-transition probe events emitted *)
-    checkpoints : int;
-  }
-
-  type t = {
-    nodes : int;
-    iterations : int;  (** supersteps per supervised run *)
-    pool_mean_ns : float;  (** mean of the shared iteration pool *)
-    cells : cell list;
-  }
-
-  val run : ?rates:float list -> context -> t
-  (** Sweeps the Survivors, Readmit and Speculative policies ([Disabled]
-      wedges by design; the watchdog tests cover it) across crash rates
-      0, 0.005, 0.01 and 0.02 by default (zero is each policy's
-      baseline); the app is silo on isolated kvm-64.  With a
-      journal, cells already recorded (keys
-      [recover:<policy>:<rate>]) are skipped and omitted from the
-      result. *)
-
-  val cell : t -> policy:string -> crash_rate:float -> cell option
-
-  val overhead : t -> policy:string -> (float * float) list
-  (** [(crash_rate, runtime / crash-free runtime)] for one policy. *)
-end
-
 (** Fleet tenancy study (ktenant): hundreds of churning tenants on
     shared or private kernels, with per-tenant p99 SLO autoscaling.
     The headline is the SLO frontier: for each placement policy, the
@@ -413,66 +366,8 @@ module Tenancy : sig
       [tenancy.csv] has one row per (policy, tenants, churn) cell. *)
 end
 
-module Drift : sig
-  type cell = Ksurf_adapt.Driftbench.result
-
-  type t = { cells : cell list }
-
-  val run :
-    ?doses:float list -> ?policies:Ksurf_adapt.Driftbench.policy list ->
-    context -> t
-  (** One {!Ksurf_adapt.Driftbench} run per (policy x dose) cell through
-      the kpar sweep: doses default to 0 (the no-drift control), 1, 2
-      and 3, policies to all three, and the scale sets epochs and programs
-      per epoch.  With a journal, cells already recorded (keys
-      [drift:<policy>:<dose>]) are skipped and omitted from the
-      result. *)
-
-  val cell_key : Ksurf_adapt.Driftbench.policy * float -> string
-  (** Journal key for one sweep cell: [drift:<policy>:<dose>]. *)
-
-  val cell : t -> policy:string -> dose:float -> cell option
-
-  val study :
-    ?doses:float list -> ?policies:Ksurf_adapt.Driftbench.policy list ->
-    unit -> study
-  (** The [drift] entry over this grid (defaults as in {!run}); its
-      [drift.csv] has one row per (policy, dose) cell. *)
-end
-
-module Torture : sig
-  type cell = Ksurf_dur.Torture.result
-
-  type t = { cells : cell list }
-
-  val run :
-    ?doses:float list -> ?kinds:Ksurf_dur.Torture.kind list ->
-    ?scratch:string -> context -> t
-  (** One {!Ksurf_dur.Torture} cell per (kind x dose) through the kpar
-      sweep: doses default to 0 (the fault-free control), 1, 2 and 3,
-      kinds to every durable writer path, and the scale sets the live-run
-      budget.  [scratch] defaults to [$TMPDIR/ksurf-torture]; pass a
-      private one when several torture runs may share a host.  With a
-      journal, cells already recorded (keys [torture:<kind>:<dose>])
-      are skipped and omitted from the result. *)
-
-  val violations : t -> int
-  (** Total consistency violations across all cells; 0 required. *)
-
-  val columns : t columns
-  (** [torture.csv]: one row per (writer path, dose) cell: crash-state
-      enumeration, live recovery and injected-fault counters. *)
-
-  val study :
-    ?doses:float list -> ?kinds:Ksurf_dur.Torture.kind list -> unit -> study
-  (** The [torture] entry over this grid (defaults as in {!run}).  Each
-      run works in a private per-process scratch directory and removes
-      it afterwards; its FAIL count is {!violations}. *)
-end
-
 val studies : study list
 (** Every entry, in regeneration order: table1, table2, fig2, table3,
     fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize,
-    recover, tenancy, drift, torture.  The last six journal.  Each is a
-    [ksurf_cli] subcommand, and [ksurf_cli all] runs them in this
-    order. *)
+    tenancy.  The last three journal.  Each is a [ksurf_cli]
+    subcommand, and [ksurf_cli all] runs them in this order. *)

@@ -17,10 +17,8 @@ module Apps = Ksurf_tailbench.Apps
 module Runner = Ksurf_tailbench.Runner
 module Cluster = Ksurf_cluster.Cluster
 module Kfault = Ksurf_fault.Kfault
-module Supervisor = Ksurf_recov.Supervisor
 module Journal = Ksurf_recov.Journal
 module Fleet = Ksurf_tenant.Fleet
-module Driftbench = Ksurf_adapt.Driftbench
 module Profile = Ksurf_spec.Profile
 module Specializer = Ksurf_spec.Specializer
 module Fileio = Ksurf_util.Fileio
@@ -217,91 +215,6 @@ module Specialized_varbench = struct
       ]
 end
 
-(* The supervised BSP synthesis under the crashy plan plus 2% random
-   crashes, once per recovery policy: every policy must complete every
-   superstep.  Then a Readmit run killed after 3 supersteps and resumed
-   from its checkpoint must finish identically to the uninterrupted
-   run.  Every node and superstep engine is sanitized, so the invariant
-   analyzer's rank-transition checks assert the failover choreography
-   itself: legal detector edges only, each Suspect -> Dead -> rejoin
-   edge at most once per incident. *)
-module Recovered_bsp = struct
-  type result = {
-    iterations : int;
-    policies : Supervisor.outcome list;
-    full : Supervisor.outcome;
-    resumed : Supervisor.outcome;
-  }
-
-  let name = "recovered-bsp"
-
-  let run ~seed ~on_engine =
-    let config = cluster_config ~seed in
-    let kind = Env.Native in
-    let pool =
-      Cluster.pool ~app:(app ()) ~kind ~contended:false ~config ~on_engine ()
-    in
-    let base =
-      {
-        Supervisor.default_config with
-        Supervisor.nodes = Cluster.nodes_total;
-        iterations = 10;
-        barrier_cost_ns = Cluster.barrier_cost_for ~kind;
-        crash_rate = 0.02;
-        seed;
-      }
-    in
-    let supervise ?resume_from ?kill_after config =
-      Supervisor.run ~pool ~plan:(fault_plan ()) ~config ?resume_from
-        ?kill_after ~on_engine ()
-    in
-    let policies =
-      List.map
-        (fun policy -> supervise { base with Supervisor.policy })
-        [ Supervisor.Survivors; Supervisor.Readmit; Supervisor.Speculative ]
-    in
-    let ckpt = Filename.temp_file "ksurf-gate" ".ckpt" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists ckpt then Sys.remove ckpt)
-      (fun () ->
-        Sys.remove ckpt;
-        let config =
-          {
-            base with
-            Supervisor.policy = Supervisor.Readmit;
-            checkpoint_interval = 2;
-            checkpoint_path = Some ckpt;
-          }
-        in
-        let full = supervise config in
-        Sys.remove ckpt;
-        ignore (supervise ~kill_after:3 config);
-        let resumed = supervise ~resume_from:ckpt config in
-        { iterations = base.Supervisor.iterations; policies; full; resumed })
-
-  let check r =
-    let key (o : Supervisor.outcome) =
-      Supervisor.(o.runtime_ns, o.crashes, o.restarts, o.transitions, o.supersteps)
-    in
-    failures
-      (List.map
-         (fun (o : Supervisor.outcome) ->
-           fail_if
-             (o.Supervisor.supersteps <> r.iterations)
-             "%s wedged: %d/%d supersteps" o.Supervisor.policy
-             o.Supervisor.supersteps r.iterations)
-         r.policies
-      @ [
-          fail_if
-            (key r.full <> key r.resumed)
-            "kill-and-resume diverged: %.0f vs %.0f ns, %d vs %d transitions \
-             (resumed from superstep %d)"
-            r.full.Supervisor.runtime_ns r.resumed.Supervisor.runtime_ns
-            r.full.Supervisor.transitions r.resumed.Supervisor.transitions
-            r.resumed.Supervisor.resumed_from;
-        ])
-end
-
 (* A mini sweep of independent varbench cells fanned across a domain
    pool, every completed cell funnelled through one mutex-guarded
    journal — the single-writer discipline the kpar sweeps rely on.
@@ -397,117 +310,20 @@ module Tenancy = struct
       ]
 end
 
-(* A small kadapt driftbench cell: per-rank controllers audit, promote
-   to Enforce, absorb a mid-run workload drift (demote, re-learn,
-   re-promote), every policy hot-swap a probe-visible transition.  The
-   controller accounting must match the probe stream, and the same
-   cell under the static policy must lose to it on post-drift false
-   positives. *)
-module Adaptive_drift = struct
-  type result = {
-    adaptive : Driftbench.result;
-    static : Driftbench.result;
-    transitions : int;  (** audit/enforce transitions the probe saw *)
-  }
-
-  let name = "adaptive-drift"
-
-  let config ~seed ~policy ~dose ~drift_at_ns =
-    {
-      Driftbench.policy;
-      dose;
-      epochs = 24;
-      programs_per_epoch = 12;
-      corpus_programs = 16;
-      drift_at_ns;
-      seed;
-    }
-
-  (* A run's virtual length follows its seed's corpus (about 1 ms at
-     seed 1, 20 ms at seed 3), so a fixed trigger time misses short
-     runs: fire 60% of the way through an undrifted run of the seed. *)
-  let trigger ~seed =
-    let engine = ref None in
-    ignore
-      (Driftbench.run
-         ~on_engine:(fun e -> engine := Some e)
-         (config ~seed ~policy:Driftbench.Adaptive ~dose:0.0 ~drift_at_ns:0.0));
-    0.6 *. Engine.now (Option.get !engine)
-
-  let run ~seed ~on_engine =
-    let drift_at_ns = trigger ~seed in
-    let cell policy = config ~seed ~policy ~dose:2.0 ~drift_at_ns in
-    let transitions = ref 0 in
-    let count = function
-      | Engine.Rank_transition { to_state; _ }
-        when to_state = "audit" || to_state = "enforce" ->
-          incr transitions
-      | _ -> ()
-    in
-    let adaptive =
-      Driftbench.run
-        ~on_engine:(fun engine ->
-          on_engine engine;
-          Engine.add_probe engine count)
-        (cell Driftbench.Adaptive)
-    in
-    let static = Driftbench.run (cell Driftbench.Static) in
-    { adaptive; static; transitions = !transitions }
-
-  let check { adaptive = r; static = s; transitions } =
-    let open Driftbench in
-    failures
-      [
-        fail_if (r.calls <= 0) "no calls issued";
-        fail_if (r.drifts <> 1) "expected exactly 1 workload drift, saw %d"
-          r.drifts;
-        fail_if (r.drift_at_ns = None) "drift never fired (sink not called)";
-        fail_if
-          (r.fp_rate < 0.0 || r.fp_rate > 1.0)
-          "fp rate %.4f outside [0,1]" r.fp_rate;
-        fail_if
-          (r.denied_post_drift > r.denied)
-          "post-drift denials %d exceed total %d" r.denied_post_drift r.denied;
-        fail_if
-          (r.calls_post_drift > r.calls)
-          "post-drift calls %d exceed total %d" r.calls_post_drift r.calls;
-        fail_if
-          (r.swaps <> r.ranks + r.promotions + r.demotions)
-          "swap count %d inconsistent: %d ranks + %d promotions + %d demotions"
-          r.swaps r.ranks r.promotions r.demotions;
-        fail_if (transitions <> r.swaps)
-          "probe saw %d policy transitions, env counted %d swaps" transitions
-          r.swaps;
-        fail_if
-          (r.promotions < r.ranks)
-          "only %d promotions across %d ranks: some rank never left audit"
-          r.promotions r.ranks;
-        fail_if (r.demotions < 1) "dose %.1f drift triggered no demotion" r.dose;
-        fail_if (s.denied = 0) "static policy denied nothing under drift";
-        fail_if (r.fp_rate >= s.fp_rate) "adaptive fp %.4f does not beat static %.4f"
-          r.fp_rate s.fp_rate;
-        fail_if
-          (s.reduction > 0.0 && r.reduction < 0.4 *. s.reduction)
-          "adaptive retains only %.0f%% of static's surface reduction"
-          (100.0 *. r.reduction /. s.reduction);
-      ]
-end
-
 (* kdur crash consistency.  The quick torture grid (writer path x dose
    0/1) at 1 and 4 workers must hold every invariant at every crash
-   point, with cell results and exported bytes independent of the
-   worker count.  Then the same durability machinery wired into a live
-   engine workload: three varbench cells journalled through a
-   Recov_journal whose host I/O runs under an armed fault plan
-   (transients, an ENOSPC window, a scheduled crash) must recover from
-   every injected death and drain every deferred persist. *)
+   point, with cell results independent of the worker count.  Then the
+   same durability machinery wired into a live engine workload: three
+   varbench cells journalled through a Recov_journal whose host I/O
+   runs under an armed fault plan (transients, an ENOSPC window, a
+   scheduled crash) must recover from every injected death and drain
+   every deferred persist. *)
 module Torture = struct
-  module T = Experiments.Torture
+  module T = Ksurf_dur.Torture
 
   type result = {
-    grid : T.t;  (** the 1-worker grid *)
+    grid : T.result list;  (** the 1-worker grid *)
     workers_agree : bool;  (** same cells at 4 workers *)
-    exports_agree : bool;  (** same exported bytes at 4 workers *)
     converged : bool;  (** the live journal became durable *)
     executed : int;  (** live cells executed *)
     lost : string list;  (** live cells missing from the journal *)
@@ -530,26 +346,32 @@ module Torture = struct
 
   let live_cells = [ "varbench:0"; "varbench:1"; "varbench:2" ]
 
+  (* Each cell tortures its writer in its own scratch directory, so
+     the cells fan out across workers without sharing crash states. *)
   let grid ~seed ~root jobs =
+    let scratch = Filename.concat root (Printf.sprintf "grid-j%d" jobs) in
+    let cell (kind, dose) =
+      T.run
+        {
+          T.kind;
+          dose;
+          runs = 4;
+          seed;
+          scratch =
+            Filename.concat scratch
+              (Printf.sprintf "%s-%.2f" (T.kind_name kind) dose);
+        }
+    in
     Ksurf_par.Pool.with_pool ~jobs (fun pool ->
-        T.run ~doses:[ 0.0; 1.0 ]
-          ~scratch:(Filename.concat root (Printf.sprintf "grid-j%d" jobs))
-          (Experiments.context ~seed ~pool Experiments.Quick))
-
-  let export_bytes ~root jobs t =
-    let dir = Filename.concat root (Printf.sprintf "csv-j%d" jobs) in
-    List.map
-      (fun c ->
-        In_channel.with_open_bin (Experiments.write_csv ~dir c)
-          In_channel.input_all)
-      (Experiments.csvs T.columns t)
+        Ksurf_par.Pool.map ~pool cell
+          (List.concat_map (fun kind -> [ (kind, 0.0); (kind, 1.0) ])
+             T.all_kinds))
 
   let run ~seed ~on_engine =
     let root = Filename.temp_dir "ksurf-torture-gate" "" in
     Fun.protect ~finally:(fun () -> Crashsim.rm_tree root) @@ fun () ->
-    let t1 = grid ~seed ~root 1 in
-    let t4 = grid ~seed ~root 4 in
-    let exports_agree = export_bytes ~root 1 t1 = export_bytes ~root 4 t4 in
+    let g1 = grid ~seed ~root 1 in
+    let g4 = grid ~seed ~root 4 in
     let dir = Filename.concat root "live" in
     Fileio.ensure_dir dir;
     let jpath = Filename.concat dir "cells.journal" in
@@ -587,9 +409,8 @@ module Torture = struct
     let converged = attempt 1 in
     let j = Journal.load ~path:jpath () in
     {
-      grid = t1;
-      workers_agree = t1.T.cells = t4.T.cells;
-      exports_agree;
+      grid = g1;
+      workers_agree = g1 = g4;
       converged;
       executed = List.length !executed;
       lost = List.filter (fun c -> not (Journal.mem j c)) live_cells;
@@ -598,24 +419,21 @@ module Torture = struct
     }
 
   let check r =
-    let module D = Ksurf_dur.Torture in
     failures
       (List.concat_map
-         (fun (c : D.result) ->
+         (fun (c : T.result) ->
            [
-             fail_if (D.violations c <> 0) "%s dose %.1f: %d consistency violations"
-               c.D.kind c.D.dose (D.violations c);
+             fail_if (T.violations c <> 0) "%s dose %.1f: %d consistency violations"
+               c.T.kind c.T.dose (T.violations c);
              fail_if
-               (c.D.live_runs > 0 && c.D.recovery_ok < 1.0)
-               "%s dose %.1f: live recovery %.2f < 1.0" c.D.kind c.D.dose
-               c.D.recovery_ok;
+               (c.T.live_runs > 0 && c.T.recovery_ok < 1.0)
+               "%s dose %.1f: live recovery %.2f < 1.0" c.T.kind c.T.dose
+               c.T.recovery_ok;
            ])
-         r.grid.T.cells
+         r.grid
       @ [
           fail_if (not r.workers_agree)
             "cell results differ between 1 and 4 workers";
-          fail_if (not r.exports_agree)
-            "exported CSV bytes differ between 1 and 4 workers";
           fail_if (not r.converged) "live journal never converged";
           fail_if
             (r.executed <> List.length live_cells)
@@ -637,10 +455,8 @@ let stock : t list =
     unchecked "faulted-varbench" run_faulted_varbench;
     unchecked "faulted-tailbench" run_faulted_tailbench;
     (module Specialized_varbench);
-    (module Recovered_bsp);
     unchecked "parallel-sweep" run_parallel_sweep;
     (module Tenancy);
-    (module Adaptive_drift);
     (module Torture);
   ]
 

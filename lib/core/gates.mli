@@ -3,14 +3,14 @@
 
     A gate is a small, fast configuration of one workload family — the
     shared kernel (varbench, tailbench, BSP), its faulted, specialized,
-    recovered, parallel-sweep, tenancy, drift and durability
-    extensions.  {!run} executes it twice through
-    {!Ksurf_analysis.Sanitizer.double_run} (lockdep + invariants on the
-    first run, the determinism replay across both), then hands the
-    second run's result to the gate's [check], which returns one FAIL
-    line per violated accounting condition.  {!Inversion} is the
-    deliberately broken negative control (an AB/BA lock-order inversion
-    at disjoint virtual times) and is not in {!stock}. *)
+    parallel-sweep, tenancy and durability extensions.  {!run} executes
+    it twice through {!Ksurf_analysis.Sanitizer.double_run} (lockdep +
+    invariants on the first run, the determinism replay across both),
+    then hands the second run's result to the gate's [check], which
+    returns one FAIL line per violated accounting condition.
+    {!Inversion} is the deliberately broken negative control (an AB/BA
+    lock-order inversion at disjoint virtual times) and is not in
+    {!stock}. *)
 
 module type S = sig
   type result
@@ -32,7 +32,7 @@ val name : t -> string
 val stock : t list
 (** Every gate the tree must pass, in run order: varbench, tailbench,
     bsp, faulted-varbench, faulted-tailbench, specialized-varbench,
-    recovered-bsp, parallel-sweep, tenancy, adaptive-drift, torture. *)
+    parallel-sweep, tenancy, torture. *)
 
 module Inversion : S with type result = unit
 
@@ -46,36 +46,8 @@ module Specialized_varbench : sig
 end
 (** Zero policy denials: the allowlist must cover its own profile. *)
 
-module Recovered_bsp : sig
-  type result = {
-    iterations : int;  (** supersteps every run must complete *)
-    policies : Ksurf_recov.Supervisor.outcome list;
-        (** survivors, readmit, speculative *)
-    full : Ksurf_recov.Supervisor.outcome;  (** uninterrupted run *)
-    resumed : Ksurf_recov.Supervisor.outcome;  (** killed, then resumed *)
-  }
-
-  include S with type result := result
-end
-(** Every policy completes, and kill-and-resume is identical. *)
-
 module Tenancy : S with type result = Ksurf_tenant.Fleet.result
 (** Seven SLO-accounting consistency checks. *)
-
-module Adaptive_drift : sig
-  type result = {
-    adaptive : Ksurf_adapt.Driftbench.result;
-    static : Ksurf_adapt.Driftbench.result;
-    transitions : int;  (** audit/enforce transitions the probe saw *)
-  }
-
-  include S with type result := result
-end
-(** Thirteen checks: the drift fires once, the controller accounting
-    matches the probe stream, and adaptive beats static on post-drift
-    false positives while keeping 40% of its surface reduction.  The
-    drift triggers 60% of the way through an undrifted run of the same
-    seed, for both cells. *)
 
 type report = {
   gate : string;

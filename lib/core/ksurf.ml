@@ -24,13 +24,10 @@
       [ksurf_cli analyze])
     - {!Fault_plan}, {!Kfault} — deterministic fault injection (see
       [ksurf_cli inject])
-    - {!Detector}, {!Supervisor}, {!Checkpoint}, {!Recov_journal} —
-      failure detection, elastic BSP supervision and checkpoint/restart
-      (see [ksurf_cli recover])
+    - {!Checkpoint}, {!Recov_journal} — crash-consistent checkpoints and
+      the resumable-sweep journal
     - {!Apps}, {!Service}, {!Runner}, {!Cluster} — tailbench workloads,
       single-node and 64-node experiments
-    - {!Adapt}, {!Driftbench} — online adaptive specialization: audit,
-      promote, detect drift, re-specialize live (see [ksurf_cli drift])
     - {!Experiments} — drivers that regenerate every table, figure and
       study, each with one column list for its CSV and its table, and
       the [studies] list behind [ksurf_cli all]
@@ -86,9 +83,6 @@ module Profile = Ksurf_spec.Profile
 module Kspec = Ksurf_spec.Spec
 module Specializer = Ksurf_spec.Specializer
 
-module Adapt = Ksurf_adapt.Controller
-module Driftbench = Ksurf_adapt.Driftbench
-
 module Harness = Ksurf_varbench.Harness
 module Study = Ksurf_varbench.Study
 module Noise = Ksurf_varbench.Noise
@@ -115,10 +109,8 @@ module Faultio = Ksurf_dur.Faultio
 module Crashsim = Ksurf_dur.Crashsim
 module Torture = Ksurf_dur.Torture
 
-module Detector = Ksurf_recov.Detector
 module Checkpoint = Ksurf_recov.Checkpoint
 module Recov_journal = Ksurf_recov.Journal
-module Supervisor = Ksurf_recov.Supervisor
 
 module Clock = Ksurf_util.Clock
 module Pool = Ksurf_par.Pool

@@ -47,7 +47,6 @@ type t = {
   ranks : rank array;
   instances : Instance.t list;
   mutable fault : fault_ctl option;
-  mutable swaps : int;  (** policy hot-swaps performed via {!swap_policy} *)
 }
 
 let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Config.default)
@@ -123,7 +122,6 @@ let deploy ~engine ?(machine = Machine.epyc) ?(kernel_config = Ksurf_kernel.Conf
     ranks = Array.of_list (List.rev !ranks);
     instances = List.rev !instances;
     fault = None;
-    swaps = 0;
   }
 
 let kind t = t.kind
@@ -241,42 +239,6 @@ let try_syscall t ~rank:i spec (arg : Arg.t) =
           faulted errno)
 
 let instances t = t.instances
-
-(* Spec-swap hook (kadapt): replace rank [i]'s syscall policy atomically
-   with respect to virtual time.  The outgoing policy's denial count is
-   carried into the incoming one, so [Specializer.denials] stays
-   monotone across swaps; each swap is probe-visible as a
-   [Rank_transition] between policy states so the trace tooling sees
-   the control loop like any other kernel work. *)
-let policy_state = function
-  | None -> "unfiltered"
-  | Some (p : Instance.syscall_policy) -> (
-      match p.Instance.policy_mode with
-      | Instance.Audit -> "audit"
-      | Instance.Enforce -> "enforce")
-
-let swap_policy t ~rank:i policy =
-  let inst = instance_of_rank t i in
-  let old_policy = Instance.syscall_policy inst ~tenant:i in
-  (match (old_policy, policy) with
-  | Some old_p, Some new_p ->
-      new_p.Instance.denials := !(old_p.Instance.denials)
-  | _ -> ());
-  Instance.set_syscall_policy inst ~tenant:i policy;
-  t.swaps <- t.swaps + 1;
-  if Engine.observed t.engine then
-    Engine.emit t.engine
-      (Engine.Rank_transition
-         {
-           now = Engine.now t.engine;
-           pid = Engine.current_pid t.engine;
-           rank = i;
-           from_state = policy_state old_policy;
-           to_state = policy_state policy;
-           incident = t.swaps;
-         })
-
-let policy_swaps t = t.swaps
 
 let barrier_cost_per_party t =
   match t.kind with

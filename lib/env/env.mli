@@ -131,28 +131,6 @@ val surface_area_of_rank : t -> int -> float
     mode.  No policy, or an Audit-mode policy that merely counts
     would-be denials, leaves the full structural area exposed. *)
 
-(** {2 Policy hot-swap (kadapt)}
-
-    The kadapt controller promotes/demotes specialization policies on a
-    live deployment.  {!swap_policy} replaces a rank's policy without a
-    redeploy, preserving the cumulative denial count, and emits a
-    probe-visible [Rank_transition] between the policy states
-    ["unfiltered"] (no policy), ["audit"] and ["enforce"] (by the
-    policy's mode). *)
-
-val swap_policy :
-  t -> rank:int -> Ksurf_kernel.Instance.syscall_policy option -> unit
-(** Hot-install (or remove, with [None]) rank [rank]'s syscall policy.
-    The outgoing policy's denial count is carried into the incoming
-    policy so {!Ksurf_spec} denial accounting stays monotone across
-    swaps.  Each call increments {!policy_swaps} and, when the engine
-    is observed, emits an [Engine.Rank_transition] whose [incident] is
-    the swap ordinal. *)
-
-val policy_swaps : t -> int
-(** Total {!swap_policy} calls on this deployment — the accounting side
-    of the probe-visible transition stream. *)
-
 val busy_of_rank : t -> int -> float
 (** {!Ksurf_kernel.Instance.busy_fraction} of the kernel instance behind
     a rank — how loaded the kernel serving this rank currently is. *)

@@ -33,7 +33,6 @@ type t = {
   env : Env.t;
   counters : counters;
   mutable active : bool;
-  mutable drift_sink : (shift:float -> unit) option;
 }
 
 let inject engine fault magnitude =
@@ -144,7 +143,7 @@ let arm ~env ~plan ~seed () =
       c_drift = 0;
     }
   in
-  let t = { env; counters; active = true; drift_sink = None } in
+  let t = { env; counters; active = true } in
   (* 1. Transient syscall failures + the crash/restart schedule, via the
      env fault control. *)
   let syscall_errno =
@@ -312,18 +311,14 @@ let arm ~env ~plan ~seed () =
               in
               loop ())
       | Plan.Workload_drift { at_ns; shift } ->
-          (* One process per drift: sleep to the trigger time, announce
-             the injection, and hand the mix shift to whatever sink the
-             harness registered.  Without a sink the drift still fires
-             (probe-visible, counted) — the workload just ignores it. *)
+          (* One process per drift: sleep to the trigger time and
+             announce the injection.  The drift is probe-visible and
+             counted; no workload moves its syscall mix in response. *)
           Engine.spawn engine (fun () ->
               Engine.delay at_ns;
               if t.active then begin
                 counters.c_drift <- counters.c_drift + 1;
-                inject engine "workload-drift" shift;
-                match t.drift_sink with
-                | Some sink -> sink ~shift
-                | None -> ()
+                inject engine "workload-drift" shift
               end)
       | Plan.Syscall_failures _ | Plan.Daemon_storm _ | Plan.Lock_preemption _
       | Plan.Device_stall _ | Plan.Rank_crash _ ->
@@ -343,8 +338,6 @@ let disarm t =
         Instance.set_cache_pressure inst 0.0)
       (Env.instances t.env)
   end
-
-let set_drift_sink t sink = t.drift_sink <- sink
 
 let stats t =
   {

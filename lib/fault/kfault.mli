@@ -38,13 +38,6 @@ val arm : env:Ksurf_env.Env.t -> plan:Plan.t -> seed:int -> unit -> t
 val disarm : t -> unit
 (** Remove every hook and restore stock multipliers/pressure. *)
 
-val set_drift_sink : t -> (shift:float -> unit) option -> unit
-(** Register the harness callback a [Workload_drift] action invokes
-    when it fires: [sink ~shift] should move fraction [shift] of the
-    workload's subsequent syscall mix outside its learned profile.
-    Without a sink the drift still fires probe-visibly and is counted —
-    the workload just doesn't move. *)
-
 val stats : t -> stats
 val total_injections : t -> int
 val pp_stats : Format.formatter -> stats -> unit

@@ -355,8 +355,7 @@ let drift_preset =
   (* At intensity 1.0 a quarter of post-drift calls come from subsystems
      the audited profile never saw — enough to blow past any sane
      denial-rate threshold without making the pre-drift phase unusable
-     for learning.  [at_ns] sits well after the adaptive controller's
-     audit window at driftbench epoch cadences. *)
+     for learning. *)
   {
     name = "drift";
     actions = [ Workload_drift { at_ns = 2_000_000.0; shift = 0.25 } ];

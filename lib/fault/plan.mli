@@ -58,12 +58,10 @@ type action =
       (** stretch block-device occupancy at acquisition time *)
   | Rank_crash of rank_crash
   | Workload_drift of { at_ns : float; shift : float }
-      (** at virtual time [at_ns], shift fraction [shift] of the
-          workload's syscall mix onto subsystems outside its learned
-          profile.  The fault layer only announces the drift — the
-          harness registers a sink ({!Kfault.set_drift_sink}) that
-          actually mutates its program mix, so any workload generator
-          can opt in. *)
+      (** at virtual time [at_ns], announce a shift of fraction [shift]
+          of the workload's syscall mix onto subsystems outside its
+          learned profile.  The fault layer fires and counts the drift
+          probe-visibly; no stock workload moves its mix in response. *)
 
 type t = { name : string; actions : action list }
 
@@ -90,6 +88,6 @@ val presets : (string * t) list
 (** Named built-in plans: ["syscalls"], ["storms"], ["preempt"],
     ["mixed"] (every mechanism except crashes), ["crashy"] (mixed plus
     a crash/restart schedule), ["drift"] (a mid-run workload syscall-mix
-    shift — the kadapt dose–response driver). *)
+    shift). *)
 
 val preset : string -> t option

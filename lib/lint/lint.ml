@@ -3,9 +3,7 @@
    Two checks, both born from real hazards in this codebase:
 
    - [Mutable_state]: module-level [ref] / [Hashtbl.create] /
-     [Buffer.create] in the domain-parallel layers (lib/sim, lib/par)
-     and in lib/adapt, whose driftbench cells run inside kpar pool
-     domains.
+     [Buffer.create] in the domain-parallel layers (lib/sim, lib/par).
      A top-level table shared by worker domains is a data race the
      type system will never flag; state must be per-domain
      (Domain.DLS), mutex-guarded in the same binding, or explicitly
@@ -255,8 +253,6 @@ let default_checks ~path =
     at 0
   in
   let checks =
-    if has_sub "lib/sim" || has_sub "lib/par" || has_sub "lib/adapt" then
-      [ Mutable_state ]
-    else []
+    if has_sub "lib/sim" || has_sub "lib/par" then [ Mutable_state ] else []
   in
   if has_sub "fileio.ml" then checks else checks @ [ Raw_open_out ]

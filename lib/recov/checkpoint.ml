@@ -1,7 +1,7 @@
 (* Crash-consistent superstep checkpoints.
 
-   The supervisor's complete cross-superstep state — membership, pending
-   rejoins, PRNG stream position, accumulated runtime and counters — is
+   A BSP run's cross-superstep state — membership, pending rejoins,
+   PRNG stream position, accumulated runtime and counters — is
    serialised as a small text file: a versioned header, a whole-payload
    FNV-1a checksum, then one [key value] line per field.  Floats are
    written as the hex of their IEEE-754 bits ([Int64.bits_of_float]) so

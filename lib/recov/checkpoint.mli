@@ -1,10 +1,8 @@
-(** Crash-consistent superstep checkpoints for the BSP supervisor.
-
-    A checkpoint is the supervisor's {e complete} cross-superstep state:
-    everything the superstep loop reads that outlives one superstep.
-    Restoring it and re-running is therefore bit-identical to never
-    having stopped — the property [test_recov.ml] kills runs at several
-    supersteps to verify.
+(** Crash-consistent superstep checkpoints: the state a BSP superstep
+    loop keeps across supersteps, in a format that reads back
+    bit-identically.  {!Ksurf_dur.Torture}'s checkpoint writer path
+    crashes its writes at every point and requires each to read back
+    as the old or the new state.
 
     On disk: a versioned header, an FNV-1a checksum of the payload, and
     one [key value] line per field, with floats as IEEE-754 bit
@@ -24,7 +22,7 @@ type state = {
   membership : int list;  (** sorted live ranks *)
   rejoins : rejoin list;  (** restarted ranks awaiting re-admission *)
   incidents : int;  (** crash/recovery episodes allocated so far *)
-  prng_state : int64;  (** supervisor stream position… *)
+  prng_state : int64;  (** PRNG stream position… *)
   prng_seed : int;  (** …and seed ({!Ksurf_util.Prng.restore}) *)
   crashes : int;
   restarts : int;

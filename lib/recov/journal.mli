@@ -20,11 +20,14 @@
 type t
 
 val load : ?flush_every:int -> path:string -> unit -> t
-(** Load a journal; a missing, empty or unrecognisable file yields an
-    empty journal at that path.  Corrupt lines are silently dropped.
-    [flush_every] (default {!default_flush_every}, clamped to [>= 1])
-    sets how many newly recorded cells accumulate before the file is
-    rewritten. *)
+(** Load a journal.  Total: it never fails on the file's text.  A
+    missing, empty or unrecognisable file yields an empty journal at
+    that path, and each line it cannot parse (a torn tail, a failed
+    checksum) is skipped, so its cell is recomputed on resume.  It
+    returns a bare [t], not a result, because a skipped line costs one
+    recomputed cell and never a wrong one.  [flush_every] (default
+    {!default_flush_every}, clamped to [>= 1]) sets how many newly
+    recorded cells accumulate before the file is rewritten. *)
 
 val record : t -> string -> unit
 (** Mark a cell complete.  Idempotent per key.  Persists to disk only

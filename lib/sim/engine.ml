@@ -113,16 +113,6 @@ and event_info =
   | Denied of { now : float; pid : int; syscall : string; enforced : bool }
       (** a specialization policy (kspec) rejected a system call;
           [enforced] distinguishes ENOSYS failures from audit-only logs *)
-  | Rank_transition of {
-      now : float;
-      pid : int;
-      rank : int;
-      from_state : string;
-      to_state : string;
-      incident : int;
-    }
-      (** a failure detector (krecov) reclassified a monitored rank;
-          [incident] groups the transitions of one crash/recovery episode *)
 
 and sync_op =
   | Acquire of { contended : bool }
@@ -273,7 +263,7 @@ let copy_event = function
   | Suspended { now; pid; token } -> Suspended { now; pid; token }
   | Woken { now; pid; token } -> Woken { now; pid; token }
   | Sync { now; pid; name; op } -> Sync { now; pid; name; op = copy_sync_op op }
-  | (Injected _ | Denied _ | Rank_transition _) as e -> e
+  | (Injected _ | Denied _) as e -> e
 
 let current_pid t = t.cur_pid
 let set_acquire_hook t hook = t.acquire_hook <- hook

@@ -52,19 +52,6 @@ type event_info =
           (Audit mode).  Probe-visible so the determinism checker hashes
           denials and sanitizer scenarios can assert specialized runs
           are violation-free. *)
-  | Rank_transition of {
-      now : float;
-      pid : int;
-      rank : int;
-      from_state : string;
-      to_state : string;
-      incident : int;
-    }
-      (** A failure detector (krecov) reclassified monitored [rank]
-          ([from_state] → [to_state], each one of ["alive"], ["suspect"],
-          ["dead"]).  [incident] numbers the crash/recovery episode so
-          sanitizer scenarios can assert each transition appears exactly
-          once per incident. *)
 
 (** Synchronisation-primitive operations, reported by {!Lock},
     {!Rwlock} and {!Barrier} through their engine.  Acquire events are
@@ -109,8 +96,8 @@ val add_probe : t -> (event_info -> unit) -> unit
 val copy_event : event_info -> event_info
 (** A fresh event with the same fields, which later emits leave
     alone; a [Sync] event's barrier payload is copied too.  Returns the
-    rare kinds ([Injected], [Denied], [Rank_transition]), which are
-    immutable, as they are. *)
+    rare kinds ([Injected], [Denied]), which are immutable, as they
+    are. *)
 
 val observed : t -> bool
 (** [true] iff at least one probe is registered — instrumented call
@@ -119,8 +106,8 @@ val observed : t -> bool
 val emit : t -> event_info -> unit
 (** Deliver an event to every registered probe (no-op when none).
     Probes see it only for the call, as {!add_probe} says.  Exposed for
-    the rare kinds that other layers emit (fault injections, policy
-    denials, rank transitions); ordinary code never calls it. *)
+    the rare kinds that other layers emit (fault injections and policy
+    denials); ordinary code never calls it. *)
 
 val emit_sync : t -> name:string -> sync_op -> unit
 (** [emit_sync t ~name op] emits a [Sync] event for primitive [name] at
@@ -237,7 +224,7 @@ val run :
     event either way; an exception [stop] raises while polled from a
     delay escapes as that process's {!Process_error}.
 
-    Liveness watchdog (krecov): [deadline] raises {!Hung} if the next
+    Liveness watchdog: [deadline] raises {!Hung} if the next
     event lies beyond that virtual time — unlike [until], which stops
     silently, a deadline overrun is treated as a wedged simulation and
     aborts with a diagnostic naming the parked processes.  [stall_limit]
@@ -247,8 +234,7 @@ val run :
 val blocked : t -> (int * int * float) list
 (** Parked suspensions as [(pid, token, since)] triples, sorted.  A
     process appears here from {!suspend} until its wake fires — the raw
-    material of the {!Hung} diagnostic, exposed for supervisors and
-    tests. *)
+    material of the {!Hung} diagnostic, exposed for tests. *)
 
 val pending : t -> int
 (** Number of queued events, for diagnostics and tests. *)

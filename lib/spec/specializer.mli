@@ -28,9 +28,7 @@ val kernel_config : Spec.t -> Ksurf_kernel.Config.t
 
 val policy : Spec.t -> Ksurf_kernel.Instance.syscall_policy
 (** The hashtable-backed allowlist policy a spec compiles to, with a
-    fresh denial counter.  {!install} wires this to an instance; the
-    kadapt controller hot-swaps it via
-    {!Ksurf_env.Env.swap_policy}. *)
+    fresh denial counter.  {!install} wires this to an instance. *)
 
 val install : Ksurf_env.Env.t -> rank:int -> Spec.t -> unit
 (** Install the spec's allowlist as rank [rank]'s syscall policy on

@@ -13,8 +13,6 @@ module Set = struct
   let union = Int_set.union
   let diff_cardinal a b = Int_set.cardinal (Int_set.diff a b)
   let subset = Int_set.subset
-  let equal = Int_set.equal
-  let mem = Int_set.mem
 end
 
 (* Discriminant of an op: which argument-independent structure it is.

@@ -21,8 +21,6 @@ module Set : sig
   (** [diff_cardinal a b] = number of blocks in [a] not in [b]. *)
 
   val subset : t -> t -> bool
-  val equal : t -> t -> bool
-  val mem : int -> t -> bool
 end
 
 val blocks_of_call :

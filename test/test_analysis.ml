@@ -275,13 +275,6 @@ let test_inversion_scenario_flagged () =
 
 (* --- gate checks: a tampered result must FAIL ------------------------- *)
 
-let test_drift_gate_fires () =
-  (* Seed 7's run is short: a fixed trigger time never fired there. *)
-  let r = Gates.Adaptive_drift.run ~seed:7 ~on_engine:ignore in
-  Alcotest.(check int) "drifts" 1 r.Gates.Adaptive_drift.adaptive.Driftbench.drifts;
-  Alcotest.(check (list string)) "all 13 checks pass" []
-    (Gates.Adaptive_drift.check r)
-
 let fails name failures =
   Alcotest.(check bool) (name ^ " yields a FAIL") true (failures <> [])
 
@@ -292,28 +285,6 @@ let test_tampered_tenancy () =
     (Gates.Tenancy.check { t with Fleet.slo_met = t.Fleet.measured + 1 });
   fails "no tenant measured"
     (Gates.Tenancy.check { t with Fleet.measured = 0; slo_met = 0 })
-
-let test_tampered_drift () =
-  let d = Gates.Adaptive_drift.run ~seed:42 ~on_engine:ignore in
-  let a = d.Gates.Adaptive_drift.adaptive in
-  fails "swap count off by one"
-    (Gates.Adaptive_drift.check
-       {
-         d with
-         Gates.Adaptive_drift.adaptive =
-           { a with Driftbench.swaps = a.Driftbench.swaps + 1 };
-       })
-
-let test_tampered_recovery () =
-  let b = Gates.Recovered_bsp.run ~seed:42 ~on_engine:ignore in
-  Alcotest.(check (list string)) "untampered" [] (Gates.Recovered_bsp.check b);
-  let wedged =
-    match b.Gates.Recovered_bsp.policies with
-    | o :: rest -> { o with Supervisor.supersteps = 3 } :: rest
-    | [] -> Alcotest.fail "no policies ran"
-  in
-  fails "one policy wedged"
-    (Gates.Recovered_bsp.check { b with Gates.Recovered_bsp.policies = wedged })
 
 let test_tampered_specialize () =
   let s = Gates.Specialized_varbench.run ~seed:42 ~on_engine:ignore in
@@ -427,11 +398,7 @@ let suite =
       test_determinism_per_engine_under_pool;
     Alcotest.test_case "checks parsing" `Quick test_checks_of_string;
     Alcotest.test_case "stock scenarios clean" `Slow test_stock_scenarios_clean;
-    Alcotest.test_case "drift gate fires at seed 7" `Quick
-      test_drift_gate_fires;
     Alcotest.test_case "tampered tenancy fails" `Quick test_tampered_tenancy;
-    Alcotest.test_case "tampered drift fails" `Quick test_tampered_drift;
-    Alcotest.test_case "tampered recovery fails" `Quick test_tampered_recovery;
     Alcotest.test_case "tampered specialize fails" `Quick
       test_tampered_specialize;
     Alcotest.test_case "inversion flagged" `Quick

@@ -52,17 +52,15 @@ let test_io_failure_exits_3 () =
       ("analyze --csv", "analyze --csv /dev/null/x/findings.csv");
       ("staticcheck --csv", "staticcheck --locks --csv /dev/null/x");
       ("dose --journal", "dose --journal /dev/null/x/sweep.journal");
-      ("recover --journal", "recover --journal /dev/null/x/sweep.journal");
       ("tenancy --journal", "tenancy --journal /dev/null/x/sweep.journal");
-      ("drift --journal", "drift --journal /dev/null/x/sweep.journal");
       ( "specialize --journal",
         "specialize --journal /dev/null/x/sweep.journal" );
     ];
   List.iter
     (fun (name, args) -> check_early_io_failure name args)
     [
-      ( "torture --export",
-        "torture --dose 0 --path export --export /dev/null/x" );
+      ( "tenancy --export",
+        "tenancy --tenants 4 --churn 0 --policy docker --export /dev/null/x" );
       ("fig4 --export", "fig4 --scale full --export /dev/null/x");
       ("all --export", "all --export /dev/null/x");
     ]
@@ -71,14 +69,12 @@ let test_bad_args_exit_2 () =
   List.iter
     (fun (name, args) -> check_exit name 2 args)
     [
-      ("torture bad path", "torture --path bogus");
       ("analyze bad scenario", "analyze --scenario bogus");
-      ("drift bad policy", "drift --policy bogus --dose 0");
       ("tenancy bad policy", "tenancy --policy bogus");
       ("inject bad env", "inject --env bogus");
       ("unknown flag", "table1 --bogus");
       ("removed tenancy --smoke", "tenancy --smoke");
-      ("removed recover --soak", "recover --soak");
+      ("removed recover", "recover");
       ("unknown subcommand", "tabel2");
       ("bad scale", "table2 --scale bogus");
       ("bad jobs", "table2 --jobs x");
@@ -130,7 +126,7 @@ let test_findings_exit_1 () =
   check_exit "analyze inversion" 1 "analyze --scenario inversion"
 
 let test_success_exits_0 () =
-  check_exit "torture control cell" 0 "torture --dose 0 --path export";
+  check_exit "torture gate" 0 "analyze --scenario torture";
   check_exit "table1 takes the shared flags" 0
     "table1 --seed 7 --scale quick --jobs 1"
 
@@ -159,8 +155,7 @@ let test_studies_are_subcommands () =
   Alcotest.(check (list string)) "registry order"
     [
       "table1"; "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate";
-      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize"; "recover";
-      "tenancy"; "drift"; "torture";
+      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize"; "tenancy";
     ]
     names;
   Alcotest.(check (list string)) "subcommands"
@@ -178,8 +173,7 @@ let test_studies_are_subcommands () =
   Alcotest.(check (list string)) "writers"
     [
       "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate"; "ablate-virt";
-      "lwvm"; "locks"; "dose"; "specialize"; "recover"; "tenancy"; "drift";
-      "torture";
+      "lwvm"; "locks"; "dose"; "specialize"; "tenancy";
     ]
     (List.filter_map
        (fun (s : Ksurf.Experiments.study) ->

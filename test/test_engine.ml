@@ -649,7 +649,7 @@ let probe_stream_hash () =
         | Woken { now; pid; token } -> [ 4; bits now; pid; token ]
         | Sync { now; pid; name; op } ->
             5 :: bits now :: pid :: Stable_hash.string name :: op_fields op
-        | Injected _ | Denied _ | Rank_transition _ -> [ 6 ]));
+        | Injected _ | Denied _ -> [ 6 ]));
   let lock = Lock.create ~engine ~name:"stream.lock" in
   let box = Mailbox.create ~engine ~name:"stream.box" in
   let barrier = Barrier.create ~engine ~name:"stream.barrier" ~parties:3 in

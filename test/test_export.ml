@@ -100,21 +100,28 @@ let test_export_dose () =
       | _ -> Alcotest.fail "expected one file")
 
 (* Column-order drift shows here, without a simulation: every CSV a
-   study declares has the header of its committed baseline. *)
+   study declares has the header of its committed baseline, and every
+   committed baseline is a CSV some study declares. *)
 let test_headers_match_baselines () =
+  let declared = List.concat_map (fun (s : E.study) -> s.E.exports ()) E.studies in
   List.iter
-    (fun (s : E.study) ->
-      List.iter
-        (fun (file, header) ->
-          let baseline = Filename.concat "../exports" file in
-          Alcotest.(check bool) (baseline ^ " committed") true
-            (Sys.file_exists baseline);
-          Alcotest.(check string) (file ^ " header")
-            (In_channel.with_open_bin baseline In_channel.input_line
-            |> Option.value ~default:"")
-            (Csv.line header))
-        (s.E.exports ()))
-    E.studies
+    (fun (file, header) ->
+      let baseline = Filename.concat "../exports" file in
+      Alcotest.(check bool) (baseline ^ " committed") true
+        (Sys.file_exists baseline);
+      Alcotest.(check string) (file ^ " header")
+        (In_channel.with_open_bin baseline In_channel.input_line
+        |> Option.value ~default:"")
+        (Csv.line header))
+    declared;
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".csv" then
+        Alcotest.(check bool)
+          ("exports/" ^ file ^ " declared by a study")
+          true
+          (List.mem_assoc file declared))
+    (Sys.readdir "../exports")
 
 let suite =
   [

@@ -42,19 +42,6 @@ let test_profile_of_corpus () =
   Alcotest.(check bool) "coverage nonempty" true
     (Coverage.Set.cardinal p.Profile.coverage > 0)
 
-let test_profile_recorder_matches_of_corpus () =
-  let corpus = fs_corpus () in
-  let r = Profile.recorder ~name:"fs" () in
-  Array.iter (Profile.observe r) (Corpus.programs corpus);
-  let live = Profile.snapshot r in
-  let offline = Profile.of_corpus ~name:"fs" corpus in
-  Alcotest.(check (list string))
-    "same syscalls" offline.Profile.syscalls live.Profile.syscalls;
-  Alcotest.(check bool) "same categories" true
-    (offline.Profile.categories = live.Profile.categories);
-  Alcotest.(check bool) "same coverage" true
-    (Coverage.Set.equal offline.Profile.coverage live.Profile.coverage)
-
 let test_restrict () =
   let keep = [ Category.File_io; Category.Fs_mgmt ] in
   let full = Experiments.default_corpus ~seed:11 Experiments.Quick in
@@ -281,8 +268,6 @@ let test_multikernel_native_cost () =
 let suite =
   [
     Alcotest.test_case "profile of corpus" `Quick test_profile_of_corpus;
-    Alcotest.test_case "recorder matches of_corpus" `Quick
-      test_profile_recorder_matches_of_corpus;
     Alcotest.test_case "restrict" `Quick test_restrict;
     Alcotest.test_case "restrict: nothing survives" `Quick
       test_restrict_nothing_survives;
