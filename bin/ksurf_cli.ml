@@ -60,52 +60,26 @@ let jobs_arg =
 let with_pool jobs f =
   Ksurf.Pool.with_pool ~jobs:(Ksurf.Pool.resolve_jobs ?cli:jobs ()) f
 
-(* --- resumable sweeps ------------------------------------------------- *)
+(* --- numbers ----------------------------------------------------------- *)
 
-let journal_arg =
-  let doc =
-    "Journal completed sweep cells into $(docv) (atomic writes) so an \
-     interrupted run can be picked up with $(b,--resume)."
+(* Counts and doses the model would refuse (with an uncaught
+   Invalid_argument) or silently run on (a nan churn): refused while the
+   arguments are parsed, a usage error (exit 2). *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
   in
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+  Arg.conv (parse, Format.pp_print_int)
 
-let resume_arg =
-  let doc =
-    "Skip cells already recorded in the $(b,--journal) file instead of \
-     starting the sweep over."
+let non_negative =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
   in
-  Arg.(value & flag & info [ "resume" ] ~doc)
-
-(* Without --resume a pre-existing journal is discarded: the sweep is a
-   fresh run that happens to be journalled.  All I/O goes through
-   Fileio so a bad --journal path exits 3 like every other I/O
-   failure, and the journal's directory entry is durable. *)
-let journal_of path resume =
-  match path with
-  | None -> None
-  | Some p ->
-      Ksurf.Fileio.ensure_dir (Filename.dirname p);
-      if (not resume) && Sys.file_exists p then Ksurf.Fileio.remove p;
-      Some (Ksurf.Recov_journal.load ~path:p ())
-
-(* A full disk no longer aborts a sweep: the journal defers persists
-   and keeps completed cells buffered in memory.  If it is still dirty
-   once the sweep is done, the results above are real but the resume
-   state is not on disk — stamp the run degraded and exit 3. *)
-let finish_journal = function
-  | None -> ()
-  | Some j ->
-      Ksurf.Recov_journal.flush j;
-      if Ksurf.Recov_journal.persist_pending j then begin
-        Format.eprintf
-          "ksurf: DEGRADED: %d journal persist(s) deferred%s; completed \
-           cells were kept in memory but the resume state is not durable@."
-          (Ksurf.Recov_journal.deferred j)
-          (match Ksurf.Recov_journal.last_error j with
-          | Some e -> " (" ^ e ^ ")"
-          | None -> "");
-        exit 3
-      end
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let export_arg =
   let doc = "Write the CSV export into $(docv) (created if missing)." in
@@ -244,14 +218,9 @@ let run_corpus_cmd =
       & info [] ~docv:"CORPUS" ~doc:"Corpus file from gen-corpus.")
   in
   let iterations =
-    let positive s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
-    in
     Arg.(
       value
-      & opt (conv (positive, Format.pp_print_int)) 10
+      & opt positive 10
       & info [ "iterations" ] ~docv:"N" ~doc:"Measured corpus repetitions.")
   in
   Cmd.v
@@ -404,7 +373,7 @@ let inject_cmd =
   in
   let intensity =
     Arg.(
-      value & opt float 1.0
+      value & opt non_negative 1.0
       & info [ "intensity" ] ~docv:"K"
           ~doc:"Scale the plan's dose by $(docv) (see Fault_plan.scale).")
   in
@@ -528,46 +497,37 @@ let staticcheck_cmd =
 (* --- studies ----------------------------------------------------------- *)
 
 (* The one study runner, behind every entry's subcommand and [all].  The
-   export directory and the journal are set up before any cell runs, so
-   a bad path exits 3 with nothing rendered.  Then each entry runs in
-   order on one corpus and one pool, prints its rendering and writes
-   its CSV. *)
-let run_studies studies ~seed ~scale ~jobs ~export ~journal:(path, resume) =
+   export directory is created before any cell runs, so a bad path exits
+   3 with nothing rendered.  Then each entry runs in order on one corpus
+   and one pool, prints its rendering and writes its CSV. *)
+let run_studies studies ~seed ~scale ~jobs ~export =
   Option.iter Ksurf.Fileio.ensure_dir export;
-  let journal = journal_of path resume in
   let write dir c = Format.printf "wrote %s@." (E.write_csv ~dir c) in
   with_pool jobs (fun pool ->
-      let ctx = E.context ~seed ?journal ~pool scale in
+      let ctx = E.context ~seed ~pool scale in
       List.iteri
         (fun i (s : E.study) ->
           if i > 0 then Format.printf "@.";
           let o = timed s.E.name (fun () -> s.E.run ctx) in
           Format.printf "%t@." o.E.render;
           Option.iter (fun dir -> List.iter (write dir) o.E.csvs) export)
-        studies);
-  finish_journal journal
+        studies)
 
 (* One subcommand per entry: --seed/--scale/--jobs, plus --export when
-   it writes a CSV and --journal/--resume when it journals.  [grid]
-   rebuilds the entry from its own flags. *)
+   it writes a CSV.  [grid] rebuilds the entry from its own flags. *)
 let study_cmd ?grid (s : E.study) =
   let study = Option.value grid ~default:(Term.const s) in
   let export = if s.E.exports () <> [] then export_arg else Term.const None in
-  let journal =
-    if s.E.journals then Term.(const (fun p r -> (p, r)) $ journal_arg $ resume_arg)
-    else Term.const (None, false)
-  in
-  let go s seed scale jobs export journal () =
-    run_studies [ s ] ~seed ~scale ~jobs ~export ~journal
+  let go s seed scale jobs export () =
+    run_studies [ s ] ~seed ~scale ~jobs ~export
   in
   Cmd.v (Cmd.info s.E.name ~doc:s.E.doc)
     Term.(
-      const go $ study $ seed_arg $ scale_arg $ jobs_arg $ export $ journal
-      $ logs_term)
+      const go $ study $ seed_arg $ scale_arg $ jobs_arg $ export $ logs_term)
 
 let all_cmd =
   let go seed scale jobs export () =
-    run_studies E.studies ~seed ~scale ~jobs ~export ~journal:(None, false)
+    run_studies E.studies ~seed ~scale ~jobs ~export
   in
   Cmd.v
     (Cmd.info "all"
@@ -583,14 +543,14 @@ let tenancy_grid =
   let tenants =
     Arg.(
       value
-      & opt (list int) []
+      & opt (list positive) []
       & info [ "tenants" ] ~docv:"N,..."
           ~doc:"Tenant counts to sweep (default depends on --scale).")
   in
   let churns =
     Arg.(
       value
-      & opt (list float) []
+      & opt (list non_negative) []
       & info [ "churn" ] ~docv:"R,..."
           ~doc:
             "Per-tenant churn rates to sweep, in lifecycle events per \

@@ -13,7 +13,6 @@ module Runner = Ksurf_tailbench.Runner
 module Cluster = Ksurf_cluster.Cluster
 module Report = Ksurf_report.Report
 module Csv = Ksurf_report.Csv
-module Journal = Ksurf_recov.Journal
 module Pool = Ksurf_par.Pool
 
 type scale = Quick | Full
@@ -41,15 +40,14 @@ type context = {
   seed : int;
   scale : scale;
   corpus : Corpus.t Lazy.t;
-  journal : Journal.t option;
   pool : Pool.t option;
 }
 
-let context ?(seed = 42) ?corpus ?journal ?pool scale =
+let context ?(seed = 42) ?corpus ?pool scale =
   let corpus =
     match corpus with Some c -> c | None -> lazy (default_corpus ~seed scale)
   in
-  { seed; scale; corpus; journal; pool }
+  { seed; scale; corpus; pool }
 
 (* The shared sweep skeleton every study runs on: a list of
    self-contained cells, one function from cell to result, and an
@@ -59,34 +57,12 @@ let context ?(seed = 42) ?corpus ?journal ?pool scale =
    bit-identical to the sequential run — cells never share mutable
    state (each builds its own engine and PRNG stream from the seed).
    A driver forces the context's corpus before it fans out: a lazy
-   value must not be forced from two domains at once.
-
-   [run] adds resumability: a cell whose key is already journalled is
-   skipped (omitted from the result), each remaining cell is recorded
-   the moment it completes (the journal is the mutex-guarded single
-   writer, so parallel completions serialise there), and the journal
-   is flushed when the sweep ends.  The journal batches persists, so a
-   crash mid-sweep loses at most a handful of cells — recomputed on
-   resume. *)
+   value must not be forced from two domains at once. *)
 module Sweep = struct
   let map ctx f cells =
     match ctx.pool with
     | Some pool -> Pool.map ~pool f cells
     | None -> List.map f cells
-
-  let run ctx ~key f cells =
-    match ctx.journal with
-    | None -> map ctx f cells
-    | Some j ->
-        Fun.protect
-          ~finally:(fun () -> Journal.flush j)
-          (fun () ->
-            map ctx
-              (fun c ->
-                let r = f c in
-                Journal.record j (key c);
-                r)
-              (List.filter (fun c -> not (Journal.mem j (key c))) cells))
 end
 
 (* One varbench cell: a fresh engine seeded from the context, a Table 1
@@ -224,19 +200,18 @@ type outcome = { render : Format.formatter -> unit; csvs : csv list }
 type study = {
   name : string;
   doc : string;
-  journals : bool;
   exports : unit -> (string * string list) list;
   run : context -> outcome;
 }
 
 (* The one way to build an entry: its exports and its outcome's CSV
    files both come from the study's column list. *)
-let study ?(journals = false) name doc columns pp run =
+let study name doc columns pp run =
   let run ctx =
     let t = run ctx in
     { render = Fun.flip pp t; csvs = csvs columns t }
   in
-  { name; doc; journals; exports = (fun () -> exports columns); run }
+  { name; doc; exports = (fun () -> exports columns); run }
 
 (* ------------------------------------------------------------------ *)
 
@@ -834,9 +809,6 @@ module Dose = struct
 
   let default_intensities = [ 0.0; 0.5; 1.0; 2.0 ]
 
-  let cell_key ((d : Breakdown.deployment), intensity) =
-    Printf.sprintf "dose:%s:%.2f" d.label intensity
-
   (* Table 2's three environments under the "mixed" preset: every
      mechanism, no crashes. *)
   let run ?(intensities = default_intensities) ctx =
@@ -848,7 +820,7 @@ module Dose = struct
         Breakdown.table2.deployments
     in
     let cells =
-      Sweep.run ctx ~key:cell_key
+      Sweep.map ctx
         (fun ((d : Breakdown.deployment), intensity) ->
           let env = deploy ctx d.kind d.units in
           let kf =
@@ -1031,21 +1003,19 @@ module Specialize = struct
       measure ~name ~env (varbench ctx ~corpus env)
     in
     let rows =
-      Sweep.run ctx
-        ~key:(fun (name, _) -> "specialize:" ^ name)
-        (fun (_, make) -> make ())
+      Sweep.map ctx
+        (fun make -> make ())
         [
-          ("native-64", fun () -> cell "native-64" Env.Native 1);
+          (fun () -> cell "native-64" Env.Native 1);
           (* "Per-tenant specialized kernels": a MultiK-style multikernel
              deployment — each rank gets a private pruned kernel at native
              syscall cost, so the shared-kernel lock convoys disappear
              without paying the KVM cpu_cost_factor tax. *)
-          ( "native-64-kspec",
-            fun () ->
-              cell "native-64-kspec" Env.Multikernel 64
-                ~kernel_config:(Specializer.kernel_config spec)
-                ~specialized:true );
-          ("kvm-64", fun () -> cell "kvm-64" kvm_kind 64);
+          (fun () ->
+            cell "native-64-kspec" Env.Multikernel 64
+              ~kernel_config:(Specializer.kernel_config spec)
+              ~specialized:true);
+          (fun () -> cell "kvm-64" kvm_kind 64);
         ]
     in
     { spec; rows; corpus_calls = Corpus.total_calls corpus }
@@ -1122,9 +1092,6 @@ module Tenancy = struct
       day_ns;
     }
 
-  let cell_key (policy, tenants, churn) =
-    Printf.sprintf "tenancy:%s:%d:%.2f" (Policy.name policy) tenants churn
-
   let run ?tenants ?churns ?(policies = default_policies) ctx =
     let tenants = Option.value tenants ~default:(default_tenants ctx.scale) in
     let churns = Option.value churns ~default:(default_churns ctx.scale) in
@@ -1137,7 +1104,7 @@ module Tenancy = struct
         policies
     in
     let cells =
-      Sweep.run ctx ~key:cell_key
+      Sweep.map ctx
         (fun (policy, tenants, churn) ->
           Fleet.run
             (fleet_config ~seed:ctx.seed ~scale:ctx.scale ~policy ~tenants
@@ -1244,7 +1211,7 @@ module Tenancy = struct
   (* The tenancy entry over a chosen grid; [studies] holds the default
      one and [ksurf_cli tenancy]'s grid flags build the others. *)
   let study ?tenants ?churns ?policies () =
-    study ~journals:true "tenancy"
+    study "tenancy"
       "ktenant study: fleet-scale multi-tenant serving under churn and \
        diurnal load — placement policy x tenant count x churn rate, with \
        per-tenant p99 SLO autoscaling"
@@ -1274,10 +1241,9 @@ let studies =
     breakdown "lwvm" "E9: lightweight-VM technology comparison" Breakdown.lwvm;
     study "locks" "E10: per-lock contention attribution" Locks.columns Locks.pp
       Locks.run;
-    study ~journals:true "dose"
-      "Dose-response: fault-intensity sensitivity sweep" Dose.columns Dose.pp
-      Dose.run;
-    study ~journals:true "specialize"
+    study "dose" "Dose-response: fault-intensity sensitivity sweep" Dose.columns
+      Dose.pp Dose.run;
+    study "specialize"
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
       Specialize.columns Specialize.pp Specialize.run;

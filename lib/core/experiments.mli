@@ -14,9 +14,7 @@
     are self-contained (each builds its own engine and PRNG stream from
     the seed) and results merge in canonical input order, so the
     parallel run's output — tables, CSV exports, stable hashes — is
-    bit-identical to the sequential one.  Drivers that journal skip the
-    cells already in the context's journal and record each cell as it
-    completes. *)
+    bit-identical to the sequential one. *)
 
 type scale = Quick | Full
 
@@ -30,14 +28,12 @@ type context = {
   scale : scale;
   corpus : Ksurf_syzgen.Corpus.t Lazy.t;
       (** forced only by drivers that replay it, before they fan out *)
-  journal : Ksurf_recov.Journal.t option;
-      (** read and written only by drivers that journal *)
   pool : Ksurf_par.Pool.t option;
 }
 
 val context :
-  ?seed:int -> ?corpus:Ksurf_syzgen.Corpus.t Lazy.t ->
-  ?journal:Ksurf_recov.Journal.t -> ?pool:Ksurf_par.Pool.t -> scale -> context
+  ?seed:int -> ?corpus:Ksurf_syzgen.Corpus.t Lazy.t -> ?pool:Ksurf_par.Pool.t ->
+  scale -> context
 (** [seed] defaults to 42 and [corpus] to {!default_corpus} at that
     seed and scale, generated on first use. *)
 
@@ -66,7 +62,6 @@ type outcome = {
 type study = {
   name : string;  (** the subcommand *)
   doc : string;
-  journals : bool;  (** [run] skips and records journalled cells *)
   exports : unit -> (string * string list) list;
       (** each CSV [run] writes: file and header, known without running *)
   run : context -> outcome;
@@ -258,10 +253,7 @@ module Dose : sig
   (** One varbench run per (environment x intensity) cell under the
       ["mixed"] fault preset (every mechanism, no crashes), at
       intensities 0, 0.5, 1 and 2 by default (zero dose is each
-      environment's baseline).  With a journal, cells already recorded (keys
-      [dose:<env>:<intensity>]) are skipped and omitted from the result;
-      each completed cell is journalled as it completes (persisted in
-      batches, flushed when the sweep ends). *)
+      environment's baseline). *)
 
   val cell : t -> env:string -> intensity:float -> cell option
 
@@ -319,8 +311,6 @@ module Specialize : sig
       {!retained}; falls back to the full corpus if nothing survives). *)
 
   val run : context -> t
-  (** With a journal, environments already recorded (keys
-      [specialize:<env>]) are skipped and omitted from the result. *)
 
   val row : t -> env:string -> row option
   val pp : Format.formatter -> t -> unit
@@ -342,13 +332,7 @@ module Tenancy : sig
   (** One fleet simulation per (policy x tenants x churn) cell through
       the kpar sweep; the scale sets the default tenant counts and churn
       rates and each cell's virtual day length, and [policies] default
-      to all five.  With a journal, cells already recorded (keys
-      [tenancy:<policy>:<tenants>:<churn>]) are skipped and omitted
-      from the result. *)
-
-  val cell_key : Ksurf_tenant.Policy.t * int * float -> string
-  (** Journal key for one sweep cell:
-      [tenancy:<policy>:<tenants>:<churn>]. *)
+      to all five. *)
 
   val cell : t -> policy:string -> tenants:int -> churn:float -> cell option
 
@@ -369,5 +353,5 @@ end
 val studies : study list
 (** Every entry, in regeneration order: table1, table2, fig2, table3,
     fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize,
-    tenancy.  The last three journal.  Each is a [ksurf_cli]
-    subcommand, and [ksurf_cli all] runs them in this order. *)
+    tenancy.  Each is a [ksurf_cli] subcommand, and [ksurf_cli all]
+    runs them in this order. *)

@@ -24,8 +24,7 @@
       [ksurf_cli analyze])
     - {!Fault_plan}, {!Kfault} — deterministic fault injection (see
       [ksurf_cli inject])
-    - {!Checkpoint}, {!Recov_journal} — crash-consistent checkpoints and
-      the resumable-sweep journal
+    - {!Recov_journal} — the checksummed journal of completed cells
     - {!Apps}, {!Service}, {!Runner}, {!Cluster} — tailbench workloads,
       single-node and 64-node experiments
     - {!Experiments} — drivers that regenerate every table, figure and
@@ -109,7 +108,6 @@ module Faultio = Ksurf_dur.Faultio
 module Crashsim = Ksurf_dur.Crashsim
 module Torture = Ksurf_dur.Torture
 
-module Checkpoint = Ksurf_recov.Checkpoint
 module Recov_journal = Ksurf_recov.Journal
 
 module Clock = Ksurf_util.Clock

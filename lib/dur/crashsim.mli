@@ -1,7 +1,7 @@
 (** ALICE-style crash-state enumeration for durable writers.
 
     {!record} captures the exact host-I/O op trace of a writer run
-    (journal append, checkpoint write, export), with paths made
+    (journal append, export), with paths made
     relative to a root directory.  {!enumerate} then replays every
     crash-point prefix of that trace against a small filesystem model
     that distinguishes {e volatile} effects (applied, but not yet

@@ -12,16 +12,14 @@ module Iohook = Ksurf_util.Iohook
 module Fileio = Ksurf_util.Fileio
 module Prng = Ksurf_util.Prng
 module Journal = Ksurf_recov.Journal
-module Checkpoint = Ksurf_recov.Checkpoint
 module Csv = Ksurf_report.Csv
 
-type kind = Journal_path | Checkpoint_path | Export_path
+type kind = Journal_path | Export_path
 
-let all_kinds = [ Journal_path; Checkpoint_path; Export_path ]
+let all_kinds = [ Journal_path; Export_path ]
 
 let kind_name = function
   | Journal_path -> "journal"
-  | Checkpoint_path -> "checkpoint"
   | Export_path -> "export"
 
 type config = {
@@ -203,106 +201,6 @@ let journal_check_state ~dir ~t =
   | false -> t.t_enum_violations <- t.t_enum_violations + 1
   | exception _ -> t.t_enum_violations <- t.t_enum_violations + 1
 
-(* --- checkpoint workload ----------------------------------------------- *)
-
-let ckpt_versions = 5
-
-let ckpt_file dir = Filename.concat dir "ckpt"
-
-let ckpt_version i =
-  {
-    Checkpoint.superstep = i;
-    runtime_ns = 1_000_000.0 +. (250_000.0 *. float_of_int i);
-    membership = [ 0; 1; 2; 3 ];
-    rejoins =
-      (if i mod 2 = 1 then
-         [ { Checkpoint.rj_rank = 2; rj_superstep = i + 1; rj_incident = i; rj_died_at = i - 1 } ]
-       else []);
-    incidents = i;
-    prng_state = Int64.of_int (0x9e3779b9 + (i * 17));
-    prng_seed = 42;
-    crashes = i;
-    restarts = i / 2;
-    backups = 1;
-    deaths = i;
-    transitions = 2 * i;
-    checkpoints = i + 1;
-    degraded = false;
-  }
-
-let ckpt_is_version st =
-  let rec go i =
-    i < ckpt_versions && (st = ckpt_version i || go (i + 1))
-  in
-  go 0
-
-let ckpt_run ~fio ~dir ~t =
-  let path = ckpt_file dir in
-  let rec attempt n =
-    if n > max_attempts then false
-    else begin
-      (* Resume point from the disk (outside the fault scope); a
-         checkpoint that parses must be one of the versions actually
-         written — anything else is torn acceptance. *)
-      let start =
-        match Checkpoint.read ~path with
-        | Ok st ->
-            if ckpt_is_version st then st.Checkpoint.superstep + 1
-            else begin
-              t.t_enum_violations <- t.t_enum_violations + 1;
-              0
-            end
-        | Error _ -> 0
-      in
-      match
-        Faultio.with_faults fio (fun () ->
-            for i = start to ckpt_versions - 1 do
-              Checkpoint.write ~path (ckpt_version i)
-            done)
-      with
-      | () -> true
-      | exception (Iohook.Crashed _ | Fileio.Io_error _) ->
-          t.t_litter <- t.t_litter + Faultio.with_faults fio (fun () ->
-              try Fileio.sweep_tmp ~dir with
-              | Iohook.Crashed _ | Fileio.Io_error _ -> 0);
-          attempt (n + 1)
-    end
-  in
-  let converged = attempt 0 in
-  if converged then begin
-    let ok =
-      match Checkpoint.read ~path with
-      | Ok st -> st = ckpt_version (ckpt_versions - 1)
-      | Error _ -> false
-    in
-    let litter_after = count_tmp dir in
-    t.t_litter_after <- t.t_litter_after + litter_after;
-    if ok && litter_after = 0 then t.t_ok <- t.t_ok + 1;
-    ok && litter_after = 0
-  end
-  else false
-
-let ckpt_clean dir =
-  for i = 0 to ckpt_versions - 1 do
-    Checkpoint.write ~path:(ckpt_file dir) (ckpt_version i)
-  done
-
-let ckpt_check_state ~dir ~t =
-  let path = ckpt_file dir in
-  let _swept = try Fileio.sweep_tmp ~dir with Fileio.Io_error _ -> 0 in
-  (match Checkpoint.read ~path with
-  | Ok st ->
-      (* Old or new version, never torn garbage accepted. *)
-      if not (ckpt_is_version st) then
-        t.t_enum_violations <- t.t_enum_violations + 1
-  | Error _ ->
-      (* Refusal is only legal when the bytes are not a complete
-         checkpoint — i.e. absent, zero-length or torn. *)
-      (match read_file_opt path with
-      | None | Some "" -> ()
-      | Some _ -> t.t_torn_refused <- t.t_torn_refused + 1));
-  if count_tmp dir <> 0 then t.t_enum_violations <- t.t_enum_violations + 1
-
 (* --- export workload --------------------------------------------------- *)
 
 let export_file dir = Filename.concat dir "out.csv"
@@ -395,9 +293,9 @@ let live_plan ~dose ~crash_op =
       Durplan.actions = scaled.Durplan.actions @ [ Durplan.Crash_at { op = crash_op } ];
     }
 
-(* Truncating a complete on-disk artefact mid-payload must be refused
-   (checkpoint), dropped (journal line checksum) or — for the journal —
-   at worst forget the torn tail, never invent state. *)
+(* Truncating the journal mid-line must drop the torn line (its
+   checksum fails) and at worst forget the torn tail, never invent
+   state. *)
 let synthetic_torn ~kind ~dir ~t clean_bytes =
   match kind with
   | Journal_path ->
@@ -415,16 +313,6 @@ let synthetic_torn ~kind ~dir ~t clean_bytes =
               else t.t_enum_violations <- t.t_enum_violations + 1
           | exception _ -> t.t_enum_violations <- t.t_enum_violations + 1))
         [ 0.98; 0.6; 0.25 ]
-  | Checkpoint_path ->
-      List.iter
-        (fun frac ->
-          let cut = int_of_float (frac *. float_of_int (String.length clean_bytes)) in
-          Crashsim.materialize ~dir
-            { Crashsim.files = [ ("ckpt", String.sub clean_bytes 0 cut) ] };
-          match Checkpoint.read ~path:(ckpt_file dir) with
-          | Error _ -> t.t_torn_refused <- t.t_torn_refused + 1
-          | Ok _ -> t.t_enum_violations <- t.t_enum_violations + 1)
-        [ 0.95; 0.5 ]
   | Export_path -> ()
 
 let run (cfg : config) =
@@ -443,7 +331,6 @@ let run (cfg : config) =
     Crashsim.record ~root:trace_dir (fun () ->
         match cfg.kind with
         | Journal_path -> journal_clean trace_dir
-        | Checkpoint_path -> ckpt_clean trace_dir
         | Export_path -> export_clean trace_dir)
   in
   (match outcome with
@@ -456,7 +343,6 @@ let run (cfg : config) =
       Crashsim.materialize ~dir:enum_dir st;
       match cfg.kind with
       | Journal_path -> journal_check_state ~dir:enum_dir ~t
-      | Checkpoint_path -> ckpt_check_state ~dir:enum_dir ~t
       | Export_path -> export_check_state ~dir:enum_dir ~versions ~t)
     states;
   (* The post-return guarantee: what the writer promised must be in
@@ -468,10 +354,6 @@ let run (cfg : config) =
       let final = Journal.cells (Journal.load ~path:(journal_file enum_dir) ()) in
       if not (List.for_all (fun k -> List.mem k final) journal_cells) then
         t.t_enum_violations <- t.t_enum_violations + 1
-  | Checkpoint_path -> (
-      match Checkpoint.read ~path:(ckpt_file enum_dir) with
-      | Ok st when st = ckpt_version (ckpt_versions - 1) -> ()
-      | _ -> t.t_enum_violations <- t.t_enum_violations + 1)
   | Export_path ->
       if read_file_opt (export_file enum_dir) <> Some (List.nth versions 1) then
         t.t_enum_violations <- t.t_enum_violations + 1);
@@ -479,7 +361,6 @@ let run (cfg : config) =
     let artefact =
       match cfg.kind with
       | Journal_path -> journal_file trace_dir
-      | Checkpoint_path -> ckpt_file trace_dir
       | Export_path -> export_file trace_dir
     in
     Option.value ~default:"" (read_file_opt artefact)
@@ -487,7 +368,7 @@ let run (cfg : config) =
   let torn_dir = Filename.concat cfg.scratch "torn" in
   synthetic_torn ~kind:cfg.kind ~dir:torn_dir ~t clean_bytes;
   let synthetic =
-    match cfg.kind with Journal_path -> 3 | Checkpoint_path -> 2 | Export_path -> 0
+    match cfg.kind with Journal_path -> 3 | Export_path -> 0
   in
 
   (* Phase 2: live faulted runs. *)
@@ -502,7 +383,6 @@ let run (cfg : config) =
     let _converged =
       match cfg.kind with
       | Journal_path -> journal_run ~fio ~dir:run_dir ~t
-      | Checkpoint_path -> ckpt_run ~fio ~dir:run_dir ~t
       | Export_path -> export_run ~fio ~dir:run_dir ~versions ~t
     in
     let s = Faultio.stats fio in

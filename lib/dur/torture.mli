@@ -1,17 +1,15 @@
 (** Crash-consistency torture cells for the durable writer paths.
 
-    One cell tortures one writer path — the resumable sweep journal,
-    the superstep checkpoint, or the atomic CSV export — at one fault
-    dose, in two phases:
+    One cell tortures one writer path — the completed-cell journal or
+    the atomic CSV export — at one fault dose, in two phases:
 
     {b Enumeration} (clean trace): the writer's op trace is recorded
     and every {!Crashsim} crash state is materialised into a scratch
     directory; recovery is re-run from each and its invariants
-    asserted — journal resume never double-runs or loses a recorded
-    cell, a checkpoint loads as old or new (torn and corrupt refused),
-    exports are never partial, no [*.tmp.*] litter survives.  Synthetic
-    torn files (truncated mid-line / mid-payload) are thrown in to
-    prove the checksum refusal paths fire.
+    asserted — journal recovery never double-runs or loses a recorded
+    cell, exports are never partial, no [*.tmp.*] litter survives.
+    Synthetic torn journal files (truncated mid-line) are thrown in to
+    prove the checksum refusal path fires.
 
     {b Live runs}: the same workload repeated under a seed-scaled
     [io-mixed] {!Durplan} plus a per-run crash-at-op, with recovery
@@ -21,7 +19,7 @@
     {!Faultio} injector, so they are deterministic and job-count
     independent. *)
 
-type kind = Journal_path | Checkpoint_path | Export_path
+type kind = Journal_path | Export_path
 
 val all_kinds : kind list
 val kind_name : kind -> string

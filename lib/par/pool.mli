@@ -61,7 +61,8 @@ val map : pool:t -> ('a -> 'b) -> 'a list -> 'b list
     therefore deterministic.  [f] must not assume anything about which
     domain it runs on; cells must not share mutable state except
     through their own synchronisation (e.g. the mutex-guarded
-    {!Ksurf_recov.Journal}). *)
+    {!Ksurf_recov.Journal} through which the ledger's partitioned sweep
+    and the parallel-sweep gate record completed cells). *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Calling {!map}

@@ -1,23 +1,24 @@
-(* Resumable-sweep journal: a small file recording which cells of an
-   experiment sweep have already completed, so [ksurf_cli ... --resume]
-   can skip them after a crash.  Cells are free-form string keys (e.g.
-   "dose:native:1.5").  Each line carries its own FNV-1a checksum, so a
-   line half-written by a dying process is recognised and dropped on
-   load instead of poisoning the resume.  Persists are atomic
-   (temp + rename + fsync).
+(* Completed-cell journal: a small file recording which cells of a
+   sweep have already completed, so a run that dies can skip them when
+   it starts again.  The ledger's partitioned-sweep workload and the
+   parallel-sweep and torture gates journal their cells through it.
+   Cells are free-form string keys (e.g. "varbench:1").  Each line
+   carries its own FNV-1a checksum, so a line half-written by a dying
+   process is recognised and dropped on load instead of poisoning the
+   restart.  Persists are atomic (temp + rename + fsync).
 
    Membership is a hashtable (O(1) per [record]/[mem]; the original
    [List.mem] made a sweep of n cells O(n^2)), and persists are
    batched: the file is rewritten every [flush_every] newly recorded
    cells and on {!flush} (which sweeps call when they finish), not on
    every [record].  A crash mid-sweep therefore loses at most
-   [flush_every - 1] cells — they are simply recomputed on resume; the
+   [flush_every - 1] cells — they are simply recomputed on restart; the
    journal is a cache of completed work, never the source of truth.
 
    A mutex guards all state, making the journal the single funnel
    through which parallel sweep workers (Ksurf_par.Pool) record
    completions: cells complete in nondeterministic order under
-   parallelism, but resume semantics are set-membership, so order never
+   parallelism, but skipping is by set membership, so order never
    matters. *)
 
 module Fileio = Ksurf_util.Fileio
@@ -35,7 +36,6 @@ type t = {
   mutable unflushed : int;  (* recorded since the last persist *)
   flush_every : int;
   mutable deferred : int;  (* persist attempts that failed with Io_error *)
-  mutable last_error : string option;
 }
 
 let cells t =
@@ -79,7 +79,6 @@ let make ?(flush_every = default_flush_every) ~path cells =
     unflushed = 0;
     flush_every = max 1 flush_every;
     deferred = 0;
-    last_error = None;
   }
 
 let load ?flush_every ~path () =
@@ -99,9 +98,9 @@ let load ?flush_every ~path () =
    failure is counted as deferred, and every subsequent [record] (and
    the final [flush]) retries the persist — so when space clears the
    journal catches up, and when it never does the completed work is
-   still returned to the caller, which reports a stamped degraded
-   result instead of losing it.  A simulated crash (Iohook.Crashed) is
-   not an I/O error and still propagates. *)
+   still returned to the caller, which sees [persist_pending] instead
+   of losing it.  A simulated crash (Iohook.Crashed) is not an I/O
+   error and still propagates. *)
 let persist_locked t =
   match
     Fileio.write_atomic ~path:t.path (fun oc ->
@@ -111,12 +110,8 @@ let persist_locked t =
             Printf.fprintf oc "cell %x %s\n" (Stable_hash.string key) key)
           (List.rev t.cells_rev))
   with
-  | () ->
-      t.unflushed <- 0;
-      t.last_error <- None
-  | exception Fileio.Io_error msg ->
-      t.deferred <- t.deferred + 1;
-      t.last_error <- Some msg
+  | () -> t.unflushed <- 0
+  | exception Fileio.Io_error _ -> t.deferred <- t.deferred + 1
 
 let flush t =
   Mutex.lock t.lock;
@@ -135,12 +130,6 @@ let deferred t =
   let n = t.deferred in
   Mutex.unlock t.lock;
   n
-
-let last_error t =
-  Mutex.lock t.lock;
-  let e = t.last_error in
-  Mutex.unlock t.lock;
-  e
 
 let record t key =
   Mutex.lock t.lock;

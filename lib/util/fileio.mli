@@ -1,7 +1,7 @@
 (** Crash-consistent file I/O.
 
-    Every file ksurf writes that a later run depends on — checkpoints,
-    sweep journals, CSV exports, fault plans — goes through
+    Every file ksurf writes that a later run depends on — the
+    completed-cell journal, CSV exports, fault plans — goes through
     {!write_atomic}: write to a sibling temp file (unique per process
     and call, so concurrent writers cannot clobber each other's temp),
     flush, [fsync], atomically rename over the destination, then

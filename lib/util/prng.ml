@@ -47,8 +47,6 @@ let split t label =
 
 let copy t = { state = Bytes.copy t.state; seed = t.seed }
 let seed_of t = t.seed
-let save t = (Bytes.get_int64_ne t.state 0, t.seed)
-let restore ~state ~seed = of_state state seed
 
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";

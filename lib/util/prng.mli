@@ -50,10 +50,3 @@ val shuffle : t -> 'a array -> unit
 
 val seed_of : t -> int
 (** The seed the stream was created from (stable across consumption). *)
-
-val save : t -> int64 * int
-(** [(state, seed)] — the complete stream position, for checkpointing.
-    Restoring with {!restore} resumes the stream bit-identically. *)
-
-val restore : state:int64 -> seed:int -> t
-(** Rebuild a stream from a {!save}d position. *)

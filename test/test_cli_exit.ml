@@ -51,10 +51,6 @@ let test_io_failure_exits_3 () =
       ("gen-corpus -o", "gen-corpus -o /dev/null/x/corpus");
       ("analyze --csv", "analyze --csv /dev/null/x/findings.csv");
       ("staticcheck --csv", "staticcheck --locks --csv /dev/null/x");
-      ("dose --journal", "dose --journal /dev/null/x/sweep.journal");
-      ("tenancy --journal", "tenancy --journal /dev/null/x/sweep.journal");
-      ( "specialize --journal",
-        "specialize --journal /dev/null/x/sweep.journal" );
     ];
   List.iter
     (fun (name, args) -> check_early_io_failure name args)
@@ -96,9 +92,10 @@ let test_bad_corpus_exit_2 () =
         [ "read)x(\n"; "getpid(0:0:0)junk\n" ];
       check_exit "run-corpus missing" 2 ("run-corpus " ^ Filename.quote (corpus ^ ".none")))
 
-(* A --units outside Table 1 or a non-positive --iterations is refused
-   while the arguments are parsed: usage on stderr and exit 2, not an
-   uncaught exception. *)
+(* A --units outside Table 1, a non-positive --iterations or --tenants,
+   or a negative or non-finite --intensity or --churn is refused while
+   the arguments are parsed: usage on stderr and exit 2, not an uncaught
+   exception or a run on a nan. *)
 let test_bad_numbers_are_usage_errors () =
   let corpus = Filename.temp_file "ksurf-cli" ".corpus" in
   Fun.protect
@@ -119,6 +116,12 @@ let test_bad_numbers_are_usage_errors () =
           ("run-corpus --units 3", run_corpus ^ " --units 3");
           ("inject --units 3", "inject --units 3");
           ("run-corpus --iterations 0", run_corpus ^ " --iterations 0");
+          ("inject --intensity=-1", "inject --intensity=-1");
+          ("inject --intensity nan", "inject --intensity nan");
+          ("inject --intensity inf", "inject --intensity inf");
+          ("tenancy --tenants 0", "tenancy --tenants 0");
+          ("tenancy --churn=-1", "tenancy --churn=-1");
+          ("tenancy --churn nan", "tenancy --churn nan");
         ])
 
 (* The negative-control gate: one lock-order-cycle finding. *)
@@ -148,7 +151,7 @@ let subcommands () =
 
 (* Every Experiments.studies entry is a subcommand, in the documented
    order, each name once; --export exists exactly where the entry
-   writes a CSV, and --journal exactly where it journals. *)
+   writes a CSV, and no entry takes --journal or --resume. *)
 let test_studies_are_subcommands () =
   let studies = Ksurf.Experiments.studies in
   let names = List.map (fun (s : Ksurf.Experiments.study) -> s.name) studies in
@@ -167,8 +170,8 @@ let test_studies_are_subcommands () =
       check_exit (n ^ " --help") 0 (n ^ " --help=plain");
       check_exit (n ^ " --export") (if s.exports () <> [] then 3 else 2)
         (n ^ " --export /dev/null/x");
-      check_exit (n ^ " --journal") (if s.journals then 3 else 2)
-        (n ^ " --journal /dev/null/x/sweep.journal"))
+      check_exit (n ^ " --journal") 2 (n ^ " --journal /dev/null/x/sweep.journal");
+      check_exit (n ^ " --resume") 2 (n ^ " --resume"))
     studies;
   Alcotest.(check (list string)) "writers"
     [

@@ -170,8 +170,8 @@ let test_map_racing_shutdown () =
 
 (* --- Determinism under parallelism --------------------------------- *)
 
-(* Every journalled entry, and two of the Breakdown tables (one code
-   path for all four), renders the same text and writes the same CSV
+(* dose, specialize and tenancy, and two of the Breakdown tables (one
+   code path for all four), render the same text and write the same CSV
    bytes with no pool as on a 4-domain pool. *)
 let test_studies_pool_agnostic () =
   let corpus = lazy (E.default_corpus ~seed:11 E.Quick) in
@@ -188,7 +188,9 @@ let test_studies_pool_agnostic () =
   in
   List.iter
     (fun (s : E.study) ->
-      if s.E.journals || List.mem s.E.name [ "table2"; "ablate" ] then begin
+      if
+        List.mem s.E.name [ "dose"; "specialize"; "tenancy"; "table2"; "ablate" ]
+      then begin
         let seq = outcome s
         and par = Pool.with_pool ~jobs:4 (fun pool -> outcome ~pool s) in
         Alcotest.(check string) (s.E.name ^ " rendering") (render seq) (render par);
@@ -248,46 +250,6 @@ let test_journal_kill_mid_sweep () =
         Alcotest.(check bool) ("lost " ^ key i) false
           (Recov_journal.mem survivor (key i))
       done)
-
-let test_dose_resume_equivalence () =
-  (* Resuming from a journal that already has some cells recomputes
-     exactly the missing cells, with values identical to an
-     uninterrupted run. *)
-  let full = E.Dose.run (E.context ~seed:11 E.Quick) in
-  let keys =
-    List.map
-      (fun (c : E.Dose.cell) -> Printf.sprintf "dose:%s:%.2f" c.env c.intensity)
-      full.E.Dose.cells
-  in
-  let done_n = 5 in
-  let path = temp_journal () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let j = Recov_journal.load ~path () in
-      List.iteri (fun i k -> if i < done_n then Recov_journal.record j k) keys;
-      Recov_journal.flush j;
-      let resumed =
-        Pool.with_pool ~jobs:4 (fun pool ->
-            E.Dose.run
-              (E.context ~seed:11 ~pool
-                 ~journal:(Recov_journal.load ~path ())
-                 E.Quick))
-      in
-      let expect =
-        List.filteri (fun i _ -> i >= done_n) full.E.Dose.cells
-      in
-      Alcotest.(check int) "remaining cells"
-        (List.length expect)
-        (List.length resumed.E.Dose.cells);
-      List.iter2
-        (fun (a : E.Dose.cell) (b : E.Dose.cell) ->
-          Alcotest.(check bool) ("cell " ^ a.env) true (a = b))
-        expect resumed.E.Dose.cells;
-      (* The resumed sweep journalled the cells it computed. *)
-      let after = Recov_journal.load ~path () in
-      Alcotest.(check int) "journal complete" (List.length keys)
-        (List.length (Recov_journal.cells after)))
 
 (* --- Atomic writes under concurrency -------------------------------- *)
 
@@ -353,8 +315,6 @@ let suite =
       test_journal_parallel_single_writer;
     Alcotest.test_case "journal kill mid-sweep" `Quick
       test_journal_kill_mid_sweep;
-    Alcotest.test_case "dose resume equivalence" `Slow
-      test_dose_resume_equivalence;
     Alcotest.test_case "write_atomic concurrent" `Quick
       test_write_atomic_concurrent_same_path;
     Alcotest.test_case "csv ragged message" `Quick test_csv_ragged_message;

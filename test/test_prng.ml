@@ -102,24 +102,6 @@ let test_golden_split () =
     ]
     (first_8 (Prng.split (Prng.create 42) "kernel-0"))
 
-let test_golden_save_restore () =
-  let rng = Prng.create 42 in
-  for _ = 1 to 5 do
-    ignore (Prng.bits64 rng)
-  done;
-  let state, seed = Prng.save rng in
-  Alcotest.(check int64) "saved state" 0xbe6f4ac750e6e28bL state;
-  Alcotest.(check int) "saved seed" 42 seed;
-  let expected =
-    [
-      0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
-      0xc2bc249e28760ccdL; 0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L;
-      0xe2df09f8ccf26f14L; 0xe664fb166d3dc14cL;
-    ]
-  in
-  Alcotest.(check (list int64)) "restored" expected (first_8 (Prng.restore ~state ~seed));
-  Alcotest.(check (list int64)) "original continues alike" expected (first_8 rng)
-
 let test_golden_derived () =
   let rng = Prng.create 7 in
   Alcotest.(check (list int)) "int 1000" [ 963; 181; 52; 718; 629; 526; 849; 468 ]
@@ -181,7 +163,6 @@ let suite =
     Alcotest.test_case "seed_of" `Quick test_seed_of;
     Alcotest.test_case "golden create" `Quick test_golden_create;
     Alcotest.test_case "golden split" `Quick test_golden_split;
-    Alcotest.test_case "golden save/restore" `Quick test_golden_save_restore;
     Alcotest.test_case "golden int/uniform" `Quick test_golden_derived;
     Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;

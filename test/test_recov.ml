@@ -1,6 +1,6 @@
 open Ksurf
 
-(* Durable state (checkpoints, the sweep journal, atomic writes), the
+(* Durable state (the completed-cell journal, atomic writes), the
    engine liveness watchdog, and cluster nodes under rank crashes. *)
 
 (* --- helpers ----------------------------------------------------------- *)
@@ -18,72 +18,6 @@ let permanent_crash_plan =
     actions =
       [ Fault_plan.Rank_crash { rank = 1; at_ns = 3e6; restart_after_ns = None } ];
   }
-
-(* --- checkpoint -------------------------------------------------------- *)
-
-let sample_state =
-  {
-    Checkpoint.superstep = 7;
-    runtime_ns = 123456.789e3;
-    membership = [ 0; 2; 3; 5 ];
-    rejoins =
-      [
-        { Checkpoint.rj_rank = 1; rj_superstep = 9; rj_incident = 0; rj_died_at = 6 };
-        { Checkpoint.rj_rank = 4; rj_superstep = 8; rj_incident = 1; rj_died_at = 7 };
-      ];
-    incidents = 2;
-    prng_state = 0x9e3779b97f4a7c15L;
-    prng_seed = 42;
-    crashes = 2;
-    restarts = 1;
-    backups = 3;
-    deaths = 2;
-    transitions = 11;
-    checkpoints = 4;
-    degraded = true;
-  }
-
-let test_checkpoint_roundtrip () =
-  let p = temp_path ".ckpt" in
-  Checkpoint.write ~path:p sample_state;
-  (match Checkpoint.read ~path:p with
-  | Ok s -> Alcotest.(check bool) "round-trips" true (s = sample_state)
-  | Error e -> Alcotest.failf "read failed: %s" e);
-  Alcotest.(check bool) "no temp left behind" false
-    (Sys.file_exists (p ^ ".tmp"));
-  cleanup p
-
-let test_checkpoint_detects_corruption () =
-  let p = temp_path ".ckpt" in
-  Checkpoint.write ~path:p sample_state;
-  let contents =
-    let ic = open_in_bin p in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let expect_error label s =
-    let oc = open_out_bin p in
-    output_string oc s;
-    close_out oc;
-    match Checkpoint.read ~path:p with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s accepted" label
-  in
-  (* Flip one byte of the payload. *)
-  let flipped = Bytes.of_string contents in
-  let i = String.length contents - 5 in
-  Bytes.set flipped i (if Bytes.get flipped i = '0' then '1' else '0');
-  expect_error "bit flip" (Bytes.to_string flipped);
-  (* Truncate mid-payload (a torn write the atomic rename prevents). *)
-  expect_error "truncation" (String.sub contents 0 (String.length contents / 2));
-  expect_error "wrong magic" ("bogus v9\n" ^ contents);
-  expect_error "empty file" "";
-  cleanup p;
-  match Checkpoint.read ~path:p with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file accepted"
 
 (* --- journal ----------------------------------------------------------- *)
 
@@ -333,9 +267,6 @@ let test_cluster_restart_probes () =
 
 let suite =
   [
-    Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
-    Alcotest.test_case "checkpoint corruption" `Quick
-      test_checkpoint_detects_corruption;
     Alcotest.test_case "journal roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal corrupt lines" `Quick
       test_journal_drops_corrupt_lines;

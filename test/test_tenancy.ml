@@ -1,7 +1,5 @@
 (* Tenancy sweep determinism (satellite of ktenant): the exported CSV
-   must be byte-identical whatever the worker count, and a sweep killed
-   mid-run must resume through the journal to exactly the cells a
-   clean run produces. *)
+   must be byte-identical whatever the worker count. *)
 
 module E = Ksurf.Experiments
 module Policy = Ksurf.Tenant_policy
@@ -10,9 +8,7 @@ let policies = [ Policy.Static Policy.Native; Policy.Static Policy.Docker ]
 let tenants = [ 8 ]
 let churns = [ 0.0; 16.0 ]
 
-let run ?journal ?pool () =
-  E.Tenancy.run ~tenants ~churns ~policies
-    (E.context ~seed:7 ?journal ?pool E.Quick)
+let run () = E.Tenancy.run ~tenants ~churns ~policies (E.context ~seed:7 E.Quick)
 
 let with_tmp_dir prefix f =
   let dir = Filename.temp_file prefix "" in
@@ -47,70 +43,6 @@ let export_bytes jobs =
 let test_jobs_invariant () =
   Alcotest.(check string) "csv bytes identical across --jobs" (export_bytes 1)
     (export_bytes 4)
-
-(* Kill-mid-sweep equivalence: record only the first half of the cells
-   in a journal (as if the process died after completing them), resume
-   with the same journal, and check the union of the halves equals a
-   clean uninterrupted run. *)
-let test_journal_resume () =
-  let full = run () in
-  let keys =
-    List.concat_map
-      (fun policy ->
-        List.concat_map
-          (fun tenants ->
-            List.map
-              (fun churn -> E.Tenancy.cell_key (policy, tenants, churn))
-              churns)
-          tenants)
-      policies
-  in
-  let half = List.filteri (fun i _ -> i < List.length keys / 2) keys in
-  let jpath = Filename.temp_file "ksurf-tenancy" ".journal" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove jpath)
-    (fun () ->
-      let journal = Ksurf.Recov_journal.load ~path:jpath () in
-      List.iter (Ksurf.Recov_journal.record journal) half;
-      Ksurf.Recov_journal.flush journal;
-      let resumed = run ~journal () in
-      Alcotest.(check int) "resume computes only the missing cells"
-        (List.length keys - List.length half)
-        (List.length resumed.E.Tenancy.cells);
-      (* Every resumed cell matches the corresponding clean-run cell
-         field for field (result is immutable scalars + strings, so
-         structural equality is exact). *)
-      List.iter
-        (fun (c : E.Tenancy.cell) ->
-          let key =
-            E.Tenancy.cell_key
-              ( (match Policy.of_string c.Ksurf.Fleet.policy with
-                | Some p -> p
-                | None -> Alcotest.failf "bad policy %s" c.Ksurf.Fleet.policy),
-                c.Ksurf.Fleet.tenants,
-                c.Ksurf.Fleet.churn_per_day )
-          in
-          ignore key;
-          match
-            E.Tenancy.cell full ~policy:c.Ksurf.Fleet.policy
-              ~tenants:c.Ksurf.Fleet.tenants ~churn:c.Ksurf.Fleet.churn_per_day
-          with
-          | Some f -> Alcotest.(check bool) "cell equals clean run" true (f = c)
-          | None -> Alcotest.fail "resumed cell missing from clean run")
-        resumed.E.Tenancy.cells;
-      (* A second resume with the now-complete journal is a no-op. *)
-      List.iter
-        (fun (c : E.Tenancy.cell)->
-          Ksurf.Recov_journal.record journal
-            (E.Tenancy.cell_key
-               ( Option.get (Policy.of_string c.Ksurf.Fleet.policy),
-                 c.Ksurf.Fleet.tenants,
-                 c.Ksurf.Fleet.churn_per_day )))
-        resumed.E.Tenancy.cells;
-      Ksurf.Recov_journal.flush journal;
-      let again = run ~journal:(Ksurf.Recov_journal.load ~path:jpath ()) () in
-      Alcotest.(check int) "complete journal skips everything" 0
-        (List.length again.E.Tenancy.cells))
 
 let test_frontier_sane () =
   let t = run () in
@@ -199,7 +131,6 @@ let test_frontier_excludes_no_data () =
 let suite =
   [
     Alcotest.test_case "jobs invariant csv" `Quick test_jobs_invariant;
-    Alcotest.test_case "journal resume" `Quick test_journal_resume;
     Alcotest.test_case "frontier sane" `Quick test_frontier_sane;
     Alcotest.test_case "frontier excludes no-data" `Quick
       test_frontier_excludes_no_data;
