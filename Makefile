@@ -30,8 +30,8 @@ gates:
 bench-json:
 	dune exec bench/main.exe -- sweep quick --gate-speedup 2.0
 
-# ktenant memory-flatness bench: the same churny 64-tenant fleet at
-# 10^5 and 10^6 requests, wall clock + peak RSS per run, written to
+# ktenant memory-flatness bench: the same churny 64-tenant Docker fleet
+# at 10^5 and 10^6 requests, wall clock + peak RSS per run, written to
 # BENCH_tenancy.json.  Exits nonzero if 10x the requests more than
 # doubles the peak RSS — the streaming-statistics gate.
 tenancy-bench:

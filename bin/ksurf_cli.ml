@@ -62,9 +62,9 @@ let with_pool jobs f =
 
 (* --- numbers ----------------------------------------------------------- *)
 
-(* Counts and doses the model would refuse (with an uncaught
-   Invalid_argument) or silently run on (a nan churn): refused while the
-   arguments are parsed, a usage error (exit 2). *)
+(* An --iterations count the model would refuse (with an uncaught
+   Invalid_argument) and an --intensity dose it would silently run on (a
+   nan): refused while the arguments are parsed, a usage error (exit 2). *)
 let positive =
   let parse s =
     match int_of_string_opt s with
@@ -84,13 +84,6 @@ let non_negative =
 let export_arg =
   let doc = "Write the CSV export into $(docv) (created if missing)." in
   Arg.(value & opt (some string) None & info [ "export" ] ~docv:"DIR" ~doc)
-
-(* A comma-separated list flag over a closed set of names; an unknown
-   name is a parse error (exit 2).  Empty means "the study's default". *)
-let names_arg name ~docv ~doc values =
-  Arg.(value & opt (list (enum values)) [] & info [ name ] ~docv ~doc)
-
-let list_opt = function [] -> None | l -> Some l
 
 (* --- corpus ---------------------------------------------------------- *)
 
@@ -514,16 +507,14 @@ let run_studies studies ~seed ~scale ~jobs ~export =
         studies)
 
 (* One subcommand per entry: --seed/--scale/--jobs, plus --export when
-   it writes a CSV.  [grid] rebuilds the entry from its own flags. *)
-let study_cmd ?grid (s : E.study) =
-  let study = Option.value grid ~default:(Term.const s) in
+   it writes a CSV. *)
+let study_cmd (s : E.study) =
   let export = if s.E.exports () <> [] then export_arg else Term.const None in
-  let go s seed scale jobs export () =
+  let go seed scale jobs export () =
     run_studies [ s ] ~seed ~scale ~jobs ~export
   in
   Cmd.v (Cmd.info s.E.name ~doc:s.E.doc)
-    Term.(
-      const go $ study $ seed_arg $ scale_arg $ jobs_arg $ export $ logs_term)
+    Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ export $ logs_term)
 
 let all_cmd =
   let go seed scale jobs export () =
@@ -536,50 +527,14 @@ let all_cmd =
           $(b,--export)")
     Term.(const go $ seed_arg $ scale_arg $ jobs_arg $ export_arg $ logs_term)
 
-(* The grid flags of tenancy: they build its entry through the module's
-   own constructor.  An unknown name is a parse error (exit 2); an
-   empty list means the entry's default. *)
-let tenancy_grid =
-  let tenants =
-    Arg.(
-      value
-      & opt (list positive) []
-      & info [ "tenants" ] ~docv:"N,..."
-          ~doc:"Tenant counts to sweep (default depends on --scale).")
-  in
-  let churns =
-    Arg.(
-      value
-      & opt (list non_negative) []
-      & info [ "churn" ] ~docv:"R,..."
-          ~doc:
-            "Per-tenant churn rates to sweep, in lifecycle events per \
-             tenant per virtual day (default depends on --scale).")
-  in
-  let policies =
-    names_arg "policy" ~docv:"P,..."
-      ~doc:
-        "Placement policies to sweep: $(b,native-shared), $(b,docker), \
-         $(b,kvm), $(b,multikernel) or $(b,adaptive) (default: all)."
-      (List.map (fun p -> (Ksurf.Tenant_policy.name p, p)) Ksurf.Tenant_policy.all)
-  in
-  Term.(
-    const (fun tenants churns policies ->
-        E.Tenancy.study ?tenants:(list_opt tenants) ?churns:(list_opt churns)
-          ?policies:(list_opt policies) ())
-    $ tenants $ churns $ policies)
-
 let main_cmd =
   let doc =
     "reproduce 'Reducing Kernel Surface Areas for Isolation and \
      Scalability' (ICPP'19) on a simulated multicore machine"
   in
-  let grids = [ ("tenancy", tenancy_grid) ] in
   Cmd.group (Cmd.info "ksurf" ~version:"1.0.0" ~doc)
     ([ gen_corpus_cmd; run_corpus_cmd; analyze_cmd; inject_cmd; staticcheck_cmd ]
-    @ List.map
-        (fun (s : E.study) -> study_cmd ?grid:(List.assoc_opt s.E.name grids) s)
-        E.studies
+    @ List.map study_cmd E.studies
     @ [ all_cmd ])
 
 (* Exit codes: 0 success, 1 the experiment found something (findings,

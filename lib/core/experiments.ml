@@ -1057,168 +1057,6 @@ module Specialize = struct
     render columns t ppf
 end
 
-module Tenancy = struct
-  module Fleet = Ksurf_tenant.Fleet
-  module Policy = Ksurf_tenant.Policy
-
-  type cell = Fleet.result
-
-  type t = { slo_ns : float; cells : cell list }
-
-  let default_policies =
-    [
-      Policy.Static Policy.Native;
-      Policy.Static Policy.Docker;
-      Policy.Static Policy.Kvm;
-      Policy.Static Policy.Multikernel;
-      Policy.Adaptive;
-    ]
-
-  let default_tenants = function Quick -> [ 32 ] | Full -> [ 128; 512 ]
-  let default_churns = function Quick -> [ 0.0; 8.0 ] | Full -> [ 0.0; 4.0; 16.0 ]
-
-  (* The fleet shape a sweep cell gets: the scale knob only sets how
-     much virtual time each cell simulates — the tenant population and
-     churn come from the sweep axes. *)
-  let fleet_config ~seed ~scale ~policy ~tenants ~churn =
-    let base = Fleet.default_config in
-    let day_ns = match scale with Quick -> 5e8 | Full -> 2e9 in
-    {
-      base with
-      Fleet.tenants;
-      churn_per_day = churn;
-      policy;
-      seed;
-      day_ns;
-    }
-
-  let run ?tenants ?churns ?(policies = default_policies) ctx =
-    let tenants = Option.value tenants ~default:(default_tenants ctx.scale) in
-    let churns = Option.value churns ~default:(default_churns ctx.scale) in
-    let specs =
-      List.concat_map
-        (fun policy ->
-          List.concat_map
-            (fun n -> List.map (fun churn -> (policy, n, churn)) churns)
-            tenants)
-        policies
-    in
-    let cells =
-      Sweep.map ctx
-        (fun (policy, tenants, churn) ->
-          Fleet.run
-            (fleet_config ~seed:ctx.seed ~scale:ctx.scale ~policy ~tenants
-               ~churn))
-        specs
-    in
-    { slo_ns = Fleet.default_config.Fleet.slo_ns; cells }
-
-  let cell t ~policy ~tenants ~churn =
-    List.find_opt
-      (fun (c : cell) ->
-        c.Fleet.policy = policy
-        && c.Fleet.tenants = tenants
-        && c.Fleet.churn_per_day = churn)
-      t.cells
-
-  (* The headline: per policy, the largest (tenants, churn) cell that
-     still attains the SLO for at least 95% of its tenants.  Cells with
-     no measured tenant carry no verdict — their attainment of 0 is
-     no-data, not failure — so they can neither anchor nor be part of
-     the frontier. *)
-  let frontier_floor = 0.95
-
-  let frontier t =
-    let key (c : cell) = (c.Fleet.tenants, c.Fleet.churn_per_day) in
-    let attains (c : cell) =
-      c.Fleet.measured > 0 && c.Fleet.attainment >= frontier_floor
-    in
-    List.map
-      (fun p ->
-        let best acc (c : cell) =
-          match acc with
-          | Some b when key b >= key c -> acc
-          | _ -> if c.Fleet.policy = p && attains c then Some c else acc
-        in
-        (p, List.fold_left best None t.cells))
-      (List.sort_uniq compare
-         (List.map (fun (c : cell) -> c.Fleet.policy) t.cells))
-
-  let columns =
-    let module F = Fleet in
-    columns ~file:"tenancy.csv" (fun t -> t.cells) @@ fun () ->
-    [
-      col "policy" (fun c -> c.F.policy);
-      count "tenants" (fun c -> c.F.tenants);
-      num ("churn_per_day", "%.2f") ~shown:("churn/day", "%.1f")
-        (fun c -> c.F.churn_per_day);
-      count "completed" ~shown:"requests" (fun c -> c.F.completed);
-      num ("mean_ns", "%.0f") (fun c -> c.F.mean);
-      us "p50" (fun c -> c.F.p50);
-      num ("p95_ns", "%.0f") (fun c -> c.F.p95);
-      us "p99" (fun c -> c.F.p99);
-      num ("max_ns", "%.0f") (fun c -> c.F.max);
-      num ("slo_ns", "%.0f") (fun c -> c.F.slo_ns);
-      csv_count "measured" (fun c -> c.F.measured);
-      csv_count "slo_met" (fun c -> c.F.slo_met);
-      both
-        ("attainment", fun c -> Printf.sprintf "%.4f" c.F.attainment)
-        ( "slo attain",
-          fun c ->
-            if c.F.measured = 0 then "n/a"
-            else Printf.sprintf "%.3f" c.F.attainment );
-      count "epoch_violations" ~shown:"viol epochs" (fun c ->
-          c.F.epoch_violations);
-      csv_count "arrivals" (fun c -> c.F.arrivals);
-      csv_count "departures" (fun c -> c.F.departures);
-      csv_count "cgroup_creates" (fun c -> c.F.cgroup_creates);
-      csv_count "cgroup_destroys" (fun c -> c.F.cgroup_destroys);
-      shown "cg storms" (fun c ->
-          string_of_int (c.F.cgroup_creates + c.F.cgroup_destroys));
-      count "migrations" ~shown:"migr" (fun c -> c.F.migrations);
-      csv_count "scale_ups" (fun c -> c.F.scale_ups);
-      csv_count "scale_downs" (fun c -> c.F.scale_downs);
-      shown "scale" (fun c -> string_of_int (c.F.scale_ups + c.F.scale_downs));
-      csv_count "replica_imbalance" (fun c -> c.F.replica_imbalance);
-      csv_count "peak_cgroups" (fun c -> c.F.peak_cgroups);
-      csv_count "final_native" (fun c -> c.F.final_native);
-      csv_count "final_docker" (fun c -> c.F.final_docker);
-      csv_count "final_kvm" (fun c -> c.F.final_kvm);
-      csv_count "final_mk" (fun c -> c.F.final_mk);
-    ]
-
-  let pp ppf t =
-    Format.fprintf ppf
-      "Tenancy study: fleet p99 and SLO attainment (p99 <= %.0f us per \
-       tenant) by policy x tenants x churn@.@."
-      (t.slo_ns /. 1e3);
-    render columns t ppf;
-    Format.fprintf ppf
-      "@.SLO frontier (largest cell with >= 95%% of measured tenants \
-       attaining):@.";
-    List.iter
-      (fun (p, best) ->
-        match best with
-        | Some (c : cell) ->
-            Format.fprintf ppf
-              "  %-13s  %4d tenants at churn %4.1f/day  (attainment %.3f, \
-               p99 %.1f us)@."
-              p c.Fleet.tenants c.Fleet.churn_per_day c.Fleet.attainment
-              (c.Fleet.p99 /. 1e3)
-        | None -> Format.fprintf ppf "  %-13s  no cell attains the floor@." p)
-      (frontier t)
-
-  (* The tenancy entry over a chosen grid; [studies] holds the default
-     one and [ksurf_cli tenancy]'s grid flags build the others. *)
-  let study ?tenants ?churns ?policies () =
-    study "tenancy"
-      "ktenant study: fleet-scale multi-tenant serving under churn and \
-       diurnal load — placement policy x tenant count x churn rate, with \
-       per-tenant p99 SLO autoscaling"
-      columns pp
-      (run ?tenants ?churns ?policies)
-end
-
 let studies =
   let breakdown name doc table =
     study name doc (Breakdown.columns table) Breakdown.pp (Breakdown.run table)
@@ -1247,5 +1085,4 @@ let studies =
       "kspec study: per-tenant specialized kernels (multikernel) vs shared \
        native vs kvm-64 on the same fs-restricted workload"
       Specialize.columns Specialize.pp Specialize.run;
-    Tenancy.study ();
   ]

@@ -1,11 +1,11 @@
 (** Drivers that regenerate every table and figure of the paper.
 
     Every driver has one shape: [run] takes the grid arguments a caller
-    may narrow (apps, intensities, the tenancy grid), then a
-    {!context}, and returns a structured result.  One column list per
-    study ({!columns}) declares both the CSV it exports and the table
-    it prints; [pp] builds the paper-style rendering around that
-    table.  Each driver is deterministic given the seed.
+    may narrow (apps, intensities), then a {!context}, and returns a
+    structured result.  One column list per study ({!columns}) declares
+    both the CSV it exports and the table it prints; [pp] builds the
+    paper-style rendering around that table.  Each driver is
+    deterministic given the seed.
     [Quick] scale keeps everything under a few seconds for tests and
     smoke runs; [Full] scale is what the committed [exports/] baselines
     pin.
@@ -316,42 +316,8 @@ module Specialize : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Fleet tenancy study (ktenant): hundreds of churning tenants on
-    shared or private kernels, with per-tenant p99 SLO autoscaling.
-    The headline is the SLO frontier: for each placement policy, the
-    largest (tenant count, churn rate) cell whose per-tenant SLO
-    attainment stays above a floor. *)
-module Tenancy : sig
-  type cell = Ksurf_tenant.Fleet.result
-
-  type t = { slo_ns : float; cells : cell list }
-
-  val run :
-    ?tenants:int list -> ?churns:float list ->
-    ?policies:Ksurf_tenant.Policy.t list -> context -> t
-  (** One fleet simulation per (policy x tenants x churn) cell through
-      the kpar sweep; the scale sets the default tenant counts and churn
-      rates and each cell's virtual day length, and [policies] default
-      to all five. *)
-
-  val cell : t -> policy:string -> tenants:int -> churn:float -> cell option
-
-  val frontier : t -> (string * cell option) list
-  (** Per policy, the largest cell (by tenants, then churn) attaining
-      the SLO for at least 95% of measured tenants;
-      [None] if no cell qualifies.  Cells with [measured = 0] carry no
-      verdict and are excluded — their reported attainment of 0 is
-      no-data, not a failing policy. *)
-
-  val study :
-    ?tenants:int list -> ?churns:float list ->
-    ?policies:Ksurf_tenant.Policy.t list -> unit -> study
-  (** The [tenancy] entry over this grid (defaults as in {!run}); its
-      [tenancy.csv] has one row per (policy, tenants, churn) cell. *)
-end
-
 val studies : study list
 (** Every entry, in regeneration order: table1, table2, fig2, table3,
-    fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize,
-    tenancy.  Each is a [ksurf_cli] subcommand, and [ksurf_cli all]
-    runs them in this order. *)
+    fig3, fig4, ablate, ablate-virt, lwvm, locks, dose, specialize.
+    Each is a [ksurf_cli] subcommand, and [ksurf_cli all] runs them in
+    this order. *)

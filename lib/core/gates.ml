@@ -259,11 +259,10 @@ let run_parallel_sweep ~seed ~on_engine =
         failwith "parallel-sweep: journal has duplicate or spurious cells");
   cell ~observe:true 0
 
-(* A small churny adaptive fleet: tenant admission and departure drive
+(* A small churny Docker fleet: tenant admission and departure drive
    cgroup create/destroy storms through the shared accounting locks,
-   autoscaling reads epoch quantiles, and adaptive placement may
-   migrate tenants mid-run.  Whatever the latencies come out to, the
-   SLO accounting must be internally consistent. *)
+   and autoscaling reads epoch quantiles.  Whatever the latencies come
+   out to, the SLO accounting must be internally consistent. *)
 module Tenancy = struct
   type result = Fleet.result
 
@@ -275,7 +274,7 @@ module Tenancy = struct
         Fleet.default_config with
         Fleet.tenants = 16;
         churn_per_day = 16.0;
-        policy = Ksurf_tenant.Policy.Adaptive;
+        policy = Ksurf_tenant.Policy.Static Ksurf_tenant.Policy.Docker;
         seed;
         host_cores = 16;
         day_ns = 4e8;

@@ -7,7 +7,6 @@ module P2 = Ksurf_stats.P2_quantile
 module Instance = Ksurf_kernel.Instance
 module Kernel = Ksurf_kernel.Kernel
 module Config = Ksurf_kernel.Config
-module Ops = Ksurf_kernel.Ops
 module Container = Ksurf_container.Container
 module Vm = Ksurf_virt.Vm
 module Spec = Ksurf_syscalls.Spec
@@ -49,12 +48,8 @@ let tenants_per_host = 128
 let host_mem_mb = 262_144
 
 (* The autoscaler's replica ceiling per tenant, which also sizes each
-   tenant's guest and private kernel. *)
+   tenant's guest kernel. *)
 let max_replicas = 4
-
-(* Consecutive violating epochs at [max_replicas] before an adaptive
-   policy migrates the tenant. *)
-let escalate_after = 3
 
 (* Epochs thinner than this are skipped; tenants thinner than this are
    left out of SLO attainment. *)
@@ -94,27 +89,20 @@ type result = {
 
 type host = { inst : Instance.t; mutable sharers : int }
 
-type placement =
-  | Shared of host
-  | Contained of host * Container.t
-  | Virtual of Vm.t
-  | Private of Instance.t
+type placement = Contained of host * Container.t | Virtual of Vm.t
 
 type tenant = {
   id : int;
-  slot : int;
   profile : Workload.profile;
   client_rng : Prng.t;
   work_rng : Prng.t;
   mailbox : float Mailbox.t;
-  mutable klass : Policy.klass;
-  mutable placement : placement;
+  placement : placement;
   mutable alive : bool;
   mutable target_replicas : int;
   mutable next_replica : int;  (* replica-id generator (core striping) *)
   mutable pending_retire : int;  (* scale-downs not yet honoured *)
   mutable serving : int;  (* replica fibers not yet retired *)
-  mutable bad_epochs : int;
   lifetime_p99 : P2.t;  (* lifetime post-warmup latencies *)
   epoch_p99 : P2.t;  (* reset at every control epoch *)
   mutable epoch_count : int;
@@ -128,15 +116,12 @@ type t = {
   churn_rng : Prng.t;
   t_end : float;
   warmup_end : float;
-  mk_config : Config.t;
   (* Live tenants in admission order: [live.(0 .. live_count - 1)].
      Past the first [cfg.tenants], a tenant is admitted only after one
-     has departed, so both arrays hold [cfg.tenants].  [depart] closes
-     its gap and clears the freed slot.  [epoch_walk] is the control
-     epoch's copy of it, cleared after each epoch. *)
+     has departed, so the array holds [cfg.tenants].  [depart] closes
+     its gap and clears the freed slot. *)
   live : tenant option array;
   mutable live_count : int;
-  epoch_walk : tenant option array;
   (* Lifetime SLO verdicts folded in at departure, so departed tenant
      records can be dropped: fleet memory tracks the live population,
      not every tenant ever admitted. *)
@@ -150,90 +135,53 @@ type t = {
   mutable departures : int;
   mutable cgroup_creates : int;
   mutable cgroup_destroys : int;
-  mutable migrations : int;
   mutable scale_ups : int;
   mutable scale_downs : int;
   mutable epoch_violations : int;
   mutable peak_cgroups : int;
 }
 
-(* kspec-style pruning for the private Multikernel tenants: keep only
-   the machinery some category of the service mix depends on — the same
-   move Specializer.kernel_config makes from a profiled corpus, derived
-   here directly from the tenant syscall mix. *)
-let mk_kernel_config base (mix : Spec.t array) =
-  let needed =
-    Array.fold_left
-      (fun acc s ->
-        List.concat_map Ops.machinery_of_category s.Spec.categories @ acc)
-      [] mix
-  in
-  List.fold_left
-    (fun cfg m -> if List.mem m needed then cfg else Config.without_machinery m cfg)
-    base Ops.all_machinery
-
 let vm_boot_delay_ns = 25e6
-let mk_boot_delay_ns = 5e6
 
-let host_of t slot = t.hosts.(slot mod Array.length t.hosts)
+let host_of t id = t.hosts.(id mod Array.length t.hosts)
 
 let total_cgroups t =
   Array.fold_left (fun acc h -> acc + Instance.cgroup_count h.inst) 0 t.hosts
 
 let refresh_sharers h = Instance.set_tenants h.inst h.sharers
 
-(* The context a tenant's cgroup storms run in. *)
-let lifecycle_ctx t (tn : tenant) =
-  { Instance.core = tn.slot mod t.cfg.host_cores; tenant = tn.id; key = 0; cgroup = None }
+(* The context tenant [id]'s cgroup storms run in. *)
+let lifecycle_ctx t id =
+  { Instance.core = id mod t.cfg.host_cores; tenant = id; key = 0; cgroup = None }
 
 (* Placement transitions.  [place] and [release] must run inside a
    simulation process: the Docker paths execute the cgroup
-   create/destroy storms on the shared host kernel. *)
-let place t (tn : tenant) (klass : Policy.klass) =
-  let h = host_of t tn.slot in
-  let placement =
-    match klass with
-    | Policy.Native ->
-        h.sharers <- h.sharers + 1;
-        refresh_sharers h;
-        Shared h
-    | Policy.Docker ->
-        h.sharers <- h.sharers + 1;
-        refresh_sharers h;
-        let cgroup = Instance.cgroup_create h.inst (lifecycle_ctx t tn) in
-        t.cgroup_creates <- t.cgroup_creates + 1;
-        t.peak_cgroups <- max t.peak_cgroups (total_cgroups t);
-        Contained (h, Container.launch ~host:h.inst ~cgroup)
-    | Policy.Kvm ->
-        let id = t.next_guest in
-        t.next_guest <- t.next_guest + 1;
-        let vm =
-          Vm.boot ~engine:t.engine ~host_block:(Instance.block_dev h.inst) ~id
-            { Vm.vcpus = max_replicas; mem_mb = 2048 }
-        in
-        Engine.delay vm_boot_delay_ns;
-        Virtual vm
-    | Policy.Multikernel ->
-        let id = t.next_guest in
-        t.next_guest <- t.next_guest + 1;
-        let inst =
-          Kernel.boot ~engine:t.engine ~config:t.mk_config ~id:(100_000 + id)
-            ~cores:max_replicas ~mem_mb:2048
-            ~block_dev:(Instance.block_dev h.inst) ()
-        in
-        Engine.delay mk_boot_delay_ns;
-        Private inst
-  in
-  tn.klass <- klass;
-  tn.placement <- placement
+   create/destroy storms on the shared host kernel, and a KVM guest
+   waits out its boot. *)
+let place t ~id (Policy.Static klass) =
+  let h = host_of t id in
+  match klass with
+  | Policy.Docker ->
+      h.sharers <- h.sharers + 1;
+      refresh_sharers h;
+      let cgroup = Instance.cgroup_create h.inst (lifecycle_ctx t id) in
+      t.cgroup_creates <- t.cgroup_creates + 1;
+      t.peak_cgroups <- max t.peak_cgroups (total_cgroups t);
+      Contained (h, Container.launch ~host:h.inst ~cgroup)
+  | Policy.Kvm ->
+      let id = t.next_guest in
+      t.next_guest <- t.next_guest + 1;
+      let vm =
+        Vm.boot ~engine:t.engine ~host_block:(Instance.block_dev h.inst) ~id
+          { Vm.vcpus = max_replicas; mem_mb = 2048 }
+      in
+      Engine.delay vm_boot_delay_ns;
+      Virtual vm
 
 let release t (tn : tenant) =
   match tn.placement with
-  | Shared h ->
-      h.sharers <- max 0 (h.sharers - 1);
-      refresh_sharers h
   | Contained (h, ctr) ->
-      Instance.cgroup_destroy h.inst (lifecycle_ctx t tn) ~cgroup:(Container.cgroup ctr);
+      Instance.cgroup_destroy h.inst (lifecycle_ctx t tn.id) ~cgroup:(Container.cgroup ctr);
       t.cgroup_destroys <- t.cgroup_destroys + 1;
       h.sharers <- max 0 (h.sharers - 1);
       refresh_sharers h
@@ -241,42 +189,20 @@ let release t (tn : tenant) =
       (* Decommission the abandoned guest: its daemons exit at their
          next wakeup, so retired kernels stop generating events. *)
       Vm.shutdown vm
-  | Private inst -> Instance.halt inst
 
-(* One request on whatever boundary the tenant currently has.  Reads
-   [tn.placement] at execution time, so a mid-flight migration simply
-   routes the next request to the new kernel. *)
 let exec_request t (tn : tenant) ~replica =
   let spec, arg, key = Workload.pick_request tn.profile tn.work_rng in
   let ops = spec.Spec.ops arg in
   match tn.placement with
-  | Shared h ->
-      Instance.exec_syscall h.inst
-        {
-          Instance.core = (tn.slot + replica) mod t.cfg.host_cores;
-          tenant = tn.id;
-          key;
-          cgroup = None;
-        }
-        ops
   | Contained (_, ctr) ->
       Container.exec_syscall ctr
         (Container.context ctr
-           ~core:((tn.slot + replica) mod t.cfg.host_cores)
+           ~core:((tn.id + replica) mod t.cfg.host_cores)
            ~tenant:tn.id ~key)
         ops
   | Virtual vm ->
       Vm.exec_syscall vm
         { Instance.core = replica mod max_replicas; tenant = tn.id; key; cgroup = None }
-        ops
-  | Private inst ->
-      Instance.exec_syscall inst
-        {
-          Instance.core = replica mod max_replicas;
-          tenant = tn.id;
-          key;
-          cgroup = None;
-        }
         ops
 
 let hit_request_target t =
@@ -374,28 +300,26 @@ let admit t =
     Workload.make ~rng:(Prng.split rng "profile") ~day_ns:t.cfg.day_ns
       ~horizon_ns:t.t_end ~mean_rate_per_s:t.cfg.mean_rate_per_s
   in
+  let mailbox = Mailbox.create ~engine:t.engine ~name in
+  let placement = place t ~id t.cfg.policy in
   let tn =
     {
       id;
-      slot = id;
       profile;
       client_rng = Prng.split rng "client";
       work_rng = Prng.split rng "work";
-      mailbox = Mailbox.create ~engine:t.engine ~name;
-      klass = Policy.initial_klass t.cfg.policy;
-      placement = Shared (host_of t id) (* overwritten by [place] *);
+      mailbox;
+      placement;
       alive = true;
       target_replicas = 1;
       next_replica = 0;
       pending_retire = 0;
       serving = 0;
-      bad_epochs = 0;
       lifetime_p99 = P2.create 0.99;
       epoch_p99 = P2.create 0.99;
       epoch_count = 0;
     }
   in
-  place t tn (Policy.initial_klass t.cfg.policy);
   t.live.(t.live_count) <- Some tn;
   t.live_count <- t.live_count + 1;
   t.arrivals <- t.arrivals + 1;
@@ -430,15 +354,13 @@ let depart t (tn : tenant) =
   end
 
 (* The per-epoch SLO control loop: scale out a violating tenant until
-   it hits the replica ceiling, then (adaptive policy) migrate it to a
-   stronger isolation boundary; scale quiet tenants back in. *)
+   it hits the replica ceiling; scale quiet tenants back in. *)
 let control_tenant t tn =
   if tn.alive then begin
     if tn.epoch_count >= min_epoch_samples then begin
       let p99 = P2.value tn.epoch_p99 in
       if p99 > t.cfg.slo_ns then begin
         t.epoch_violations <- t.epoch_violations + 1;
-        tn.bad_epochs <- tn.bad_epochs + 1;
         if tn.target_replicas < max_replicas then begin
           tn.target_replicas <- tn.target_replicas + 1;
           (* An unconsumed retire token cancels against the new
@@ -448,38 +370,23 @@ let control_tenant t tn =
           else spawn_replica t tn;
           t.scale_ups <- t.scale_ups + 1
         end
-        else if tn.bad_epochs >= escalate_after then
-          match Policy.escalation t.cfg.policy tn.klass with
-          | Some klass ->
-              release t tn;
-              place t tn klass;
-              tn.bad_epochs <- 0;
-              t.migrations <- t.migrations + 1
-          | None -> ()
       end
-      else begin
-        tn.bad_epochs <- 0;
-        if p99 < t.cfg.slo_ns /. 4.0 && tn.target_replicas > 1 then begin
-          tn.target_replicas <- tn.target_replicas - 1;
-          tn.pending_retire <- tn.pending_retire + 1;
-          t.scale_downs <- t.scale_downs + 1
-        end
+      else if p99 < t.cfg.slo_ns /. 4.0 && tn.target_replicas > 1 then begin
+        tn.target_replicas <- tn.target_replicas - 1;
+        tn.pending_retire <- tn.pending_retire + 1;
+        t.scale_downs <- t.scale_downs + 1
       end
     end;
     P2.reset tn.epoch_p99;
     tn.epoch_count <- 0
   end
 
-(* A migration yields, and churn may admit or depart tenants meanwhile,
-   so the epoch walks the tenants live at its start, in admission
-   order, from [epoch_walk]. *)
+(* Nothing in an epoch yields, so it walks [t.live] in place, in
+   admission order. *)
 let control_epoch t =
-  let n = t.live_count in
-  Array.blit t.live 0 t.epoch_walk 0 n;
-  for i = 0 to n - 1 do
-    match t.epoch_walk.(i) with Some tn -> control_tenant t tn | None -> ()
-  done;
-  Array.fill t.epoch_walk 0 n None
+  for i = 0 to t.live_count - 1 do
+    match t.live.(i) with Some tn -> control_tenant t tn | None -> ()
+  done
 
 let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
   if cfg.tenants < 1 then invalid_arg "Fleet.create: tenants must be >= 1";
@@ -507,10 +414,8 @@ let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     churn_rng = Prng.split root_rng "churn";
     t_end;
     warmup_end = cfg.warmup_fraction *. t_end;
-    mk_config = mk_kernel_config Config.default Workload.service_mix;
     live = Array.make cfg.tenants None;
     live_count = 0;
-    epoch_walk = Array.make cfg.tenants None;
     departed_measured = 0;
     departed_slo_met = 0;
     next_tenant = 0;
@@ -521,7 +426,6 @@ let create ?(on_engine = fun (_ : Engine.t) -> ()) (cfg : config) =
     departures = 0;
     cgroup_creates = 0;
     cgroup_destroys = 0;
-    migrations = 0;
     scale_ups = 0;
     scale_downs = 0;
     epoch_violations = 0;
@@ -535,10 +439,9 @@ let run ?on_engine (cfg : config) =
      the churny steady state — not a thundering herd at t=0 — is what
      the measured phase sees. *)
   let stagger = t.warmup_end /. (2.0 *. float_of_int cfg.tenants) in
-  (* One admission fiber per tenant: placement delays (VM or
-     multikernel boot) overlap instead of serialising behind a single
-     admission loop — 512 KVM tenants boot in a staggered wave, not a
-     13-virtual-second queue. *)
+  (* One admission fiber per tenant: VM boot delays overlap instead of
+     serialising behind a single admission loop — 512 KVM tenants boot
+     in a staggered wave, not a 13-virtual-second queue. *)
   for i = 0 to cfg.tenants - 1 do
     Engine.spawn ~at:(float_of_int i *. stagger) engine (fun () ->
         ignore (admit t : tenant))
@@ -593,8 +496,8 @@ let run ?on_engine (cfg : config) =
       (fun acc tn -> if is_measured tn && meets_slo cfg tn then acc + 1 else acc)
       t.departed_slo_met
   in
-  let count_final k =
-    fold_live t (fun acc tn -> if tn.alive && tn.klass = k then acc + 1 else acc) 0
+  let count_final on_class =
+    fold_live t (fun acc tn -> if tn.alive && on_class tn.placement then acc + 1 else acc) 0
   in
   let n = Streamstat.count t.fleet_stats in
   {
@@ -617,7 +520,7 @@ let run ?on_engine (cfg : config) =
     departures = t.departures;
     cgroup_creates = t.cgroup_creates;
     cgroup_destroys = t.cgroup_destroys;
-    migrations = t.migrations;
+    migrations = 0;
     scale_ups = t.scale_ups;
     scale_downs = t.scale_downs;
     replica_imbalance =
@@ -631,9 +534,9 @@ let run ?on_engine (cfg : config) =
           else acc)
         0;
     peak_cgroups = t.peak_cgroups;
-    final_native = count_final Policy.Native;
-    final_docker = count_final Policy.Docker;
-    final_kvm = count_final Policy.Kvm;
-    final_mk = count_final Policy.Multikernel;
+    final_native = 0;
+    final_docker = count_final (function Contained _ -> true | Virtual _ -> false);
+    final_kvm = count_final (function Virtual _ -> true | Contained _ -> false);
+    final_mk = 0;
     virtual_ns = Engine.now engine;
   }

@@ -1,8 +1,8 @@
 (** ktenant: a rack of hosts serving a churning multi-tenant fleet.
 
-    Hundreds-to-thousands of tenants share a handful of 64-core host
-    kernels (or sit behind private KVM / kspec-Multikernel guests,
-    depending on policy).  Each tenant is an open-loop diurnal client
+    Tenants share a handful of 64-core host kernels as Docker
+    containers, or sit behind private KVM guests, depending on policy.
+    Each tenant is an open-loop diurnal client
     ({!Workload}) served by an autoscaled pool of replica processes;
     tenant churn executes the cgroup create/destroy storms of
     {!Ksurf_kernel.Instance.cgroup_create} on the shared hosts, so the
@@ -35,8 +35,7 @@ type config = {
   epoch_ns : float;  (** SLO control-loop period *)
   slo_ns : float;
       (** per-tenant p99 latency target.  A violating tenant scales out
-          to 4 replicas; after 3 more violating epochs an adaptive
-          policy migrates it.  Epochs with fewer than 8 samples and
+          to at most 4 replicas.  Epochs with fewer than 8 samples and
           tenants with fewer than 20 are not judged. *)
   request_target : int option;
       (** stop once this many requests completed (bench ladders);
@@ -63,15 +62,14 @@ type result = {
   slo_met : int;  (** of those, lifetime p99 within SLO *)
   attainment : float;
       (** slo_met / measured.  Reported as 0 when [measured = 0], but
-          that case is no-data, not failure — frontier consumers must
-          gate on [measured > 0] (as {!Ksurf.Experiments.Tenancy} does)
-          rather than read the 0 as a failing policy. *)
+          that case is no-data, not failure: a consumer must gate on
+          [measured > 0] rather than read the 0 as a failing policy. *)
   epoch_violations : int;
   arrivals : int;
   departures : int;
   cgroup_creates : int;
   cgroup_destroys : int;
-  migrations : int;
+  migrations : int;  (** always 0: a tenant keeps its placement *)
   scale_ups : int;
   scale_downs : int;
   replica_imbalance : int;
@@ -80,17 +78,12 @@ type result = {
           target_replicas|.  Nonzero would mean a scale-up failed to add
           capacity (the retire-by-id bug) or a retirement leaked. *)
   peak_cgroups : int;  (** max live cgroups across all hosts *)
-  final_native : int;
+  final_native : int;  (** always 0: no policy places a tenant native *)
   final_docker : int;
-  final_kvm : int;
-  final_mk : int;  (** live tenants per placement class at the end *)
+  final_kvm : int;  (** live tenants per placement class at the end *)
+  final_mk : int;  (** always 0: no policy places a tenant on a multikernel *)
   virtual_ns : float;
 }
-
-val mk_kernel_config :
-  Ksurf_kernel.Config.t -> Ksurf_syscalls.Spec.t array -> Ksurf_kernel.Config.t
-(** The kspec move for Multikernel tenants: switch off every kernel
-    machinery no category of the syscall mix depends on. *)
 
 val run :
   ?on_engine:(Ksurf_sim.Engine.t -> unit) -> config -> result

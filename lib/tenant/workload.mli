@@ -15,13 +15,12 @@ type profile = {
   amplitude : float;  (** diurnal swing, 0..1 *)
   phase : float;  (** phase offset as a fraction of a day *)
   flashes : flash list;
-  mix : Ksurf_syscalls.Spec.t array;  (** syscalls the service issues *)
+  mix : Ksurf_syscalls.Spec.t array;
+      (** the RPC-service syscall mix every tenant draws from: file
+          reads and writes, metadata lookups, open/close pairs, socket
+          send/receive *)
   key_space : int;  (** object-identity space for lock striping *)
 }
-
-val service_mix : Ksurf_syscalls.Spec.t array
-(** The RPC-service syscall mix every tenant draws from: file reads and
-    writes, metadata lookups, open/close pairs, socket send/receive. *)
 
 val make :
   rng:Ksurf_util.Prng.t ->

@@ -16,12 +16,12 @@ let[@inline always] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let of_state state seed =
-  let buf = Bytes.create 8 in
-  Bytes.set_int64_ne buf 0 state;
-  { state = buf; seed }
-
-let create seed = of_state (mix64 (Int64.of_int seed)) seed
+(* The fresh state goes straight into its buffer: passed to a helper,
+   the [int64] would be boxed first. *)
+let create seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 (mix64 (Int64.of_int seed));
+  { state; seed }
 
 let[@inline always] bits64 t =
   let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in

@@ -55,8 +55,7 @@ let test_io_failure_exits_3 () =
   List.iter
     (fun (name, args) -> check_early_io_failure name args)
     [
-      ( "tenancy --export",
-        "tenancy --tenants 4 --churn 0 --policy docker --export /dev/null/x" );
+      ("dose --export", "dose --export /dev/null/x");
       ("fig4 --export", "fig4 --scale full --export /dev/null/x");
       ("all --export", "all --export /dev/null/x");
     ]
@@ -66,11 +65,10 @@ let test_bad_args_exit_2 () =
     (fun (name, args) -> check_exit name 2 args)
     [
       ("analyze bad scenario", "analyze --scenario bogus");
-      ("tenancy bad policy", "tenancy --policy bogus");
       ("inject bad env", "inject --env bogus");
       ("unknown flag", "table1 --bogus");
-      ("removed tenancy --smoke", "tenancy --smoke");
       ("removed recover", "recover");
+      ("removed tenancy", "tenancy");
       ("unknown subcommand", "tabel2");
       ("bad scale", "table2 --scale bogus");
       ("bad jobs", "table2 --jobs x");
@@ -92,10 +90,10 @@ let test_bad_corpus_exit_2 () =
         [ "read)x(\n"; "getpid(0:0:0)junk\n" ];
       check_exit "run-corpus missing" 2 ("run-corpus " ^ Filename.quote (corpus ^ ".none")))
 
-(* A --units outside Table 1, a non-positive --iterations or --tenants,
-   or a negative or non-finite --intensity or --churn is refused while
-   the arguments are parsed: usage on stderr and exit 2, not an uncaught
-   exception or a run on a nan. *)
+(* A --units outside Table 1, a non-positive --iterations, or a negative
+   or non-finite --intensity is refused while the arguments are parsed:
+   usage on stderr and exit 2, not an uncaught exception or a run on a
+   nan. *)
 let test_bad_numbers_are_usage_errors () =
   let corpus = Filename.temp_file "ksurf-cli" ".corpus" in
   Fun.protect
@@ -119,9 +117,6 @@ let test_bad_numbers_are_usage_errors () =
           ("inject --intensity=-1", "inject --intensity=-1");
           ("inject --intensity nan", "inject --intensity nan");
           ("inject --intensity inf", "inject --intensity inf");
-          ("tenancy --tenants 0", "tenancy --tenants 0");
-          ("tenancy --churn=-1", "tenancy --churn=-1");
-          ("tenancy --churn nan", "tenancy --churn nan");
         ])
 
 (* The negative-control gate: one lock-order-cycle finding. *)
@@ -158,7 +153,7 @@ let test_studies_are_subcommands () =
   Alcotest.(check (list string)) "registry order"
     [
       "table1"; "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate";
-      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize"; "tenancy";
+      "ablate-virt"; "lwvm"; "locks"; "dose"; "specialize";
     ]
     names;
   Alcotest.(check (list string)) "subcommands"
@@ -176,7 +171,7 @@ let test_studies_are_subcommands () =
   Alcotest.(check (list string)) "writers"
     [
       "table2"; "fig2"; "table3"; "fig3"; "fig4"; "ablate"; "ablate-virt";
-      "lwvm"; "locks"; "dose"; "specialize"; "tenancy";
+      "lwvm"; "locks"; "dose"; "specialize";
     ]
     (List.filter_map
        (fun (s : Ksurf.Experiments.study) ->

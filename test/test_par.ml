@@ -170,9 +170,9 @@ let test_map_racing_shutdown () =
 
 (* --- Determinism under parallelism --------------------------------- *)
 
-(* dose, specialize and tenancy, and two of the Breakdown tables (one
-   code path for all four), render the same text and write the same CSV
-   bytes with no pool as on a 4-domain pool. *)
+(* dose and specialize, and two of the Breakdown tables (one code path
+   for all four), render the same text and write the same CSV bytes with
+   no pool as on a 4-domain pool. *)
 let test_studies_pool_agnostic () =
   let corpus = lazy (E.default_corpus ~seed:11 E.Quick) in
   let outcome ?pool (s : E.study) =
@@ -189,7 +189,7 @@ let test_studies_pool_agnostic () =
   List.iter
     (fun (s : E.study) ->
       if
-        List.mem s.E.name [ "dose"; "specialize"; "tenancy"; "table2"; "ablate" ]
+        List.mem s.E.name [ "dose"; "specialize"; "table2"; "ablate" ]
       then begin
         let seq = outcome s
         and par = Pool.with_pool ~jobs:4 (fun pool -> outcome ~pool s) in

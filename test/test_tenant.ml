@@ -11,9 +11,8 @@ let quick cfg =
     host_cores = 16;
   }
 
-let run_quick ?(churn = 8.0) ?(policy = Tenant_policy.Static Tenant_policy.Docker)
-    ?(seed = 42) () =
-  Fleet.run (quick { Fleet.default_config with churn_per_day = churn; policy; seed })
+let run_quick ?(churn = 8.0) ?(seed = 42) () =
+  Fleet.run (quick { Fleet.default_config with churn_per_day = churn; seed })
 
 let test_fleet_serves () =
   let r = run_quick () in
@@ -40,12 +39,6 @@ let test_zero_churn_is_quiet () =
   let r = run_quick ~churn:0.0 () in
   Alcotest.(check int) "no departures" 0 r.Fleet.departures;
   Alcotest.(check int) "arrivals = population" 16 r.Fleet.arrivals
-
-let test_native_has_no_cgroups () =
-  let r = run_quick ~policy:(Tenant_policy.Static Tenant_policy.Native) () in
-  Alcotest.(check int) "no creates" 0 r.Fleet.cgroup_creates;
-  Alcotest.(check int) "no destroys" 0 r.Fleet.cgroup_destroys;
-  Alcotest.(check int) "peak cgroups" 0 r.Fleet.peak_cgroups
 
 let test_slo_accounting_sane () =
   let r = run_quick () in
@@ -100,45 +93,6 @@ let test_request_target_stops_early () =
   Alcotest.(check bool) "stopped near the target" true
     (r.Fleet.completed >= 100 && r.Fleet.completed < 1000)
 
-let test_adaptive_can_migrate () =
-  (* No latency meets a 1 ns SLO: every judged epoch violates, so a
-     tenant scales out to its replica ceiling and then escalates.  The
-     rate feeds every epoch enough samples to be judged. *)
-  let cfg =
-    {
-      (quick
-         {
-           Fleet.default_config with
-           churn_per_day = 0.0;
-           policy = Tenant_policy.Adaptive;
-           slo_ns = 1.0;
-         })
-      with
-      Fleet.mean_rate_per_s = 400.0;
-    }
-  in
-  let r = Fleet.run cfg in
-  Alcotest.(check bool) "migrations happened" true (r.Fleet.migrations > 0);
-  Alcotest.(check bool) "tenants ended as multikernel" true (r.Fleet.final_mk > 0)
-
-let test_mk_config_prunes () =
-  let pruned = Fleet.mk_kernel_config Kernel_config.default Workload.service_mix in
-  (* File_io/Fs_mgmt/Ipc keep the journal (and io charge path) but need
-     no balancer, tick, reclaim or shootdown machinery. *)
-  Alcotest.(check bool) "journal kept" true
-    pruned.Kernel_config.enable_journal_daemon;
-  Alcotest.(check bool) "balancer pruned" false
-    pruned.Kernel_config.enable_load_balancer;
-  Alcotest.(check bool) "kswapd pruned" false pruned.Kernel_config.enable_kswapd
-
-let test_policy_names_roundtrip () =
-  List.iter
-    (fun p ->
-      match Tenant_policy.of_string (Tenant_policy.name p) with
-      | Some p' -> Alcotest.(check bool) "roundtrip" true (p = p')
-      | None -> Alcotest.fail "name did not parse")
-    Tenant_policy.all
-
 let test_workload_rate_positive () =
   let rng = Prng.create 7 in
   let day = 2e9 in
@@ -154,15 +108,11 @@ let suite =
     Alcotest.test_case "fleet serves" `Quick test_fleet_serves;
     Alcotest.test_case "churn storms visible" `Quick test_churn_storms_visible;
     Alcotest.test_case "zero churn quiet" `Quick test_zero_churn_is_quiet;
-    Alcotest.test_case "native has no cgroups" `Quick test_native_has_no_cgroups;
     Alcotest.test_case "slo accounting sane" `Quick test_slo_accounting_sane;
     Alcotest.test_case "scale down then up serves" `Quick
       test_scale_down_then_up_serves;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "request target" `Quick test_request_target_stops_early;
-    Alcotest.test_case "adaptive migrates" `Quick test_adaptive_can_migrate;
-    Alcotest.test_case "mk config prunes" `Quick test_mk_config_prunes;
-    Alcotest.test_case "policy names roundtrip" `Quick test_policy_names_roundtrip;
     Alcotest.test_case "workload rate positive" `Quick test_workload_rate_positive;
   ]
