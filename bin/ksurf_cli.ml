@@ -328,9 +328,7 @@ let inject seed plan_name (env_name, kind) units intensity () =
               Ksurf.Env.deploy ~engine kind (Ksurf.Partition.table1 units)
             in
             let kf = Ksurf.Kfault.arm ~env ~plan ~seed () in
-            let result =
-              Ksurf.Harness.run ~env ~corpus ~params ~straggler_timeout_ns:5e9 ()
-            in
+            let result = Ksurf.Harness.run ~env ~corpus ~params () in
             Ksurf.Kfault.disarm kf;
             (result, Ksurf.Kfault.stats kf, Ksurf.Kfault.total_injections kf)))
   in
@@ -343,13 +341,9 @@ let inject seed plan_name (env_name, kind) units intensity () =
     (Ksurf.Report.duration_ns result.Ksurf.Harness.wall_time_ns)
     injections;
   Format.printf "  %a@." Ksurf.Kfault.pp_stats stats;
-  Format.printf "  harness: %d retries, %d abandoned, %s@."
+  Format.printf "  harness: %d retries, %d abandoned@."
     result.Ksurf.Harness.transient_retries
-    result.Ksurf.Harness.abandoned_calls
-    (if result.Ksurf.Harness.degraded then
-       Printf.sprintf "DEGRADED (%d/%d ranks survived)"
-         result.Ksurf.Harness.survivors result.Ksurf.Harness.ranks
-     else "all ranks survived");
+    result.Ksurf.Harness.abandoned_calls;
   Format.printf "  %a@." A.Determinism.pp_replay replay;
   List.iter (Format.printf "  %a@." A.Finding.pp) findings;
   if findings <> [] then exit 1;
@@ -362,7 +356,7 @@ let inject_cmd =
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
             "Fault plan: a preset name ($(b,syscalls), $(b,storms), \
-             $(b,preempt), $(b,mixed), $(b,crashy)) or a plan file path.")
+             $(b,preempt), $(b,mixed)) or a plan file path.")
   in
   let intensity =
     Arg.(
@@ -538,7 +532,7 @@ let main_cmd =
     @ [ all_cmd ])
 
 (* Exit codes: 0 success, 1 the experiment found something (findings,
-   divergence, a hung engine), 2 you asked for something impossible
+   divergence), 2 you asked for something impossible
    (bad arguments, cmdliner parse errors included), 3 the machine failed
    underneath us (full disk, bad permissions, unwritable directory). *)
 let () =
@@ -548,6 +542,3 @@ let () =
   | exception Ksurf.Fileio.Io_error msg ->
       Format.eprintf "ksurf: I/O failure: %s@." msg;
       exit 3
-  | exception Ksurf.Engine.Hung diag ->
-      Format.eprintf "ksurf: %s@." diag;
-      exit 1

@@ -23,8 +23,6 @@ let op_label (op : Engine.sync_op) =
       Printf.sprintf "barrier-arrive(gen=%d,%d/%d)" generation arrived parties
   | Engine.Barrier_release { generation } ->
       Printf.sprintf "barrier-release(gen=%d)" generation
-  | Engine.Barrier_depart { generation; parties } ->
-      Printf.sprintf "barrier-depart(gen=%d,parties=%d)" generation parties
 
 (* The exact float bits, so "close enough" never passes. *)
 let key (info : Engine.event_info) =

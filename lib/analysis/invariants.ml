@@ -144,12 +144,7 @@ let on_event t (info : Engine.event_info) =
               (Printf.sprintf
                  "barrier %s: released generation %d, expected %d at t=%g" name
                  generation (last + 1) now)
-          else Hashtbl.replace t.barriers name generation
-      | Engine.Barrier_depart { parties; _ } ->
-          if parties < 1 then
-            add t ~severity:Finding.Error ~code:"barrier-empty-after-depart"
-              (Printf.sprintf "barrier %s: left with %d parties at t=%g" name
-                 parties now))
+          else Hashtbl.replace t.barriers name generation)
   | Engine.Injected _ | Engine.Denied _ -> ()
 
 (* [drained] as in {!Lockdep.finish}: stuck-process checks only make

@@ -209,9 +209,7 @@ let on_event t (info : Engine.event_info) =
       | Engine.Read_release -> on_release t ~pid ~time:now ~name ~mode:Read
       | Engine.Write_acquire _ -> on_acquire t ~pid ~time:now ~name ~mode:Write
       | Engine.Write_release -> on_release t ~pid ~time:now ~name ~mode:Write
-      | Engine.Barrier_arrive _ | Engine.Barrier_release _
-      | Engine.Barrier_depart _ ->
-          ())
+      | Engine.Barrier_arrive _ | Engine.Barrier_release _ -> ())
   | Engine.Scheduled _ | Engine.Executed _ | Engine.Suspended _
   | Engine.Woken _ | Engine.Injected _ | Engine.Denied _ ->
       ()

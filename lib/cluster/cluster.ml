@@ -43,23 +43,12 @@ type result = {
   node_p99_iter_ns : float;
   straggler_factor : float;
   iteration_samples : int;
-  degraded : bool;
-  crashes : int;
-  restarts : int;
-  samples_dropped : int;
-}
-
-type node_outcome = {
-  durations : float array;
-  node_crashes : int;
-  node_restarts : int;
-  node_dropped : int;  (* iteration samples discarded after permanent loss *)
 }
 
 (* Fully simulate one node: Fig 3's tailbench node (the app in unit 0,
    noise in units 1-3 when contended), driven in iterations of a fixed
    burst of requests followed by a local quiescent point.  Returns
-   per-iteration durations (warm-up dropped). *)
+   per-iteration durations (warm-up dropped), in order. *)
 let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
     ~on_engine ~on_env =
   let completed_in_iter = ref 0 in
@@ -87,12 +76,7 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
       ~noise_corpus ~on_engine ~on_env ~served
   in
   let engine = node.Runner.engine in
-  (* A permanent worker loss marks the node, so iteration
-     samples gathered after it — timed with fewer serving cores — are
-     dropped rather than silently distorting the BSP pool. *)
-  let lost_for_good () = node.Runner.live < node.Runner.workers in
   let durations = ref [] in
-  let dropped = ref 0 in
   let total_iters = config.warmup_iterations + config.sim_iterations_per_node in
   let finished = ref false in
   let client_rng = Prng.split (Engine.rng engine) "client" in
@@ -105,26 +89,15 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
           Engine.delay gap;
           Mailbox.send node.Runner.mailbox (Engine.now engine)
         done;
-        (* Wait until the whole burst has been served.  With every
-           worker permanently crashed there is no one left to wake us:
-           give up on the remaining iterations instead of parking
-           forever. *)
-        if !completed_in_iter < config.requests_per_iteration && node.Runner.live > 0
-        then Engine.suspend (fun wake -> iteration_waiter := Some wake);
+        (* Wait until the whole burst has been served. *)
+        if !completed_in_iter < config.requests_per_iteration then
+          Engine.suspend (fun wake -> iteration_waiter := Some wake);
         if iter >= config.warmup_iterations then
-          if lost_for_good () then incr dropped
-          else durations := (Engine.now engine -. start) :: !durations
+          durations := (Engine.now engine -. start) :: !durations
       done;
       finished := true);
-  Engine.run
-    ~stop:(fun () -> !finished || (node.Runner.live = 0 && lost_for_good ()))
-    engine;
-  {
-    durations = Array.of_list (List.rev !durations);
-    node_crashes = node.Runner.crashes;
-    node_restarts = node.Runner.restarts;
-    node_dropped = !dropped;
-  }
+  Engine.run ~stop:(fun () -> !finished) engine;
+  Array.of_list (List.rev !durations)
 
 (* Each node simulation is self-contained (own engine, own PRNG stream
    derived from [seed + node * 7919]), so the replica pool can fan nodes
@@ -165,8 +138,6 @@ let barrier_cost_for ~kind =
   per_party
   *. Float.ceil (Float.log (float_of_int nodes_total) /. Float.log 2.0)
 
-let durations nodes = Array.concat (List.map (fun n -> n.durations) nodes)
-
 let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     ?(on_engine = fun (_ : Engine.t) -> ())
     ?(on_env = fun (_ : Env.t) -> ()) ?par () =
@@ -174,9 +145,7 @@ let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
       ~on_env
   in
-  let pool = durations nodes in
-  let sum f = List.fold_left (fun acc n -> acc + f n) 0 nodes in
-  let samples_dropped = sum (fun n -> n.node_dropped) in
+  let pool = Array.concat nodes in
   if Array.length pool = 0 then failwith "Cluster.run: no iteration samples";
   (* Synthesise the BSP runtime: nodes are independent given the
      barrier, so each global iteration lasts as long as the slowest of
@@ -206,10 +175,6 @@ let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     node_p99_iter_ns = Quantile.p99 pool;
     straggler_factor = !expected_max /. mean pool;
     iteration_samples = Array.length pool;
-    degraded = samples_dropped > 0;
-    crashes = sum (fun n -> n.node_crashes);
-    restarts = sum (fun n -> n.node_restarts);
-    samples_dropped;
   }
 
 let relative_loss ~isolated ~contended =

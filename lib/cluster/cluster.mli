@@ -46,12 +46,6 @@ type result = {
   straggler_factor : float;
       (** mean(max over nodes) / mean(single node): BSP amplification *)
   iteration_samples : int;
-  degraded : bool;  (** samples were dropped *)
-  crashes : int;  (** worker-rank crashes during the node simulations *)
-  restarts : int;
-  samples_dropped : int;
-      (** iteration samples discarded because a permanent rank crash
-          left them timed with fewer serving cores *)
 }
 
 val run :
@@ -68,9 +62,7 @@ val run :
 (** One cell of Figure 4.  [on_engine] is called on each node
     simulation's engine right after creation — the hook sanitizers use
     to attach probes.  [on_env] is called on each node deployment so
-    fault plans can be armed; a [Rank_crash] with no restart drops the
-    node's post-crash samples (see [samples_dropped]) instead of
-    polluting the pool.  Deterministic for a given seed.  [par] fans
+    fault plans can be armed.  Deterministic for a given seed.  [par] fans
     the node simulations across a worker pool; each node is a
     self-contained engine with its own seed, and results merge in node
     order, so the result is bit-identical to the sequential one.  Do

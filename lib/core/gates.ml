@@ -71,10 +71,8 @@ let native_pair ~engine =
   Env.deploy ~engine Env.Native
     (Partition.equal_split ~units:2 ~total_cores:8 ~total_mem_mb:8192)
 
-let small_varbench ?straggler_timeout_ns ~env ~corpus iterations =
-  Harness.run ~env ~corpus
-    ~params:{ Harness.iterations; warmup_iterations = 1 }
-    ?straggler_timeout_ns ()
+let small_varbench ~env ~corpus iterations =
+  Harness.run ~env ~corpus ~params:{ Harness.iterations; warmup_iterations = 1 } ()
 
 let run_varbench ~seed ~on_engine =
   let engine = Engine.create ~seed () in
@@ -146,32 +144,40 @@ module Inversion = struct
   let check () = []
 end
 
-(* Faulted variants: the same workloads under an armed kfault plan.  The
-   "crashy" preset exercises every injection mechanism including a rank
-   crash, so these gates cover barrier departure (varbench) and
-   crash/restart requeueing (tailbench) under the sanitizers. *)
-let fault_plan () =
-  match Ksurf_fault.Plan.preset "crashy" with
-  | Some p -> p
-  | None -> assert false
+(* Faulted variants: the same workloads under the "mixed" kfault plan,
+   which exercises every injection mechanism.  A gate's result is the
+   plan's injection count, and it fails at 0: a faulted run that
+   injected nothing checked nothing. *)
+let faulted name run : t =
+  (module struct
+    type result = int
 
-let run_faulted_varbench ~seed ~on_engine =
+    let name = name
+
+    let run ~seed ~on_engine =
+      let plan = Option.get (Ksurf_fault.Plan.preset "mixed") in
+      let kf = ref None in
+      let on_env env = kf := Some (Kfault.arm ~env ~plan ~seed ()) in
+      run ~seed ~on_engine ~on_env;
+      let kf = Option.get !kf in
+      Kfault.disarm kf;
+      Kfault.total_injections kf
+
+    let check injections =
+      failures [ fail_if (injections = 0) "the fault plan injected nothing" ]
+  end)
+
+let run_faulted_varbench ~seed ~on_engine ~on_env =
   let engine = Engine.create ~seed () in
   on_engine engine;
   let env = native_pair ~engine in
-  let kf = Kfault.arm ~env ~plan:(fault_plan ()) ~seed () in
-  ignore
-    (small_varbench ~straggler_timeout_ns:5e9 ~env ~corpus:(small_corpus ~seed) 4);
-  Kfault.disarm kf
+  on_env env;
+  ignore (small_varbench ~env ~corpus:(small_corpus ~seed) 4)
 
-let run_faulted_tailbench ~seed ~on_engine =
-  let kf = ref None in
-  let on_env env = kf := Some (Kfault.arm ~env ~plan:(fault_plan ()) ~seed ()) in
+let run_faulted_tailbench ~seed ~on_engine ~on_env =
   ignore
     (Runner.run_single_node ~app:(app ()) ~kind:Env.Native ~contended:false
-       ~config:(tailbench_config ~seed) ~request_timeout_ns:1e9 ~on_engine
-       ~on_env ());
-  Option.iter Kfault.disarm !kf
+       ~config:(tailbench_config ~seed) ~on_engine ~on_env ())
 
 (* Varbench on an fs-restricted corpus over a multikernel deployment of
    kspec-pruned kernels, with the Enforce allowlist installed on every
@@ -293,8 +299,7 @@ module Tenancy = struct
           "attainment %.3f outside [0,1]" r.attainment;
         fail_if (r.slo_met > r.measured) "slo_met %d > measured %d" r.slo_met
           r.measured;
-        fail_if
-          (r.measured > r.tenants + r.arrivals)
+        fail_if (r.measured > r.arrivals)
           "measured %d exceeds tenants ever admitted" r.measured;
         fail_if
           (r.cgroup_destroys > r.cgroup_creates)
@@ -303,9 +308,8 @@ module Tenancy = struct
           "replica imbalance %d: live replicas diverged from autoscaler \
            targets"
           r.replica_imbalance;
-        fail_if
-          (r.departures > r.arrivals + r.tenants)
-          "departures %d exceed population" r.departures;
+        fail_if (r.departures > r.arrivals) "departures %d exceed population"
+          r.departures;
       ]
 end
 
@@ -451,8 +455,8 @@ let stock : t list =
     unchecked "varbench" run_varbench;
     unchecked "tailbench" run_tailbench;
     unchecked "bsp" run_bsp;
-    unchecked "faulted-varbench" run_faulted_varbench;
-    unchecked "faulted-tailbench" run_faulted_tailbench;
+    faulted "faulted-varbench" run_faulted_varbench;
+    faulted "faulted-tailbench" run_faulted_tailbench;
     (module Specialized_varbench);
     unchecked "parallel-sweep" run_parallel_sweep;
     (module Tenancy);

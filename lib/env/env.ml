@@ -35,11 +35,7 @@ type syscall_outcome = Completed | Faulted of errno | Denied
    outcome either. *)
 let faulted = function EAGAIN -> Faulted EAGAIN | EINTR -> Faulted EINTR
 
-type fault_ctl = {
-  syscall_errno : rank:int -> Spec.t -> errno option;
-  crash_at : rank:int -> float option;
-  restart_after : rank:int -> float option;
-}
+type fault_ctl = rank:int -> Spec.t -> errno option
 
 type t = {
   kind : kind;
@@ -205,12 +201,6 @@ let exec_syscall t ~rank spec (arg : Arg.t) =
 
 let set_fault_ctl t ctl = t.fault <- ctl
 
-let crash_time_of_rank t ~rank =
-  match t.fault with None -> None | Some ctl -> ctl.crash_at ~rank
-
-let restart_delay_of_rank t ~rank =
-  match t.fault with None -> None | Some ctl -> ctl.restart_after ~rank
-
 let try_syscall t ~rank:i spec (arg : Arg.t) =
   match policy_check t ~rank:i spec with
   | `Denied ->
@@ -225,7 +215,7 @@ let try_syscall t ~rank:i spec (arg : Arg.t) =
       let errno =
         match t.fault with
         | None -> None
-        | Some ctl -> ctl.syscall_errno ~rank:i spec
+        | Some errno_of -> errno_of ~rank:i spec
       in
       match errno with
       | None ->

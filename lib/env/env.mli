@@ -64,9 +64,8 @@ val context : t -> rank:int -> key:int -> Ksurf_kernel.Instance.ctx
 (** {2 Fault injection}
 
     kfault ([lib/fault]) installs a {!fault_ctl}; harnesses that opt in
-    route calls through {!try_syscall} and consult the crash schedule.
-    With no control installed (the default) every path below reduces to
-    the stock behaviour. *)
+    route calls through {!try_syscall}.  With no control installed (the
+    default) every path below reduces to the stock behaviour. *)
 
 type errno = EAGAIN | EINTR
 (** The transient failures the fault model injects — both mean "retry". *)
@@ -84,19 +83,11 @@ type syscall_outcome =
           (ENOSYS) after the entry path.  Not a transient failure —
           retrying cannot succeed. *)
 
-type fault_ctl = {
-  syscall_errno : rank:int -> Ksurf_syscalls.Spec.t -> errno option;
-      (** consulted before each {!try_syscall}; [Some e] aborts the call *)
-  crash_at : rank:int -> float option;
-      (** virtual time at which the rank's process dies, if scheduled *)
-  restart_after : rank:int -> float option;
-      (** downtime before the rank restarts; [None] = crash is final *)
-}
+type fault_ctl = rank:int -> Ksurf_syscalls.Spec.t -> errno option
+(** The fault control's errno draw, consulted before each
+    {!try_syscall}: [Some e] aborts the call with [e]. *)
 
 val set_fault_ctl : t -> fault_ctl option -> unit
-
-val crash_time_of_rank : t -> rank:int -> float option
-val restart_delay_of_rank : t -> rank:int -> float option
 
 val try_syscall :
   t ->

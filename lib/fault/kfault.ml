@@ -13,8 +13,6 @@ type stats = {
   ipi_storms : int;
   cache_flushes : int;
   slow_memory_windows : int;
-  crashes_scheduled : int;
-  workload_drifts : int;
 }
 
 type counters = {
@@ -25,8 +23,6 @@ type counters = {
   mutable c_ipi : int;
   mutable c_flush : int;
   mutable c_slowmem : int;
-  c_crashes : int;
-  mutable c_drift : int;
 }
 
 type t = {
@@ -94,14 +90,6 @@ let daemon_mults actions =
     actions;
   !m
 
-let crash_schedule actions =
-  List.filter_map
-    (function
-      | Plan.Rank_crash { rank; at_ns; restart_after_ns } ->
-          Some (rank, (at_ns, restart_after_ns))
-      | _ -> None)
-    actions
-
 (* The acquire hook's two walks, closure-free: one chance per action,
    in plan order. *)
 let rec preempt engine rng counters = function
@@ -129,7 +117,6 @@ let rec stall engine rng counters = function
 let arm ~env ~plan ~seed () =
   let engine = Env.engine env in
   let root = Prng.create seed in
-  let crashes = crash_schedule plan.Plan.actions in
   let counters =
     {
       c_syscall = 0;
@@ -139,53 +126,36 @@ let arm ~env ~plan ~seed () =
       c_ipi = 0;
       c_flush = 0;
       c_slowmem = 0;
-      c_crashes = List.length crashes;
-      c_drift = 0;
     }
   in
   let t = { env; counters; active = true } in
-  (* 1. Transient syscall failures + the crash/restart schedule, via the
-     env fault control. *)
-  let syscall_errno =
-    match category_rates plan.Plan.actions with
-    | None -> fun ~rank:_ _spec -> None
-    | Some (rates, eintr_share) ->
-        let rng = Prng.split root "kfault-syscalls" in
-        fun ~rank:_ (spec : Spec.t) ->
-          if not t.active then None
-          else
-            let rate =
-              List.fold_left
-                (fun acc c -> Float.max acc rates.(Category.index c))
-                0.0 spec.Spec.categories
-            in
-            if rate > 0.0 && Prng.chance rng rate then begin
-              let errno =
-                if Prng.chance rng eintr_share then Env.EINTR else Env.EAGAIN
-              in
-              counters.c_syscall <- counters.c_syscall + 1;
-              inject engine
-                (Printf.sprintf "syscall-%s"
-                   (String.lowercase_ascii (Env.errno_name errno)))
-                rate;
-              Some errno
-            end
-            else None
-  in
-  (if crashes <> [] || category_rates plan.Plan.actions <> None then
-     Env.set_fault_ctl env
-       (Some
-          {
-            Env.syscall_errno;
-            crash_at =
-              (fun ~rank ->
-                if not t.active then None
-                else Option.map fst (List.assoc_opt rank crashes));
-            restart_after =
-              (fun ~rank ->
-                if not t.active then None
-                else Option.join (Option.map snd (List.assoc_opt rank crashes)));
-          }));
+  (* 1. Transient syscall failures, via the env fault control. *)
+  (match category_rates plan.Plan.actions with
+  | None -> ()
+  | Some (rates, eintr_share) ->
+      let rng = Prng.split root "kfault-syscalls" in
+      Env.set_fault_ctl env
+        (Some
+           (fun ~rank:_ (spec : Spec.t) ->
+             if not t.active then None
+             else
+               let rate =
+                 List.fold_left
+                   (fun acc c -> Float.max acc rates.(Category.index c))
+                   0.0 spec.Spec.categories
+               in
+               if rate > 0.0 && Prng.chance rng rate then begin
+                 let errno =
+                   if Prng.chance rng eintr_share then Env.EINTR else Env.EAGAIN
+                 in
+                 counters.c_syscall <- counters.c_syscall + 1;
+                 inject engine
+                   (Printf.sprintf "syscall-%s"
+                      (String.lowercase_ascii (Env.errno_name errno)))
+                   rate;
+                 Some errno
+               end
+               else None)));
   (* 2. Lock-holder preemption and device stalls, via the engine acquire
      hook. *)
   let preemptions =
@@ -310,18 +280,8 @@ let arm ~env ~plan ~seed () =
                 end
               in
               loop ())
-      | Plan.Workload_drift { at_ns; shift } ->
-          (* One process per drift: sleep to the trigger time and
-             announce the injection.  The drift is probe-visible and
-             counted; no workload moves its syscall mix in response. *)
-          Engine.spawn engine (fun () ->
-              Engine.delay at_ns;
-              if t.active then begin
-                counters.c_drift <- counters.c_drift + 1;
-                inject engine "workload-drift" shift
-              end)
       | Plan.Syscall_failures _ | Plan.Daemon_storm _ | Plan.Lock_preemption _
-      | Plan.Device_stall _ | Plan.Rank_crash _ ->
+      | Plan.Device_stall _ ->
           ())
     plan.Plan.actions;
   t
@@ -348,15 +308,13 @@ let stats t =
     ipi_storms = t.counters.c_ipi;
     cache_flushes = t.counters.c_flush;
     slow_memory_windows = t.counters.c_slowmem;
-    crashes_scheduled = t.counters.c_crashes;
-    workload_drifts = t.counters.c_drift;
   }
 
 let total_injections t =
   let s = stats t in
   s.syscall_faults + s.lock_preemptions + s.device_stalls
   + s.daemon_storm_passes + s.ipi_storms + s.cache_flushes
-  + s.slow_memory_windows + s.workload_drifts
+  + s.slow_memory_windows
 
 let pp_stats ppf s =
   Format.fprintf ppf
@@ -366,9 +324,6 @@ let pp_stats ppf s =
      daemon storm passes   %d@,\
      ipi storms            %d@,\
      cache-flush windows   %d@,\
-     slow-memory windows   %d@,\
-     crashes scheduled     %d@,\
-     workload drifts       %d@]"
+     slow-memory windows   %d@]"
     s.syscall_faults s.lock_preemptions s.device_stalls s.daemon_storm_passes
-    s.ipi_storms s.cache_flushes s.slow_memory_windows s.crashes_scheduled
-    s.workload_drifts
+    s.ipi_storms s.cache_flushes s.slow_memory_windows

@@ -25,8 +25,6 @@ type stats = {
   ipi_storms : int;  (** extra TLB shootdowns executed *)
   cache_flushes : int;  (** cache-pressure windows opened *)
   slow_memory_windows : int;  (** burn-dilation windows opened *)
-  crashes_scheduled : int;  (** ranks with a crash time in the plan *)
-  workload_drifts : int;  (** workload syscall-mix shifts delivered *)
 }
 
 type t
@@ -39,5 +37,9 @@ val disarm : t -> unit
 (** Remove every hook and restore stock multipliers/pressure. *)
 
 val stats : t -> stats
+
 val total_injections : t -> int
+(** The sum of every {!stats} counter.  The faulted gates fail when it
+    is 0: a plan that injects nothing tests nothing. *)
+
 val pp_stats : Format.formatter -> stats -> unit

@@ -18,12 +18,6 @@ type lock_preemption = {
   stretch_ns : float;
 }
 
-type rank_crash = {
-  rank : int;
-  at_ns : float;
-  restart_after_ns : float option;
-}
-
 type action =
   | Syscall_failures of syscall_failures
   | Daemon_storm of daemon_storm
@@ -36,8 +30,6 @@ type action =
     }
   | Slow_memory of { period_ns : float; window_ns : float; dilation : float }
   | Device_stall of { probability : float; stall_ns : float }
-  | Rank_crash of rank_crash
-  | Workload_drift of { at_ns : float; shift : float }
 
 type t = { name : string; actions : action list }
 
@@ -51,53 +43,37 @@ let lerp_mult k m = 1.0 +. (k *. (m -. 1.0))
 
 let scale_action k = function
   | Syscall_failures { rates; eintr_share } ->
-      Some
-        (Syscall_failures
-           {
-             rates = List.map (fun (c, r) -> (c, clamp01 (r *. k))) rates;
-             eintr_share;
-           })
+      Syscall_failures
+        { rates = List.map (fun (c, r) -> (c, clamp01 (r *. k))) rates; eintr_share }
   | Daemon_storm d ->
-      Some
-        (Daemon_storm
-           {
-             jbd2 = lerp_mult k d.jbd2;
-             kswapd = lerp_mult k d.kswapd;
-             load_balancer = lerp_mult k d.load_balancer;
-             cgroup_flusher = lerp_mult k d.cgroup_flusher;
-           })
+      Daemon_storm
+        {
+          jbd2 = lerp_mult k d.jbd2;
+          kswapd = lerp_mult k d.kswapd;
+          load_balancer = lerp_mult k d.load_balancer;
+          cgroup_flusher = lerp_mult k d.cgroup_flusher;
+        }
   | Lock_preemption p ->
-      Some
-        (Lock_preemption
-           {
-             p with
-             probability = clamp01 (p.probability *. k);
-             stretch_ns = p.stretch_ns *. k;
-           })
-  | Ipi_storm { period_ns } ->
-      if k <= 0.0 then None else Some (Ipi_storm { period_ns = period_ns /. k })
-  | Cache_flush_storm s ->
-      Some (Cache_flush_storm { s with pressure = s.pressure *. k })
-  | Slow_memory s -> Some (Slow_memory { s with dilation = lerp_mult k s.dilation })
+      Lock_preemption
+        {
+          p with
+          probability = clamp01 (p.probability *. k);
+          stretch_ns = p.stretch_ns *. k;
+        }
+  | Ipi_storm { period_ns } -> Ipi_storm { period_ns = period_ns /. k }
+  | Cache_flush_storm s -> Cache_flush_storm { s with pressure = s.pressure *. k }
+  | Slow_memory s -> Slow_memory { s with dilation = lerp_mult k s.dilation }
   | Device_stall { probability; stall_ns } ->
-      Some
-        (Device_stall
-           { probability = clamp01 (probability *. k); stall_ns = stall_ns *. k })
-  | Rank_crash c -> if k <= 0.0 then None else Some (Rank_crash c)
-  | Workload_drift { at_ns; shift } ->
-      (* The dose knob scales how far the syscall mix shifts, not when:
-         a drift that never moves the mix (k = 0) is no drift at all. *)
-      if k <= 0.0 then None
-      else Some (Workload_drift { at_ns; shift = clamp01 (shift *. k) })
+      Device_stall { probability = clamp01 (probability *. k); stall_ns = stall_ns *. k }
 
 let scale k t =
   if k < 0.0 then invalid_arg "Plan.scale: negative intensity";
   {
     name = Printf.sprintf "%s@%g" t.name k;
     (* Zero dose injects literally nothing: no actions, so not even
-       no-op storm windows tick the injection counters. *)
-    actions =
-      (if k = 0.0 then [] else List.filter_map (scale_action k) t.actions);
+       no-op storm windows tick the injection counters (and no IPI
+       period is divided by zero). *)
+    actions = (if k = 0.0 then [] else List.map (scale_action k) t.actions);
   }
 
 (* --- serialisation ---------------------------------------------------- *)
@@ -127,12 +103,6 @@ let action_to_string = function
         window_ns dilation
   | Device_stall { probability; stall_ns } ->
       Printf.sprintf "device-stall prob=%g stall=%g" probability stall_ns
-  | Rank_crash { rank; at_ns; restart_after_ns } -> (
-      match restart_after_ns with
-      | None -> Printf.sprintf "rank-crash rank=%d at=%g" rank at_ns
-      | Some r -> Printf.sprintf "rank-crash rank=%d at=%g restart=%g" rank at_ns r)
-  | Workload_drift { at_ns; shift } ->
-      Printf.sprintf "workload-drift at=%g shift=%g" at_ns shift
 
 let to_string t =
   String.concat "\n"
@@ -165,11 +135,6 @@ let float_of key v =
   match float_of_string_opt v with
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "%s: not a number: %S" key v)
-
-let int_of key v =
-  match int_of_string_opt v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "%s: not an integer: %S" key v)
 
 (* [key]'s value, else [default], else [missing <key>=]. *)
 let find_float kvs key ~default =
@@ -230,23 +195,6 @@ let parse_action keyword kvs =
       let* probability = find_float kvs "prob" ~default:None in
       let* stall_ns = find_float kvs "stall" ~default:None in
       Ok (Device_stall { probability; stall_ns })
-  | "rank-crash" ->
-      let* rank =
-        match List.assoc_opt "rank" kvs with
-        | Some v -> int_of "rank" v
-        | None -> Error "rank-crash: missing rank="
-      in
-      let* at_ns = find_float kvs "at" ~default:None in
-      let* restart_after_ns =
-        match List.assoc_opt "restart" kvs with
-        | None -> Ok None
-        | Some v -> Result.map Option.some (float_of "restart" v)
-      in
-      Ok (Rank_crash { rank; at_ns; restart_after_ns })
-  | "workload-drift" ->
-      let* at_ns = find_float kvs "at" ~default:None in
-      let* shift = find_float kvs "shift" ~default:None in
-      Ok (Workload_drift { at_ns; shift })
   | other -> Error (Printf.sprintf "unknown fault action %S" other)
 
 let of_string s =
@@ -340,35 +288,12 @@ let mixed_preset =
         ];
   }
 
-let crashy_preset =
-  {
-    name = "crashy";
-    actions =
-      mixed_preset.actions
-      @ [
-          Rank_crash
-            { rank = 1; at_ns = 3_000_000.0; restart_after_ns = Some 1_000_000.0 };
-        ];
-  }
-
-let drift_preset =
-  (* At intensity 1.0 a quarter of post-drift calls come from subsystems
-     the audited profile never saw — enough to blow past any sane
-     denial-rate threshold without making the pre-drift phase unusable
-     for learning. *)
-  {
-    name = "drift";
-    actions = [ Workload_drift { at_ns = 2_000_000.0; shift = 0.25 } ];
-  }
-
 let presets =
   [
     ("syscalls", syscalls_preset);
     ("storms", storms_preset);
     ("preempt", preempt_preset);
-    ("mixed", { mixed_preset with name = "mixed" });
-    ("crashy", { crashy_preset with name = "crashy" });
-    ("drift", drift_preset);
+    ("mixed", mixed_preset);
   ]
 
 let preset name = List.assoc_opt name presets

@@ -32,12 +32,6 @@ type lock_preemption = {
   stretch_ns : float;  (** critical-section extension when it fires *)
 }
 
-type rank_crash = {
-  rank : int;
-  at_ns : float;  (** virtual time of the crash *)
-  restart_after_ns : float option;  (** downtime; [None] = permanent *)
-}
-
 type action =
   | Syscall_failures of syscall_failures
   | Daemon_storm of daemon_storm
@@ -56,12 +50,6 @@ type action =
     }  (** periodically dilate in-kernel CPU time (slow memory channel) *)
   | Device_stall of { probability : float; stall_ns : float }
       (** stretch block-device occupancy at acquisition time *)
-  | Rank_crash of rank_crash
-  | Workload_drift of { at_ns : float; shift : float }
-      (** at virtual time [at_ns], announce a shift of fraction [shift]
-          of the workload's syscall mix onto subsystems outside its
-          learned profile.  The fault layer fires and counts the drift
-          probe-visibly; no stock workload moves its mix in response. *)
 
 type t = { name : string; actions : action list }
 
@@ -69,25 +57,24 @@ val scale : float -> t -> t
 (** [scale k plan] is the dose knob: probabilities and rates multiply
     by [k] (clamped to 1), hold/dilation multipliers interpolate as
     [1 + k*(m-1)], storm periods divide by [k], stretch/stall sizes and
-    cache pressure multiply by [k].  [k = 0] yields a plan that injects
-    nothing; crash schedules are kept verbatim for [k > 0] (a crash has
-    no meaningful half-dose) and dropped at [k = 0].  Workload drifts
-    scale their mix shift (clamped to 1) and keep their trigger time. *)
+    cache pressure multiply by [k].  [k = 0] yields a plan with no
+    actions, which injects nothing.  A negative [k] raises
+    [Invalid_argument]. *)
 
 val to_string : t -> string
 (** One action per line; round-trips through {!of_string}. *)
 
 val of_string : string -> (t, string) result
 (** Parse the text format.  Blank lines and [#] comments are ignored;
-    the first [name <string>] line names the plan. *)
+    the first [name <string>] line names the plan.  Total: malformed
+    text, an action keyword the language does not have included, is an
+    [Error] naming the line, never an exception. *)
 
 val load : string -> (t, string) result
 (** Read a plan file. *)
 
 val presets : (string * t) list
-(** Named built-in plans: ["syscalls"], ["storms"], ["preempt"],
-    ["mixed"] (every mechanism except crashes), ["crashy"] (mixed plus
-    a crash/restart schedule), ["drift"] (a mid-run workload syscall-mix
-    shift). *)
+(** Named built-in plans: ["syscalls"], ["storms"], ["preempt"] and
+    ["mixed"] (every mechanism). *)
 
 val preset : string -> t option

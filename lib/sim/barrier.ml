@@ -1,7 +1,7 @@
 type t = {
   engine : Engine.t;
   name : string;
-  mutable parties : int;
+  parties : int;
   mutable arrived : int;
   mutable generation : int;
   waiters : Fifo.t;  (* parked parties' tickets *)
@@ -9,7 +9,6 @@ type t = {
      kind, as the engine fills its [Sync] block. *)
   ev_arrive : Engine.sync_op;
   ev_release : Engine.sync_op;
-  ev_depart : Engine.sync_op;
 }
 
 let create ~engine ~name ~parties =
@@ -23,12 +22,10 @@ let create ~engine ~name ~parties =
     waiters = Fifo.create ();
     ev_arrive = Engine.Barrier_arrive { generation = 0; arrived = 0; parties = 0 };
     ev_release = Engine.Barrier_release { generation = 0 };
-    ev_depart = Engine.Barrier_depart { generation = 0; parties = 0 };
   }
 
 let generation t = t.generation
 let waiting t = t.arrived
-let parties t = t.parties
 
 (* Release everyone parked on this generation, in arrival order, and
    start the next one. *)
@@ -62,24 +59,6 @@ let arrive t =
   end
   else (* last arrival *)
     release_generation t
-
-let depart t =
-  if t.parties <= 1 then
-    invalid_arg
-      (Printf.sprintf "Barrier.depart: %s would have no parties left" t.name);
-  t.parties <- t.parties - 1;
-  if Engine.observed t.engine then begin
-    (match t.ev_depart with
-    | Engine.Barrier_depart r ->
-        r.generation <- t.generation;
-        r.parties <- t.parties
-    | _ -> ());
-    Engine.emit_sync t.engine ~name:t.name t.ev_depart
-  end;
-  (* The departing party may have been the only arrival the current
-     generation was still waiting for: release it now so survivors do
-     not deadlock. *)
-  if t.arrived >= t.parties then release_generation t
 
 let arrive_with_cost t ~per_party_cost =
   arrive t;

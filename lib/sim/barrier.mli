@@ -19,18 +19,7 @@ val arrive_with_cost : t -> per_party_cost:float -> unit
 (** Like {!arrive} but adds a synchronisation cost after release —
     models the latency of an MPI barrier over the virtual network. *)
 
-val depart : t -> unit
-(** Permanently remove one party — a crashed or dropped rank.  Future
-    generations wait for one fewer arrival, and if the current
-    generation was only waiting for the departing party it is released
-    immediately.  The departing process must {e not} also call
-    {!arrive} for the round it abandons.  Raises [Invalid_argument] if
-    the barrier would be left with no parties. *)
-
 val generation : t -> int
 (** Completed generations, for tests. *)
 
 val waiting : t -> int
-
-val parties : t -> int
-(** Current membership (shrinks on {!depart}). *)

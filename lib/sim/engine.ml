@@ -65,24 +65,20 @@ type t = {
      columns, and its continuation waits in [park_k] until a ticket
      naming (token, slot) wakes it.  Slot [i] is free when
      [park_token.(i)] is 0; freed slots go on the [park_free] stack.
-     The same table names the processes that will never run again
-     when the liveness watchdog aborts. *)
+     The same table lists the parked processes for [blocked]. *)
   mutable park_token : int array;
   mutable park_pid : int array;
   mutable park_since : float array;
   mutable park_k : (unit, unit) Effect.Deep.continuation array;
   mutable park_free : int array;
   mutable park_nfree : int;
-  (* The running loop's bounds and watchdog, kept here so that a delay
-     can do the loop's work itself ([step_in_place]): the [stop]
-     predicate, the horizon [min until deadline] (neg_infinity outside
-     a run, so no delay runs in place there), and the stall watchdog's
-     last advancing time and count of events since.  [run] saves them
-     on entry and restores them on exit. *)
+  (* The running loop's bounds, kept here so that a delay can do the
+     loop's work itself ([step_in_place]): the [stop] predicate and the
+     horizon [until] (neg_infinity outside a run, so no delay runs in
+     place there).  [run] saves them on entry and restores them on
+     exit. *)
   mutable run_stop : (unit -> bool) option;
   horizon : float array;
-  stall_at : float array;
-  mutable stalled : int;
 }
 
 and acquire_site = Lock_site | Resource_site
@@ -127,10 +123,8 @@ and sync_op =
       mutable parties : int;
     }
   | Barrier_release of { mutable generation : int }
-  | Barrier_depart of { mutable generation : int; mutable parties : int }
 
 exception Process_error of string * exn
-exception Hung of string
 
 (* The payload names the engine, so nested engines (e.g. per-node
    cluster simulations driven from a parent program) never handle each
@@ -252,7 +246,6 @@ let copy_sync_op = function
   | Barrier_arrive { generation; arrived; parties } ->
       Barrier_arrive { generation; arrived; parties }
   | Barrier_release { generation } -> Barrier_release { generation }
-  | Barrier_depart { generation; parties } -> Barrier_depart { generation; parties }
   | (Acquire _ | Release | Read_acquire _ | Read_release | Write_acquire _ | Write_release)
     as op ->
       op
@@ -451,8 +444,6 @@ let create ?(seed = 0) () =
       park_nfree = 0;
       run_stop = None;
       horizon = [| Float.neg_infinity |];
-      stall_at = [| 0.0 |];
-      stalled = 0;
     }
   in
   t
@@ -489,13 +480,12 @@ let stopping t =
    run loop would execute next, and if so, do that execution's work in
    place: the process keeps running instead of performing, going
    through the heap and being resumed.  It is next when it moves the
-   clock (an expiry the clock absorbs is left to the loop, whose stall
-   watchdog counts it), stays within the loop's [until] and
-   [deadline], fires strictly before both heap tops (a queued event at
-   the same time took its seq first), and the loop's [stop], polled
-   last as the loop would poll it, is false.  The work is the loop's,
-   in its order: the Scheduled probe event, a seq, the clock, the event
-   count, the watchdog, the Executed event. *)
+   clock (an expiry the clock absorbs is left to the loop), stays
+   within the loop's [until], fires strictly before both heap tops (a
+   queued event at the same time took its seq first), and the loop's
+   [stop], polled last as the loop would poll it, is false.  The work
+   is the loop's, in its order: the Scheduled probe event, a seq, the
+   clock, the event count, the Executed event. *)
 let step_in_place t =
   let wake = t.delay_arg in
   let next =
@@ -512,8 +502,6 @@ let step_in_place t =
     t.seq <- t.seq + 1;
     set_clock t wake.(0);
     t.executed <- t.executed + 1;
-    t.stall_at.(0) <- wake.(0);
-    t.stalled <- 0;
     if observed t then emit_executed t ~pid
   end;
   next
@@ -551,75 +539,23 @@ let blocked t =
   done;
   List.sort compare !acc
 
-let hung_diagnostic t ~reason =
-  let parked = blocked t in
-  let parked_desc =
-    match parked with
-    | [] -> "no parked processes"
-    | ps ->
-        let shown = if List.length ps > 8 then (List.filteri (fun i _ -> i < 8) ps) else ps in
-        let body =
-          shown
-          |> List.map (fun (pid, token, since) ->
-                 Printf.sprintf "pid %d (token %d, parked since t=%g)" pid token
-                   since)
-          |> String.concat "; "
-        in
-        let extra = List.length ps - List.length shown in
-        Printf.sprintf "%d parked: %s%s" (List.length ps) body
-          (if extra > 0 then Printf.sprintf "; ... %d more" extra else "")
-  in
-  Printf.sprintf
-    "Engine hung at t=%g (%s): %d runnable event(s) pending, %s" t.clock.(0) reason
-    (pending t) parked_desc
-
 (* Move the clock to the dequeued event's time, read from [next_time],
-   and count the event.  No-progress detection: count consecutive
-   executed events that fail to advance virtual time; a livelocked
-   simulation (wake loops, zero-delay ping-pong) trips [stall_limit]
-   long before wall-clock patience runs out, and the abort names the
-   parked processes.  The last advancing time lives in a cell, so
-   tracking it boxes nothing. *)
-let advance t stall_limit =
+   and count the event. *)
+let advance t =
   set_clock t t.next_time.(0);
-  t.executed <- t.executed + 1;
-  match stall_limit with
-  | None -> ()
-  | Some limit ->
-      if t.clock.(0) > t.stall_at.(0) then begin
-        t.stall_at.(0) <- t.clock.(0);
-        t.stalled <- 0
-      end
-      else begin
-        t.stalled <- t.stalled + 1;
-        if t.stalled > limit then
-          raise
-            (Hung
-               (hung_diagnostic t
-                  ~reason:
-                    (Printf.sprintf "no progress: %d consecutive events at t=%g"
-                       t.stalled t.clock.(0))))
-      end
+  t.executed <- t.executed + 1
 
-let run ?until ?stop ?deadline ?stall_limit t =
+let run ?until ?stop t =
   let saved = get_current () in
   let saved_stop = t.run_stop and saved_horizon = t.horizon.(0) in
-  let saved_stall_at = t.stall_at.(0) and saved_stalled = t.stalled in
   set_current (Some t);
   t.run_stop <- stop;
-  t.horizon.(0) <-
-    Float.min
-      (Option.value until ~default:Float.infinity)
-      (Option.value deadline ~default:Float.infinity);
-  t.stall_at.(0) <- t.clock.(0);
-  t.stalled <- 0;
+  t.horizon.(0) <- Option.value until ~default:Float.infinity;
   Fun.protect
     ~finally:(fun () ->
       set_current saved;
       t.run_stop <- saved_stop;
-      t.horizon.(0) <- saved_horizon;
-      t.stall_at.(0) <- saved_stall_at;
-      t.stalled <- saved_stalled)
+      t.horizon.(0) <- saved_horizon)
     (fun () ->
       (* The loop reads the heaps through the non-allocating accessors
          ([top_before]/[top_time_into]/[top_pid]/[top]/[drop]) and
@@ -639,28 +575,16 @@ let run ?until ?stop ?deadline ?stall_limit t =
           else Heap.top_time_into t.thunks t.next_time;
           if match until with Some u -> t.next_time.(0) > u | None -> false then
             continue := false
-          else if match deadline with Some d -> t.next_time.(0) > d | None -> false
-          then begin
-            let d = Option.get deadline in
-            set_clock t d;
-            raise
-              (Hung
-                 (hung_diagnostic t
-                    ~reason:
-                      (Printf.sprintf
-                         "virtual-time deadline %g exceeded by next event at %g" d
-                         t.next_time.(0))))
-          end
           else if cont_first then begin
             let pid = Heap.top_pid t.conts and k = Heap.top t.conts in
             Heap.drop t.conts;
-            advance t stall_limit;
+            advance t;
             exec t ~pid resume k
           end
           else begin
             let pid = Heap.top_pid t.thunks and f = Heap.top t.thunks in
             Heap.drop t.thunks;
-            advance t stall_limit;
+            advance t;
             exec t ~pid f ()
           end
         end

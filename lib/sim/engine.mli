@@ -72,9 +72,6 @@ and sync_op =
       mutable parties : int;
     }
   | Barrier_release of { mutable generation : int }
-  | Barrier_depart of { mutable generation : int; mutable parties : int }
-      (** A party permanently left the barrier ({!Barrier.depart});
-          [parties] is the new, smaller membership. *)
 
 (** Where a fault-injection acquire hook fired: a {!Lock} or a
     {!Resource} slot. *)
@@ -158,11 +155,11 @@ val delay : float -> unit
 
     When nothing precedes its expiry, the delay finishes without
     yielding: if the expiry moves the clock, lies within the running
-    {!run}'s [until] and [deadline], is earlier than every queued
-    event, and [run]'s [stop] (polled here as the run loop would poll
-    it) is false, the delay does the work the run loop would do for
-    that event (the same probe events, sequence number, clock move,
-    event count and stall-watchdog reset) and returns to the process.
+    {!run}'s [until], is earlier than every queued event, and [run]'s
+    [stop] (polled here as the run loop would poll it) is false, the
+    delay does the work the run loop would do for that event (the same
+    probe events, sequence number, clock move and event count) and
+    returns to the process.
     Otherwise it yields, and the run loop applies its bounds to it as
     to any event.  Either way the simulation is the same, bit for bit. *)
 
@@ -207,34 +204,22 @@ val suspend : ((unit -> unit) -> unit) -> unit
     callers that keep a wake as a closure; the sync primitives queue
     tickets instead. *)
 
-val run :
-  ?until:float ->
-  ?stop:(unit -> bool) ->
-  ?deadline:float ->
-  ?stall_limit:int ->
-  t ->
-  unit
+val run : ?until:float -> ?stop:(unit -> bool) -> t -> unit
 (** Drain the event queue (or stop once the next event is later than
     [until]).  [stop] is polled before each event: returning [true]
     halts the run — the way harnesses terminate measurement while
     infinite background daemons still hold queued events.  May be called
-    repeatedly as more work is spawned.  [until], [deadline], [stop] and
-    the stall watchdog apply to a {!delay} that finishes without
-    yielding as to any other event, and [stop] is polled once per
-    event either way; an exception [stop] raises while polled from a
-    delay escapes as that process's {!Process_error}.
-
-    Liveness watchdog: [deadline] raises {!Hung} if the next
-    event lies beyond that virtual time — unlike [until], which stops
-    silently, a deadline overrun is treated as a wedged simulation and
-    aborts with a diagnostic naming the parked processes.  [stall_limit]
-    raises {!Hung} after more than that many consecutive events execute
-    without virtual time advancing (zero-delay wake loops, livelock). *)
+    repeatedly as more work is spawned.  [until] and [stop] apply to a
+    {!delay} that finishes without yielding as to any other event, and
+    [stop] is polled once per event either way; an exception [stop]
+    raises while polled from a delay escapes as that process's
+    {!Process_error}.  A simulation that never drains, never reaches
+    [until] and never satisfies [stop] runs forever. *)
 
 val blocked : t -> (int * int * float) list
 (** Parked suspensions as [(pid, token, since)] triples, sorted.  A
-    process appears here from {!suspend} until its wake fires — the raw
-    material of the {!Hung} diagnostic, exposed for tests. *)
+    process appears here from {!suspend} until its wake fires; exposed
+    for tests. *)
 
 val pending : t -> int
 (** Number of queued events, for diagnostics and tests. *)
@@ -245,9 +230,3 @@ val events_executed : t -> int
 exception Process_error of string * exn
 (** Wraps an exception escaping a process with a description of when it
     fired. *)
-
-exception Hung of string
-(** Raised by {!run} when the liveness watchdog trips ([deadline] or
-    [stall_limit]).  The payload is a human-readable diagnostic: virtual
-    time, why the watchdog fired, pending-event count, and the parked
-    processes that will never run again. *)

@@ -54,10 +54,6 @@ type node = {
   env : Env.t;
   mailbox : float Mailbox.t;
   rate : float;
-  workers : int;
-  mutable live : int;
-  mutable crashes : int;
-  mutable restarts : int;
 }
 
 let start_node ~app ~kind ~contended ~(config : config) ~noise_corpus ~on_engine
@@ -97,73 +93,34 @@ let start_node ~app ~kind ~contended ~(config : config) ~noise_corpus ~on_engine
       env;
       mailbox = Mailbox.create ~engine ~name:(app.Apps.name ^ ".reqs");
       rate = util_target *. float_of_int config.unit_cores /. mean_service;
-      workers = config.unit_cores;
-      live = config.unit_cores;
-      crashes = 0;
-      restarts = 0;
     }
   in
-  (* Robustness: a fault plan (kfault) may schedule worker crashes; a
-     crashed worker hands its request back to the mailbox so a survivor
-     serves it, and either restarts after the plan's downtime or exits
-     for good. *)
   for rank = 0 to config.unit_cores - 1 do
     let rng = Prng.split (Engine.rng engine) (Printf.sprintf "worker-%d" rank) in
     Engine.spawn engine (fun () ->
-        let crash_at = Env.crash_time_of_rank env ~rank in
-        let restart_delay = Env.restart_delay_of_rank env ~rank in
-        let crash_handled = ref false in
-        let inject fault =
-          if Engine.observed engine then
-            Engine.emit engine
-              (Engine.Injected
-                 {
-                   now = Engine.now engine;
-                   pid = Engine.current_pid engine;
-                   fault;
-                   magnitude = float_of_int rank;
-                 })
-        in
         let rec serve () =
           let arrival = Mailbox.recv node.mailbox in
-          match crash_at with
-          | Some at when (not !crash_handled) && Engine.now engine >= at -> (
-              crash_handled := true;
-              node.crashes <- node.crashes + 1;
-              inject "rank-crash";
-              (* The in-flight request survives the crash: back to the
-                 queue for whoever is still serving. *)
-              Mailbox.send node.mailbox arrival;
-              match restart_delay with
-              | Some downtime ->
-                  Engine.delay downtime;
-                  node.restarts <- node.restarts + 1;
-                  inject "rank-restart";
-                  serve ()
-              | None -> node.live <- node.live - 1)
-          | _ ->
-              (* Residual hardware interference from the co-runners.
-                 The paper's VM setup allocates each VM's memory from a
-                 single memory channel, so cross-VM bandwidth
-                 interference is lower than between containers sharing
-                 all channels. *)
-              let hw_dilation =
-                if not contended then 1.0
-                else
-                  match kind with
-                  | Env.Kvm _ -> 1.005 +. Prng.float rng 0.01
-                  | Env.Native | Env.Multikernel | Env.Docker -> 1.01 +. Prng.float rng 0.03
-              in
-              Service.handle compiled ~env ~rank ~rng ~hw_dilation ();
-              served node arrival;
-              serve ()
+          (* Residual hardware interference from the co-runners.  The
+             paper's VM setup allocates each VM's memory from a single
+             memory channel, so cross-VM bandwidth interference is lower
+             than between containers sharing all channels. *)
+          let hw_dilation =
+            if not contended then 1.0
+            else
+              match kind with
+              | Env.Kvm _ -> 1.005 +. Prng.float rng 0.01
+              | Env.Native | Env.Multikernel | Env.Docker -> 1.01 +. Prng.float rng 0.03
+          in
+          Service.handle compiled ~env ~rank ~rng ~hw_dilation ();
+          served node arrival;
+          serve ()
         in
         serve ())
   done;
   node
 
 let run_single_node ~app ~kind ~contended ?(config = default_config)
-    ?noise_corpus ?request_timeout_ns ?(on_engine = fun (_ : Engine.t) -> ())
+    ?noise_corpus ?(on_engine = fun (_ : Engine.t) -> ())
     ?(on_env = fun (_ : Env.t) -> ()) () =
   (* Seed-scale runs keep every latency in the exact buffer, so the
      retrospective warmup skip below reproduces the historical
@@ -171,10 +128,10 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
      to constant-memory streaming and the warmup is skipped online
      instead: the first [requests x warmup_fraction] recorded latencies
      are discarded as they arrive. *)
-  (* [>=], not [>]: at exactly [exact_cap] requests a timeout-free run
-     fills the buffer and the cap'th add would spill it, losing the
-     exact path while the online warmup skip is disarmed.  Whenever a
-     spill is possible, stream from the start. *)
+  (* [>=], not [>]: at exactly [exact_cap] requests a run fills the
+     buffer and the cap'th add would spill it, losing the exact path
+     while the online warmup skip is disarmed.  Whenever a spill is
+     possible, stream from the start. *)
   let streaming_mode = config.requests >= Streamstat.default_exact_cap in
   let latencies =
     if streaming_mode then Streamstat.streaming () else Streamstat.create ()
@@ -184,19 +141,11 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
       int_of_float (float_of_int config.requests *. warmup_fraction)
     else 0
   in
-  let recorded = ref 0 in
   let completed = ref 0 in
-  let timeouts = ref 0 in
   let served node arrival =
     let latency = Engine.now node.engine -. arrival in
-    (* A per-request straggler timeout: requests slower than the
-       deadline count as errors, not latency samples. *)
-    (match request_timeout_ns with
-    | Some deadline when latency > deadline -> incr timeouts
-    | _ ->
-        incr recorded;
-        if !recorded > warmup_skip then Streamstat.add latencies latency);
-    incr completed
+    incr completed;
+    if !completed > warmup_skip then Streamstat.add latencies latency
   in
   let node =
     start_node ~app ~kind ~contended ~config ~noise_corpus ~on_engine ~on_env ~served
@@ -205,21 +154,14 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
   (* Open-loop client at the node's fixed rate: environments that
      inflate service times absorb the extra load as queueing. *)
   let client_rng = Prng.split (Engine.rng engine) "client" in
-  let client_done = ref false in
   Engine.spawn engine (fun () ->
       for _ = 1 to config.requests do
         let gap = -.Float.log (1.0 -. Prng.uniform client_rng) /. node.rate in
         Engine.delay gap;
         Mailbox.send node.mailbox (Engine.now engine)
-      done;
-      client_done := true);
+      done);
   let t0 = Engine.now engine in
-  (* Stop on full completion, or — degraded total loss — once the client
-     has sent everything and no worker is left to serve it. *)
-  Engine.run
-    ~stop:(fun () ->
-      !completed >= config.requests || (!client_done && node.live = 0))
-    engine;
+  Engine.run ~stop:(fun () -> !completed >= config.requests) engine;
   let wall_ns = Engine.now engine -. t0 in
   let count, mean, p95, p99, max =
     match Streamstat.exact latencies with
@@ -256,11 +198,13 @@ let run_single_node ~app ~kind ~contended ?(config = default_config)
     p99;
     max;
     wall_ns;
-    degraded = node.live < node.workers;
-    survivors = node.live;
-    crashes = node.crashes;
-    restarts = node.restarts;
-    timeouts = !timeouts;
+    (* No worker leaves a run and no request times out, so these five
+       read "none lost". *)
+    degraded = false;
+    survivors = config.unit_cores;
+    crashes = 0;
+    restarts = 0;
+    timeouts = 0;
   }
 
 let percent_increase ~isolated ~contended =

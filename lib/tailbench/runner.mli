@@ -34,11 +34,11 @@ type result = {
   p99 : float;
   max : float;
   wall_ns : float;  (** virtual time span of the measured phase *)
-  degraded : bool;  (** some workers crashed and did not restart *)
-  survivors : int;  (** workers still serving at the end *)
-  crashes : int;  (** injected worker crashes (fault plan) *)
-  restarts : int;  (** crashed workers that came back *)
-  timeouts : int;  (** requests exceeding [request_timeout_ns] *)
+  degraded : bool;  (** always [false]: no worker leaves a run *)
+  survivors : int;  (** always [config.unit_cores] *)
+  crashes : int;  (** always 0 *)
+  restarts : int;  (** always 0 *)
+  timeouts : int;  (** always 0 *)
 }
 
 (** {2 One tailbench node}
@@ -51,10 +51,6 @@ type node = {
   env : Ksurf_env.Env.t;
   mailbox : float Ksurf_sim.Mailbox.t;  (** request arrival times *)
   rate : float;  (** the client's request rate, per ns *)
-  workers : int;
-  mutable live : int;  (** workers not permanently crashed *)
-  mutable crashes : int;  (** injected worker crashes (fault plan) *)
-  mutable restarts : int;  (** crashed workers that came back *)
 }
 
 val start_node :
@@ -73,11 +69,8 @@ val start_node :
     client rate for 65%% worker utilisation at the app's native service
     estimate, and spawn one worker per unit-0
     core.  A worker serves each request it receives and then calls
-    [served node arrival].  A worker whose fault plan schedules a crash
-    requeues its in-flight request, emits a [rank-crash] probe and
-    either restarts after the plan's downtime, emitting [rank-restart],
-    or leaves for good.  [config.requests] is not read: the caller owns
-    the client. *)
+    [served node arrival].  [config.requests] is not read: the caller
+    owns the client. *)
 
 val run_single_node :
   app:Apps.t ->
@@ -85,7 +78,6 @@ val run_single_node :
   contended:bool ->
   ?config:config ->
   ?noise_corpus:Ksurf_syzgen.Corpus.t ->
-  ?request_timeout_ns:float ->
   ?on_engine:(Ksurf_sim.Engine.t -> unit) ->
   ?on_env:(Ksurf_env.Env.t -> unit) ->
   unit ->
@@ -95,14 +87,8 @@ val run_single_node :
     is called on the freshly created engine before anything is spawned —
     the hook sanitizers use to attach probes — and [on_env] on the
     freshly deployed environment — the hook fault injection uses to arm
-    a plan.  Deterministic for a given seed.
-
-    Robustness (inert without an armed fault plan): a worker whose plan
-    schedules a crash requeues its in-flight request for the survivors
-    and, if the plan allows, restarts after the downtime; with
-    [request_timeout_ns] set, requests slower than the deadline count as
-    [timeouts] instead of latency samples.  A run that permanently lost
-    workers is stamped [degraded] with the survivor count. *)
+    a plan.  Deterministic for a given seed.  The run stops once
+    [config.requests] requests are served. *)
 
 val percent_increase : isolated:result -> contended:result -> float
 (** Figure 3(c): p99 increase from the isolated to the contended run,

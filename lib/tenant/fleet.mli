@@ -65,7 +65,7 @@ type result = {
           that case is no-data, not failure: a consumer must gate on
           [measured > 0] rather than read the 0 as a failing policy. *)
   epoch_violations : int;
-  arrivals : int;
+  arrivals : int;  (** tenants ever admitted, the initial population included *)
   departures : int;
   cgroup_creates : int;
   cgroup_destroys : int;

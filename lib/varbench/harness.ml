@@ -34,9 +34,7 @@ type result = {
 let total_invocations r =
   Array.fold_left (fun acc s -> acc + Streamstat.count s.stats) 0 r.sites
 
-exception Rank_stopped
-
-let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
+let run ~env ~corpus ?(params = default_params) () =
   if params.iterations < 1 then invalid_arg "Harness.run: iterations must be >= 1";
   let engine = Env.engine env in
   let ranks = Env.rank_count env in
@@ -73,44 +71,9 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
   let finished = ref 0 in
   let measure_start = ref nan in
   let total_iters = params.warmup_iterations + params.iterations in
-  (* Robustness state: a rank is [alive] until it crashes (fault plan)
-     or is dropped as a straggler (watchdog); [waiting] marks ranks
-     parked at the barrier so the watchdog never drops a rank that is
-     merely waiting for someone slower. *)
-  let alive = Array.make ranks true in
-  let waiting = Array.make ranks false in
-  let completed = Array.make ranks false in
-  let progress = Array.make ranks 0.0 in
-  let dropped = ref [] in
-  let dropped_count = ref 0 in
   let counters = Retry.counters () in
-  let drop rank fault =
-    if alive.(rank) then begin
-      alive.(rank) <- false;
-      dropped := rank :: !dropped;
-      incr dropped_count;
-      if Engine.observed engine then
-        Engine.emit engine
-          (Engine.Injected
-             {
-               now = Engine.now engine;
-               pid = Engine.current_pid engine;
-               fault;
-               magnitude = float_of_int rank;
-             });
-      (* Departing shrinks the barrier so survivors keep running; the
-         last survivor has nobody left to release. *)
-      if Barrier.parties barrier > 1 then Barrier.depart barrier
-    end
-  in
   for rank = 0 to ranks - 1 do
     Engine.spawn engine (fun () ->
-        let crash_at = Env.crash_time_of_rank env ~rank in
-        let crashed () =
-          match crash_at with
-          | Some at -> Engine.now engine >= at
-          | None -> false
-        in
         (* A program's calls in order, defined once per rank: a
            [List.iteri] closure here would be built on every program
            run. *)
@@ -119,7 +82,6 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
           | (c : Program.call) :: rest ->
               let t0 = Engine.now engine in
               let ok = Retry.call counters env ~rank c in
-              progress.(rank) <- Engine.now engine;
               (* Latency includes retries and backoff — the cost
                  the caller actually paid to get the call through. *)
               if ok && measuring then begin
@@ -129,67 +91,30 @@ let run ~env ~corpus ?(params = default_params) ?straggler_timeout_ns () =
               end;
               run_calls ~measuring (site + 1) rest
         in
-        try
-          for iter = 0 to total_iters - 1 do
-            let measuring = iter >= params.warmup_iterations in
-            Array.iteri
-              (fun pi (p : Program.t) ->
-                if not alive.(rank) then raise Rank_stopped;
-                if crashed () then begin
-                  (* varbench is BSP-style: a crashed rank never rejoins
-                     the barrier protocol (tailbench honours restarts). *)
-                  drop rank "rank-crash";
-                  raise Rank_stopped
-                end;
-                (* Every rank starts every program at the same time. *)
-                progress.(rank) <- Engine.now engine;
-                waiting.(rank) <- true;
-                Barrier.arrive_with_cost barrier ~per_party_cost:barrier_cost;
-                waiting.(rank) <- false;
-                progress.(rank) <- Engine.now engine;
-                if not alive.(rank) then raise Rank_stopped;
-                if measuring && Float.is_nan !measure_start then
-                  measure_start := Engine.now engine;
-                run_calls ~measuring offsets.(pi) p.Program.calls)
-              programs
-          done;
-          completed.(rank) <- true;
-          incr finished
-        with Rank_stopped -> ())
+        for iter = 0 to total_iters - 1 do
+          let measuring = iter >= params.warmup_iterations in
+          Array.iteri
+            (fun pi (p : Program.t) ->
+              (* Every rank starts every program at the same time. *)
+              Barrier.arrive_with_cost barrier ~per_party_cost:barrier_cost;
+              if measuring && Float.is_nan !measure_start then
+                measure_start := Engine.now engine;
+              run_calls ~measuring offsets.(pi) p.Program.calls)
+            programs
+        done;
+        incr finished)
   done;
-  let stop () = !finished + !dropped_count >= ranks in
-  (match straggler_timeout_ns with
-  | None -> ()
-  | Some timeout ->
-      if timeout <= 0.0 then
-        invalid_arg "Harness.run: straggler timeout must be positive";
-      Engine.spawn engine (fun () ->
-          let rec tick () =
-            if not (stop ()) then begin
-              Engine.delay (timeout /. 2.0);
-              let now = Engine.now engine in
-              for rank = 0 to ranks - 1 do
-                if
-                  alive.(rank)
-                  && (not completed.(rank))
-                  && (not waiting.(rank))
-                  && now -. progress.(rank) > timeout
-                then drop rank "rank-straggler"
-              done;
-              tick ()
-            end
-          in
-          tick ()));
-  Engine.run ~stop engine;
+  Engine.run ~stop:(fun () -> !finished >= ranks) engine;
   {
     sites;
     overall;
     ranks;
     iterations = params.iterations;
     wall_time_ns = Engine.now engine -. !measure_start;
-    degraded = !dropped <> [];
-    survivors = ranks - !dropped_count;
-    dropped_ranks = List.rev !dropped;
+    (* No rank leaves a run, so these three read "none lost". *)
+    degraded = false;
+    survivors = ranks;
+    dropped_ranks = [];
     transient_retries = counters.retries;
     abandoned_calls = counters.abandoned;
     denied_calls = counters.denied;

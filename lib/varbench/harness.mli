@@ -32,9 +32,9 @@ type result = {
   ranks : int;
   iterations : int;
   wall_time_ns : float;  (** virtual time the measured phase spanned *)
-  degraded : bool;  (** some ranks crashed or were dropped *)
-  survivors : int;  (** ranks still in the barrier protocol at the end *)
-  dropped_ranks : int list;  (** in drop order *)
+  degraded : bool;  (** always [false]: no rank leaves a run *)
+  survivors : int;  (** always [ranks] *)
+  dropped_ranks : int list;  (** always [[]] *)
   transient_retries : int;  (** injected EAGAIN/EINTR faults retried *)
   abandoned_calls : int;  (** calls given up on after max retries *)
   denied_calls : int;
@@ -48,7 +48,6 @@ val run :
   env:Ksurf_env.Env.t ->
   corpus:Ksurf_syzgen.Corpus.t ->
   ?params:params ->
-  ?straggler_timeout_ns:float ->
   unit ->
   result
 (** Execute the corpus on every rank of [env] ([params] defaults to 20
@@ -56,11 +55,6 @@ val run :
     up to [ranks x iterations] latency samples.  Deterministic given the
     environment's engine seed.
 
-    Robustness (all inert without an armed fault plan): transiently
-    failed calls retry with exponential backoff and recorded latencies
-    include the retry time; a rank whose fault plan schedules a crash
-    leaves the barrier ({!Ksurf_sim.Barrier.depart}) and the survivors
-    continue; with [straggler_timeout_ns] set, a watchdog also drops any
-    rank that makes no progress for that long while not waiting at the
-    barrier.  A run that lost ranks is stamped [degraded] with the
-    survivor count. *)
+    Under an armed fault plan, transiently failed calls retry with
+    exponential backoff ({!Retry}) and recorded latencies include the
+    retry time; inert without one. *)

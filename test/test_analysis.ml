@@ -284,7 +284,12 @@ let test_tampered_tenancy () =
   fails "slo_met > measured"
     (Gates.Tenancy.check { t with Fleet.slo_met = t.Fleet.measured + 1 });
   fails "no tenant measured"
-    (Gates.Tenancy.check { t with Fleet.measured = 0; slo_met = 0 })
+    (Gates.Tenancy.check { t with Fleet.measured = 0; slo_met = 0 });
+  (* [arrivals] counts the initial population, so it bounds both. *)
+  fails "measured > arrivals"
+    (Gates.Tenancy.check { t with Fleet.measured = t.Fleet.arrivals + 1 });
+  fails "departures > arrivals"
+    (Gates.Tenancy.check { t with Fleet.departures = t.Fleet.arrivals + 1 })
 
 let test_tampered_specialize () =
   let s = Gates.Specialized_varbench.run ~seed:42 ~on_engine:ignore in

@@ -84,41 +84,6 @@ let test_waiting_count () =
   Engine.run engine;
   Alcotest.(check int) "released" 0 (Barrier.waiting barrier)
 
-let test_depart_releases_survivors () =
-  let engine = Engine.create () in
-  let barrier = Barrier.create ~engine ~name:"b" ~parties:3 in
-  let released = ref 0 in
-  List.iter
-    (fun start ->
-      Engine.spawn ~at:start engine (fun () ->
-          Barrier.arrive barrier;
-          incr released))
-    [ 0.0; 5.0 ];
-  (* The third party leaves instead of arriving: the two waiters must
-     be released, not deadlocked. *)
-  Engine.spawn ~at:10.0 engine (fun () -> Barrier.depart barrier);
-  Engine.run engine;
-  Alcotest.(check int) "survivors released" 2 !released;
-  Alcotest.(check int) "parties shrunk" 2 (Barrier.parties barrier);
-  (* The shrunk barrier keeps working for the survivors. *)
-  List.iter
-    (fun start ->
-      Engine.spawn ~at:start engine (fun () ->
-          Barrier.arrive barrier;
-          incr released))
-    [ 20.0; 25.0 ];
-  Engine.run engine;
-  Alcotest.(check int) "next generation releases" 4 !released
-
-let test_depart_last_party_rejected () =
-  let engine = Engine.create () in
-  let barrier = Barrier.create ~engine ~name:"b" ~parties:1 in
-  Alcotest.(check bool) "last party cannot depart" true
-    (try
-       Barrier.depart barrier;
-       false
-     with Invalid_argument _ -> true)
-
 (* A probe that keeps [Engine.copy_event]s of the barrier's events
    reads each one as it was emitted, although the barrier refills one
    payload block per kind: each kept arrival still reads its own
@@ -138,27 +103,23 @@ let test_kept_copies_keep_their_payload () =
         Barrier.arrive barrier)
   done;
   Engine.run engine;
-  Engine.spawn engine (fun () -> Barrier.depart barrier);
-  Engine.run engine;
   let show = function
     | Engine.Barrier_arrive { generation; arrived; parties } ->
         Printf.sprintf "arrive g%d %d/%d" generation arrived parties
     | Engine.Barrier_release { generation } -> Printf.sprintf "release g%d" generation
-    | Engine.Barrier_depart { generation; parties } ->
-        Printf.sprintf "depart g%d %d" generation parties
     | _ -> "lock op"
   in
   Alcotest.(check (list string))
     "each copy as emitted"
     [
       "arrive g0 1/2"; "arrive g0 2/2"; "release g1"; "arrive g1 1/2"; "arrive g1 2/2";
-      "release g2"; "depart g2 1";
+      "release g2";
     ]
     (List.rev_map (function Engine.Sync { op; _ } -> show op | _ -> "other") !kept);
-  (* The payloads the probe saw are the barrier's three blocks, so the
+  (* The payloads the probe saw are the barrier's two blocks, so the
      four live arrivals all read as the last one. *)
   let blocks = List.fold_left (fun acc op -> if List.memq op acc then acc else op :: acc) [] !live in
-  Alcotest.(check int) "one payload block per kind" 3 (List.length blocks);
+  Alcotest.(check int) "one payload block per kind" 2 (List.length blocks);
   Alcotest.(check (list string)) "live arrivals read as the last" (List.init 4 (fun _ -> "arrive g1 2/2"))
     (List.filter_map
        (function Engine.Barrier_arrive _ as op -> Some (show op) | _ -> None)
@@ -167,10 +128,6 @@ let test_kept_copies_keep_their_payload () =
 let suite =
   [
     Alcotest.test_case "release together" `Quick test_release_together;
-    Alcotest.test_case "depart releases survivors" `Quick
-      test_depart_releases_survivors;
-    Alcotest.test_case "depart last party rejected" `Quick
-      test_depart_last_party_rejected;
     Alcotest.test_case "reusable generations" `Quick test_reusable_generations;
     Alcotest.test_case "single party" `Quick test_single_party;
     Alcotest.test_case "arrive with cost" `Quick test_arrive_with_cost;

@@ -66,6 +66,8 @@ let test_bad_args_exit_2 () =
     [
       ("analyze bad scenario", "analyze --scenario bogus");
       ("inject bad env", "inject --env bogus");
+      ("inject removed crashy", "inject --plan crashy");
+      ("inject removed drift", "inject --plan drift");
       ("unknown flag", "table1 --bogus");
       ("removed recover", "recover");
       ("removed tenancy", "tenancy");

@@ -637,7 +637,6 @@ let probe_stream_hash () =
     | Write_release -> [ 6 ]
     | Barrier_arrive { generation; arrived; parties } -> [ 7; generation; arrived; parties ]
     | Barrier_release { generation } -> [ 8; generation ]
-    | Barrier_depart { generation; parties } -> [ 9; generation; parties ]
   in
   Engine.add_probe engine (fun e ->
       incr count;

@@ -38,10 +38,23 @@ let test_plan_roundtrip () =
           Alcotest.(check bool) (name ^ " round-trips") true (plan = plan'))
     Plan.presets
 
+(* Junk and unknown keywords, [rank-crash] and [workload-drift] among
+   them, are typed errors naming the line: not exceptions, and not
+   silently shorter plans. *)
 let test_plan_parse_errors () =
-  (match Plan.of_string "not-a-keyword 1 2 3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "junk accepted");
+  List.iter
+    (fun line ->
+      match Plan.of_string ("name p\nipi-storm period=1e5\n" ^ line ^ "\n") with
+      | Error e ->
+          Alcotest.(check bool) (line ^ ": error names the line") true
+            (Test_util.contains ~sub:line e)
+      | Ok _ -> Alcotest.failf "%s accepted" line
+      | exception exn -> Alcotest.failf "%s raised %s" line (Printexc.to_string exn))
+    [
+      "not-a-keyword 1 2 3";
+      "rank-crash rank=1 at=3e+06 restart=1e+06";
+      "workload-drift at=2e+06 shift=0.25";
+    ];
   match Plan.of_string "# only comments\n\n" with
   | Ok p -> Alcotest.(check bool) "empty plan" true (p.Plan.actions = [])
   | Error e -> Alcotest.failf "comments rejected: %s" e
@@ -124,15 +137,12 @@ let test_scale () =
 
 (* --- injection mechanics ----------------------------------------------- *)
 
-let faulted_run ~seed ~plan ?(kind = Env.Native) ?straggler_timeout_ns
-    ?(probe = fun _ -> ()) () =
+let faulted_run ~seed ~plan ?(kind = Env.Native) ?(probe = fun _ -> ()) () =
   let engine, env = deploy ~kind ~seed () in
   Engine.add_probe engine probe;
   let kf = Kfault.arm ~env ~plan ~seed () in
   let result =
-    Harness.run ~env
-      ~corpus:(Lazy.force tiny_corpus)
-      ~params:small_params ?straggler_timeout_ns ()
+    Harness.run ~env ~corpus:(Lazy.force tiny_corpus) ~params:small_params ()
   in
   Kfault.disarm kf;
   (result, kf)
@@ -157,9 +167,7 @@ let test_syscall_faults_retried () =
   Alcotest.(check bool) "faults injected" true
     ((Kfault.stats kf).Kfault.syscall_faults > 0);
   Alcotest.(check bool) "harness retried them" true
-    (result.Harness.transient_retries > 0);
-  Alcotest.(check bool) "run not degraded by transients" false
-    result.Harness.degraded
+    (result.Harness.transient_retries > 0)
 
 let test_disarm_restores_stock () =
   let plan = Option.get (Plan.preset "mixed") in
@@ -179,88 +187,10 @@ let test_disarm_restores_stock () =
   Alcotest.(check int) "no retries after disarm" 0 retries;
   Alcotest.(check int) "no injections after disarm" 0 injections
 
-(* --- harness robustness ------------------------------------------------ *)
-
-let test_varbench_crash_degrades () =
-  let result, _ =
-    faulted_run ~seed:8 ~plan:(Option.get (Plan.preset "crashy")) ()
-  in
-  Alcotest.(check bool) "degraded" true result.Harness.degraded;
-  Alcotest.(check int) "one rank lost"
-    (result.Harness.ranks - 1)
-    result.Harness.survivors;
-  Alcotest.(check bool) "crashed rank recorded" true
-    (result.Harness.dropped_ranks = [ 1 ]);
-  (* Survivors kept collecting samples after the barrier shrank. *)
-  Alcotest.(check bool) "survivors finished" true
-    (Harness.total_invocations result > 0)
-
-let test_straggler_timeout_no_false_positives () =
-  (* A healthy faulted run with a watchdog armed: nobody stalls, so
-     nobody may be dropped. *)
-  let result, _ =
-    faulted_run ~seed:9
-      ~plan:(Option.get (Plan.preset "storms"))
-      ~straggler_timeout_ns:1e6 ()
-  in
-  Alcotest.(check bool) "no spurious drops" false result.Harness.degraded
-
-let test_straggler_timeout_validated () =
-  let _, env = deploy ~seed:10 () in
-  Alcotest.(check bool) "non-positive timeout rejected" true
-    (try
-       ignore
-         (Harness.run ~env
-            ~corpus:(Lazy.force tiny_corpus)
-            ~params:small_params ~straggler_timeout_ns:0.0 ());
-       false
-     with Invalid_argument _ -> true)
-
-let tail_config =
-  {
-    Runner.default_config with
-    Runner.requests = 120;
-    seed = 3;
-    units = 2;
-    unit_cores = 4;
-    unit_mem_mb = 2048;
-  }
-
-let tail_run ~plan () =
-  let app = Option.get (Apps.by_name "silo") in
-  Runner.run_single_node ~app ~kind:Env.Native ~contended:false
-    ~config:tail_config
-    ~on_env:(fun env ->
-      ignore (Kfault.arm ~env ~plan ~seed:tail_config.Runner.seed () : Kfault.t))
-    ()
-
-let test_tailbench_crash_restart () =
-  let result = tail_run ~plan:(Option.get (Plan.preset "crashy")) () in
-  Alcotest.(check int) "one crash" 1 result.Runner.crashes;
-  Alcotest.(check int) "worker came back" 1 result.Runner.restarts;
-  Alcotest.(check bool) "restart means not degraded" false
-    result.Runner.degraded;
-  Alcotest.(check bool) "requests still served" true (result.Runner.count > 0)
-
-let test_tailbench_permanent_crash () =
-  let crash =
-    {
-      Plan.name = "perma";
-      actions =
-        [ Plan.Rank_crash { rank = 0; at_ns = 1e6; restart_after_ns = None } ];
-    }
-  in
-  let result = tail_run ~plan:crash () in
-  Alcotest.(check bool) "degraded" true result.Runner.degraded;
-  Alcotest.(check int) "one survivor fewer"
-    (tail_config.Runner.unit_cores - 1)
-    result.Runner.survivors;
-  Alcotest.(check bool) "survivors kept serving" true (result.Runner.count > 0)
-
 (* --- determinism under injection --------------------------------------- *)
 
 let test_faulted_run_replays_bit_identically () =
-  let plan = Option.get (Plan.preset "crashy") in
+  let plan = Option.get (Plan.preset "mixed") in
   let result =
     Determinism.check
       ~run:(fun ~probe ->
@@ -335,16 +265,6 @@ let suite =
     Alcotest.test_case "syscall faults retried" `Quick
       test_syscall_faults_retried;
     Alcotest.test_case "disarm restores stock" `Quick test_disarm_restores_stock;
-    Alcotest.test_case "varbench crash degrades" `Quick
-      test_varbench_crash_degrades;
-    Alcotest.test_case "straggler no false positives" `Quick
-      test_straggler_timeout_no_false_positives;
-    Alcotest.test_case "straggler timeout validated" `Quick
-      test_straggler_timeout_validated;
-    Alcotest.test_case "tailbench crash restart" `Quick
-      test_tailbench_crash_restart;
-    Alcotest.test_case "tailbench permanent crash" `Quick
-      test_tailbench_permanent_crash;
     Alcotest.test_case "faulted replay identical" `Quick
       test_faulted_run_replays_bit_identically;
     Alcotest.test_case "seed changes stream" `Quick test_different_seed_differs;
