@@ -1,6 +1,6 @@
 # Convenience entry points; everything below is plain dune.
 
-.PHONY: all build test gates bench-json tenancy-bench ledger-check ab exports-check staticcheck lint loc check clean
+.PHONY: all build test gates ledger-check ab exports-check staticcheck lint loc check clean
 
 all: build
 
@@ -18,24 +18,6 @@ test:
 # runs.  Exits nonzero on any finding or FAIL line.
 gates:
 	dune exec bin/ksurf_cli.exe -- analyze --seed 42
-
-# kpar throughput scan: the quick-scale dose sweep at jobs 1/2/4/8,
-# cells/sec per worker count plus a stable hash of each rendered
-# result, written to BENCH_kpar.json.  Exits nonzero if any job count
-# produces output that differs from jobs=1 — the determinism gate —
-# or if the scaling gate fails: on hosts with >= 4 cores jobs=4 must
-# reach the 2x floor; on smaller hosts (where wall-clock speedup is
-# physically capped at ~1x) the anti-scaling floor applies instead,
-# catching any regression toward the 0.31x GC-rendezvous convoy.
-bench-json:
-	dune exec bench/main.exe -- sweep quick --gate-speedup 2.0
-
-# ktenant memory-flatness bench: the same churny 64-tenant Docker fleet
-# at 10^5 and 10^6 requests, wall clock + peak RSS per run, written to
-# BENCH_tenancy.json.  Exits nonzero if 10x the requests more than
-# doubles the peak RSS — the streaming-statistics gate.
-tenancy-bench:
-	dune exec bench/main.exe -- tenancy full
 
 # Ledger gate: one measured pass of each of the five ledger workloads at
 # seed 42.  A seed-42 cell fails unless its fingerprint (the hash of its

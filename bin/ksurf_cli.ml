@@ -52,7 +52,7 @@ let jobs_arg =
   (* No cmdliner ~env here on purpose: cmdliner would refuse a
      malformed KSURF_JOBS with a hard CLI error, whereas the shared
      precedence rule (Pool.resolve_jobs) warns on stderr and degrades
-     to the machine default — same behaviour as bench/main.exe. *)
+     to the machine default. *)
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* Pool.resolve_jobs owns the precedence rule: the flag when given,

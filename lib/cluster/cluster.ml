@@ -99,13 +99,9 @@ let simulate_node ~app ~kind ~contended ~config ~noise_corpus ~node_seed
   Engine.run ~stop:(fun () -> !finished) engine;
   Array.of_list (List.rev !durations)
 
-(* Each node simulation is self-contained (own engine, own PRNG stream
-   derived from [seed + node * 7919]), so the replica pool can fan nodes
-   across domains; [Pool.map] returns results in node order, keeping the
-   pooled durations bit-identical to the sequential run.  Callers that
-   attach non-thread-safe observers ([on_engine]/[on_env], e.g. the
-   sanitizers' probes) must not pass [par]. *)
-let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
+(* Each node simulation is self-contained: its own engine and its own
+   PRNG stream derived from [seed + node * 7919]. *)
+let simulate_nodes ~app ~kind ~contended ~config ~noise_corpus ~on_engine
     ~on_env =
   if config.nodes_simulated < 1 then invalid_arg "Cluster: need >= 1 node";
   (* Generated once and shared by every node; an isolated node needs
@@ -121,10 +117,7 @@ let simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
       ~node_seed:(config.seed + (node * 7919))
       ~on_engine ~on_env
   in
-  let nodes = List.init config.nodes_simulated Fun.id in
-  match par with
-  | Some pool -> Ksurf_par.Pool.map ~pool cell nodes
-  | None -> List.map cell nodes
+  List.init config.nodes_simulated cell
 
 (* The per-iteration global barrier cost the synthesis charges:
    log2([nodes_total]) tree depth times a per-party cost that depends on
@@ -140,9 +133,9 @@ let barrier_cost_for ~kind =
 
 let run ~app ~kind ~contended ?(config = default_config) ?noise_corpus
     ?(on_engine = fun (_ : Engine.t) -> ())
-    ?(on_env = fun (_ : Env.t) -> ()) ?par () =
+    ?(on_env = fun (_ : Env.t) -> ()) () =
   let nodes =
-    simulate_nodes ~par ~app ~kind ~contended ~config ~noise_corpus ~on_engine
+    simulate_nodes ~app ~kind ~contended ~config ~noise_corpus ~on_engine
       ~on_env
   in
   let pool = Array.concat nodes in

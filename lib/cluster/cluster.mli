@@ -56,18 +56,14 @@ val run :
   ?noise_corpus:Ksurf_syzgen.Corpus.t ->
   ?on_engine:(Ksurf_sim.Engine.t -> unit) ->
   ?on_env:(Ksurf_env.Env.t -> unit) ->
-  ?par:Ksurf_par.Pool.t ->
   unit ->
   result
 (** One cell of Figure 4.  [on_engine] is called on each node
     simulation's engine right after creation — the hook sanitizers use
     to attach probes.  [on_env] is called on each node deployment so
-    fault plans can be armed.  Deterministic for a given seed.  [par] fans
-    the node simulations across a worker pool; each node is a
-    self-contained engine with its own seed, and results merge in node
-    order, so the result is bit-identical to the sequential one.  Do
-    not pass [par] together with non-thread-safe [on_engine]/[on_env]
-    observers. *)
+    fault plans can be armed.  Deterministic for a given seed.  The
+    nodes run one after another on the calling domain; a sweep
+    parallelises across cells, not within one. *)
 
 val relative_loss : isolated:result -> contended:result -> float
 (** Figure 4(c): percent runtime increase from isolated to contended. *)

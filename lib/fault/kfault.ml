@@ -150,8 +150,9 @@ let arm ~env ~plan ~seed () =
                  in
                  counters.c_syscall <- counters.c_syscall + 1;
                  inject engine
-                   (Printf.sprintf "syscall-%s"
-                      (String.lowercase_ascii (Env.errno_name errno)))
+                   (match errno with
+                   | Env.EAGAIN -> "syscall-eagain"
+                   | Env.EINTR -> "syscall-eintr")
                    rate;
                  Some errno
                end

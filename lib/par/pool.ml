@@ -1,8 +1,8 @@
 (* A fixed-size domain pool tuned for this repo's shape of work: a
    handful of long batches (sweeps) of independent, coarse cells — not
    millions of fine-grained tasks.  So the scheduler is deliberately
-   simple: a queue of batches, each batch an array of cells claimed in
-   chunks through an atomic cursor.  The submitting domain claims
+   simple: a queue of batches, each batch an array of cells claimed one
+   at a time through an atomic cursor.  The submitting domain claims
    cells from its own batch too, which (a) uses all [jobs] domains and
    (b) makes nested [map] calls deadlock-free: a worker that submits a
    sub-batch drives that sub-batch itself, so progress never depends on
@@ -14,29 +14,23 @@
    the earliest failing input re-raised, so even the failure mode is
    schedule-independent.
 
-   Two scaling hazards shaped the claiming scheme (DESIGN §6): OCaml 5
-   minor collections are a stop-the-world rendezvous of *every* domain,
-   so each worker sizes its own minor heap up on entry (the default
+   One scaling hazard shaped the pool (DESIGN §6.1): OCaml 5 minor
+   collections are a stop-the-world rendezvous of *every* domain, so
+   each worker sizes its own minor heap up on entry (the default
    256k-word arena turns an allocation-heavy sweep into a GC-barrier
-   convoy — measured 0.31x at jobs=8 before, on one core); and the two
-   per-batch atomics are padded apart so cursor claims and completion
-   counts do not bounce one cache line between domains. *)
+   convoy — measured 0.31x at jobs=8 before, on one core).  The sweeps
+   submit batches of 2 to 32 cells that each run for milliseconds to
+   seconds, so one cursor bump per cell and one broadcast per batch
+   cost nothing measurable. *)
 
-(* One submitted [map]: claim a run of indices with [next], run them,
-   count completions with [left].  The batch stays on the pool queue
-   until every index is claimed; completion is signalled to the
-   submitter through its own condition so unrelated batches don't wake
-   it. *)
+(* One submitted [map]: claim an index with [next], run it, count
+   completions with [left].  The batch stays on the pool queue until
+   every index is claimed; completion is signalled to the submitter
+   through its own condition so unrelated batches don't wake it. *)
 type batch = {
   run : int -> unit;  (* never raises; stores result or exception *)
   size : int;
-  chunk : int;  (* indices claimed per [next] bump, >= 1 *)
   next : int Atomic.t;
-  pad : int array;
-      (* Dead weight between [next] and [left]: keeps the two hottest
-         atomics on different cache lines (OCaml 5.1 has no padded
-         atomics).  Held in the record so the GC cannot collect the
-         separation away. *)
   left : int Atomic.t;
   done_mutex : Mutex.t;
   done_cond : Condition.t;
@@ -87,24 +81,27 @@ let jobs t = t.jobs
    safepoint before any can collect, and on an oversubscribed or busy
    machine that rendezvous costs scheduling quanta, not microseconds.
    The default 256k-word arena makes an allocation-heavy simulation hit
-   that barrier thousands of times per second, which is the measured
-   anti-scaling of BENCH_kpar.json (0.31x at jobs=8).  Sizing the arena
-   up ~32x makes collections correspondingly rarer.
+   that barrier thousands of times per second, which is the anti-scaling
+   measured before the fix (0.31x at jobs=8).  Sizing the arena up ~32x
+   makes collections correspondingly rarer.
 
    The size is per domain and does *not* propagate to spawned domains,
    so [create] applies it to the submitting domain and every worker
    applies it to itself on entry.  Users stay in charge: an explicit
-   s=<n> in OCAMLRUNPARAM wins, and we only ever grow the arena, never
-   shrink it. *)
+   s=<n> in the runtime's parameters wins, and we only ever grow the
+   arena, never shrink it. *)
 let default_minor_words = 8 * 1024 * 1024 (* words: 64 MB per domain on 64-bit *)
 
+(* The runtime reads OCAMLRUNPARAM and, only when that is unset,
+   CAMLRUNPARAM; a set but empty OCAMLRUNPARAM still hides CAMLRUNPARAM. *)
 let user_sized_minor_heap () =
-  match Sys.getenv_opt "OCAMLRUNPARAM" with
-  | None -> false
-  | Some p ->
-      String.split_on_char ',' p
-      |> List.exists (fun kv ->
-             String.length kv >= 2 && kv.[0] = 's' && kv.[1] = '=')
+  let params =
+    match Sys.getenv_opt "OCAMLRUNPARAM" with
+    | Some p -> p
+    | None -> Option.value (Sys.getenv_opt "CAMLRUNPARAM") ~default:""
+  in
+  String.split_on_char ',' params
+  |> List.exists (fun kv -> String.length kv >= 2 && kv.[0] = 's' && kv.[1] = '=')
 
 let tune_minor_heap () =
   if not (user_sized_minor_heap ()) then begin
@@ -114,21 +111,13 @@ let tune_minor_heap () =
   end
 
 (* Claim-and-run until the batch has no unclaimed cells.  Runs on
-   workers and on the submitting domain alike.  Claims advance the
-   cursor by [chunk] indices at a time: for the typical sweep (tens of
-   coarse cells) the chunk is 1 and claiming is exactly per-cell, while
-   many-small-cell batches amortise the shared-cursor traffic across a
-   run of cells. *)
+   workers and on the submitting domain alike. *)
 let drain (b : batch) =
   let rec loop () =
-    let base = Atomic.fetch_and_add b.next b.chunk in
-    if base < b.size then begin
-      let stop = min b.size (base + b.chunk) in
-      for i = base to stop - 1 do
-        b.run i
-      done;
-      let claimed = stop - base in
-      if Atomic.fetch_and_add b.left (-claimed) = claimed then begin
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.size then begin
+      b.run i;
+      if Atomic.fetch_and_add b.left (-1) = 1 then begin
         (* Last cell: wake the submitter — the only waiter on this
            condition, so [signal] suffices (it re-checks [left] under
            the mutex, so the wakeup cannot be lost). *)
@@ -203,15 +192,6 @@ let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* How many cells one [next] bump claims.  Coarse sweeps (every study:
-   tens of cells, seconds each) want chunk 1 — anything larger idles
-   domains at the tail.  Fine-grained batches (hundreds+ of cells) want
-   runs long enough that the shared cursor stops being a per-cell
-   synchronisation point, while still leaving every domain several
-   claims for load balance. *)
-let chunk_for ~jobs ~size =
-  if size <= jobs * 16 then 1 else max 1 (size / (jobs * 16))
-
 let map ~pool f cells =
   let stopped () = invalid_arg "Pool.map: pool is shut down" in
   (* The state read is racy without the lock — a concurrent [shutdown]
@@ -245,45 +225,26 @@ let map ~pool f cells =
           | v -> Some (Ok v)
           | exception e -> Some (Error (e, Printexc.get_raw_backtrace ())))
       in
-      let chunk = chunk_for ~jobs:pool.jobs ~size:n in
-      (* Explicit lets: record-field expressions evaluate in
-         unspecified order, but the pad array only separates the
-         atomics if it is allocated *between* them. *)
-      let next = Atomic.make 0 in
-      let pad = Array.make 15 0 in
-      let left = Atomic.make n in
       let b =
         {
           run;
           size = n;
-          chunk;
-          next;
-          pad;
-          left;
+          next = Atomic.make 0;
+          left = Atomic.make n;
           done_mutex = Mutex.create ();
           done_cond = Condition.create ();
         }
       in
-      ignore (Sys.opaque_identity b.pad);
       Mutex.lock pool.lock;
       if pool.state <> `Running then begin
         Mutex.unlock pool.lock;
         stopped ()
       end;
       Queue.push b pool.queue;
-      (* Wake only as many workers as the batch can occupy: the
-         submitter takes one chunk itself, so a batch of [c] chunks
-         needs at most [c - 1] helpers.  Waking all [jobs - 1] workers
-         for a two-cell batch is the broadcast thundering herd the
-         sweep profile showed; a missed signal is harmless because
-         busy workers re-scan the queue before waiting and the
-         submitter drains its own batch regardless. *)
-      let chunks = (n + chunk - 1) / chunk in
-      if chunks - 1 >= pool.jobs - 1 then Condition.broadcast pool.work
-      else
-        for _ = 1 to chunks - 1 do
-          Condition.signal pool.work
-        done;
+      (* A worker busy elsewhere misses the broadcast but re-scans the
+         queue before it waits, and the submitter drains its own batch
+         regardless. *)
+      Condition.broadcast pool.work;
       Mutex.unlock pool.lock;
       (* The submitter works its own batch, then waits for cells other
          domains claimed. *)

@@ -13,9 +13,8 @@
     The submitting domain participates in its own batch (it claims and
     runs cells alongside the workers), so a pool of [jobs] runs at most
     [jobs] cells concurrently and [map] may be called from inside a
-    worker task (nested sweeps, e.g. a parallel Fig-4 sweep whose cells
-    parallelize their own node simulations) without deadlock: the
-    nested caller drains its own batch. *)
+    worker task (a cell that runs a sweep of its own) without deadlock:
+    the nested caller drains its own batch. *)
 
 type t
 
@@ -29,8 +28,10 @@ val default_jobs : unit -> int
 
 val tune_minor_heap : unit -> unit
 (** Grow the calling domain's minor heap to the kpar default of 8M
-    words, unless the user already chose a size via [s=<n>] in
-    [OCAMLRUNPARAM].  Never shrinks.
+    words, unless the user already chose a size via [s=<n>] in the
+    runtime's parameters: [OCAMLRUNPARAM], or [CAMLRUNPARAM] when
+    [OCAMLRUNPARAM] is unset, as the runtime reads them.  Never
+    shrinks.
 
     OCaml 5 minor collections are a stop-the-world rendezvous of every
     domain, and the setting does not propagate to spawned domains —
@@ -39,10 +40,10 @@ val tune_minor_heap : unit -> unit
     any pool runs under the same GC regime as a sweep. *)
 
 val resolve_jobs : ?cli:int -> unit -> int
-(** The worker-count precedence rule shared by [ksurf_cli] and
-    [bench/main.exe]: an explicit [--jobs] value ([cli], clamped to at
-    least 1) always wins over [KSURF_JOBS], which wins over the
-    machine-derived default ({!default_jobs}). *)
+(** The worker-count precedence rule of [ksurf_cli]: an explicit
+    [--jobs] value ([cli], clamped to at least 1) always wins over
+    [KSURF_JOBS], which wins over the machine-derived default
+    ({!default_jobs}). *)
 
 val create : ?jobs:int -> unit -> t
 (** A pool running at most [jobs] (default {!default_jobs}) cells

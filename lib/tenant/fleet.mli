@@ -12,7 +12,9 @@
     Measurement is streaming end-to-end: per-tenant and fleet-wide
     latency statistics live in {!Ksurf_stats.Streamstat} /
     {!Ksurf_stats.P2_quantile} accumulators and no sample array is ever
-    materialized — memory stays flat from 10^5 to 10^6 requests.
+    materialized, so the live heap does not grow with the requests
+    served: a 64-tenant Docker fleet's peak live heap at 20,000
+    requests stays within 1.5x of its peak at 2,000.
 
     Determinism: everything derives from [config.seed] through split
     PRNG streams, so a run is bit-identical across repetitions and
@@ -38,8 +40,8 @@ type config = {
           to at most 4 replicas.  Epochs with fewer than 8 samples and
           tenants with fewer than 20 are not judged. *)
   request_target : int option;
-      (** stop once this many requests completed (bench ladders);
-          [None] runs to [days * day_ns] *)
+      (** stop once this many requests completed; [None] runs to
+          [days * day_ns] *)
 }
 
 val default_config : config

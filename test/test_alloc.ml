@@ -498,6 +498,48 @@ let test_faulted_lock_pair () =
   Alcotest.(check int) "never fired" 0 (Kfault.stats kf).Kfault.lock_preemptions;
   check_ceiling "Lock.acquire/release (preemption plan)" ~ceiling:zero !words
 
+(* A getpid that the fault plan fails on every call, EAGAIN or EINTR
+   at even odds, on an unobserved engine: 9 words, all of them in the
+   plan's errno draw (the fold of the call's category rates, the EINTR
+   coin and the errno's option).  The faulted call's entry path is a
+   delay that runs in place and its outcome is a constant.  A probe
+   label formatted per fault costs 40 words more, although no probe
+   reads it. *)
+let test_faulted_syscall () =
+  let engine = Engine.create ~seed:1 () in
+  let env =
+    Env.deploy ~engine
+      ~kernel_config:(Kernel_config.without_background Kernel_config.default)
+      Env.Native
+      (Partition.equal_split ~units:1 ~total_cores:1 ~total_mem_mb:1024)
+  in
+  let spec = Option.get (Syscalls.by_name "getpid") in
+  let kf =
+    Kfault.arm ~env
+      ~plan:
+        {
+          Fault_plan.name = "alloc";
+          actions =
+            [
+              Fault_plan.Syscall_failures
+                { rates = List.map (fun c -> (c, 1.0)) spec.Spec.categories; eintr_share = 0.5 };
+            ];
+        }
+      ~seed:3 ()
+  in
+  let arg = { Arg.size = 0; obj = 0; flags = 0 } in
+  let n = 20_000 in
+  let words = ref infinity in
+  Engine.spawn engine (fun () ->
+      words :=
+        words_per_op ~n (fun () ->
+            match Env.try_syscall env ~rank:0 spec arg with
+            | Env.Faulted _ -> ()
+            | Env.Completed | Env.Denied -> Alcotest.fail "the plan failed no call"));
+  Engine.run engine;
+  Alcotest.(check int) "every call faulted" (n + 1) (Kfault.stats kf).Kfault.syscall_faults;
+  check_ceiling "Env.try_syscall (faulted, unobserved)" ~ceiling:(exactly 9.0) !words
+
 (* Every call a compiled app issues, at an argument outside the call's
    own model: each call's first size at object 37, a 512-byte
    [recvfrom] and shore's 16,384-byte [fsync].  A program rebuilt per
@@ -578,6 +620,7 @@ let suite =
     Alcotest.test_case "analyzed lock pair allocates nothing" `Quick
       test_analyzed_lock_pair;
     Alcotest.test_case "faulted lock pair allocates nothing" `Quick test_faulted_lock_pair;
+    Alcotest.test_case "faulted syscall formats no label" `Quick test_faulted_syscall;
     Alcotest.test_case "request calls hit their memos" `Quick test_request_calls_memoised;
     Alcotest.test_case "silo request allocates its events" `Quick test_silo_request;
     Alcotest.test_case "two Engine.now reads share one box" `Quick test_now_boxes_once;

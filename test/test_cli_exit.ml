@@ -5,12 +5,10 @@
    Fileio.ensure_dir, so these spawns stay cheap even for commands
    whose happy path is a long sweep. *)
 
-let exe dir name = Filename.concat (Filename.concat ".." dir) name
-let cli = exe "bin" "ksurf_cli.exe"
-let bench = exe "bench" "main.exe"
+let cli = Filename.concat (Filename.concat ".." "bin") "ksurf_cli.exe"
 
 (* Exit code, stdout and stderr of one spawn. *)
-let spawn ?(prog = cli) args =
+let spawn args =
   let out = Filename.temp_file "ksurf-cli" ".out" in
   let err = Filename.temp_file "ksurf-cli" ".err" in
   let read path = In_channel.with_open_bin path In_channel.input_all in
@@ -24,18 +22,18 @@ let spawn ?(prog = cli) args =
          parsing. *)
       let code =
         Sys.command
-          ("unset KSURF_JOBS; exec " ^ Filename.quote prog ^ " " ^ args ^ " >"
+          ("unset KSURF_JOBS; exec " ^ Filename.quote cli ^ " " ^ args ^ " >"
          ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
       in
       (code, read out, read err))
 
 (* Exit code and stdout of one spawn. *)
-let run_out ?prog args =
-  let code, out, _ = spawn ?prog args in
+let run_out args =
+  let code, out, _ = spawn args in
   (code, out)
 
-let check_exit ?prog name expected args =
-  Alcotest.(check int) name expected (fst (run_out ?prog args))
+let check_exit name expected args =
+  Alcotest.(check int) name expected (fst (run_out args))
 
 (* A bad --export path fails before any cell runs: exit 3, nothing
    rendered. *)
@@ -180,16 +178,6 @@ let test_studies_are_subcommands () =
          if s.exports () <> [] then Some s.name else None)
        studies)
 
-let test_bench_bad_args_exit_2 () =
-  List.iter
-    (fun (name, args) -> check_exit ~prog:bench name 2 args)
-    [
-      ("unknown selector", "tabel2");
-      ("removed table selector", "table2");
-      ("bad --jobs", "--jobs x sweep");
-      ("bad --gate-speedup", "sweep quick --gate-speedup x");
-    ]
-
 let suite =
   [
     Alcotest.test_case "io failures exit 3" `Quick test_io_failure_exits_3;
@@ -201,6 +189,4 @@ let suite =
     Alcotest.test_case "success exits 0" `Quick test_success_exits_0;
     Alcotest.test_case "tables are subcommands" `Quick
       test_studies_are_subcommands;
-    Alcotest.test_case "bench bad arguments exit 2" `Quick
-      test_bench_bad_args_exit_2;
   ]

@@ -1,8 +1,7 @@
-(* Worker-count precedence (satellite of ktenant): an explicit --jobs
-   always beats KSURF_JOBS, which beats the machine default.  Both
-   ksurf_cli (via with_pool) and bench/main.exe route their parsed
-   --jobs value through Pool.resolve_jobs, so this pins the order for
-   both binaries. *)
+(* Worker-count precedence: an explicit --jobs always beats
+   KSURF_JOBS, which beats the machine default.  ksurf_cli routes its
+   parsed --jobs value through Pool.resolve_jobs, so this pins the
+   order for the CLI. *)
 
 let with_env value f =
   let old = Sys.getenv_opt "KSURF_JOBS" in

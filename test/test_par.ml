@@ -95,14 +95,14 @@ let test_shutdown () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Chunked claiming ----------------------------------------------- *)
+(* --- Per-cell claiming ----------------------------------------------- *)
 
 (* A cell whose cost is wildly index-dependent: cell 0 does ~300x the
-   work of the median cell, and cost is otherwise sawtoothed.  With
-   chunked claiming this is the adversarial shape — a chunk containing
-   cell 0 finishes long after every other chunk — so identical output
-   at jobs=1 and jobs=8 pins that chunking changed the schedule only,
-   never the merge order or the per-cell values. *)
+   work of the median cell, and cost is otherwise sawtoothed, so the
+   domains claim cells in a different interleaving on every run and
+   finish them out of order.  Identical output at jobs=1 and jobs=8
+   pins that the schedule changes only which domain runs a cell, never
+   the merge order or the per-cell values. *)
 let skewed_cell i =
   let rounds = if i = 0 then 300_000 else 1 + (i * 97 mod 1_000) in
   let h = ref i in
@@ -117,11 +117,12 @@ let test_skewed_runtime_identity () =
   let par = Pool.with_pool ~jobs:8 (fun pool -> Pool.map ~pool skewed_cell cells) in
   Alcotest.(check (list (pair int int))) "jobs 1 = jobs 8" seq par
 
-(* Many small batches in quick succession: every submit wakes at most
-   (chunks - 1) workers instead of broadcasting, so this pins the
-   no-lost-wakeup invariant — a lost wakeup would leave a batch
-   unclaimed and hang the suite, and a miscounted [left] would hang the
-   submitter's completion wait. *)
+(* Many small batches in quick succession, most of them smaller than
+   the pool: workers still finishing or dropping the previous batch
+   miss its broadcast and must find the next one by re-scanning the
+   queue.  This pins the no-lost-wakeup invariant — a lost wakeup would
+   leave a batch unclaimed and hang the suite, and a miscounted [left]
+   would hang the submitter's completion wait. *)
 let test_many_small_batches () =
   Pool.with_pool ~jobs:4 (fun pool ->
       for round = 0 to 299 do
@@ -167,6 +168,59 @@ let test_map_racing_shutdown () =
          false
        with Invalid_argument _ -> true)
   done
+
+(* --- Minor-heap sizing ------------------------------------------------ *)
+
+(* Every domain that runs a cell has grown its own minor heap: the size
+   is per domain, and a worker left at the runtime's 256k-word default
+   turns an allocating sweep into a convoy of stop-the-world minor
+   collections.  The cells sleep so that the workers claim some of
+   them; the check covers every domain that ran one.  A user who sized
+   the heap in the runtime's parameters keeps that size instead. *)
+let test_workers_size_minor_heap () =
+  let params =
+    match Sys.getenv_opt "OCAMLRUNPARAM" with
+    | Some p -> p
+    | None -> Option.value (Sys.getenv_opt "CAMLRUNPARAM") ~default:""
+  in
+  if List.exists (String.starts_with ~prefix:"s=") (String.split_on_char ',' params)
+  then Alcotest.skip ();
+  let reports =
+    Pool.with_pool ~jobs:4 (fun pool ->
+        Pool.map ~pool
+          (fun _ ->
+            Unix.sleepf 0.005;
+            ((Domain.self () :> int), (Gc.get ()).Gc.minor_heap_size))
+          (List.init 32 Fun.id))
+  in
+  let domains = List.sort_uniq compare (List.map fst reports) in
+  Alcotest.(check bool) "workers ran cells" true (List.length domains > 1);
+  List.iter
+    (fun (d, words) ->
+      if words < 8 * 1024 * 1024 then
+        Alcotest.failf "domain %d ran a cell with a %d-word minor heap" d words)
+    reports
+
+(* The runtime reads CAMLRUNPARAM when OCAMLRUNPARAM is unset, so an
+   s=<n> there is the user's choice too and must survive
+   [tune_minor_heap].  A fresh domain starts at the size the runtime
+   parsed at start-up, which the variable set here does not change. *)
+let test_tune_respects_camlrunparam () =
+  if Sys.getenv_opt "OCAMLRUNPARAM" <> None then
+    (* Set, even empty, it hides CAMLRUNPARAM from the runtime. *)
+    Alcotest.skip ();
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "CAMLRUNPARAM" "")
+    (fun () ->
+      Unix.putenv "CAMLRUNPARAM" "s=1M";
+      let before, after =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let before = (Gc.get ()).Gc.minor_heap_size in
+               Pool.tune_minor_heap ();
+               (before, (Gc.get ()).Gc.minor_heap_size)))
+      in
+      Alcotest.(check int) "user-sized minor heap kept" before after)
 
 (* --- Determinism under parallelism --------------------------------- *)
 
@@ -309,6 +363,10 @@ let suite =
       test_skewed_runtime_identity;
     Alcotest.test_case "many small batches" `Quick test_many_small_batches;
     Alcotest.test_case "map racing shutdown" `Quick test_map_racing_shutdown;
+    Alcotest.test_case "workers size their minor heaps" `Quick
+      test_workers_size_minor_heap;
+    Alcotest.test_case "tune respects CAMLRUNPARAM" `Quick
+      test_tune_respects_camlrunparam;
     Alcotest.test_case "studies pool-agnostic" `Slow
       test_studies_pool_agnostic;
     Alcotest.test_case "journal single writer" `Quick

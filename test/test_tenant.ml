@@ -93,6 +93,48 @@ let test_request_target_stops_early () =
   Alcotest.(check bool) "stopped near the target" true
     (r.Fleet.completed >= 100 && r.Fleet.completed < 1000)
 
+(* Every latency accumulator streams, so a fleet's live heap does not
+   grow with the requests it serves.  The same churning 64-tenant
+   Docker fleet runs to 2,000 and to 20,000 requests; a probe collects
+   and measures the major heap every 20,000 engine events.  Its peak
+   above the pre-run heap may not grow by half: a fleet that kept each
+   latency in a list more than doubles it. *)
+let peak_live_words ~request_target =
+  let cfg =
+    {
+      Fleet.default_config with
+      Fleet.tenants = 64;
+      churn_per_day = 8.0;
+      policy = Tenant_policy.Static Tenant_policy.Docker;
+      seed = 42;
+      (* Far beyond the target: the run always stops on the target, and
+         the short warmup keeps the staggered boot storm short. *)
+      days = 4000.0;
+      warmup_fraction = 0.001;
+      request_target = Some request_target;
+    }
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let baseline = live () in
+  let peak = ref 0 and events = ref 0 in
+  let probe _ =
+    incr events;
+    if !events mod 20_000 = 0 then peak := max !peak (live () - baseline)
+  in
+  let r = Fleet.run ~on_engine:(fun e -> Engine.add_probe e probe) cfg in
+  Alcotest.(check bool) "reached the target" true (r.Fleet.completed >= request_target);
+  !peak
+
+let test_fleet_memory_flat () =
+  let small = peak_live_words ~request_target:2_000 in
+  let large = peak_live_words ~request_target:20_000 in
+  if float_of_int large > 1.5 *. float_of_int small then
+    Alcotest.failf "peak live words grew from %d at 2,000 requests to %d at 20,000"
+      small large
+
 let test_workload_rate_positive () =
   let rng = Prng.create 7 in
   let day = 2e9 in
@@ -114,5 +156,6 @@ let suite =
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "request target" `Quick test_request_target_stops_early;
+    Alcotest.test_case "fleet memory flat" `Quick test_fleet_memory_flat;
     Alcotest.test_case "workload rate positive" `Quick test_workload_rate_positive;
   ]
