@@ -21,10 +21,6 @@ module Journal = Ksurf_recov.Journal
 module Fleet = Ksurf_tenant.Fleet
 module Profile = Ksurf_spec.Profile
 module Specializer = Ksurf_spec.Specializer
-module Fileio = Ksurf_util.Fileio
-module Durplan = Ksurf_dur.Durplan
-module Faultio = Ksurf_dur.Faultio
-module Crashsim = Ksurf_dur.Crashsim
 module Sanitizer = Ksurf_analysis.Sanitizer
 module Determinism = Ksurf_analysis.Determinism
 module Finding = Ksurf_analysis.Finding
@@ -313,143 +309,6 @@ module Tenancy = struct
       ]
 end
 
-(* kdur crash consistency.  The quick torture grid (writer path x dose
-   0/1) at 1 and 4 workers must hold every invariant at every crash
-   point, with cell results independent of the worker count.  Then the
-   same durability machinery wired into a live engine workload: three
-   varbench cells journalled through a Recov_journal whose host I/O
-   runs under an armed fault plan (transients, an ENOSPC window, a
-   scheduled crash) must recover from every injected death and drain
-   every deferred persist. *)
-module Torture = struct
-  module T = Ksurf_dur.Torture
-
-  type result = {
-    grid : T.result list;  (** the 1-worker grid *)
-    workers_agree : bool;  (** same cells at 4 workers *)
-    converged : bool;  (** the live journal became durable *)
-    executed : int;  (** live cells executed *)
-    lost : string list;  (** live cells missing from the journal *)
-    litter : bool;  (** temp files survived recovery *)
-    io : Faultio.stats;
-  }
-
-  let name = "torture"
-
-  let live_plan =
-    {
-      Durplan.name = "smoke";
-      actions =
-        [
-          Durplan.Transient { rate = 0.4; eintr_share = 0.5 };
-          Durplan.Enospc_window { from_op = 4; until_op = 8 };
-          Durplan.Crash_at { op = 2 };
-        ];
-    }
-
-  let live_cells = [ "varbench:0"; "varbench:1"; "varbench:2" ]
-
-  (* Each cell tortures its writer in its own scratch directory, so
-     the cells fan out across workers without sharing crash states. *)
-  let grid ~seed ~root jobs =
-    let scratch = Filename.concat root (Printf.sprintf "grid-j%d" jobs) in
-    let cell (kind, dose) =
-      T.run
-        {
-          T.kind;
-          dose;
-          runs = 4;
-          seed;
-          scratch =
-            Filename.concat scratch
-              (Printf.sprintf "%s-%.2f" (T.kind_name kind) dose);
-        }
-    in
-    Ksurf_par.Pool.with_pool ~jobs (fun pool ->
-        Ksurf_par.Pool.map ~pool cell
-          (List.concat_map (fun kind -> [ (kind, 0.0); (kind, 1.0) ])
-             T.all_kinds))
-
-  let run ~seed ~on_engine =
-    let root = Filename.temp_dir "ksurf-torture-gate" "" in
-    Fun.protect ~finally:(fun () -> Crashsim.rm_tree root) @@ fun () ->
-    let g1 = grid ~seed ~root 1 in
-    let g4 = grid ~seed ~root 4 in
-    let dir = Filename.concat root "live" in
-    Fileio.ensure_dir dir;
-    let jpath = Filename.concat dir "cells.journal" in
-    let inj = Faultio.make ~root:dir ~seed live_plan in
-    let executed = ref [] in
-    let journal_cells () =
-      ignore (Fileio.sweep_tmp ~dir);
-      let j = Journal.load ~flush_every:1 ~path:jpath () in
-      List.iter
-        (fun cell ->
-          if not (Journal.mem j cell) then begin
-            (* Recorded cells are never re-executed; a cell whose
-               completion died before persisting is legitimately
-               recomputed — here memoised so the engine event stream
-               stays replay-identical. *)
-            if not (List.mem cell !executed) then begin
-              run_varbench ~seed ~on_engine;
-              executed := cell :: !executed
-            end;
-            Journal.record j cell
-          end)
-        live_cells;
-      Journal.flush j;
-      Journal.persist_pending j
-    in
-    (* An ENOSPC deferral clears as ops advance; a crash is recovered by
-       the next attempt. *)
-    let rec attempt n =
-      n <= 50
-      &&
-      match Faultio.with_faults inj journal_cells with
-      | false -> true
-      | true | (exception Ksurf_util.Iohook.Crashed _) -> attempt (n + 1)
-    in
-    let converged = attempt 1 in
-    let j = Journal.load ~path:jpath () in
-    {
-      grid = g1;
-      workers_agree = g1 = g4;
-      converged;
-      executed = List.length !executed;
-      lost = List.filter (fun c -> not (Journal.mem j c)) live_cells;
-      litter = Fileio.sweep_tmp ~dir <> 0;
-      io = Faultio.stats inj;
-    }
-
-  let check r =
-    failures
-      (List.concat_map
-         (fun (c : T.result) ->
-           [
-             fail_if (T.violations c <> 0) "%s dose %.1f: %d consistency violations"
-               c.T.kind c.T.dose (T.violations c);
-             fail_if
-               (c.T.live_runs > 0 && c.T.recovery_ok < 1.0)
-               "%s dose %.1f: live recovery %.2f < 1.0" c.T.kind c.T.dose
-               c.T.recovery_ok;
-           ])
-         r.grid
-      @ [
-          fail_if (not r.workers_agree)
-            "cell results differ between 1 and 4 workers";
-          fail_if (not r.converged) "live journal never converged";
-          fail_if
-            (r.executed <> List.length live_cells)
-            "%d live cells executed, expected %d" r.executed
-            (List.length live_cells);
-          fail_if (r.lost <> []) "live cells lost: %s" (String.concat ", " r.lost);
-          fail_if r.litter "temp litter survived recovery";
-          fail_if (r.io.Faultio.crashes < 1) "scheduled crash never fired";
-          fail_if (r.io.Faultio.enospc < 1) "ENOSPC window never hit";
-          fail_if (r.io.Faultio.transients < 1) "no transient faults injected";
-        ])
-end
-
 let stock : t list =
   [
     unchecked "varbench" run_varbench;
@@ -460,7 +319,6 @@ let stock : t list =
     (module Specialized_varbench);
     unchecked "parallel-sweep" run_parallel_sweep;
     (module Tenancy);
-    (module Torture);
   ]
 
 (* --- the runner ---------------------------------------------------------- *)

@@ -3,7 +3,7 @@
 
     A gate is a small, fast configuration of one workload family — the
     shared kernel (varbench, tailbench, BSP), its faulted, specialized,
-    parallel-sweep, tenancy and durability extensions.  {!run} executes
+    parallel-sweep and tenancy extensions.  {!run} executes
     it twice through {!Ksurf_analysis.Sanitizer.double_run} (lockdep +
     invariants on the first run, the determinism replay across both),
     then hands the second run's result to the gate's [check], which
@@ -32,7 +32,7 @@ val name : t -> string
 val stock : t list
 (** Every gate the tree must pass, in run order: varbench, tailbench,
     bsp, faulted-varbench, faulted-tailbench, specialized-varbench,
-    parallel-sweep, tenancy, torture. *)
+    parallel-sweep, tenancy. *)
 
 module Inversion : S with type result = unit
 

@@ -103,10 +103,6 @@ module Kfault = Ksurf_fault.Kfault
 
 module Fileio = Ksurf_util.Fileio
 module Iohook = Ksurf_util.Iohook
-module Durplan = Ksurf_dur.Durplan
-module Faultio = Ksurf_dur.Faultio
-module Crashsim = Ksurf_dur.Crashsim
-module Torture = Ksurf_dur.Torture
 
 module Recov_journal = Ksurf_recov.Journal
 

@@ -13,8 +13,7 @@
      [Unix.openfile] and [Sys.rename].  Durable writes must go through
      [Fileio.write_atomic] so an interrupted run leaves the previous
      complete file (never a truncated one), the rename is fsynced into
-     its directory, and the kdur I/O hook sees — and can fault — every
-     operation.
+     its directory, and the I/O hook sees every operation.
 
    The parser drops comments, so allow-annotations are recognised
    textually: a finding is suppressed when its line or the line above
@@ -157,7 +156,7 @@ and mutable_state_of_module ~file ~allowed (me : Parsetree.module_expr) =
 
 (* Writer primitives that bypass Fileio's crash-consistency protocol.
    open_out leaves truncated files; Unix.openfile dodges the I/O hook
-   (so torture cells cannot see or fault the op); Sys.rename without
+   (so no handler can observe or fail the op); Sys.rename without
    the temp + fsync + dir-fsync dance is neither atomic-with-content
    nor durable. *)
 let raw_io_names =

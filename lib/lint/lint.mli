@@ -12,7 +12,7 @@
     [open_out_gen] use ([raw-open-out]), plus [Unix.openfile]
     ([raw-openfile]) and [Sys.rename] ([raw-rename]) on durable
     paths; such writes must go through [Ksurf_util.Fileio] so they
-    are crash-consistent and visible to the kdur I/O hook. *)
+    are crash-consistent and visible to the I/O hook. *)
 
 type check = Mutable_state | Raw_open_out
 

@@ -1,7 +1,7 @@
 (* Completed-cell journal: a small file recording which cells of a
    sweep have already completed, so a run that dies can skip them when
    it starts again.  The ledger's partitioned-sweep workload and the
-   parallel-sweep and torture gates journal their cells through it.
+   parallel-sweep gate journal their cells through it.
    Cells are free-form string keys (e.g. "varbench:1").  Each line
    carries its own FNV-1a checksum, so a line half-written by a dying
    process is recognised and dropped on load instead of poisoning the
@@ -35,7 +35,6 @@ type t = {
   mutable cells_rev : string list;
   mutable unflushed : int;  (* recorded since the last persist *)
   flush_every : int;
-  mutable deferred : int;  (* persist attempts that failed with Io_error *)
 }
 
 let cells t =
@@ -78,7 +77,6 @@ let make ?(flush_every = default_flush_every) ~path cells =
     cells_rev = List.rev cells;
     unflushed = 0;
     flush_every = max 1 flush_every;
-    deferred = 0;
   }
 
 let load ?flush_every ~path () =
@@ -94,13 +92,11 @@ let load ?flush_every ~path () =
         make ?flush_every ~path []
 
 (* Caller holds [t.lock].  An [Io_error] (disk full, directory gone)
-   does NOT abort the sweep: the cells stay buffered in memory, the
-   failure is counted as deferred, and every subsequent [record] (and
-   the final [flush]) retries the persist — so when space clears the
-   journal catches up, and when it never does the completed work is
-   still returned to the caller, which sees [persist_pending] instead
-   of losing it.  A simulated crash (Iohook.Crashed) is not an I/O
-   error and still propagates. *)
+   does NOT abort the sweep: the cells stay buffered in memory and
+   every subsequent [record] (and the final [flush]) retries the
+   persist — so when space clears the journal catches up, and when it
+   never does the completed work is still returned to the caller,
+   which sees [persist_pending] instead of losing it. *)
 let persist_locked t =
   match
     Fileio.write_atomic ~path:t.path (fun oc ->
@@ -111,7 +107,7 @@ let persist_locked t =
           (List.rev t.cells_rev))
   with
   | () -> t.unflushed <- 0
-  | exception Fileio.Io_error _ -> t.deferred <- t.deferred + 1
+  | exception Fileio.Io_error _ -> ()
 
 let flush t =
   Mutex.lock t.lock;
@@ -124,12 +120,6 @@ let persist_pending t =
   let pending = t.unflushed > 0 in
   Mutex.unlock t.lock;
   pending
-
-let deferred t =
-  Mutex.lock t.lock;
-  let n = t.deferred in
-  Mutex.unlock t.lock;
-  n
 
 let record t key =
   Mutex.lock t.lock;

@@ -2,12 +2,11 @@
 
     Records completed sweep cells (free-form string keys) so a run that
     dies can skip the work already done when it starts again.  The
-    ledger's partitioned-sweep workload and the parallel-sweep and
-    torture gates journal their cells through it.  Every line is
-    checksummed individually — a torn write from a dying process is
-    dropped on load, not trusted.  All writes are atomic (temp + fsync
-    + rename) and raise {!Ksurf_util.Fileio.Io_error} on file-system
-    trouble.
+    ledger's partitioned-sweep workload and the parallel-sweep gate
+    journal their cells through it.  Every line is checksummed
+    individually — a torn write from a dying process is dropped on
+    load, not trusted.  All writes are atomic (temp + fsync + rename)
+    and raise {!Ksurf_util.Fileio.Io_error} on file-system trouble.
 
     Membership is O(1) (hashtable, not a list scan), and persists are
     batched: the file is rewritten once every [flush_every] newly
@@ -50,9 +49,6 @@ val flush : t -> unit
 val persist_pending : t -> bool
 (** Are there recorded cells not yet safely on disk?  True after a
     persist failure until a retry succeeds. *)
-
-val deferred : t -> int
-(** How many persist attempts failed (and were deferred) so far. *)
 
 val mem : t -> string -> bool
 (** Has this cell already completed? *)

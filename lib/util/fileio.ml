@@ -15,11 +15,11 @@ exception Io_error of string
    them to a distinct exit code instead of leaving a truncated file
    behind.
 
-   Every host I/O primitive consults {!Iohook} first, so the kdur
-   torture harness can observe the exact op stream and inject typed
-   faults.  Transient errno ([EINTR]/[EAGAIN]) — real or injected —
-   is absorbed by a bounded retry with exponential backoff; each retry
-   re-consults the hook, which is how a transient fault plan clears.
+   Every host I/O primitive consults {!Iohook} first, so a caller can
+   observe the op stream and a test can make an op fail with a chosen
+   errno.  Transient errno ([EINTR]/[EAGAIN]) — real or injected — is
+   absorbed by a bounded retry with exponential backoff; each retry
+   re-consults the hook.
 
    The temp name carries the pid plus a process-local counter:
    concurrent writers to the same destination (parallel sweep workers,
@@ -47,10 +47,6 @@ let io_error ~path msg =
 
 let max_transient_attempts = 16
 
-let transient_retries_counter = Atomic.make 0
-
-let transient_retries () = Atomic.get transient_retries_counter
-
 let backoff attempt =
   (* 1us doubling to a 1ms cap: sub-20ms worst case over a full retry
      budget, enough to let a real transient condition pass. *)
@@ -61,7 +57,6 @@ let retrying f =
     try f () with
     | Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _)
       when attempt < max_transient_attempts ->
-        Atomic.incr transient_retries_counter;
         backoff attempt;
         go (attempt + 1)
   in
@@ -71,8 +66,8 @@ let retrying f =
    retry/Io_error machinery treats them exactly like real ones. *)
 let consult op =
   match Iohook.consult op with
+  | Iohook.Proceed -> ()
   | Iohook.Fail e -> raise (Unix.Unix_error (e, "ksurf-injected", Iohook.path_of op))
-  | verdict -> verdict
 
 (* Directory-entry durability.  Injected faults surface (and retry)
    like any other op; errors from the real fsync are swallowed because
@@ -80,33 +75,21 @@ let consult op =
    is nothing useful a caller can do about it. *)
 let fsync_dir dir =
   retrying (fun () ->
-      match consult (Iohook.Fsync_dir { path = dir }) with
-      | Iohook.Drop -> ()
-      | _ -> (
-          match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-          | exception Unix.Unix_error _ -> ()
-          | fd ->
-              Fun.protect
-                ~finally:(fun () ->
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-                (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())))
-
-let read_all_raw path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+      consult (Iohook.Fsync_dir { path = dir });
+      match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+      | exception Unix.Unix_error _ -> ()
+      | fd ->
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ()))
 
 let write_atomic ~path f =
   let tmp = tmp_name path in
   let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
-  (* Iohook.Crashed deliberately escapes without remove_tmp: it
-     simulates process death, and a dead process cleans nothing up —
-     that litter is exactly what recovery must sweep. *)
   (try
      let fd =
        retrying (fun () ->
-           ignore (consult (Iohook.Open { path = tmp }));
+           consult (Iohook.Open { path = tmp });
            Unix.openfile tmp
              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
              0o644)
@@ -117,30 +100,9 @@ let write_atomic ~path f =
        (fun () ->
          f oc;
          flush oc;
-         if Iohook.active () then begin
-           (* Only under a hook: read the bytes back so the handler
-              sees the full content (to tear it, or to record it for
-              crash-state enumeration). *)
-           let content = read_all_raw tmp in
-           let len = String.length content in
-           retrying (fun () ->
-               match consult (Iohook.Write { path = tmp; content }) with
-               | Iohook.Torn keep ->
-                   let keep_n =
-                     Int.max 0
-                       (Int.min len (int_of_float (keep *. float_of_int len)))
-                   in
-                   Unix.ftruncate fd keep_n;
-                   raise
-                     (Iohook.Crashed
-                        (Printf.sprintf "torn write %s (%d/%d bytes)" tmp
-                           keep_n len))
-               | _ -> ())
-         end;
          retrying (fun () ->
-             match consult (Iohook.Fsync { path = tmp }) with
-             | Iohook.Drop -> () (* silently-dropped fsync *)
-             | _ -> Unix.fsync fd))
+             consult (Iohook.Fsync { path = tmp });
+             Unix.fsync fd))
    with
   | Sys_error msg ->
       remove_tmp ();
@@ -150,7 +112,7 @@ let write_atomic ~path f =
       raise (io_error ~path (Unix.error_message e)));
   try
     retrying (fun () ->
-        ignore (consult (Iohook.Rename { src = tmp; dst = path }));
+        consult (Iohook.Rename { src = tmp; dst = path });
         Sys.rename tmp path);
     fsync_dir (Filename.dirname path)
   with
@@ -173,7 +135,7 @@ let rec ensure_dir dir =
         ensure_dir (Filename.dirname dir);
         try
           retrying (fun () ->
-              ignore (consult (Iohook.Mkdir { path = dir }));
+              consult (Iohook.Mkdir { path = dir });
               try Unix.mkdir dir 0o755
               with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
           (* First creation: make the new entry durable, or a crash can
@@ -192,7 +154,7 @@ let rec ensure_dir dir =
 let remove path =
   try
     retrying (fun () ->
-        ignore (consult (Iohook.Remove { path }));
+        consult (Iohook.Remove { path });
         Sys.remove path)
   with
   | Sys_error msg ->
@@ -218,7 +180,7 @@ let sweep_tmp ~dir =
 let read_lines path =
   try
     retrying (fun () ->
-        ignore (consult (Iohook.Read { path }));
+        consult (Iohook.Read { path });
         let ic = open_in path in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)

@@ -10,9 +10,10 @@
     never a truncated one.
 
     Every host I/O primitive consults the ambient {!Iohook} handler
-    first, which is how the kdur torture harness records op traces and
-    injects faults.  Transient [EINTR]/[EAGAIN] — real or injected —
-    is absorbed by a bounded retry with exponential backoff. *)
+    first, so a caller can observe the op stream and a test can make an
+    op fail with a chosen errno.  Transient [EINTR]/[EAGAIN] — real or
+    injected — is absorbed by a bounded retry with exponential
+    backoff. *)
 
 exception Io_error of string
 (** An I/O failure (ENOSPC, permissions, missing directory, …) with the
@@ -25,9 +26,7 @@ val write_atomic : path:string -> (out_channel -> unit) -> unit
     directory.  On failure the temp file is removed and {!Io_error}
     raised; [path] is never left partial.  Safe against concurrent
     writers to the same [path]: temp names are unique per process and
-    call, and each rename installs one complete file.  A simulated
-    crash ({!Iohook.Crashed}) escapes {e without} cleanup, as a real
-    process death would. *)
+    call, and each rename installs one complete file. *)
 
 val read_lines : string -> string list
 (** All lines of a file.  Raises {!Io_error} if unreadable. *)
@@ -46,10 +45,3 @@ val sweep_tmp : dir:string -> int
 (** Remove every [*.tmp.*] temp file left in [dir] by crashed writers;
     returns how many were swept.  A missing or unreadable [dir] sweeps
     nothing (0). *)
-
-val is_tmp_name : string -> bool
-(** Does this basename look like a {!write_atomic} temp file? *)
-
-val transient_retries : unit -> int
-(** Process-wide count of transient ([EINTR]/[EAGAIN]) faults absorbed
-    by retry since start; cumulative across all domains. *)

@@ -1,21 +1,17 @@
 (* Operation-level hook beneath Fileio.
 
-   Durable-state torture (lib/dur) needs two capabilities the happy
-   path never exercises: observing the exact op stream a writer emits
-   (to enumerate crash states from it) and perturbing individual ops
-   (transient errno, ENOSPC window, torn write, dropped fsync, crash).
-   Both land here: Fileio consults the ambient handler before every
-   host I/O primitive and obeys its verdict.
+   Fileio consults the ambient handler before every host I/O primitive
+   and obeys its verdict: proceed, or fail with an errno.  That is
+   enough to observe a writer's op stream and to drive the retry and
+   ENOSPC paths from a test with real Unix errors.
 
-   The handler lives in Domain.DLS, not a global: parallel torture
-   cells run in separate pool domains, each with its own fault
-   schedule, and must not perturb the sweep journal being written by
-   the coordinating domain.  With no handler installed (the normal
-   case) consult is a DLS read and a match — no allocation. *)
+   The handler lives in Domain.DLS, not a global: a handler installed
+   by one pool domain must not see (or perturb) the ops of another.
+   With no handler installed (the normal case) consult is a DLS read
+   and a match — no allocation. *)
 
 type op =
   | Open of { path : string }
-  | Write of { path : string; content : string }
   | Fsync of { path : string }
   | Fsync_dir of { path : string }
   | Rename of { src : string; dst : string }
@@ -23,15 +19,12 @@ type op =
   | Read of { path : string }
   | Mkdir of { path : string }
 
-type outcome = Proceed | Fail of Unix.error | Torn of float | Drop | Crash
+type outcome = Proceed | Fail of Unix.error
 
 type handler = op -> outcome
 
-exception Crashed of string
-
 let path_of = function
   | Open { path }
-  | Write { path; _ }
   | Fsync { path }
   | Fsync_dir { path }
   | Remove { path }
@@ -40,29 +33,11 @@ let path_of = function
       path
   | Rename { src; _ } -> src
 
-let describe = function
-  | Open { path } -> "open " ^ path
-  | Write { path; content } ->
-      Printf.sprintf "write %s (%d bytes)" path (String.length content)
-  | Fsync { path } -> "fsync " ^ path
-  | Fsync_dir { path } -> "fsync-dir " ^ path
-  | Rename { src; dst } -> Printf.sprintf "rename %s -> %s" src dst
-  | Remove { path } -> "remove " ^ path
-  | Read { path } -> "read " ^ path
-  | Mkdir { path } -> "mkdir " ^ path
-
 let key : handler option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let active () = Domain.DLS.get key <> None
-
 let consult op =
-  match Domain.DLS.get key with
-  | None -> Proceed
-  | Some h -> (
-      match h op with
-      | Crash -> raise (Crashed (describe op))
-      | verdict -> verdict)
+  match Domain.DLS.get key with None -> Proceed | Some h -> h op
 
 let with_handler h f =
   let prev = Domain.DLS.get key in

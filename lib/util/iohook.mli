@@ -1,22 +1,18 @@
 (** Operation-level hook under every host I/O primitive.
 
     {!Fileio} consults the ambient handler (if any) before each durable
-    I/O operation — open, write, fsync, rename, remove, read, mkdir —
-    which lets a test or torture harness observe the exact op stream of
-    a writer, inject typed failures (transient [EINTR]/[EAGAIN],
-    [ENOSPC] windows, hard [EIO]), tear a write, silently drop an
-    fsync, or simulate a process crash at a chosen op.
+    I/O operation — open, fsync, rename, remove, read, mkdir — which
+    lets a caller observe the op stream of a writer (the ledger counts
+    journal persists by their renames) and lets a test make an op fail
+    with a chosen errno.
 
-    The handler is {e domain-local} ([Domain.DLS]): parallel sweep
-    workers can each run an isolated fault schedule without seeing each
-    other's, and code running with no handler installed pays only a
-    [Domain.DLS.get] per operation. *)
+    The handler is {e domain-local} ([Domain.DLS]): a handler installed
+    in one pool domain sees only that domain's ops, and code running
+    with no handler installed pays only a [Domain.DLS.get] per
+    operation. *)
 
 type op =
   | Open of { path : string }  (** create/truncate a temp file for writing *)
-  | Write of { path : string; content : string }
-      (** the complete bytes of one atomic write (consulted after the
-          data reached the OS, before it is fsynced) *)
   | Fsync of { path : string }
   | Fsync_dir of { path : string }  (** directory-entry durability *)
   | Rename of { src : string; dst : string }
@@ -29,31 +25,15 @@ type outcome =
   | Fail of Unix.error
       (** the operation fails with this errno; {!Fileio} retries
           [EINTR]/[EAGAIN] and maps the rest to [Io_error] *)
-  | Torn of float
-      (** [Write] only: keep this fraction of the bytes, then crash —
-          a power-cut mid-write *)
-  | Drop
-      (** [Fsync]/[Fsync_dir] only: report success without syncing
-          (silently-dropped flush); elsewhere equivalent to [Proceed] *)
-  | Crash  (** simulated process death before the op takes effect *)
 
 type handler = op -> outcome
-
-exception Crashed of string
-(** Simulated process death ({!Crash} or the tail of {!Torn}).  Raised
-    through the writer; deliberately {e not} an [Io_error], so cleanup
-    paths that a dead process could never run (temp-file removal) are
-    skipped, exactly as a real crash would leave them. *)
 
 val path_of : op -> string
 (** The primary path the op touches ([src] for renames). *)
 
-val active : unit -> bool
-(** Is a handler installed in this domain? *)
-
 val consult : op -> outcome
 (** Ask the ambient handler about [op].  Returns {!Proceed} when no
-    handler is installed; raises {!Crashed} on {!Crash}. *)
+    handler is installed. *)
 
 val with_handler : handler -> (unit -> 'a) -> 'a
 (** Install [handler] in this domain for the duration of the callback

@@ -69,6 +69,7 @@ let test_bad_args_exit_2 () =
       ("unknown flag", "table1 --bogus");
       ("removed recover", "recover");
       ("removed tenancy", "tenancy");
+      ("removed torture gate", "analyze --scenario torture");
       ("unknown subcommand", "tabel2");
       ("bad scale", "table2 --scale bogus");
       ("bad jobs", "table2 --jobs x");
@@ -124,7 +125,7 @@ let test_findings_exit_1 () =
   check_exit "analyze inversion" 1 "analyze --scenario inversion"
 
 let test_success_exits_0 () =
-  check_exit "torture gate" 0 "analyze --scenario torture";
+  check_exit "bsp gate" 0 "analyze --scenario bsp";
   check_exit "table1 takes the shared flags" 0
     "table1 --seed 7 --scale quick --jobs 1"
 

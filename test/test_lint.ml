@@ -61,8 +61,8 @@ let test_default_checks () =
     (has Lint.Mutable_state "lib/kernel/instance.ml");
   Alcotest.(check bool) "everything gets the raw-I/O check" true
     (has Lint.Raw_open_out "lib/kernel/instance.ml");
-  Alcotest.(check bool) "dur gets the raw-I/O check" true
-    (has Lint.Raw_open_out "lib/dur/crashsim.ml");
+  Alcotest.(check bool) "recov gets the raw-I/O check" true
+    (has Lint.Raw_open_out "lib/recov/journal.ml");
   Alcotest.(check bool) "except fileio itself" false
     (has Lint.Raw_open_out "lib/util/fileio.ml")
 
