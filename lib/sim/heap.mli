@@ -4,10 +4,15 @@
     time fire in insertion order, which makes whole-simulation execution
     deterministic (DESIGN.md §6).
 
-    The layout is allocation-free on the hot path: times, sequence
-    numbers, pids and payloads live in parallel arrays (the float array
-    is unboxed), so a [push]/[drop] pair allocates nothing.  Events are
-    consumed through the [top_*]/[drop] accessors.  Every accessor is
+    The layout is allocation-free on the hot path.  The keys sit in heap
+    order in parallel arrays of times (an unboxed float array), sequence
+    numbers and slots; each entry's pid and payload sit in a slot table
+    where {!push} stored them.  A sift therefore moves integers and
+    floats only, never a payload, and a [push]/[drop] pair allocates
+    nothing.  The drop that empties the heap releases its payload; a
+    payload dropped while others stay queued stays in its free slot
+    until a push takes the slot.  Events are consumed through the
+    [top_*]/[drop] accessors.  Every accessor is
     allocation-free except {!top_time}, whose result crosses the module
     boundary boxed; {!top_time_into} reads the same time into a float
     array instead, and is how the engine's run loop reads it. *)

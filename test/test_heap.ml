@@ -105,6 +105,104 @@ let qcheck_size_tracks =
       done;
       !ok)
 
+(* A payload the test keeps no reference to, with a flag its
+   finaliser sets once the GC has reclaimed it.  Built out of line, so
+   no register or stack slot of the caller holds it. *)
+let[@inline never] push_tracked h ~time ~seq collected =
+  let payload = ref seq in
+  Gc.finalise (fun _ -> collected := true) payload;
+  Heap.push h ~time ~seq ~pid:0 payload
+
+(* A dropped payload is the GC's to reclaim once the drop empties the
+   heap, or once a push takes its slot: neither that slot nor the spare
+   capacity a grow adds may keep it alive.  (A payload dropped while
+   others stay queued is kept until a push takes its slot; DESIGN §6.2
+   says why.)  The first push grows the first heap, so its drain is all
+   the tracked payload meets. *)
+let test_drop_releases () =
+  let collected = ref false in
+  let h = Heap.create () in
+  Heap.push h ~time:1.0 ~seq:0 ~pid:0 (ref 0);
+  Heap.drop h;
+  push_tracked h ~time:2.0 ~seq:1 collected;
+  Heap.drop h;
+  Gc.full_major ();
+  Alcotest.(check bool) "collected after a drain" true !collected;
+  Alcotest.(check int) "the heap outlives it" 0 (Heap.size h);
+  let collected = ref false in
+  let h = Heap.create () in
+  for seq = 1 to 64 do
+    Heap.push h ~time:5.0 ~seq ~pid:0 (ref seq)
+  done;
+  push_tracked h ~time:1.0 ~seq:0 collected;
+  Heap.drop h;
+  Heap.push h ~time:5.0 ~seq:65 ~pid:0 (ref 65);
+  Gc.full_major ();
+  Alcotest.(check bool) "collected after a grow" true !collected;
+  Alcotest.(check int) "the rest stay queued" 65 (Heap.size h)
+
+type op = Push of int * int * bool | Drop | Drain
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun time pid cell -> Push (time, pid, cell)) (int_bound 3) (int_bound 99) bool);
+        (3, return Drop);
+        (1, return Drain);
+      ])
+
+let print_op = function
+  | Push (time, pid, cell) -> Printf.sprintf "Push (%d, %d, %b)" time pid cell
+  | Drop -> "Drop"
+  | Drain -> "Drain"
+
+(* Interleaved pushes, pops and drains against a sorted list: every pop
+   yields the model's earliest (time, seq) entry with its own pid and
+   payload.  Few distinct times make most keys ties that only seq
+   breaks, and drains followed by refills reuse freed slots. *)
+let qcheck_matches_model =
+  QCheck.Test.make ~name:"interleaved ops match a sorted model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op)
+       QCheck.Gen.(list_size (int_range 0 400) op_gen))
+    (fun ops ->
+      let h = Heap.create () and cell = [| 0.0 |] in
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      let pop () =
+        match !model with
+        | [] -> ok := !ok && Heap.is_empty h
+        | (time, _, pid, payload) :: rest ->
+            model := rest;
+            ok :=
+              !ok
+              && (not (Heap.is_empty h))
+              && Heap.top_time h = time
+              && Heap.top_pid h = pid
+              && Heap.top h == payload;
+            if not (Heap.is_empty h) then Heap.drop h
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (t, pid, in_cell) ->
+              let time = float_of_int t and payload = ref !seq in
+              if in_cell then begin
+                cell.(0) <- time;
+                Heap.push_cell h cell ~seq:!seq ~pid payload
+              end
+              else Heap.push h ~time ~seq:!seq ~pid payload;
+              model := List.merge compare !model [ (time, !seq, pid, payload) ];
+              incr seq
+          | Drop -> pop ()
+          | Drain ->
+              while !model <> [] do
+                pop ()
+              done;
+              pop ());
+          ok := !ok && Heap.size h = List.length !model)
+        ops;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -113,7 +211,9 @@ let suite =
     Alcotest.test_case "peek" `Quick test_peek;
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "push_cell reads the cell at push" `Quick test_push_cell;
+    Alcotest.test_case "a dropped payload is collected" `Quick test_drop_releases;
     QCheck_alcotest.to_alcotest qcheck_pop_sorted;
     QCheck_alcotest.to_alcotest qcheck_size_tracks;
     QCheck_alcotest.to_alcotest qcheck_top_before_merges;
+    QCheck_alcotest.to_alcotest qcheck_matches_model;
   ]
